@@ -538,8 +538,8 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
             family = sol.infeasible_rows[0].split("[", 1)[0]
         raise DispatchError(
             f"{opt.layer} infeasible; first violated family: {family}")
-    if sol.status == "unbounded":
-        raise DispatchError(f"{opt.layer} program unbounded")
+    if sol.status != "optimal":
+        raise DispatchError(f"{opt.layer} solve ended with status {sol.status}")
     return extract_schedule(scn, fc, sol, ix, opt)
 
 

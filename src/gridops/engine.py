@@ -322,42 +322,57 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
     return trace
 
 
+def _unsigned(values) -> np.ndarray:
+    """Copy of ``values`` with every entry that would print as -0.000000
+    set to +0, so rounding noise below 5e-7 cannot flip output bytes."""
+    out = np.array(values, dtype=float)
+    out[(out <= 0.0) & (out >= -5e-7)] = 0.0
+    return out
+
+
 def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
                 seed: int, scenario_path: str | None = None) -> None:
     os.makedirs(outdir, exist_ok=True)
+    (imb_raw, imb, reg_total, load, gen, ver_av, ver_del, shed, sg) = (
+        _unsigned(a) for a in (
+            trace.imbalance_raw, trace.imbalance,
+            trace.regulation.sum(axis=1), trace.load, trace.generation,
+            trace.ver_available, trace.ver_delivered, trace.shed,
+            trace.supergen))
     with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("minute,imbalance_raw_mw,imbalance_mw,regulation_mw,"
                  "load_mw,generation_mw,ver_available_mw,ver_delivered_mw,"
                  "shed_mw,supergen_mw\n")
         for m in range(trace.minutes):
-            fh.write(f"{m},{trace.imbalance_raw[m]:.6f},"
-                     f"{trace.imbalance[m]:.6f},"
-                     f"{trace.regulation[m].sum():.6f},"
-                     f"{trace.load[m]:.6f},{trace.generation[m]:.6f},"
-                     f"{trace.ver_available[m]:.6f},"
-                     f"{trace.ver_delivered[m]:.6f},"
-                     f"{trace.shed[m]:.6f},{trace.supergen[m]:.6f}\n")
+            fh.write(f"{m},{imb_raw[m]:.6f},{imb[m]:.6f},{reg_total[m]:.6f},"
+                     f"{load[m]:.6f},{gen[m]:.6f},{ver_av[m]:.6f},"
+                     f"{ver_del[m]:.6f},{shed[m]:.6f},{sg[m]:.6f}\n")
+    flows = _unsigned(trace.flows)
+    iface = _unsigned(trace.interface_flow)
+    limit = _unsigned(trace.interface_limit)
     with open(os.path.join(outdir, "flows.csv"), "w", encoding="utf-8") as fh:
         head = ["minute"] + [f"flow:{b}" for b in trace.branch_names] + \
             [f"iface:{n}" for n in trace.interface_names] + \
             [f"limit:{n}" for n in trace.interface_names]
         fh.write(",".join(head) + "\n")
         for m in range(trace.minutes):
-            row = [str(m)] + [f"{x:.6f}" for x in trace.flows[m]] + \
-                [f"{x:.6f}" for x in trace.interface_flow[m]] + \
-                [f"{x:.6f}" for x in trace.interface_limit[m]]
+            row = [str(m)] + [f"{x:.6f}" for x in flows[m]] + \
+                [f"{x:.6f}" for x in iface[m]] + \
+                [f"{x:.6f}" for x in limit[m]]
             fh.write(",".join(row) + "\n")
+    regulation = _unsigned(trace.regulation)
     with open(os.path.join(outdir, "regulation.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(",".join(["minute"] + trace.reg_units) + "\n")
         for m in range(trace.minutes):
-            row = [str(m)] + [f"{x:.6f}" for x in trace.regulation[m]]
+            row = [str(m)] + [f"{x:.6f}" for x in regulation[m]]
             fh.write(",".join(row) + "\n")
     with open(os.path.join(outdir, "units.csv"), "w", encoding="utf-8") as fh:
         ids = sorted(trace.unit_output)
+        outputs = [_unsigned(trace.unit_output[g]) for g in ids]
         fh.write(",".join(["minute"] + ids) + "\n")
         for m in range(trace.minutes):
-            row = [str(m)] + [f"{trace.unit_output[g][m]:.6f}" for g in ids]
+            row = [str(m)] + [f"{out[m]:.6f}" for out in outputs]
             fh.write(",".join(row) + "\n")
     manifest = {
         "scenario_hash": scenario_hash(scenario_path) if scenario_path

@@ -5,6 +5,13 @@ programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
 lowest-index tie-breaking and falls back to Bland's rule after a run of
 degenerate pivots, which keeps the method finite without paying Bland's
 price on every iteration.
+
+Every solve starts from a slack crash basis: nonbasic columns sit at a
+finite bound, each inequality row whose slack can absorb the residual at
+that point starts on its slack, and only the remaining rows (every equality
+row among them) get an artificial.  Phase 1 then drives just those
+artificials to zero.  A solve that reaches the pivot cap (``_PIVOTS_PER_DIM``
+per row plus column) ends with status ``iteration_limit``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ CHECK_TOL = 1e-6
 
 _DEGEN_STREAK_FOR_BLAND = 60
 _REFACTOR_EVERY = 256
+# Pivot cap per solve, per row plus column; a solve that reaches it ends
+# with status ``iteration_limit``.
+_PIVOTS_PER_DIM = 50
 
 
 class SolverError(Exception):
@@ -100,13 +110,15 @@ class LinearProgram:
 
 @dataclass
 class Solution:
-    status: str                      # optimal | infeasible | unbounded | node_limit
+    status: str      # optimal | infeasible | unbounded | node_limit | iteration_limit
     x: np.ndarray | None = None
     objective: float | None = None
     duals: np.ndarray | None = None
     infeasible_rows: list[str] = field(default_factory=list)
     nodes: int = 0
     branches: int = 0
+    pivots: int = 0
+    phase1_pivots: int = 0
 
     def value(self, j: int) -> float:
         return float(self.x[j])
@@ -120,58 +132,65 @@ _BASIC = 3
 
 
 class _Simplex:
-    """Bounded-variable primal simplex over an explicit basis inverse."""
+    """Bounded-variable primal simplex over an explicit basis inverse.
+
+    Columns are the structurals, one slack per row (``A x + s = b``, with
+    ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
+    artificial for each row in ``art_rows``: those whose slack cannot take
+    the starting residual.  The starting basis is those artificials plus
+    the slacks of all other rows, so ``Binv`` starts diagonal with +1 on
+    slack rows and the artificial's sign on the others.
+    """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
                  c: np.ndarray, l: np.ndarray, u: np.ndarray):
         m, n = A.shape
         self.m, self.n = m, n
-        # Columns: structurals, one slack per row, one artificial per row.
-        ncols = n + 2 * m
+        is_le = np.array([s == LE for s in senses], dtype=bool)
+        is_ge = np.array([s == GE for s in senses], dtype=bool)
+        lo = np.concatenate([l, np.where(is_ge, -INF, 0.0)])
+        hi = np.concatenate([u, np.where(is_le, INF, 0.0)])
+
+        # Start nonbasic structurals/slacks at a finite bound (prefer lower).
+        x0 = np.where(lo > -INF, lo, np.where(hi < INF, hi, 0.0))
+        state0 = np.where(lo > -INF, _AT_LB,
+                          np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
+
+        # Crash basis: a row whose slack can absorb the residual starts on
+        # that slack; only the others get an artificial.
+        resid = b - A @ x0[:n]          # every slack starts at 0
+        on_slack = (is_le & (resid >= 0.0)) | (is_ge & (resid <= 0.0))
+        art_rows = np.nonzero(~on_slack)[0]
+        k = len(art_rows)
+
+        # Columns: structurals, one slack per row, one artificial per
+        # row that needs one.
+        ncols = n + m + k
         self.ncols = ncols
         self.A = np.zeros((m, ncols))
         self.A[:, :n] = A
         self.A[np.arange(m), n + np.arange(m)] = 1.0
         self.b = b.copy()
+        self.l = np.concatenate([lo, np.zeros(k)])
+        self.u = np.concatenate([hi, np.full(k, INF)])
+        self.x = np.concatenate([x0, np.zeros(k)])
+        self.state = np.concatenate([state0, np.full(k, _BASIC, np.int8)])
 
-        self.l = np.full(ncols, -INF)
-        self.u = np.full(ncols, INF)
-        self.l[:n] = l
-        self.u[:n] = u
-        for i, s in enumerate(senses):
-            if s == LE:
-                self.l[n + i], self.u[n + i] = 0.0, INF
-            elif s == GE:
-                self.l[n + i], self.u[n + i] = -INF, 0.0
-            else:
-                self.l[n + i], self.u[n + i] = 0.0, 0.0
-
-        # Start nonbasic structurals/slacks at a finite bound (prefer lower).
-        self.x = np.zeros(ncols)
-        self.state = np.full(ncols, _FREE, dtype=np.int8)
-        for j in range(n + m):
-            if self.l[j] > -INF:
-                self.x[j] = self.l[j]
-                self.state[j] = _AT_LB
-            elif self.u[j] < INF:
-                self.x[j] = self.u[j]
-                self.state[j] = _AT_UB
-            else:
-                self.x[j] = 0.0
-                self.state[j] = _FREE
-
-        resid = self.b - self.A[:, :n + m] @ self.x[:n + m]
-        art = n + m + np.arange(m)
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.A[np.arange(m), art] = sign
-        self.l[art] = 0.0
-        self.u[art] = INF
-        self.x[art] = np.abs(resid)
-        self.state[art] = _BASIC
-        self.basis = art.copy()
+        art = n + m + np.arange(k)
+        sign = np.where(on_slack | (resid >= 0.0), 1.0, -1.0)
+        self.A[art_rows, art] = sign[art_rows]
+        self.x[art] = np.abs(resid[art_rows])
+        slack_rows = np.nonzero(on_slack)[0]
+        self.x[n + slack_rows] = resid[slack_rows]
+        self.state[n + slack_rows] = _BASIC
+        self.basis = n + np.arange(m)
+        self.basis[art_rows] = art
         self.Binv = np.diag(sign)
         self.art = art
+        self.art_rows = art_rows
         self.pivots = 0
+        self.phase1_pivots = 0
+        self.max_pivots = _PIVOTS_PER_DIM * (m + n)
 
     # -- core iteration -------------------------------------------------
 
@@ -206,6 +225,8 @@ class _Simplex:
             viol[self.l == self.u] = 0.0
             if not np.any(viol > 0.0):
                 return "optimal"
+            if self.pivots >= self.max_pivots:
+                return "iteration_limit"
 
             if degen_streak > _DEGEN_STREAK_FOR_BLAND:
                 j = int(np.nonzero(viol > 0.0)[0][0])          # Bland
@@ -273,15 +294,18 @@ class _Simplex:
     # -- driver ---------------------------------------------------------
 
     def solve(self, c: np.ndarray) -> tuple[str, np.ndarray | None, list[int]]:
-        m, n = self.m, self.n
+        n = self.n
         phase1 = np.zeros(self.ncols)
         phase1[self.art] = 1.0
         status = self._iterate(phase1)
+        self.phase1_pivots = self.pivots
+        if status == "iteration_limit":
+            return status, None, []
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             raise SolverError("phase 1 terminated " + status)
         infeas = float(self.x[self.art].sum())
         if infeas > 1e-6:
-            bad = [i for i in range(m) if self.x[self.art[i]] > 1e-7]
+            bad = self.art_rows[self.x[self.art] > 1e-7].tolist()
             return "infeasible", None, bad
         # Forbid artificials from re-entering.
         self.u[self.art] = 0.0
@@ -320,14 +344,14 @@ def solve_lp(lp: LinearProgram,
         return Solution(status="infeasible")
     sx = _Simplex(A, b, senses, c, l, u)
     status, y, bad_rows = sx.solve(c)
-    if status == "infeasible":
+    counts = dict(pivots=sx.pivots, phase1_pivots=sx.phase1_pivots)
+    if status != "optimal":
         names = [lp.constraints[i].name for i in bad_rows]
-        return Solution(status="infeasible", infeasible_rows=names)
-    if status == "unbounded":
-        return Solution(status="unbounded")
+        return Solution(status=status, infeasible_rows=names, **counts)
     x = sx.x[: len(lp.variables)].copy()
     duals = np.asarray(y).copy()
-    sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals)
+    sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
+                   **counts)
     if check:
         verify_certificates(lp, sol, sx, c)
     return sol
@@ -373,17 +397,3 @@ def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
         else:  # free nonbasic
             if abs(r[j]) > tol:
                 raise SolverError(f"dual infeasibility {r[j]:.3e} on free col {j}")
-
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Debug rendering: objective, one constraint per line, bounds section."""
-    terms = [f"{v.obj:+g} {v.name}" for v in lp.variables if v.obj]
-    out = ["min " + (" ".join(terms) if terms else "0")]
-    for con in lp.constraints:
-        lhs = " ".join(f"{a:+g} {lp.variables[j].name}" for j, a in con.coeffs)
-        out.append(f"{con.name}: {lhs} {con.sense} {con.rhs:g}")
-    out.append("bounds")
-    for v in lp.variables:
-        kind = " binary" if v.binary else ""
-        out.append(f"  {v.lb:g} <= {v.name} <= {v.ub:g}{kind}")
-    return "\n".join(out) + "\n"

@@ -38,8 +38,10 @@ def solve_milp(lp: LinearProgram,
 
     ``fixed`` pins variables to values before the search (used for must-run
     units and carried-over commitments).  Hitting ``node_limit`` returns the
-    incumbent with status ``node_limit``; with no incumbent the status is
-    ``infeasible``.
+    incumbent (``x`` is None when there is none) with status ``node_limit``.
+    A node LP that ends with any status other than optimal or infeasible,
+    such as ``iteration_limit``, ends the search with that status.  Pivot
+    counts are summed over every node LP.
     """
     binaries = lp.binary_indices
     base: dict[int, tuple[float, float]] = {}
@@ -57,6 +59,15 @@ def solve_milp(lp: LinearProgram,
     incumbent: Solution | None = None
     nodes = 1
     branches = 0
+    pivots = root.pivots
+    phase1_pivots = root.phase1_pivots
+
+    def finish(status: str, best: Solution | None) -> Solution:
+        out = Solution(status=status, nodes=nodes, branches=branches,
+                       pivots=pivots, phase1_pivots=phase1_pivots)
+        if best is not None:
+            out.x, out.objective, out.duals = best.x, best.objective, best.duals
+        return out
 
     while heap:
         bound, _, bounds, relax = heapq.heappop(heap)
@@ -77,23 +88,22 @@ def solve_milp(lp: LinearProgram,
             sol = solve_lp(lp, var_bounds=child)
             nodes += 1
             seq += 1
-            if sol.status != "optimal":
+            pivots += sol.pivots
+            phase1_pivots += sol.phase1_pivots
+            if sol.status == "infeasible":
                 continue
+            if sol.status != "optimal":
+                return finish(sol.status, None)
             if incumbent is not None and sol.objective >= incumbent.objective - GAP_TOL:
                 continue
             heapq.heappush(heap, (sol.objective, seq, child, sol))
         if nodes >= node_limit:
-            status = "node_limit"
-            if incumbent is None:
-                return Solution(status="infeasible", nodes=nodes, branches=branches)
-            out = incumbent
-            return Solution(status=status, x=out.x, objective=out.objective,
-                            duals=out.duals, nodes=nodes, branches=branches)
+            return finish("node_limit", incumbent)
 
     if incumbent is None:
-        return Solution(status="infeasible", nodes=nodes, branches=branches)
-    x = incumbent.x.copy()
+        return finish("infeasible", None)
+    out = finish("optimal", incumbent)
+    out.x = incumbent.x.copy()
     for j in binaries:
-        x[j] = round(x[j])
-    return Solution(status="optimal", x=x, objective=incumbent.objective,
-                    duals=incumbent.duals, nodes=nodes, branches=branches)
+        out.x[j] = round(out.x[j])
+    return out

@@ -7,7 +7,9 @@ import os
 
 import pytest
 
+import gridops.dispatch as dispatch
 from gridops.cli import main
+from gridops.lp import Solution
 
 
 @pytest.fixture
@@ -61,6 +63,14 @@ def test_seed_env_fallback(mini, tmp_path, monkeypatch):
     assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 0
     man = json.load(open(os.path.join(out, "manifest.json")))
     assert man["seed"] == 42
+
+
+def test_non_optimal_solve_exits_3(mini, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dispatch, "solve_milp",
+                        lambda lp: Solution(status="node_limit", nodes=1))
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 3
+    assert "scuc solve ended with status node_limit" in capsys.readouterr().err
 
 
 def test_metrics_from_trace(mini, tmp_path):

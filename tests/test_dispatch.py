@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import gridops.dispatch as dispatch
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
                               initial_from_scenario)
+from gridops.milp import solve_milp
 from gridops.rtuc import run_rtuc
 from gridops.scenario import (Branch, Generator, Interface, ReserveParams,
                               Scenario, SemiDispatchable, Storage, Timing,
@@ -278,3 +282,12 @@ def test_infeasible_forecast_horizon_rejected():
     with pytest.raises(DispatchError, match="horizon"):
         run_scuc(scn, Forecasts(load={"a": np.zeros(2)}, semi={}),
                  initial_from_scenario(scn))
+
+
+def test_node_limit_raises(monkeypatch):
+    # This commitment branches (9 nodes), so a 1-node limit cuts it short.
+    monkeypatch.setattr(dispatch, "solve_milp",
+                        functools.partial(solve_milp, node_limit=1))
+    scn = one_bubble(cheap_dear())
+    with pytest.raises(DispatchError, match="scuc .*node_limit"):
+        run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from gridops.engine import simulate, write_trace
+from gridops.engine import SimulationTrace, simulate, write_trace
 from gridops.mini import write_mini3
 from gridops.scenario import Outage, load_scenario
 
@@ -91,3 +91,25 @@ def test_trace_files_written(mini, tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 7 and "scenario_hash" in man
     assert "timestamp" not in man
+
+
+def test_written_trace_has_no_signed_zeros(mini, tmp_path):
+    tr = SimulationTrace(minutes=1, branch_names=["a-b"],
+                         interface_names=["ab"], reg_units=["g1"])
+    tr.imbalance_raw[0] = -1e-12
+    tr.imbalance[0] = -0.0
+    tr.load[0] = -5e-7              # the most negative value printing 0
+    tr.generation[0] = -6e-7        # rounds away from zero: keeps its sign
+    tr.regulation[0, 0] = -1e-12
+    tr.flows[0, 0] = -1e-12
+    tr.interface_flow[0, 0] = -3e-7
+    tr.unit_output["g1"] = np.array([-1e-12])
+    out = tmp_path / "run"
+    write_trace(str(out), tr, load_scenario(mini), 7)
+    trace_row = (out / "trace.csv").read_text().splitlines()[1]
+    assert trace_row.split(",")[1:6] == ["0.000000", "0.000000", "0.000000",
+                                         "0.000000", "-0.000001"]
+    for name in ("flows.csv", "regulation.csv", "units.csv"):
+        assert "-0.000000" not in (out / name).read_text()
+    assert (out / "flows.csv").read_text().splitlines()[1] == \
+        "0,0.000000,0.000000,0.000000"

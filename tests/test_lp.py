@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import gridops.lp as lpmod
 from gridops.lp import EQ, GE, INF, LE, LinearProgram, solve_lp
 
 
@@ -141,3 +142,39 @@ def test_deterministic_repeat():
     b = solve_lp(lp)
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
+
+
+def test_feasible_start_needs_no_phase1():
+    # x = y = 0 satisfies every row, so all rows start on their slacks.
+    sol = solve_lp(small_lp())
+    assert sol.status == "optimal"
+    assert sol.phase1_pivots == 0
+    assert sol.pivots >= 2
+
+
+@pytest.mark.parametrize("sense,rhs,opt_x", [
+    (LE, -1.0, [0.0, 1.0]),   # x - y <= -1 reads 0 at the start point
+    (GE, 3.0, [3.0, 0.0]),    # x + y >= 3 reads 0 at the start point
+    (EQ, 2.0, [2.0, 0.0]),    # equality rows always start on an artificial
+])
+def test_rows_needing_artificials_reach_optimum(sense, rhs, opt_x):
+    lp = LinearProgram()
+    x = lp.add_var("x", 0, 10, obj=1.0)
+    y = lp.add_var("y", 0, 10, obj=2.0)
+    lp.add_constr("r", [(x, 1.0), (y, -1.0 if sense == LE else 1.0)],
+                  sense, rhs)
+    lp.add_constr("cap", [(x, 1.0)], LE, 8.0)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.phase1_pivots >= 1
+    assert sol.x == pytest.approx(opt_x, abs=1e-9)
+
+
+def test_pivot_cap_reports_iteration_limit(monkeypatch):
+    # small_lp has 3 rows and 2 columns, so this caps the solve at 1 pivot;
+    # its optimum has both structurals basic and needs at least 2.
+    monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 1 / 5)
+    sol = solve_lp(small_lp())
+    assert sol.status == "iteration_limit"
+    assert sol.x is None
+    assert sol.pivots == 1

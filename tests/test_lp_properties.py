@@ -1,0 +1,72 @@
+"""Property test: the simplex against HiGHS on random bounded programs."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from gridops.lp import EQ, GE, INF, LE, LinearProgram, solve_lp
+
+BOX = 10.0           # rows bounding the columns that have no finite bound
+
+
+@st.composite
+def programs(draw):
+    """A program with mixed row senses whose feasible set is bounded.
+
+    Columns are boxed, free, or upper-bounded only (so they start at their
+    upper bound); the last two kinds get extra rows that bound them.
+    """
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    lp = LinearProgram()
+    for j in range(n):
+        kind = draw(st.sampled_from(["box", "free", "upper"]))
+        lo = float(draw(st.integers(-5, 0)))
+        hi = lo + draw(st.integers(0, 6))
+        lb, ub = {"box": (lo, hi), "free": (-INF, INF),
+                  "upper": (-INF, hi)}[kind]
+        lp.add_var(f"x{j}", lb, ub, obj=float(draw(st.integers(-5, 5))))
+        if kind != "box":
+            lp.add_constr(f"floor{j}", [(j, 1.0)], GE, -BOX)
+        if kind == "free":
+            lp.add_constr(f"ceil{j}", [(j, 1.0)], LE, BOX)
+    for i in range(m):
+        coeffs = [(j, float(a)) for j in range(n)
+                  if (a := draw(st.integers(-4, 4)))]
+        sense = draw(st.sampled_from([LE, GE, EQ]))
+        lp.add_constr(f"r{i}", coeffs, sense, float(draw(st.integers(-10, 10))))
+    return lp
+
+
+def highs(lp: LinearProgram):
+    A, b, senses, c, l, u = lp.dense()
+    ub = [i for i, s in enumerate(senses) if s != EQ]
+    eq = [i for i, s in enumerate(senses) if s == EQ]
+    flip = np.array([1.0 if senses[i] == LE else -1.0 for i in ub])
+    return linprog(
+        c,
+        A_ub=A[ub] * flip[:, None] if ub else None,
+        b_ub=b[ub] * flip if ub else None,
+        A_eq=A[eq] if eq else None, b_eq=b[eq] if eq else None,
+        bounds=[(None if lo == -INF else lo, None if hi == INF else hi)
+                for lo, hi in zip(l, u)],
+        method="highs")
+
+
+@given(programs())
+def test_random_programs_match_highs(lp):
+    sol = solve_lp(lp)
+    ref = highs(lp)
+    assert ref.status in (0, 2), ref.message
+    if ref.status == 2:
+        assert sol.status == "infeasible"
+        names = {con.name for con in lp.constraints}
+        assert sol.infeasible_rows
+        assert set(sol.infeasible_rows) <= names
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-6)

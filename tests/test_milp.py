@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+import gridops.lp as lpmod
+import gridops.milp as milpmod
 from gridops.lp import GE, INF, LE, LinearProgram, solve_lp
 from gridops.milp import solve_milp
 
@@ -84,7 +86,7 @@ def test_infeasible_program():
 def test_node_limit_reports_distinct_status():
     lp = knapsack_lp()
     sol = solve_milp(lp, node_limit=2)
-    assert sol.status in ("node_limit", "infeasible")
+    assert sol.status == "node_limit"
 
 
 def test_random_mixed_programs_match_enumeration():
@@ -118,3 +120,47 @@ def test_deterministic_repeat():
     b = solve_milp(lp)
     assert np.array_equal(a.x, b.x)
     assert a.nodes == b.nodes
+
+
+def _spy_node_lps(monkeypatch, before=None):
+    """Record every node LP solve_milp makes; ``before(k)`` runs ahead of
+    the k-th one (0 is the root)."""
+    seen = []
+
+    def spy(lp, var_bounds=None):
+        if before:
+            before(len(seen))
+        seen.append(solve_lp(lp, var_bounds=var_bounds))
+        return seen[-1]
+    monkeypatch.setattr(milpmod, "solve_lp", spy)
+    return seen
+
+
+def test_pivots_summed_over_nodes(monkeypatch):
+    seen = _spy_node_lps(monkeypatch)
+    sol = solve_milp(knapsack_lp())
+    assert sol.status == "optimal"
+    assert sol.nodes == len(seen) > 1
+    assert sol.pivots == sum(s.pivots for s in seen) > 0
+    assert sol.phase1_pivots == sum(s.phase1_pivots for s in seen)
+
+
+def test_pivot_cap_at_root_reports_iteration_limit(monkeypatch):
+    # knapsack_lp has 1 row and 4 columns: the cap is 1 pivot.
+    monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 1 / 5)
+    sol = solve_milp(knapsack_lp())
+    assert sol.status == "iteration_limit"
+    assert sol.x is None
+
+
+def test_pivot_cap_in_a_child_ends_the_search(monkeypatch):
+    def cap_children(k):
+        if k == 1:
+            monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 1 / 5)
+    seen = _spy_node_lps(monkeypatch, cap_children)
+    sol = solve_milp(knapsack_lp())
+    # The capped child is not mistaken for an infeasible one.
+    assert seen[1].status == "iteration_limit"
+    assert sol.status == "iteration_limit"
+    assert sol.x is None
+    assert sol.nodes == 2
