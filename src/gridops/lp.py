@@ -6,10 +6,14 @@ lowest-index tie-breaking and falls back to Bland's rule after a run of
 degenerate pivots, which keeps the method finite without paying Bland's
 price on every iteration.
 
-Every solve starts from a slack crash basis: nonbasic columns sit at a
-finite bound, each inequality row whose slack can absorb the residual at
-that point starts on its slack, and only the remaining rows (every equality
-row among them) get an artificial.  Phase 1 then drives just those
+Every solve starts from a triangular crash basis (Bixby, "Implementing
+the simplex method: the initial basis", ORSA J. Computing 4, 1992).
+Nonbasic columns sit at a finite bound.  Each equality row, in row order,
+takes a basic structural column that can absorb its residual within bounds
+and has no nonzero in an earlier crashed row, which keeps the crash block
+triangular and the basis nonsingular.  Each inequality row whose slack can
+absorb the residual left after that starts on its slack, and only the
+remaining rows get an artificial.  Phase 1 then drives just those
 artificials to zero.  A solve that reaches the pivot cap (``_PIVOTS_PER_DIM``
 per row plus column) ends with status ``iteration_limit``.
 """
@@ -136,10 +140,11 @@ class _Simplex:
 
     Columns are the structurals, one slack per row (``A x + s = b``, with
     ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
-    artificial for each row in ``art_rows``: those whose slack cannot take
-    the starting residual.  The starting basis is those artificials plus
-    the slacks of all other rows, so ``Binv`` starts diagonal with +1 on
-    slack rows and the artificial's sign on the others.
+    artificial for each row in ``art_rows``.  The starting basis comes from
+    a triangular crash (:func:`_crash`): equality rows take a structural
+    column where one can absorb the row's residual, inequality rows take
+    their slack where it can absorb the residual left after that, and only
+    the remaining rows get an artificial.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
@@ -156,11 +161,11 @@ class _Simplex:
         state0 = np.where(lo > -INF, _AT_LB,
                           np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
 
-        # Crash basis: a row whose slack can absorb the residual starts on
-        # that slack; only the others get an artificial.
         resid = b - A @ x0[:n]          # every slack starts at 0
+        eq_rows = np.flatnonzero(~(is_le | is_ge))
+        crash_rows, crash_cols = _crash(A, resid, x0[:n], l, u, eq_rows)
         on_slack = (is_le & (resid >= 0.0)) | (is_ge & (resid <= 0.0))
-        art_rows = np.nonzero(~on_slack)[0]
+        art_rows = np.setdiff1d(np.flatnonzero(~on_slack), crash_rows)
         k = len(art_rows)
 
         # Columns: structurals, one slack per row, one artificial per
@@ -178,16 +183,19 @@ class _Simplex:
 
         art = n + m + np.arange(k)
         sign = np.where(on_slack | (resid >= 0.0), 1.0, -1.0)
+        sign[crash_rows] = 0.0          # those positions hold structurals
         self.A[art_rows, art] = sign[art_rows]
-        self.x[art] = np.abs(resid[art_rows])
-        slack_rows = np.nonzero(on_slack)[0]
-        self.x[n + slack_rows] = resid[slack_rows]
-        self.state[n + slack_rows] = _BASIC
         self.basis = n + np.arange(m)
         self.basis[art_rows] = art
-        self.Binv = np.diag(sign)
+        self.basis[crash_rows] = crash_cols
+        self.state[self.basis] = _BASIC
+        self.Binv = _crash_inverse(A, sign, crash_rows, crash_cols)
+        # Basic values from the nonbasic ones: x_B = Binv (b - N x_N).
+        self.x[crash_cols] = 0.0
+        self.x[self.basis] = self.Binv @ (b - A @ self.x[:n])
         self.art = art
         self.art_rows = art_rows
+        self.art_sign = sign[art_rows]
         self.pivots = 0
         self.phase1_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
@@ -203,6 +211,8 @@ class _Simplex:
 
     def _iterate(self, cost: np.ndarray) -> str:
         """Run simplex to optimality for the given cost vector."""
+        m, n = self.m, self.n
+        fixed = self.l == self.u        # bounds do not change within a call
         degen_streak = 0
         while True:
             if self.pivots and self.pivots % _REFACTOR_EVERY == 0:
@@ -212,26 +222,28 @@ class _Simplex:
                 rhs = self.b - self.A[:, nb] @ self.x[nb]
                 self.x[self.basis] = self.Binv @ rhs
 
+            # Reduced costs: slack columns are e_i and artificial columns
+            # sign * e_i, so only the structural block needs a product.
             y = cost[self.basis] @ self.Binv
-            r = cost - y @ self.A
-            # Eligible directions: +1 means increase, -1 decrease.
-            incr = (self.state == _AT_LB) | (self.state == _FREE)
-            decr = (self.state == _AT_UB) | (self.state == _FREE)
-            viol = np.zeros(self.ncols)
-            viol[incr & (r < -COST_TOL)] = -r[incr & (r < -COST_TOL)]
-            dec_mask = decr & (r > COST_TOL)
-            viol[dec_mask] = np.maximum(viol[dec_mask], r[dec_mask])
-            # Fixed variables (l == u) never enter.
-            viol[self.l == self.u] = 0.0
-            if not np.any(viol > 0.0):
+            r = np.empty(self.ncols)
+            r[:n] = cost[:n] - y @ self.A[:, :n]
+            r[n:n + m] = cost[n:n + m] - y
+            r[n + m:] = cost[n + m:] - self.art_sign * y[self.art_rows]
+            # Violation along each eligible direction (increase from a lower
+            # bound or free, decrease from an upper bound or free); fixed
+            # variables never enter.
+            st = self.state
+            incr = (st == _AT_LB) | (st == _FREE)
+            viol = np.maximum(np.where(incr, -r, 0.0),
+                              np.where((st == _AT_UB) | (st == _FREE), r, 0.0))
+            viol[fixed | (viol <= COST_TOL)] = 0.0
+            j = int(np.argmax(viol))       # Dantzig, lowest index on ties
+            if viol[j] == 0.0:
                 return "optimal"
             if self.pivots >= self.max_pivots:
                 return "iteration_limit"
-
             if degen_streak > _DEGEN_STREAK_FOR_BLAND:
-                j = int(np.nonzero(viol > 0.0)[0][0])          # Bland
-            else:
-                j = int(np.argmax(viol))                       # Dantzig, lowest index on ties
+                j = int(np.flatnonzero(viol)[0])               # Bland
             dirn = 1.0 if (incr[j] and r[j] < -COST_TOL) else -1.0
 
             d = self.Binv @ (dirn * self.A[:, j])
@@ -241,12 +253,12 @@ class _Simplex:
             lb_b = self.l[self.basis]
             ub_b = self.u[self.basis]
             xb = self.x[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_dn = np.where(d > RATIO_TOL, (xb - lb_b) / d, INF)
-                t_up = np.where(d < -RATIO_TOL, (ub_b - xb) / (-d), INF)
-            t_row = np.minimum(t_dn, t_up)
-            t_row = np.where(np.isnan(t_row), INF, t_row)
-            t_min = float(t_row.min()) if self.m else INF
+            t_row = np.full(m, INF)
+            dn = d > RATIO_TOL
+            t_row[dn] = (xb[dn] - lb_b[dn]) / d[dn]
+            up = d < -RATIO_TOL
+            t_row[up] = (ub_b[up] - xb[up]) / -d[up]
+            t_min = float(t_row.min()) if m else INF
             if t_min < INF and t_min <= t_best:
                 # Smallest variable index among minimal ratios (Bland-compatible).
                 cand = np.nonzero(t_row <= t_min + RATIO_TOL)[0]
@@ -288,7 +300,9 @@ class _Simplex:
                 self._refactor()
                 continue
             row = self.Binv[leave_pos] / piv
-            self.Binv -= np.outer(dj, row)
+            # Only the rows where dj is nonzero change.
+            rows = np.flatnonzero(dj)
+            self.Binv[rows] -= dj[rows, None] * row
             self.Binv[leave_pos] = row
 
     # -- driver ---------------------------------------------------------
@@ -318,6 +332,75 @@ class _Simplex:
             return status, None, []
         y = cost[self.basis] @ self.Binv
         return "optimal", y, []
+
+
+def _crash(A: np.ndarray, resid: np.ndarray, x: np.ndarray, l: np.ndarray,
+           u: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangular crash: give each of ``rows``, in order, a basic structural.
+
+    A row takes a column that is not fixed, has a nonzero in the row and
+    none in any row crashed before, and can absorb the row's residual
+    within its bounds when moved from its value in ``x``; the column with
+    the fewest nonzeros wins, lowest index on ties.  ``resid`` is updated in
+    place for each pick.  Because no crashed column touches an earlier
+    crashed row, the crash block is lower triangular with a nonzero
+    diagonal.  Returns the crashed rows and their columns, in crash order.
+    """
+    nnz = np.count_nonzero(A, axis=0).tolist()
+    blocked = (l >= u).tolist()
+    x, l, u = x.tolist(), l.tolist(), u.tolist()
+    # Nonzeros of the crash rows in one pass: rows[p] owns entries
+    # ends[p-1]:ends[p] of cols/vals.
+    at, cols = np.nonzero(A[rows])
+    vals = A[rows[at], cols].tolist()
+    cols = cols.tolist()
+    ends = np.searchsorted(at, np.arange(1, len(rows) + 1)).tolist()
+    crash_rows, crash_cols = [], []
+    begin = 0
+    for i, end in zip(rows.tolist(), ends):
+        entries = range(begin, end)
+        begin = end
+        r = float(resid[i])
+        best = -1
+        for q in entries:
+            j = cols[q]
+            if not blocked[j] and l[j] <= x[j] + r / vals[q] <= u[j] and \
+                    (best < 0 or nnz[j] < nnz[cols[best]]):
+                best = q
+        if best < 0:
+            continue
+        j = cols[best]
+        resid -= (r / vals[best]) * A[:, j]
+        for q in entries:
+            blocked[cols[q]] = True
+        crash_rows.append(i)
+        crash_cols.append(j)
+    return np.array(crash_rows, dtype=int), np.array(crash_cols, dtype=int)
+
+
+def _crash_inverse(A: np.ndarray, sign: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """Inverse of the crash basis by forward substitution.
+
+    Basis position ``rows[p]`` holds structural ``cols[p]``; every other
+    position ``i`` holds ``sign[i] * e_i`` (a slack or an artificial).  In
+    crash order the block ``T = A[rows][:, cols]`` is lower triangular, so
+    ``B = [[T, 0], [X, D]]`` and ``B^-1 = [[T^-1, 0], [-D X T^-1, D]]``
+    with ``D = diag(sign)`` over the other rows (``D^-1 = D``).
+    """
+    T = A[np.ix_(rows, cols)]
+    Tinv = np.diag(1.0 / np.diag(T))
+    # Only rows with entries left of the diagonal need substitution.
+    for p in np.flatnonzero(np.tril(T, -1).any(axis=1)).tolist():
+        Tinv[p] = -(T[p, :p] @ Tinv[:p])
+        Tinv[p, p] += 1.0
+        Tinv[p] /= T[p, p]
+    # B^-1[:, rows] is [[I], [-D X]] @ T^-1 (sign is 0 on rows).
+    S = -sign[:, None] * A[:, cols]
+    S[rows] = np.eye(len(rows))
+    Binv = np.diag(sign)
+    Binv[:, rows] = S @ Tinv
+    return Binv
 
 
 def _apply_overrides(l: np.ndarray, u: np.ndarray,
@@ -353,17 +436,18 @@ def solve_lp(lp: LinearProgram,
     sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
                    **counts)
     if check:
-        verify_certificates(lp, sol, sx, c)
+        verify_certificates(lp, sol, sx, c, A, b, senses)
     return sol
 
 
 def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
-                        c: np.ndarray, tol: float = CHECK_TOL) -> None:
+                        c: np.ndarray, A: np.ndarray, b: np.ndarray,
+                        senses: list[str], tol: float = CHECK_TOL) -> None:
     """Primal feasibility, dual feasibility and complementary slackness.
 
+    ``A``, ``b`` and ``senses`` are the program as ``lp.dense()`` gives it.
     Raises SolverError if any condition is violated beyond ``tol``.
     """
-    A, b, senses, _, _, _ = lp.dense()
     x = sol.x
     ax = A @ x if len(lp.constraints) else np.zeros(0)
     for i, s in enumerate(senses):
@@ -377,10 +461,9 @@ def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
         lo, hi = sx.l[j], sx.u[j]
         if x[j] < lo - tol or x[j] > hi + tol:
             raise SolverError(f"bound violation on {v.name}")
-    # Reduced costs over structurals + slacks (dual feasibility + slackness).
-    cost = np.zeros(sx.ncols)
-    cost[: sx.n] = c
-    r = cost - sol.duals @ sx.A
+    # Reduced costs over structurals + slacks (dual feasibility + slackness);
+    # slack columns are e_i with zero cost.
+    r = np.concatenate([c - sol.duals @ A, -sol.duals])
     for j in range(sx.n + sx.m):
         if sx.l[j] == sx.u[j]:
             continue

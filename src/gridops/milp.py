@@ -41,7 +41,8 @@ def solve_milp(lp: LinearProgram,
     incumbent (``x`` is None when there is none) with status ``node_limit``.
     A node LP that ends with any status other than optimal or infeasible,
     such as ``iteration_limit``, ends the search with that status.  Pivot
-    counts are summed over every node LP.
+    counts are summed over every node LP.  A root LP that is not optimal
+    ends the search at once and counts as one node.
     """
     binaries = lp.binary_indices
     base: dict[int, tuple[float, float]] = {}
@@ -51,6 +52,7 @@ def solve_milp(lp: LinearProgram,
 
     root = solve_lp(lp, var_bounds=base or None)
     if root.status != "optimal":
+        root.nodes = 1
         return root
 
     seq = 0

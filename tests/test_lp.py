@@ -152,22 +152,82 @@ def test_feasible_start_needs_no_phase1():
     assert sol.pivots >= 2
 
 
-@pytest.mark.parametrize("sense,rhs,opt_x", [
-    (LE, -1.0, [0.0, 1.0]),   # x - y <= -1 reads 0 at the start point
-    (GE, 3.0, [3.0, 0.0]),    # x + y >= 3 reads 0 at the start point
-    (EQ, 2.0, [2.0, 0.0]),    # equality rows always start on an artificial
-])
-def test_rows_needing_artificials_reach_optimum(sense, rhs, opt_x):
+def two_var_lp(sense, rhs):
     lp = LinearProgram()
     x = lp.add_var("x", 0, 10, obj=1.0)
     y = lp.add_var("y", 0, 10, obj=2.0)
     lp.add_constr("r", [(x, 1.0), (y, -1.0 if sense == LE else 1.0)],
                   sense, rhs)
     lp.add_constr("cap", [(x, 1.0)], LE, 8.0)
-    sol = solve_lp(lp)
+    return lp
+
+
+@pytest.mark.parametrize("sense,rhs,opt_x", [
+    (LE, -1.0, [0.0, 1.0]),   # x - y <= -1 reads 0 at the start point
+    (GE, 3.0, [3.0, 0.0]),    # x + y >= 3 reads 0 at the start point
+])
+def test_rows_needing_artificials_reach_optimum(sense, rhs, opt_x):
+    sol = solve_lp(two_var_lp(sense, rhs))
     assert sol.status == "optimal"
     assert sol.phase1_pivots >= 1
     assert sol.x == pytest.approx(opt_x, abs=1e-9)
+
+
+@pytest.mark.parametrize("rhs,opt_x,needs_phase1", [
+    (2.0, [2.0, 0.0], False),   # y (fewest nonzeros) absorbs x + y = 2
+    (15.0, [8.0, 7.0], True),   # x, y <= 10: neither alone reaches 15
+], ids=["absorbed", "needs_artificial"])
+def test_equality_row_crash(rhs, opt_x, needs_phase1):
+    sol = solve_lp(two_var_lp(EQ, rhs))
+    assert sol.status == "optimal"
+    assert (sol.phase1_pivots >= 1) == needs_phase1
+    assert sol.x == pytest.approx(opt_x, abs=1e-9)
+
+
+def test_crash_prefers_fewest_nonzeros():
+    # x + y = 2: x also sits in the cap row, so y starts basic at 2 although
+    # x has the lower index.
+    sx = lpmod._Simplex(*two_var_lp(EQ, 2.0).dense())
+    assert sx.basis[0] == 1
+    assert sx.x[1] == 2.0
+
+
+def test_crash_of_chained_equality_rows_is_triangular():
+    # Storage-like chain E[t] - E[t-1] (+ spill at t = 3) = inflow[t] with
+    # E[t] in [0, 5].  Row 3 needs 6.5, beyond both E[3] and spill, so it
+    # gets an artificial and row 4 crashes on E[3] instead of E[4].  Columns
+    # of earlier crashed rows reappear in later ones, so the crash block has
+    # entries below its diagonal and needs real forward substitution.
+    inflow = [2.0, 1.0, -0.5, 4.0, -1.0, 1.0]
+    lp = LinearProgram()
+    E = [lp.add_var(f"E{t}", 0, 5, obj=float(t % 2)) for t in range(len(inflow))]
+    spill = lp.add_var("spill", 0, 2, obj=10.0)
+    for t, q in enumerate(inflow):
+        coeffs = [(E[t], 1.0)] + ([(E[t - 1], -1.0)] if t else [])
+        if t == 3:
+            coeffs.append((spill, 1.0))
+        lp.add_constr(f"stor{t}", coeffs, EQ, q)
+    A, b, senses, c, l, u = lp.dense()
+    sx = lpmod._Simplex(A, b, senses, c, l, u)
+
+    n = len(lp.variables)
+    pos = np.flatnonzero(sx.basis < n)
+    cols = sx.basis[pos]
+    assert pos.tolist() == [0, 1, 2, 4, 5]
+    assert cols.tolist() == [E[0], E[1], E[2], E[3], E[5]]
+    assert sx.art_rows.tolist() == [3]
+    T = A[np.ix_(pos, cols)]
+    assert np.all(np.triu(T, 1) == 0.0) and np.all(np.diag(T) != 0.0)
+    assert np.any(np.tril(T, -1) != 0.0)
+    B = sx.A[:, sx.basis]
+    assert np.allclose(sx.Binv @ B, np.eye(len(inflow)), atol=1e-12)
+    assert np.all(sx.x[cols] >= l[cols]) and np.all(sx.x[cols] <= u[cols])
+    assert np.allclose(sx.A @ sx.x, b, atol=1e-12)
+
+    sol = solve_lp(lp)
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(l, u)), method="highs")
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
 
 
 def test_pivot_cap_reports_iteration_limit(monkeypatch):

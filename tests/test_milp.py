@@ -151,6 +151,17 @@ def test_pivot_cap_at_root_reports_iteration_limit(monkeypatch):
     sol = solve_milp(knapsack_lp())
     assert sol.status == "iteration_limit"
     assert sol.x is None
+    assert sol.nodes == 1
+
+
+def test_infeasible_root_counts_one_node():
+    lp = LinearProgram()
+    z = lp.add_var("z", 0, 1, obj=1.0, binary=True)
+    lp.add_constr("need2", [(z, 1.0)], GE, 2.0)
+    sol = solve_milp(lp)
+    assert sol.status == "infeasible"
+    assert sol.nodes == 1
+    assert sol.pivots == solve_lp(lp).pivots > 0
 
 
 def test_pivot_cap_in_a_child_ends_the_search(monkeypatch):
