@@ -87,45 +87,17 @@ class Schedule:
                 tot += float(np.abs(arr).sum())
         return tot
 
-    def to_csv(self, time_label: str = "hour") -> str:
-        rows = [f"{time_label},resource,field,value"]
-
-        def emit(d: dict[str, np.ndarray], name: str):
-            for rid in sorted(d):
-                for t, val in enumerate(d[rid]):
-                    rows.append(f"{t},{rid},{name},{val:.6f}")
-
-        emit(self.w, "w")
-        emit(self.u, "u")
-        emit(self.v, "v")
-        emit(self.p, "P")
-        emit(self.tmsr, "TMSR")
-        emit(self.tmor, "TMOR")
-        emit(self.storage_gen, "P_s")
-        emit(self.storage_pump, "S_s")
-        emit(self.storage_energy, "E_s")
-        emit(self.curtail, "curtail")
-        emit(self.shed, "shed")
-        emit(self.dr, "P_dr")
-        emit(self.super_pos, "super_pos")
-        emit(self.super_neg, "super_neg")
-        return "\n".join(rows) + "\n"
-
 
 @dataclass
 class LayerOptions:
     layer: str                           # scuc | rtuc | sced
     steps: int
     step_minutes: int
-    with_commitment: bool = True         # any binary commitment decisions
-    with_reserves: bool = True
-    with_storage_vars: bool = True       # False: storage pinned to constants
     pinned_w: dict[str, np.ndarray] | None = None       # gen -> w per step
-    pinned_storage: tuple[dict, dict] | None = None     # (P_s, S_s) per step
+    pinned_storage: tuple[dict, dict] | None = None     # (P_s, S_s); None=free
     fixed_uv: tuple[dict, dict] | None = None           # sced: (u, v) consts
     outage_gen: dict[str, np.ndarray] | None = None     # gen -> mask per step
     outage_semi: dict[str, np.ndarray] | None = None
-    min_updown_steps: int = 60           # minutes represented by T_u/T_d unit
     hour_of_step: list[int] | None = None               # fuel-price lookup
 
 
@@ -158,7 +130,8 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
     penalty = scn.penalty_price()
     hours = opt.hour_of_step or [0] * T
     res = scn.reserves
-    use_res = opt.with_reserves and reserves_active(scn)
+    use_res = opt.layer != "sced" and reserves_active(scn)
+    storage_vars = opt.pinned_storage is None
 
     ix: dict[str, int] = {}
 
@@ -216,7 +189,7 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                 var(f"rO[{g.id},{t}]", lb=0.0,
                     ub=max(g.r_max * res.t_30, 0.0))
 
-        if opt.with_storage_vars:
+        if storage_vars:
             for st in scn.storages:
                 var(f"wP[{st.id},{t}]", lb=0.0, ub=1.0, binary=True)
                 var(f"wS[{st.id},{t}]", lb=0.0, ub=1.0, binary=True)
@@ -255,7 +228,7 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
             for st in scn.storages:
                 if st.bubble != b:
                     continue
-                if opt.with_storage_vars:
+                if storage_vars:
                     coeffs.append((ix[f"Ps[{st.id},{t}]"], 1.0))
                     coeffs.append((ix[f"Ss[{st.id},{t}]"], -1.0))
                 else:
@@ -361,7 +334,7 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                           prev + [(vvar, g.p_max)], GE,
                           base + g.r_min * dt)
 
-        if opt.with_storage_vars:
+        if storage_vars:
             dt_h = opt.step_minutes / 60.0
             for st in scn.storages:
                 wp = ix[f"wP[{st.id},{t}]"]
@@ -460,16 +433,15 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
 
     # Commitment-window constraints across steps.
     if opt.layer != "sced":
-        steps_per_hour = 60.0 / opt.min_updown_steps \
-            if opt.min_updown_steps else 1.0
+        steps_per_hour = 60.0 / opt.step_minutes
         for g in scn.generators:
             if g.kind == "must-run":
                 continue
             pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
             if pin is not None:
                 continue
-            tau_u = max(int(math.ceil(g.t_u * 60.0 / opt.min_updown_steps)), 1)
-            tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.min_updown_steps)), 1)
+            tau_u = max(int(math.ceil(g.t_u * 60.0 / opt.step_minutes)), 1)
+            tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.step_minutes)), 1)
             for t in range(T):
                 for tau in range(1, tau_u):
                     if t - tau >= 0:
@@ -575,7 +547,7 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution, ix,
                 sched.tmsr[g.id] = arr("rS[{0},{1}]", g.id)
                 sched.tmor[g.id] = arr("rO[{0},{1}]", g.id)
     for st in scn.storages:
-        if opt.with_storage_vars:
+        if opt.pinned_storage is None:
             sched.storage_gen[st.id] = arr("Ps[{0},{1}]", st.id)
             sched.storage_pump[st.id] = arr("Ss[{0},{1}]", st.id)
             sched.storage_energy[st.id] = arr("Es[{0},{1}]", st.id)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .dispatch import Forecasts, InitialState, initial_from_scenario
-from .grid import dc_flow, make_regulation, regulation_step
-from .profiles import synthesize_error
+from .grid import dc_flow, factor_network, make_regulation, regulation_step
+from .profiles import forecast, synthesize_error
 from .rtuc import run_rtuc
 from .scenario import Scenario, scenario_hash
 from .sced import run_sced
@@ -27,10 +27,6 @@ from .scuc import run_scuc
 
 _LAYER_EPS = {"scuc": 0, "rtuc": 1, "sced": 2}
 _LAYER_KIND = {"scuc": "day-ahead", "rtuc": "short-term", "sced": "real-time"}
-
-
-class EngineError(Exception):
-    pass
 
 
 @dataclass
@@ -82,83 +78,57 @@ def _entity_seed(master: int, entity: str, layer: str, window: int) -> int:
     return (int(master) * 1_000_003 + zlib.crc32(tag)) % (2 ** 31)
 
 
-def _window_mean(values: np.ndarray, m0: int, block: int, n: int) -> np.ndarray:
-    """Block means over [m0, m0 + n*block); the last sample is held past
-    the end of the recorded profile."""
-    out = np.zeros(n)
-    last = len(values) - 1
-    for b in range(n):
-        lo = m0 + b * block
-        hi = lo + block
-        idx = np.clip(np.arange(lo, hi), 0, last)
-        out[b] = float(values[idx].mean())
-    return out
+def _forecasts(scn: Scenario, seed: int, peak: float, layer: str, m0: int,
+               block: int, n: int, window_id: int) -> Forecasts:
+    """Deterministic per-entity forecast blocks for one layer window."""
+    which = _LAYER_EPS[layer]
+    kind = _LAYER_KIND[layer]
+    load = {}
+    for ld in scn.loads:
+        err = synthesize_error(
+            _entity_seed(seed, f"load:{ld.bubble}", layer, window_id),
+            ld.eps(which), 1.0, peak, n, kind)
+        load[ld.bubble] = forecast(ld.profile, m0, block, n, err)
+    semi = {}
+    for sm in scn.semis:
+        err = synthesize_error(
+            _entity_seed(seed, f"semi:{sm.id}", layer, window_id),
+            sm.eps(which), 1.0, sm.capacity or peak, n, kind)
+        semi[sm.id] = forecast(sm.profile, m0, block, n, err,
+                               sm.capacity or np.inf)
+    return Forecasts(load=load, semi=semi)
 
 
-class _ForecastMaker:
-    """Deterministic per-entity forecast streams for each layer."""
-
-    def __init__(self, scn: Scenario, seed: int):
-        self.scn = scn
-        self.seed = seed
-        self.peak = scn.peak_load
-
-    def window(self, layer: str, m0: int, block: int, n: int,
-               window_id: int) -> Forecasts:
-        scn = self.scn
-        which = _LAYER_EPS[layer]
-        kind = _LAYER_KIND[layer]
-        load = {}
-        for ld in scn.loads:
-            best = _window_mean(ld.profile.values, m0, block, n)
-            err = synthesize_error(
-                _entity_seed(self.seed, f"load:{ld.bubble}", layer, window_id),
-                ld.eps(which), 1.0, self.peak, n, kind)
-            load[ld.bubble] = np.clip(best - err, 0.0, np.inf)
-        semi = {}
-        for sm in scn.semis:
-            best = _window_mean(sm.profile.values, m0, block, n)
-            err = synthesize_error(
-                _entity_seed(self.seed, f"semi:{sm.id}", layer, window_id),
-                sm.eps(which), 1.0, sm.capacity or self.peak, n, kind)
-            semi[sm.id] = np.clip(best - err, 0.0, sm.capacity or np.inf)
-        return Forecasts(load=load, semi=semi)
-
-
-def _outage_masks(scn: Scenario, m0: int, block: int, n: int):
+def outage_masks(scn: Scenario, m0: int, block: int, n: int):
+    """Per-block outage masks of generators and semi resources over the
+    window [m0, m0 + n*block); a resource is out for a whole block if any
+    outage overlaps it.  Resources not out in the window are left out.
+    With ``block`` 1 the masks are per-minute on/off status."""
     gen, semi = {}, {}
     gen_ids = {g.id for g in scn.generators}
     semi_ids = {s.id for s in scn.semis}
+    lo = m0 + block * np.arange(n)
     for ev in scn.outages:
-        mask = np.zeros(n)
-        for b in range(n):
-            lo = m0 + b * block
-            # Out if the outage covers any part of the block.
-            if lo < ev.start + ev.duration and lo + block > ev.start:
-                mask[b] = 1.0
+        mask = ((lo < ev.start + ev.duration) &
+                (lo + block > ev.start)).astype(float)
         if not mask.any():
             continue
         if ev.resource in gen_ids:
             gen[ev.resource] = np.maximum(gen.get(ev.resource, 0.0), mask)
         elif ev.resource in semi_ids:
             semi[ev.resource] = np.maximum(semi.get(ev.resource, 0.0), mask)
-    return gen or None, semi or None
+    return gen, semi
 
 
-def _resource_out(scn: Scenario, rid: str, minute: int) -> bool:
-    return any(ev.resource == rid and
-               ev.start <= minute < ev.start + ev.duration
-               for ev in scn.outages)
-
-
-def simulate(scn: Scenario, minutes: int, seed: int | None = None,
-             scenario_path: str | None = None) -> SimulationTrace:
+def simulate(scn: Scenario, minutes: int,
+             seed: int | None = None) -> SimulationTrace:
     """Run the full control cascade for ``minutes`` simulated minutes."""
     t = scn.timing
     if seed is None:
         seed = scn.seed
-    maker = _ForecastMaker(scn, seed)
+    peak = scn.peak_load
     net = scn.network
+    factor = factor_network(net)
     gamma = scn.gamma_loss
 
     gens = scn.generators
@@ -190,6 +160,8 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
             emergency.add(ev.start)
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)
+    # Per-minute on/off status: the run as one window of 1-minute blocks.
+    gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
 
     def current_state() -> InitialState:
         st = InitialState(online=dict(online), output=dict(output),
@@ -203,17 +175,18 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
     for m in range(minutes):
         # --- day-ahead commitment ---------------------------------------
         if m % (t.scuc_horizon_h * 60) == 0:
-            og, os_ = _outage_masks(scn, m, 60, t.scuc_horizon_h)
-            fc = maker.window("scuc", m, 60, t.scuc_horizon_h,
-                              m // (t.scuc_horizon_h * 60))
+            og, os_ = outage_masks(scn, m, 60, t.scuc_horizon_h)
+            fc = _forecasts(scn, seed, peak, "scuc", m, 60, t.scuc_horizon_h,
+                            m // (t.scuc_horizon_h * 60))
             day_sched = run_scuc(scn, fc, current_state(), og, os_)
             starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
 
         # --- same-day fast-start commitment -----------------------------
         if m % t.rtuc_period_min == 0 or m in emergency:
-            og, os_ = _outage_masks(scn, m, t.rtuc_step_min, rtuc_steps)
-            fc = maker.window("rtuc", m, t.rtuc_step_min, rtuc_steps, m)
+            og, os_ = outage_masks(scn, m, t.rtuc_step_min, rtuc_steps)
+            fc = _forecasts(scn, seed, peak, "rtuc", m, t.rtuc_step_min,
+                            rtuc_steps, m)
             intra = run_rtuc(scn, fc, current_state(), day_sched, m,
                              og, os_)
             intra_start = m
@@ -224,7 +197,7 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
         for g in gens:
             w_now = float(intra.w[g.id][interval] > 0.5)
-            if _resource_out(scn, g.id, m):
+            if g.id in gen_out and gen_out[g.id][m]:
                 w_now = 0.0
             if w_now > 0.5 and online.get(g.id, 0.0) < 0.5:
                 starts_used[g.id] = starts_used.get(g.id, 0) + 1
@@ -235,8 +208,8 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
 
         # --- economic dispatch ------------------------------------------
         if m % t.sced_step_min == 0:
-            og, os_ = _outage_masks(scn, m, t.sced_step_min, 1)
-            fc = maker.window("sced", m, t.sced_step_min, 1, m)
+            og, os_ = outage_masks(scn, m, t.sced_step_min, 1)
+            fc = _forecasts(scn, seed, peak, "sced", m, t.sced_step_min, 1, m)
             commitment = {g.id: online[g.id] for g in gens}
             starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
             stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
@@ -277,7 +250,7 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
         deliv_tot = 0.0
         for sm in scn.semis:
             avail = float(sm.profile.values[min(m, len(sm.profile) - 1)])
-            if _resource_out(scn, sm.id, m):
+            if sm.id in semi_out and semi_out[sm.id][m]:
                 avail = 0.0
             cfrac = float(sced_now.curtail[sm.id][0])
             delivered = (1.0 - sm.d * cfrac) * avail
@@ -297,13 +270,11 @@ def simulate(scn: Scenario, minutes: int, seed: int | None = None,
         sg = float(sum(sced_now.super_pos[b][0] - sced_now.super_neg[b][0]
                        for b in net.bubbles))
 
-        raw_state = dc_flow(net, injections)
-        i_raw = raw_state.swing_exchange
+        i_raw = float(sum(injections.values()))
         residual = regulation_step(i_raw, reg)
-        with_reg = dict(injections)
-        for uid, bub, gval in zip(reg.unit_ids, reg.bubbles, reg.g):
-            with_reg[bub] = with_reg.get(bub, 0.0) + gval
-        gs = dc_flow(net, with_reg)
+        for bub, gval in zip(reg.bubbles, reg.g):
+            injections[bub] += gval
+        gs = dc_flow(factor, injections)
 
         trace.imbalance_raw[m] = i_raw
         trace.imbalance[m] = residual

@@ -20,7 +20,6 @@ class GridError(Exception):
 
 @dataclass
 class GridState:
-    injections: dict[str, float]
     branch_flows: np.ndarray                    # per scenario branch, from->to positive
     interface_flows: dict[str, tuple[float, float]]   # name -> (flow, limit)
     swing_exchange: float                       # MW absorbed by the swing node
@@ -76,11 +75,22 @@ def make_regulation(generators: list[Generator]) -> RegulationState:
     )
 
 
-def dc_flow(net: ZonalNetwork, injections: dict[str, float]) -> GridState:
-    """Solve the susceptance-weighted DC network with the swing as reference.
+@dataclass
+class NetworkFactor:
+    """A zonal network prepared once for repeated DC flow solves."""
+    index: dict[str, int]                       # node name -> row
+    keep: np.ndarray                            # every node but the swing
+    reduced: np.ndarray                         # Laplacian over ``keep``
+    edge_from: np.ndarray
+    edge_to: np.ndarray
+    weight: np.ndarray
+    interfaces: list[tuple]             # (name, limit, [(branch, sign)])
 
-    ``injections`` are net MW per bubble (generation minus withdrawal).  The
-    swing node absorbs the total mismatch.
+
+def factor_network(net: ZonalNetwork) -> NetworkFactor:
+    """Index the nodes and build the Laplacian with the swing as reference.
+
+    Raises GridError if the network is disconnected.
     """
     nodes = list(net.bubbles)
     if net.swing:
@@ -99,36 +109,50 @@ def dc_flow(net: ZonalNetwork, injections: dict[str, float]) -> GridState:
         lap[a, b] -= w
         lap[b, a] -= w
 
-    p = np.zeros(n)
-    for b, mw in injections.items():
-        p[idx[b]] += mw
     swing = idx[net.swing] if net.swing else n - 1
-    p[swing] = -p.sum() + p[swing]  # swing balances the system
+    keep = np.array([i for i in range(n) if i != swing], dtype=int)
+    reduced = lap[np.ix_(keep, keep)]
+    if np.linalg.slogdet(reduced)[0] == 0.0:    # a zero pivot in its LU
+        raise GridError("network is disconnected")
 
-    keep = [i for i in range(n) if i != swing]
-    theta = np.zeros(n)
-    if keep:
-        sub = lap[np.ix_(keep, keep)]
-        try:
-            theta[keep] = np.linalg.solve(sub, p[keep])
-        except np.linalg.LinAlgError:
-            raise GridError("network is disconnected") from None
-
-    flows = np.array([w * (theta[a] - theta[b]) for a, b, w in edges])
-    iface = {}
+    interfaces = []
     for itf in net.interfaces:
-        total = 0.0
+        members = []
         for frm, to, sign in itf.members:
             bi = net.branch_index(frm, to)
-            if bi >= 0:
-                total += sign * flows[bi]
-            else:
-                total -= sign * flows[~bi]
-        iface[itf.name] = (total, itf.limit)
+            members.append((bi, sign) if bi >= 0 else (~bi, -sign))
+        interfaces.append((itf.name, itf.limit, members))
+
+    return NetworkFactor(
+        index=idx, keep=keep, reduced=reduced,
+        edge_from=np.array([a for a, _, _ in edges], dtype=int),
+        edge_to=np.array([b for _, b, _ in edges], dtype=int),
+        weight=np.array([w for _, _, w in edges], dtype=float),
+        interfaces=interfaces)
+
+
+def dc_flow(factor: NetworkFactor, injections: dict[str, float]) -> GridState:
+    """Solve the susceptance-weighted DC network with the swing as reference.
+
+    ``injections`` are net MW per bubble (generation minus withdrawal).  The
+    swing node absorbs the total mismatch.
+    """
+    p = np.zeros(len(factor.index))
+    for b, mw in injections.items():
+        p[factor.index[b]] += mw
+    theta = np.zeros(len(p))
+    # An LU solve, not a product with a stored inverse: the two round
+    # differently, and the printed flows would change in the last digit.
+    theta[factor.keep] = np.linalg.solve(factor.reduced, p[factor.keep])
+
+    a, b = factor.edge_from, factor.edge_to
+    flows = factor.weight * (theta[a] - theta[b])
+    iface = {name: (sum(sign * flows[bi] for bi, sign in members), limit)
+             for name, limit, members in factor.interfaces}
 
     exchange = float(sum(injections.values()))
-    return GridState(injections=dict(injections), branch_flows=flows,
-                     interface_flows=iface, swing_exchange=exchange)
+    return GridState(branch_flows=flows, interface_flows=iface,
+                     swing_exchange=exchange)
 
 
 def regulation_step(imbalance: float, reg: RegulationState) -> float:

@@ -124,9 +124,6 @@ class Solution:
     pivots: int = 0
     phase1_pivots: int = 0
 
-    def value(self, j: int) -> float:
-        return float(self.x[j])
-
 
 # Nonbasic states.
 _AT_LB = 0

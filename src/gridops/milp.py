@@ -26,8 +26,6 @@ def _fractional(x: np.ndarray, binaries: list[int]) -> int | None:
         d = abs(x[j] - round(x[j]))
         if d > best_d + 1e-12:
             best_j, best_d = j, d
-        elif best_j is not None and abs(d - best_d) <= 1e-12:
-            pass  # keep the lower index
     return best_j
 
 

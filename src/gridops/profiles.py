@@ -34,25 +34,6 @@ class Profile:
 
 
 @dataclass
-class ForecastSeries:
-    block_minutes: int
-    values: np.ndarray
-    issue_minute: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def at_minute(self, minute: int) -> float:
-        """Block value covering an absolute minute."""
-        k = (minute - self.issue_minute) // self.block_minutes
-        k = min(max(k, 0), len(self.values) - 1)
-        return float(self.values[k])
-
-
-@dataclass
 class RampStats:
     resolution: str                    # 1min | 10min | 1h | 4h
     max_up: float                      # MW/min
@@ -110,15 +91,19 @@ def scale_ver(base: Profile, spec, peak_load: float,
     return Profile(out * scale, start=base.start)
 
 
-def best_forecast(p: Profile, block_minutes: int) -> ForecastSeries:
-    """Per-block mean of the minute samples."""
+def forecast(p: Profile, m0: int, block_minutes: int, n_blocks: int,
+             errors=0.0, capacity: float = np.inf) -> np.ndarray:
+    """Block means of the samples over [m0, m0 + n_blocks*block_minutes)
+    minus ``errors``, clamped to [0, capacity].
+
+    ``m0`` indexes the samples; the last sample is held past the end of the
+    profile.
+    """
     if block_minutes <= 0:
         raise ProfileError("block duration must be positive")
-    n = len(p)
-    if n % block_minutes:
-        raise ProfileError(f"block duration {block_minutes} does not divide {n}")
-    blocks = p.values.reshape(-1, block_minutes).mean(axis=1)
-    return ForecastSeries(block_minutes, blocks, issue_minute=p.start)
+    idx = np.clip(m0 + np.arange(n_blocks * block_minutes), 0, len(p) - 1)
+    best = p.values[idx].reshape(n_blocks, block_minutes).mean(axis=1)
+    return np.clip(best - np.asarray(errors, dtype=float), 0.0, capacity)
 
 
 _PHI = {"day-ahead": 0.6, "short-term": 0.3, "real-time": 0.2}
@@ -143,17 +128,6 @@ def synthesize_error(seed: int, eps: float, pi: float, peak_load: float,
         prev = phi * prev + w * rng.standard_normal()
         e[k] = prev
     return e * (eps * pi * peak_load)
-
-
-def make_forecast(actual: Profile, errors: np.ndarray, block_minutes: int,
-                  capacity: float = np.inf) -> ForecastSeries:
-    """Best forecast minus the error blocks, clamped to [0, capacity]."""
-    best = best_forecast(actual, block_minutes)
-    if len(errors) != len(best.values):
-        raise ProfileError(
-            f"{len(errors)} error blocks for {len(best.values)} forecast blocks")
-    vals = np.clip(best.values - np.asarray(errors, dtype=float), 0.0, capacity)
-    return ForecastSeries(block_minutes, vals, issue_minute=best.issue_minute)
 
 
 def net_load(load: Profile, semi_outputs: list[Profile]) -> Profile:
@@ -229,10 +203,3 @@ def write_profile(path, p: Profile) -> None:
         fh.write("minute,value_mw\n")
         for i, v in enumerate(p.values):
             fh.write(f"{p.start + i},{v:.6f}\n")
-
-
-def write_forecast(path, f: ForecastSeries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("block,start_minute,value_mw\n")
-        for k, v in enumerate(f.values):
-            fh.write(f"{k},{f.issue_minute + k * f.block_minutes},{v:.6f}\n")

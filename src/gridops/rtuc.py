@@ -78,12 +78,10 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
                         mode_pump=init.mode_pump)
     opt = LayerOptions(
         layer="rtuc", steps=steps, step_minutes=step_min,
-        with_commitment=True, with_reserves=True, with_storage_vars=False,
         pinned_w=pinned,
         pinned_storage=_storage_from_hourly(day_sched, start_minute, steps,
                                             step_min),
         outage_gen=outage_gen, outage_semi=outage_semi,
-        min_updown_steps=step_min,
         hour_of_step=[(start_minute + t * step_min) // 60 % 24
                       for t in range(steps)],
     )

@@ -31,7 +31,6 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
                           {st.id: np.zeros(1) for st in scn.storages})
     opt = LayerOptions(
         layer="sced", steps=1, step_minutes=step_min,
-        with_commitment=False, with_reserves=False, with_storage_vars=False,
         pinned_w=pinned, pinned_storage=pinned_storage,
         fixed_uv=(dict(starts or {}), dict(stops or {})),
         outage_gen=outage_gen, outage_semi=outage_semi,
@@ -43,10 +42,3 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
 def setpoints(sched: Schedule) -> dict[str, float]:
     """Target MW per generator for the interval just solved."""
     return {gid: float(p[0]) for gid, p in sched.p.items()}
-
-
-def write_setpoints(path: str, minute: int, targets: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("minute,resource,target_mw\n")
-        for rid in sorted(targets):
-            fh.write(f"{minute},{rid},{targets[rid]:.6f}\n")

@@ -632,9 +632,17 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
         if val < 0:
             err("reserves", f"{name} is negative")
 
+    # Only generators and semi resources are masked by outages.
+    targets = {r.id for r in scn.generators + scn.semis}
     for ev in scn.outages:
         if scn.resource(ev.resource) is None:
             err(ev.resource, "outage references unknown resource")
+        elif ev.resource not in targets:
+            err(ev.resource, "outage applies only to generators and "
+                             "semi-dispatchable resources")
+        if ev.start < 0 or ev.duration < 0:
+            err(ev.resource, f"outage start {ev.start} or duration "
+                             f"{ev.duration} is negative")
     return out
 
 

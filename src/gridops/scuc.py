@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .dispatch import (Forecasts, InitialState, LayerOptions, Schedule,
                        solve_layer)
 from .scenario import Scenario
@@ -16,24 +14,13 @@ def run_scuc(scn: Scenario, fc: Forecasts, init: InitialState,
     steps = scn.timing.scuc_horizon_h
     opt = LayerOptions(
         layer="scuc", steps=steps, step_minutes=60,
-        with_commitment=True, with_reserves=True, with_storage_vars=True,
         outage_gen=outage_gen, outage_semi=outage_semi,
-        min_updown_steps=60, hour_of_step=list(range(steps)),
+        hour_of_step=list(range(steps)),
     )
     return solve_layer(scn, fc, init, opt)
-
-
-def write_schedule(path: str, sched: Schedule,
-                   time_label: str = "hour") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sched.to_csv(time_label))
 
 
 def commitment_for_minute(sched: Schedule, minute: int) -> dict[str, float]:
     """Commitment status per unit at an absolute minute of the day."""
     step = min(minute // sched.step_minutes, sched.steps - 1)
     return {gid: float(w[step]) for gid, w in sched.w.items()}
-
-
-def hourly_w_matrix(sched: Schedule, gen_ids: list[str]) -> np.ndarray:
-    return np.array([sched.w[g] for g in gen_ids])

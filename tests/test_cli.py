@@ -41,6 +41,18 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert out.out.count("\t") >= 2
 
 
+@pytest.mark.parametrize("resource,section", [
+    ("pond", "[storage pond]\nbubble = n1\nE^max = 100\n\n"
+             "[outage 1]\nresource = pond\nstart = 10\nduration = 30\n"),
+    ("gas2", "[outage 1]\nresource = gas2\nstart = 10\nduration = -5\n"),
+], ids=["storage", "negative-duration"])
+def test_validate_rejects_bad_outage(mini, resource, section, capsys):
+    with open(mini, "a", encoding="utf-8") as fh:
+        fh.write("\n" + section)
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().out.startswith(f"error\t{resource}\toutage ")
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.scn")]) == 2
 

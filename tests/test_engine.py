@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from gridops.engine import SimulationTrace, simulate, write_trace
+import gridops.engine as engine
+from gridops.engine import (SimulationTrace, outage_masks, simulate,
+                            write_trace)
 from gridops.mini import write_mini3
 from gridops.scenario import Outage, load_scenario
 
@@ -74,6 +76,58 @@ def test_outage_forces_unit_off_and_reruns_commitment(mini):
     assert np.all(tr.unit_output["gas2"][22:52] == 0.0)
     assert np.any(tr.unit_output["gas2"][:22] > 0.0)
     assert any("contingency" in e for e in tr.events)
+
+
+def test_one_network_solve_per_minute(mini, monkeypatch):
+    calls = []
+    real = engine.dc_flow
+
+    def counting(factor, injections):
+        calls.append(float(sum(injections.values())))
+        return real(factor, injections)
+
+    monkeypatch.setattr(engine, "dc_flow", counting)
+    scn = load_scenario(mini)
+    tr = simulate(scn, 30, seed=7)
+    assert len(calls) == 30
+    # The network sees the injections after regulation; without it their
+    # sum is the raw imbalance the swing absorbs.
+    raw = np.array(calls) - tr.regulation.sum(axis=1)
+    assert tr.imbalance_raw == pytest.approx(raw, abs=1e-9)
+    assert tr.imbalance == pytest.approx(np.array(calls), abs=1e-9)
+
+
+def test_outage_masks_at_block_boundaries(mini):
+    scn = load_scenario(mini)
+    scn.outages = [Outage(resource="gas2", start=20, duration=10),
+                   Outage(resource="gas2", start=45, duration=1),
+                   Outage(resource="sun1", start=0, duration=15)]
+    gen, semi = outage_masks(scn, 0, 15, 4)
+    # gas2 covers [20, 30) and [45, 46): blocks [15, 30) and [45, 60),
+    # the second only one minute in.  sun1 ends exactly where block 1
+    # starts, so only block 0 is out.
+    assert list(gen) == ["gas2"]
+    assert gen["gas2"].tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert semi["sun1"].tolist() == [1.0, 0.0, 0.0, 0.0]
+    # A window no outage touches has empty tables.
+    assert outage_masks(scn, 60, 15, 4) == ({}, {})
+
+
+def test_outage_minute_status_is_a_window_of_minutes(mini):
+    scn = load_scenario(mini)
+    scn.outages = [Outage(resource="gas2", start=20, duration=10),
+                   Outage(resource="gas2", start=25, duration=10),
+                   Outage(resource="sun1", start=3, duration=0)]
+    gen, semi = outage_masks(scn, 0, 1, 60)
+    assert semi == {}                       # a zero-length outage is no outage
+    status = gen["gas2"]
+    assert np.flatnonzero(status).tolist() == list(range(20, 35))
+    for m in range(60):
+        one = outage_masks(scn, m, 1, 1)[0]
+        covered = any(ev.resource == "gas2" and
+                      ev.start <= m < ev.start + ev.duration
+                      for ev in scn.outages)
+        assert bool(one.get("gas2", [0.0])[0]) == bool(status[m]) == covered
 
 
 def test_trace_files_written(mini, tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridops.grid import (GridError, RegulationState, actual_reserves,
-                          dc_flow, make_regulation, regulation_step)
+                          dc_flow, factor_network, make_regulation,
+                          regulation_step)
 from gridops.scenario import Branch, Generator, Interface, ZonalNetwork
 
 
@@ -15,14 +16,18 @@ def two_bubble():
                         swing="x", swing_attach=["a"])
 
 
+def flow(net, injections):
+    return dc_flow(factor_network(net), injections)
+
+
 def test_two_bubble_transfer():
-    gs = dc_flow(two_bubble(), {"a": 100.0, "b": -100.0})
+    gs = flow(two_bubble(), {"a": 100.0, "b": -100.0})
     assert gs.branch_flows[0] == pytest.approx(100.0)
     assert gs.swing_exchange == pytest.approx(0.0)
 
 
 def test_surplus_exported_to_swing():
-    gs = dc_flow(two_bubble(), {"a": 120.0, "b": -100.0})
+    gs = flow(two_bubble(), {"a": 120.0, "b": -100.0})
     assert gs.swing_exchange == pytest.approx(20.0)
 
 
@@ -30,7 +35,7 @@ def test_triangle_flow_split():
     net = ZonalNetwork(bubbles=["a", "b", "c"],
                        branches=[Branch("a", "b"), Branch("b", "c"),
                                  Branch("a", "c")])
-    gs = dc_flow(net, {"a": 90.0, "b": -90.0, "c": 0.0})
+    gs = flow(net, {"a": 90.0, "b": -90.0, "c": 0.0})
     assert gs.branch_flows[0] == pytest.approx(60.0)   # a->b direct
     assert gs.branch_flows[1] == pytest.approx(-30.0)  # c->b via c
     assert gs.branch_flows[2] == pytest.approx(30.0)   # a->c
@@ -40,17 +45,41 @@ def test_triangle_flow_split():
 def test_interface_signed_sum():
     net = two_bubble()
     net.interfaces = [Interface("tie", [("a", "b", 1.0)], limit=150.0)]
-    gs = dc_flow(net, {"a": 100.0, "b": -100.0})
+    gs = flow(net, {"a": 100.0, "b": -100.0})
     assert gs.interface_flows["tie"] == pytest.approx((100.0, 150.0))
     net.interfaces = [Interface("rev", [("b", "a", 1.0)], limit=150.0)]
-    gs = dc_flow(net, {"a": 100.0, "b": -100.0})
+    gs = flow(net, {"a": 100.0, "b": -100.0})
     assert gs.interface_flows["rev"][0] == pytest.approx(-100.0)
 
 
 def test_disconnected_network():
     net = ZonalNetwork(bubbles=["a", "b"], branches=[])
-    with pytest.raises(GridError):
-        dc_flow(net, {"a": 1.0, "b": -1.0})
+    with pytest.raises(GridError, match="disconnected"):
+        factor_network(net)
+
+
+def test_factored_flows_match_a_direct_solve():
+    # Nodes a, b, c and the swing x, attached to a and c.
+    net = ZonalNetwork(bubbles=["a", "b", "c"],
+                       branches=[Branch("a", "b", weight=2.0),
+                                 Branch("b", "c"), Branch("a", "c")],
+                       swing="x", swing_attach=["a", "c"])
+    net.interfaces = [Interface("out-a", [("a", "b", 1.0), ("c", "a", -1.0)],
+                                limit=80.0)]
+    lap = np.array([[4.0, -2.0, -1.0], [-2.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
+    factor = factor_network(net)
+    for inj in ({"a": 90.0, "b": -90.0, "c": 0.0},
+                {"a": 0.0, "b": 45.0, "c": -30.0},
+                {"a": -12.5, "b": 0.0, "c": 40.0}):
+        theta = np.linalg.solve(lap, [inj["a"], inj["b"], inj["c"]])
+        ref = [2.0 * (theta[0] - theta[1]), theta[1] - theta[2],
+               theta[0] - theta[2]]
+        gs = dc_flow(factor, inj)
+        assert gs.branch_flows == pytest.approx(ref, abs=1e-9)
+        # The reversed c->a member counts the a->c branch positively.
+        assert gs.interface_flows["out-a"] == pytest.approx(
+            (ref[0] + ref[2], 80.0), abs=1e-9)
+        assert gs.swing_exchange == pytest.approx(sum(inj.values()))
 
 
 def single_unit_reg(sat=50.0, g0=0.0):

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gridops.profiles import (Profile, ProfileError, best_forecast,
-                              make_forecast, net_load, ramp_stats,
-                              read_profile, scale_ver, synthesize_error,
-                              variability, write_profile)
+from gridops.profiles import (Profile, ProfileError, forecast, net_load,
+                              ramp_stats, read_profile, scale_ver,
+                              synthesize_error, variability, write_profile)
 
 
 @dataclass
@@ -75,25 +74,43 @@ def test_scale_ver_constant_cannot_gain_variability():
 
 
 def test_best_forecast_constant():
-    f = best_forecast(Profile(np.full(240, 500.0)), 60)
-    assert f.values == pytest.approx(np.full(4, 500.0))
+    f = forecast(Profile(np.full(240, 500.0)), 0, 60, 4)
+    assert f == pytest.approx(np.full(4, 500.0))
 
 
 def test_best_forecast_linear_block_mean():
     # Samples 0..59 average to 29.5.
-    f = best_forecast(Profile(np.arange(60.0)), 60)
-    assert f.values == pytest.approx([29.5])
+    f = forecast(Profile(np.arange(60.0)), 0, 60, 1)
+    assert f == pytest.approx([29.5])
 
 
 def test_best_forecast_shape_and_identity():
     p = Profile(np.linspace(5, 17, 120))
-    assert len(best_forecast(p, 60)) == 2
-    assert best_forecast(p, 1).values == pytest.approx(p.values)
+    assert len(forecast(p, 0, 60, 2)) == 2
+    assert forecast(p, 0, 1, 120) == pytest.approx(p.values)
 
 
-def test_best_forecast_rejects_nondivisor():
+@pytest.mark.parametrize("m0,block,n,expected", [
+    (30, 60, 1, [(30 * 44.5 + 30 * 59.0) / 60]),   # half past the end
+    (60, 60, 2, [59.0, 59.0]),                      # wholly past the end
+    (58, 1, 4, [58.0, 59.0, 59.0, 59.0]),           # 1-minute blocks
+    (45, 15, 2, [52.0, 59.0]),                      # an RTUC-like window
+], ids=["partly-past", "wholly-past", "minutes", "steps"])
+def test_forecast_holds_last_sample_past_the_end(m0, block, n, expected):
+    # Samples 0..59: minutes past 59 read the last sample, 59.
+    p = Profile(np.arange(60.0))
+    f = forecast(p, m0, block, n)
+    assert f == pytest.approx(expected)
+    # Same bytes as the block-by-block loop the engine used to run.
+    ref = np.array([
+        p.values[np.clip(np.arange(m0 + k * block, m0 + (k + 1) * block),
+                         0, len(p) - 1)].mean() for k in range(n)])
+    assert f.tobytes() == ref.tobytes()
+
+
+def test_forecast_rejects_empty_block():
     with pytest.raises(ProfileError):
-        best_forecast(Profile(np.arange(100.0)), 60)
+        forecast(Profile(np.arange(60.0)), 0, 0, 1)
 
 
 def test_synthesize_error_zero_eps():
@@ -120,22 +137,23 @@ def test_synthesize_error_kinds_differ():
 
 def test_make_forecast_zero_error():
     p = Profile(np.linspace(10, 70, 120))
-    f = make_forecast(p, np.zeros(2), 60)
-    assert f.values == pytest.approx(best_forecast(p, 60).values)
+    f = forecast(p, 0, 60, 2, np.zeros(2))
+    assert f == pytest.approx(forecast(p, 0, 60, 2))
+    assert f == pytest.approx([np.mean(p.values[:60]), np.mean(p.values[60:])])
 
 
 def test_make_forecast_subtracts_and_floors():
     p = Profile(np.full(120, 100.0))
-    f = make_forecast(p, np.array([30.0, 0.0]), 60)
-    assert f.values == pytest.approx([70.0, 100.0])
-    low = make_forecast(Profile(np.full(60, 10.0)), np.array([30.0]), 60)
-    assert low.values == pytest.approx([0.0])
+    f = forecast(p, 0, 60, 2, np.array([30.0, 0.0]))
+    assert f == pytest.approx([70.0, 100.0])
+    low = forecast(Profile(np.full(60, 10.0)), 0, 60, 1, np.array([30.0]))
+    assert low == pytest.approx([0.0])
 
 
 def test_make_forecast_caps_at_capacity():
     p = Profile(np.full(60, 90.0))
-    f = make_forecast(p, np.array([-50.0]), 60, capacity=100.0)
-    assert f.values == pytest.approx([100.0])
+    f = forecast(p, 0, 60, 1, np.array([-50.0]), capacity=100.0)
+    assert f == pytest.approx([100.0])
 
 
 def test_net_load():

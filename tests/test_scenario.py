@@ -86,6 +86,27 @@ def test_validation_flags_bad_storage_energy(mini):
     assert any(ent == "st1" for _, ent, msg in report)
 
 
+@pytest.mark.parametrize("resource,start,duration,message", [
+    ("pond", 10, 30, "only to generators"),
+    ("flex", 10, 30, "only to generators"),
+    ("gas2", 10, -5, "duration -5 is negative"),
+    ("sun1", -1, 30, "start -1"),
+], ids=["storage", "dr", "negative-duration", "negative-start"])
+def test_validation_flags_bad_outage(mini, resource, start, duration,
+                                     message):
+    from gridops.scenario import DemandResponse, Outage, Storage
+    scn = load_scenario(mini)
+    scn.storages.append(Storage(id="pond", bubble="n1", e_max=100.0))
+    scn.drs.append(DemandResponse(id="flex", bubble="n2", p_max=10.0))
+    assert validate_scenario(scn) == []
+    scn.outages.append(Outage(resource=resource, start=start,
+                              duration=duration))
+    report = validate_scenario(scn)
+    assert len(report) == 1
+    sev, ent, msg = report[0]
+    assert (sev, ent) == ("error", resource) and message in msg
+
+
 def test_validation_is_pure(mini):
     scn = load_scenario(mini)
     assert validate_scenario(scn) == validate_scenario(scn)
