@@ -5,7 +5,9 @@ dispatch share one constraint family: bubble balance against a DC flow,
 interface limits, unit box bounds with outage masks, ramp limits with
 start/stop relaxation, storage energy accounting, commitment logic, and
 contingency-based reserve procurement.  This module builds that program
-once, parameterized by layer, and extracts a uniform Schedule.
+once, parameterized by layer, and extracts a uniform Schedule.  The build
+records each column family's indices as an integer block (``Columns``), so
+extraction indexes the solution vector directly.
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -101,10 +103,21 @@ class LayerOptions:
     hour_of_step: list[int] | None = None               # fuel-price lookup
 
 
-def _mask(table, rid, t) -> float:
+class Columns(dict):
+    """Column family -> int array of column indices, indexed [step, entity].
+
+    Entries are -1 where an entity has no such column.  ``fixed_cost`` is
+    objective that lies outside the program: in SCED, the pinned
+    commitments' cost at P^min.
+    """
+    fixed_cost = 0.0
+
+
+def _available(table, rid, T) -> list[float]:
+    """1 - outage mask per step (1.0 when the resource has no outage)."""
     if not table or rid not in table:
-        return 0.0
-    return float(table[rid][t])
+        return [1.0] * T
+    return [1.0 - float(table[rid][t]) for t in range(T)]
 
 
 def reserves_active(scn: Scenario) -> bool:
@@ -119,171 +132,175 @@ def reserves_active(scn: Scenario) -> bool:
 
 def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                   opt: LayerOptions):
-    """Build the layer's program; returns (LinearProgram, index maps)."""
+    """Build the layer's program; returns (LinearProgram, Columns)."""
     T = opt.steps
     if fc.horizon() < T:
         raise DispatchError(
             f"forecast horizon {fc.horizon()} shorter than {T} steps")
     lp = LinearProgram()
     net = scn.network
+    gens, semis = scn.generators, scn.semis
     gamma = scn.gamma_loss
     penalty = scn.penalty_price()
     hours = opt.hour_of_step or [0] * T
     res = scn.reserves
-    use_res = opt.layer != "sced" and reserves_active(scn)
+    sced = opt.layer == "sced"
+    use_res = not sced and reserves_active(scn)
     storage_vars = opt.pinned_storage is None
+    dt = opt.step_minutes
 
-    ix: dict[str, int] = {}
+    # Column blocks as nested lists [t][entity]: plain ints index faster
+    # than numpy scalars in the row loops below.
+    G, S, B = len(gens), len(scn.storages), len(net.bubbles)
+    sizes = dict(w=G, u=G, v=G, P=G, rS=G, rO=G, wP=S, wS=S, Ps=S, Ss=S,
+                 Es=S, cv=len(semis), cl=len(scn.loads), Pm=len(scn.drs),
+                 sgP=B, sgN=B, F=len(net.branches), C1=1)
+    blk = {name: [[-1] * n for _ in range(T)] for name, n in sizes.items()}
+    (w, u, v, P, rS, rO, wP, wS, Ps, Ss, Es, cv, cl, Pm, sgP, sgN, F,
+     C1) = blk.values()
+    dP = [[None] * G for _ in range(T)]    # segment columns
 
-    def var(name, **kw) -> int:
-        j = lp.add_var(name, **kw)
-        ix[name] = j
-        return j
+    # Once per build: cost curves, pins, availability net of outages.
+    pw = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
+                         N_SEGMENTS) for g in gens]
+    pins = [None if opt.pinned_w is None else opt.pinned_w.get(g.id)
+            for g in gens]
+    g_on = [_available(opt.outage_gen, g.id, T) for g in gens]
+    # Available semi-dispatchable energy per step; withholding a fraction
+    # cv of the curtailable share d takes -d*avail*cv off delivery.
+    semi_avail = [[on * float(fc.semi[sm.id][t]) for t, on
+                   in enumerate(_available(opt.outage_semi, sm.id, T))]
+                  for sm in semis]
+    fixed_cost = 0.0
 
     # -- variables ---------------------------------------------------------
-    pw = {}
-    for g in scn.generators:
-        pw[g.id] = linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
-                                  N_SEGMENTS)
-    # Available semi-dispatchable energy per step, net of outages.
-    sched_semi = {}   # (semi, t) -> (delivered const, w coefficient)
-    for sm in scn.semis:
-        prof = fc.semi[sm.id]
-        for t in range(T):
-            avail = (1.0 - _mask(opt.outage_semi, sm.id, t)) * float(prof[t])
-            sched_semi[(sm.id, t)] = (avail, -sm.d * avail)
-
     for t in range(T):
-        for g in scn.generators:
+        for k, g in enumerate(gens):
             cf = g.fuel_price(hours[t])
-            pwk = pw[g.id]
-            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
-            if opt.layer == "sced":
+            pwk = pw[k]
+            pin = pins[k]
+            if sced:
                 wv = float(pin[t])
-                off = 1.0 - _mask(opt.outage_gen, g.id, t)
-                lo = wv * off * g.p_min
-                hi = wv * off * g.p_max
-                var(f"P[{g.id},{t}]", lb=lo, ub=hi)
-                for s, slope in enumerate(pwk.slopes):
-                    var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=pwk.widths[s],
-                        obj=cf * slope)
-                continue
-            if g.kind == "must-run":
-                var(f"w[{g.id},{t}]", lb=1.0, ub=1.0)
-            elif pin is not None:
-                wv = float(pin[t])
-                var(f"w[{g.id},{t}]", lb=wv, ub=wv)
+                P[t][k] = lp.add_var(f"P[{g.id},{t}]",
+                                     lb=wv * g_on[k][t] * g.p_min,
+                                     ub=wv * g_on[k][t] * g.p_max)
+                # Segments only price output above the committed floor.
+                fixed_cost += wv * cf * pwk.cost_at_min
             else:
-                var(f"w[{g.id},{t}]", lb=0.0, ub=1.0, binary=True)
-            # Commitment carries the cost of running at P^min.
-            lp.variables[ix[f"w[{g.id},{t}]"]].obj = cf * pwk.cost_at_min
-            var(f"u[{g.id},{t}]", lb=0.0, ub=1.0, obj=cf * g.h_u)
-            var(f"v[{g.id},{t}]", lb=0.0, ub=1.0, obj=cf * g.h_d)
-            var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
-            for s, slope in enumerate(pwk.slopes):
-                var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=pwk.widths[s],
-                    obj=cf * slope)
+                if g.kind == "must-run":
+                    lo, hi, binary = 1.0, 1.0, False
+                elif pin is not None:
+                    lo = hi = float(pin[t])
+                    binary = False
+                else:
+                    lo, hi, binary = 0.0, 1.0, True
+                # Commitment carries the cost of running at P^min.
+                w[t][k] = lp.add_var(f"w[{g.id},{t}]", lb=lo, ub=hi,
+                                     obj=cf * pwk.cost_at_min, binary=binary)
+                u[t][k] = lp.add_var(f"u[{g.id},{t}]", lb=0.0, ub=1.0,
+                                     obj=cf * g.h_u)
+                v[t][k] = lp.add_var(f"v[{g.id},{t}]", lb=0.0, ub=1.0,
+                                     obj=cf * g.h_d)
+                P[t][k] = lp.add_var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
+            dP[t][k] = [lp.add_var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width,
+                                   obj=cf * slope)
+                        for s, (slope, width)
+                        in enumerate(zip(pwk.slopes, pwk.widths))]
             if use_res:
-                var(f"rS[{g.id},{t}]", lb=0.0,
-                    ub=max(g.r_max * res.t_10, 0.0))
-                var(f"rO[{g.id},{t}]", lb=0.0,
-                    ub=max(g.r_max * res.t_30, 0.0))
+                rS[t][k] = lp.add_var(f"rS[{g.id},{t}]", lb=0.0,
+                                      ub=max(g.r_max * res.t_10, 0.0))
+                rO[t][k] = lp.add_var(f"rO[{g.id},{t}]", lb=0.0,
+                                      ub=max(g.r_max * res.t_30, 0.0))
 
         if storage_vars:
-            for st in scn.storages:
-                var(f"wP[{st.id},{t}]", lb=0.0, ub=1.0, binary=True)
-                var(f"wS[{st.id},{t}]", lb=0.0, ub=1.0, binary=True)
-                var(f"Ps[{st.id},{t}]", lb=0.0, ub=st.p_max)
-                var(f"Ss[{st.id},{t}]", lb=0.0, ub=st.s_max)
-                var(f"Es[{st.id},{t}]", lb=st.e_min, ub=st.e_max)
-        for sm in scn.semis:
+            for k, st in enumerate(scn.storages):
+                for fam, lo, hi, binary in (
+                        ("wP", 0.0, 1.0, True), ("wS", 0.0, 1.0, True),
+                        ("Ps", 0.0, st.p_max, False),
+                        ("Ss", 0.0, st.s_max, False),
+                        ("Es", st.e_min, st.e_max, False)):
+                    blk[fam][t][k] = lp.add_var(f"{fam}[{st.id},{t}]", lb=lo,
+                                                ub=hi, binary=binary)
+        for k, sm in enumerate(semis):
             if sm.d > 0:
                 # Withholding delivery at threshold price C forfeits C*d*avail.
-                avail, _ = sched_semi[(sm.id, t)]
-                var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0,
-                    obj=-sm.price * sm.d * avail)
-        for ld in scn.loads:
+                cv[t][k] = lp.add_var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0,
+                                      obj=-sm.price * sm.d * semi_avail[k][t])
+        for k, ld in enumerate(scn.loads):
             if ld.d > 0:
                 load = float(fc.load[ld.bubble][t])
-                var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0,
-                    obj=ld.price * ld.d * load)
-        for m in scn.drs:
-            var(f"Pm[{m.id},{t}]", lb=m.p_min, ub=m.p_max, obj=m.cost)
-        for b in net.bubbles:
-            var(f"sgP[{b},{t}]", lb=0.0, ub=INF, obj=penalty)
-            var(f"sgN[{b},{t}]", lb=0.0, ub=INF, obj=penalty)
-        for li, br in enumerate(net.branches):
-            var(f"F[{li},{t}]", lb=-INF, ub=INF)
+                cl[t][k] = lp.add_var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0,
+                                      obj=ld.price * ld.d * load)
+        for k, m in enumerate(scn.drs):
+            Pm[t][k] = lp.add_var(f"Pm[{m.id},{t}]", lb=m.p_min,
+                                  ub=m.p_max, obj=m.cost)
+        for k, b in enumerate(net.bubbles):
+            sgP[t][k] = lp.add_var(f"sgP[{b},{t}]", ub=INF, obj=penalty)
+            sgN[t][k] = lp.add_var(f"sgN[{b},{t}]", ub=INF, obj=penalty)
+        for li in range(len(net.branches)):
+            F[t][li] = lp.add_var(f"F[{li},{t}]", lb=-INF, ub=INF)
         if use_res:
-            var(f"C1[{t}]", lb=0.0, ub=INF)
+            C1[t][0] = lp.add_var(f"C1[{t}]", ub=INF)
 
     # -- constraints -------------------------------------------------------
+    # Interface members as (branch, coefficient) in the branch's direction.
+    itf_terms = []
+    for itf in net.interfaces:
+        terms = []
+        for frm, to, sign in itf.members:
+            bi = net.branch_index(frm, to)
+            terms.append((bi, sign) if bi >= 0 else (~bi, -sign))
+        itf_terms.append(terms)
+
     for t in range(T):
-        for b in net.bubbles:
-            coeffs = []
+        for kb, b in enumerate(net.bubbles):
+            coeffs = [(P[t][k], 1.0) for k, g in enumerate(gens)
+                      if g.bubble == b]
             rhs = 0.0
-            for g in scn.generators:
-                if g.bubble == b:
-                    coeffs.append((ix[f"P[{g.id},{t}]"], 1.0))
-            for st in scn.storages:
+            for k, st in enumerate(scn.storages):
                 if st.bubble != b:
                     continue
                 if storage_vars:
-                    coeffs.append((ix[f"Ps[{st.id},{t}]"], 1.0))
-                    coeffs.append((ix[f"Ss[{st.id},{t}]"], -1.0))
+                    coeffs += [(Ps[t][k], 1.0), (Ss[t][k], -1.0)]
                 else:
                     ps, ss = opt.pinned_storage
                     rhs -= float(ps[st.id][t]) - float(ss[st.id][t])
-            coeffs.append((ix[f"sgP[{b},{t}]"], 1.0))
-            coeffs.append((ix[f"sgN[{b},{t}]"], -1.0))
-            for m in scn.drs:
-                if m.bubble == b:
-                    coeffs.append((ix[f"Pm[{m.id},{t}]"], 1.0))
-            for ld in scn.loads:
+            coeffs += [(sgP[t][kb], 1.0), (sgN[t][kb], -1.0)]
+            coeffs += [(Pm[t][k], 1.0) for k, m in enumerate(scn.drs)
+                       if m.bubble == b]
+            for k, ld in enumerate(scn.loads):
                 if ld.bubble != b:
                     continue
                 load = float(fc.load[ld.bubble][t])
                 rhs += (1.0 + gamma) * load
                 if ld.d > 0:
-                    coeffs.append((ix[f"cl[{ld.bubble},{t}]"],
-                                   (1.0 + gamma) * ld.d * load))
-            for sm in scn.semis:
+                    coeffs.append((cl[t][k], (1.0 + gamma) * ld.d * load))
+            for k, sm in enumerate(semis):
                 if sm.bubble != b:
                     continue
-                avail, wcoef = sched_semi[(sm.id, t)]
+                avail = semi_avail[k][t]
                 scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
                 rhs -= scale * avail
                 if sm.d > 0:
-                    coeffs.append((ix[f"cv[{sm.id},{t}]"], scale * wcoef))
+                    coeffs.append((cv[t][k], scale * (-sm.d * avail)))
             for li, br in enumerate(net.branches):
                 if br.from_bubble == b:
-                    coeffs.append((ix[f"F[{li},{t}]"], -1.0))
+                    coeffs.append((F[t][li], -1.0))
                 elif br.to_bubble == b:
-                    coeffs.append((ix[f"F[{li},{t}]"], 1.0))
+                    coeffs.append((F[t][li], 1.0))
             lp.add_constr(f"bal[{b},{t}]", coeffs, EQ, rhs)
 
-        for itf in net.interfaces:
-            coeffs = []
-            for frm, to, sign in itf.members:
-                bi = net.branch_index(frm, to)
-                if bi >= 0:
-                    coeffs.append((ix[f"F[{bi},{t}]"], sign))
-                else:
-                    coeffs.append((ix[f"F[{~bi},{t}]"], -sign))
+        for itf, terms in zip(net.interfaces, itf_terms):
+            coeffs = [(F[t][bi], a) for bi, a in terms]
             lp.add_constr(f"int+[{itf.name},{t}]", coeffs, LE, itf.limit)
             lp.add_constr(f"int-[{itf.name},{t}]", coeffs, GE, -itf.limit)
 
-        for g in scn.generators:
-            pwk = pw[g.id]
-            pvar = ix[f"P[{g.id},{t}]"]
-            dt = opt.step_minutes
-            omask = _mask(opt.outage_gen, g.id, t)
-            if opt.layer == "sced":
-                # Segments tie cost to output above the committed floor.
-                pin = opt.pinned_w[g.id]
-                wv = float(pin[t]) * (1.0 - omask)
-                segs = [(ix[f"dP[{g.id},{t},{s}]"], -1.0)
-                        for s in range(len(pwk.slopes))]
+        for k, g in enumerate(gens):
+            pvar = P[t][k]
+            # P = w*P^min + filled segments.
+            segs = [(j, -1.0) for j in dP[t][k]]
+            if sced:
+                wv = float(pins[k][t]) * g_on[k][t]
                 lp.add_constr(f"seg[{g.id},{t}]", [(pvar, 1.0)] + segs,
                               EQ, wv * g.p_min)
                 uf, vf = opt.fixed_uv
@@ -296,19 +313,15 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                               p0 + g.r_min * dt - g.p_max * vr)
                 continue
 
-            wvar = ix[f"w[{g.id},{t}]"]
-            uvar = ix[f"u[{g.id},{t}]"]
-            vvar = ix[f"v[{g.id},{t}]"]
-            # P = w*P^min + filled segments; segment sum capped by headroom.
-            segs = [(ix[f"dP[{g.id},{t},{s}]"], -1.0)
-                    for s in range(len(pwk.slopes))]
+            wvar, uvar, vvar = w[t][k], u[t][k], v[t][k]
             # The committed floor scales with availability so a forced
-            # outage of a pinned unit stays feasible.
+            # outage of a pinned unit stays feasible; the segment sum is
+            # capped by headroom.
             lp.add_constr(f"seg[{g.id},{t}]",
-                          [(pvar, 1.0), (wvar, -(1.0 - omask) * g.p_min)] +
+                          [(pvar, 1.0), (wvar, -g_on[k][t] * g.p_min)] +
                           segs, EQ, 0.0)
             lp.add_constr(f"plim[{g.id},{t}]",
-                          [(pvar, 1.0), (wvar, -(1.0 - omask) * g.p_max)],
+                          [(pvar, 1.0), (wvar, -g_on[k][t] * g.p_max)],
                           LE, 0.0)
             # w-u-v linkage and ramp with start/stop relaxation.
             if t == 0:
@@ -319,11 +332,10 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                 prev = [(pvar, 1.0)]
                 base = float(init.output.get(g.id, 0.0))
             else:
-                wprev = ix[f"w[{g.id},{t-1}]"]
                 lp.add_constr(f"link[{g.id},{t}]",
-                              [(wvar, 1.0), (wprev, -1.0), (uvar, -1.0),
-                               (vvar, 1.0)], EQ, 0.0)
-                prev = [(pvar, 1.0), (ix[f"P[{g.id},{t-1}]"], -1.0)]
+                              [(wvar, 1.0), (w[t - 1][k], -1.0),
+                               (uvar, -1.0), (vvar, 1.0)], EQ, 0.0)
+                prev = [(pvar, 1.0), (P[t - 1][k], -1.0)]
                 base = 0.0
             lp.add_constr(f"uv[{g.id},{t}]", [(uvar, 1.0), (vvar, 1.0)],
                           LE, 1.0)
@@ -336,12 +348,9 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
 
         if storage_vars:
             dt_h = opt.step_minutes / 60.0
-            for st in scn.storages:
-                wp = ix[f"wP[{st.id},{t}]"]
-                ws = ix[f"wS[{st.id},{t}]"]
-                psv = ix[f"Ps[{st.id},{t}]"]
-                ssv = ix[f"Ss[{st.id},{t}]"]
-                ev = ix[f"Es[{st.id},{t}]"]
+            for k, st in enumerate(scn.storages):
+                wp, ws = wP[t][k], wS[t][k]
+                psv, ssv, ev = Ps[t][k], Ss[t][k], Es[t][k]
                 lp.add_constr(f"pslim+[{st.id},{t}]",
                               [(psv, 1.0), (wp, -st.p_max)], LE, 0.0)
                 lp.add_constr(f"pslim-[{st.id},{t}]",
@@ -368,56 +377,51 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                     lp.add_constr(f"flip2[{st.id},{t}]", [(ws, 1.0)],
                                   LE, 1.0 - mg)
                 else:
-                    coeffs = [(ev, 1.0), (ix[f"Es[{st.id},{t-1}]"], -1.0),
+                    coeffs = [(ev, 1.0), (Es[t - 1][k], -1.0),
                               (ssv, -st.eta * dt_h), (psv, dt_h)]
                     lp.add_constr(f"stor[{st.id},{t}]", coeffs, EQ, 0.0)
-                    wp_prev = ix[f"wP[{st.id},{t-1}]"]
-                    ws_prev = ix[f"wS[{st.id},{t-1}]"]
                     # No pump-to-generate flip within one step.
                     lp.add_constr(f"flip1[{st.id},{t}]",
-                                  [(wp, 1.0), (ws_prev, 1.0)], LE, 1.0)
+                                  [(wp, 1.0), (wS[t - 1][k], 1.0)], LE, 1.0)
                     lp.add_constr(f"flip2[{st.id},{t}]",
-                                  [(ws, 1.0), (wp_prev, 1.0)], LE, 1.0)
+                                  [(ws, 1.0), (wP[t - 1][k], 1.0)], LE, 1.0)
 
         if use_res:
-            c1 = ix[f"C1[{t}]"]
-            for g in scn.generators:
+            c1 = C1[t][0]
+            for k, g in enumerate(gens):
                 lp.add_constr(f"cg1[{g.id},{t}]",
-                              [(c1, 1.0), (ix[f"w[{g.id},{t}]"], -g.p_max)],
-                              GE, 0.0)
-            for sm in scn.semis:
+                              [(c1, 1.0), (w[t][k], -g.p_max)], GE, 0.0)
+            for k, sm in enumerate(semis):
                 if sm.kind != "tie-line":
                     continue
-                avail, wcoef = sched_semi[(sm.id, t)]
+                avail = semi_avail[k][t]
                 coeffs = [(c1, 1.0)]
                 if sm.d > 0:
-                    coeffs.append((ix[f"cv[{sm.id},{t}]"], -wcoef))
+                    coeffs.append((cv[t][k], sm.d * avail))
                 lp.add_constr(f"ct1[{sm.id},{t}]", coeffs, GE, avail)
-            for g in scn.generators:
-                rs = ix[f"rS[{g.id},{t}]"]
-                ro = ix[f"rO[{g.id},{t}]"]
-                wv = ix[f"w[{g.id},{t}]"]
+            for k, g in enumerate(gens):
                 lp.add_constr(f"tmsr[{g.id},{t}]",
-                              [(rs, 1.0), (wv, -g.p_max),
-                               (ix[f"P[{g.id},{t}]"], 1.0)], LE, 0.0)
+                              [(rS[t][k], 1.0), (w[t][k], -g.p_max),
+                               (P[t][k], 1.0)], LE, 0.0)
                 lp.add_constr(f"tmor[{g.id},{t}]",
-                              [(ro, 1.0), (wv, g.p_max)], LE, g.p_max)
+                              [(rO[t][k], 1.0), (w[t][k], g.p_max)], LE,
+                              g.p_max)
             a_tmr = res.alpha_sys_tmr
             for b in net.bubbles:
-                gens = [g for g in scn.generators if g.bubble == b]
+                ks = [k for k, g in enumerate(gens) if g.bubble == b]
                 if res.alpha_tmsr.get(b, 0.0) > 0:
                     lp.add_constr(
                         f"tmsr_n[{b},{t}]",
-                        [(ix[f"rS[{g.id},{t}]"], 1.0) for g in gens] +
+                        [(rS[t][k], 1.0) for k in ks] +
                         [(c1, -res.alpha_tmsr[b] * a_tmr)], GE, 0.0)
                 if res.alpha_tmor.get(b, 0.0) > 0:
                     lp.add_constr(
                         f"tmor_n[{b},{t}]",
-                        [(ix[f"rS[{g.id},{t}]"], 1.0) for g in gens] +
-                        [(ix[f"rO[{g.id},{t}]"], 1.0) for g in gens] +
+                        [(rS[t][k], 1.0) for k in ks] +
+                        [(rO[t][k], 1.0) for k in ks] +
                         [(c1, -res.alpha_tmor[b] * a_tmr)], GE, 0.0)
-            all_rs = [(ix[f"rS[{g.id},{t}]"], 1.0) for g in scn.generators]
-            all_ro = [(ix[f"rO[{g.id},{t}]"], 1.0) for g in scn.generators]
+            all_rs = [(j, 1.0) for j in rS[t]]
+            all_ro = [(j, 1.0) for j in rO[t]]
             if res.alpha_sys_tmsr > 0:
                 lp.add_constr(f"tmsr_sys[{t}]",
                               all_rs + [(c1, -res.alpha_sys_tmsr * a_tmr)],
@@ -432,48 +436,42 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                               [(c1, -res.alpha_sys_tmor * a_tmr)], GE, 0.0)
 
     # Commitment-window constraints across steps.
-    if opt.layer != "sced":
+    if not sced:
         steps_per_hour = 60.0 / opt.step_minutes
-        for g in scn.generators:
-            if g.kind == "must-run":
-                continue
-            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
-            if pin is not None:
+        for k, g in enumerate(gens):
+            if g.kind == "must-run" or pins[k] is not None:
                 continue
             tau_u = max(int(math.ceil(g.t_u * 60.0 / opt.step_minutes)), 1)
             tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.step_minutes)), 1)
             for t in range(T):
-                for tau in range(1, tau_u):
-                    if t - tau >= 0:
-                        lp.add_constr(
-                            f"minup[{g.id},{t},{tau}]",
-                            [(ix[f"w[{g.id},{t}]"], 1.0),
-                             (ix[f"u[{g.id},{t-tau}]"], -1.0)], GE, 0.0)
-                for tau in range(1, tau_d):
-                    if t - tau >= 0:
-                        lp.add_constr(
-                            f"mindown[{g.id},{t},{tau}]",
-                            [(ix[f"w[{g.id},{t}]"], 1.0),
-                             (ix[f"v[{g.id},{t-tau}]"], 1.0)], LE, 1.0)
+                for tau in range(1, min(tau_u, t + 1)):
+                    lp.add_constr(f"minup[{g.id},{t},{tau}]",
+                                  [(w[t][k], 1.0), (u[t - tau][k], -1.0)],
+                                  GE, 0.0)
+                for tau in range(1, min(tau_d, t + 1)):
+                    lp.add_constr(f"mindown[{g.id},{t},{tau}]",
+                                  [(w[t][k], 1.0), (v[t - tau][k], 1.0)],
+                                  LE, 1.0)
             # Initial history: finish the current minimum-run window.
             hist = float(init.run_hours.get(g.id, 0.0))
             w0 = float(init.online.get(g.id, 0.0))
             if w0 > 0.5 and hist < g.t_u:
                 remain = int(math.ceil((g.t_u - hist) * steps_per_hour))
                 for t in range(min(remain, T)):
-                    wj = ix[f"w[{g.id},{t}]"]
-                    lp.variables[wj].lb = 1.0
+                    lp.variables[w[t][k]].lb = 1.0
             if w0 < 0.5 and -hist < g.t_d:
                 remain = int(math.ceil((g.t_d + hist) * steps_per_hour))
                 for t in range(min(remain, T)):
-                    wj = ix[f"w[{g.id},{t}]"]
-                    lp.variables[wj].ub = 0.0
+                    lp.variables[w[t][k]].ub = 0.0
             used = int(init.starts_used.get(g.id, 0))
             ahead = int(init.starts_ahead.get(g.id, 0))
             lp.add_constr(f"maxup[{g.id}]",
-                          [(ix[f"u[{g.id},{t}]"], 1.0) for t in range(T)],
+                          [(u[t][k], 1.0) for t in range(T)],
                           LE, max(g.u_max - used - ahead, 0))
-    return lp, ix
+    cols = Columns({name: np.array(b, dtype=np.intp)
+                    for name, b in blk.items()})
+    cols.fixed_cost = fixed_cost
+    return lp, cols
 
 
 def initial_from_scenario(scn: Scenario) -> InitialState:
@@ -499,7 +497,7 @@ def initial_from_scenario(scn: Scenario) -> InitialState:
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
                 opt: LayerOptions) -> Schedule:
-    lp, ix = build_program(scn, fc, init, opt)
+    lp, cols = build_program(scn, fc, init, opt)
     if lp.binary_indices:
         sol = solve_milp(lp)
     else:
@@ -512,68 +510,57 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
             f"{opt.layer} infeasible; first violated family: {family}")
     if sol.status != "optimal":
         raise DispatchError(f"{opt.layer} solve ended with status {sol.status}")
-    return extract_schedule(scn, fc, sol, ix, opt)
+    return extract_schedule(scn, fc, sol, cols, opt)
 
 
-def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution, ix,
-                     opt: LayerOptions) -> Schedule:
+def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
+                     cols: Columns, opt: LayerOptions) -> Schedule:
     T = opt.steps
     sched = Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
-                     status=sol.status, objective=sol.objective)
-
-    def arr(fmt, rid):
-        return np.array([sol.x[ix[fmt.format(rid, t)]] for t in range(T)])
-
-    for g in scn.generators:
-        sched.p[g.id] = arr("P[{0},{1}]", g.id)
+                     status=sol.status,
+                     objective=sol.objective + cols.fixed_cost)
+    use_res = bool((cols["C1"] >= 0).all())
+    gids = [g.id for g in scn.generators]
+    sids = [st.id for st in scn.storages]
+    bubbles = scn.network.bubbles
+    # (column family, Schedule field, entity keys); each family's values
+    # are read as one row per entity.
+    read = [("P", sched.p, gids), ("Pm", sched.dr, [m.id for m in scn.drs]),
+            ("sgP", sched.super_pos, bubbles),
+            ("sgN", sched.super_neg, bubbles)]
+    if opt.layer != "sced":
+        read += [("w", sched.w, gids), ("u", sched.u, gids),
+                 ("v", sched.v, gids)]
+    if use_res:
+        read += [("rS", sched.tmsr, gids), ("rO", sched.tmor, gids)]
+    if opt.pinned_storage is None:
+        read += [("Ps", sched.storage_gen, sids),
+                 ("Ss", sched.storage_pump, sids),
+                 ("Es", sched.storage_energy, sids),
+                 ("wP", sched.storage_mode_gen, sids),
+                 ("wS", sched.storage_mode_pump, sids)]
+    else:
+        ps, ss = opt.pinned_storage
+        for sid in sids:
+            sched.storage_gen[sid] = np.asarray(ps[sid], dtype=float)[:T]
+            sched.storage_pump[sid] = np.asarray(ss[sid], dtype=float)[:T]
+    for fam, values, keys in read:
+        values.update(zip(keys, sol.x[cols[fam].T]))
+    for gid in gids:
         if opt.layer == "sced":
-            pin = opt.pinned_w[g.id]
-            # Segments only price output above the committed floor; add the
-            # floor cost back so the objective is the full generation cost.
-            pwk = linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
-                                 N_SEGMENTS)
-            hours = opt.hour_of_step or [0] * T
-            for t in range(T):
-                sched.objective += (float(pin[t]) * g.fuel_price(hours[t]) *
-                                    pwk.cost_at_min)
-            sched.w[g.id] = np.array([float(pin[t]) for t in range(T)])
-            sched.u[g.id] = np.zeros(T)
-            sched.v[g.id] = np.zeros(T)
+            sched.w[gid] = np.array(opt.pinned_w[gid][:T], dtype=float)
+            sched.u[gid] = np.zeros(T)
+            sched.v[gid] = np.zeros(T)
         else:
-            sched.w[g.id] = np.round(arr("w[{0},{1}]", g.id), 9)
-            sched.u[g.id] = arr("u[{0},{1}]", g.id)
-            sched.v[g.id] = arr("v[{0},{1}]", g.id)
-            if f"rS[{g.id},0]" in ix:
-                sched.tmsr[g.id] = arr("rS[{0},{1}]", g.id)
-                sched.tmor[g.id] = arr("rO[{0},{1}]", g.id)
-    for st in scn.storages:
-        if opt.pinned_storage is None:
-            sched.storage_gen[st.id] = arr("Ps[{0},{1}]", st.id)
-            sched.storage_pump[st.id] = arr("Ss[{0},{1}]", st.id)
-            sched.storage_energy[st.id] = arr("Es[{0},{1}]", st.id)
-            sched.storage_mode_gen[st.id] = arr("wP[{0},{1}]", st.id)
-            sched.storage_mode_pump[st.id] = arr("wS[{0},{1}]", st.id)
-        else:
-            ps, ss = opt.pinned_storage
-            sched.storage_gen[st.id] = np.asarray(ps[st.id], dtype=float)[:T]
-            sched.storage_pump[st.id] = np.asarray(ss[st.id], dtype=float)[:T]
-    for sm in scn.semis:
-        if sm.d > 0:
-            sched.curtail[sm.id] = arr("cv[{0},{1}]", sm.id)
-        else:
-            sched.curtail[sm.id] = np.zeros(T)
-    for ld in scn.loads:
+            sched.w[gid] = np.round(sched.w[gid], 9)
+    cv, cl = sol.x[cols["cv"].T], sol.x[cols["cl"].T]
+    for k, sm in enumerate(scn.semis):
+        sched.curtail[sm.id] = cv[k] if sm.d > 0 else np.zeros(T)
+    for k, ld in enumerate(scn.loads):
         if ld.d > 0:
-            sched.shed[ld.bubble] = arr("cl[{0},{1}]", ld.bubble)
-    for m in scn.drs:
-        sched.dr[m.id] = arr("Pm[{0},{1}]", m.id)
-    for b in scn.network.bubbles:
-        sched.super_pos[b] = arr("sgP[{0},{1}]", b)
-        sched.super_neg[b] = arr("sgN[{0},{1}]", b)
-    nb = len(scn.network.branches)
-    sched.flows = np.array([[sol.x[ix[f"F[{li},{t}]"]] for li in range(nb)]
-                            for t in range(T)])
-    if "C1[0]" in ix:
+            sched.shed[ld.bubble] = cl[k]
+    sched.flows = sol.x[cols["F"]]
+    if use_res:
         # The epigraph variable can sit anywhere above the true maximum, so
         # recompute the binding contingency from the committed schedule.
         c1 = np.zeros(T)

@@ -411,12 +411,13 @@ def _apply_overrides(l: np.ndarray, u: np.ndarray,
 
 
 def solve_lp(lp: LinearProgram,
-             var_bounds: dict[int, tuple[float, float]] | None = None,
-             check: bool = True) -> Solution:
+             var_bounds: dict[int, tuple[float, float]] | None = None
+             ) -> Solution:
     """Solve an LP (binaries, if any, are relaxed to their bounds).
 
     ``var_bounds`` optionally overrides individual variable bounds, which is
-    how branch and bound fixes binaries without copying the program.
+    how branch and bound fixes binaries without copying the program.  Every
+    optimal solution is checked by ``verify_certificates``.
     """
     A, b, senses, c, l, u = lp.dense()
     l, u = _apply_overrides(l, u, var_bounds)
@@ -432,8 +433,7 @@ def solve_lp(lp: LinearProgram,
     duals = np.asarray(y).copy()
     sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
                    **counts)
-    if check:
-        verify_certificates(lp, sol, sx, c, A, b, senses)
+    verify_certificates(lp, sol, sx, c, A, b, senses)
     return sol
 
 

@@ -29,33 +29,26 @@ def _fractional(x: np.ndarray, binaries: list[int]) -> int | None:
     return best_j
 
 
-def solve_milp(lp: LinearProgram,
-               fixed: dict[int, float] | None = None,
-               node_limit: int = NODE_LIMIT) -> Solution:
+def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT) -> Solution:
     """Solve a mixed-binary program.
 
-    ``fixed`` pins variables to values before the search (used for must-run
-    units and carried-over commitments).  Hitting ``node_limit`` returns the
-    incumbent (``x`` is None when there is none) with status ``node_limit``.
-    A node LP that ends with any status other than optimal or infeasible,
-    such as ``iteration_limit``, ends the search with that status.  Pivot
-    counts are summed over every node LP.  A root LP that is not optimal
-    ends the search at once and counts as one node.
+    Hitting ``node_limit`` returns the incumbent (``x`` is None when there
+    is none) with status ``node_limit``.  A node LP that ends with any
+    status other than optimal or infeasible, such as ``iteration_limit``,
+    ends the search with that status.  Pivot counts are summed over every
+    node LP.  A root LP that is not optimal ends the search at once and
+    counts as one node.  Fix a binary before the search by setting its
+    bounds on the program.
     """
     binaries = lp.binary_indices
-    base: dict[int, tuple[float, float]] = {}
-    if fixed:
-        for j, val in fixed.items():
-            base[j] = (val, val)
-
-    root = solve_lp(lp, var_bounds=base or None)
+    root = solve_lp(lp)
     if root.status != "optimal":
         root.nodes = 1
         return root
 
     seq = 0
     heap: list[tuple[float, int, dict[int, tuple[float, float]], Solution]] = []
-    heapq.heappush(heap, (root.objective, seq, base, root))
+    heapq.heappush(heap, (root.objective, seq, {}, root))
     incumbent: Solution | None = None
     nodes = 1
     branches = 0

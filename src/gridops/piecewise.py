@@ -18,13 +18,10 @@ class PiecewiseCost:
     p_min: float
     p_max: float
     breakpoints: np.ndarray   # segment edges, len n_seg + 1
+    widths: np.ndarray        # MW span of each segment
     slopes: np.ndarray        # $/MWh over each segment, nondecreasing for convex curves
     cost_at_min: float        # full cost at p_min, including the constant term
     max_error: float          # worst-case chord overestimate, $
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
 
     def evaluate(self, p: float) -> float:
         """Approximate cost at output ``p`` (for tests and reporting)."""
@@ -46,11 +43,14 @@ def linearize_cost(p_min: float, p_max: float, c_f: float, h_f: float,
 
     if p_max == p_min:
         bp = np.array([p_min, p_max])
-        return PiecewiseCost(p_min, p_max, bp, np.zeros(1), full(p_min), 0.0)
+        return PiecewiseCost(p_min, p_max, bp, np.diff(bp), np.zeros(1),
+                             full(p_min), 0.0)
 
     bp = np.linspace(p_min, p_max, n_seg + 1)
     vals = np.array([full(p) for p in bp])
-    slopes = np.diff(vals) / np.diff(bp)
+    widths = np.diff(bp)
+    slopes = np.diff(vals) / widths
     width = (p_max - p_min) / n_seg
     err = c_f * h_q * width * width / 4.0
-    return PiecewiseCost(p_min, p_max, bp, slopes, float(vals[0]), float(err))
+    return PiecewiseCost(p_min, p_max, bp, widths, slopes, float(vals[0]),
+                         float(err))

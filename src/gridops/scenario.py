@@ -509,9 +509,6 @@ def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
 def _check_references(scn: Scenario, path: str) -> None:
     net = scn.network
     known = set(net.bubbles)
-    if net.swing and net.swing not in known:
-        # The swing bubble is external; register it implicitly.
-        pass
     for br in net.branches:
         for b in (br.from_bubble, br.to_bubble):
             if b not in known and b != net.swing:

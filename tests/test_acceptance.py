@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import gridops.lp
 from gridops.engine import simulate
 from gridops.grid import (RegulationState, actual_reserves, regulation_step)
 from gridops.lp import GE, LE, LinearProgram, solve_lp
@@ -133,9 +134,18 @@ def test_c02_milp_matches_enumeration_quickly():
 # 3. Every optimal solve carries verified optimality certificates.
 
 
-def test_c03_certificates_on_every_solve():
-    # Verification is on by default inside the solver...
-    assert inspect.signature(solve_lp).parameters["check"].default is True
+def test_c03_certificates_on_every_solve(monkeypatch):
+    # Verification runs inside the solver on every optimal solve, with no
+    # parameter that turns it off...
+    assert list(inspect.signature(solve_lp).parameters) == ["lp", "var_bounds"]
+    verified = []
+    real = gridops.lp.verify_certificates
+
+    def counted(*args, **kwargs):
+        verified.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gridops.lp, "verify_certificates", counted)
     # ...and independently, solutions are feasible and match a reference
     # solver's objective.
     rng = np.random.default_rng(7)
@@ -173,6 +183,7 @@ def test_c03_certificates_on_every_solve():
         else:
             assert ref.status == 2
     assert checked >= 10
+    assert len(verified) == checked
 
 
 # --------------------------------------------------------------------------

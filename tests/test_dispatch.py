@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import gridops.dispatch as dispatch
+from scipy.optimize import Bounds, LinearConstraint, milp
+
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
                               initial_from_scenario)
+from gridops.lp import EQ, GE, LE
 from gridops.milp import solve_milp
 from gridops.rtuc import run_rtuc
-from gridops.scenario import (Branch, Generator, Interface, ReserveParams,
-                              Scenario, SemiDispatchable, Storage, Timing,
-                              ZonalNetwork, LoadSpec)
+from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
+                              ReserveParams, Scenario, SemiDispatchable,
+                              Storage, Timing, ZonalNetwork, LoadSpec)
 from gridops.sced import run_sced, setpoints
 from gridops.scuc import commitment_for_minute, run_scuc
 
@@ -291,3 +294,219 @@ def test_node_limit_raises(monkeypatch):
     scn = one_bubble(cheap_dear())
     with pytest.raises(DispatchError, match="scuc .*node_limit"):
         run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
+
+
+def test_rtuc_pins_the_day_ahead_hour_of_its_scuc_run():
+    # The day schedule covers one 4-hour SCUC run; an RTUC window at minute
+    # 240 opens the next run, so it reads that schedule's hour 0.
+    cheap, dear = cheap_dear()
+    scn = one_bubble([cheap, dear], horizon=4)
+    init = initial_from_scenario(scn)
+    day = run_scuc(scn, flat(scn, 80.0), init)
+    day.w["dear"] = np.array([1.0, 0.0, 0.0, 0.0])
+    T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
+    fc = Forecasts(load={"a": np.full(T, 80.0)}, semi={})
+    intra = run_rtuc(scn, fc, init, day, start_minute=240)
+    assert intra.w["dear"][:4] == pytest.approx(np.ones(4))
+    assert intra.w["dear"][4:] == pytest.approx(np.zeros(T - 4))
+
+
+def test_rtuc_charges_later_day_ahead_starts_of_its_scuc_run():
+    scn = one_bubble(fast_fleet(), horizon=4)
+    scn.timing.rtuc_horizon_min = 60
+    init = initial_from_scenario(scn)
+    day = run_scuc(scn, flat(scn, 80.0), init)
+    # Two day-ahead starts after the window's hour leave none of the six.
+    day.u["fast"] = np.array([0.0, 0.0, 1.0, 1.0])
+    init.starts_used["fast"] = 4
+    T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
+    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    intra = run_rtuc(scn, fc, init, day, start_minute=240)
+    assert intra.w["fast"] == pytest.approx(np.zeros(T))
+
+
+# -- every program family at once ------------------------------------------
+
+def all_families():
+    """Two bubbles behind a limited interface, with every column family."""
+    net = ZonalNetwork(bubbles=["n", "s"], branches=[Branch("n", "s")],
+                       interfaces=[Interface("ns", [("n", "s", 1.0)],
+                                             limit=30.0)],
+                       swing="x", swing_attach=["n"])
+    base = Generator(id="base", bubble="n", kind="must-run", online=True,
+                     p_min=20.0, p_max=150.0, h_f=30.0, h_l=6.0, h_q=0.01,
+                     initial_output=60.0, r_min=-3.0, r_max=3.0)
+    mid = Generator(id="mid", bubble="s", p_min=10.0, p_max=80.0, h_f=20.0,
+                    h_l=9.0, h_q=0.02, h_u=40.0, h_d=5.0, t_u=2, t_d=2,
+                    r_min=-4.0, r_max=4.0)
+    peak = Generator(id="peak", bubble="s", kind="fast-start", p_min=5.0,
+                     p_max=40.0, h_f=10.0, h_l=15.0, h_u=10.0, u_max=3,
+                     r_min=-10.0, r_max=10.0)
+    pond = Storage(id="pond", bubble="s", p_min=5.0, p_max=30.0, s_min=5.0,
+                   s_max=30.0, e_min=10.0, e_max=120.0, eta=0.8,
+                   initial_energy=60.0)
+    sun = SemiDispatchable(id="sun", bubble="s", kind="solar", d=1.0,
+                           price=-5.0)
+    tie = SemiDispatchable(id="tie", bubble="n", kind="tie-line", d=0.5,
+                           price=20.0)
+    dr = DemandResponse(id="dr", bubble="s", p_min=0.0, p_max=15.0,
+                        cost=60.0)
+    res = ReserveParams(alpha_tmsr={"n": 0.1, "s": 0.1},
+                        alpha_tmor={"n": 0.2, "s": 0.2},
+                        alpha_sys_tmsr=0.2, alpha_sys_tmor=0.3,
+                        lfr_requirement=50.0)
+    scn = Scenario(network=net, generators=[base, mid, peak],
+                   storages=[pond], semis=[sun, tie], drs=[dr],
+                   gamma_loss=0.02, reserves=res)
+    scn.loads = [LoadSpec(bubble="n"),
+                 LoadSpec(bubble="s", d=0.1, price=100.0)]
+    scn.timing = Timing(scuc_horizon_h=4, rtuc_step_min=15,
+                        rtuc_horizon_min=60, rtuc_period_min=60,
+                        sced_step_min=10)
+    return scn
+
+
+def family_forecasts(n, s, sun):
+    return Forecasts(load={"n": np.array(n, float), "s": np.array(s, float)},
+                     semi={"sun": np.array(sun, float),
+                           "tie": np.full(len(n), 20.0)})
+
+
+def run_all_families():
+    """SCUC, then RTUC and SCED at minute 60 from its schedule."""
+    scn = all_families()
+    init = initial_from_scenario(scn)
+    day_fc = family_forecasts([100, 120, 140, 110], [90, 180, 230, 120],
+                              [0, 30, 60, 20])
+    day = run_scuc(scn, day_fc, init)
+    intra_fc = family_forecasts([120, 125, 130, 135], [180, 190, 200, 210],
+                                [30, 35, 40, 45])
+    intra = run_rtuc(scn, intra_fc, init, day, start_minute=60)
+    now = InitialState(online=dict(init.online),
+                       output={g: float(p[0]) for g, p in day.p.items()})
+    rt_fc = family_forecasts([120], [180], [30])
+    rt = run_sced(scn, rt_fc, now, commitment_for_minute(day, 60),
+                  starts={g: float(u[1]) for g, u in day.u.items()},
+                  stops={g: float(v[1]) for g, v in day.v.items()},
+                  pinned_storage=({"pond": day.storage_gen["pond"][1:2]},
+                                  {"pond": day.storage_pump["pond"][1:2]}),
+                  minute=60)
+    return scn, [(day_fc, day), (intra_fc, intra), (rt_fc, rt)]
+
+
+@pytest.fixture(scope="module")
+def family_runs():
+    """The scenario and each layer's (program, solution, forecasts,
+    schedule)."""
+    seen = []
+    build, extract = dispatch.build_program, dispatch.extract_schedule
+
+    def build_spy(*args):
+        out = build(*args)
+        seen.append(out[0])
+        return out
+
+    def extract_spy(scn, fc, sol, cols, opt):
+        seen[-1] = (seen[-1], sol)
+        return extract(scn, fc, sol, cols, opt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispatch, "build_program", build_spy)
+        mp.setattr(dispatch, "extract_schedule", extract_spy)
+        scn, runs = run_all_families()
+    return scn, [(lp, sol, fc, sched)
+                 for (lp, sol), (fc, sched) in zip(seen, runs)]
+
+
+def highs_objective(lp):
+    A, b, senses, c, l, u = lp.dense()
+    lo = np.array([-np.inf if s == LE else r for s, r in zip(senses, b)])
+    hi = np.array([np.inf if s == GE else r for s, r in zip(senses, b)])
+    integrality = np.array([v.binary for v in lp.variables], dtype=int)
+    res = milp(c, constraints=LinearConstraint(A, lo, hi),
+               integrality=integrality, bounds=Bounds(l, u))
+    assert res.success, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2], ids=["scuc", "rtuc", "sced"])
+def test_all_families_match_highs(family_runs, layer):
+    _, runs = family_runs
+    lp, sol, _, sched = runs[layer]
+    assert sched.status == "optimal"
+    ref = highs_objective(lp)
+    assert sol.objective == pytest.approx(ref, rel=1e-6, abs=1e-6)
+    assert {c.name.split("[")[0] for c in lp.constraints} >= (
+        {"bal", "int+", "int-", "seg", "ramp+", "ramp-"} if layer == 2 else
+        {"bal", "int+", "int-", "seg", "plim", "link", "uv", "ramp+",
+         "ramp-", "cg1", "ct1", "tmsr", "tmor", "tmsr_n", "tmor_n",
+         "tmsr_sys", "tmsr_lfr", "tmor_sys", "maxup"})
+    if layer == 0:
+        assert {"pslim+", "stor", "flip1", "minup", "mindown"} <= \
+            {c.name.split("[")[0] for c in lp.constraints}
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2], ids=["scuc", "rtuc", "sced"])
+def test_all_families_close_the_bubble_balance(family_runs, layer):
+    scn, runs = family_runs
+    _, _, fc, sched = runs[layer]
+    gross = 1.0 + scn.gamma_loss
+    for b in scn.network.bubbles:
+        for t in range(sched.steps):
+            net = sched.super_pos[b][t] - sched.super_neg[b][t]
+            net += sum(sched.p[g.id][t] for g in scn.generators
+                       if g.bubble == b)
+            net += sum(sched.storage_gen[st.id][t] -
+                       sched.storage_pump[st.id][t]
+                       for st in scn.storages if st.bubble == b)
+            net += sum(sched.dr[m.id][t] for m in scn.drs if m.bubble == b)
+            for sm in scn.semis:
+                if sm.bubble == b:
+                    scale = 1.0 if sm.kind == "tie-line" else gross
+                    net += scale * fc.semi[sm.id][t] * \
+                        (1.0 - sm.d * sched.curtail[sm.id][t])
+            for li, br in enumerate(scn.network.branches):
+                if br.to_bubble == b:
+                    net += sched.flows[t, li]
+                elif br.from_bubble == b:
+                    net -= sched.flows[t, li]
+            for ld in scn.loads:
+                if ld.bubble == b:
+                    shed = sched.shed[b][t] if ld.d > 0 else 0.0
+                    net -= gross * fc.load[b][t] * (1.0 - ld.d * shed)
+            assert net == pytest.approx(0.0, abs=1e-6), (b, t)
+
+
+# Schedule field for each column family, keyed as the column name is.
+FAMILY_FIELDS = {"w": "w", "u": "u", "v": "v", "P": "p", "rS": "tmsr",
+                 "rO": "tmor", "wP": "storage_mode_gen",
+                 "wS": "storage_mode_pump", "Ps": "storage_gen",
+                 "Ss": "storage_pump", "Es": "storage_energy", "cv": "curtail",
+                 "cl": "shed", "Pm": "dr", "sgP": "super_pos",
+                 "sgN": "super_neg"}
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2], ids=["scuc", "rtuc", "sced"])
+def test_all_families_schedule_reads_the_named_columns(family_runs, layer):
+    scn, runs = family_runs
+    lp, sol, _, sched = runs[layer]
+    col = {v.name: j for j, v in enumerate(lp.variables)}
+    read = set()
+    for fam, attr in FAMILY_FIELDS.items():
+        for key, vals in getattr(sched, attr).items():
+            for t in range(sched.steps):
+                j = col.get(f"{fam}[{key},{t}]")
+                if j is None:
+                    continue
+                want = np.round(sol.x[j], 9) if fam == "w" else sol.x[j]
+                assert vals[t] == want, (fam, key, t)
+                read.add(fam)
+    for li in range(len(scn.network.branches)):
+        for t in range(sched.steps):
+            assert sched.flows[t, li] == sol.x[col[f"F[{li},{t}]"]]
+    expect = {"P", "cv", "cl", "Pm", "sgP", "sgN"}
+    if layer < 2:
+        expect |= {"w", "u", "v", "rS", "rO"}
+    if layer == 0:
+        expect |= {"wP", "wS", "Ps", "Ss", "Es"}
+    assert read == expect

@@ -55,10 +55,11 @@ def test_knapsack():
 
 def test_fixed_binaries_respected():
     lp = knapsack_lp()
-    fixed = {2: 0.0}
-    sol = solve_milp(lp, fixed=fixed)
+    lp.variables[2].ub = 0.0
+    sol = solve_milp(lp)
     assert sol.x[2] == 0.0
-    assert sol.objective == pytest.approx(enumerate_best(lp, fixed), abs=1e-6)
+    assert sol.objective == pytest.approx(enumerate_best(lp, {2: 0.0}),
+                                          abs=1e-6)
 
 
 def test_integral_relaxation_skips_branching():
