@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GE, INF, LE, LinearProgram, Solution, solve_lp
+from .lp import EQ, GE, INF, LE, Basis, LinearProgram, Solution, solve_lp
 from .milp import solve_milp
 from .piecewise import linearize_cost
 from .scenario import Scenario
@@ -81,6 +81,7 @@ class Schedule:
     super_neg: dict[str, np.ndarray] = field(default_factory=dict)
     flows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     c1: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    basis: Basis | None = None       # optimal basis; the next window's start
 
     def supergen_total(self) -> float:
         tot = 0.0
@@ -496,12 +497,14 @@ def initial_from_scenario(scn: Scenario) -> InitialState:
 
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
-                opt: LayerOptions) -> Schedule:
+                opt: LayerOptions, basis: Basis | None = None) -> Schedule:
+    """Build and solve the layer's program, starting from ``basis``
+    (usually the ``Schedule.basis`` of the layer's previous window)."""
     lp, cols = build_program(scn, fc, init, opt)
     if lp.binary_indices:
-        sol = solve_milp(lp)
+        sol = solve_milp(lp, basis=basis)
     else:
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, basis=basis)
     if sol.status == "infeasible":
         family = "unknown"
         if sol.infeasible_rows:
@@ -518,7 +521,8 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
     T = opt.steps
     sched = Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
                      status=sol.status,
-                     objective=sol.objective + cols.fixed_cost)
+                     objective=sol.objective + cols.fixed_cost,
+                     basis=sol.basis)
     use_res = bool((cols["C1"] >= 0).all())
     gids = [g.id for g in scn.generators]
     sids = [st.id for st in scn.storages]

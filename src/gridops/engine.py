@@ -162,6 +162,9 @@ def simulate(scn: Scenario, minutes: int,
             emergency.add(nxt)
     # Per-minute on/off status: the run as one window of 1-minute blocks.
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
+    # Each layer's last optimal basis: every window of a layer has the
+    # same shape, so it starts the next one.
+    bases = {}
 
     def current_state() -> InitialState:
         st = InitialState(online=dict(online), output=dict(output),
@@ -178,7 +181,9 @@ def simulate(scn: Scenario, minutes: int,
             og, os_ = outage_masks(scn, m, 60, t.scuc_horizon_h)
             fc = _forecasts(scn, seed, peak, "scuc", m, 60, t.scuc_horizon_h,
                             m // (t.scuc_horizon_h * 60))
-            day_sched = run_scuc(scn, fc, current_state(), og, os_)
+            day_sched = run_scuc(scn, fc, current_state(), og, os_,
+                                 basis=bases.get("scuc"))
+            bases["scuc"] = day_sched.basis
             starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
 
@@ -188,7 +193,8 @@ def simulate(scn: Scenario, minutes: int,
             fc = _forecasts(scn, seed, peak, "rtuc", m, t.rtuc_step_min,
                             rtuc_steps, m)
             intra = run_rtuc(scn, fc, current_state(), day_sched, m,
-                             og, os_)
+                             og, os_, basis=bases.get("rtuc"))
+            bases["rtuc"] = intra.basis
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
@@ -219,7 +225,9 @@ def simulate(scn: Scenario, minutes: int,
             ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
                   for st_ in scn.storages}
             sced_now = run_sced(scn, fc, current_state(), commitment,
-                                starts, stops, (ps, ss), m, og, os_)
+                                starts, stops, (ps, ss), m, og, os_,
+                                basis=bases.get("sced"))
+            bases["sced"] = sced_now.basis
             sced_base = dict(output)
             sced_minute = m
 

@@ -6,22 +6,45 @@ lowest-index tie-breaking and falls back to Bland's rule after a run of
 degenerate pivots, which keeps the method finite without paying Bland's
 price on every iteration.
 
-Every solve starts from a triangular crash basis (Bixby, "Implementing
-the simplex method: the initial basis", ORSA J. Computing 4, 1992).
-Nonbasic columns sit at a finite bound.  Each equality row, in row order,
-takes a basic structural column that can absorb its residual within bounds
-and has no nonzero in an earlier crashed row, which keeps the crash block
-triangular and the basis nonsingular.  Each inequality row whose slack can
-absorb the residual left after that starts on its slack, and only the
-remaining rows get an artificial.  Phase 1 then drives just those
-artificials to zero.  A solve that reaches the pivot cap (``_PIVOTS_PER_DIM``
-per row plus column) ends with status ``iteration_limit``.
+A solve starts from a given basis or from a triangular crash basis (Bixby,
+"Implementing the simplex method: the initial basis", ORSA J. Computing 4,
+1992).  Every optimal solve returns its basis (:class:`Basis`), so a related
+program, such as a branch-and-bound child or the next window of a layer,
+can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
+2018, on reusing bases across related LPs).
+
+- *Given basis.*  B = [A | I][:, basis] is inverted through its block of
+  basic structurals (each basic slack keeps its own row) and checked
+  cheaply for conditioning.  Nonbasic columns sit at the bound their state
+  names, or where the crash would put them when that bound is infinite.
+  A basis of the wrong length, with repeated or unknown columns, singular
+  or badly conditioned is dropped for the crash.
+- *Crash.*  Nonbasic columns sit at a finite bound.  Each equality row, in
+  row order, takes a basic structural column that can absorb its residual
+  within bounds and has no nonzero in an earlier crashed row, which keeps
+  the crash block triangular and the basis nonsingular.  Every other row
+  starts on its slack.
+- *Parking.*  Either way, each basic column that is fixed, or whose value
+  lies outside its bounds, is parked at its nearest bound, and an
+  artificial column, a copy of the parked column signed so that it starts
+  nonnegative, takes its place.  That only flips the sign of one row of
+  the basis inverse.  Phase 1 drives the artificials to zero; phase 2
+  handles changed costs.  A crashed row whose slack cannot absorb the
+  residual thus gets the artificial ``±e_i``, and a B&B child's fractional
+  basic binary gets one copying its column.
+
+A warm start that ends infeasible is solved again from the crash, so the
+rows it names do not depend on the start.  A returned basis names each
+artificial still basic by the column it copies.  A solve that reaches the
+pivot cap (``_PIVOTS_PER_DIM`` per row plus column) ends with status
+``iteration_limit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +60,11 @@ COST_TOL = 1e-9
 RATIO_TOL = 1e-9
 CHECK_TOL = 1e-6
 
+# A basic column more than _PARK_TOL outside its bounds is parked.
+_PARK_TOL = 1e-9
+# A starting basis is used when Tinv (T 1) is within _FACTOR_TOL of 1
+# for its block T of basic structurals (see _factor).
+_FACTOR_TOL = 1e-9
 _DEGEN_STREAK_FOR_BLAND = 60
 _REFACTOR_EVERY = 256
 # Pivot cap per solve, per row plus column; a solve that reaches it ends
@@ -112,6 +140,18 @@ class LinearProgram:
         return A, b, senses, c, l, u
 
 
+class Basis(NamedTuple):
+    """A simplex basis over the structural and slack columns.
+
+    ``cols[i]`` is the column basic in position ``i``: structural ``j < n``
+    or the slack ``n + r`` of row ``r``.  ``states`` holds each of the
+    ``n + m`` columns' state: at its lower bound, at its upper bound, free
+    at zero, or basic.
+    """
+    cols: np.ndarray
+    states: np.ndarray
+
+
 @dataclass
 class Solution:
     status: str      # optimal | infeasible | unbounded | node_limit | iteration_limit
@@ -123,6 +163,7 @@ class Solution:
     branches: int = 0
     pivots: int = 0
     phase1_pivots: int = 0
+    basis: Basis | None = None       # set on every optimal solve
 
 
 # Nonbasic states.
@@ -137,15 +178,15 @@ class _Simplex:
 
     Columns are the structurals, one slack per row (``A x + s = b``, with
     ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
-    artificial for each row in ``art_rows``.  The starting basis comes from
-    a triangular crash (:func:`_crash`): equality rows take a structural
-    column where one can absorb the row's residual, inequality rows take
-    their slack where it can absorb the residual left after that, and only
-    the remaining rows get an artificial.
+    artificial ``art_sign[k] * A[:, art_src[k]]`` for each basic column
+    parked at a bound.  The starting basis is ``start`` when it is usable,
+    otherwise a triangular crash (:func:`_crash`) with every row that no
+    structural takes on its slack.  ``warm`` tells which one was used.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
-                 c: np.ndarray, l: np.ndarray, u: np.ndarray):
+                 c: np.ndarray, l: np.ndarray, u: np.ndarray,
+                 start: Basis | None = None):
         m, n = A.shape
         self.m, self.n = m, n
         is_le = np.array([s == LE for s in senses], dtype=bool)
@@ -153,46 +194,67 @@ class _Simplex:
         lo = np.concatenate([l, np.where(is_ge, -INF, 0.0)])
         hi = np.concatenate([u, np.where(is_le, INF, 0.0)])
 
-        # Start nonbasic structurals/slacks at a finite bound (prefer lower).
-        x0 = np.where(lo > -INF, lo, np.where(hi < INF, hi, 0.0))
-        state0 = np.where(lo > -INF, _AT_LB,
-                          np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
+        # Nonbasic structurals/slacks sit at a finite bound, the lower one
+        # unless the start names the upper.  A slack's finite bound is 0.
+        state = np.where(lo > -INF, _AT_LB,
+                         np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
+        # Basis positions: each row's slack in its own position, the basic
+        # structurals ``cols`` in positions ``rows``; T = A[rows][:, cols].
+        Tinv = None
+        if start is not None and _usable(start, m, n):
+            given = np.asarray(start.cols)
+            cols = given[given < n]
+            rows = np.setdiff1d(np.arange(m), given[given >= n] - n)
+            Tinv = _factor(A[np.ix_(rows, cols)])
+        self.warm = Tinv is not None
+        if self.warm:
+            state[(start.states == _AT_UB) & (hi < INF)] = _AT_UB
+        x = np.where(state == _AT_LB, lo, np.where(state == _AT_UB, hi, 0.0))
+        if not self.warm:
+            eq_rows = np.flatnonzero(~(is_le | is_ge))
+            rows, cols = _crash(A, b - A @ x[:n], x[:n], l, u, eq_rows)
+            Tinv = _triangular_inverse(A[np.ix_(rows, cols)])
+        basis = n + np.arange(m)
+        basis[rows] = cols
+        Binv = _basis_inverse(A, rows, cols, Tinv)
+        # Basic values from the nonbasic ones: x_B = Binv (b - N x_N).
+        x[basis] = 0.0
+        xb = Binv @ (b - A @ x[:n])
 
-        resid = b - A @ x0[:n]          # every slack starts at 0
-        eq_rows = np.flatnonzero(~(is_le | is_ge))
-        crash_rows, crash_cols = _crash(A, resid, x0[:n], l, u, eq_rows)
-        on_slack = (is_le & (resid >= 0.0)) | (is_ge & (resid <= 0.0))
-        art_rows = np.setdiff1d(np.flatnonzero(~on_slack), crash_rows)
-        k = len(art_rows)
+        # Park basic columns that are fixed or outside their bounds.
+        lo_b, hi_b = lo[basis], hi[basis]
+        park = np.flatnonzero((lo_b == hi_b) | (xb < lo_b - _PARK_TOL) |
+                              (xb > hi_b + _PARK_TOL))
+        at = np.clip(xb[park], lo_b[park], hi_b[park])
+        sign = np.where(xb[park] >= at, 1.0, -1.0)
+        src = basis[park]
+        x[src] = at
+        state[src] = np.where(at > lo_b[park], _AT_UB, _AT_LB)
+        Binv[park] *= sign[:, None]
+        k = len(park)
+        art = n + m + np.arange(k)
+        basis[park] = art
+        xb[park] = (xb[park] - at) * sign
 
         # Columns: structurals, one slack per row, one artificial per
-        # row that needs one.
-        ncols = n + m + k
-        self.ncols = ncols
-        self.A = np.zeros((m, ncols))
+        # parked column (``+ 0.0`` keeps zeros unsigned).
+        self.ncols = n + m + k
+        self.A = np.zeros((m, self.ncols))
         self.A[:, :n] = A
         self.A[np.arange(m), n + np.arange(m)] = 1.0
+        self.A[:, art] = self.A[:, src] * sign + 0.0
         self.b = b.copy()
         self.l = np.concatenate([lo, np.zeros(k)])
         self.u = np.concatenate([hi, np.full(k, INF)])
-        self.x = np.concatenate([x0, np.zeros(k)])
-        self.state = np.concatenate([state0, np.full(k, _BASIC, np.int8)])
-
-        art = n + m + np.arange(k)
-        sign = np.where(on_slack | (resid >= 0.0), 1.0, -1.0)
-        sign[crash_rows] = 0.0          # those positions hold structurals
-        self.A[art_rows, art] = sign[art_rows]
-        self.basis = n + np.arange(m)
-        self.basis[art_rows] = art
-        self.basis[crash_rows] = crash_cols
-        self.state[self.basis] = _BASIC
-        self.Binv = _crash_inverse(A, sign, crash_rows, crash_cols)
-        # Basic values from the nonbasic ones: x_B = Binv (b - N x_N).
-        self.x[crash_cols] = 0.0
-        self.x[self.basis] = self.Binv @ (b - A @ self.x[:n])
+        self.x = np.concatenate([x, np.zeros(k)])
+        self.x[basis] = xb
+        self.state = np.concatenate([state, np.zeros(k, np.int8)])
+        self.state[basis] = _BASIC
+        self.basis = basis
+        self.Binv = Binv
         self.art = art
-        self.art_rows = art_rows
-        self.art_sign = sign[art_rows]
+        self.art_src = src
+        self.art_sign = sign
         self.pivots = 0
         self.phase1_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
@@ -219,13 +281,16 @@ class _Simplex:
                 rhs = self.b - self.A[:, nb] @ self.x[nb]
                 self.x[self.basis] = self.Binv @ rhs
 
-            # Reduced costs: slack columns are e_i and artificial columns
-            # sign * e_i, so only the structural block needs a product.
+            # Reduced costs: slack columns are e_i and each artificial a
+            # signed copy of a structural or slack, so only the structural
+            # block needs a product.
             y = cost[self.basis] @ self.Binv
+            ya = y @ self.A[:, :n]
             r = np.empty(self.ncols)
-            r[:n] = cost[:n] - y @ self.A[:, :n]
+            r[:n] = cost[:n] - ya
             r[n:n + m] = cost[n:n + m] - y
-            r[n + m:] = cost[n + m:] - self.art_sign * y[self.art_rows]
+            r[n + m:] = cost[n + m:] - \
+                self.art_sign * np.concatenate((ya, y))[self.art_src]
             # Violation along each eligible direction (increase from a lower
             # bound or free, decrease from an upper bound or free); fixed
             # variables never enter.
@@ -316,8 +381,9 @@ class _Simplex:
             raise SolverError("phase 1 terminated " + status)
         infeas = float(self.x[self.art].sum())
         if infeas > 1e-6:
-            bad = self.art_rows[self.x[self.art] > 1e-7].tolist()
-            return "infeasible", None, bad
+            # Rows whose slack a positive artificial stands in for.
+            src = self.art_src[self.x[self.art] > 1e-7]
+            return "infeasible", None, (src[src >= n] - n).tolist()
         # Forbid artificials from re-entering.
         self.u[self.art] = 0.0
         self.x[self.art] = np.clip(self.x[self.art], 0.0, None)
@@ -329,6 +395,42 @@ class _Simplex:
             return status, None, []
         y = cost[self.basis] @ self.Binv
         return "optimal", y, []
+
+    def final_basis(self) -> Basis:
+        """The basis over structurals and slacks, each artificial still
+        basic named by the column it copies."""
+        nm = self.n + self.m
+        cols = self.basis.copy()
+        art = cols >= nm
+        cols[art] = self.art_src[cols[art] - nm]
+        states = self.state[:nm].copy()
+        states[cols] = _BASIC
+        return Basis(cols, states)
+
+
+def _usable(start: Basis, m: int, n: int) -> bool:
+    """Whether ``start`` fits an m-row, n-column program: m distinct
+    columns among the n structurals and m slacks, and n + m states."""
+    if np.shape(start.cols) != (m,) or np.shape(start.states) != (n + m,):
+        return False
+    cols = set(np.asarray(start.cols).tolist())
+    return len(cols) == m and all(0 <= j < n + m for j in cols)
+
+
+def _factor(T: np.ndarray) -> np.ndarray | None:
+    """Inverse of the structural block of a starting basis, or None when
+    it is singular or too badly conditioned to start from.
+
+    The test is one product each way: ``Tinv (T 1)`` must give back the
+    ones vector to ``_FACTOR_TOL``, an O(k^2) check whose error grows with
+    the condition number of T (and so of the basis).
+    """
+    try:
+        Tinv = np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        return None
+    err = np.abs(Tinv @ T.sum(axis=1) - 1.0).max(initial=0.0)
+    return Tinv if err <= _FACTOR_TOL else None   # False for NaN too
 
 
 def _crash(A: np.ndarray, resid: np.ndarray, x: np.ndarray, l: np.ndarray,
@@ -375,27 +477,31 @@ def _crash(A: np.ndarray, resid: np.ndarray, x: np.ndarray, l: np.ndarray,
     return np.array(crash_rows, dtype=int), np.array(crash_cols, dtype=int)
 
 
-def _crash_inverse(A: np.ndarray, sign: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray) -> np.ndarray:
-    """Inverse of the crash basis by forward substitution.
-
-    Basis position ``rows[p]`` holds structural ``cols[p]``; every other
-    position ``i`` holds ``sign[i] * e_i`` (a slack or an artificial).  In
-    crash order the block ``T = A[rows][:, cols]`` is lower triangular, so
-    ``B = [[T, 0], [X, D]]`` and ``B^-1 = [[T^-1, 0], [-D X T^-1, D]]``
-    with ``D = diag(sign)`` over the other rows (``D^-1 = D``).
-    """
-    T = A[np.ix_(rows, cols)]
+def _triangular_inverse(T: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular T with a nonzero diagonal, by forward
+    substitution."""
     Tinv = np.diag(1.0 / np.diag(T))
     # Only rows with entries left of the diagonal need substitution.
     for p in np.flatnonzero(np.tril(T, -1).any(axis=1)).tolist():
         Tinv[p] = -(T[p, :p] @ Tinv[:p])
         Tinv[p, p] += 1.0
         Tinv[p] /= T[p, p]
-    # B^-1[:, rows] is [[I], [-D X]] @ T^-1 (sign is 0 on rows).
-    S = -sign[:, None] * A[:, cols]
+    return Tinv
+
+
+def _basis_inverse(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   Tinv: np.ndarray) -> np.ndarray:
+    """Inverse of the basis that holds structural ``cols[p]`` in position
+    ``rows[p]`` and the slack ``e_i`` in every other position ``i``.
+
+    With ``T = A[rows][:, cols]`` and ``X = A[others][:, cols]``, the basis
+    is ``[[T, 0], [X, I]]`` up to a permutation, so its inverse is
+    ``[[T^-1, 0], [-X T^-1, I]]``: only T is ever inverted.
+    """
+    # B^-1[:, rows] is [[I], [-X]] @ T^-1.
+    S = -A[:, cols]
     S[rows] = np.eye(len(rows))
-    Binv = np.diag(sign)
+    Binv = np.eye(A.shape[0])
     Binv[:, rows] = S @ Tinv
     return Binv
 
@@ -411,28 +517,38 @@ def _apply_overrides(l: np.ndarray, u: np.ndarray,
 
 
 def solve_lp(lp: LinearProgram,
-             var_bounds: dict[int, tuple[float, float]] | None = None
-             ) -> Solution:
+             var_bounds: dict[int, tuple[float, float]] | None = None,
+             basis: Basis | None = None) -> Solution:
     """Solve an LP (binaries, if any, are relaxed to their bounds).
 
     ``var_bounds`` optionally overrides individual variable bounds, which is
-    how branch and bound fixes binaries without copying the program.  Every
-    optimal solution is checked by ``verify_certificates``.
+    how branch and bound fixes binaries without copying the program.
+    ``basis`` is a starting basis, usually the ``basis`` of an earlier
+    optimal solve of a program of the same shape; an unusable one is
+    replaced by the crash.  Every optimal solution is checked by
+    ``verify_certificates`` and carries its own basis.
     """
     A, b, senses, c, l, u = lp.dense()
     l, u = _apply_overrides(l, u, var_bounds)
     if np.any(l > u):
         return Solution(status="infeasible")
-    sx = _Simplex(A, b, senses, c, l, u)
+    sx = _Simplex(A, b, senses, c, l, u, basis)
     status, y, bad_rows = sx.solve(c)
-    counts = dict(pivots=sx.pivots, phase1_pivots=sx.phase1_pivots)
+    pivots, phase1_pivots = sx.pivots, sx.phase1_pivots
+    if status == "infeasible" and sx.warm:
+        # Name the rows the crash start names.
+        sx = _Simplex(A, b, senses, c, l, u)
+        status, y, bad_rows = sx.solve(c)
+        pivots += sx.pivots
+        phase1_pivots += sx.phase1_pivots
+    counts = dict(pivots=pivots, phase1_pivots=phase1_pivots)
     if status != "optimal":
         names = [lp.constraints[i].name for i in bad_rows]
         return Solution(status=status, infeasible_rows=names, **counts)
     x = sx.x[: len(lp.variables)].copy()
     duals = np.asarray(y).copy()
     sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
-                   **counts)
+                   basis=sx.final_basis(), **counts)
     verify_certificates(lp, sol, sx, c, A, b, senses)
     return sol
 

@@ -12,7 +12,7 @@ import heapq
 
 import numpy as np
 
-from .lp import LinearProgram, Solution, solve_lp
+from .lp import Basis, LinearProgram, Solution, solve_lp
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
@@ -29,7 +29,8 @@ def _fractional(x: np.ndarray, binaries: list[int]) -> int | None:
     return best_j
 
 
-def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT) -> Solution:
+def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
+               basis: Basis | None = None) -> Solution:
     """Solve a mixed-binary program.
 
     Hitting ``node_limit`` returns the incumbent (``x`` is None when there
@@ -39,9 +40,13 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT) -> Solution:
     node LP.  A root LP that is not optimal ends the search at once and
     counts as one node.  Fix a binary before the search by setting its
     bounds on the program.
+
+    The root LP starts from ``basis`` and each child from its parent's
+    optimal basis; an optimal result carries the root's basis, the start
+    for the next program of the same shape.
     """
     binaries = lp.binary_indices
-    root = solve_lp(lp)
+    root = solve_lp(lp, basis=basis)
     if root.status != "optimal":
         root.nodes = 1
         return root
@@ -60,6 +65,7 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT) -> Solution:
                        pivots=pivots, phase1_pivots=phase1_pivots)
         if best is not None:
             out.x, out.objective, out.duals = best.x, best.objective, best.duals
+            out.basis = root.basis
         return out
 
     while heap:
@@ -78,7 +84,7 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT) -> Solution:
                 break
             child = dict(bounds)
             child[j] = (val, val)
-            sol = solve_lp(lp, var_bounds=child)
+            sol = solve_lp(lp, var_bounds=child, basis=relax.basis)
             nodes += 1
             seq += 1
             pivots += sol.pivots

@@ -8,6 +8,7 @@ reported so callers can pick a segment count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ class PiecewiseCost:
     cost_at_min: float        # full cost at p_min, including the constant term
     max_error: float          # worst-case chord overestimate, $
 
+    def __post_init__(self):
+        # Curves are cached and shared (see linearize_cost).
+        for arr in (self.breakpoints, self.widths, self.slopes):
+            arr.flags.writeable = False
+
     def evaluate(self, p: float) -> float:
         """Approximate cost at output ``p`` (for tests and reporting)."""
         p = min(max(p, self.p_min), self.p_max)
@@ -30,9 +36,14 @@ class PiecewiseCost:
         return self.cost_at_min + float(self.slopes @ filled)
 
 
+@functools.lru_cache(maxsize=256)
 def linearize_cost(p_min: float, p_max: float, c_f: float, h_f: float,
                    h_l: float, h_q: float, n_seg: int = 3) -> PiecewiseCost:
-    """Chord approximation of C_F*(H_F + H_L*P + H_Q*P^2) on [p_min, p_max]."""
+    """Chord approximation of C_F*(H_F + H_L*P + H_Q*P^2) on [p_min, p_max].
+
+    Each curve is computed once per set of arguments and then shared, so
+    every program built for a unit reuses it; its arrays are read-only.
+    """
     if n_seg < 1:
         raise ValueError("need at least one segment")
     if p_max < p_min:

@@ -11,14 +11,18 @@ import numpy as np
 
 from .dispatch import (Forecasts, InitialState, LayerOptions, Schedule,
                        solve_layer)
+from .lp import Basis
 from .scenario import Scenario
 
 
 def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
              day_sched: Schedule, start_minute: int,
              outage_gen: dict | None = None,
-             outage_semi: dict | None = None) -> Schedule:
+             outage_semi: dict | None = None,
+             basis: Basis | None = None) -> Schedule:
     """Solve one same-day commitment window starting at ``start_minute``.
+
+    ``basis`` is the start (the previous window's ``Schedule.basis``).
 
     ``init.starts_used`` counts fast-start cycles already used today;
     day-ahead starts after the window are charged against the budget too.
@@ -59,4 +63,4 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
         hour_of_step=[(start_minute + t * step_min) // 60 % 24
                       for t in range(steps)],
     )
-    return solve_layer(scn, fc, init, opt)
+    return solve_layer(scn, fc, init, opt, basis)

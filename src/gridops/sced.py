@@ -6,6 +6,7 @@ import numpy as np
 
 from .dispatch import (Forecasts, InitialState, LayerOptions, Schedule,
                        solve_layer)
+from .lp import Basis
 from .scenario import Scenario
 
 
@@ -16,12 +17,14 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
              pinned_storage: tuple[dict, dict] | None = None,
              minute: int = 0,
              outage_gen: dict | None = None,
-             outage_semi: dict | None = None) -> Schedule:
+             outage_semi: dict | None = None,
+             basis: Basis | None = None) -> Schedule:
     """Dispatch against the current commitment for the next interval.
 
     ``commitment`` gives each unit's on/off status for the interval;
     ``starts``/``stops`` relax the ramp limits of units changing state.
-    ``init.output`` holds the outputs the fleet is moving from.
+    ``init.output`` holds the outputs the fleet is moving from.  ``basis``
+    is the start (the previous interval's ``Schedule.basis``).
     """
     step_min = scn.timing.sced_step_min
     pinned = {g.id: np.array([float(commitment.get(g.id, 0.0))])
@@ -36,7 +39,7 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
         outage_gen=outage_gen, outage_semi=outage_semi,
         hour_of_step=[minute // 60 % 24],
     )
-    return solve_layer(scn, fc, init, opt)
+    return solve_layer(scn, fc, init, opt, basis)
 
 
 def setpoints(sched: Schedule) -> dict[str, float]:

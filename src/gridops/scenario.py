@@ -611,9 +611,14 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
             if not 0.0 < sm.ver.gamma_cf <= 1.0:
                 err(sm.id, f"capacity factor {sm.ver.gamma_cf} outside (0,1]")
 
+    # Forecasts and the balance rows take one load per bubble.
+    seen_loads: set[str] = set()
     for ld in scn.loads:
         if not 0.0 <= ld.d <= 1.0:
             err(ld.bubble, f"load curtailable fraction {ld.d} outside [0,1]")
+        if ld.bubble in seen_loads:
+            err(ld.bubble, "second [load] section for this bubble")
+        seen_loads.add(ld.bubble)
 
     t = scn.timing
     # Cadence chain: SCED runs divide RTUC runs divide the SCUC day.

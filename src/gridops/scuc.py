@@ -4,20 +4,23 @@ from __future__ import annotations
 
 from .dispatch import (Forecasts, InitialState, LayerOptions, Schedule,
                        solve_layer)
+from .lp import Basis
 from .scenario import Scenario
 
 
 def run_scuc(scn: Scenario, fc: Forecasts, init: InitialState,
              outage_gen: dict | None = None,
-             outage_semi: dict | None = None) -> Schedule:
-    """Solve the day-ahead commitment; forecasts are hourly blocks."""
+             outage_semi: dict | None = None,
+             basis: Basis | None = None) -> Schedule:
+    """Solve the day-ahead commitment; forecasts are hourly blocks.
+    ``basis`` is the start (the previous run's ``Schedule.basis``)."""
     steps = scn.timing.scuc_horizon_h
     opt = LayerOptions(
         layer="scuc", steps=steps, step_minutes=60,
         outage_gen=outage_gen, outage_semi=outage_semi,
         hour_of_step=list(range(steps)),
     )
-    return solve_layer(scn, fc, init, opt)
+    return solve_layer(scn, fc, init, opt, basis)
 
 
 def commitment_for_minute(sched: Schedule, minute: int) -> dict[str, float]:

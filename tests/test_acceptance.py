@@ -134,10 +134,33 @@ def test_c02_milp_matches_enumeration_quickly():
 # 3. Every optimal solve carries verified optimality certificates.
 
 
+def _matches_highs(lp, sol, A, b, c, senses) -> int:
+    """Check ``sol`` against HiGHS; 1 when it is optimal, else 0."""
+    n = len(c)
+    ref = scipy.optimize.linprog(
+        c, A_ub=np.vstack([A[i] if s == LE else -A[i]
+                           for i, s in enumerate(senses)]),
+        b_ub=np.array([b[i] if s == LE else -b[i]
+                       for i, s in enumerate(senses)]),
+        bounds=[(v.lb, v.ub) for v in lp.variables], method="highs")
+    if sol.status != "optimal":
+        assert ref.status == 2
+        return 0
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+    for con, ax in zip(lp.constraints, A @ sol.x[:n]):
+        if con.sense == LE:
+            assert ax <= con.rhs + 1e-6
+        else:
+            assert ax >= con.rhs - 1e-6
+    return 1
+
+
 def test_c03_certificates_on_every_solve(monkeypatch):
-    # Verification runs inside the solver on every optimal solve, with no
-    # parameter that turns it off...
-    assert list(inspect.signature(solve_lp).parameters) == ["lp", "var_bounds"]
+    # Verification runs inside the solver on every optimal solve, from the
+    # crash or from a given basis, with no parameter that turns it off...
+    assert list(inspect.signature(solve_lp).parameters) == \
+        ["lp", "var_bounds", "basis"]
     verified = []
     real = gridops.lp.verify_certificates
 
@@ -149,7 +172,7 @@ def test_c03_certificates_on_every_solve(monkeypatch):
     # ...and independently, solutions are feasible and match a reference
     # solver's objective.
     rng = np.random.default_rng(7)
-    checked = 0
+    checked = warm = 0
     for _ in range(30):
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         lp = LinearProgram()
@@ -164,26 +187,15 @@ def test_c03_certificates_on_every_solve(monkeypatch):
             lp.add_constr(f"r{i}", [(j, float(A[i, j])) for j in range(n)],
                           senses[i], float(b[i]))
         sol = solve_lp(lp)   # raises internally if certificates fail
-        ref = scipy.optimize.linprog(
-            c, A_ub=np.vstack([A[i] if s == LE else -A[i]
-                               for i, s in enumerate(senses)]),
-            b_ub=np.array([b[i] if s == LE else -b[i]
-                           for i, s in enumerate(senses)]),
-            bounds=[(v.lb, v.ub) for v in lp.variables], method="highs")
+        checked += _matches_highs(lp, sol, A, b, c, senses)
         if sol.status == "optimal":
-            assert ref.status == 0
-            assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
-            for con, ax in zip(lp.constraints,
-                               A @ sol.x[:n]):
-                if con.sense == LE:
-                    assert ax <= con.rhs + 1e-6
-                else:
-                    assert ax >= con.rhs - 1e-6
-            checked += 1
-        else:
-            assert ref.status == 2
-    assert checked >= 10
-    assert len(verified) == checked
+            # The same program with its rows moved, from the last basis.
+            for con in lp.constraints:
+                con.rhs += 0.5
+            sol = solve_lp(lp, basis=sol.basis)
+            warm += _matches_highs(lp, sol, A, b + 0.5, c, senses)
+    assert checked >= 10 and warm >= 10
+    assert len(verified) == checked + warm
 
 
 # --------------------------------------------------------------------------

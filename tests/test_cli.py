@@ -53,6 +53,20 @@ def test_validate_rejects_bad_outage(mini, resource, section, capsys):
     assert capsys.readouterr().out.startswith(f"error\t{resource}\toutage ")
 
 
+def test_validate_rejects_duplicate_load(mini, capsys):
+    with open(mini, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("[load ")
+    end = text.find("\n[", start + 1)
+    section = text[start:] if end < 0 else text[start:end + 1]
+    with open(mini, "a", encoding="utf-8") as fh:
+        fh.write("\n" + section)
+    assert main(["validate", mini]) == 2
+    bubble = section[len("[load "):section.index("]")]
+    assert capsys.readouterr().out == \
+        f"error\t{bubble}\tsecond [load] section for this bubble\n"
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.scn")]) == 2
 
@@ -79,7 +93,8 @@ def test_seed_env_fallback(mini, tmp_path, monkeypatch):
 
 def test_non_optimal_solve_exits_3(mini, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dispatch, "solve_milp",
-                        lambda lp: Solution(status="node_limit", nodes=1))
+                        lambda lp, basis=None: Solution(status="node_limit",
+                                                        nodes=1))
     out = str(tmp_path / "run")
     assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 3
     assert "scuc solve ended with status node_limit" in capsys.readouterr().err

@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import gridops.dispatch as dispatch
 import gridops.engine as engine
 from gridops.engine import (SimulationTrace, outage_masks, simulate,
                             write_trace)
 from gridops.mini import write_mini3
-from gridops.scenario import Outage, load_scenario
+from gridops.scenario import Outage, Timing, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +168,59 @@ def test_written_trace_has_no_signed_zeros(mini, tmp_path):
         assert "-0.000000" not in (out / name).read_text()
     assert (out / "flows.csv").read_text().splitlines()[1] == \
         "0,0.000000,0.000000,0.000000"
+
+
+def _cadence(path):
+    """The fixture on a 5-minute market with default forecast errors and
+    a generator outage that triggers a contingency window."""
+    scn = load_scenario(path)
+    scn.timing = Timing(scuc_horizon_h=2, rtuc_step_min=5,
+                        rtuc_horizon_min=30, rtuc_period_min=30,
+                        sced_step_min=5)
+    for res in scn.loads + scn.semis:
+        res.eps_da = res.eps_st = res.eps_rt = None
+    scn.outages.append(Outage(resource="gas2", start=125, duration=40))
+    return scn
+
+
+def _schedules(scn, monkeypatch, strip):
+    """(layer, objective, pivots) of every schedule of a 4-hour run, in
+    order; ``strip`` drops the basis each window would start from."""
+    seen, pivots = [], []
+
+    def solver(real):
+        def solve(lp, basis=None):
+            sol = real(lp, basis=None if strip else basis)
+            pivots.append(sol.pivots)
+            return sol
+        return solve
+
+    def record(real):
+        def run(*args, **kwargs):
+            pivots.clear()
+            sched = real(*args, **kwargs)
+            seen.append((sched.layer, sched.objective, sum(pivots)))
+            return sched
+        return run
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dispatch, "solve_lp", solver(dispatch.solve_lp))
+        mp.setattr(dispatch, "solve_milp", solver(dispatch.solve_milp))
+        for name in ("run_scuc", "run_rtuc", "run_sced"):
+            mp.setattr(engine, name, record(getattr(engine, name)))
+        simulate(scn, 240, seed=7)
+    return seen
+
+
+def test_warm_starts_keep_every_schedule_objective(mini, monkeypatch):
+    warm = _schedules(_cadence(mini), monkeypatch, False)
+    cold = _schedules(_cadence(mini), monkeypatch, True)
+    assert [w[0] for w in warm] == [c[0] for c in cold]
+    # 2 SCUC runs, 8 RTUC windows plus 2 for the outage, 48 SCED runs.
+    assert len(warm) == 60
+    for (_, a, _), (_, b, _) in zip(warm, cold):
+        assert a == pytest.approx(b, rel=1e-9)
+    # Every layer carries its basis from window to window.
+    for layer in ("scuc", "rtuc", "sced"):
+        assert sum(w[2] for w in warm if w[0] == layer) < \
+            sum(c[2] for c in cold if c[0] == layer)

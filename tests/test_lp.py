@@ -215,7 +215,7 @@ def test_crash_of_chained_equality_rows_is_triangular():
     cols = sx.basis[pos]
     assert pos.tolist() == [0, 1, 2, 4, 5]
     assert cols.tolist() == [E[0], E[1], E[2], E[3], E[5]]
-    assert sx.art_rows.tolist() == [3]
+    assert sx.art_src.tolist() == [n + 3]      # the slack of row 3
     T = A[np.ix_(pos, cols)]
     assert np.all(np.triu(T, 1) == 0.0) and np.all(np.diag(T) != 0.0)
     assert np.any(np.tril(T, -1) != 0.0)
@@ -238,3 +238,120 @@ def test_pivot_cap_reports_iteration_limit(monkeypatch):
     assert sol.status == "iteration_limit"
     assert sol.x is None
     assert sol.pivots == 1
+
+
+def chain_lp():
+    # Equality rows, a free column and a column at its upper bound.
+    lp = LinearProgram()
+    E = [lp.add_var(f"E{t}", 0, 5, obj=float(t % 2) - 0.5) for t in range(4)]
+    f = lp.add_var("f", -INF, INF, obj=0.25)
+    for t, q in enumerate([2.0, 1.0, -0.5, 1.5]):
+        coeffs = [(E[t], 1.0)] + ([(E[t - 1], -1.0)] if t else [])
+        lp.add_constr(f"stor{t}", coeffs, EQ, q)
+    lp.add_constr("f_floor", [(f, 1.0), (E[3], -1.0)], GE, -4.0)
+    lp.add_constr("f_ceil", [(f, 1.0)], LE, 3.0)
+    return lp
+
+
+def upper_lp():
+    # x ends nonbasic at its upper bound 4, y basic at 3.
+    lp = LinearProgram()
+    x = lp.add_var("x", 0, 4, obj=-1.0)
+    y = lp.add_var("y", 0, 10, obj=-1.0)
+    lp.add_constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
+    return lp
+
+
+@pytest.mark.parametrize("make", [small_lp, chain_lp, upper_lp,
+                                  lambda: two_var_lp(EQ, 15.0)],
+                         ids=["inequalities", "chain", "at_upper_bound",
+                              "needs_artificial"])
+def test_restart_from_own_basis_takes_no_pivots(make):
+    lp = make()
+    cold = solve_lp(lp)
+    assert cold.status == "optimal" and cold.pivots > 0
+    warm = solve_lp(lp, basis=cold.basis)
+    assert warm.status == "optimal"
+    assert warm.pivots == 0
+    assert warm.x == pytest.approx(cold.x, abs=1e-12)
+    assert set(warm.basis.cols.tolist()) == set(cold.basis.cols.tolist())
+    assert np.array_equal(warm.basis.states, cold.basis.states)
+
+
+def _same_as_cold(lp, basis):
+    cold = solve_lp(lp)
+    got = solve_lp(lp, basis=basis)
+    assert got.status == cold.status
+    assert got.x.tobytes() == cold.x.tobytes()
+    assert (got.pivots, got.phase1_pivots) == (cold.pivots, cold.phase1_pivots)
+
+
+def test_unusable_basis_falls_back_to_the_crash():
+    lp = small_lp()                 # 3 rows, 2 columns, 5 basis columns
+    opt = solve_lp(lp).basis
+    states = opt.states
+    for cols in ([2, 3], [2, 3, 4, 0], [0, 0, 4], [0, 1, 7], [-1, 3, 4]):
+        _same_as_cold(lp, lpmod.Basis(np.array(cols), states))
+    _same_as_cold(lp, lpmod.Basis(opt.cols, states[:4]))
+
+
+def test_singular_or_ill_conditioned_basis_falls_back():
+    # Columns x and y are parallel in both rows, so no basis holding both
+    # is usable; with z they are merely close to parallel.
+    for eps in (0.0, 1e-13):
+        lp = LinearProgram()
+        x = lp.add_var("x", 0, 10, obj=-1.0)
+        y = lp.add_var("y", 0, 10, obj=-1.0 - eps)
+        lp.add_constr("a", [(x, 1.0), (y, 1.0)], LE, 4.0)
+        lp.add_constr("b", [(x, 2.0), (y, 2.0 + eps)], LE, 9.0)
+        start = lpmod.Basis(np.array([x, y]),
+                            np.full(4, lpmod._AT_LB, dtype=np.int8))
+        assert not lpmod._Simplex(*lp.dense(), start).warm
+        _same_as_cold(lp, start)
+
+
+def test_start_parks_out_of_bound_basics():
+    # From the optimum of x + y >= 3 (x = 3), moving the rhs to 12 puts
+    # the basic x above its bound of 10: it is parked there and an
+    # artificial copy of its column takes its place.
+    lp = LinearProgram()
+    lp.add_var("x", 0, 10, obj=1.0)
+    lp.add_var("y", 0, 10, obj=2.0)
+    lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    opt = solve_lp(lp)
+    assert opt.x.tolist() == [3.0, 0.0]
+    lp.constraints[0].rhs = 12.0
+    sx = lpmod._Simplex(*lp.dense(), opt.basis)
+    assert sx.warm
+    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [1.0]
+    assert sx.x[0] == 10.0 and sx.state[0] == lpmod._AT_UB
+    assert sx.x[sx.art].tolist() == [2.0]
+    assert np.array_equal(sx.A[:, sx.art[0]], sx.A[:, 0])
+    warm = solve_lp(lp, basis=opt.basis)
+    assert warm.status == "optimal"
+    assert warm.x == pytest.approx([10.0, 2.0], abs=1e-9)
+    # A basic column fixed where it stands is parked too, as a B&B child
+    # fixes a basic binary: its artificial starts at zero.
+    lp.constraints[0].rhs = 3.0
+    A, b, senses, c, l, u = lp.dense()
+    l[0] = u[0] = 3.0
+    sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
+    assert sx.art_src.tolist() == [0] and sx.x[sx.art].tolist() == [0.0]
+    assert sx.x[0] == 3.0 and sx.state[0] == lpmod._AT_LB
+    # Lowering it to -1 leaves x = -1 below 0: parked at 0 with a
+    # negated copy, and the GE row's slack then carries the row.
+    lp.constraints[0].rhs = -1.0
+    sx = lpmod._Simplex(*lp.dense(), opt.basis)
+    assert sx.art_sign.tolist() == [-1.0] and sx.x[sx.art].tolist() == [1.0]
+    assert np.array_equal(sx.Binv @ sx.A[:, sx.basis], np.eye(1))
+    warm = solve_lp(lp, basis=opt.basis)
+    assert warm.status == "optimal" and warm.x.tolist() == [0.0, 0.0]
+
+
+def test_warm_start_that_ends_infeasible_names_the_cold_rows():
+    lp = small_lp()
+    opt = solve_lp(lp)
+    lp.constraints[0].rhs = -1.0          # x + 2y <= -1 with x, y >= 0
+    got = solve_lp(lp, basis=opt.basis)
+    assert got.status == "infeasible"
+    assert got.infeasible_rows == solve_lp(lp).infeasible_rows == ["c1"]

@@ -1,4 +1,5 @@
-"""Property test: the simplex against HiGHS on random bounded programs."""
+"""Property tests: the simplex against HiGHS on random bounded programs,
+from the crash and from the basis of a related program."""
 
 from __future__ import annotations
 
@@ -67,6 +68,41 @@ def test_random_programs_match_highs(lp):
         names = {con.name for con in lp.constraints}
         assert sol.infeasible_rows
         assert set(sol.infeasible_rows) <= names
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def _shift(v: float, d: int) -> float:
+    return v if v in (-INF, INF) else v + d
+
+
+@st.composite
+def related_programs(draw):
+    """A program and a copy with the same rows and columns whose costs,
+    right-hand sides and finite bounds are moved."""
+    lp = draw(programs())
+    moved = LinearProgram()
+    for v in lp.variables:
+        lo = _shift(v.lb, draw(st.integers(-2, 2)))
+        hi = max(lo, _shift(v.ub, draw(st.integers(-2, 2))))
+        moved.add_var(v.name, lo, hi, obj=float(draw(st.integers(-5, 5))))
+    for con in lp.constraints:
+        moved.add_constr(con.name, con.coeffs, con.sense,
+                         con.rhs + draw(st.integers(-6, 6)))
+    return lp, moved
+
+
+@given(related_programs())
+def test_warm_started_programs_match_highs(pair):
+    lp, moved = pair
+    first = solve_lp(lp)
+    sol = solve_lp(moved, basis=first.basis)
+    ref = highs(moved)
+    assert ref.status in (0, 2), ref.message
+    if ref.status == 2:
+        assert sol.status == "infeasible"
+        assert sol.infeasible_rows == solve_lp(moved).infeasible_rows
     else:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, abs=1e-6)

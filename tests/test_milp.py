@@ -128,10 +128,10 @@ def _spy_node_lps(monkeypatch, before=None):
     the k-th one (0 is the root)."""
     seen = []
 
-    def spy(lp, var_bounds=None):
+    def spy(lp, var_bounds=None, basis=None):
         if before:
             before(len(seen))
-        seen.append(solve_lp(lp, var_bounds=var_bounds))
+        seen.append(solve_lp(lp, var_bounds=var_bounds, basis=basis))
         return seen[-1]
     monkeypatch.setattr(milpmod, "solve_lp", spy)
     return seen
@@ -166,9 +166,11 @@ def test_infeasible_root_counts_one_node():
 
 
 def test_pivot_cap_in_a_child_ends_the_search(monkeypatch):
+    # A child starts from its parent's basis and needs a single pivot
+    # here, so the cap allows none.
     def cap_children(k):
         if k == 1:
-            monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 1 / 5)
+            monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 0)
     seen = _spy_node_lps(monkeypatch, cap_children)
     sol = solve_milp(knapsack_lp())
     # The capped child is not mistaken for an infeasible one.
@@ -176,3 +178,67 @@ def test_pivot_cap_in_a_child_ends_the_search(monkeypatch):
     assert sol.status == "iteration_limit"
     assert sol.x is None
     assert sol.nodes == 2
+
+
+def _random_mip(rng, nb=6, nc=2, m=3):
+    lp = LinearProgram()
+    for k in range(nb):
+        lp.add_var(f"z{k}", 0, 1, obj=round(float(rng.normal()), 3),
+                   binary=True)
+    for k in range(nc):
+        lp.add_var(f"x{k}", 0, 3, obj=round(float(rng.normal()), 3))
+    for i in range(m):
+        coeffs = [(j, round(float(rng.normal()), 3)) for j in range(nb + nc)]
+        lp.add_constr(f"r{i}", coeffs, LE if rng.random() < 0.7 else GE,
+                      round(float(rng.normal(scale=2)), 3))
+    return lp
+
+
+def test_children_start_from_their_parent_basis(monkeypatch):
+    rng = np.random.default_rng(5)
+    programs = [knapsack_lp()] + [_random_mip(rng) for _ in range(30)]
+    calls = []
+
+    def spy(lp, var_bounds=None, basis=None):
+        sol = solve_lp(lp, var_bounds=var_bounds, basis=basis)
+        calls.append((lp, var_bounds, basis, sol))
+        return sol
+
+    branched = 0
+    for lp in programs:
+        # Every node solved from the crash instead: the search is the same.
+        monkeypatch.setattr(
+            milpmod, "solve_lp",
+            lambda lp, var_bounds=None, basis=None: solve_lp(lp, var_bounds))
+        cold = solve_milp(lp)
+        calls.clear()
+        monkeypatch.setattr(milpmod, "solve_lp", spy)
+        warm = solve_milp(lp)
+        assert calls[0][1] is None and calls[0][2] is None      # the root
+        parents = {(): calls[0][3]}
+        for _, bounds, basis, sol in calls[1:]:
+            branched += 1
+            # The parent's bounds are the child's less its newest fix.
+            parent = parents[tuple(list(bounds.items())[:-1])]
+            assert basis is parent.basis
+            ref = solve_lp(lp, var_bounds=bounds)
+            assert sol.status == ref.status
+            if ref.status == "optimal":
+                assert sol.objective == pytest.approx(ref.objective,
+                                                      abs=1e-9)
+                parents[tuple(bounds.items())] = sol
+        assert (warm.status, warm.nodes) == (cold.status, cold.nodes)
+        if warm.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert branched > 20
+
+
+def test_root_starts_from_the_given_basis_and_returns_its_own():
+    lp = knapsack_lp()
+    first = solve_milp(lp)
+    root = solve_lp(lp)
+    assert np.array_equal(first.basis.cols, root.basis.cols)
+    again = solve_milp(lp, basis=first.basis)
+    assert again.objective == pytest.approx(first.objective, abs=1e-12)
+    assert again.nodes == first.nodes
+    assert again.pivots < first.pivots

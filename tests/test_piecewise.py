@@ -52,3 +52,11 @@ def test_degenerate_range():
     pw = linearize_cost(60.0, 60.0, 1.0, 1.0, 1.0, 1.0, n_seg=3)
     assert pw.max_error == 0.0
     assert pw.evaluate(60.0) == pytest.approx(1.0 + 60.0 + 3600.0)
+
+
+def test_curves_are_computed_once_and_read_only():
+    args = (15.0, 85.0, 1.0, 2.0, 3.0, 0.01, 3)
+    pw = linearize_cost(*args)
+    assert linearize_cost(*args) is pw
+    with pytest.raises(ValueError):
+        pw.slopes[0] = 0.0

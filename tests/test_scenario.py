@@ -107,6 +107,15 @@ def test_validation_flags_bad_outage(mini, resource, start, duration,
     assert (sev, ent) == ("error", resource) and message in msg
 
 
+def test_validation_flags_duplicate_load(mini):
+    from gridops.scenario import LoadSpec
+    scn = load_scenario(mini)
+    scn.loads.append(LoadSpec(bubble=scn.loads[0].bubble))
+    report = validate_scenario(scn)
+    assert report == [("error", scn.loads[0].bubble,
+                       "second [load] section for this bubble")]
+
+
 def test_validation_is_pure(mini):
     scn = load_scenario(mini)
     assert validate_scenario(scn) == validate_scenario(scn)
