@@ -4,10 +4,17 @@ The day-ahead commitment, same-day fast-start commitment and real-time
 dispatch share one constraint family: bubble balance against a DC flow,
 interface limits, unit box bounds with outage masks, ramp limits with
 start/stop relaxation, storage energy accounting, commitment logic, and
-contingency-based reserve procurement.  This module builds that program
-once, parameterized by layer, and extracts a uniform Schedule.  The build
+contingency-based reserve procurement.  This module builds that program,
+parameterized by layer, and extracts a uniform Schedule.  The build
 records each column family's indices as an integer block (``Columns``), so
 extraction indexes the solution vector directly.
+
+Every window of a layer has the same structure: the same columns, rows,
+names, binaries and coefficient pattern.  So the structure is built once
+(``_structure``) and each window, the first included, only fills in its
+values (``fill_program``): bounds, costs, right-hand sides and the few
+coefficients that follow forecasts and outages.  A simulation keeps one
+program per layer and refills it window after window.
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -37,11 +44,6 @@ class Forecasts:
     """Per-step forecast blocks for one optimization window."""
     load: dict[str, np.ndarray]          # bubble -> MW per step
     semi: dict[str, np.ndarray]          # resource -> MW per step
-
-    def horizon(self) -> int:
-        for v in self.load.values():
-            return len(v)
-        return 0
 
 
 @dataclass
@@ -82,6 +84,7 @@ class Schedule:
     flows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     c1: np.ndarray = field(default_factory=lambda: np.zeros(0))
     basis: Basis | None = None       # optimal basis; the next window's start
+    program: tuple | None = None     # (lp, cols); refilled by the next window
 
     def supergen_total(self) -> float:
         tot = 0.0
@@ -110,15 +113,23 @@ class Columns(dict):
     Entries are -1 where an entity has no such column.  ``fixed_cost`` is
     objective that lies outside the program: in SCED, the pinned
     commitments' cost at P^min.
+
+    What a window fills in is indexed the same way: ``dP`` holds each
+    generator's segment columns [step, segment]; ``rows`` maps the row
+    families whose right-hand side depends on the window to row indices,
+    and ``entries`` the window-dependent coefficients (``"bal.cl"`` is the
+    ``cl`` entry of each ``bal`` row) to indices into the program's
+    entries.  ``shape`` and ``scn`` are what the structure was built for
+    (:func:`_shape`).
     """
     fixed_cost = 0.0
 
 
-def _available(table, rid, T) -> list[float]:
+def _available(table, rid, T) -> np.ndarray:
     """1 - outage mask per step (1.0 when the resource has no outage)."""
     if not table or rid not in table:
-        return [1.0] * T
-    return [1.0 - float(table[rid][t]) for t in range(T)]
+        return np.ones(T)
+    return 1.0 - np.asarray(table[rid], dtype=float)[:T]
 
 
 def reserves_active(scn: Scenario) -> bool:
@@ -131,26 +142,47 @@ def reserves_active(scn: Scenario) -> bool:
     return sys_any or bub_any
 
 
+def _shape(scn: Scenario, opt: LayerOptions) -> tuple:
+    """Everything the structure of a layer's program depends on, beyond
+    the scenario: the layer, its steps and which units and storage are
+    pinned.  Windows of equal shape differ only in values."""
+    pinned = () if opt.pinned_w is None else \
+        tuple(g.id in opt.pinned_w for g in scn.generators)
+    return (opt.layer, opt.steps, opt.step_minutes, pinned,
+            opt.pinned_storage is None)
+
+
 def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                   opt: LayerOptions):
-    """Build the layer's program; returns (LinearProgram, Columns)."""
+    """Build the layer's program for one window; returns (LinearProgram,
+    Columns).  The structure is built first, then filled for the window
+    by :func:`fill_program`, which refills it for every later window of
+    the same shape."""
+    program = _structure(scn, opt)
+    fill_program(program, scn, fc, init, opt)
+    return program
+
+
+def _structure(scn: Scenario, opt: LayerOptions):
+    """Columns, rows and every coefficient that no window changes.
+
+    Bounds, costs and right-hand sides that depend on the window are left
+    at placeholders, as are the window-dependent coefficients; the
+    indices :func:`fill_program` writes them at are recorded in the
+    returned ``Columns``.
+    """
     T = opt.steps
-    if fc.horizon() < T:
-        raise DispatchError(
-            f"forecast horizon {fc.horizon()} shorter than {T} steps")
     lp = LinearProgram()
     net = scn.network
     gens, semis = scn.generators, scn.semis
-    gamma = scn.gamma_loss
     penalty = scn.penalty_price()
-    hours = opt.hour_of_step or [0] * T
     res = scn.reserves
     sced = opt.layer == "sced"
     use_res = not sced and reserves_active(scn)
     storage_vars = opt.pinned_storage is None
     dt = opt.step_minutes
 
-    # Column blocks as nested lists [t][entity]: plain ints index faster
+    # Index blocks as nested lists [t][entity]: plain ints index faster
     # than numpy scalars in the row loops below.
     G, S, B = len(gens), len(scn.storages), len(net.bubbles)
     sizes = dict(w=G, u=G, v=G, P=G, rS=G, rO=G, wP=S, wS=S, Ps=S, Ss=S,
@@ -160,53 +192,32 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
     (w, u, v, P, rS, rO, wP, wS, Ps, Ss, Es, cv, cl, Pm, sgP, sgN, F,
      C1) = blk.values()
     dP = [[None] * G for _ in range(T)]    # segment columns
-
-    # Once per build: cost curves, pins, availability net of outages.
-    pw = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
-                         N_SEGMENTS) for g in gens]
+    row_sizes = dict(bal=B, seg=G, link=G, stor=S, flip1=S, flip2=S,
+                     ct1=len(semis), maxup=G)
+    row_sizes["ramp+"] = row_sizes["ramp-"] = G
+    rows = {name: [[-1] * n for _ in range(T)]
+            for name, n in row_sizes.items()}
+    ent_sizes = {"bal.cl": len(scn.loads), "bal.cv": len(semis),
+                 "seg.w": G, "plim.w": G, "ct1.cv": len(semis)}
+    ents = {name: [[-1] * n for _ in range(T)]
+            for name, n in ent_sizes.items()}
+    pw = [_cost_curve(g) for g in gens]
     pins = [None if opt.pinned_w is None else opt.pinned_w.get(g.id)
             for g in gens]
-    g_on = [_available(opt.outage_gen, g.id, T) for g in gens]
-    # Available semi-dispatchable energy per step; withholding a fraction
-    # cv of the curtailable share d takes -d*avail*cv off delivery.
-    semi_avail = [[on * float(fc.semi[sm.id][t]) for t, on
-                   in enumerate(_available(opt.outage_semi, sm.id, T))]
-                  for sm in semis]
-    fixed_cost = 0.0
 
     # -- variables ---------------------------------------------------------
     for t in range(T):
         for k, g in enumerate(gens):
-            cf = g.fuel_price(hours[t])
-            pwk = pw[k]
-            pin = pins[k]
             if sced:
-                wv = float(pin[t])
-                P[t][k] = lp.add_var(f"P[{g.id},{t}]",
-                                     lb=wv * g_on[k][t] * g.p_min,
-                                     ub=wv * g_on[k][t] * g.p_max)
-                # Segments only price output above the committed floor.
-                fixed_cost += wv * cf * pwk.cost_at_min
+                P[t][k] = lp.add_var(f"P[{g.id},{t}]")
             else:
-                if g.kind == "must-run":
-                    lo, hi, binary = 1.0, 1.0, False
-                elif pin is not None:
-                    lo = hi = float(pin[t])
-                    binary = False
-                else:
-                    lo, hi, binary = 0.0, 1.0, True
-                # Commitment carries the cost of running at P^min.
-                w[t][k] = lp.add_var(f"w[{g.id},{t}]", lb=lo, ub=hi,
-                                     obj=cf * pwk.cost_at_min, binary=binary)
-                u[t][k] = lp.add_var(f"u[{g.id},{t}]", lb=0.0, ub=1.0,
-                                     obj=cf * g.h_u)
-                v[t][k] = lp.add_var(f"v[{g.id},{t}]", lb=0.0, ub=1.0,
-                                     obj=cf * g.h_d)
+                free = g.kind != "must-run" and pins[k] is None
+                w[t][k] = lp.add_var(f"w[{g.id},{t}]", ub=1.0, binary=free)
+                u[t][k] = lp.add_var(f"u[{g.id},{t}]", lb=0.0, ub=1.0)
+                v[t][k] = lp.add_var(f"v[{g.id},{t}]", lb=0.0, ub=1.0)
                 P[t][k] = lp.add_var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
-            dP[t][k] = [lp.add_var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width,
-                                   obj=cf * slope)
-                        for s, (slope, width)
-                        in enumerate(zip(pwk.slopes, pwk.widths))]
+            dP[t][k] = [lp.add_var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width)
+                        for s, width in enumerate(pw[k].widths)]
             if use_res:
                 rS[t][k] = lp.add_var(f"rS[{g.id},{t}]", lb=0.0,
                                       ub=max(g.r_max * res.t_10, 0.0))
@@ -224,14 +235,10 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
                                                 ub=hi, binary=binary)
         for k, sm in enumerate(semis):
             if sm.d > 0:
-                # Withholding delivery at threshold price C forfeits C*d*avail.
-                cv[t][k] = lp.add_var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0,
-                                      obj=-sm.price * sm.d * semi_avail[k][t])
+                cv[t][k] = lp.add_var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0)
         for k, ld in enumerate(scn.loads):
             if ld.d > 0:
-                load = float(fc.load[ld.bubble][t])
-                cl[t][k] = lp.add_var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0,
-                                      obj=ld.price * ld.d * load)
+                cl[t][k] = lp.add_var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0)
         for k, m in enumerate(scn.drs):
             Pm[t][k] = lp.add_var(f"Pm[{m.id},{t}]", lb=m.p_min,
                                   ub=m.p_max, obj=m.cost)
@@ -253,192 +260,166 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
             terms.append((bi, sign) if bi >= 0 else (~bi, -sign))
         itf_terms.append(terms)
 
+    def add(name, coeffs, sense, rhs=0.0, row=None, t=0, k=0):
+        i = lp.add_constr(name, coeffs, sense, rhs)
+        if row is not None:
+            rows[row][t][k] = i
+        return i
+
+    def mark(family, i, t, k, j):
+        ents[family][t][k] = lp.entry(i, j)
+
     for t in range(T):
         for kb, b in enumerate(net.bubbles):
             coeffs = [(P[t][k], 1.0) for k, g in enumerate(gens)
                       if g.bubble == b]
-            rhs = 0.0
             for k, st in enumerate(scn.storages):
-                if st.bubble != b:
-                    continue
-                if storage_vars:
+                if st.bubble == b and storage_vars:
                     coeffs += [(Ps[t][k], 1.0), (Ss[t][k], -1.0)]
-                else:
-                    ps, ss = opt.pinned_storage
-                    rhs -= float(ps[st.id][t]) - float(ss[st.id][t])
             coeffs += [(sgP[t][kb], 1.0), (sgN[t][kb], -1.0)]
             coeffs += [(Pm[t][k], 1.0) for k, m in enumerate(scn.drs)
                        if m.bubble == b]
-            for k, ld in enumerate(scn.loads):
-                if ld.bubble != b:
-                    continue
-                load = float(fc.load[ld.bubble][t])
-                rhs += (1.0 + gamma) * load
-                if ld.d > 0:
-                    coeffs.append((cl[t][k], (1.0 + gamma) * ld.d * load))
-            for k, sm in enumerate(semis):
-                if sm.bubble != b:
-                    continue
-                avail = semi_avail[k][t]
-                scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
-                rhs -= scale * avail
-                if sm.d > 0:
-                    coeffs.append((cv[t][k], scale * (-sm.d * avail)))
+            ks_cl = [k for k, ld in enumerate(scn.loads)
+                     if ld.bubble == b and ld.d > 0]
+            ks_cv = [k for k, sm in enumerate(semis)
+                     if sm.bubble == b and sm.d > 0]
+            coeffs += [(cl[t][k], 0.0) for k in ks_cl]
+            coeffs += [(cv[t][k], 0.0) for k in ks_cv]
             for li, br in enumerate(net.branches):
                 if br.from_bubble == b:
                     coeffs.append((F[t][li], -1.0))
                 elif br.to_bubble == b:
                     coeffs.append((F[t][li], 1.0))
-            lp.add_constr(f"bal[{b},{t}]", coeffs, EQ, rhs)
+            i = add(f"bal[{b},{t}]", coeffs, EQ, row="bal", t=t, k=kb)
+            for k in ks_cl:
+                mark("bal.cl", i, t, k, cl[t][k])
+            for k in ks_cv:
+                mark("bal.cv", i, t, k, cv[t][k])
 
         for itf, terms in zip(net.interfaces, itf_terms):
             coeffs = [(F[t][bi], a) for bi, a in terms]
-            lp.add_constr(f"int+[{itf.name},{t}]", coeffs, LE, itf.limit)
-            lp.add_constr(f"int-[{itf.name},{t}]", coeffs, GE, -itf.limit)
+            add(f"int+[{itf.name},{t}]", coeffs, LE, itf.limit)
+            add(f"int-[{itf.name},{t}]", coeffs, GE, -itf.limit)
 
         for k, g in enumerate(gens):
             pvar = P[t][k]
             # P = w*P^min + filled segments.
             segs = [(j, -1.0) for j in dP[t][k]]
             if sced:
-                wv = float(pins[k][t]) * g_on[k][t]
-                lp.add_constr(f"seg[{g.id},{t}]", [(pvar, 1.0)] + segs,
-                              EQ, wv * g.p_min)
-                uf, vf = opt.fixed_uv
-                ur = float(uf.get(g.id, 0.0))
-                vr = float(vf.get(g.id, 0.0))
-                p0 = float(init.output.get(g.id, 0.0))
-                lp.add_constr(f"ramp+[{g.id},{t}]", [(pvar, 1.0)], LE,
-                              p0 + g.r_max * dt + g.p_max * ur)
-                lp.add_constr(f"ramp-[{g.id},{t}]", [(pvar, 1.0)], GE,
-                              p0 + g.r_min * dt - g.p_max * vr)
+                add(f"seg[{g.id},{t}]", [(pvar, 1.0)] + segs, EQ,
+                    row="seg", t=t, k=k)
+                add(f"ramp+[{g.id},{t}]", [(pvar, 1.0)], LE, row="ramp+",
+                    t=t, k=k)
+                add(f"ramp-[{g.id},{t}]", [(pvar, 1.0)], GE, row="ramp-",
+                    t=t, k=k)
                 continue
 
             wvar, uvar, vvar = w[t][k], u[t][k], v[t][k]
             # The committed floor scales with availability so a forced
             # outage of a pinned unit stays feasible; the segment sum is
             # capped by headroom.
-            lp.add_constr(f"seg[{g.id},{t}]",
-                          [(pvar, 1.0), (wvar, -g_on[k][t] * g.p_min)] +
-                          segs, EQ, 0.0)
-            lp.add_constr(f"plim[{g.id},{t}]",
-                          [(pvar, 1.0), (wvar, -g_on[k][t] * g.p_max)],
-                          LE, 0.0)
-            # w-u-v linkage and ramp with start/stop relaxation.
+            i = add(f"seg[{g.id},{t}]", [(pvar, 1.0), (wvar, 0.0)] + segs,
+                    EQ)
+            mark("seg.w", i, t, k, wvar)
+            i = add(f"plim[{g.id},{t}]", [(pvar, 1.0), (wvar, 0.0)], LE)
+            mark("plim.w", i, t, k, wvar)
+            # w-u-v linkage and ramp with start/stop relaxation; the first
+            # step's right-hand sides hold the unit's initial state.
             if t == 0:
-                w0 = float(init.online.get(g.id, 0.0))
-                lp.add_constr(f"link[{g.id},{t}]",
-                              [(wvar, 1.0), (uvar, -1.0), (vvar, 1.0)],
-                              EQ, w0)
+                add(f"link[{g.id},{t}]",
+                    [(wvar, 1.0), (uvar, -1.0), (vvar, 1.0)], EQ,
+                    row="link", k=k)
                 prev = [(pvar, 1.0)]
-                base = float(init.output.get(g.id, 0.0))
             else:
-                lp.add_constr(f"link[{g.id},{t}]",
-                              [(wvar, 1.0), (w[t - 1][k], -1.0),
-                               (uvar, -1.0), (vvar, 1.0)], EQ, 0.0)
+                add(f"link[{g.id},{t}]",
+                    [(wvar, 1.0), (w[t - 1][k], -1.0), (uvar, -1.0),
+                     (vvar, 1.0)], EQ)
                 prev = [(pvar, 1.0), (P[t - 1][k], -1.0)]
-                base = 0.0
-            lp.add_constr(f"uv[{g.id},{t}]", [(uvar, 1.0), (vvar, 1.0)],
-                          LE, 1.0)
-            lp.add_constr(f"ramp+[{g.id},{t}]",
-                          prev + [(uvar, -g.p_max)], LE,
-                          base + g.r_max * dt)
-            lp.add_constr(f"ramp-[{g.id},{t}]",
-                          prev + [(vvar, g.p_max)], GE,
-                          base + g.r_min * dt)
+            add(f"uv[{g.id},{t}]", [(uvar, 1.0), (vvar, 1.0)], LE, 1.0)
+            add(f"ramp+[{g.id},{t}]", prev + [(uvar, -g.p_max)], LE,
+                0.0 + g.r_max * dt, row="ramp+" if t == 0 else None, k=k)
+            add(f"ramp-[{g.id},{t}]", prev + [(vvar, g.p_max)], GE,
+                0.0 + g.r_min * dt, row="ramp-" if t == 0 else None, k=k)
 
         if storage_vars:
             dt_h = opt.step_minutes / 60.0
             for k, st in enumerate(scn.storages):
                 wp, ws = wP[t][k], wS[t][k]
                 psv, ssv, ev = Ps[t][k], Ss[t][k], Es[t][k]
-                lp.add_constr(f"pslim+[{st.id},{t}]",
-                              [(psv, 1.0), (wp, -st.p_max)], LE, 0.0)
-                lp.add_constr(f"pslim-[{st.id},{t}]",
-                              [(psv, 1.0), (wp, -st.p_min)], GE, 0.0)
-                lp.add_constr(f"sslim+[{st.id},{t}]",
-                              [(ssv, 1.0), (ws, -st.s_max)], LE, 0.0)
-                lp.add_constr(f"sslim-[{st.id},{t}]",
-                              [(ssv, 1.0), (ws, -st.s_min)], GE, 0.0)
-                lp.add_constr(f"mode[{st.id},{t}]",
-                              [(wp, 1.0), (ws, 1.0)], LE, 1.0)
+                add(f"pslim+[{st.id},{t}]", [(psv, 1.0), (wp, -st.p_max)],
+                    LE)
+                add(f"pslim-[{st.id},{t}]", [(psv, 1.0), (wp, -st.p_min)],
+                    GE)
+                add(f"sslim+[{st.id},{t}]", [(ssv, 1.0), (ws, -st.s_max)],
+                    LE)
+                add(f"sslim-[{st.id},{t}]", [(ssv, 1.0), (ws, -st.s_min)],
+                    GE)
+                add(f"mode[{st.id},{t}]", [(wp, 1.0), (ws, 1.0)], LE, 1.0)
                 if t == 0:
-                    e_prev_rhs = float(init.energy.get(st.id,
-                                                       st.initial_energy))
-                    coeffs = [(ev, 1.0), (ssv, -st.eta * dt_h),
-                              (psv, dt_h)]
-                    lp.add_constr(f"stor[{st.id},{t}]", coeffs, EQ,
-                                  e_prev_rhs)
-                    mg = float(init.mode_gen.get(st.id,
-                                                 1.0 if st.mode_gen0 else 0.0))
-                    mp = float(init.mode_pump.get(st.id,
-                                                  1.0 if st.mode_pump0 else 0.0))
-                    lp.add_constr(f"flip1[{st.id},{t}]", [(wp, 1.0)],
-                                  LE, 1.0 - mp)
-                    lp.add_constr(f"flip2[{st.id},{t}]", [(ws, 1.0)],
-                                  LE, 1.0 - mg)
+                    add(f"stor[{st.id},{t}]",
+                        [(ev, 1.0), (ssv, -st.eta * dt_h), (psv, dt_h)], EQ,
+                        row="stor", k=k)
+                    add(f"flip1[{st.id},{t}]", [(wp, 1.0)], LE, row="flip1",
+                        k=k)
+                    add(f"flip2[{st.id},{t}]", [(ws, 1.0)], LE, row="flip2",
+                        k=k)
                 else:
-                    coeffs = [(ev, 1.0), (Es[t - 1][k], -1.0),
-                              (ssv, -st.eta * dt_h), (psv, dt_h)]
-                    lp.add_constr(f"stor[{st.id},{t}]", coeffs, EQ, 0.0)
+                    add(f"stor[{st.id},{t}]",
+                        [(ev, 1.0), (Es[t - 1][k], -1.0),
+                         (ssv, -st.eta * dt_h), (psv, dt_h)], EQ)
                     # No pump-to-generate flip within one step.
-                    lp.add_constr(f"flip1[{st.id},{t}]",
-                                  [(wp, 1.0), (wS[t - 1][k], 1.0)], LE, 1.0)
-                    lp.add_constr(f"flip2[{st.id},{t}]",
-                                  [(ws, 1.0), (wP[t - 1][k], 1.0)], LE, 1.0)
+                    add(f"flip1[{st.id},{t}]",
+                        [(wp, 1.0), (wS[t - 1][k], 1.0)], LE, 1.0)
+                    add(f"flip2[{st.id},{t}]",
+                        [(ws, 1.0), (wP[t - 1][k], 1.0)], LE, 1.0)
 
         if use_res:
             c1 = C1[t][0]
             for k, g in enumerate(gens):
-                lp.add_constr(f"cg1[{g.id},{t}]",
-                              [(c1, 1.0), (w[t][k], -g.p_max)], GE, 0.0)
+                add(f"cg1[{g.id},{t}]", [(c1, 1.0), (w[t][k], -g.p_max)], GE)
             for k, sm in enumerate(semis):
                 if sm.kind != "tie-line":
                     continue
-                avail = semi_avail[k][t]
                 coeffs = [(c1, 1.0)]
                 if sm.d > 0:
-                    coeffs.append((cv[t][k], sm.d * avail))
-                lp.add_constr(f"ct1[{sm.id},{t}]", coeffs, GE, avail)
+                    coeffs.append((cv[t][k], 0.0))
+                i = add(f"ct1[{sm.id},{t}]", coeffs, GE, row="ct1", t=t,
+                        k=k)
+                if sm.d > 0:
+                    mark("ct1.cv", i, t, k, cv[t][k])
             for k, g in enumerate(gens):
-                lp.add_constr(f"tmsr[{g.id},{t}]",
-                              [(rS[t][k], 1.0), (w[t][k], -g.p_max),
-                               (P[t][k], 1.0)], LE, 0.0)
-                lp.add_constr(f"tmor[{g.id},{t}]",
-                              [(rO[t][k], 1.0), (w[t][k], g.p_max)], LE,
-                              g.p_max)
+                add(f"tmsr[{g.id},{t}]",
+                    [(rS[t][k], 1.0), (w[t][k], -g.p_max), (P[t][k], 1.0)],
+                    LE)
+                add(f"tmor[{g.id},{t}]",
+                    [(rO[t][k], 1.0), (w[t][k], g.p_max)], LE, g.p_max)
             a_tmr = res.alpha_sys_tmr
             for b in net.bubbles:
                 ks = [k for k, g in enumerate(gens) if g.bubble == b]
                 if res.alpha_tmsr.get(b, 0.0) > 0:
-                    lp.add_constr(
-                        f"tmsr_n[{b},{t}]",
+                    add(f"tmsr_n[{b},{t}]",
                         [(rS[t][k], 1.0) for k in ks] +
-                        [(c1, -res.alpha_tmsr[b] * a_tmr)], GE, 0.0)
+                        [(c1, -res.alpha_tmsr[b] * a_tmr)], GE)
                 if res.alpha_tmor.get(b, 0.0) > 0:
-                    lp.add_constr(
-                        f"tmor_n[{b},{t}]",
+                    add(f"tmor_n[{b},{t}]",
                         [(rS[t][k], 1.0) for k in ks] +
                         [(rO[t][k], 1.0) for k in ks] +
-                        [(c1, -res.alpha_tmor[b] * a_tmr)], GE, 0.0)
+                        [(c1, -res.alpha_tmor[b] * a_tmr)], GE)
             all_rs = [(j, 1.0) for j in rS[t]]
             all_ro = [(j, 1.0) for j in rO[t]]
             if res.alpha_sys_tmsr > 0:
-                lp.add_constr(f"tmsr_sys[{t}]",
-                              all_rs + [(c1, -res.alpha_sys_tmsr * a_tmr)],
-                              GE, 0.0)
+                add(f"tmsr_sys[{t}]",
+                    all_rs + [(c1, -res.alpha_sys_tmsr * a_tmr)], GE)
             if res.lfr_requirement:
-                lp.add_constr(f"tmsr_lfr[{t}]", all_rs, GE,
-                              res.alpha_sys_tmsr * a_tmr *
-                              res.lfr_requirement)
+                add(f"tmsr_lfr[{t}]", all_rs, GE,
+                    res.alpha_sys_tmsr * a_tmr * res.lfr_requirement)
             if res.alpha_sys_tmor > 0:
-                lp.add_constr(f"tmor_sys[{t}]",
-                              all_rs + all_ro +
-                              [(c1, -res.alpha_sys_tmor * a_tmr)], GE, 0.0)
+                add(f"tmor_sys[{t}]",
+                    all_rs + all_ro + [(c1, -res.alpha_sys_tmor * a_tmr)],
+                    GE)
 
     # Commitment-window constraints across steps.
     if not sced:
-        steps_per_hour = 60.0 / opt.step_minutes
         for k, g in enumerate(gens):
             if g.kind == "must-run" or pins[k] is not None:
                 continue
@@ -446,33 +427,173 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
             tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.step_minutes)), 1)
             for t in range(T):
                 for tau in range(1, min(tau_u, t + 1)):
-                    lp.add_constr(f"minup[{g.id},{t},{tau}]",
-                                  [(w[t][k], 1.0), (u[t - tau][k], -1.0)],
-                                  GE, 0.0)
+                    add(f"minup[{g.id},{t},{tau}]",
+                        [(w[t][k], 1.0), (u[t - tau][k], -1.0)], GE)
                 for tau in range(1, min(tau_d, t + 1)):
-                    lp.add_constr(f"mindown[{g.id},{t},{tau}]",
-                                  [(w[t][k], 1.0), (v[t - tau][k], 1.0)],
-                                  LE, 1.0)
+                    add(f"mindown[{g.id},{t},{tau}]",
+                        [(w[t][k], 1.0), (v[t - tau][k], 1.0)], LE, 1.0)
+            add(f"maxup[{g.id}]", [(u[t][k], 1.0) for t in range(T)], LE,
+                row="maxup", k=k)
+
+    def arrays(blocks):
+        return {name: np.array(b, dtype=np.intp) for name, b in blocks.items()}
+
+    cols = Columns(arrays(blk))
+    cols.dP = [np.array([dP[t][k] for t in range(T)], dtype=np.intp)
+               for k in range(G)]
+    cols.rows = arrays(rows)
+    cols.entries = arrays(ents)
+    cols.shape = _shape(scn, opt)
+    cols.scn = scn
+    return lp, cols
+
+
+def _cost_curve(g):
+    return linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
+                          N_SEGMENTS)
+
+
+def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
+                 opt: LayerOptions) -> None:
+    """Write one window's bounds, costs, right-hand sides and
+    window-dependent coefficients into a program built by
+    :func:`_structure` for the same scenario and shape.
+
+    Every value is computed with the same floating-point operations, in
+    the same order, as a row-by-row build would, so a refilled program is
+    bitwise the program built afresh for the window.
+    """
+    lp, cols = program
+    T = opt.steps
+    for series in (*fc.load.values(), *fc.semi.values()):
+        if len(series) < T:
+            raise DispatchError(
+                f"forecast horizon {len(series)} shorter than {T} steps")
+    gens, semis, loads = scn.generators, scn.semis, scn.loads
+    gamma = scn.gamma_loss
+    sced = opt.layer == "sced"
+    dt = opt.step_minutes
+    hours = opt.hour_of_step or [0] * T
+    lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
+    rows, ents = cols.rows, cols.entries
+
+    # [step, generator] blocks: fuel price, availability net of outages.
+    cf = np.array([[g.fuel_price(h) for g in gens] for h in hours])
+    cf = cf.reshape(T, len(gens))
+    g_on = np.array([_available(opt.outage_gen, g.id, T) for g in gens]).T
+    g_on = g_on.reshape(T, len(gens))
+    pmin = np.array([g.p_min for g in gens])
+    pmax = np.array([g.p_max for g in gens])
+    at_min = np.array([_cost_curve(g).cost_at_min for g in gens])
+    # Available semi-dispatchable energy per step; withholding a fraction
+    # cv of the curtailable share d takes -d*avail*cv off delivery.
+    semi_avail = [_available(opt.outage_semi, sm.id, T) *
+                  np.asarray(fc.semi[sm.id], dtype=float)[:T]
+                  for sm in semis]
+    load = [np.asarray(fc.load[ld.bubble], dtype=float)[:T] for ld in loads]
+
+    # -- generators ------------------------------------------------------
+    for k, g in enumerate(gens):
+        obj[cols.dP[k]] = cf[:, k, None] * _cost_curve(g).slopes
+    fixed_cost = 0.0
+    if sced:
+        wv = np.array([np.asarray(opt.pinned_w[g.id], dtype=float)[:T]
+                       for g in gens]).T.reshape(T, len(gens))
+        # Segments only price output above the committed floor.
+        for c in ((wv * cf) * at_min).ravel().tolist():
+            fixed_cost += c
+        floor = (wv * g_on) * pmin
+        lb[cols["P"]] = floor
+        ub[cols["P"]] = (wv * g_on) * pmax
+        rhs[rows["seg"]] = floor
+        uf, vf = opt.fixed_uv
+        p0 = np.array([float(init.output.get(g.id, 0.0)) for g in gens])
+        ur = np.array([float(uf.get(g.id, 0.0)) for g in gens])
+        vr = np.array([float(vf.get(g.id, 0.0)) for g in gens])
+        rmax = np.array([g.r_max for g in gens])
+        rmin = np.array([g.r_min for g in gens])
+        rhs[rows["ramp+"]] = (p0 + rmax * dt) + pmax * ur
+        rhs[rows["ramp-"]] = (p0 + rmin * dt) - pmax * vr
+    else:
+        # Commitment carries the cost of running at P^min.
+        obj[cols["w"]] = cf * at_min
+        obj[cols["u"]] = cf * np.array([g.h_u for g in gens])
+        obj[cols["v"]] = cf * np.array([g.h_d for g in gens])
+        lp.set_coeffs(ents["seg.w"], -g_on * pmin)
+        lp.set_coeffs(ents["plim.w"], -g_on * pmax)
+        steps_per_hour = 60.0 / opt.step_minutes
+        for k, g in enumerate(gens):
+            col = cols["w"][:, k]
+            w0 = float(init.online.get(g.id, 0.0))
+            p0 = float(init.output.get(g.id, 0.0))
+            rhs[rows["link"][0, k]] = w0
+            rhs[rows["ramp+"][0, k]] = p0 + g.r_max * dt
+            rhs[rows["ramp-"][0, k]] = p0 + g.r_min * dt
+            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
+            if g.kind == "must-run":
+                lb[col], ub[col] = 1.0, 1.0
+                continue
+            if pin is not None:
+                lb[col] = ub[col] = np.asarray(pin, dtype=float)[:T]
+                continue
+            lb[col], ub[col] = 0.0, 1.0
             # Initial history: finish the current minimum-run window.
             hist = float(init.run_hours.get(g.id, 0.0))
-            w0 = float(init.online.get(g.id, 0.0))
             if w0 > 0.5 and hist < g.t_u:
                 remain = int(math.ceil((g.t_u - hist) * steps_per_hour))
-                for t in range(min(remain, T)):
-                    lp.variables[w[t][k]].lb = 1.0
+                lb[col[:remain]] = 1.0
             if w0 < 0.5 and -hist < g.t_d:
                 remain = int(math.ceil((g.t_d + hist) * steps_per_hour))
-                for t in range(min(remain, T)):
-                    lp.variables[w[t][k]].ub = 0.0
+                ub[col[:remain]] = 0.0
             used = int(init.starts_used.get(g.id, 0))
             ahead = int(init.starts_ahead.get(g.id, 0))
-            lp.add_constr(f"maxup[{g.id}]",
-                          [(u[t][k], 1.0) for t in range(T)],
-                          LE, max(g.u_max - used - ahead, 0))
-    cols = Columns({name: np.array(b, dtype=np.intp)
-                    for name, b in blk.items()})
+            rhs[rows["maxup"][0, k]] = float(max(g.u_max - used - ahead, 0))
     cols.fixed_cost = fixed_cost
-    return lp, cols
+
+    # -- storage initial state --------------------------------------------
+    if opt.pinned_storage is None:
+        for k, st in enumerate(scn.storages):
+            mg = float(init.mode_gen.get(st.id, 1.0 if st.mode_gen0 else 0.0))
+            mp = float(init.mode_pump.get(st.id,
+                                          1.0 if st.mode_pump0 else 0.0))
+            rhs[rows["stor"][0, k]] = float(init.energy.get(
+                st.id, st.initial_energy))
+            rhs[rows["flip1"][0, k]] = 1.0 - mp
+            rhs[rows["flip2"][0, k]] = 1.0 - mg
+
+    # -- curtailment, shedding and the bubble balance ---------------------
+    for k, sm in enumerate(semis):
+        avail = semi_avail[k]
+        scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
+        if sm.d > 0:
+            # Withholding delivery at threshold price C forfeits C*d*avail.
+            obj[cols["cv"][:, k]] = -sm.price * sm.d * avail
+            lp.set_coeffs(ents["bal.cv"][:, k], scale * (-sm.d * avail))
+        if rows["ct1"][0, k] >= 0:
+            rhs[rows["ct1"][:, k]] = avail
+            if sm.d > 0:
+                lp.set_coeffs(ents["ct1.cv"][:, k], sm.d * avail)
+    for k, ld in enumerate(loads):
+        if ld.d > 0:
+            obj[cols["cl"][:, k]] = ld.price * ld.d * load[k]
+            lp.set_coeffs(ents["bal.cl"][:, k],
+                          (1.0 + gamma) * ld.d * load[k])
+    for kb, b in enumerate(scn.network.bubbles):
+        total = np.zeros(T)
+        if opt.pinned_storage is not None:
+            ps, ss = opt.pinned_storage
+            for st in scn.storages:
+                if st.bubble == b:
+                    total -= np.asarray(ps[st.id], dtype=float)[:T] - \
+                        np.asarray(ss[st.id], dtype=float)[:T]
+        for k, ld in enumerate(loads):
+            if ld.bubble == b:
+                total += (1.0 + gamma) * load[k]
+        for k, sm in enumerate(semis):
+            if sm.bubble == b:
+                scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
+                total -= scale * semi_avail[k]
+        rhs[rows["bal"][:, kb]] = total
 
 
 def initial_from_scenario(scn: Scenario) -> InitialState:
@@ -497,10 +618,20 @@ def initial_from_scenario(scn: Scenario) -> InitialState:
 
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
-                opt: LayerOptions, basis: Basis | None = None) -> Schedule:
-    """Build and solve the layer's program, starting from ``basis``
-    (usually the ``Schedule.basis`` of the layer's previous window)."""
-    lp, cols = build_program(scn, fc, init, opt)
+                opt: LayerOptions, basis: Basis | None = None,
+                program: tuple | None = None) -> Schedule:
+    """Fill and solve the layer's program, starting from ``basis``.
+
+    ``program`` and ``basis`` are usually the ``Schedule.program`` and
+    ``Schedule.basis`` of the layer's previous window: the program is
+    refilled for this window when its shape fits, else one is built.
+    """
+    if program is None or program[1].shape != _shape(scn, opt) or \
+            program[1].scn is not scn:
+        program = build_program(scn, fc, init, opt)
+    else:
+        fill_program(program, scn, fc, init, opt)
+    lp, cols = program
     if lp.binary_indices:
         sol = solve_milp(lp, basis=basis)
     else:
@@ -513,7 +644,9 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
             f"{opt.layer} infeasible; first violated family: {family}")
     if sol.status != "optimal":
         raise DispatchError(f"{opt.layer} solve ended with status {sol.status}")
-    return extract_schedule(scn, fc, sol, cols, opt)
+    sched = extract_schedule(scn, fc, sol, cols, opt)
+    sched.program = program
+    return sched
 
 
 def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,

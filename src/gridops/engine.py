@@ -162,9 +162,10 @@ def simulate(scn: Scenario, minutes: int,
             emergency.add(nxt)
     # Per-minute on/off status: the run as one window of 1-minute blocks.
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
-    # Each layer's last optimal basis: every window of a layer has the
-    # same shape, so it starts the next one.
-    bases = {}
+    # Each layer's last optimal basis and its program: every window of a
+    # layer has the same shape, so the basis starts the next window and
+    # the program is refilled for it.
+    bases, programs = {}, {}
 
     def current_state() -> InitialState:
         st = InitialState(online=dict(online), output=dict(output),
@@ -182,8 +183,10 @@ def simulate(scn: Scenario, minutes: int,
             fc = _forecasts(scn, seed, peak, "scuc", m, 60, t.scuc_horizon_h,
                             m // (t.scuc_horizon_h * 60))
             day_sched = run_scuc(scn, fc, current_state(), og, os_,
-                                 basis=bases.get("scuc"))
-            bases["scuc"] = day_sched.basis
+                                 basis=bases.get("scuc"),
+                                 program=programs.get("scuc"))
+            bases["scuc"], programs["scuc"] = day_sched.basis, \
+                day_sched.program
             starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
 
@@ -193,8 +196,9 @@ def simulate(scn: Scenario, minutes: int,
             fc = _forecasts(scn, seed, peak, "rtuc", m, t.rtuc_step_min,
                             rtuc_steps, m)
             intra = run_rtuc(scn, fc, current_state(), day_sched, m,
-                             og, os_, basis=bases.get("rtuc"))
-            bases["rtuc"] = intra.basis
+                             og, os_, basis=bases.get("rtuc"),
+                             program=programs.get("rtuc"))
+            bases["rtuc"], programs["rtuc"] = intra.basis, intra.program
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
@@ -226,8 +230,10 @@ def simulate(scn: Scenario, minutes: int,
                   for st_ in scn.storages}
             sced_now = run_sced(scn, fc, current_state(), commitment,
                                 starts, stops, (ps, ss), m, og, os_,
-                                basis=bases.get("sced"))
-            bases["sced"] = sced_now.basis
+                                basis=bases.get("sced"),
+                                program=programs.get("sced"))
+            bases["sced"], programs["sced"] = sced_now.basis, \
+                sced_now.program
             sced_base = dict(output)
             sced_minute = m
 

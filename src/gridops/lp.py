@@ -1,5 +1,10 @@
 """Dense primal simplex for linear programs with bounded variables.
 
+A :class:`LinearProgram` holds its program as arrays, and the solver reads
+them as they are: a solve copies nothing but the bounds that branch and
+bound overrides, so a program refilled in place for each use is never
+rebuilt.
+
 The solver is deliberately self-contained and deterministic: identical
 programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
 lowest-index tie-breaking and falls back to Bland's rule after a run of
@@ -76,27 +81,101 @@ class SolverError(Exception):
     """Malformed program or internal failure of the solver."""
 
 
-@dataclass
+def _append(buf: np.ndarray, size: int, values) -> np.ndarray:
+    """``buf`` with ``values`` written from position ``size`` on; the
+    buffer doubles when it is full, so appends cost O(1) amortized."""
+    k = np.size(values)
+    if size + k > len(buf):
+        grown = np.empty(max(2 * len(buf), size + k), buf.dtype)
+        grown[:size] = buf[:size]
+        buf = grown
+    buf[size:size + k] = values
+    return buf
+
+
+def _field(array: str):
+    """Property reading and writing entry ``_k`` of a program array."""
+    def get(self):
+        return getattr(self._lp, array)[self._k].item()
+
+    def put(self, value):
+        getattr(self._lp, array)[self._k] = value
+    return property(get, put)
+
+
 class Variable:
-    name: str
-    lb: float = 0.0
-    ub: float = INF
-    obj: float = 0.0
-    binary: bool = False
+    """Column ``j`` of a program, read and written through its arrays."""
+    __slots__ = ("_lp", "_k")
+
+    def __init__(self, lp: LinearProgram, j: int):
+        self._lp, self._k = lp, j
+
+    name = property(lambda self: self._lp.col_names[self._k])
+    lb = _field("lb")
+    ub = _field("ub")
+    obj = _field("obj")
+    binary = _field("binary")
 
 
-@dataclass
 class Constraint:
-    name: str
-    coeffs: list[tuple[int, float]]
-    sense: str
-    rhs: float
+    """Row ``i`` of a program, read and written through its arrays."""
+    __slots__ = ("_lp", "_k")
+
+    def __init__(self, lp: LinearProgram, i: int):
+        self._lp, self._k = lp, i
+
+    name = property(lambda self: self._lp.row_names[self._k])
+    sense = property(lambda self: self._lp.senses[self._k])
+    rhs = _field("rhs")
+
+    @property
+    def coeffs(self) -> list[tuple[int, float]]:
+        """The row's (column, coefficient) entries in insertion order."""
+        lp = self._lp
+        span = slice(lp.indptr[self._k], lp.indptr[self._k + 1])
+        return list(zip(lp.entry_col[span].tolist(),
+                        lp.entry_val[span].tolist()))
 
 
-@dataclass
 class LinearProgram:
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[Constraint] = field(default_factory=list)
+    """A linear program held as arrays.
+
+    Columns: ``lb``, ``ub``, ``obj``, ``binary`` and ``col_names``.  Rows:
+    ``rhs``, ``senses`` and ``row_names``, with their entries kept in
+    insertion order as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
+    owns entries ``indptr[i]:indptr[i + 1]``).  ``A`` is the dense
+    constraint matrix, assembled from the entries once per structure: each
+    cell is ``0.0`` plus its entries, which keeps zeros unsigned and sums
+    repeated entries in order.  :meth:`set_coeffs` writes entries and their
+    cells in place, so a program of fixed structure is refilled for each
+    use without being built again.  The arrays are views: writing to them
+    changes the program.  ``variables`` and ``constraints`` give per-column
+    and per-row views over the same arrays.
+    """
+
+    def __init__(self):
+        self.n = self.m = self.nnz = 0
+        self.col_names: list[str] = []
+        self.row_names: list[str] = []
+        self.senses: list[str] = []
+        self._lb = self._ub = self._obj = np.empty(0)
+        self._binary = np.empty(0, dtype=bool)
+        self._rhs = np.empty(0)
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._erow = self._ecol = np.empty(0, dtype=np.intp)
+        self._eval = np.empty(0)
+        self._A: np.ndarray | None = None
+        self._repeated = False       # some cell has more than one entry
+
+    lb = property(lambda self: self._lb[:self.n])
+    ub = property(lambda self: self._ub[:self.n])
+    obj = property(lambda self: self._obj[:self.n])
+    binary = property(lambda self: self._binary[:self.n])
+    rhs = property(lambda self: self._rhs[:self.m])
+    indptr = property(lambda self: self._indptr[:self.m + 1])
+    entry_row = property(lambda self: self._erow[:self.nnz])
+    entry_col = property(lambda self: self._ecol[:self.nnz])
+    entry_val = property(lambda self: self._eval[:self.nnz])
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, binary: bool = False) -> int:
@@ -104,40 +183,87 @@ class LinearProgram:
             raise SolverError(f"binary variable {name} needs bounds within [0,1]")
         if lb > ub:
             raise SolverError(f"variable {name} has empty domain [{lb},{ub}]")
-        self.variables.append(Variable(name, float(lb), float(ub), float(obj), binary))
-        return len(self.variables) - 1
+        n = self.n
+        self._lb = _append(self._lb, n, float(lb))
+        self._ub = _append(self._ub, n, float(ub))
+        self._obj = _append(self._obj, n, float(obj))
+        self._binary = _append(self._binary, n, binary)
+        self.col_names.append(name)
+        self.n = n + 1
+        self._A = None
+        return n
 
     def add_constr(self, name: str, coeffs: list[tuple[int, float]],
                    sense: str, rhs: float) -> int:
         if sense not in (LE, EQ, GE):
             raise SolverError(f"unknown sense {sense!r} in constraint {name}")
-        n = len(self.variables)
-        for j, _ in coeffs:
-            if not 0 <= j < n:
+        cols = [j for j, _ in coeffs]
+        for j in cols:
+            if not 0 <= j < self.n:
                 raise SolverError(f"constraint {name} references variable index {j}")
-        self.constraints.append(Constraint(name, list(coeffs), sense, float(rhs)))
-        return len(self.constraints) - 1
+        i, k = self.m, len(cols)
+        self._erow = _append(self._erow, self.nnz, np.full(k, i))
+        self._ecol = _append(self._ecol, self.nnz, cols)
+        self._eval = _append(self._eval, self.nnz, [a for _, a in coeffs])
+        self.nnz += k
+        self._indptr = _append(self._indptr, i + 1, self.nnz)
+        self._rhs = _append(self._rhs, i, float(rhs))
+        self.senses.append(sense)
+        self.row_names.append(name)
+        self.m = i + 1
+        self._A = None
+        return i
+
+    def entry(self, i: int, j: int) -> int:
+        """Index of the first entry of row ``i`` in column ``j``."""
+        lo = self._indptr[i]
+        hits = np.flatnonzero(self._ecol[lo:self._indptr[i + 1]] == j)
+        if not hits.size:
+            raise SolverError(f"constraint {self.row_names[i]} has no entry "
+                              f"in column {j}")
+        return int(lo + hits[0])
+
+    def set_coeffs(self, entries: np.ndarray, values: np.ndarray) -> None:
+        """Write the values of existing entries (indices into the entry
+        arrays) and of their matrix cells."""
+        self._eval[entries] = values
+        if self._A is None:
+            return
+        if self._repeated:
+            self._A = None
+        else:
+            self._A[self._erow[entries], self._ecol[entries]] = \
+                0.0 + self._eval[entries]
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense m x n constraint matrix (held; do not write to it)."""
+        if self._A is None:
+            rows, cols = self.entry_row, self.entry_col
+            A = np.zeros((self.m, self.n))
+            np.add.at(A, (rows, cols), self.entry_val)
+            self._repeated = bool(
+                np.unique(rows * self.n + cols).size < self.nnz)
+            self._A = A
+        return self._A
+
+    @property
+    def variables(self) -> list[Variable]:
+        return [Variable(self, j) for j in range(self.n)]
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        return [Constraint(self, i) for i in range(self.m)]
 
     @property
     def binary_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.binary]
+        return np.flatnonzero(self.binary).tolist()
 
     def dense(self) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray,
                              np.ndarray, np.ndarray]:
-        """Return (A, b, senses, c, l, u) as dense arrays."""
-        m, n = len(self.constraints), len(self.variables)
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        senses = []
-        for i, con in enumerate(self.constraints):
-            for j, a in con.coeffs:
-                A[i, j] += a
-            b[i] = con.rhs
-            senses.append(con.sense)
-        c = np.array([v.obj for v in self.variables], dtype=float)
-        l = np.array([v.lb for v in self.variables], dtype=float)
-        u = np.array([v.ub for v in self.variables], dtype=float)
-        return A, b, senses, c, l, u
+        """Return copies of (A, b, senses, c, l, u) as dense arrays."""
+        return (self.A.copy(), self.rhs.copy(), list(self.senses),
+                self.obj.copy(), self.lb.copy(), self.ub.copy())
 
 
 class Basis(NamedTuple):
@@ -179,7 +305,9 @@ class _Simplex:
     Columns are the structurals, one slack per row (``A x + s = b``, with
     ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
     artificial ``art_sign[k] * A[:, art_src[k]]`` for each basic column
-    parked at a bound.  The starting basis is ``start`` when it is usable,
+    parked at a bound.  The structural block ``An`` is the program's own
+    matrix, read in place; a slack or artificial column is formed when a
+    pivot needs it.  The starting basis is ``start`` when it is usable,
     otherwise a triangular crash (:func:`_crash`) with every row that no
     structural takes on its slack.  ``warm`` tells which one was used.
     """
@@ -189,8 +317,9 @@ class _Simplex:
                  start: Basis | None = None):
         m, n = A.shape
         self.m, self.n = m, n
-        is_le = np.array([s == LE for s in senses], dtype=bool)
-        is_ge = np.array([s == GE for s in senses], dtype=bool)
+        self.An = A
+        self.is_le = is_le = np.array([s == LE for s in senses], dtype=bool)
+        self.is_ge = is_ge = np.array([s == GE for s in senses], dtype=bool)
         lo = np.concatenate([l, np.where(is_ge, -INF, 0.0)])
         hi = np.concatenate([u, np.where(is_le, INF, 0.0)])
 
@@ -204,7 +333,9 @@ class _Simplex:
         if start is not None and _usable(start, m, n):
             given = np.asarray(start.cols)
             cols = given[given < n]
-            rows = np.setdiff1d(np.arange(m), given[given >= n] - n)
+            on_slack = np.zeros(m, dtype=bool)
+            on_slack[given[given >= n] - n] = True
+            rows = np.flatnonzero(~on_slack)
             Tinv = _factor(A[np.ix_(rows, cols)])
         self.warm = Tinv is not None
         if self.warm:
@@ -236,14 +367,8 @@ class _Simplex:
         basis[park] = art
         xb[park] = (xb[park] - at) * sign
 
-        # Columns: structurals, one slack per row, one artificial per
-        # parked column (``+ 0.0`` keeps zeros unsigned).
         self.ncols = n + m + k
-        self.A = np.zeros((m, self.ncols))
-        self.A[:, :n] = A
-        self.A[np.arange(m), n + np.arange(m)] = 1.0
-        self.A[:, art] = self.A[:, src] * sign + 0.0
-        self.b = b.copy()
+        self.b = b
         self.l = np.concatenate([lo, np.zeros(k)])
         self.u = np.concatenate([hi, np.full(k, INF)])
         self.x = np.concatenate([x, np.zeros(k)])
@@ -259,14 +384,42 @@ class _Simplex:
         self.phase1_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
 
+    # -- columns ---------------------------------------------------------
+
+    @property
+    def A(self) -> np.ndarray:
+        """All columns as one matrix: structurals, one slack ``e_i`` per row
+        and one artificial per parked column (``+ 0.0`` keeps zeros
+        unsigned).  Built on demand; pivots read single columns."""
+        m, n = self.m, self.n
+        full = np.zeros((m, self.ncols))
+        full[:, :n] = self.An
+        full[np.arange(m), n + np.arange(m)] = 1.0
+        full[:, self.art] = full[:, self.art_src] * self.art_sign + 0.0
+        return full
+
+    def _column(self, j: int) -> np.ndarray:
+        """Column ``j`` of :attr:`A`."""
+        n, m = self.n, self.m
+        if j < n:
+            return self.An[:, j]
+        if j < n + m:
+            e = np.zeros(m)
+            e[j - n] = 1.0
+            return e
+        k = j - n - m
+        return self._column(int(self.art_src[k])) * self.art_sign[k] + 0.0
+
     # -- core iteration -------------------------------------------------
 
-    def _refactor(self):
-        B = self.A[:, self.basis]
+    def _refactor(self) -> np.ndarray:
+        """Invert the basis afresh; returns :attr:`A`."""
+        full = self.A
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(full[:, self.basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SolverError("singular basis during refactorization") from exc
+        return full
 
     def _iterate(self, cost: np.ndarray) -> str:
         """Run simplex to optimality for the given cost vector."""
@@ -275,17 +428,17 @@ class _Simplex:
         degen_streak = 0
         while True:
             if self.pivots and self.pivots % _REFACTOR_EVERY == 0:
-                self._refactor()
+                full = self._refactor()
                 # Recompute basic values from scratch for accuracy.
                 nb = self.state != _BASIC
-                rhs = self.b - self.A[:, nb] @ self.x[nb]
+                rhs = self.b - full[:, nb] @ self.x[nb]
                 self.x[self.basis] = self.Binv @ rhs
 
             # Reduced costs: slack columns are e_i and each artificial a
             # signed copy of a structural or slack, so only the structural
             # block needs a product.
             y = cost[self.basis] @ self.Binv
-            ya = y @ self.A[:, :n]
+            ya = y @ self.An
             r = np.empty(self.ncols)
             r[:n] = cost[:n] - ya
             r[n:n + m] = cost[n:n + m] - y
@@ -308,7 +461,7 @@ class _Simplex:
                 j = int(np.flatnonzero(viol)[0])               # Bland
             dirn = 1.0 if (incr[j] and r[j] < -COST_TOL) else -1.0
 
-            d = self.Binv @ (dirn * self.A[:, j])
+            d = self.Binv @ (dirn * self._column(j))
             # Ratio test: basics move by -d * t.
             t_best = self.u[j] - self.x[j] if dirn > 0 else self.x[j] - self.l[j]
             leave_pos = -1
@@ -411,10 +564,15 @@ class _Simplex:
 def _usable(start: Basis, m: int, n: int) -> bool:
     """Whether ``start`` fits an m-row, n-column program: m distinct
     columns among the n structurals and m slacks, and n + m states."""
-    if np.shape(start.cols) != (m,) or np.shape(start.states) != (n + m,):
+    cols = np.asarray(start.cols)
+    if cols.shape != (m,) or np.shape(start.states) != (n + m,) or \
+            cols.dtype.kind not in "iu":
         return False
-    cols = set(np.asarray(start.cols).tolist())
-    return len(cols) == m and all(0 <= j < n + m for j in cols)
+    if not m:
+        return True
+    if cols.min() < 0 or cols.max() >= n + m:
+        return False
+    return int(np.bincount(cols).max()) == 1
 
 
 def _factor(T: np.ndarray) -> np.ndarray | None:
@@ -521,15 +679,16 @@ def solve_lp(lp: LinearProgram,
              basis: Basis | None = None) -> Solution:
     """Solve an LP (binaries, if any, are relaxed to their bounds).
 
-    ``var_bounds`` optionally overrides individual variable bounds, which is
-    how branch and bound fixes binaries without copying the program.
-    ``basis`` is a starting basis, usually the ``basis`` of an earlier
-    optimal solve of a program of the same shape; an unusable one is
-    replaced by the crash.  Every optimal solution is checked by
-    ``verify_certificates`` and carries its own basis.
+    The solve reads the program's own arrays; nothing is copied but the
+    bounds that ``var_bounds`` overrides, which is how branch and bound
+    fixes binaries without copying the program.  ``basis`` is a starting
+    basis, usually the ``basis`` of an earlier optimal solve of a program
+    of the same shape; an unusable one is replaced by the crash.  Every
+    optimal solution is checked by ``verify_certificates`` and carries its
+    own basis.
     """
-    A, b, senses, c, l, u = lp.dense()
-    l, u = _apply_overrides(l, u, var_bounds)
+    A, b, senses, c = lp.A, lp.rhs, lp.senses, lp.obj
+    l, u = _apply_overrides(lp.lb, lp.ub, var_bounds)
     if np.any(l > u):
         return Solution(status="infeasible")
     sx = _Simplex(A, b, senses, c, l, u, basis)
@@ -543,53 +702,49 @@ def solve_lp(lp: LinearProgram,
         phase1_pivots += sx.phase1_pivots
     counts = dict(pivots=pivots, phase1_pivots=phase1_pivots)
     if status != "optimal":
-        names = [lp.constraints[i].name for i in bad_rows]
+        names = [lp.row_names[i] for i in bad_rows]
         return Solution(status=status, infeasible_rows=names, **counts)
-    x = sx.x[: len(lp.variables)].copy()
+    x = sx.x[:lp.n].copy()
     duals = np.asarray(y).copy()
     sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
                    basis=sx.final_basis(), **counts)
-    verify_certificates(lp, sol, sx, c, A, b, senses)
+    verify_certificates(lp, sol, sx)
     return sol
 
 
 def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
-                        c: np.ndarray, A: np.ndarray, b: np.ndarray,
-                        senses: list[str], tol: float = CHECK_TOL) -> None:
+                        tol: float = CHECK_TOL) -> None:
     """Primal feasibility, dual feasibility and complementary slackness.
 
-    ``A``, ``b`` and ``senses`` are the program as ``lp.dense()`` gives it.
-    Raises SolverError if any condition is violated beyond ``tol``.
+    Rows are checked by their sense against ``lp``, structurals against
+    the bounds ``sx`` solved with, and the reduced cost of every column of
+    ``sx`` that is not fixed by its state.  Each test is an "ok" mask, so a
+    NaN fails it.  Raises SolverError naming the first violation beyond
+    ``tol``.
     """
-    x = sol.x
-    ax = A @ x if len(lp.constraints) else np.zeros(0)
-    for i, s in enumerate(senses):
-        r = ax[i] - b[i]
-        ok = (s == LE and r <= tol) or (s == GE and r >= -tol) or \
-             (s == EQ and abs(r) <= tol)
-        if not ok:
-            raise SolverError(
-                f"primal infeasibility {r:.3e} in {lp.constraints[i].name}")
-    for j, v in enumerate(lp.variables):
-        lo, hi = sx.l[j], sx.u[j]
-        if x[j] < lo - tol or x[j] > hi + tol:
-            raise SolverError(f"bound violation on {v.name}")
+    x, y = sol.x, sol.duals
+    n, m = sx.n, sx.m
+    r = lp.A @ x - lp.rhs
+    ok = np.where(sx.is_le, r <= tol,
+                  np.where(sx.is_ge, r >= -tol, np.abs(r) <= tol))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SolverError(
+            f"primal infeasibility {r[i]:.3e} in {lp.row_names[i]}")
+    ok = (x >= sx.l[:n] - tol) & (x <= sx.u[:n] + tol)
+    if not ok.all():
+        raise SolverError(f"bound violation on {lp.col_names[np.argmin(ok)]}")
     # Reduced costs over structurals + slacks (dual feasibility + slackness);
     # slack columns are e_i with zero cost.
-    r = np.concatenate([c - sol.duals @ A, -sol.duals])
-    for j in range(sx.n + sx.m):
-        if sx.l[j] == sx.u[j]:
-            continue
-        st = sx.state[j]
-        if st == _BASIC:
-            if abs(r[j]) > tol:
-                raise SolverError(f"nonzero reduced cost {r[j]:.3e} on basic col {j}")
-        elif st == _AT_LB:
-            if r[j] < -tol:
-                raise SolverError(f"dual infeasibility {r[j]:.3e} at lower bound col {j}")
-        elif st == _AT_UB:
-            if r[j] > tol:
-                raise SolverError(f"dual infeasibility {r[j]:.3e} at upper bound col {j}")
-        else:  # free nonbasic
-            if abs(r[j]) > tol:
-                raise SolverError(f"dual infeasibility {r[j]:.3e} on free col {j}")
+    rc = np.concatenate([lp.obj - y @ lp.A, -y])
+    st = sx.state[:n + m]
+    ok = np.where(st == _AT_LB, rc >= -tol,
+                  np.where(st == _AT_UB, rc <= tol, np.abs(rc) <= tol))
+    ok |= sx.l[:n + m] == sx.u[:n + m]
+    if not ok.all():
+        j = int(np.argmin(ok))
+        what = {_BASIC: "nonzero reduced cost {:.3e} on basic col {}",
+                _AT_LB: "dual infeasibility {:.3e} at lower bound col {}",
+                _AT_UB: "dual infeasibility {:.3e} at upper bound col {}",
+                _FREE: "dual infeasibility {:.3e} on free col {}"}[st[j]]
+        raise SolverError(what.format(rc[j], j))

@@ -19,10 +19,12 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
              day_sched: Schedule, start_minute: int,
              outage_gen: dict | None = None,
              outage_semi: dict | None = None,
-             basis: Basis | None = None) -> Schedule:
+             basis: Basis | None = None,
+             program: tuple | None = None) -> Schedule:
     """Solve one same-day commitment window starting at ``start_minute``.
 
-    ``basis`` is the start (the previous window's ``Schedule.basis``).
+    ``basis`` is the start and ``program`` the program to refill (the
+    previous window's ``Schedule.basis`` and ``Schedule.program``).
 
     ``init.starts_used`` counts fast-start cycles already used today;
     day-ahead starts after the window are charged against the budget too.
@@ -63,4 +65,4 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
         hour_of_step=[(start_minute + t * step_min) // 60 % 24
                       for t in range(steps)],
     )
-    return solve_layer(scn, fc, init, opt, basis)
+    return solve_layer(scn, fc, init, opt, basis, program)

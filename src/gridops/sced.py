@@ -18,13 +18,15 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
              minute: int = 0,
              outage_gen: dict | None = None,
              outage_semi: dict | None = None,
-             basis: Basis | None = None) -> Schedule:
+             basis: Basis | None = None,
+             program: tuple | None = None) -> Schedule:
     """Dispatch against the current commitment for the next interval.
 
     ``commitment`` gives each unit's on/off status for the interval;
     ``starts``/``stops`` relax the ramp limits of units changing state.
     ``init.output`` holds the outputs the fleet is moving from.  ``basis``
-    is the start (the previous interval's ``Schedule.basis``).
+    is the start and ``program`` the program to refill (the previous
+    interval's ``Schedule.basis`` and ``Schedule.program``).
     """
     step_min = scn.timing.sced_step_min
     pinned = {g.id: np.array([float(commitment.get(g.id, 0.0))])
@@ -39,7 +41,7 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
         outage_gen=outage_gen, outage_semi=outage_semi,
         hour_of_step=[minute // 60 % 24],
     )
-    return solve_layer(scn, fc, init, opt, basis)
+    return solve_layer(scn, fc, init, opt, basis, program)
 
 
 def setpoints(sched: Schedule) -> dict[str, float]:

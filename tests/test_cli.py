@@ -100,6 +100,22 @@ def test_non_optimal_solve_exits_3(mini, tmp_path, monkeypatch, capsys):
     assert "scuc solve ended with status node_limit" in capsys.readouterr().err
 
 
+def test_scenario_without_loads_simulates(mini, tmp_path):
+    # With no [load] section there are no load forecasts: a window has
+    # only its semi series, so the horizon is read from those.
+    with open(mini, encoding="utf-8") as fh:
+        text = fh.read()
+    while (start := text.find("[load ")) >= 0:
+        end = text.find("\n[", start)
+        text = text[:start] + text[end + 1:]
+    with open(mini, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main(["validate", mini]) == 0
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--days", "1", "--out", out]) == 0
+    assert main(["metrics", out, "--scenario", mini]) == 0
+
+
 def test_metrics_from_trace(mini, tmp_path):
     out = str(tmp_path / "run")
     assert main(["simulate", mini, "--minutes", "30", "--out", out,

@@ -220,6 +220,28 @@ def test_start_budget_exhaustion_blocks_commitment():
     assert float(intra.super_pos["a"].min()) >= 50.0 - 1e-6
 
 
+def test_program_is_refilled_only_where_its_shape_fits():
+    scn = one_bubble(fast_fleet(), horizon=4)
+    init = initial_from_scenario(scn)
+    day = run_scuc(scn, flat(scn, 80.0), init)
+    T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
+    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    fresh = run_rtuc(scn, fc, init, day, start_minute=0)
+    # The day-ahead program has another shape: a new one is built.
+    rebuilt = run_rtuc(scn, fc, init, day, start_minute=0,
+                       program=day.program)
+    assert rebuilt.program is not day.program
+    # A program of the same shape, filled for another window, is refilled.
+    other = run_rtuc(scn, Forecasts(load={"a": np.full(T, 60.0)}, semi={}),
+                     init, day, start_minute=0)
+    refilled = run_rtuc(scn, fc, init, day, start_minute=0,
+                        program=other.program)
+    assert refilled.program is other.program
+    for sched in (rebuilt, refilled):
+        assert sched.objective == fresh.objective
+        assert sched.p["fast"].tolist() == fresh.p["fast"].tolist()
+
+
 def sced_scn():
     g = Generator(id="g", bubble="a", kind="must-run", online=True,
                   p_min=20.0, p_max=100.0, h_l=5.0, initial_output=50.0,

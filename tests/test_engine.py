@@ -170,16 +170,18 @@ def test_written_trace_has_no_signed_zeros(mini, tmp_path):
         "0,0.000000,0.000000,0.000000"
 
 
-def _cadence(path):
+def _cadence(path, outages=(("gas2", 125, 40),)):
     """The fixture on a 5-minute market with default forecast errors and
-    a generator outage that triggers a contingency window."""
+    outages (resource, start, duration) that trigger contingency windows."""
     scn = load_scenario(path)
     scn.timing = Timing(scuc_horizon_h=2, rtuc_step_min=5,
                         rtuc_horizon_min=30, rtuc_period_min=30,
                         sced_step_min=5)
     for res in scn.loads + scn.semis:
         res.eps_da = res.eps_st = res.eps_rt = None
-    scn.outages.append(Outage(resource="gas2", start=125, duration=40))
+    for rid, start, duration in outages:
+        scn.outages.append(Outage(resource=rid, start=start,
+                                  duration=duration))
     return scn
 
 
@@ -224,3 +226,48 @@ def test_warm_starts_keep_every_schedule_objective(mini, monkeypatch):
     for layer in ("scuc", "rtuc", "sced"):
         assert sum(w[2] for w in warm if w[0] == layer) < \
             sum(c[2] for c in cold if c[0] == layer)
+
+
+def _snapshot(program):
+    """Every array, sense, name and binary flag of a program, as bytes and
+    lists, and the cost it leaves outside the program."""
+    lp, cols = program
+    A, b, senses, c, l, u = lp.dense()
+    return ([a.tobytes() for a in (A, b, c, l, u)], senses,
+            lp.binary.tobytes(), lp.col_names, lp.row_names, cols.fixed_cost)
+
+
+def test_refilled_programs_equal_fresh_builds(mini, monkeypatch):
+    # The mini3-cadence day: every window's program, refilled from the
+    # layer's previous window, is bitwise the program built afresh for it;
+    # refilling the windows again in reverse shows that no value is left
+    # over from the window filled before.
+    scn = _cadence(mini, (("gas2", 605, 90), ("sun1", 800, 30)))
+    build, fill = dispatch.build_program, dispatch.fill_program
+    extract = dispatch.extract_schedule
+    windows = []
+
+    # A build fills the new structure through fill_program too.
+    def record_fill(program, *args):
+        fill(program, *args)
+        windows.append([args, program])
+
+    def record_extract(*args):
+        windows[-1].append(_snapshot(windows[-1][1]))
+        return extract(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dispatch, "fill_program", record_fill)
+        mp.setattr(dispatch, "extract_schedule", record_extract)
+        simulate(scn, 1440, seed=7)
+    layers = [args[3].layer for args, _, _ in windows]
+    assert [layers.count(x) for x in ("scuc", "rtuc", "sced")] == \
+        [12, 52, 288]
+    # One program per layer, built once and refilled for every window.
+    assert len({id(program) for _, program, _ in windows}) == 3
+    fresh = [_snapshot(build(*args)) for args, _, _ in windows]
+    for (_, _, got), want in zip(windows, fresh):
+        assert got == want
+    for (args, program, _), want in zip(windows[::-1], fresh[::-1]):
+        fill(program, *args)
+        assert _snapshot(program) == want

@@ -355,3 +355,46 @@ def test_warm_start_that_ends_infeasible_names_the_cold_rows():
     got = solve_lp(lp, basis=opt.basis)
     assert got.status == "infeasible"
     assert got.infeasible_rows == solve_lp(lp).infeasible_rows == ["c1"]
+
+
+def states_lp():
+    # At the optimum x sits at its upper bound 4, y is basic at 3, z at its
+    # lower bound and the free f nonbasic at 0; the "loose" row has slack,
+    # so its dual is 0 and leaves z's and f's reduced costs at 1 and 0.
+    lp = LinearProgram()
+    x = lp.add_var("x", 0, 4, obj=-1.0)
+    y = lp.add_var("y", 0, 10, obj=-1.0)
+    z = lp.add_var("z", 0, 5, obj=1.0)
+    f = lp.add_var("f", -INF, INF)
+    lp.add_constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
+    lp.add_constr("loose", [(z, 1.0), (f, 1.0)], LE, 100.0)
+    return lp
+
+
+@pytest.mark.parametrize("part, k, value, message", [
+    ("x", 1, 3.5, "primal infeasibility 1.000e\\+00 in cap"),
+    ("x", 1, np.nan, "primal infeasibility nan in cap"),
+    ("x", 2, -0.5, "bound violation on z"),
+    ("duals", 0, -0.4, "nonzero reduced cost -2.000e-01 on basic col 1"),
+    ("duals", 0, np.nan, "dual infeasibility nan at upper bound col 0"),
+    ("duals", 1, 2.0, "dual infeasibility -1.000e\\+00 at lower bound col 2"),
+    ("duals", 0, -2.0, "dual infeasibility 1.000e\\+00 at upper bound col 0"),
+    ("duals", 1, 1.0, "dual infeasibility -1.000e\\+00 on free col 3"),
+], ids=["primal_row", "primal_nan", "bound", "basic", "dual_nan",
+        "at_lower", "at_upper", "free"])
+def test_certificate_check_names_the_first_violation(monkeypatch, part, k,
+                                                     value, message):
+    real = lpmod.verify_certificates
+    seen = []
+    monkeypatch.setattr(lpmod, "verify_certificates",
+                        lambda *args: seen.append(args))
+    lp = states_lp()
+    sol = solve_lp(lp)
+    _, _, sx = seen[0]
+    assert sol.x.tolist() == [4.0, 3.0, 0.0, 0.0]
+    assert sx.state[:4].tolist() == [lpmod._AT_UB, lpmod._BASIC,
+                                     lpmod._AT_LB, lpmod._FREE]
+    real(lp, sol, sx)                 # the solved program passes
+    getattr(sol, part)[k] = value
+    with pytest.raises(lpmod.SolverError, match=f"^{message}$"):
+        real(lp, sol, sx)
