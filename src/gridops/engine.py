@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dispatch import Forecasts, InitialState, initial_from_scenario
 from .grid import dc_flow, factor_network, make_regulation, regulation_step
-from .profiles import forecast, synthesize_error
+from .profiles import forecast, synthesize_error, write_rows
 from .rtuc import run_rtuc
 from .scenario import Scenario, scenario_hash
 from .sced import run_sced
@@ -317,48 +317,35 @@ def _unsigned(values) -> np.ndarray:
 
 def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
                 seed: int, scenario_path: str | None = None) -> None:
+    """Write ``trace.csv``, ``flows.csv``, ``regulation.csv``, ``units.csv``
+    and ``manifest.json`` into ``outdir``.
+
+    Each CSV has one row per minute: the minute as an integer, then every
+    value printed as ``%.6f``.  A value in [-5e-7, 0] is printed as
+    ``0.000000``, so rounding noise cannot flip a sign in the output bytes.
+    """
     os.makedirs(outdir, exist_ok=True)
-    (imb_raw, imb, reg_total, load, gen, ver_av, ver_del, shed, sg) = (
-        _unsigned(a) for a in (
-            trace.imbalance_raw, trace.imbalance,
-            trace.regulation.sum(axis=1), trace.load, trace.generation,
-            trace.ver_available, trace.ver_delivered, trace.shed,
-            trace.supergen))
-    with open(os.path.join(outdir, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("minute,imbalance_raw_mw,imbalance_mw,regulation_mw,"
-                 "load_mw,generation_mw,ver_available_mw,ver_delivered_mw,"
-                 "shed_mw,supergen_mw\n")
-        for m in range(trace.minutes):
-            fh.write(f"{m},{imb_raw[m]:.6f},{imb[m]:.6f},{reg_total[m]:.6f},"
-                     f"{load[m]:.6f},{gen[m]:.6f},{ver_av[m]:.6f},"
-                     f"{ver_del[m]:.6f},{shed[m]:.6f},{sg[m]:.6f}\n")
-    flows = _unsigned(trace.flows)
-    iface = _unsigned(trace.interface_flow)
-    limit = _unsigned(trace.interface_limit)
-    with open(os.path.join(outdir, "flows.csv"), "w", encoding="utf-8") as fh:
-        head = ["minute"] + [f"flow:{b}" for b in trace.branch_names] + \
-            [f"iface:{n}" for n in trace.interface_names] + \
-            [f"limit:{n}" for n in trace.interface_names]
-        fh.write(",".join(head) + "\n")
-        for m in range(trace.minutes):
-            row = [str(m)] + [f"{x:.6f}" for x in flows[m]] + \
-                [f"{x:.6f}" for x in iface[m]] + \
-                [f"{x:.6f}" for x in limit[m]]
-            fh.write(",".join(row) + "\n")
-    regulation = _unsigned(trace.regulation)
-    with open(os.path.join(outdir, "regulation.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(",".join(["minute"] + trace.reg_units) + "\n")
-        for m in range(trace.minutes):
-            row = [str(m)] + [f"{x:.6f}" for x in regulation[m]]
-            fh.write(",".join(row) + "\n")
-    with open(os.path.join(outdir, "units.csv"), "w", encoding="utf-8") as fh:
-        ids = sorted(trace.unit_output)
-        outputs = [_unsigned(trace.unit_output[g]) for g in ids]
-        fh.write(",".join(["minute"] + ids) + "\n")
-        for m in range(trace.minutes):
-            row = [str(m)] + [f"{out[m]:.6f}" for out in outputs]
-            fh.write(",".join(row) + "\n")
+    m = trace.minutes
+    write_rows(os.path.join(outdir, "trace.csv"),
+               ["minute", "imbalance_raw_mw", "imbalance_mw", "regulation_mw",
+                "load_mw", "generation_mw", "ver_available_mw",
+                "ver_delivered_mw", "shed_mw", "supergen_mw"], m,
+               [_unsigned(a) for a in (
+                   trace.imbalance_raw, trace.imbalance,
+                   trace.regulation.sum(axis=1), trace.load, trace.generation,
+                   trace.ver_available, trace.ver_delivered, trace.shed,
+                   trace.supergen)])
+    write_rows(os.path.join(outdir, "flows.csv"),
+               ["minute"] + [f"flow:{b}" for b in trace.branch_names]
+               + [f"iface:{n}" for n in trace.interface_names]
+               + [f"limit:{n}" for n in trace.interface_names], m,
+               [_unsigned(trace.flows), _unsigned(trace.interface_flow),
+                _unsigned(trace.interface_limit)])
+    write_rows(os.path.join(outdir, "regulation.csv"),
+               ["minute"] + trace.reg_units, m, [_unsigned(trace.regulation)])
+    ids = sorted(trace.unit_output)
+    write_rows(os.path.join(outdir, "units.csv"), ["minute"] + ids, m,
+               [_unsigned(trace.unit_output[g]) for g in ids])
     manifest = {
         "scenario_hash": scenario_hash(scenario_path) if scenario_path
         else None,

@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .engine import SimulationTrace
+from .profiles import write_rows
 from .scenario import Scenario
 
 CURTAIL_TOL_MW = 1e-3
@@ -142,11 +143,8 @@ def write_report(outdir: str, rows) -> None:
 def write_duration(outdir: str, name: str, values: np.ndarray) -> None:
     os.makedirs(outdir, exist_ok=True)
     curve = duration_curve(values)
-    with open(os.path.join(outdir, f"duration_{name}.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("rank,value\n")
-        for i, v in enumerate(curve):
-            fh.write(f"{i},{v:.6f}\n")
+    write_rows(os.path.join(outdir, f"duration_{name}.csv"),
+               ["rank", "value"], len(curve), [curve])
 
 
 def write_hist(outdir: str, name: str, values: np.ndarray,
@@ -162,21 +160,19 @@ def write_hist(outdir: str, name: str, values: np.ndarray,
 
 def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
               scenario_name: str) -> None:
-    """Full metrics bundle: report, curves, histograms, plot data."""
+    """Full metrics bundle: report, curves, histograms, plot data.  Values
+    are printed as computed, with no clamping of -0.000000."""
+    net = trace.net_load()
     write_report(outdir, summarize(trace, scn, scenario_name))
     write_duration(outdir, "imbalance", np.abs(trace.imbalance))
-    write_duration(outdir, "net_load", trace.net_load())
+    write_duration(outdir, "net_load", net)
     write_hist(outdir, "imbalance", trace.imbalance, 1.0)
-    write_hist(outdir, "net_load", trace.net_load(), 10.0)
+    write_hist(outdir, "net_load", net, 10.0)
     plotdir = os.path.join(outdir, "plotdata")
     os.makedirs(plotdir, exist_ok=True)
-    minutes = np.arange(trace.minutes)
     for name, series in (("imbalance", trace.imbalance),
-                         ("net_load", trace.net_load()),
+                         ("net_load", net),
                          ("curtailment", trace.curtailment()),
                          ("regulation", trace.regulation.sum(axis=1))):
-        with open(os.path.join(plotdir, f"{name}.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("minute,value\n")
-            for m, v in zip(minutes, series):
-                fh.write(f"{m},{v:.6f}\n")
+        write_rows(os.path.join(plotdir, f"{name}.csv"), ["minute", "value"],
+                   trace.minutes, [series])

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Rows formatted per write_rows chunk: large enough that the per-chunk
+# cost vanishes, small enough that a chunk's text stays a few hundred KB.
+ROW_CHUNK = 2000
+
+
 class ProfileError(ValueError):
     pass
 
@@ -198,8 +203,27 @@ def read_profile(path) -> Profile:
     return Profile(np.array(vals), start=start)
 
 
-def write_profile(path, p: Profile) -> None:
+def write_rows(path, header: list[str], n: int, columns,
+               first: int = 0) -> None:
+    """Write a CSV of ``header`` and then ``n`` rows ``i,v1,...,vk`` for
+    ``i`` from ``first``: the index as an integer, each value as ``%.6f``.
+
+    ``columns`` holds arrays of ``n`` rows, each one value (1-D) or a group
+    of values (2-D, possibly with no columns) per row, laid out left to
+    right.  The rows are formatted ROW_CHUNK at a time, by one ``%`` of the
+    row format repeated over the chunk, and each chunk is written at once,
+    so no whole-file string is ever built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("minute,value_mw\n")
-        for i, v in enumerate(p.values):
-            fh.write(f"{p.start + i},{v:.6f}\n")
+        fh.write(",".join(header) + "\n")
+        for s in range(0, n, ROW_CHUNK):
+            e = min(s + ROW_CHUNK, n)
+            block = np.column_stack([np.arange(first + s, first + e)]
+                                    + [c[s:e] for c in columns])
+            fmt = "%d" + ",%.6f" * (block.shape[1] - 1) + "\n"
+            fh.write((fmt * (e - s)) % tuple(block.ravel().tolist()))
+
+
+def write_profile(path, p: Profile) -> None:
+    write_rows(path, ["minute", "value_mw"], len(p), [p.values],
+               first=p.start)
