@@ -1,10 +1,25 @@
 """Closed-loop simulation: layered scheduling over actual 1-minute profiles.
 
-Each day starts with an hourly commitment run; every hour a 15-minute
-commitment window re-optimizes fast-start units against fresher forecasts;
-every 10 minutes an economic dispatch issues setpoints; every minute units
-ramp linearly toward their setpoints, the DC network is solved, and the
-regulation loop responds to the raw imbalance at the swing bus.
+A run is a day-ahead commitment (SCUC) every ``scuc_horizon_h`` hours, a
+fast-start commitment window (RTUC) every ``rtuc_period_min`` minutes and
+at each outage, an economic dispatch (SCED) every ``sced_step_min``
+minutes, and minute-by-minute physics: units ramp linearly toward their
+setpoints, the DC network is solved, and the regulation loop responds to
+the raw imbalance at the swing bus.  :func:`simulate` does this in three
+passes, each doing only what a window or a minute changes:
+
+1. *Inputs.*  Every window's start is known before the first minute, so
+   each layer's forecasts are synthesized for all its windows at once:
+   one error draw per entity and window, from the same seeds as ever.
+2. *Dispatch.*  The minutes in order, solving each window as it starts
+   and keeping only what feeds the next solve: commitment, unit ramps
+   and storage energy.  Each SCED leaves the few values the physics reads
+   (curtailed and shed fractions, DR output, supergeneration).
+3. *Physics.*  From the unit outputs and those values, the per-minute
+   injections, then regulation stepped through every minute in one call
+   and the network solved for every minute in one stacked solve, summed
+   and solved in the order the per-minute loop used, so the trace is
+   bitwise the same.
 """
 
 from __future__ import annotations
@@ -78,25 +93,37 @@ def _entity_seed(master: int, entity: str, layer: str, window: int) -> int:
     return (int(master) * 1_000_003 + zlib.crc32(tag)) % (2 ** 31)
 
 
-def _forecasts(scn: Scenario, seed: int, peak: float, layer: str, m0: int,
-               block: int, n: int, window_id: int) -> Forecasts:
-    """Deterministic per-entity forecast blocks for one layer window."""
-    which = _LAYER_EPS[layer]
-    kind = _LAYER_KIND[layer]
+def _layer_forecasts(scn: Scenario, seed: int, layer: str, starts,
+                     window_ids, block: int, n: int) -> list[Forecasts]:
+    """Deterministic per-entity forecast blocks for every window of a
+    layer: window ``k`` starts at minute ``starts[k]`` and draws its errors
+    from the seeds of ``window_ids[k]``."""
+    which, kind = _LAYER_EPS[layer], _LAYER_KIND[layer]
+    peak = scn.peak_load
+    starts = np.asarray(starts, dtype=int)
+
+    def errors(tag: str, eps: float, scale: float) -> np.ndarray:
+        out = np.empty((len(starts), n))
+        for k, w in enumerate(window_ids):
+            out[k] = synthesize_error(_entity_seed(seed, tag, layer, w), eps,
+                                      1.0, scale, n, kind)
+        return out
+
     load = {}
     for ld in scn.loads:
-        err = synthesize_error(
-            _entity_seed(seed, f"load:{ld.bubble}", layer, window_id),
-            ld.eps(which), 1.0, peak, n, kind)
-        load[ld.bubble] = forecast(ld.profile, m0, block, n, err)
+        load[ld.bubble] = forecast(
+            ld.profile, starts, block, n,
+            errors(f"load:{ld.bubble}", ld.eps(which), peak))
     semi = {}
     for sm in scn.semis:
-        err = synthesize_error(
-            _entity_seed(seed, f"semi:{sm.id}", layer, window_id),
-            sm.eps(which), 1.0, sm.capacity or peak, n, kind)
-        semi[sm.id] = forecast(sm.profile, m0, block, n, err,
-                               sm.capacity or np.inf)
-    return Forecasts(load=load, semi=semi)
+        cap = sm.capacity
+        semi[sm.id] = forecast(
+            sm.profile, starts, block, n,
+            errors(f"semi:{sm.id}", sm.eps(which), cap or peak),
+            cap or np.inf)
+    return [Forecasts(load={b: f[k] for b, f in load.items()},
+                      semi={s: f[k] for s, f in semi.items()})
+            for k in range(len(starts))]
 
 
 def outage_masks(scn: Scenario, m0: int, block: int, n: int):
@@ -126,11 +153,8 @@ def simulate(scn: Scenario, minutes: int,
     t = scn.timing
     if seed is None:
         seed = scn.seed
-    peak = scn.peak_load
     net = scn.network
     factor = factor_network(net)
-    gamma = scn.gamma_loss
-
     gens = scn.generators
     reg = make_regulation(gens)
     trace = SimulationTrace(
@@ -142,17 +166,8 @@ def simulate(scn: Scenario, minutes: int,
     for g in gens:
         trace.unit_output[g.id] = np.zeros(minutes)
 
-    state = initial_from_scenario(scn)
-    output = dict(state.output)          # actual MW per generator
-    online = dict(state.online)
-    starts_used: dict[str, int] = {g.id: 0 for g in gens}
-
-    day_sched = None
-    intra = None
-    intra_start = 0
-    sced_now = None
-    sced_base: dict[str, float] = {}
-    sced_minute = 0
+    # --- inputs: every window's start and forecasts ---------------------
+    day_min = t.scuc_horizon_h * 60
     rtuc_steps = t.rtuc_horizon_min // t.rtuc_step_min
     emergency: set[int] = set()
     for ev in scn.outages:
@@ -160,29 +175,51 @@ def simulate(scn: Scenario, minutes: int,
             emergency.add(ev.start)
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)
+    scuc_at = range(0, minutes, day_min)
+    rtuc_at = sorted({*range(0, minutes, t.rtuc_period_min),
+                      *(m for m in emergency if 0 <= m < minutes)})
+    sced_at = range(0, minutes, t.sced_step_min)
+    scuc_fc = dict(zip(scuc_at, _layer_forecasts(
+        scn, seed, "scuc", scuc_at, [m // day_min for m in scuc_at], 60,
+        t.scuc_horizon_h)))
+    rtuc_fc = dict(zip(rtuc_at, _layer_forecasts(
+        scn, seed, "rtuc", rtuc_at, rtuc_at, t.rtuc_step_min, rtuc_steps)))
+    sced_fc = _layer_forecasts(scn, seed, "sced", sced_at, sced_at,
+                               t.sced_step_min, 1)
     # Per-minute on/off status: the run as one window of 1-minute blocks.
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
+
+    # --- dispatch: windows in minute order, units ramping between -------
+    state = initial_from_scenario(scn)
+    output = dict(state.output)          # actual MW per generator
+    online = dict(state.online)
+    starts_used: dict[str, int] = {g.id: 0 for g in gens}
     # Each layer's last optimal basis and its program: every window of a
     # layer has the same shape, so the basis starts the next window and
     # the program is refilled for it.
     bases, programs = {}, {}
+    # What the physics reads of each SCED: curtailed and shed fractions,
+    # DR output and the supergeneration sum; and each minute's storage
+    # injection.
+    curtail = np.zeros((len(sced_at), len(scn.semis)))
+    shed = np.zeros((len(sced_at), len(scn.loads)))
+    dr_out = np.zeros((len(sced_at), len(scn.drs)))
+    supergen = np.zeros(len(sced_at))
+    storage = np.zeros((minutes, len(scn.storages)))
 
     def current_state() -> InitialState:
-        st = InitialState(online=dict(online), output=dict(output),
-                          run_hours=dict(state.run_hours),
-                          starts_used=dict(starts_used),
-                          energy=dict(state.energy),
-                          mode_gen=dict(state.mode_gen),
-                          mode_pump=dict(state.mode_pump))
-        return st
+        return InitialState(online=dict(online), output=dict(output),
+                            run_hours=dict(state.run_hours),
+                            starts_used=dict(starts_used),
+                            energy=dict(state.energy),
+                            mode_gen=dict(state.mode_gen),
+                            mode_pump=dict(state.mode_pump))
 
     for m in range(minutes):
         # --- day-ahead commitment ---------------------------------------
-        if m % (t.scuc_horizon_h * 60) == 0:
+        if m % day_min == 0:
             og, os_ = outage_masks(scn, m, 60, t.scuc_horizon_h)
-            fc = _forecasts(scn, seed, peak, "scuc", m, 60, t.scuc_horizon_h,
-                            m // (t.scuc_horizon_h * 60))
-            day_sched = run_scuc(scn, fc, current_state(), og, os_,
+            day_sched = run_scuc(scn, scuc_fc[m], current_state(), og, os_,
                                  basis=bases.get("scuc"),
                                  program=programs.get("scuc"))
             bases["scuc"], programs["scuc"] = day_sched.basis, \
@@ -191,11 +228,9 @@ def simulate(scn: Scenario, minutes: int,
             trace.events.append(f"{m}: day-ahead commitment")
 
         # --- same-day fast-start commitment -----------------------------
-        if m % t.rtuc_period_min == 0 or m in emergency:
+        if m in rtuc_fc:
             og, os_ = outage_masks(scn, m, t.rtuc_step_min, rtuc_steps)
-            fc = _forecasts(scn, seed, peak, "rtuc", m, t.rtuc_step_min,
-                            rtuc_steps, m)
-            intra = run_rtuc(scn, fc, current_state(), day_sched, m,
+            intra = run_rtuc(scn, rtuc_fc[m], current_state(), day_sched, m,
                              og, os_, basis=bases.get("rtuc"),
                              program=programs.get("rtuc"))
             bases["rtuc"], programs["rtuc"] = intra.basis, intra.program
@@ -217,94 +252,116 @@ def simulate(scn: Scenario, minutes: int,
             online[g.id] = w_now
 
         # --- economic dispatch ------------------------------------------
+        hour = (m // 60) % t.scuc_horizon_h
         if m % t.sced_step_min == 0:
+            k = m // t.sced_step_min
             og, os_ = outage_masks(scn, m, t.sced_step_min, 1)
-            fc = _forecasts(scn, seed, peak, "sced", m, t.sced_step_min, 1, m)
             commitment = {g.id: online[g.id] for g in gens}
             starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
             stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
-            hour = (m // 60) % (t.scuc_horizon_h)
             ps = {st_.id: np.array([day_sched.storage_gen[st_.id][hour]])
                   for st_ in scn.storages}
             ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
                   for st_ in scn.storages}
-            sced_now = run_sced(scn, fc, current_state(), commitment,
-                                starts, stops, (ps, ss), m, og, os_,
-                                basis=bases.get("sced"),
-                                program=programs.get("sced"))
-            bases["sced"], programs["sced"] = sced_now.basis, \
-                sced_now.program
+            sced = run_sced(scn, sced_fc[k], current_state(), commitment,
+                            starts, stops, (ps, ss), m, og, os_,
+                            basis=bases.get("sced"),
+                            program=programs.get("sced"))
+            bases["sced"], programs["sced"] = sced.basis, sced.program
+            target = {g.id: float(sced.p[g.id][0]) for g in gens}
+            curtail[k] = [sced.curtail[sm.id][0] for sm in scn.semis]
+            shed[k] = [sced.shed.get(ld.bubble, np.zeros(1))[0]
+                       for ld in scn.loads]
+            dr_out[k] = [sced.dr[dr.id][0] for dr in scn.drs]
+            supergen[k] = float(sum(sced.super_pos[b][0] -
+                                    sced.super_neg[b][0]
+                                    for b in net.bubbles))
             sced_base = dict(output)
             sced_minute = m
 
-        # --- minute physics ---------------------------------------------
-        frac = (m - sced_minute + 1) / t.sced_step_min
-        injections = {b: 0.0 for b in net.bubbles}
-        gen_total = 0.0
+        # --- units ramp toward their setpoints; storage as scheduled ----
+        frac = min((m - sced_minute + 1) / t.sced_step_min, 1.0)
         for g in gens:
             if online[g.id] > 0.5:
-                target = float(sced_now.p[g.id][0])
                 base = sced_base.get(g.id, 0.0)
-                output[g.id] = base + (target - base) * min(frac, 1.0)
+                output[g.id] = base + (target[g.id] - base) * frac
             trace.unit_output[g.id][m] = output[g.id]
-            injections[g.bubble] += output[g.id]
-            gen_total += output[g.id]
-        for st_ in scn.storages:
-            hour = (m // 60) % t.scuc_horizon_h
+        for k, st_ in enumerate(scn.storages):
             pgen = float(day_sched.storage_gen[st_.id][hour])
             ppump = float(day_sched.storage_pump[st_.id][hour])
-            injections[st_.bubble] += pgen - ppump
-            gen_total += pgen - ppump
+            storage[m, k] = pgen - ppump
             state.energy[st_.id] += (st_.eta * ppump - pgen) / 60.0
-        for dr in scn.drs:
-            val = float(sced_now.dr[dr.id][0])
-            injections[dr.bubble] += val
-            gen_total += val
-        avail_tot = 0.0
-        deliv_tot = 0.0
-        for sm in scn.semis:
-            avail = float(sm.profile.values[min(m, len(sm.profile) - 1)])
-            if sm.id in semi_out and semi_out[sm.id][m]:
-                avail = 0.0
-            cfrac = float(sced_now.curtail[sm.id][0])
-            delivered = (1.0 - sm.d * cfrac) * avail
-            injections[sm.bubble] += delivered
-            avail_tot += avail
-            deliv_tot += delivered
-        shed_tot = 0.0
-        load_tot = 0.0
-        for ld in scn.loads:
-            actual = float(ld.profile.values[min(m, len(ld.profile) - 1)])
-            sfrac = float(sced_now.shed.get(ld.bubble, np.zeros(1))[0])
-            served = (1.0 - ld.d * sfrac) * actual
-            shed_tot += actual - served
-            # Losses scale the physical withdrawal.
-            injections[ld.bubble] -= (1.0 + gamma) * served
-            load_tot += served
-        sg = float(sum(sced_now.super_pos[b][0] - sced_now.super_neg[b][0]
-                       for b in net.bubbles))
 
-        i_raw = float(sum(injections.values()))
-        residual = regulation_step(i_raw, reg)
-        for bub, gval in zip(reg.bubbles, reg.g):
-            injections[bub] += gval
-        gs = dc_flow(factor, injections)
-
-        trace.imbalance_raw[m] = i_raw
-        trace.imbalance[m] = residual
-        trace.regulation[m, :] = reg.g
-        trace.load[m] = load_tot
-        trace.generation[m] = gen_total
-        trace.ver_available[m] = avail_tot
-        trace.ver_delivered[m] = deliv_tot
-        trace.shed[m] = shed_tot
-        trace.supergen[m] = sg
-        trace.flows[m, :] = gs.branch_flows
-        for i, name in enumerate(trace.interface_names):
-            flow, limit = gs.interface_flows[name]
-            trace.interface_flow[m, i] = flow
-            trace.interface_limit[m, i] = limit
+    _physics(scn, trace, factor, reg, storage, curtail, shed, dr_out,
+             supergen, semi_out)
     return trace
+
+
+def _physics(scn: Scenario, trace: SimulationTrace, factor, reg, storage,
+             curtail, shed, dr_out, supergen, semi_out) -> None:
+    """Fill the trace's balance, regulation and flow series from the unit
+    outputs, the storage injections and what each SCED decided.
+
+    Every series is summed in the per-minute order: per bubble, generators,
+    storage, DR, semis and loads, each in scenario order; the raw imbalance
+    is the bubbles' injections summed in bubble order.  Regulation then
+    steps through every minute and the network is solved once per minute,
+    as one stacked solve.
+    """
+    minutes = trace.minutes
+    net = scn.network
+    clock = np.arange(minutes)
+    sced = clock // scn.timing.sced_step_min      # each minute's SCED
+    injections = {b: np.zeros(minutes) for b in net.bubbles}
+    generation = np.zeros(minutes)
+    for g in scn.generators:
+        out = trace.unit_output[g.id]
+        injections[g.bubble] += out
+        generation += out
+    for k, st_ in enumerate(scn.storages):
+        injections[st_.bubble] += storage[:, k]
+        generation += storage[:, k]
+    for k, dr in enumerate(scn.drs):
+        injections[dr.bubble] += dr_out[sced, k]
+        generation += dr_out[sced, k]
+    available = np.zeros(minutes)
+    delivered = np.zeros(minutes)
+    for k, sm in enumerate(scn.semis):
+        avail = sm.profile.values[np.minimum(clock, len(sm.profile) - 1)]
+        if sm.id in semi_out:
+            avail = np.where(semi_out[sm.id] != 0.0, 0.0, avail)
+        deliv = (1.0 - sm.d * curtail[sced, k]) * avail
+        injections[sm.bubble] += deliv
+        available += avail
+        delivered += deliv
+    load = np.zeros(minutes)
+    shed_mw = np.zeros(minutes)
+    for k, ld in enumerate(scn.loads):
+        actual = ld.profile.values[np.minimum(clock, len(ld.profile) - 1)]
+        served = (1.0 - ld.d * shed[sced, k]) * actual
+        shed_mw += actual - served
+        # Losses scale the physical withdrawal.
+        injections[ld.bubble] -= (1.0 + scn.gamma_loss) * served
+        load += served
+
+    i_raw = sum(injections.values())
+    trace.imbalance = regulation_step(i_raw, reg, trace.regulation)
+    for i, bub in enumerate(reg.bubbles):
+        injections[bub] += trace.regulation[:, i]
+    gs = dc_flow(factor, injections)
+
+    trace.imbalance_raw = i_raw
+    trace.load = load
+    trace.generation = generation
+    trace.ver_available = available
+    trace.ver_delivered = delivered
+    trace.shed = shed_mw
+    trace.supergen = supergen[sced]
+    trace.flows = gs.branch_flows
+    for i, name in enumerate(trace.interface_names):
+        flow, limit = gs.interface_flows[name]
+        trace.interface_flow[:, i] = flow
+        trace.interface_limit[:, i] = limit
 
 
 def _unsigned(values) -> np.ndarray:

@@ -131,46 +131,68 @@ def factor_network(net: ZonalNetwork) -> NetworkFactor:
         interfaces=interfaces)
 
 
-def dc_flow(factor: NetworkFactor, injections: dict[str, float]) -> GridState:
+def dc_flow(factor: NetworkFactor, injections: dict) -> GridState:
     """Solve the susceptance-weighted DC network with the swing as reference.
 
-    ``injections`` are net MW per bubble (generation minus withdrawal).  The
-    swing node absorbs the total mismatch.
+    ``injections`` are net MW per bubble (generation minus withdrawal),
+    each one value for one minute or an array of minutes.  The swing node
+    absorbs the total mismatch.  For arrays the branch and interface flows
+    and the swing exchange have the minutes as their first axis.
     """
-    p = np.zeros(len(factor.index))
+    shape = np.shape(next(iter(injections.values()), 0.0))
+    p = np.zeros(shape + (len(factor.index),))
     for b, mw in injections.items():
-        p[factor.index[b]] += mw
-    theta = np.zeros(len(p))
-    # An LU solve, not a product with a stored inverse: the two round
-    # differently, and the printed flows would change in the last digit.
-    theta[factor.keep] = np.linalg.solve(factor.reduced, p[factor.keep])
+        p[..., factor.index[b]] += mw
+    theta = np.zeros_like(p)
+    # One LU solve per minute (a stack of systems, one right-hand side
+    # each), not a product with a stored inverse or one solve with every
+    # minute as a right-hand side: those round differently, and the
+    # printed flows would change in the last digit.
+    k = len(factor.keep)
+    theta[..., factor.keep] = np.linalg.solve(
+        np.broadcast_to(factor.reduced, shape + (k, k)),
+        p[..., factor.keep, None])[..., 0]
 
     a, b = factor.edge_from, factor.edge_to
-    flows = factor.weight * (theta[a] - theta[b])
-    iface = {name: (sum(sign * flows[bi] for bi, sign in members), limit)
+    flows = factor.weight * (theta[..., a] - theta[..., b])
+    iface = {name: (sum(sign * flows[..., bi] for bi, sign in members), limit)
              for name, limit, members in factor.interfaces}
-
-    exchange = float(sum(injections.values()))
     return GridState(branch_flows=flows, interface_flows=iface,
-                     swing_exchange=exchange)
+                     swing_exchange=sum(injections.values()))
 
 
-def regulation_step(imbalance: float, reg: RegulationState) -> float:
-    """Advance regulation one minute against the raw (pre-regulation)
-    imbalance; returns the residual the swing bus still absorbs.
+def regulation_step(imbalance, reg: RegulationState,
+                    outputs: np.ndarray | None = None):
+    """Advance regulation one minute per raw (pre-regulation) imbalance;
+    returns the residual the swing bus still absorbs.
+
+    ``imbalance`` is one minute's value or an array of minutes, stepped in
+    order; the residual has the same shape.  ``reg.g`` holds the units'
+    outputs after the last minute, and ``outputs``, if given, receives
+    every minute's (minutes x units).
 
     Each unit tracks a target of -participation*imbalance, limited to its
     response rate per minute and clamped at saturation.  A zero imbalance
     therefore walks the units back to their baseline at the same rate.
     """
+    imb = np.asarray(imbalance, dtype=float)
+    seq = imb.reshape(-1).tolist()
+    if outputs is None:
+        outputs = np.empty((len(seq), len(reg.unit_ids)))
     if len(reg.unit_ids):
         psum = float(reg.participation.sum())
         if reg.saturation.sum() > 0 and abs(psum - 1.0) > 1e-9:
             raise GridError(f"participation factors sum to {psum}")
-        target = -imbalance * reg.participation
-        delta = np.clip(target - reg.g, -reg.rate, reg.rate)
-        reg.g = np.clip(reg.g + delta, -reg.saturation, reg.saturation)
-    return imbalance + reg.total
+        g, part = reg.g, reg.participation
+        rate, sat = reg.rate, reg.saturation
+        neg_rate, neg_sat = -rate, -sat
+        for m, x in enumerate(seq):
+            delta = np.clip(-x * part - g, neg_rate, rate)
+            g = np.clip(g + delta, neg_sat, sat)
+            outputs[m] = g
+        reg.g = g
+    residual = imb + outputs.sum(axis=1).reshape(imb.shape)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def actual_reserves(units: list[Generator], online: dict[str, float],

@@ -29,14 +29,17 @@ can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
   within bounds and has no nonzero in an earlier crashed row, which keeps
   the crash block triangular and the basis nonsingular.  Every other row
   starts on its slack.
-- *Parking.*  Either way, each basic column that is fixed, or whose value
-  lies outside its bounds, is parked at its nearest bound, and an
+- *Parking.*  Either way, each basic column whose value lies more than
+  ``_PARK_TOL`` outside its bounds is parked at its nearest bound, and an
   artificial column, a copy of the parked column signed so that it starts
   nonnegative, takes its place.  That only flips the sign of one row of
-  the basis inverse.  Phase 1 drives the artificials to zero; phase 2
-  handles changed costs.  A crashed row whose slack cannot absorb the
-  residual thus gets the artificial ``±e_i``, and a B&B child's fractional
-  basic binary gets one copying its column.
+  the basis inverse.  Phase 1 drives the artificials to zero and runs only
+  when there is one; phase 2 handles changed costs.  A crashed row whose
+  slack cannot absorb the residual thus gets the artificial ``±e_i``, and
+  a B&B child's fractional basic binary, fixed away from its value, gets
+  one copying its column.  A fixed basic column at its value stays basic,
+  an ordinary degenerate basic, so a start that parks nothing goes
+  straight to phase 2.
 
 A warm start that ends infeasible is solved again from the crash, so the
 rows it names do not depend on the start.  A returned basis names each
@@ -352,9 +355,10 @@ class _Simplex:
         x[basis] = 0.0
         xb = Binv @ (b - A @ x[:n])
 
-        # Park basic columns that are fixed or outside their bounds.
+        # Park basic columns outside their bounds.  A fixed column at its
+        # value stays basic, an ordinary degenerate basic.
         lo_b, hi_b = lo[basis], hi[basis]
-        park = np.flatnonzero((lo_b == hi_b) | (xb < lo_b - _PARK_TOL) |
+        park = np.flatnonzero((xb < lo_b - _PARK_TOL) |
                               (xb > hi_b + _PARK_TOL))
         at = np.clip(xb[park], lo_b[park], hi_b[park])
         sign = np.where(xb[park] >= at, 1.0, -1.0)
@@ -524,22 +528,23 @@ class _Simplex:
 
     def solve(self, c: np.ndarray) -> tuple[str, np.ndarray | None, list[int]]:
         n = self.n
-        phase1 = np.zeros(self.ncols)
-        phase1[self.art] = 1.0
-        status = self._iterate(phase1)
-        self.phase1_pivots = self.pivots
-        if status == "iteration_limit":
-            return status, None, []
-        if status != "optimal":  # pragma: no cover - phase 1 is bounded
-            raise SolverError("phase 1 terminated " + status)
-        infeas = float(self.x[self.art].sum())
-        if infeas > 1e-6:
-            # Rows whose slack a positive artificial stands in for.
-            src = self.art_src[self.x[self.art] > 1e-7]
-            return "infeasible", None, (src[src >= n] - n).tolist()
-        # Forbid artificials from re-entering.
-        self.u[self.art] = 0.0
-        self.x[self.art] = np.clip(self.x[self.art], 0.0, None)
+        if len(self.art):
+            phase1 = np.zeros(self.ncols)
+            phase1[self.art] = 1.0
+            status = self._iterate(phase1)
+            self.phase1_pivots = self.pivots
+            if status == "iteration_limit":
+                return status, None, []
+            if status != "optimal":  # pragma: no cover - phase 1 is bounded
+                raise SolverError("phase 1 terminated " + status)
+            infeas = float(self.x[self.art].sum())
+            if infeas > 1e-6:
+                # Rows whose slack a positive artificial stands in for.
+                src = self.art_src[self.x[self.art] > 1e-7]
+                return "infeasible", None, (src[src >= n] - n).tolist()
+            # Forbid artificials from re-entering.
+            self.u[self.art] = 0.0
+            self.x[self.art] = np.clip(self.x[self.art], 0.0, None)
 
         cost = np.zeros(self.ncols)
         cost[:n] = c

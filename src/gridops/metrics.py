@@ -18,6 +18,8 @@ from .scenario import Scenario
 CURTAIL_TOL_MW = 1e-3
 CONGEST_TOL_MW = 1e-3
 EXHAUST_TOL_MW = 1e-3
+# A histogram needing more bins than this is refused rather than allocated.
+MAX_HIST_BINS = 100_000
 
 
 def percentile_rank(values: np.ndarray, pct: float) -> float:
@@ -35,16 +37,27 @@ def duration_curve(values: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(values, dtype=float))[::-1]
 
 
-def histogram(values: np.ndarray, width: float):
-    """Counts over bins whose edges are aligned to multiples of width."""
+def histogram(values: np.ndarray, width: float, name: str = "values"):
+    """Counts over bins whose edges are aligned to multiples of width.
+
+    Raises ValueError naming the series ``name`` when the values are not
+    finite or span more than MAX_HIST_BINS bins.
+    """
     vals = np.asarray(values, dtype=float)
     if len(vals) == 0 or width <= 0:
         return np.zeros(1), np.zeros(0, dtype=int)
-    lo = math.floor(vals.min() / width) * width
-    hi = math.ceil(vals.max() / width) * width
+    vmin, vmax = float(vals.min()), float(vals.max())
+    span = f"{name}: values over [{vmin:g}, {vmax:g}] at bin width {width:g}"
+    if not (math.isfinite(vmin) and math.isfinite(vmax)):
+        raise ValueError(f"{span} are not finite")
+    lo = math.floor(vmin / width) * width
+    hi = math.ceil(vmax / width) * width
     if hi <= lo:
         hi = lo + width
     n = int(round((hi - lo) / width))
+    if n > MAX_HIST_BINS:
+        raise ValueError(f"{span} need {n} histogram bins, more than "
+                         f"{MAX_HIST_BINS}")
     edges = lo + width * np.arange(n + 1)
     counts, _ = np.histogram(vals, bins=edges)
     return edges, counts
@@ -150,7 +163,7 @@ def write_duration(outdir: str, name: str, values: np.ndarray) -> None:
 def write_hist(outdir: str, name: str, values: np.ndarray,
                width: float) -> None:
     os.makedirs(outdir, exist_ok=True)
-    edges, counts = histogram(values, width)
+    edges, counts = histogram(values, width, name)
     with open(os.path.join(outdir, f"hist_{name}.csv"), "w",
               encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count\n")

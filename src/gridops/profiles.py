@@ -96,18 +96,22 @@ def scale_ver(base: Profile, spec, peak_load: float,
     return Profile(out * scale, start=base.start)
 
 
-def forecast(p: Profile, m0: int, block_minutes: int, n_blocks: int,
+def forecast(p: Profile, m0, block_minutes: int, n_blocks: int,
              errors=0.0, capacity: float = np.inf) -> np.ndarray:
     """Block means of the samples over [m0, m0 + n_blocks*block_minutes)
     minus ``errors``, clamped to [0, capacity].
 
     ``m0`` indexes the samples; the last sample is held past the end of the
-    profile.
+    profile.  ``m0`` may be an array of window starts: the result then has
+    one row of ``n_blocks`` per window, and ``errors`` one row per window
+    too.
     """
     if block_minutes <= 0:
         raise ProfileError("block duration must be positive")
-    idx = np.clip(m0 + np.arange(n_blocks * block_minutes), 0, len(p) - 1)
-    best = p.values[idx].reshape(n_blocks, block_minutes).mean(axis=1)
+    idx = np.clip(np.add.outer(m0, np.arange(n_blocks * block_minutes)),
+                  0, len(p) - 1)
+    best = p.values[idx].reshape(np.shape(m0) + (n_blocks, block_minutes)) \
+        .mean(axis=-1)
     return np.clip(best - np.asarray(errors, dtype=float), 0.0, capacity)
 
 

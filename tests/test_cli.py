@@ -9,7 +9,9 @@ import pytest
 
 import gridops.dispatch as dispatch
 from gridops.cli import main
+from gridops.engine import read_trace, write_trace
 from gridops.lp import Solution
+from gridops.scenario import load_scenario
 
 
 @pytest.fixture
@@ -125,6 +127,19 @@ def test_metrics_from_trace(mini, tmp_path):
     with open(report) as fh:
         head = fh.readline().strip()
     assert head == "family,scenario,metric,value,unit"
+
+
+def test_metrics_names_a_series_with_too_many_bins(mini, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "30", "--out", out]) == 0
+    trace = read_trace(out)
+    trace.imbalance[:2] = (1e9, -1e9)
+    write_trace(out, trace, load_scenario(mini), 7)
+    capsys.readouterr()
+    assert main(["metrics", out, "--scenario", mini]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: imbalance: values over "
+                          "[-1e+09, 1e+09] at bin width 1 need ")
 
 
 def test_gen_mini_variants(tmp_path):

@@ -84,18 +84,22 @@ def test_one_network_solve_per_minute(mini, monkeypatch):
     real = engine.dc_flow
 
     def counting(factor, injections):
-        calls.append(float(sum(injections.values())))
+        calls.append(np.array(list(injections.values())))
         return real(factor, injections)
 
     monkeypatch.setattr(engine, "dc_flow", counting)
     scn = load_scenario(mini)
     tr = simulate(scn, 30, seed=7)
-    assert len(calls) == 30
+    # One call solves every minute: one row of injections per minute.
+    assert len(calls) == 1
+    per_bubble = calls[0]
+    assert per_bubble.shape == (len(scn.network.bubbles), 30)
+    total = per_bubble.sum(axis=0)
     # The network sees the injections after regulation; without it their
     # sum is the raw imbalance the swing absorbs.
-    raw = np.array(calls) - tr.regulation.sum(axis=1)
+    raw = total - tr.regulation.sum(axis=1)
     assert tr.imbalance_raw == pytest.approx(raw, abs=1e-9)
-    assert tr.imbalance == pytest.approx(np.array(calls), abs=1e-9)
+    assert tr.imbalance == pytest.approx(total, abs=1e-9)
 
 
 def test_outage_masks_at_block_boundaries(mini):

@@ -330,14 +330,26 @@ def test_start_parks_out_of_bound_basics():
     warm = solve_lp(lp, basis=opt.basis)
     assert warm.status == "optimal"
     assert warm.x == pytest.approx([10.0, 2.0], abs=1e-9)
-    # A basic column fixed where it stands is parked too, as a B&B child
-    # fixes a basic binary: its artificial starts at zero.
+    # A basic column fixed where it stands is not parked: it stays basic
+    # at its value, a degenerate basic, and the start needs no phase 1.
     lp.constraints[0].rhs = 3.0
     A, b, senses, c, l, u = lp.dense()
     l[0] = u[0] = 3.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
-    assert sx.art_src.tolist() == [0] and sx.x[sx.art].tolist() == [0.0]
-    assert sx.x[0] == 3.0 and sx.state[0] == lpmod._AT_LB
+    assert sx.art.tolist() == [] and sx.art_src.tolist() == []
+    assert sx.basis.tolist() == [0] and sx.state[0] == lpmod._BASIC
+    assert sx.x[0] == 3.0
+    assert sx.solve(c)[0] == "optimal" and sx.phase1_pivots == 0
+    assert sx.x[:2].tolist() == [3.0, 0.0]
+    # Fixed away from its value, as a B&B child fixes a fractional basic
+    # binary, it is still parked: at 2.0, with an artificial for the rest.
+    l[0] = u[0] = 2.0
+    sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
+    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [1.0]
+    assert sx.x[sx.art].tolist() == [1.0]
+    assert sx.x[0] == 2.0 and sx.state[0] == lpmod._AT_LB
+    assert sx.solve(c)[0] == "optimal"
+    assert sx.x[:2].tolist() == [2.0, 1.0]
     # Lowering it to -1 leaves x = -1 below 0: parked at 0 with a
     # negated copy, and the GE row's slack then carries the row.
     lp.constraints[0].rhs = -1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridops.engine import SimulationTrace
-from gridops.metrics import (congested_minutes, duration_curve,
+from gridops.metrics import (MAX_HIST_BINS, congested_minutes, duration_curve,
                              evening_ramp_mw, exhausted_minutes,
                              excess_generation_minutes, histogram,
                              mileage_gwh, percentile_rank, summarize,
@@ -37,6 +37,19 @@ def test_histogram_edges_aligned():
     assert edges[0] == -1.0 and edges[-1] == 3.0
     assert np.all(np.abs(edges - np.round(edges)) < 1e-12)
     assert counts.sum() == 4
+
+
+def test_histogram_refuses_too_many_bins():
+    # Exactly the cap is still binned: edges at 0..MAX_HIST_BINS.
+    edges, counts = histogram(np.array([0.0, float(MAX_HIST_BINS)]), 1.0)
+    assert len(counts) == MAX_HIST_BINS and counts.sum() == 2
+    # +-1e9 MW at 1 MW bins would be 2e9 bins (a 14.9 GiB edge array).
+    with pytest.raises(ValueError, match=r"^imbalance: values over "
+                       r"\[-1e\+09, 1e\+09\] at bin width 1 need "
+                       r"2000000000 histogram bins, more than 100000$"):
+        histogram(np.array([-1e9, 0.0, 1e9]), 1.0, "imbalance")
+    with pytest.raises(ValueError, match=r"^net_load: .* not finite$"):
+        histogram(np.array([0.0, np.inf]), 10.0, "net_load")
 
 
 def test_mileage_sums_absolute_movement():
