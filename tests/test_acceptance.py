@@ -26,6 +26,8 @@ from gridops.profiles import (Profile, ramp_stats, scale_ver,
 from gridops.scenario import Generator, VerSpec, load_scenario
 from gridops.engine import SimulationTrace
 
+import golden
+
 
 # --------------------------------------------------------------------------
 # Shared simulation runs
@@ -306,6 +308,25 @@ def test_c09_byte_identical_determinism(tmp_path):
         assert getattr(tr1, name).tobytes() == getattr(tr2, name).tobytes()
     for g in tr1.unit_output:
         assert tr1.unit_output[g].tobytes() == tr2.unit_output[g].tobytes()
+
+
+# The same runs give the bytes recorded in ``golden.json``.  Runs the
+# shared fixtures already simulate are hashed from their traces.
+GOLDEN_FIXTURES = {"mini3-base": "base_2day", "congestion": "congested_day",
+                   "congestion-wide": "wide_day", "high-solar": "solar_day"}
+
+
+@pytest.mark.parametrize("run", sorted(golden.RUNS))
+def test_c09_golden_outputs(run, request, tmp_path):
+    path = golden.write_scenario(run, str(tmp_path))
+    scn = load_scenario(path)
+    if run in GOLDEN_FIXTURES:
+        trace = request.getfixturevalue(GOLDEN_FIXTURES[run])[0]
+    else:
+        trace = golden.simulate_run(run, scn)
+    out = golden.write_outputs(run, trace, scn, path, str(tmp_path / "out"))
+    moved = golden.first_difference(run, out, golden.load_manifest())
+    assert moved is None, moved
 
 
 # --------------------------------------------------------------------------
