@@ -80,21 +80,11 @@ def cmd_simulate(args) -> int:
     if minutes <= 0:
         print("nothing to simulate: span is zero", file=sys.stderr)
         return EXIT_USAGE
-    jobs = []
     for path in args.scenario:
         name = os.path.splitext(os.path.basename(path))[0]
         out = args.out if len(args.scenario) == 1 \
             else os.path.join(args.out, name)
-        jobs.append((path, minutes, args.seed, out))
-    if args.jobs > 1 and len(jobs) > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [pool.submit(_simulate_one, *j) for j in jobs]
-            for f in futs:
-                f.result()
-    else:
-        for j in jobs:
-            _simulate_one(*j)
+        _simulate_one(path, minutes, args.seed, out)
     return EXIT_OK
 
 
@@ -130,8 +120,6 @@ def build_parser() -> _Parser:
     s.add_argument("--days", type=int, default=1)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default="out")
-    s.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario runs")
     s.set_defaults(fn=cmd_simulate)
 
     m = sub.add_parser("metrics", help="summarize a written trace")

@@ -1,7 +1,8 @@
-"""Shared optimization-program builder for the three scheduling layers.
+"""The three scheduling layers and the optimization program they share.
 
-The day-ahead commitment, same-day fast-start commitment and real-time
-dispatch share one constraint family: bubble balance against a DC flow,
+The day-ahead commitment (:func:`run_scuc`), same-day fast-start
+commitment (:func:`run_rtuc`) and real-time dispatch (:func:`run_sced`)
+share one constraint family: bubble balance against a DC flow,
 interface limits, unit box bounds with outage masks, ramp limits with
 start/stop relaxation, storage energy accounting, commitment logic, and
 contingency-based reserve procurement.  This module builds that program,
@@ -14,7 +15,13 @@ names, binaries and coefficient pattern.  So the structure is built once
 (``_structure``) and each window, the first included, only fills in its
 values (``fill_program``): bounds, costs, right-hand sides and the few
 coefficients that follow forecasts and outages.  A simulation keeps one
-program per layer and refills it window after window.
+program per layer and refills it window after window; the program keeps
+its last optimal basis, which starts the next window's solve.
+
+Each layer decides its own window from its start minute: the step grid
+(:func:`layer_grid`), the outage masks over it and the clock hour of each
+step, which prices fuel.  What carries over from window to window is the
+one live :class:`InitialState` the caller passes in.
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -48,11 +55,12 @@ class Forecasts:
 
 @dataclass
 class InitialState:
+    """The fleet's state where a window starts.  A simulation keeps one and
+    updates it minute by minute; layers only read it."""
     online: dict[str, float] = field(default_factory=dict)       # w at t=0
     output: dict[str, float] = field(default_factory=dict)       # MW at t=0
     run_hours: dict[str, float] = field(default_factory=dict)    # +on/-off history
     starts_used: dict[str, int] = field(default_factory=dict)    # n_Gk today
-    starts_ahead: dict[str, int] = field(default_factory=dict)   # m_Gk lookahead
     energy: dict[str, float] = field(default_factory=dict)       # storage MWh
     mode_gen: dict[str, float] = field(default_factory=dict)
     mode_pump: dict[str, float] = field(default_factory=dict)
@@ -83,15 +91,7 @@ class Schedule:
     super_neg: dict[str, np.ndarray] = field(default_factory=dict)
     flows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     c1: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    basis: Basis | None = None       # optimal basis; the next window's start
     program: tuple | None = None     # (lp, cols); refilled by the next window
-
-    def supergen_total(self) -> float:
-        tot = 0.0
-        for d in (self.super_pos, self.super_neg):
-            for arr in d.values():
-                tot += float(np.abs(arr).sum())
-        return tot
 
 
 @dataclass
@@ -105,6 +105,7 @@ class LayerOptions:
     outage_gen: dict[str, np.ndarray] | None = None     # gen -> mask per step
     outage_semi: dict[str, np.ndarray] | None = None
     hour_of_step: list[int] | None = None               # fuel-price lookup
+    starts_ahead: dict[str, int] = field(default_factory=dict)  # m_Gk lookahead
 
 
 class Columns(dict):
@@ -112,7 +113,8 @@ class Columns(dict):
 
     Entries are -1 where an entity has no such column.  ``fixed_cost`` is
     objective that lies outside the program: in SCED, the pinned
-    commitments' cost at P^min.
+    commitments' cost at P^min.  ``basis`` is the program's last optimal
+    basis (None until it is first solved), the start of its next solve.
 
     What a window fills in is indexed the same way: ``dP`` holds each
     generator's segment columns [step, segment]; ``rows`` maps the row
@@ -123,6 +125,7 @@ class Columns(dict):
     (:func:`_shape`).
     """
     fixed_cost = 0.0
+    basis: Basis | None = None
 
 
 def _available(table, rid, T) -> np.ndarray:
@@ -546,7 +549,7 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
                 remain = int(math.ceil((g.t_d + hist) * steps_per_hour))
                 ub[col[:remain]] = 0.0
             used = int(init.starts_used.get(g.id, 0))
-            ahead = int(init.starts_ahead.get(g.id, 0))
+            ahead = int(opt.starts_ahead.get(g.id, 0))
             rhs[rows["maxup"][0, k]] = float(max(g.u_max - used - ahead, 0))
     cols.fixed_cost = fixed_cost
 
@@ -618,13 +621,13 @@ def initial_from_scenario(scn: Scenario) -> InitialState:
 
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
-                opt: LayerOptions, basis: Basis | None = None,
-                program: tuple | None = None) -> Schedule:
-    """Fill and solve the layer's program, starting from ``basis``.
+                opt: LayerOptions, program: tuple | None = None) -> Schedule:
+    """Fill and solve the layer's program.
 
-    ``program`` and ``basis`` are usually the ``Schedule.program`` and
-    ``Schedule.basis`` of the layer's previous window: the program is
-    refilled for this window when its shape fits, else one is built.
+    ``program`` is usually the ``Schedule.program`` of the layer's previous
+    window: it is refilled for this window when its shape fits and starts
+    from its own last optimal basis; else a new one is built and starts
+    cold.
     """
     if program is None or program[1].shape != _shape(scn, opt) or \
             program[1].scn is not scn:
@@ -633,9 +636,9 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
         fill_program(program, scn, fc, init, opt)
     lp, cols = program
     if lp.binary_indices:
-        sol = solve_milp(lp, basis=basis)
+        sol = solve_milp(lp, basis=cols.basis)
     else:
-        sol = solve_lp(lp, basis=basis)
+        sol = solve_lp(lp, basis=cols.basis)
     if sol.status == "infeasible":
         family = "unknown"
         if sol.infeasible_rows:
@@ -644,6 +647,7 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
             f"{opt.layer} infeasible; first violated family: {family}")
     if sol.status != "optimal":
         raise DispatchError(f"{opt.layer} solve ended with status {sol.status}")
+    cols.basis = sol.basis
     sched = extract_schedule(scn, fc, sol, cols, opt)
     sched.program = program
     return sched
@@ -654,8 +658,7 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
     T = opt.steps
     sched = Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
                      status=sol.status,
-                     objective=sol.objective + cols.fixed_cost,
-                     basis=sol.basis)
+                     objective=sol.objective + cols.fixed_cost)
     use_res = bool((cols["C1"] >= 0).all())
     gids = [g.id for g in scn.generators]
     sids = [st.id for st in scn.storages]
@@ -715,3 +718,119 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
     else:
         sched.c1 = np.zeros(T)
     return sched
+
+
+# -- the three layers, each over a window it computes from its start ------
+
+def layer_grid(timing, layer: str) -> tuple[int, int]:
+    """(step minutes, steps) of one window of ``layer``."""
+    if layer == "scuc":
+        return 60, timing.scuc_horizon_h
+    if layer == "rtuc":
+        return (timing.rtuc_step_min,
+                timing.rtuc_horizon_min // timing.rtuc_step_min)
+    return timing.sced_step_min, 1
+
+
+def outage_masks(scn: Scenario, m0: int, block: int, n: int):
+    """Per-block outage masks of generators and semi resources over the
+    window [m0, m0 + n*block); a resource is out for a whole block if any
+    outage overlaps it.  Resources not out in the window are left out.
+    With ``block`` 1 the masks are per-minute on/off status."""
+    gen, semi = {}, {}
+    gen_ids = {g.id for g in scn.generators}
+    semi_ids = {s.id for s in scn.semis}
+    lo = m0 + block * np.arange(n)
+    for ev in scn.outages:
+        mask = ((lo < ev.start + ev.duration) &
+                (lo + block > ev.start)).astype(float)
+        if not mask.any():
+            continue
+        if ev.resource in gen_ids:
+            gen[ev.resource] = np.maximum(gen.get(ev.resource, 0.0), mask)
+        elif ev.resource in semi_ids:
+            semi[ev.resource] = np.maximum(semi.get(ev.resource, 0.0), mask)
+    return gen, semi
+
+
+def _window(scn: Scenario, layer: str, minute: int,
+            **fields) -> LayerOptions:
+    """Options for the ``layer`` window that starts at ``minute``: its step
+    grid, the outage masks over it and the clock hour of each step."""
+    step_min, steps = layer_grid(scn.timing, layer)
+    gen_out, semi_out = outage_masks(scn, minute, step_min, steps)
+    return LayerOptions(
+        layer=layer, steps=steps, step_minutes=step_min,
+        outage_gen=gen_out, outage_semi=semi_out,
+        hour_of_step=[(minute + t * step_min) // 60 % 24
+                      for t in range(steps)], **fields)
+
+
+def run_scuc(scn: Scenario, fc: Forecasts, init: InitialState,
+             minute: int = 0, program: tuple | None = None) -> Schedule:
+    """Day-ahead commitment of the full fleet over the hourly window that
+    starts at ``minute``.  ``program`` is the program to refill (the
+    previous run's ``Schedule.program``)."""
+    return solve_layer(scn, fc, init, _window(scn, "scuc", minute), program)
+
+
+def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
+             day_sched: Schedule, start_minute: int,
+             program: tuple | None = None) -> Schedule:
+    """Same-day commitment of fast-start units over the window that starts
+    at ``start_minute``.
+
+    Other units' commitments are pinned to the day-ahead schedule and
+    storage is dispatched exactly as scheduled day-ahead; only fast-start
+    units carry binary decisions here.  ``init.starts_used`` counts
+    fast-start cycles already used today; day-ahead starts after the window
+    are charged against the budget too.  ``program`` is the program to
+    refill (the previous window's ``Schedule.program``).
+    """
+    step_min, steps = layer_grid(scn.timing, "rtuc")
+    # Day-ahead hour of each step, counted from the start of the SCUC run
+    # that produced ``day_sched``; steps past its horizon hold the last hour.
+    H = day_sched.steps
+    offset = start_minute % (H * 60)
+    hour = [min((offset + t * step_min) // 60, H - 1) for t in range(steps)]
+    after = min((offset + scn.timing.rtuc_horizon_min) // 60, H)
+    pinned, ahead = {}, {}
+    for g in scn.generators:
+        if g.kind != "fast-start":
+            pinned[g.id] = day_sched.w[g.id][hour]
+        elif g.id in day_sched.u:
+            # Day-ahead starts scheduled beyond this window still consume
+            # the unit's daily start budget.
+            ahead[g.id] = int(round(float(np.sum(day_sched.u[g.id][after:]))))
+    opt = _window(scn, "rtuc", start_minute, pinned_w=pinned,
+                  pinned_storage=({sid: p[hour] for sid, p
+                                   in day_sched.storage_gen.items()},
+                                  {sid: p[hour] for sid, p
+                                   in day_sched.storage_pump.items()}),
+                  starts_ahead=ahead)
+    return solve_layer(scn, fc, init, opt, program)
+
+
+def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
+             starts: dict[str, float] | None = None,
+             stops: dict[str, float] | None = None,
+             pinned_storage: tuple[dict, dict] | None = None,
+             minute: int = 0, program: tuple | None = None) -> Schedule:
+    """Economic dispatch of the committed fleet over the interval that
+    starts at ``minute``, with no commitment decisions.
+
+    Each unit is pinned to its status in ``init.online``, and
+    ``init.output`` holds the outputs the fleet is moving from;
+    ``starts``/``stops`` relax the ramp limits of units changing state.
+    ``program`` is the program to refill (the previous interval's
+    ``Schedule.program``).
+    """
+    pinned = {g.id: np.array([float(init.online.get(g.id, 0.0))])
+              for g in scn.generators}
+    if pinned_storage is None:
+        pinned_storage = ({st.id: np.zeros(1) for st in scn.storages},
+                          {st.id: np.zeros(1) for st in scn.storages})
+    opt = _window(scn, "sced", minute, pinned_w=pinned,
+                  pinned_storage=pinned_storage,
+                  fixed_uv=(dict(starts or {}), dict(stops or {})))
+    return solve_layer(scn, fc, init, opt, program)

@@ -12,9 +12,10 @@ passes, each doing only what a window or a minute changes:
    each layer's forecasts are synthesized for all its windows at once:
    one error draw per entity and window, from the same seeds as ever.
 2. *Dispatch.*  The minutes in order, solving each window as it starts
-   and keeping only what feeds the next solve: commitment, unit ramps
-   and storage energy.  Each SCED leaves the few values the physics reads
-   (curtailed and shed fractions, DR output, supergeneration).
+   and keeping only what feeds the next solve, in one live
+   ``InitialState``: commitment, unit outputs, starts and storage energy.
+   Each SCED leaves the few values the physics reads (curtailed and shed
+   fractions, DR output, supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
    injections, then regulation stepped through every minute in one call
    and the network solved for every minute in one stacked solve, summed
@@ -32,13 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dispatch import Forecasts, InitialState, initial_from_scenario
+from .dispatch import (Forecasts, initial_from_scenario, layer_grid,
+                       outage_masks, run_rtuc, run_scuc, run_sced)
 from .grid import dc_flow, factor_network, make_regulation, regulation_step
 from .profiles import forecast, synthesize_error, write_rows
-from .rtuc import run_rtuc
 from .scenario import Scenario, scenario_hash
-from .sced import run_sced
-from .scuc import run_scuc
 
 _LAYER_EPS = {"scuc": 0, "rtuc": 1, "sced": 2}
 _LAYER_KIND = {"scuc": "day-ahead", "rtuc": "short-term", "sced": "real-time"}
@@ -94,11 +93,12 @@ def _entity_seed(master: int, entity: str, layer: str, window: int) -> int:
 
 
 def _layer_forecasts(scn: Scenario, seed: int, layer: str, starts,
-                     window_ids, block: int, n: int) -> list[Forecasts]:
+                     window_ids) -> list[Forecasts]:
     """Deterministic per-entity forecast blocks for every window of a
-    layer: window ``k`` starts at minute ``starts[k]`` and draws its errors
-    from the seeds of ``window_ids[k]``."""
+    layer, on the layer's step grid: window ``k`` starts at minute
+    ``starts[k]`` and draws its errors from the seeds of ``window_ids[k]``."""
     which, kind = _LAYER_EPS[layer], _LAYER_KIND[layer]
+    block, n = layer_grid(scn.timing, layer)
     peak = scn.peak_load
     starts = np.asarray(starts, dtype=int)
 
@@ -126,27 +126,6 @@ def _layer_forecasts(scn: Scenario, seed: int, layer: str, starts,
             for k in range(len(starts))]
 
 
-def outage_masks(scn: Scenario, m0: int, block: int, n: int):
-    """Per-block outage masks of generators and semi resources over the
-    window [m0, m0 + n*block); a resource is out for a whole block if any
-    outage overlaps it.  Resources not out in the window are left out.
-    With ``block`` 1 the masks are per-minute on/off status."""
-    gen, semi = {}, {}
-    gen_ids = {g.id for g in scn.generators}
-    semi_ids = {s.id for s in scn.semis}
-    lo = m0 + block * np.arange(n)
-    for ev in scn.outages:
-        mask = ((lo < ev.start + ev.duration) &
-                (lo + block > ev.start)).astype(float)
-        if not mask.any():
-            continue
-        if ev.resource in gen_ids:
-            gen[ev.resource] = np.maximum(gen.get(ev.resource, 0.0), mask)
-        elif ev.resource in semi_ids:
-            semi[ev.resource] = np.maximum(semi.get(ev.resource, 0.0), mask)
-    return gen, semi
-
-
 def simulate(scn: Scenario, minutes: int,
              seed: int | None = None) -> SimulationTrace:
     """Run the full control cascade for ``minutes`` simulated minutes."""
@@ -168,7 +147,7 @@ def simulate(scn: Scenario, minutes: int,
 
     # --- inputs: every window's start and forecasts ---------------------
     day_min = t.scuc_horizon_h * 60
-    rtuc_steps = t.rtuc_horizon_min // t.rtuc_step_min
+    rtuc_steps = layer_grid(t, "rtuc")[1]
     emergency: set[int] = set()
     for ev in scn.outages:
         if ev.start < minutes:
@@ -180,24 +159,21 @@ def simulate(scn: Scenario, minutes: int,
                       *(m for m in emergency if 0 <= m < minutes)})
     sced_at = range(0, minutes, t.sced_step_min)
     scuc_fc = dict(zip(scuc_at, _layer_forecasts(
-        scn, seed, "scuc", scuc_at, [m // day_min for m in scuc_at], 60,
-        t.scuc_horizon_h)))
+        scn, seed, "scuc", scuc_at, [m // day_min for m in scuc_at])))
     rtuc_fc = dict(zip(rtuc_at, _layer_forecasts(
-        scn, seed, "rtuc", rtuc_at, rtuc_at, t.rtuc_step_min, rtuc_steps)))
-    sced_fc = _layer_forecasts(scn, seed, "sced", sced_at, sced_at,
-                               t.sced_step_min, 1)
+        scn, seed, "rtuc", rtuc_at, rtuc_at)))
+    sced_fc = _layer_forecasts(scn, seed, "sced", sced_at, sced_at)
     # Per-minute on/off status: the run as one window of 1-minute blocks.
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
 
     # --- dispatch: windows in minute order, units ramping between -------
+    # The one live state every layer reads: actual MW, on/off status and
+    # starts per generator, storage energy.
     state = initial_from_scenario(scn)
-    output = dict(state.output)          # actual MW per generator
-    online = dict(state.online)
-    starts_used: dict[str, int] = {g.id: 0 for g in gens}
-    # Each layer's last optimal basis and its program: every window of a
-    # layer has the same shape, so the basis starts the next window and
-    # the program is refilled for it.
-    bases, programs = {}, {}
+    # Each layer's program: every window of a layer has the same shape, so
+    # the program is refilled for the next window and starts it from its
+    # last optimal basis.
+    programs = {}
     # What the physics reads of each SCED: curtailed and shed fractions,
     # DR output and the supergeneration sum; and each minute's storage
     # injection.
@@ -207,33 +183,20 @@ def simulate(scn: Scenario, minutes: int,
     supergen = np.zeros(len(sced_at))
     storage = np.zeros((minutes, len(scn.storages)))
 
-    def current_state() -> InitialState:
-        return InitialState(online=dict(online), output=dict(output),
-                            run_hours=dict(state.run_hours),
-                            starts_used=dict(starts_used),
-                            energy=dict(state.energy),
-                            mode_gen=dict(state.mode_gen),
-                            mode_pump=dict(state.mode_pump))
-
     for m in range(minutes):
         # --- day-ahead commitment ---------------------------------------
         if m % day_min == 0:
-            og, os_ = outage_masks(scn, m, 60, t.scuc_horizon_h)
-            day_sched = run_scuc(scn, scuc_fc[m], current_state(), og, os_,
-                                 basis=bases.get("scuc"),
-                                 program=programs.get("scuc"))
-            bases["scuc"], programs["scuc"] = day_sched.basis, \
-                day_sched.program
-            starts_used = {g.id: 0 for g in gens}
+            day_sched = run_scuc(scn, scuc_fc[m], state, m,
+                                 programs.get("scuc"))
+            programs["scuc"] = day_sched.program
+            state.starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
 
         # --- same-day fast-start commitment -----------------------------
         if m in rtuc_fc:
-            og, os_ = outage_masks(scn, m, t.rtuc_step_min, rtuc_steps)
-            intra = run_rtuc(scn, rtuc_fc[m], current_state(), day_sched, m,
-                             og, os_, basis=bases.get("rtuc"),
-                             program=programs.get("rtuc"))
-            bases["rtuc"], programs["rtuc"] = intra.basis, intra.program
+            intra = run_rtuc(scn, rtuc_fc[m], state, day_sched, m,
+                             programs.get("rtuc"))
+            programs["rtuc"] = intra.program
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
@@ -244,30 +207,26 @@ def simulate(scn: Scenario, minutes: int,
             w_now = float(intra.w[g.id][interval] > 0.5)
             if g.id in gen_out and gen_out[g.id][m]:
                 w_now = 0.0
-            if w_now > 0.5 and online.get(g.id, 0.0) < 0.5:
-                starts_used[g.id] = starts_used.get(g.id, 0) + 1
-                output[g.id] = max(output.get(g.id, 0.0), 0.0)
+            if w_now > 0.5 and state.online.get(g.id, 0.0) < 0.5:
+                state.starts_used[g.id] = state.starts_used.get(g.id, 0) + 1
+                state.output[g.id] = max(state.output.get(g.id, 0.0), 0.0)
             if w_now < 0.5:
-                output[g.id] = 0.0
-            online[g.id] = w_now
+                state.output[g.id] = 0.0
+            state.online[g.id] = w_now
 
         # --- economic dispatch ------------------------------------------
         hour = (m // 60) % t.scuc_horizon_h
         if m % t.sced_step_min == 0:
             k = m // t.sced_step_min
-            og, os_ = outage_masks(scn, m, t.sced_step_min, 1)
-            commitment = {g.id: online[g.id] for g in gens}
             starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
             stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
             ps = {st_.id: np.array([day_sched.storage_gen[st_.id][hour]])
                   for st_ in scn.storages}
             ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
                   for st_ in scn.storages}
-            sced = run_sced(scn, sced_fc[k], current_state(), commitment,
-                            starts, stops, (ps, ss), m, og, os_,
-                            basis=bases.get("sced"),
-                            program=programs.get("sced"))
-            bases["sced"], programs["sced"] = sced.basis, sced.program
+            sced = run_sced(scn, sced_fc[k], state, starts, stops, (ps, ss),
+                            m, programs.get("sced"))
+            programs["sced"] = sced.program
             target = {g.id: float(sced.p[g.id][0]) for g in gens}
             curtail[k] = [sced.curtail[sm.id][0] for sm in scn.semis]
             shed[k] = [sced.shed.get(ld.bubble, np.zeros(1))[0]
@@ -276,16 +235,16 @@ def simulate(scn: Scenario, minutes: int,
             supergen[k] = float(sum(sced.super_pos[b][0] -
                                     sced.super_neg[b][0]
                                     for b in net.bubbles))
-            sced_base = dict(output)
+            sced_base = dict(state.output)
             sced_minute = m
 
         # --- units ramp toward their setpoints; storage as scheduled ----
         frac = min((m - sced_minute + 1) / t.sced_step_min, 1.0)
         for g in gens:
-            if online[g.id] > 0.5:
+            if state.online[g.id] > 0.5:
                 base = sced_base.get(g.id, 0.0)
-                output[g.id] = base + (target[g.id] - base) * frac
-            trace.unit_output[g.id][m] = output[g.id]
+                state.output[g.id] = base + (target[g.id] - base) * frac
+            trace.unit_output[g.id][m] = state.output[g.id]
         for k, st_ in enumerate(scn.storages):
             pgen = float(day_sched.storage_gen[st_.id][hour])
             ppump = float(day_sched.storage_pump[st_.id][hour])

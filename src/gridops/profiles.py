@@ -61,16 +61,16 @@ def variability(p: Profile) -> float:
     return float(np.sqrt(np.mean(rate * rate))) / denom
 
 
-def resample(values: np.ndarray, alpha: float, n_out: int) -> np.ndarray:
-    """Sample values(alpha*t) with linear interpolation and periodic wrap."""
+def resample(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Sample values(alpha*t) with linear interpolation and periodic wrap,
+    as many samples as ``values`` holds."""
     n = len(values)
-    t = (alpha * np.arange(n_out)) % n
+    t = (alpha * np.arange(n)) % n
     ext = np.concatenate([values, values[:1]])
     return np.interp(t, np.arange(n + 1), ext)
 
 
-def scale_ver(base: Profile, spec, peak_load: float,
-              n_out: int | None = None) -> Profile:
+def scale_ver(base: Profile, spec, peak_load: float) -> Profile:
     """Scale a unit-mean shape to a fleet with the requested penetration,
     capacity factor and variability.
 
@@ -91,7 +91,7 @@ def scale_ver(base: Profile, spec, peak_load: float,
         alpha = target_a / a0
     else:
         alpha = 1.0
-    out = resample(v, alpha, n_out if n_out is not None else len(v))
+    out = resample(v, alpha)
     scale = spec.gamma_cf * spec.pi * peak_load
     return Profile(out * scale, start=base.start)
 
@@ -119,33 +119,20 @@ _PHI = {"day-ahead": 0.6, "short-term": 0.3, "real-time": 0.2}
 
 
 def synthesize_error(seed: int, eps: float, pi: float, peak_load: float,
-                     n_blocks: int, kind: str = "day-ahead",
-                     state: float | None = None) -> np.ndarray:
-    """Zero-mean error blocks with std eps*pi*peak_load.
-
-    The unit-variance driver is AR(1); ``state`` lets callers chain windows
-    (pass the previous window's last unit value) for a continuous sequence.
-    """
+                     n_blocks: int, kind: str = "day-ahead") -> np.ndarray:
+    """Zero-mean error blocks with std eps*pi*peak_load, from an AR(1)
+    unit-variance driver."""
     if eps < 0:
         raise ProfileError("negative error std")
     phi = _PHI[kind]
     rng = np.random.default_rng(seed)
     e = np.empty(n_blocks)
-    prev = rng.standard_normal() if state is None else state
+    prev = rng.standard_normal()
     w = np.sqrt(1.0 - phi * phi)
     for k in range(n_blocks):
         prev = phi * prev + w * rng.standard_normal()
         e[k] = prev
     return e * (eps * pi * peak_load)
-
-
-def net_load(load: Profile, semi_outputs: list[Profile]) -> Profile:
-    out = load.values.copy()
-    for s in semi_outputs:
-        if len(s) != len(load):
-            raise ProfileError("length mismatch between load and resource profile")
-        out -= s.values
-    return Profile(out, start=load.start)
 
 
 def ramp_stats(p: Profile, resolution: str) -> RampStats:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import gridops.engine as engine
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
-                              initial_from_scenario)
+                              initial_from_scenario, run_rtuc, run_scuc,
+                              run_sced)
 from gridops.engine import (_LAYER_EPS, _LAYER_KIND, SimulationTrace,
                             _entity_seed, outage_masks)
 from gridops.grid import (GridError, GridState, RegulationState, dc_flow,
@@ -21,12 +22,9 @@ from gridops.lp import GE, LE, LinearProgram, solve_lp
 from gridops.mini import write_mini3
 from gridops.profiles import (Profile, ProfileError, forecast,
                               synthesize_error)
-from gridops.rtuc import run_rtuc
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               Outage, SemiDispatchable, Storage, Timing,
                               ZonalNetwork, load_scenario)
-from gridops.sced import run_sced
-from gridops.scuc import run_scuc
 
 MINUTES = 120
 
@@ -129,7 +127,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
-    bases, programs = {}, {}
+    programs = {}
 
     def current_state() -> InitialState:
         st = InitialState(online=dict(online), output=dict(output),
@@ -142,25 +140,20 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
 
     for m in range(minutes):
         if m % (t.scuc_horizon_h * 60) == 0:
-            og, os_ = outage_masks(scn, m, 60, t.scuc_horizon_h)
             fc = ref_forecasts(scn, seed, peak, "scuc", m, 60,
                                t.scuc_horizon_h, m // (t.scuc_horizon_h * 60))
-            day_sched = run_scuc(scn, fc, current_state(), og, os_,
-                                 basis=bases.get("scuc"),
+            day_sched = run_scuc(scn, fc, current_state(), m,
                                  program=programs.get("scuc"))
-            bases["scuc"], programs["scuc"] = day_sched.basis, \
-                day_sched.program
+            programs["scuc"] = day_sched.program
             starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
 
         if m % t.rtuc_period_min == 0 or m in emergency:
-            og, os_ = outage_masks(scn, m, t.rtuc_step_min, rtuc_steps)
             fc = ref_forecasts(scn, seed, peak, "rtuc", m, t.rtuc_step_min,
                                rtuc_steps, m)
             intra = run_rtuc(scn, fc, current_state(), day_sched, m,
-                             og, os_, basis=bases.get("rtuc"),
                              program=programs.get("rtuc"))
-            bases["rtuc"], programs["rtuc"] = intra.basis, intra.program
+            programs["rtuc"] = intra.program
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
@@ -178,10 +171,8 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             online[g.id] = w_now
 
         if m % t.sced_step_min == 0:
-            og, os_ = outage_masks(scn, m, t.sced_step_min, 1)
             fc = ref_forecasts(scn, seed, peak, "sced", m, t.sced_step_min,
                                1, m)
-            commitment = {g.id: online[g.id] for g in gens}
             starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
             stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
             hour = (m // 60) % (t.scuc_horizon_h)
@@ -189,12 +180,9 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
                   for st_ in scn.storages}
             ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
                   for st_ in scn.storages}
-            sced_now = run_sced(scn, fc, current_state(), commitment,
-                                starts, stops, (ps, ss), m, og, os_,
-                                basis=bases.get("sced"),
-                                program=programs.get("sced"))
-            bases["sced"], programs["sced"] = sced_now.basis, \
-                sced_now.program
+            sced_now = run_sced(scn, fc, current_state(), starts, stops,
+                                (ps, ss), m, program=programs.get("sced"))
+            programs["sced"] = sced_now.program
             sced_base = dict(output)
             sced_minute = m
 

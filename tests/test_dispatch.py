@@ -11,15 +11,13 @@ import gridops.dispatch as dispatch
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
-                              initial_from_scenario)
+                              initial_from_scenario, run_rtuc, run_scuc,
+                              run_sced)
 from gridops.lp import EQ, GE, LE
 from gridops.milp import solve_milp
-from gridops.rtuc import run_rtuc
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               ReserveParams, Scenario, SemiDispatchable,
                               Storage, Timing, ZonalNetwork, LoadSpec)
-from gridops.sced import run_sced, setpoints
-from gridops.scuc import commitment_for_minute, run_scuc
 
 
 def one_bubble(gens, horizon=4, semis=(), storages=(), reserves=None,
@@ -41,6 +39,13 @@ def flat(scn, mw, semis=None):
                            for k, v in (semis or {}).items()})
 
 
+def supergen(sched):
+    """Total penalty-source MW of a schedule, both directions."""
+    return sum(float(np.abs(arr).sum())
+               for side in (sched.super_pos, sched.super_neg)
+               for arr in side.values())
+
+
 def cheap_dear():
     cheap = Generator(id="cheap", bubble="a", p_min=10.0, p_max=100.0,
                       h_l=5.0, r_min=-100.0, r_max=100.0)
@@ -55,7 +60,7 @@ def test_commits_cheapest_unit_only():
     assert sched.w["cheap"] == pytest.approx([1, 1, 1, 1])
     assert sched.w["dear"] == pytest.approx([0, 0, 0, 0])
     assert sched.p["cheap"] == pytest.approx(np.full(4, 80.0))
-    assert sched.supergen_total() == pytest.approx(0.0, abs=1e-6)
+    assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_losses_gross_up_the_load():
@@ -86,7 +91,7 @@ def test_reserve_requirement_forces_second_unit():
     assert sched.c1 == pytest.approx([100.0, 100.0])
     total = sched.tmsr["cheap"] + sched.tmsr["dear"]
     assert np.all(total >= 100.0 - 1e-6)
-    assert sched.supergen_total() == pytest.approx(0.0, abs=1e-6)
+    assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_excess_renewables_are_curtailed():
@@ -101,7 +106,7 @@ def test_excess_renewables_are_curtailed():
     # Must-run floor of 20 MW leaves room for 30 of the 150 MW available.
     assert sched.p["base"] == pytest.approx([20.0, 20.0])
     assert sched.curtail["sun"] == pytest.approx([0.8, 0.8])
-    assert sched.supergen_total() == pytest.approx(0.0, abs=1e-6)
+    assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_shortage_covered_by_penalty_source():
@@ -190,7 +195,7 @@ def test_fast_start_commits_in_same_day_layer():
     assert np.all(intra.w["fast"][1:] > 0.5)
     assert intra.p["base"] + intra.p["fast"] + intra.super_pos["a"][:] == \
         pytest.approx(np.full(T, 150.0))
-    assert intra.supergen_total() < 150.0  # fast unit covers most of the gap
+    assert supergen(intra) < 150.0  # fast unit covers most of the gap
 
 
 def test_non_fast_units_stay_pinned():
@@ -220,26 +225,71 @@ def test_start_budget_exhaustion_blocks_commitment():
     assert float(intra.super_pos["a"].min()) >= 50.0 - 1e-6
 
 
-def test_program_is_refilled_only_where_its_shape_fits():
+def program_bytes(program):
+    """Every array, sense and the outside cost of a program."""
+    lp, cols = program
+    A, b, senses, c, l, u = lp.dense()
+    return [a.tobytes() for a in (A, b, c, l, u)], senses, cols.fixed_cost
+
+
+def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
+    # Every RTUC program has binaries: record the basis each solve starts
+    # from and the solution it returns.
+    starts, solutions = [], []
+
+    def spy(lp, basis=None):
+        starts.append(basis)
+        solutions.append(solve_milp(lp, basis=basis))
+        return solutions[-1]
+
     scn = one_bubble(fast_fleet(), horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
+    assert day.program[1].basis is not None
+    monkeypatch.setattr(dispatch, "solve_milp", spy)
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
     fresh = run_rtuc(scn, fc, init, day, start_minute=0)
-    # The day-ahead program has another shape: a new one is built.
+    # The day-ahead program has another shape: a new one is built, and it
+    # starts cold, not from the day-ahead program's basis.
     rebuilt = run_rtuc(scn, fc, init, day, start_minute=0,
                        program=day.program)
     assert rebuilt.program is not day.program
-    # A program of the same shape, filled for another window, is refilled.
+    # A program of the same shape, filled for another window, is refilled
+    # and starts from its own last optimal basis.
     other = run_rtuc(scn, Forecasts(load={"a": np.full(T, 60.0)}, semi={}),
                      init, day, start_minute=0)
+    last = other.program[1].basis
     refilled = run_rtuc(scn, fc, init, day, start_minute=0,
                         program=other.program)
     assert refilled.program is other.program
-    for sched in (rebuilt, refilled):
-        assert sched.objective == fresh.objective
-        assert sched.p["fast"].tolist() == fresh.p["fast"].tolist()
+    assert starts[:3] == [None, None, None]
+    assert last is solutions[2].basis and starts[3] is last
+    # ... and keeps the basis it ends at for the next window.
+    assert refilled.program[1].basis is solutions[3].basis
+    assert rebuilt.objective == fresh.objective
+    assert rebuilt.p["fast"].tolist() == fresh.p["fast"].tolist()
+    # The refilled program is bitwise the fresh one; only its warm start
+    # differs, which may move the optimum in the last bits.
+    assert program_bytes(refilled.program) == program_bytes(fresh.program)
+    assert refilled.objective == pytest.approx(fresh.objective, rel=1e-12)
+    assert refilled.p["fast"] == pytest.approx(fresh.p["fast"], rel=1e-12)
+
+
+def test_scuc_prices_fuel_by_the_clock_hour():
+    # Fuel costs h+1 in hour h.  A 2-hour commitment at minute 120 covers
+    # hours 2 and 3, so it pays 3 and 4 per unit of fuel, not 1 and 2.
+    g = Generator(id="g", bubble="a", kind="must-run", online=True,
+                  p_min=10.0, p_max=100.0, h_l=5.0, initial_output=50.0,
+                  r_min=-100.0, r_max=100.0, c_f=np.arange(1.0, 25.0))
+    scn = one_bubble([g], horizon=2)
+    init = initial_from_scenario(scn)
+    fuel = 5.0 * 50.0               # MBtu per hour at 50 MW
+    for minute, hours in ((0, (0, 1)), (120, (2, 3)), (1380, (23, 0))):
+        sched = run_scuc(scn, flat(scn, 50.0), init, minute)
+        assert sched.p["g"] == pytest.approx([50.0, 50.0])
+        assert sched.objective == pytest.approx(
+            fuel * sum(g.c_f[h] for h in hours))
 
 
 def sced_scn():
@@ -256,24 +306,24 @@ def one_step(mw):
 def test_dispatch_holds_at_fixed_point():
     scn = sced_scn()
     init = initial_from_scenario(scn)
-    sched = run_sced(scn, one_step(50.0), init, {"g": 1.0})
-    assert setpoints(sched)["g"] == pytest.approx(50.0)
+    sched = run_sced(scn, one_step(50.0), init)
+    assert sched.p["g"][0] == pytest.approx(50.0)
     assert sched.objective == pytest.approx(5.0 * 50.0)
 
 
 def test_dispatch_moves_within_ramp():
     scn = sced_scn()
     init = initial_from_scenario(scn)
-    sched = run_sced(scn, one_step(55.0), init, {"g": 1.0})
-    assert setpoints(sched)["g"] == pytest.approx(55.0)
+    sched = run_sced(scn, one_step(55.0), init)
+    assert sched.p["g"][0] == pytest.approx(55.0)
 
 
 def test_dispatch_ramp_capped_with_penalty_backfill():
     scn = sced_scn()
     init = initial_from_scenario(scn)
     # 1 MW/min over a 10 minute interval: at most 60 MW is reachable.
-    sched = run_sced(scn, one_step(70.0), init, {"g": 1.0})
-    assert setpoints(sched)["g"] == pytest.approx(60.0)
+    sched = run_sced(scn, one_step(70.0), init)
+    assert sched.p["g"][0] == pytest.approx(60.0)
     assert sched.super_pos["a"][0] == pytest.approx(10.0)
 
 
@@ -281,25 +331,25 @@ def test_dispatch_start_relaxes_ramp():
     scn = sced_scn()
     init = initial_from_scenario(scn)
     init.output["g"] = 0.0
-    sched = run_sced(scn, one_step(90.0), init, {"g": 1.0},
-                     starts={"g": 1.0})
-    assert setpoints(sched)["g"] == pytest.approx(90.0)
+    sched = run_sced(scn, one_step(90.0), init, starts={"g": 1.0})
+    assert sched.p["g"][0] == pytest.approx(90.0)
 
 
 def test_offline_unit_dispatches_to_zero():
     scn = sced_scn()
     init = initial_from_scenario(scn)
-    init.output["g"] = 0.0
-    sched = run_sced(scn, one_step(0.0), init, {"g": 0.0})
-    assert setpoints(sched)["g"] == pytest.approx(0.0)
-    assert sched.supergen_total() == pytest.approx(0.0, abs=1e-6)
+    init.online["g"] = init.output["g"] = 0.0
+    sched = run_sced(scn, one_step(0.0), init)
+    assert sched.p["g"][0] == pytest.approx(0.0)
+    assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_commitment_lookup_by_minute():
     scn = one_bubble(cheap_dear())
     sched = run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
-    assert commitment_for_minute(sched, 90)["cheap"] == 1.0
-    assert commitment_for_minute(sched, 90)["dear"] == 0.0
+    step = 90 // sched.step_minutes
+    assert sched.w["cheap"][step] == 1.0
+    assert sched.w["dear"][step] == 0.0
 
 
 def test_infeasible_forecast_horizon_rejected():
@@ -404,10 +454,10 @@ def run_all_families():
     intra_fc = family_forecasts([120, 125, 130, 135], [180, 190, 200, 210],
                                 [30, 35, 40, 45])
     intra = run_rtuc(scn, intra_fc, init, day, start_minute=60)
-    now = InitialState(online=dict(init.online),
+    now = InitialState(online={g: float(w[1]) for g, w in day.w.items()},
                        output={g: float(p[0]) for g, p in day.p.items()})
     rt_fc = family_forecasts([120], [180], [30])
-    rt = run_sced(scn, rt_fc, now, commitment_for_minute(day, 60),
+    rt = run_sced(scn, rt_fc, now,
                   starts={g: float(u[1]) for g, u in day.u.items()},
                   stops={g: float(v[1]) for g, v in day.v.items()},
                   pinned_storage=({"pond": day.storage_gen["pond"][1:2]},

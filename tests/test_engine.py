@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 
 import numpy as np
@@ -251,10 +252,11 @@ def test_refilled_programs_equal_fresh_builds(mini, monkeypatch):
     extract = dispatch.extract_schedule
     windows = []
 
-    # A build fills the new structure through fill_program too.
-    def record_fill(program, *args):
-        fill(program, *args)
-        windows.append([args, program])
+    # A build fills the new structure through fill_program too.  The run's
+    # state lives on past the window, so each window keeps a copy of it.
+    def record_fill(program, scn, fc, init, opt):
+        fill(program, scn, fc, init, opt)
+        windows.append([(scn, fc, copy.deepcopy(init), opt), program])
 
     def record_extract(*args):
         windows[-1].append(_snapshot(windows[-1][1]))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gridops.profiles import (Profile, ProfileError, forecast, net_load,
+from gridops.profiles import (Profile, ProfileError, forecast,
                               ramp_stats, read_profile, scale_ver,
                               synthesize_error, variability, write_profile)
 
@@ -154,19 +154,6 @@ def test_make_forecast_caps_at_capacity():
     p = Profile(np.full(60, 90.0))
     f = forecast(p, 0, 60, 1, np.array([-50.0]), capacity=100.0)
     assert f == pytest.approx([100.0])
-
-
-def test_net_load():
-    load = Profile(np.full(10, 10_000.0))
-    ver = Profile(np.full(10, 4_000.0))
-    assert net_load(load, [ver]).values == pytest.approx(np.full(10, 6000.0))
-    assert np.array_equal(net_load(load, []).values, load.values)
-
-
-def test_net_load_can_go_negative():
-    load = Profile(np.full(5, 7_142.0))
-    ver = Profile(np.full(5, 13_101.0))
-    assert net_load(load, [ver]).values == pytest.approx(np.full(5, -5959.0))
 
 
 def test_ramp_stats_1min():
