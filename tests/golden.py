@@ -55,16 +55,16 @@ RUNS = {
 def write_scenario(run: str, directory: str) -> str:
     """Write the run's scenario file into ``directory``; returns its path."""
     variant, days = RUNS[run][:2]
-    path = os.path.join(directory, "cadence.scn" if variant == "cadence"
-                        else "mini3.scn")
     if variant == "cadence":
         spec = importlib.util.spec_from_file_location(
             "bench_inputs",
             os.path.join(os.path.dirname(HERE), "bench", "inputs.py"))
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
-        return inputs.write_cadence_fixture(path)
-    return write_mini3(path, variant=variant, days=days)
+        return inputs.write_cadence_fixture(
+            os.path.join(directory, "cadence.scn"))
+    return write_mini3(os.path.join(directory, "mini3.scn"), variant=variant,
+                       days=days)
 
 
 def simulate_run(run: str, scn):
