@@ -1,4 +1,4 @@
-"""Dense primal simplex for linear programs with bounded variables.
+"""Dense simplex for linear programs with bounded variables.
 
 A :class:`LinearProgram` holds its program as arrays, and the solver reads
 them as they are: a solve copies nothing but the bounds that branch and
@@ -18,33 +18,47 @@ program, such as a branch-and-bound child or the next window of a layer,
 can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
 2018, on reusing bases across related LPs).
 
-- *Given basis.*  B = [A | I][:, basis] is inverted through its block of
-  basic structurals (each basic slack keeps its own row) and checked
-  cheaply for conditioning.  Nonbasic columns sit at the bound their state
-  names, or where the crash would put them when that bound is infinite.
-  A basis of the wrong length, with repeated or unknown columns, singular
-  or badly conditioned is dropped for the crash.
+- *Given basis.*  B = [A | I][:, basis] comes from the factor the basis
+  carries (:class:`Factor`, the final inverse of the solve that returned
+  it) when the basic structural columns of A are bitwise those it was made
+  from, fewer than ``_REFACTOR_EVERY`` pivots have updated it since its
+  last fresh inversion, and it passes the conditioning check below.
+  Otherwise B is inverted through its block of basic structurals (each
+  basic slack keeps its own row) and checked cheaply for conditioning.
+  Nonbasic columns sit at the bound their state names, or where the crash
+  would put them when that bound is infinite.  A basis of the wrong
+  length, with repeated or unknown columns, singular or badly conditioned
+  is dropped for the crash.  The refactor cadence counts pivots across
+  the solves that carry one factor.
 - *Crash.*  Nonbasic columns sit at a finite bound.  Each equality row, in
   row order, takes a basic structural column that can absorb its residual
   within bounds and has no nonzero in an earlier crashed row, which keeps
   the crash block triangular and the basis nonsingular.  Every other row
   starts on its slack.
-- *Parking.*  Either way, each basic column whose value lies more than
-  ``_PARK_TOL`` outside its bounds is parked at its nearest bound, and an
-  artificial column, a copy of the parked column signed so that it starts
+- *Dual start.*  A given basis whose basic columns all lie within their
+  bounds goes straight to phase 2.  One with basics more than
+  ``_PARK_TOL`` outside their bounds but dual feasible under the costs
+  (every reduced cost of its sign to ``COST_TOL``), as a window whose
+  right-hand side moved or a B&B child whose fractional basic binary was
+  fixed away from its value, runs a bounded dual simplex (Koberstein,
+  "The dual simplex method, techniques for a fast and stable
+  implementation", PhD thesis, Paderborn 2005) until every basic column is
+  within its bounds; phase 2 then confirms the optimum.  A row that no
+  column can move proves the program infeasible.
+- *Parking.*  Any other start with basics outside their bounds, and every
+  crash, parks each such column at its nearest bound, and an artificial
+  column, a copy of the parked column signed so that it starts
   nonnegative, takes its place.  That only flips the sign of one row of
-  the basis inverse.  Phase 1 drives the artificials to zero and runs only
-  when there is one; phase 2 handles changed costs.  A crashed row whose
-  slack cannot absorb the residual thus gets the artificial ``±e_i``, and
-  a B&B child's fractional basic binary, fixed away from its value, gets
-  one copying its column.  A fixed basic column at its value stays basic,
-  an ordinary degenerate basic, so a start that parks nothing goes
-  straight to phase 2.
+  the basis inverse.  Phase 1 drives the artificials to zero; phase 2
+  handles the costs.  A crashed row whose slack cannot absorb the residual
+  thus gets the artificial ``±e_i``.  A fixed basic column at its value
+  stays basic, an ordinary degenerate basic.
 
 A warm start that ends infeasible is solved again from the crash, so the
 rows it names do not depend on the start.  A returned basis names each
-artificial still basic by the column it copies.  A solve that reaches the
-pivot cap (``_PIVOTS_PER_DIM`` per row plus column) ends with status
+artificial still basic by the column it copies, and its factor has that
+row's sign flip undone.  A solve that reaches the pivot cap
+(``_PIVOTS_PER_DIM`` per row plus column) ends with status
 ``iteration_limit``.
 """
 
@@ -71,7 +85,8 @@ CHECK_TOL = 1e-6
 # A basic column more than _PARK_TOL outside its bounds is parked.
 _PARK_TOL = 1e-9
 # A starting basis is used when Tinv (T 1) is within _FACTOR_TOL of 1
-# for its block T of basic structurals (see _factor).
+# for its block T of basic structurals (see _factor), and a carried
+# inverse when Binv (B 1) is (see _start_inverse).
 _FACTOR_TOL = 1e-9
 _DEGEN_STREAK_FOR_BLAND = 60
 _REFACTOR_EVERY = 256
@@ -269,16 +284,57 @@ class LinearProgram:
                 self.obj.copy(), self.lb.copy(), self.ub.copy())
 
 
+class Packed(NamedTuple):
+    """A dense array kept as its shape and the flat positions and values
+    of its nonzero bit patterns (see :func:`_pack`)."""
+    shape: tuple[int, ...]
+    at: np.ndarray
+    values: np.ndarray
+
+
+def _pack(a: np.ndarray) -> Packed:
+    """``a`` packed; a ``-0.0`` is kept, so unpacking gives back its bits."""
+    at = np.flatnonzero(a.view(np.uint64))
+    return Packed(a.shape, at, a.reshape(-1)[at])
+
+
+def _unpack(p: Packed) -> np.ndarray:
+    a = np.zeros(p.shape)
+    a.reshape(-1)[p.at] = p.values
+    return a
+
+
+def _same_bits(p: Packed, q: Packed) -> bool:
+    return p.shape == q.shape and np.array_equal(p.at, q.at) and \
+        np.array_equal(p.values.view(np.uint64), q.values.view(np.uint64))
+
+
+class Factor(NamedTuple):
+    """The inverse a solve ended with, carried to the next start.
+
+    ``inverse`` is B^-1 for the basis positions of the :class:`Basis` that
+    carries it, and ``columns`` the basic structural columns of A (in
+    position order) it was made from, both packed: a basis inverse is
+    mostly zeros.  ``age`` counts the pivots that have updated it since it
+    was last inverted afresh.
+    """
+    inverse: Packed
+    columns: Packed
+    age: int
+
+
 class Basis(NamedTuple):
     """A simplex basis over the structural and slack columns.
 
     ``cols[i]`` is the column basic in position ``i``: structural ``j < n``
     or the slack ``n + r`` of row ``r``.  ``states`` holds each of the
     ``n + m`` columns' state: at its lower bound, at its upper bound, free
-    at zero, or basic.
+    at zero, or basic.  ``factor``, when set, is the inverse of this basis
+    that a start may reuse.
     """
     cols: np.ndarray
     states: np.ndarray
+    factor: Factor | None = None
 
 
 @dataclass
@@ -292,6 +348,7 @@ class Solution:
     branches: int = 0
     pivots: int = 0
     phase1_pivots: int = 0
+    dual_pivots: int = 0
     basis: Basis | None = None       # set on every optimal solve
 
 
@@ -303,7 +360,8 @@ _BASIC = 3
 
 
 class _Simplex:
-    """Bounded-variable primal simplex over an explicit basis inverse.
+    """Bounded-variable primal and dual simplex over an explicit basis
+    inverse.
 
     Columns are the structurals, one slack per row (``A x + s = b``, with
     ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
@@ -312,7 +370,8 @@ class _Simplex:
     matrix, read in place; a slack or artificial column is formed when a
     pivot needs it.  The starting basis is ``start`` when it is usable,
     otherwise a triangular crash (:func:`_crash`) with every row that no
-    structural takes on its slack.  ``warm`` tells which one was used.
+    structural takes on its slack.  ``warm`` tells which one was used, and
+    ``dual`` whether the start runs the dual simplex before phase 2.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
@@ -330,17 +389,11 @@ class _Simplex:
         # unless the start names the upper.  A slack's finite bound is 0.
         state = np.where(lo > -INF, _AT_LB,
                          np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
-        # Basis positions: each row's slack in its own position, the basic
-        # structurals ``cols`` in positions ``rows``; T = A[rows][:, cols].
-        Tinv = None
+        basis = Binv = None
+        self.age = 0        # pivots on Binv since its last fresh inversion
         if start is not None and _usable(start, m, n):
-            given = np.asarray(start.cols)
-            cols = given[given < n]
-            on_slack = np.zeros(m, dtype=bool)
-            on_slack[given[given >= n] - n] = True
-            rows = np.flatnonzero(~on_slack)
-            Tinv = _factor(A[np.ix_(rows, cols)])
-        self.warm = Tinv is not None
+            basis, Binv, self.age = _start_inverse(A, start)
+        self.warm = Binv is not None
         if self.warm:
             state[(start.states == _AT_UB) & (hi < INF)] = _AT_UB
         x = np.where(state == _AT_LB, lo, np.where(state == _AT_UB, hi, 0.0))
@@ -348,45 +401,64 @@ class _Simplex:
             eq_rows = np.flatnonzero(~(is_le | is_ge))
             rows, cols = _crash(A, b - A @ x[:n], x[:n], l, u, eq_rows)
             Tinv = _triangular_inverse(A[np.ix_(rows, cols)])
-        basis = n + np.arange(m)
-        basis[rows] = cols
-        Binv = _basis_inverse(A, rows, cols, Tinv)
+            basis, Binv = _place(A, rows, cols, Tinv)
         # Basic values from the nonbasic ones: x_B = Binv (b - N x_N).
         x[basis] = 0.0
-        xb = Binv @ (b - A @ x[:n])
+        x[basis] = Binv @ (b - A @ x[:n])
+        state[basis] = _BASIC
 
-        # Park basic columns outside their bounds.  A fixed column at its
-        # value stays basic, an ordinary degenerate basic.
-        lo_b, hi_b = lo[basis], hi[basis]
-        park = np.flatnonzero((xb < lo_b - _PARK_TOL) |
-                              (xb > hi_b + _PARK_TOL))
-        at = np.clip(xb[park], lo_b[park], hi_b[park])
-        sign = np.where(xb[park] >= at, 1.0, -1.0)
-        src = basis[park]
-        x[src] = at
-        state[src] = np.where(at > lo_b[park], _AT_UB, _AT_LB)
-        Binv[park] *= sign[:, None]
-        k = len(park)
-        art = n + m + np.arange(k)
-        basis[park] = art
-        xb[park] = (xb[park] - at) * sign
-
-        self.ncols = n + m + k
+        self.ncols = n + m
         self.b = b
-        self.l = np.concatenate([lo, np.zeros(k)])
-        self.u = np.concatenate([hi, np.full(k, INF)])
-        self.x = np.concatenate([x, np.zeros(k)])
-        self.x[basis] = xb
-        self.state = np.concatenate([state, np.zeros(k, np.int8)])
-        self.state[basis] = _BASIC
-        self.basis = basis
-        self.Binv = Binv
-        self.art = art
-        self.art_src = src
-        self.art_sign = sign
-        self.pivots = 0
-        self.phase1_pivots = 0
+        self.l, self.u = lo, hi
+        self.x, self.state = x, state
+        self.basis, self.Binv = basis, Binv
+        self.art = self.art_src = np.empty(0, dtype=int)
+        self.art_sign = np.empty(0)
+        self.pivots = self.phase1_pivots = self.dual_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
+
+        out = self._outside()
+        self.dual = False
+        if self.warm and out.any():
+            cost = np.zeros(n + m)
+            cost[:n] = c
+            self.dual = not self._dual_infeasibility(
+                self._reduced_costs(cost)).any()
+        if not self.dual:
+            self._park(np.flatnonzero(out))
+
+    def _outside(self) -> np.ndarray:
+        """Distance of each basic column outside its bounds, 0 within
+        ``_PARK_TOL`` of them."""
+        xb = self.x[self.basis]
+        lo_b, hi_b = self.l[self.basis], self.u[self.basis]
+        gap = np.maximum(lo_b - xb, xb - hi_b)
+        gap[~((xb < lo_b - _PARK_TOL) | (xb > hi_b + _PARK_TOL))] = 0.0
+        return gap
+
+    def _park(self, park: np.ndarray) -> None:
+        """Park the basic columns in positions ``park`` at their nearest
+        bound, each replaced by an artificial copy signed to start
+        nonnegative.  A fixed column at its value stays basic, an ordinary
+        degenerate basic."""
+        n, m, k = self.n, self.m, len(park)
+        basis = self.basis
+        xb = self.x[basis][park]
+        lo_b, hi_b = self.l[basis][park], self.u[basis][park]
+        at = np.clip(xb, lo_b, hi_b)
+        sign = np.where(xb >= at, 1.0, -1.0)
+        src = basis[park]
+        art = n + m + np.arange(k)
+        self.x = np.concatenate([self.x, (xb - at) * sign])
+        self.x[src] = at
+        self.state = np.concatenate([self.state, np.full(k, _BASIC, np.int8)])
+        self.state[src] = np.where(at > lo_b, _AT_UB, _AT_LB)
+        self.Binv[park] *= sign[:, None]
+        basis[park] = art
+        self.ncols = n + m + k
+        self.l = np.concatenate([self.l, np.zeros(k)])
+        self.u = np.concatenate([self.u, np.full(k, INF)])
+        self.art, self.art_src, self.art_sign = art, src, sign
 
     # -- columns ---------------------------------------------------------
 
@@ -425,37 +497,67 @@ class _Simplex:
             raise SolverError("singular basis during refactorization") from exc
         return full
 
-    def _iterate(self, cost: np.ndarray) -> str:
-        """Run simplex to optimality for the given cost vector."""
+    def _refactor_on_cadence(self) -> None:
+        """Invert afresh every ``_REFACTOR_EVERY`` pivots on Binv, counted
+        from its last fresh inversion, across the solves that carried it."""
+        k = self.age + self.pivots
+        if k and k % _REFACTOR_EVERY == 0:
+            full = self._refactor()
+            # Recompute basic values from scratch for accuracy.
+            nb = self.state != _BASIC
+            rhs = self.b - full[:, nb] @ self.x[nb]
+            self.x[self.basis] = self.Binv @ rhs
+
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs of every column.  Slack columns are e_i and each
+        artificial a signed copy of a structural or slack, so only the
+        structural block needs a product."""
         m, n = self.m, self.n
-        fixed = self.l == self.u        # bounds do not change within a call
+        y = cost[self.basis] @ self.Binv
+        ya = y @ self.An
+        r = np.empty(self.ncols)
+        r[:n] = cost[:n] - ya
+        r[n:n + m] = cost[n:n + m] - y
+        r[n + m:] = cost[n + m:] - \
+            self.art_sign * np.concatenate((ya, y))[self.art_src]
+        return r
+
+    def _dual_infeasibility(self, r: np.ndarray) -> np.ndarray:
+        """Violation of each reduced cost's sign along its eligible
+        direction (increase from a lower bound or free, decrease from an
+        upper bound or free), 0 within ``COST_TOL``; fixed columns never
+        enter."""
+        st = self.state
+        viol = np.maximum(
+            np.where((st == _AT_LB) | (st == _FREE), -r, 0.0),
+            np.where((st == _AT_UB) | (st == _FREE), r, 0.0))
+        viol[(self.l == self.u) | (viol <= COST_TOL)] = 0.0
+        return viol
+
+    def _exchange(self, pos: int, j: int, dj: np.ndarray) -> None:
+        """Make column ``j`` basic in position ``pos``, with ``dj`` =
+        Binv A[:, j]: an eta update of Binv, or a fresh inversion when the
+        pivot element is too small."""
+        self.basis[pos] = j
+        self.state[j] = _BASIC
+        piv = dj[pos]
+        if abs(piv) < 1e-11:
+            self._refactor()
+            return
+        row = self.Binv[pos] / piv
+        # Only the rows where dj is nonzero change.
+        rows = np.flatnonzero(dj)
+        self.Binv[rows] -= dj[rows, None] * row
+        self.Binv[pos] = row
+
+    def _iterate(self, cost: np.ndarray) -> str:
+        """Run the primal simplex to optimality for the given cost vector."""
+        m = self.m
         degen_streak = 0
         while True:
-            if self.pivots and self.pivots % _REFACTOR_EVERY == 0:
-                full = self._refactor()
-                # Recompute basic values from scratch for accuracy.
-                nb = self.state != _BASIC
-                rhs = self.b - full[:, nb] @ self.x[nb]
-                self.x[self.basis] = self.Binv @ rhs
-
-            # Reduced costs: slack columns are e_i and each artificial a
-            # signed copy of a structural or slack, so only the structural
-            # block needs a product.
-            y = cost[self.basis] @ self.Binv
-            ya = y @ self.An
-            r = np.empty(self.ncols)
-            r[:n] = cost[:n] - ya
-            r[n:n + m] = cost[n:n + m] - y
-            r[n + m:] = cost[n + m:] - \
-                self.art_sign * np.concatenate((ya, y))[self.art_src]
-            # Violation along each eligible direction (increase from a lower
-            # bound or free, decrease from an upper bound or free); fixed
-            # variables never enter.
-            st = self.state
-            incr = (st == _AT_LB) | (st == _FREE)
-            viol = np.maximum(np.where(incr, -r, 0.0),
-                              np.where((st == _AT_UB) | (st == _FREE), r, 0.0))
-            viol[fixed | (viol <= COST_TOL)] = 0.0
+            self._refactor_on_cadence()
+            r = self._reduced_costs(cost)
+            viol = self._dual_infeasibility(r)
             j = int(np.argmax(viol))       # Dantzig, lowest index on ties
             if viol[j] == 0.0:
                 return "optimal"
@@ -463,7 +565,8 @@ class _Simplex:
                 return "iteration_limit"
             if degen_streak > _DEGEN_STREAK_FOR_BLAND:
                 j = int(np.flatnonzero(viol)[0])               # Bland
-            dirn = 1.0 if (incr[j] and r[j] < -COST_TOL) else -1.0
+            dirn = 1.0 if (self.state[j] != _AT_UB and r[j] < -COST_TOL) \
+                else -1.0
 
             d = self.Binv @ (dirn * self._column(j))
             # Ratio test: basics move by -d * t.
@@ -510,25 +613,82 @@ class _Simplex:
             else:
                 self.x[out] = self.u[out]
                 self.state[out] = _AT_UB
-            self.basis[leave_pos] = j
-            self.state[j] = _BASIC
-            # Eta update of the basis inverse.
-            dj = d * dirn  # Binv @ A[:, j]
-            piv = dj[leave_pos]
-            if abs(piv) < 1e-11:
-                self._refactor()
-                continue
-            row = self.Binv[leave_pos] / piv
-            # Only the rows where dj is nonzero change.
-            rows = np.flatnonzero(dj)
-            self.Binv[rows] -= dj[rows, None] * row
-            self.Binv[leave_pos] = row
+            self._exchange(leave_pos, j, d * dirn)
+
+    def _dual_iterate(self, cost: np.ndarray) -> str:
+        """Run the dual simplex from a dual feasible start until every
+        basic column lies within its bounds.
+
+        The leaving column is the basic one farthest outside its bounds,
+        and it leaves at the bound it violates.  The entering column is
+        one whose move takes the leaving one toward that bound, with the
+        least ratio |r_j / alpha_j| (alpha the leaving row of Binv A), so
+        every reduced cost keeps its sign; among near ties the largest
+        |alpha_j| wins, lowest index on ties.  After a run of degenerate
+        pivots both choices take the lowest column index (Bland).  A row
+        that no column can move proves the program infeasible.  There are
+        no artificials on this path.
+        """
+        fixed = self.l == self.u
+        degen_streak = 0
+        while True:
+            self._refactor_on_cadence()
+            gap = self._outside()
+            p = int(np.argmax(gap))
+            if gap[p] == 0.0:
+                return "optimal"
+            if self.pivots >= self.max_pivots:
+                return "iteration_limit"
+            bland = degen_streak > _DEGEN_STREAK_FOR_BLAND
+            if bland:
+                out = np.flatnonzero(gap)
+                p = int(out[np.argmin(self.basis[out])])
+            xp = self.x[self.basis[p]]
+            rise = xp < self.l[self.basis[p]]
+            target = self.l[self.basis[p]] if rise else self.u[self.basis[p]]
+            rho = self.Binv[p]
+            # Moving column j by t moves x_p by -alpha_j t; s_j > 0 when
+            # raising j takes x_p toward its bound.
+            s = np.concatenate((rho @ self.An, rho))
+            if rise:
+                s = -s
+            st = self.state
+            can = ((((st == _AT_LB) | (st == _FREE)) & (s > RATIO_TOL)) |
+                   (((st == _AT_UB) | (st == _FREE)) & (s < -RATIO_TOL)))
+            can &= ~fixed
+            if not can.any():
+                return "infeasible"
+            r = self._reduced_costs(cost)
+            ratio = np.full(self.ncols, INF)
+            ratio[can] = np.maximum(r[can] * np.sign(s[can]), 0.0) / \
+                np.abs(s[can])
+            t_min = float(ratio.min())
+            cand = np.flatnonzero(ratio <= t_min + COST_TOL)
+            q = int(cand[0] if bland else cand[np.argmax(np.abs(s[cand]))])
+
+            d = self.Binv @ self._column(q)
+            step = (xp - target) / d[p]
+            self.x[self.basis] -= d * step
+            self.x[q] += step
+            leaving = self.basis[p]
+            self.x[leaving] = target
+            self.state[leaving] = _AT_LB if rise else _AT_UB
+            self.pivots += 1
+            degen_streak = degen_streak + 1 if t_min <= COST_TOL else 0
+            self._exchange(p, q, d)
 
     # -- driver ---------------------------------------------------------
 
     def solve(self, c: np.ndarray) -> tuple[str, np.ndarray | None, list[int]]:
         n = self.n
-        if len(self.art):
+        if self.dual:
+            cost = np.zeros(self.ncols)
+            cost[:n] = c
+            status = self._dual_iterate(cost)
+            self.dual_pivots = self.pivots
+            if status != "optimal":
+                return status, None, []
+        elif len(self.art):
             phase1 = np.zeros(self.ncols)
             phase1[self.art] = 1.0
             status = self._iterate(phase1)
@@ -556,14 +716,21 @@ class _Simplex:
 
     def final_basis(self) -> Basis:
         """The basis over structurals and slacks, each artificial still
-        basic named by the column it copies."""
-        nm = self.n + self.m
+        basic named by the column it copies, with the inverse as its
+        factor (each such artificial's row sign flip undone)."""
+        n, nm = self.n, self.n + self.m
         cols = self.basis.copy()
-        art = cols >= nm
-        cols[art] = self.art_src[cols[art] - nm]
+        art = np.flatnonzero(cols >= nm)
+        Binv = self.Binv
+        if art.size:
+            Binv = Binv.copy()
+            Binv[art] *= self.art_sign[cols[art] - nm, None]
+            cols[art] = self.art_src[cols[art] - nm]
         states = self.state[:nm].copy()
         states[cols] = _BASIC
-        return Basis(cols, states)
+        age = (self.age + self.pivots) % _REFACTOR_EVERY
+        return Basis(cols, states, Factor(
+            _pack(Binv), _pack(self.An[:, cols[cols < n]]), age))
 
 
 def _usable(start: Basis, m: int, n: int) -> bool:
@@ -652,21 +819,58 @@ def _triangular_inverse(T: np.ndarray) -> np.ndarray:
     return Tinv
 
 
-def _basis_inverse(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                   Tinv: np.ndarray) -> np.ndarray:
-    """Inverse of the basis that holds structural ``cols[p]`` in position
-    ``rows[p]`` and the slack ``e_i`` in every other position ``i``.
+def _place(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           Tinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basis that holds structural ``cols[p]`` in position ``rows[p]``
+    and the slack ``e_i`` in every other position ``i``, and its inverse.
 
     With ``T = A[rows][:, cols]`` and ``X = A[others][:, cols]``, the basis
     is ``[[T, 0], [X, I]]`` up to a permutation, so its inverse is
     ``[[T^-1, 0], [-X T^-1, I]]``: only T is ever inverted.
     """
+    m, n = A.shape
+    basis = n + np.arange(m)
+    basis[rows] = cols
     # B^-1[:, rows] is [[I], [-X]] @ T^-1.
     S = -A[:, cols]
     S[rows] = np.eye(len(rows))
-    Binv = np.eye(A.shape[0])
+    Binv = np.eye(m)
     Binv[:, rows] = S @ Tinv
-    return Binv
+    return basis, Binv
+
+
+def _start_inverse(A: np.ndarray, start: Basis
+                   ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """Basis positions, inverse and its age for a usable ``start``, or
+    Nones when its basis is singular or too badly conditioned.
+
+    The carried factor is reused, in the start's own positions, when the
+    basic structural columns of A are bitwise those it was made from, it is
+    younger than ``_REFACTOR_EVERY`` pivots, and ``Binv (B 1)`` gives back
+    the ones vector to ``_FACTOR_TOL`` (one product, O(m^2)).  Otherwise the
+    block of basic structurals is inverted afresh (:func:`_factor`).
+    """
+    m, n = A.shape
+    given = np.asarray(start.cols)
+    cols = given[given < n]
+    slack_rows = given[given >= n] - n
+    f = start.factor
+    if f is not None and f.age < _REFACTOR_EVERY:
+        B = A[:, cols]
+        if _same_bits(_pack(B), f.columns):
+            Binv = _unpack(f.inverse)
+            ones = B.sum(axis=1)
+            ones[slack_rows] += 1.0
+            err = np.abs(Binv @ ones - 1.0).max(initial=0.0)
+            if err <= _FACTOR_TOL:
+                return given.copy(), Binv, f.age
+    on_slack = np.zeros(m, dtype=bool)
+    on_slack[slack_rows] = True
+    rows = np.flatnonzero(~on_slack)
+    Tinv = _factor(A[np.ix_(rows, cols)])
+    if Tinv is None:
+        return None, None, 0
+    return (*_place(A, rows, cols, Tinv), 0)
 
 
 def _apply_overrides(l: np.ndarray, u: np.ndarray,
@@ -690,7 +894,7 @@ def solve_lp(lp: LinearProgram,
     basis, usually the ``basis`` of an earlier optimal solve of a program
     of the same shape; an unusable one is replaced by the crash.  Every
     optimal solution is checked by ``verify_certificates`` and carries its
-    own basis.
+    own basis, with the final basis inverse as its factor.
     """
     A, b, senses, c = lp.A, lp.rhs, lp.senses, lp.obj
     l, u = _apply_overrides(lp.lb, lp.ub, var_bounds)
@@ -698,14 +902,14 @@ def solve_lp(lp: LinearProgram,
         return Solution(status="infeasible")
     sx = _Simplex(A, b, senses, c, l, u, basis)
     status, y, bad_rows = sx.solve(c)
-    pivots, phase1_pivots = sx.pivots, sx.phase1_pivots
+    counts = dict(pivots=sx.pivots, phase1_pivots=sx.phase1_pivots,
+                  dual_pivots=sx.dual_pivots)
     if status == "infeasible" and sx.warm:
         # Name the rows the crash start names.
         sx = _Simplex(A, b, senses, c, l, u)
         status, y, bad_rows = sx.solve(c)
-        pivots += sx.pivots
-        phase1_pivots += sx.phase1_pivots
-    counts = dict(pivots=pivots, phase1_pivots=phase1_pivots)
+        counts["pivots"] += sx.pivots
+        counts["phase1_pivots"] += sx.phase1_pivots
     if status != "optimal":
         names = [lp.row_names[i] for i in bad_rows]
         return Solution(status=status, infeasible_rows=names, **counts)

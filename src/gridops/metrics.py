@@ -72,10 +72,15 @@ def mileage_gwh(regulation: np.ndarray) -> float:
     return float(deltas.sum()) / 60_000.0
 
 
-def exhausted_minutes(trace: SimulationTrace) -> int:
+def exhausted_minutes(trace: SimulationTrace,
+                      reg_total: np.ndarray | None = None) -> int:
+    """Minutes where the regulation total (summed over units, computed
+    from the trace unless given) reaches the saturation."""
     if trace.reg_saturation <= 0:
         return 0
-    tot = np.abs(trace.regulation.sum(axis=1))
+    if reg_total is None:
+        reg_total = trace.regulation.sum(axis=1)
+    tot = np.abs(reg_total)
     return int(np.sum(tot >= trace.reg_saturation - EXHAUST_TOL_MW))
 
 
@@ -88,16 +93,23 @@ def congested_minutes(trace: SimulationTrace) -> dict[str, int]:
     return out
 
 
-def excess_generation_minutes(trace: SimulationTrace, scn: Scenario) -> int:
-    """Minutes where net load sits below the inflexible generation floor."""
+def excess_generation_minutes(trace: SimulationTrace, scn: Scenario,
+                              net: np.ndarray | None = None) -> int:
+    """Minutes where net load (computed from the trace unless given) sits
+    below the inflexible generation floor."""
     floor = sum(g.p_min for g in scn.generators if g.kind == "must-run")
-    return int(np.sum(trace.net_load() < floor))
+    if net is None:
+        net = trace.net_load()
+    return int(np.sum(net < floor))
 
 
-def evening_ramp_mw(trace: SimulationTrace, window_min: int = 60) -> float:
+def evening_ramp_mw(trace: SimulationTrace, window_min: int = 60,
+                    net: np.ndarray | None = None) -> float:
     """Steepest upward net-load climb over ``window_min`` after the
-    renewable output peaks."""
-    net = trace.net_load()
+    renewable output peaks; ``net`` is the trace's net load, computed
+    unless given."""
+    if net is None:
+        net = trace.net_load()
     if len(net) <= window_min:
         return 0.0
     peak_at = int(np.argmax(trace.ver_delivered))
@@ -106,8 +118,15 @@ def evening_ramp_mw(trace: SimulationTrace, window_min: int = 60) -> float:
     return float(ramps.max()) if len(ramps) else 0.0
 
 
-def summarize(trace: SimulationTrace, scn: Scenario,
-              scenario_name: str) -> list[tuple[str, str, str, float, str]]:
+def summarize(trace: SimulationTrace, scn: Scenario, scenario_name: str,
+              net: np.ndarray | None = None,
+              reg_total: np.ndarray | None = None
+              ) -> list[tuple[str, str, str, float, str]]:
+    """The report rows.  ``net`` (the net load) and ``reg_total`` (the
+    regulation summed over units) are computed from the trace unless a
+    caller that already holds them passes them."""
+    if net is None:
+        net = trace.net_load()
     rows = []
 
     def add(family, metric, value, unit):
@@ -119,9 +138,12 @@ def summarize(trace: SimulationTrace, scn: Scenario,
     add("imbalance", "minutes_above_1mw", int(np.sum(absim > 1.0)), "min")
     add("imbalance", "share_within_1mw",
         float(np.mean(absim <= 1.0)) if len(absim) else 1.0, "fraction")
+    # The mileage temporaries below are the largest of the report.
+    del absim
 
     add("regulation", "mileage", mileage_gwh(trace.regulation), "GWh")
-    add("regulation", "exhausted_minutes", exhausted_minutes(trace), "min")
+    add("regulation", "exhausted_minutes",
+        exhausted_minutes(trace, reg_total), "min")
     add("regulation", "saturation", trace.reg_saturation, "MW")
 
     curt = trace.curtailment()
@@ -135,12 +157,13 @@ def summarize(trace: SimulationTrace, scn: Scenario,
     add("load", "peak", trace.load.max(initial=0.0), "MW")
     add("load", "energy", trace.load.sum() / 60.0 / 1000.0, "GWh")
     add("load", "shed_energy", trace.shed.sum() / 60.0, "MWh")
-    add("load", "max_evening_net_ramp", evening_ramp_mw(trace), "MW/h")
+    add("load", "max_evening_net_ramp", evening_ramp_mw(trace, net=net),
+        "MW/h")
 
     add("reliability", "supergen_energy",
         np.abs(trace.supergen).sum() / 60.0, "MWh")
     add("reliability", "excess_generation_minutes",
-        excess_generation_minutes(trace, scn), "min")
+        excess_generation_minutes(trace, scn, net), "min")
     return rows
 
 
@@ -176,7 +199,8 @@ def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
     """Full metrics bundle: report, curves, histograms, plot data.  Values
     are printed as computed, with no clamping of -0.000000."""
     net = trace.net_load()
-    write_report(outdir, summarize(trace, scn, scenario_name))
+    reg_total = trace.regulation.sum(axis=1)
+    write_report(outdir, summarize(trace, scn, scenario_name, net, reg_total))
     write_duration(outdir, "imbalance", np.abs(trace.imbalance))
     write_duration(outdir, "net_load", net)
     write_hist(outdir, "imbalance", trace.imbalance, 1.0)
@@ -186,6 +210,6 @@ def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
     for name, series in (("imbalance", trace.imbalance),
                          ("net_load", net),
                          ("curtailment", trace.curtailment()),
-                         ("regulation", trace.regulation.sum(axis=1))):
+                         ("regulation", reg_total)):
         write_rows(os.path.join(plotdir, f"{name}.csv"), ["minute", "value"],
                    trace.minutes, [series])

@@ -9,6 +9,7 @@ first so it wins ties.
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,7 +44,9 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
 
     The root LP starts from ``basis`` and each child from its parent's
     optimal basis; an optimal result carries the root's basis, the start
-    for the next program of the same shape.
+    for the next program of the same shape.  Only the root's basis keeps
+    its factor (the basis inverse, see :class:`gridops.lp.Factor`), so the
+    root's children start without inverting; the heap holds no factor.
     """
     binaries = lp.binary_indices
     root = solve_lp(lp, basis=basis)
@@ -53,16 +56,18 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
 
     seq = 0
     heap: list[tuple[float, int, dict[int, tuple[float, float]], Solution]] = []
-    heapq.heappush(heap, (root.objective, seq, {}, root))
+    heapq.heappush(heap, (root.objective, seq, {}, replace(root, basis=None)))
     incumbent: Solution | None = None
     nodes = 1
     branches = 0
     pivots = root.pivots
     phase1_pivots = root.phase1_pivots
+    dual_pivots = root.dual_pivots
 
     def finish(status: str, best: Solution | None) -> Solution:
         out = Solution(status=status, nodes=nodes, branches=branches,
-                       pivots=pivots, phase1_pivots=phase1_pivots)
+                       pivots=pivots, phase1_pivots=phase1_pivots,
+                       dual_pivots=dual_pivots)
         if best is not None:
             out.x, out.objective, out.duals = best.x, best.objective, best.duals
             out.basis = root.basis
@@ -79,22 +84,25 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
                 incumbent = relax
             continue
         branches += 1
+        start = relax.basis if bounds else root.basis
         for val in (0.0, 1.0):
             if nodes >= node_limit:
                 break
             child = dict(bounds)
             child[j] = (val, val)
-            sol = solve_lp(lp, var_bounds=child, basis=relax.basis)
+            sol = solve_lp(lp, var_bounds=child, basis=start)
             nodes += 1
             seq += 1
             pivots += sol.pivots
             phase1_pivots += sol.phase1_pivots
+            dual_pivots += sol.dual_pivots
             if sol.status == "infeasible":
                 continue
             if sol.status != "optimal":
                 return finish(sol.status, None)
             if incumbent is not None and sol.objective >= incumbent.objective - GAP_TOL:
                 continue
+            sol.basis = sol.basis._replace(factor=None)
             heapq.heappush(heap, (sol.objective, seq, child, sol))
         if nodes >= node_limit:
             return finish("node_limit", incumbent)

@@ -8,6 +8,7 @@ in time.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,31 +168,58 @@ def ramp_stats(p: Profile, resolution: str) -> RampStats:
     return RampStats(resolution, up, down, rates)
 
 
+# One profile row as np.loadtxt reads it.
+_ROW = np.dtype([("minute", np.int64), ("value", np.float64)])
+
+
 def read_profile(path) -> Profile:
-    """Read the `minute,value_mw` CSV format."""
-    minutes: list[int] = []
-    vals: list[float] = []
+    """Read the `minute,value_mw` CSV format.
+
+    The rows are parsed by one ``np.loadtxt`` call.  It takes a subset of
+    the fields ``int`` and ``float`` take, with the same values; a file it
+    refuses is parsed again row by row, which names the first bad row.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "minute,value_mw":
             raise ProfileError(f"{path}: bad profile header {header!r}")
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                m_s, v_s = line.split(",")
-                minutes.append(int(m_s))
-                vals.append(float(v_s))
-            except ValueError as exc:
-                raise ProfileError(f"{path}:{ln}: bad row {line!r}") from exc
-    if not vals:
+        try:
+            with warnings.catch_warnings():
+                # An empty profile is reported below.
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+        except ValueError:
+            fh.seek(0)
+            fh.readline()
+            minutes, vals = _parse_rows(path, fh)
+        else:
+            minutes, vals = rows["minute"], np.ascontiguousarray(rows["value"])
+    if not len(vals):
         raise ProfileError(f"{path}: empty profile")
-    start = minutes[0]
-    for i, m in enumerate(minutes):
-        if m != start + i:
-            raise ProfileError(f"{path}: minute index gap at {m}")
-    return Profile(np.array(vals), start=start)
+    gap = np.flatnonzero(minutes != minutes[0] + np.arange(len(minutes)))
+    if gap.size:
+        raise ProfileError(f"{path}: minute index gap at {minutes[gap[0]]}")
+    return Profile(vals, start=int(minutes[0]))
+
+
+def _parse_rows(path, lines) -> tuple[np.ndarray, np.ndarray]:
+    """The minutes and values of the ``lines`` after the header, one row
+    at a time; raises ProfileError naming the first row ``int``/``float``
+    refuse (blank rows are skipped but counted)."""
+    minutes: list[int] = []
+    vals: list[float] = []
+    for ln, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            m_s, v_s = line.split(",")
+            minutes.append(int(m_s))
+            vals.append(float(v_s))
+        except ValueError as exc:
+            raise ProfileError(f"{path}:{ln}: bad row {line!r}") from exc
+    return np.array(minutes), np.array(vals)
 
 
 def write_rows(path, header: list[str], n: int, columns,

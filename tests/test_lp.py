@@ -312,8 +312,9 @@ def test_singular_or_ill_conditioned_basis_falls_back():
 
 def test_start_parks_out_of_bound_basics():
     # From the optimum of x + y >= 3 (x = 3), moving the rhs to 12 puts
-    # the basic x above its bound of 10: it is parked there and an
-    # artificial copy of its column takes its place.
+    # the basic x above its bound of 10.  The costs are unchanged, so the
+    # start is dual feasible: the dual simplex moves x out at 10 and y in,
+    # with no artificial.
     lp = LinearProgram()
     lp.add_var("x", 0, 10, obj=1.0)
     lp.add_var("y", 0, 10, obj=2.0)
@@ -322,42 +323,219 @@ def test_start_parks_out_of_bound_basics():
     assert opt.x.tolist() == [3.0, 0.0]
     lp.constraints[0].rhs = 12.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.warm
+    assert sx.warm and sx.dual
+    assert sx.art.tolist() == [] and sx.art_src.tolist() == []
+    assert sx.x[0] == 12.0 and sx.state[0] == lpmod._BASIC
+    warm = solve_lp(lp, basis=opt.basis)
+    assert warm.status == "optimal"
+    assert warm.x.tolist() == [10.0, 2.0]
+    assert (warm.pivots, warm.dual_pivots, warm.phase1_pivots) == (1, 1, 0)
+    # With y now cheaper than x the same start is dual infeasible too: x
+    # is parked at 10 and an artificial copy of its column takes its place.
+    lp.variables[1].obj = 0.5
+    sx = lpmod._Simplex(*lp.dense(), opt.basis)
+    assert sx.warm and not sx.dual
     assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [1.0]
     assert sx.x[0] == 10.0 and sx.state[0] == lpmod._AT_UB
     assert sx.x[sx.art].tolist() == [2.0]
     assert np.array_equal(sx.A[:, sx.art[0]], sx.A[:, 0])
     warm = solve_lp(lp, basis=opt.basis)
-    assert warm.status == "optimal"
-    assert warm.x == pytest.approx([10.0, 2.0], abs=1e-9)
+    assert warm.status == "optimal" and warm.phase1_pivots >= 1
+    assert warm.dual_pivots == 0
+    assert warm.x == pytest.approx([2.0, 10.0], abs=1e-9)
+    lp.variables[1].obj = 2.0
     # A basic column fixed where it stands is not parked: it stays basic
     # at its value, a degenerate basic, and the start needs no phase 1.
     lp.constraints[0].rhs = 3.0
     A, b, senses, c, l, u = lp.dense()
     l[0] = u[0] = 3.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
+    assert not sx.dual
     assert sx.art.tolist() == [] and sx.art_src.tolist() == []
     assert sx.basis.tolist() == [0] and sx.state[0] == lpmod._BASIC
     assert sx.x[0] == 3.0
     assert sx.solve(c)[0] == "optimal" and sx.phase1_pivots == 0
     assert sx.x[:2].tolist() == [3.0, 0.0]
     # Fixed away from its value, as a B&B child fixes a fractional basic
-    # binary, it is still parked: at 2.0, with an artificial for the rest.
+    # binary, it leaves by the dual simplex at 2.0 and y takes the rest.
     l[0] = u[0] = 2.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
-    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [1.0]
-    assert sx.x[sx.art].tolist() == [1.0]
-    assert sx.x[0] == 2.0 and sx.state[0] == lpmod._AT_LB
+    assert sx.dual and sx.art.tolist() == []
     assert sx.solve(c)[0] == "optimal"
+    assert (sx.dual_pivots, sx.phase1_pivots) == (1, 0)
     assert sx.x[:2].tolist() == [2.0, 1.0]
-    # Lowering it to -1 leaves x = -1 below 0: parked at 0 with a
-    # negated copy, and the GE row's slack then carries the row.
+    assert sx.state[0] == lpmod._AT_UB       # it left from above
+    # Lowering the rhs to -1 leaves x = -1 below 0: x leaves at 0 and the
+    # GE row's slack, entering, carries the row.
     lp.constraints[0].rhs = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.art_sign.tolist() == [-1.0] and sx.x[sx.art].tolist() == [1.0]
-    assert np.array_equal(sx.Binv @ sx.A[:, sx.basis], np.eye(1))
+    assert sx.dual and sx.art.tolist() == []
     warm = solve_lp(lp, basis=opt.basis)
     assert warm.status == "optimal" and warm.x.tolist() == [0.0, 0.0]
+    assert warm.dual_pivots == 1
+    assert warm.basis.cols.tolist() == [2]
+
+
+def two_block_lp():
+    # Two copies of x + y >= 3 with x the cheaper column; at the optimum
+    # both x are basic at 3.
+    lp = LinearProgram()
+    for k in range(2):
+        x = lp.add_var(f"x{k}", 0, 10, obj=1.0)
+        y = lp.add_var(f"y{k}", 0, 10, obj=2.0)
+        lp.add_constr(f"r{k}", [(x, 1.0), (y, 1.0)], GE, 3.0)
+    return lp
+
+
+def test_dual_loop_pivot_cap_reports_iteration_limit(monkeypatch):
+    # Moving both rhs to 12 puts both basic x above 10: a dual start that
+    # needs two dual pivots.  2 rows and 4 columns cap the solve at 1.
+    lp = two_block_lp()
+    opt = solve_lp(lp)
+    for con in lp.constraints:
+        con.rhs = 12.0
+    full = solve_lp(lp, basis=opt.basis)
+    assert full.status == "optimal"
+    assert (full.pivots, full.dual_pivots) == (2, 2)
+    monkeypatch.setattr(lpmod, "_PIVOTS_PER_DIM", 1 / 6)
+    sol = solve_lp(lp, basis=opt.basis)
+    assert sol.status == "iteration_limit"
+    assert sol.x is None
+    assert (sol.pivots, sol.dual_pivots, sol.phase1_pivots) == (1, 1, 0)
+
+
+def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
+    # x + y >= 25 with x, y <= 10 is infeasible; from the optimum at rhs 3
+    # the start is dual feasible, the dual simplex finds no column to move
+    # x toward its bound, and the crash re-solve names the row.
+    lp = LinearProgram()
+    lp.add_var("x", 0, 10, obj=1.0)
+    lp.add_var("y", 0, 10, obj=2.0)
+    lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    opt = solve_lp(lp)
+    lp.constraints[0].rhs = 25.0
+    sx = lpmod._Simplex(*lp.dense(), opt.basis)
+    assert sx.dual
+    assert sx.solve(lp.obj)[0] == "infeasible"
+    got = solve_lp(lp, basis=opt.basis)
+    assert got.status == "infeasible" and got.dual_pivots == 1
+    assert got.infeasible_rows == solve_lp(lp).infeasible_rows == ["r"]
+
+
+def _count_inversions(monkeypatch):
+    """Count the fresh inversions a solve makes: starts (``_factor``) and
+    every ``np.linalg.inv``."""
+    calls = {"factor": 0, "inv": 0}
+    factor, inv = lpmod._factor, np.linalg.inv
+
+    def count_factor(T):
+        calls["factor"] += 1
+        return factor(T)
+
+    def count_inv(a):
+        calls["inv"] += 1
+        return inv(a)
+    monkeypatch.setattr(lpmod, "_factor", count_factor)
+    monkeypatch.setattr(np.linalg, "inv", count_inv)
+    return calls
+
+
+@pytest.mark.parametrize("make", [small_lp, chain_lp, upper_lp,
+                                  lambda: two_var_lp(EQ, 15.0)],
+                         ids=["inequalities", "chain", "at_upper_bound",
+                              "needs_artificial"])
+def test_carried_inverse_is_reused(monkeypatch, make):
+    lp = make()
+    cold = solve_lp(lp)
+    f = cold.basis.factor
+    cols = cold.basis.cols
+    B = np.hstack([lp.A, np.eye(lp.m)])[:, cols]
+    assert lpmod._unpack(f.inverse) @ B == pytest.approx(np.eye(lp.m),
+                                                          abs=1e-12)
+    assert lpmod._unpack(f.columns).tobytes() == \
+        lp.A[:, cols[cols < lp.n]].tobytes()
+    inverse = lpmod._unpack(f.inverse).tobytes()
+    calls = _count_inversions(monkeypatch)
+    warm = solve_lp(lp, basis=cold.basis)
+    assert calls == {"factor": 0, "inv": 0}
+    assert warm.status == "optimal" and warm.pivots == 0
+    assert warm.x == pytest.approx(cold.x, abs=1e-12)
+    # The carried inverse is read, never written.
+    assert cold.basis.factor is f
+    assert lpmod._unpack(f.inverse).tobytes() == inverse
+    # Without its factor the same basis is inverted afresh.
+    again = solve_lp(lp, basis=cold.basis._replace(factor=None))
+    assert calls["factor"] == 1
+    assert again.x == pytest.approx(cold.x, abs=1e-12)
+
+
+def test_packed_arrays_keep_their_bits():
+    a = np.array([[0.0, -0.0, 1e-300], [np.nan, 0.0, -2.5]])
+    p = lpmod._pack(a)
+    assert p.at.tolist() == [1, 2, 3, 5]
+    assert lpmod._unpack(p).tobytes() == a.tobytes()
+    assert lpmod._same_bits(p, lpmod._pack(a.copy()))
+    b = a.copy()
+    b[0, 1] = 0.0
+    assert not lpmod._same_bits(p, lpmod._pack(b))
+
+
+def test_carried_inverse_is_refused_after_a_basic_column_changes(
+        monkeypatch):
+    lp = small_lp()
+    opt = solve_lp(lp)
+    assert sorted(opt.basis.cols.tolist()) == [0, 1, 3]   # x, y, slack c2
+    calls = _count_inversions(monkeypatch)
+    # Writing a value bitwise equal to the old one keeps the factor.
+    k = lp.entry(2, 1)                                    # y in c3
+    lp.set_coeffs(np.array([k]), np.array([-1.0]))
+    solve_lp(lp, basis=opt.basis)
+    assert calls["factor"] == 0
+    # A new value in the basic column y is refused: the start inverts
+    # afresh, bitwise the solve that was never handed the factor.
+    lp.set_coeffs(np.array([k]), np.array([-1.5]))
+    got = solve_lp(lp, basis=opt.basis)
+    assert calls["factor"] == 1
+    fresh = solve_lp(lp, basis=opt.basis._replace(factor=None))
+    assert got.status == fresh.status == "optimal"
+    assert got.x.tobytes() == fresh.x.tobytes()
+    assert got.duals.tobytes() == fresh.duals.tobytes()
+    assert (got.pivots, got.dual_pivots, got.phase1_pivots) == \
+        (fresh.pivots, fresh.dual_pivots, fresh.phase1_pivots)
+    assert lpmod._same_bits(got.basis.factor.inverse,
+                            fresh.basis.factor.inverse)
+
+
+def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
+    monkeypatch.setattr(lpmod, "_REFACTOR_EVERY", 4)
+    refactors = []
+    real = lpmod._Simplex._refactor
+
+    def spy(self):
+        refactors.append(self.pivots)
+        return real(self)
+    monkeypatch.setattr(lpmod._Simplex, "_refactor", spy)
+    lp = LinearProgram()
+    for j, cost in enumerate([-1, -2, -3, -1.5, -2.5]):
+        lp.add_var(f"x{j}", 0, 10, obj=cost)
+    for i in range(5):
+        lp.add_constr(f"r{i}", [(j, 1.0 + (i * j) % 3) for j in range(5)],
+                      LE, 20.0 + i)
+    cold = solve_lp(lp)
+    assert (cold.pivots, cold.basis.factor.age, refactors) == (3, 3, [])
+    for j, cost in enumerate([-3, -1, -0.5, -2, -4]):
+        lp.variables[j].obj = cost
+    warm = solve_lp(lp, basis=cold.basis)
+    # 3 carried + 1 pivot reach the cadence of 4: one fresh inversion
+    # after the first pivot, then 2 more pivots on it.
+    assert warm.pivots == 3 and refactors == [1]
+    assert warm.basis.factor.age == 2
+    # A factor as old as the cadence is not reused.
+    refactors.clear()
+    calls = _count_inversions(monkeypatch)
+    old = warm.basis._replace(factor=warm.basis.factor._replace(age=4))
+    assert solve_lp(lp, basis=old).pivots == 0
+    assert calls["factor"] == 1 and refactors == []
 
 
 def test_warm_start_that_ends_infeasible_names_the_cold_rows():

@@ -3,13 +3,15 @@ from the crash and from the basis of a related program."""
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gridops.lp import EQ, GE, INF, LE, LinearProgram, solve_lp
+from gridops.lp import EQ, GE, INF, LE, LinearProgram, _Simplex, solve_lp
 
 BOX = 10.0           # rows bounding the columns that have no finite bound
 
@@ -106,3 +108,29 @@ def test_warm_started_programs_match_highs(pair):
     else:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def _start_path(pair) -> str:
+    """How the moved program starts from the first one's optimal basis."""
+    lp, moved = pair
+    first = solve_lp(lp)
+    if first.status != "optimal":
+        return "cold"
+    sx = _Simplex(*moved.dense(), first.basis)
+    if not sx.warm:
+        return "cold"
+    return "dual" if sx.dual else "park" if len(sx.art) else "phase 2"
+
+
+def test_related_programs_reach_the_dual_and_parking_starts():
+    # The strategy of test_warm_started_programs_match_highs, under the
+    # same derandomized settings, yields starts that are primal infeasible
+    # but dual feasible (the dual simplex) and starts that are neither
+    # (parking and phase 1), as well as feasible ones.
+    seen = collections.Counter()
+
+    @given(related_programs())
+    def record(pair):
+        seen[_start_path(pair)] += 1
+    record()
+    assert seen["dual"] and seen["park"] and seen["phase 2"], seen

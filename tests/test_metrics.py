@@ -110,3 +110,29 @@ def test_summarize_and_write(tmp_path):
     assert (tmp_path / "duration_imbalance.csv").exists()
     assert (tmp_path / "hist_net_load.csv").exists()
     assert (tmp_path / "plotdata" / "regulation.csv").exists()
+
+
+def test_write_all_forms_each_series_once(tmp_path, monkeypatch):
+    # write_all hands summarize the net load and the regulation total it
+    # already holds; the report is the one summarize forms on its own.
+    scn = Scenario(network=ZonalNetwork(bubbles=["a"]))
+    scn.generators = [Generator(id="g", bubble="a", kind="must-run",
+                                online=True, p_min=40.0, p_max=100.0)]
+    tr = make_trace(minutes=200, reg_units=("g1", "g2"))
+    m = np.arange(200, dtype=float)
+    tr.load[:] = 100.0 + 20.0 * np.sin(m / 30.0)
+    tr.ver_delivered[:] = np.clip(90.0 * np.sin(m / 50.0), 0.0, None)
+    tr.regulation = np.column_stack([np.cos(m / 7.0), np.sin(m / 9.0)]) * 30
+    tr.reg_saturation = 45.0
+    want = summarize(tr, scn, "demo")
+    calls = []
+    net_load = SimulationTrace.net_load
+    monkeypatch.setattr(SimulationTrace, "net_load",
+                        lambda self: calls.append(1) or net_load(self))
+    write_all(str(tmp_path), tr, scn, "demo")
+    assert len(calls) == 1
+    assert summarize(tr, scn, "demo", net_load(tr),
+                     tr.regulation.sum(axis=1)) == want
+    assert {r[2] for r in want if r[3]} >= {"exhausted_minutes",
+                                            "excess_generation_minutes",
+                                            "max_evening_net_ramp"}

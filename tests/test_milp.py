@@ -144,6 +144,7 @@ def test_pivots_summed_over_nodes(monkeypatch):
     assert sol.nodes == len(seen) > 1
     assert sol.pivots == sum(s.pivots for s in seen) > 0
     assert sol.phase1_pivots == sum(s.phase1_pivots for s in seen)
+    assert sol.dual_pivots == sum(s.dual_pivots for s in seen)
 
 
 def test_pivot_cap_at_root_reports_iteration_limit(monkeypatch):
@@ -242,3 +243,35 @@ def test_root_starts_from_the_given_basis_and_returns_its_own():
     assert again.objective == pytest.approx(first.objective, abs=1e-12)
     assert again.nodes == first.nodes
     assert again.pivots < first.pivots
+
+
+def test_heap_entries_hold_no_factor(monkeypatch):
+    # The root's children start from the root's carried inverse, deeper
+    # nodes from a basis without one; no heap entry keeps an inverse, and
+    # the result carries the root's basis with its factor.
+    rng = np.random.default_rng(5)
+    programs = [knapsack_lp()] + [_random_mip(rng) for _ in range(30)]
+    pushed, starts = [], []
+    push = milpmod.heapq.heappush
+
+    def record_push(heap, entry):
+        pushed.append(entry)
+        push(heap, entry)
+
+    def record_start(lp, var_bounds=None, basis=None):
+        starts.append((var_bounds, basis))
+        return solve_lp(lp, var_bounds=var_bounds, basis=basis)
+    monkeypatch.setattr(milpmod.heapq, "heappush", record_push)
+    monkeypatch.setattr(milpmod, "solve_lp", record_start)
+    deep = 0
+    for lp in programs:
+        starts.clear()
+        sol = solve_milp(lp)
+        if sol.status == "optimal":
+            assert sol.basis.factor is not None
+        for bounds, basis in starts[1:]:
+            assert (basis.factor is not None) == (len(bounds) == 1)
+            deep += len(bounds) > 1
+    assert deep and len(pushed) > len(programs)
+    for _, _, _, relax in pushed:
+        assert relax.basis is None or relax.basis.factor is None

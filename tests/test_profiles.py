@@ -196,3 +196,77 @@ def test_profile_csv_rejects_gap(tmp_path):
     path.write_text("minute,value_mw\n0,1.0\n2,2.0\n")
     with pytest.raises(ProfileError):
         read_profile(path)
+
+
+def _read_profile_by_line(path) -> Profile:
+    """The per-line reader read_profile replaced, kept as its reference."""
+    minutes: list[int] = []
+    vals: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "minute,value_mw":
+            raise ProfileError(f"{path}: bad profile header {header!r}")
+        for ln, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                m_s, v_s = line.split(",")
+                minutes.append(int(m_s))
+                vals.append(float(v_s))
+            except ValueError as exc:
+                raise ProfileError(f"{path}:{ln}: bad row {line!r}") from exc
+    if not vals:
+        raise ProfileError(f"{path}: empty profile")
+    start = minutes[0]
+    for i, m in enumerate(minutes):
+        if m != start + i:
+            raise ProfileError(f"{path}: minute index gap at {m}")
+    return Profile(np.array(vals), start=start)
+
+
+EDGE_VALUES = ["1e-7", "-0.000000", "  3.25  ", "\t-2.5", "0.1", ".5", "5.",
+               "+.5e+01", "1.7976931348623157e308", "5e-324",
+               "123456789.123456789", "-1E-300", "0.000001", "1_000.5"]
+
+
+@pytest.mark.parametrize("body", [
+    "".join(f"{i + 7},{v}\n" for i, v in enumerate(EDGE_VALUES[:-1])),
+    "".join(f" {i + 7} , {v}\n" for i, v in enumerate(EDGE_VALUES)),
+    "0,1.0",                                 # one row, no newline
+    "0,1.0\r\n1,2.0\r\n\r\n   \n2,3.0\n\n",  # CRLF, blank rows
+    "+3,1\n0004,2\n5,inf\n",                 # signs, zeros; non-finite
+    "1_0,1\n11,2\n",                         # int() takes underscores
+    "", "\n  \n",                            # empty
+    "0,1\n2,2\n", "5,1\n4,2\n",              # gaps
+    "0,1\n\n1,2,3\n", "0,1\n1,2 # c\n", "0,1.0\n1.0,2\n", "0,1\n1,\n",
+    "0,1\n1,0x1p3\n", "0,1\n1\n", "0,1\n99999999999999999999,2\n",
+], ids=["edge_values", "padded_fields", "one_row", "crlf_blank",
+        "signs_nonfinite", "underscores", "empty", "blank_only", "gap",
+        "backwards", "three_fields", "comment", "float_minute",
+        "missing_value", "hex_value", "one_field", "huge_minute"])
+@pytest.mark.parametrize("header", ["minute,value_mw", " minute,value_mw ",
+                                    "minute,value"])
+def test_read_profile_matches_the_per_line_reader(tmp_path, header, body):
+    path = tmp_path / "p.csv"
+    path.write_bytes(f"{header}\n{body}".encode())
+    try:
+        want = _read_profile_by_line(path)
+    except ProfileError as exc:
+        with pytest.raises(ProfileError) as got:
+            read_profile(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_profile(path)
+    assert got.start == want.start
+    assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_read_profile_values_are_those_of_float(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("minute,value_mw\n" + "".join(
+        f"{i},{v}\n" for i, v in enumerate(EDGE_VALUES)))
+    got = read_profile(path).values
+    assert got.tobytes() == np.array([float(v) for v in EDGE_VALUES]).tobytes()
+    assert np.signbit(got[1])                  # -0.000000 stays -0.0
