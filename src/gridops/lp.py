@@ -21,15 +21,15 @@ can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
 - *Given basis.*  B = [A | I][:, basis] comes from the factor the basis
   carries (:class:`Factor`, the final inverse of the solve that returned
   it) when the basic structural columns of A are bitwise those it was made
-  from, fewer than ``_REFACTOR_EVERY`` pivots have updated it since its
-  last fresh inversion, and it passes the conditioning check below.
-  Otherwise B is inverted through its block of basic structurals (each
-  basic slack keeps its own row) and checked cheaply for conditioning.
-  Nonbasic columns sit at the bound their state names, or where the crash
-  would put them when that bound is infinite.  A basis of the wrong
-  length, with repeated or unknown columns, singular or badly conditioned
-  is dropped for the crash.  The refactor cadence counts pivots across
-  the solves that carry one factor.
+  from and it passes the conditioning check below.  Otherwise B is
+  inverted through its block of basic structurals (each basic slack keeps
+  its own row) and checked cheaply for conditioning.  Nonbasic columns sit
+  at the bound their state names, or where the crash would put them when
+  that bound is infinite.  A basis of the wrong length, with repeated or
+  unknown columns, singular or badly conditioned is dropped for the crash.
+  The refactor cadence counts pivots across the solves that carry one
+  factor, so a carried factor has always had fewer than
+  ``_REFACTOR_EVERY`` pivots since its last fresh inversion.
 - *Crash.*  Nonbasic columns sit at a finite bound.  Each equality row, in
   row order, takes a basic structural column that can absorb its residual
   within bounds and has no nonzero in an earlier crashed row, which keeps
@@ -845,17 +845,17 @@ def _start_inverse(A: np.ndarray, start: Basis
     Nones when its basis is singular or too badly conditioned.
 
     The carried factor is reused, in the start's own positions, when the
-    basic structural columns of A are bitwise those it was made from, it is
-    younger than ``_REFACTOR_EVERY`` pivots, and ``Binv (B 1)`` gives back
-    the ones vector to ``_FACTOR_TOL`` (one product, O(m^2)).  Otherwise the
-    block of basic structurals is inverted afresh (:func:`_factor`).
+    basic structural columns of A are bitwise those it was made from and
+    ``Binv (B 1)`` gives back the ones vector to ``_FACTOR_TOL`` (one
+    product, O(m^2)).  Otherwise the block of basic structurals is inverted
+    afresh (:func:`_factor`).
     """
     m, n = A.shape
     given = np.asarray(start.cols)
     cols = given[given < n]
     slack_rows = given[given >= n] - n
     f = start.factor
-    if f is not None and f.age < _REFACTOR_EVERY:
+    if f is not None:
         B = A[:, cols]
         if _same_bits(_pack(B), f.columns):
             Binv = _unpack(f.inverse)

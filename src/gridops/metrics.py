@@ -72,14 +72,11 @@ def mileage_gwh(regulation: np.ndarray) -> float:
     return float(deltas.sum()) / 60_000.0
 
 
-def exhausted_minutes(trace: SimulationTrace,
-                      reg_total: np.ndarray | None = None) -> int:
-    """Minutes where the regulation total (summed over units, computed
-    from the trace unless given) reaches the saturation."""
+def exhausted_minutes(trace: SimulationTrace, reg_total: np.ndarray) -> int:
+    """Minutes where ``reg_total``, the regulation summed over units,
+    reaches the saturation."""
     if trace.reg_saturation <= 0:
         return 0
-    if reg_total is None:
-        reg_total = trace.regulation.sum(axis=1)
     tot = np.abs(reg_total)
     return int(np.sum(tot >= trace.reg_saturation - EXHAUST_TOL_MW))
 
@@ -93,23 +90,17 @@ def congested_minutes(trace: SimulationTrace) -> dict[str, int]:
     return out
 
 
-def excess_generation_minutes(trace: SimulationTrace, scn: Scenario,
-                              net: np.ndarray | None = None) -> int:
-    """Minutes where net load (computed from the trace unless given) sits
-    below the inflexible generation floor."""
+def excess_generation_minutes(scn: Scenario, net: np.ndarray) -> int:
+    """Minutes where the net load ``net`` sits below the inflexible
+    generation floor."""
     floor = sum(g.p_min for g in scn.generators if g.kind == "must-run")
-    if net is None:
-        net = trace.net_load()
     return int(np.sum(net < floor))
 
 
-def evening_ramp_mw(trace: SimulationTrace, window_min: int = 60,
-                    net: np.ndarray | None = None) -> float:
-    """Steepest upward net-load climb over ``window_min`` after the
-    renewable output peaks; ``net`` is the trace's net load, computed
-    unless given."""
-    if net is None:
-        net = trace.net_load()
+def evening_ramp_mw(trace: SimulationTrace, net: np.ndarray,
+                    window_min: int = 60) -> float:
+    """Steepest upward climb of the net load ``net`` over ``window_min``
+    after the renewable output peaks."""
     if len(net) <= window_min:
         return 0.0
     peak_at = int(np.argmax(trace.ver_delivered))
@@ -119,14 +110,10 @@ def evening_ramp_mw(trace: SimulationTrace, window_min: int = 60,
 
 
 def summarize(trace: SimulationTrace, scn: Scenario, scenario_name: str,
-              net: np.ndarray | None = None,
-              reg_total: np.ndarray | None = None
+              net: np.ndarray, reg_total: np.ndarray
               ) -> list[tuple[str, str, str, float, str]]:
-    """The report rows.  ``net`` (the net load) and ``reg_total`` (the
-    regulation summed over units) are computed from the trace unless a
-    caller that already holds them passes them."""
-    if net is None:
-        net = trace.net_load()
+    """The report rows, given the trace's net load ``net`` and its
+    regulation summed over units ``reg_total``."""
     rows = []
 
     def add(family, metric, value, unit):
@@ -157,13 +144,12 @@ def summarize(trace: SimulationTrace, scn: Scenario, scenario_name: str,
     add("load", "peak", trace.load.max(initial=0.0), "MW")
     add("load", "energy", trace.load.sum() / 60.0 / 1000.0, "GWh")
     add("load", "shed_energy", trace.shed.sum() / 60.0, "MWh")
-    add("load", "max_evening_net_ramp", evening_ramp_mw(trace, net=net),
-        "MW/h")
+    add("load", "max_evening_net_ramp", evening_ramp_mw(trace, net), "MW/h")
 
     add("reliability", "supergen_energy",
         np.abs(trace.supergen).sum() / 60.0, "MWh")
     add("reliability", "excess_generation_minutes",
-        excess_generation_minutes(trace, scn, net), "min")
+        excess_generation_minutes(scn, net), "min")
     return rows
 
 

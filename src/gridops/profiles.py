@@ -178,6 +178,8 @@ def read_profile(path) -> Profile:
     The rows are parsed by one ``np.loadtxt`` call.  It takes a subset of
     the fields ``int`` and ``float`` take, with the same values; a file it
     refuses is parsed again row by row, which names the first bad row.
+    Some numpy versions read a minute such as ``1.0`` or ``2.7`` through a
+    float with a DeprecationWarning; that warning counts as a refusal.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -187,9 +189,10 @@ def read_profile(path) -> Profile:
             with warnings.catch_warnings():
                 # An empty profile is reported below.
                 warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error", DeprecationWarning)
                 rows = np.loadtxt(fh, dtype=_ROW, delimiter=",",
                                   comments=None, ndmin=1)
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             fh.seek(0)
             fh.readline()
             minutes, vals = _parse_rows(path, fh)

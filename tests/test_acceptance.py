@@ -291,7 +291,7 @@ def test_c08_regulation_saturation():
                          reg_units=["r"])
     tr.reg_saturation = 50.0
     tr.regulation = np.array(history)
-    assert exhausted_minutes(tr) >= 1
+    assert exhausted_minutes(tr, tr.regulation.sum(axis=1)) >= 1
 
 
 # --------------------------------------------------------------------------
@@ -342,5 +342,5 @@ def test_c10_duck_curve(solar_day):
     assert steepest >= solar_peak
     # And the reported metric is that exact brute-force maximum.
     from gridops.metrics import evening_ramp_mw
-    assert evening_ramp_mw(trace) == pytest.approx(
+    assert evening_ramp_mw(trace, net) == pytest.approx(
         float(ramps[solar_peak:].max()))

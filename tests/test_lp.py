@@ -343,6 +343,26 @@ def test_start_parks_out_of_bound_basics():
     assert warm.status == "optimal" and warm.phase1_pivots >= 1
     assert warm.dual_pivots == 0
     assert warm.x == pytest.approx([2.0, 10.0], abs=1e-9)
+    # Lowering the rhs to -1 leaves x = -1 below 0 instead: x is parked
+    # at 0 and a negated copy of its column, at 1, takes its place.  Its
+    # row of Binv flips sign; the basis the start stands at names x again,
+    # with a factor that has the flip undone.
+    lp.constraints[0].rhs = -1.0
+    sx = lpmod._Simplex(*lp.dense(), opt.basis)
+    assert sx.warm and not sx.dual
+    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [-1.0]
+    assert sx.x[0] == 0.0 and sx.state[0] == lpmod._AT_LB
+    assert sx.x[sx.art].tolist() == [1.0]
+    assert np.array_equal(sx.Binv @ sx.A[:, sx.basis], np.eye(1))
+    here = sx.final_basis()
+    assert here.cols.tolist() == [0]
+    inverse = lpmod._unpack(here.factor.inverse)
+    B = np.hstack([lp.A, np.eye(lp.m)])[:, here.cols]
+    assert np.array_equal(inverse @ B, np.eye(1))
+    assert np.array_equal(inverse, -sx.Binv)
+    warm = solve_lp(lp, basis=opt.basis)
+    assert warm.status == "optimal" and warm.x.tolist() == [0.0, 0.0]
+    assert warm.dual_pivots == 0 and warm.phase1_pivots >= 1
     lp.variables[1].obj = 2.0
     # A basic column fixed where it stands is not parked: it stays basic
     # at its value, a degenerate basic, and the start needs no phase 1.
@@ -530,12 +550,6 @@ def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
     # after the first pivot, then 2 more pivots on it.
     assert warm.pivots == 3 and refactors == [1]
     assert warm.basis.factor.age == 2
-    # A factor as old as the cadence is not reused.
-    refactors.clear()
-    calls = _count_inversions(monkeypatch)
-    old = warm.basis._replace(factor=warm.basis.factor._replace(age=4))
-    assert solve_lp(lp, basis=old).pivots == 0
-    assert calls["factor"] == 1 and refactors == []
 
 
 def test_warm_start_that_ends_infeasible_names_the_cold_rows():

@@ -10,7 +10,7 @@ from gridops.metrics import (MAX_HIST_BINS, congested_minutes, duration_curve,
                              evening_ramp_mw, exhausted_minutes,
                              excess_generation_minutes, histogram,
                              mileage_gwh, percentile_rank, summarize,
-                             write_all)
+                             write_all, write_report)
 from gridops.scenario import Generator, Scenario, ZonalNetwork
 
 
@@ -62,7 +62,7 @@ def test_exhausted_counts_saturated_minutes():
     tr = make_trace(minutes=4)
     tr.reg_saturation = 50.0
     tr.regulation = np.array([[10.0], [50.0], [-50.0], [49.9995]])
-    assert exhausted_minutes(tr) == 3
+    assert exhausted_minutes(tr, tr.regulation.sum(axis=1)) == 3
 
 
 def test_congested_minutes_against_limit():
@@ -78,7 +78,7 @@ def test_excess_generation_floor():
                                 online=True, p_min=40.0, p_max=100.0)]
     tr = make_trace(minutes=3)
     tr.load[:] = [100.0, 35.0, 45.0]
-    assert excess_generation_minutes(tr, scn) == 1
+    assert excess_generation_minutes(scn, tr.net_load()) == 1
 
 
 def test_evening_ramp_looks_after_solar_peak():
@@ -88,8 +88,8 @@ def test_evening_ramp_looks_after_solar_peak():
     # Solar bump peaking at minute 100, gone by 220.
     tr.ver_delivered[:] = np.clip(80.0 * np.sin(np.pi * (m - 40) / 180), 0,
                                   None) * (m < 220)
-    ramp = evening_ramp_mw(tr, window_min=60)
     net = tr.load - tr.ver_delivered
+    ramp = evening_ramp_mw(tr, net, window_min=60)
     brute = max(net[k + 60] - net[k] for k in range(100, 240))
     assert ramp == pytest.approx(brute)
 
@@ -99,7 +99,8 @@ def test_summarize_and_write(tmp_path):
     tr = make_trace(minutes=10)
     tr.imbalance[:] = 0.5
     tr.imbalance[3] = 2.0
-    rows = summarize(tr, scn, "demo")
+    rows = summarize(tr, scn, "demo", tr.net_load(),
+                     tr.regulation.sum(axis=1))
     as_map = {(f, m): v for f, _, m, v, _ in rows}
     assert as_map[("imbalance", "minutes_above_1mw")] == 1
     assert as_map[("imbalance", "share_within_1mw")] == pytest.approx(0.9)
@@ -113,8 +114,8 @@ def test_summarize_and_write(tmp_path):
 
 
 def test_write_all_forms_each_series_once(tmp_path, monkeypatch):
-    # write_all hands summarize the net load and the regulation total it
-    # already holds; the report is the one summarize forms on its own.
+    # write_all forms the net load once and hands it, with the regulation
+    # total, to summarize; the report holds the rows summarize gives.
     scn = Scenario(network=ZonalNetwork(bubbles=["a"]))
     scn.generators = [Generator(id="g", bubble="a", kind="must-run",
                                 online=True, p_min=40.0, p_max=100.0)]
@@ -124,15 +125,18 @@ def test_write_all_forms_each_series_once(tmp_path, monkeypatch):
     tr.ver_delivered[:] = np.clip(90.0 * np.sin(m / 50.0), 0.0, None)
     tr.regulation = np.column_stack([np.cos(m / 7.0), np.sin(m / 9.0)]) * 30
     tr.reg_saturation = 45.0
-    want = summarize(tr, scn, "demo")
+    want = summarize(tr, scn, "demo", tr.net_load(),
+                     tr.regulation.sum(axis=1))
+    assert {r[2] for r in want if r[3]} >= {"exhausted_minutes",
+                                            "excess_generation_minutes",
+                                            "max_evening_net_ramp"}
     calls = []
     net_load = SimulationTrace.net_load
     monkeypatch.setattr(SimulationTrace, "net_load",
                         lambda self: calls.append(1) or net_load(self))
     write_all(str(tmp_path), tr, scn, "demo")
     assert len(calls) == 1
-    assert summarize(tr, scn, "demo", net_load(tr),
-                     tr.regulation.sum(axis=1)) == want
-    assert {r[2] for r in want if r[3]} >= {"exhausted_minutes",
-                                            "excess_generation_minutes",
-                                            "max_evening_net_ramp"}
+    out = tmp_path / "other"
+    write_report(str(out), want)
+    assert (tmp_path / "report.csv").read_bytes() == \
+        (out / "report.csv").read_bytes()

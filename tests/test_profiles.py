@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,3 +271,20 @@ def test_read_profile_values_are_those_of_float(tmp_path):
     got = read_profile(path).values
     assert got.tobytes() == np.array([float(v) for v in EDGE_VALUES]).tobytes()
     assert np.signbit(got[1])                  # -0.000000 stays -0.0
+
+
+def test_read_profile_refuses_a_minute_read_through_a_float(tmp_path,
+                                                             monkeypatch):
+    # numpy 1.23 to 1.26 parse "1.0" in an integer field through a float
+    # (truncating "2.7" to 2) with only a DeprecationWarning; such a file
+    # is refused and named by its row whatever numpy is installed.
+    path = tmp_path / "p.csv"
+    path.write_text("minute,value_mw\n0,1.0\n1.0,2\n")
+
+    def old_loadtxt(fh, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning, stacklevel=2)
+        return np.array([(0, 1.0), (1, 2.0)], dtype=dtype)
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    with pytest.raises(ProfileError, match=r"p\.csv:3: bad row '1\.0,2'$"):
+        read_profile(path)
