@@ -254,14 +254,7 @@ def _structure(scn: Scenario, opt: LayerOptions):
             C1[t][0] = lp.add_var(f"C1[{t}]", ub=INF)
 
     # -- constraints -------------------------------------------------------
-    # Interface members as (branch, coefficient) in the branch's direction.
-    itf_terms = []
-    for itf in net.interfaces:
-        terms = []
-        for frm, to, sign in itf.members:
-            bi = net.branch_index(frm, to)
-            terms.append((bi, sign) if bi >= 0 else (~bi, -sign))
-        itf_terms.append(terms)
+    itf_terms = [net.interface_terms(itf) for itf in net.interfaces]
 
     def add(name, coeffs, sense, rhs=0.0, row=None, t=0, k=0):
         i = lp.add_constr(name, coeffs, sense, rhs)

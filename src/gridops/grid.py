@@ -115,13 +115,8 @@ def factor_network(net: ZonalNetwork) -> NetworkFactor:
     if np.linalg.slogdet(reduced)[0] == 0.0:    # a zero pivot in its LU
         raise GridError("network is disconnected")
 
-    interfaces = []
-    for itf in net.interfaces:
-        members = []
-        for frm, to, sign in itf.members:
-            bi = net.branch_index(frm, to)
-            members.append((bi, sign) if bi >= 0 else (~bi, -sign))
-        interfaces.append((itf.name, itf.limit, members))
+    interfaces = [(itf.name, itf.limit, net.interface_terms(itf))
+                  for itf in net.interfaces]
 
     return NetworkFactor(
         index=idx, keep=keep, reduced=reduced,

@@ -35,30 +35,26 @@ can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
   within bounds and has no nonzero in an earlier crashed row, which keeps
   the crash block triangular and the basis nonsingular.  Every other row
   starts on its slack.
-- *Dual start.*  A given basis whose basic columns all lie within their
-  bounds goes straight to phase 2.  One with basics more than
-  ``_PARK_TOL`` outside their bounds but dual feasible under the costs
-  (every reduced cost of its sign to ``COST_TOL``), as a window whose
-  right-hand side moved or a B&B child whose fractional basic binary was
-  fixed away from its value, runs a bounded dual simplex (Koberstein,
-  "The dual simplex method, techniques for a fast and stable
-  implementation", PhD thesis, Paderborn 2005) until every basic column is
-  within its bounds; phase 2 then confirms the optimum.  A row that no
-  column can move proves the program infeasible.
-- *Parking.*  Any other start with basics outside their bounds, and every
-  crash, parks each such column at its nearest bound, and an artificial
-  column, a copy of the parked column signed so that it starts
-  nonnegative, takes its place.  That only flips the sign of one row of
-  the basis inverse.  Phase 1 drives the artificials to zero; phase 2
-  handles the costs.  A crashed row whose slack cannot absorb the residual
-  thus gets the artificial ``±e_i``.  A fixed basic column at its value
-  stays basic, an ordinary degenerate basic.
+- *Dual start.*  A start whose basic columns all lie within their bounds
+  goes straight to phase 2.  Any other, warm or crashed, runs a bounded
+  dual simplex (Koberstein, "The dual simplex method, techniques for a
+  fast and stable implementation", PhD thesis, Paderborn 2005) until every
+  basic column is within its bounds.  It runs on shifted costs: each
+  nonbasic column whose reduced cost has the wrong sign (beyond
+  ``COST_TOL``) has its cost lowered by that reduced cost, which then reads
+  zero, so the start is dual feasible (Koberstein & Suhl, Comput. Optim.
+  Appl. 37, 2007).  A start that is dual feasible already, as a window
+  whose right-hand side moved or a B&B child whose fractional basic binary
+  was fixed away from its value, is not shifted.  Phase 2 then runs on the
+  true costs.  A fixed basic column at its value is within its bounds, an
+  ordinary degenerate basic.
 
+A row that no column can move proves the program infeasible: the solve
+names the rows where that row of the basis inverse is nonzero beyond
+``RATIO_TOL``, and those rows alone, with every bound, admit no solution.
 A warm start that ends infeasible is solved again from the crash, so the
-rows it names do not depend on the start.  A returned basis names each
-artificial still basic by the column it copies, and its factor has that
-row's sign flip undone.  A solve that reaches the pivot cap
-(``_PIVOTS_PER_DIM`` per row plus column) ends with status
+rows it names do not depend on the start.  A solve that reaches the pivot
+cap (``_PIVOTS_PER_DIM`` per row plus column) ends with status
 ``iteration_limit``.
 """
 
@@ -82,8 +78,8 @@ COST_TOL = 1e-9
 RATIO_TOL = 1e-9
 CHECK_TOL = 1e-6
 
-# A basic column more than _PARK_TOL outside its bounds is parked.
-_PARK_TOL = 1e-9
+# A basic column more than _BOUND_TOL outside its bounds is out of bounds.
+_BOUND_TOL = 1e-9
 # A starting basis is used when Tinv (T 1) is within _FACTOR_TOL of 1
 # for its block T of basic structurals (see _factor), and a carried
 # inverse when Binv (B 1) is (see _start_inverse).
@@ -312,10 +308,10 @@ def _same_bits(p: Packed, q: Packed) -> bool:
 class Factor(NamedTuple):
     """The inverse a solve ended with, carried to the next start.
 
-    ``inverse`` is B^-1 for the basis positions of the :class:`Basis` that
-    carries it, and ``columns`` the basic structural columns of A (in
-    position order) it was made from, both packed: a basis inverse is
-    mostly zeros.  ``age`` counts the pivots that have updated it since it
+    ``inverse`` is the inverse of ``[A | I][:, cols]`` for the ``cols`` of
+    the :class:`Basis` that carries it, and ``columns`` the basic
+    structural columns of A (in position order) it was made from, both
+    packed: a basis inverse is mostly zeros.  ``age`` counts the pivots that have updated it since it
     was last inverted afresh.
     """
     inverse: Packed
@@ -347,7 +343,6 @@ class Solution:
     nodes: int = 0
     branches: int = 0
     pivots: int = 0
-    phase1_pivots: int = 0
     dual_pivots: int = 0
     basis: Basis | None = None       # set on every optimal solve
 
@@ -363,15 +358,15 @@ class _Simplex:
     """Bounded-variable primal and dual simplex over an explicit basis
     inverse.
 
-    Columns are the structurals, one slack per row (``A x + s = b``, with
-    ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ) and one
-    artificial ``art_sign[k] * A[:, art_src[k]]`` for each basic column
-    parked at a bound.  The structural block ``An`` is the program's own
-    matrix, read in place; a slack or artificial column is formed when a
-    pivot needs it.  The starting basis is ``start`` when it is usable,
-    otherwise a triangular crash (:func:`_crash`) with every row that no
-    structural takes on its slack.  ``warm`` tells which one was used, and
-    ``dual`` whether the start runs the dual simplex before phase 2.
+    Columns are the structurals and one slack per row (``A x + s = b``,
+    with ``s >= 0`` for LE, ``s <= 0`` for GE, ``s == 0`` for EQ).  The
+    structural block ``An`` is the program's own matrix, read in place; a
+    slack column is formed when a pivot needs it.  The starting basis is
+    ``start`` when it is usable, otherwise a triangular crash
+    (:func:`_crash`) with every row that no structural takes on its slack.
+    ``warm`` tells which one was used.  A start with basics outside their
+    bounds runs the dual simplex on shifted costs before phase 2 (see
+    :meth:`solve`).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
@@ -407,84 +402,38 @@ class _Simplex:
         x[basis] = Binv @ (b - A @ x[:n])
         state[basis] = _BASIC
 
-        self.ncols = n + m
         self.b = b
+        self.cost = np.concatenate((c, np.zeros(m)))    # slacks cost nothing
         self.l, self.u = lo, hi
         self.x, self.state = x, state
         self.basis, self.Binv = basis, Binv
-        self.art = self.art_src = np.empty(0, dtype=int)
-        self.art_sign = np.empty(0)
-        self.pivots = self.phase1_pivots = self.dual_pivots = 0
+        self.pivots = self.dual_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
-
-        out = self._outside()
-        self.dual = False
-        if self.warm and out.any():
-            cost = np.zeros(n + m)
-            cost[:n] = c
-            self.dual = not self._dual_infeasibility(
-                self._reduced_costs(cost)).any()
-        if not self.dual:
-            self._park(np.flatnonzero(out))
 
     def _outside(self) -> np.ndarray:
         """Distance of each basic column outside its bounds, 0 within
-        ``_PARK_TOL`` of them."""
+        ``_BOUND_TOL`` of them."""
         xb = self.x[self.basis]
         lo_b, hi_b = self.l[self.basis], self.u[self.basis]
         gap = np.maximum(lo_b - xb, xb - hi_b)
-        gap[~((xb < lo_b - _PARK_TOL) | (xb > hi_b + _PARK_TOL))] = 0.0
+        gap[~((xb < lo_b - _BOUND_TOL) | (xb > hi_b + _BOUND_TOL))] = 0.0
         return gap
-
-    def _park(self, park: np.ndarray) -> None:
-        """Park the basic columns in positions ``park`` at their nearest
-        bound, each replaced by an artificial copy signed to start
-        nonnegative.  A fixed column at its value stays basic, an ordinary
-        degenerate basic."""
-        n, m, k = self.n, self.m, len(park)
-        basis = self.basis
-        xb = self.x[basis][park]
-        lo_b, hi_b = self.l[basis][park], self.u[basis][park]
-        at = np.clip(xb, lo_b, hi_b)
-        sign = np.where(xb >= at, 1.0, -1.0)
-        src = basis[park]
-        art = n + m + np.arange(k)
-        self.x = np.concatenate([self.x, (xb - at) * sign])
-        self.x[src] = at
-        self.state = np.concatenate([self.state, np.full(k, _BASIC, np.int8)])
-        self.state[src] = np.where(at > lo_b, _AT_UB, _AT_LB)
-        self.Binv[park] *= sign[:, None]
-        basis[park] = art
-        self.ncols = n + m + k
-        self.l = np.concatenate([self.l, np.zeros(k)])
-        self.u = np.concatenate([self.u, np.full(k, INF)])
-        self.art, self.art_src, self.art_sign = art, src, sign
 
     # -- columns ---------------------------------------------------------
 
     @property
     def A(self) -> np.ndarray:
-        """All columns as one matrix: structurals, one slack ``e_i`` per row
-        and one artificial per parked column (``+ 0.0`` keeps zeros
-        unsigned).  Built on demand; pivots read single columns."""
-        m, n = self.m, self.n
-        full = np.zeros((m, self.ncols))
-        full[:, :n] = self.An
-        full[np.arange(m), n + np.arange(m)] = 1.0
-        full[:, self.art] = full[:, self.art_src] * self.art_sign + 0.0
-        return full
+        """All columns as one matrix: structurals and one slack ``e_i`` per
+        row.  Built on demand; pivots read single columns."""
+        return np.hstack((self.An, np.eye(self.m)))
 
     def _column(self, j: int) -> np.ndarray:
         """Column ``j`` of :attr:`A`."""
-        n, m = self.n, self.m
-        if j < n:
+        if j < self.n:
             return self.An[:, j]
-        if j < n + m:
-            e = np.zeros(m)
-            e[j - n] = 1.0
-            return e
-        k = j - n - m
-        return self._column(int(self.art_src[k])) * self.art_sign[k] + 0.0
+        e = np.zeros(self.m)
+        e[j - self.n] = 1.0
+        return e
 
     # -- core iteration -------------------------------------------------
 
@@ -509,18 +458,11 @@ class _Simplex:
             self.x[self.basis] = self.Binv @ rhs
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """Reduced costs of every column.  Slack columns are e_i and each
-        artificial a signed copy of a structural or slack, so only the
-        structural block needs a product."""
-        m, n = self.m, self.n
+        """Reduced costs of every column.  Slack columns are e_i, so only
+        the structural block needs a product."""
+        n = self.n
         y = cost[self.basis] @ self.Binv
-        ya = y @ self.An
-        r = np.empty(self.ncols)
-        r[:n] = cost[:n] - ya
-        r[n:n + m] = cost[n:n + m] - y
-        r[n + m:] = cost[n + m:] - \
-            self.art_sign * np.concatenate((ya, y))[self.art_src]
-        return r
+        return np.concatenate((cost[:n] - y @ self.An, cost[n:] - y))
 
     def _dual_infeasibility(self, r: np.ndarray) -> np.ndarray:
         """Violation of each reduced cost's sign along its eligible
@@ -615,9 +557,9 @@ class _Simplex:
                 self.state[out] = _AT_UB
             self._exchange(leave_pos, j, d * dirn)
 
-    def _dual_iterate(self, cost: np.ndarray) -> str:
-        """Run the dual simplex from a dual feasible start until every
-        basic column lies within its bounds.
+    def _dual_iterate(self, cost: np.ndarray) -> tuple[str, list[int]]:
+        """Run the dual simplex from a start dual feasible under ``cost``
+        until every basic column lies within its bounds.
 
         The leaving column is the basic one farthest outside its bounds,
         and it leaves at the bound it violates.  The entering column is
@@ -626,8 +568,10 @@ class _Simplex:
         every reduced cost keeps its sign; among near ties the largest
         |alpha_j| wins, lowest index on ties.  After a run of degenerate
         pivots both choices take the lowest column index (Bland).  A row
-        that no column can move proves the program infeasible.  There are
-        no artificials on this path.
+        that no column can move proves the program infeasible; the rows
+        returned are those where that row of Binv is nonzero beyond
+        ``RATIO_TOL``, in program order, and are empty for any other
+        status.
         """
         fixed = self.l == self.u
         degen_streak = 0
@@ -636,9 +580,9 @@ class _Simplex:
             gap = self._outside()
             p = int(np.argmax(gap))
             if gap[p] == 0.0:
-                return "optimal"
+                return "optimal", []
             if self.pivots >= self.max_pivots:
-                return "iteration_limit"
+                return "iteration_limit", []
             bland = degen_streak > _DEGEN_STREAK_FOR_BLAND
             if bland:
                 out = np.flatnonzero(gap)
@@ -657,9 +601,10 @@ class _Simplex:
                    (((st == _AT_UB) | (st == _FREE)) & (s < -RATIO_TOL)))
             can &= ~fixed
             if not can.any():
-                return "infeasible"
+                return "infeasible", \
+                    np.flatnonzero(np.abs(rho) > RATIO_TOL).tolist()
             r = self._reduced_costs(cost)
-            ratio = np.full(self.ncols, INF)
+            ratio = np.full(len(s), INF)
             ratio[can] = np.maximum(r[can] * np.sign(s[can]), 0.0) / \
                 np.abs(s[can])
             t_min = float(ratio.min())
@@ -679,35 +624,26 @@ class _Simplex:
 
     # -- driver ---------------------------------------------------------
 
-    def solve(self, c: np.ndarray) -> tuple[str, np.ndarray | None, list[int]]:
-        n = self.n
-        if self.dual:
-            cost = np.zeros(self.ncols)
-            cost[:n] = c
-            status = self._dual_iterate(cost)
+    def solve(self) -> tuple[str, np.ndarray | None, list[int]]:
+        """Solve from the start: the status, the duals when optimal, and
+        the rows that prove the program infeasible when it is.
+
+        A start with basics outside their bounds first runs the dual
+        simplex on costs in which each nonbasic column whose reduced cost
+        has the wrong sign has that reduced cost taken off its own cost,
+        so the start is dual feasible; a start dual feasible already keeps
+        its costs.  Phase 2 then runs on the true costs.
+        """
+        cost = self.cost
+        if self._outside().any():
+            r = self._reduced_costs(cost)
+            shift = self._dual_infeasibility(r) > 0.0
+            shifted = cost.copy()
+            shifted[shift] -= r[shift]
+            status, rows = self._dual_iterate(shifted)
             self.dual_pivots = self.pivots
             if status != "optimal":
-                return status, None, []
-        elif len(self.art):
-            phase1 = np.zeros(self.ncols)
-            phase1[self.art] = 1.0
-            status = self._iterate(phase1)
-            self.phase1_pivots = self.pivots
-            if status == "iteration_limit":
-                return status, None, []
-            if status != "optimal":  # pragma: no cover - phase 1 is bounded
-                raise SolverError("phase 1 terminated " + status)
-            infeas = float(self.x[self.art].sum())
-            if infeas > 1e-6:
-                # Rows whose slack a positive artificial stands in for.
-                src = self.art_src[self.x[self.art] > 1e-7]
-                return "infeasible", None, (src[src >= n] - n).tolist()
-            # Forbid artificials from re-entering.
-            self.u[self.art] = 0.0
-            self.x[self.art] = np.clip(self.x[self.art], 0.0, None)
-
-        cost = np.zeros(self.ncols)
-        cost[:n] = c
+                return status, None, rows
         status = self._iterate(cost)
         if status != "optimal":
             return status, None, []
@@ -715,22 +651,12 @@ class _Simplex:
         return "optimal", y, []
 
     def final_basis(self) -> Basis:
-        """The basis over structurals and slacks, each artificial still
-        basic named by the column it copies, with the inverse as its
-        factor (each such artificial's row sign flip undone)."""
-        n, nm = self.n, self.n + self.m
+        """The basis over structurals and slacks, with the inverse as its
+        factor."""
         cols = self.basis.copy()
-        art = np.flatnonzero(cols >= nm)
-        Binv = self.Binv
-        if art.size:
-            Binv = Binv.copy()
-            Binv[art] *= self.art_sign[cols[art] - nm, None]
-            cols[art] = self.art_src[cols[art] - nm]
-        states = self.state[:nm].copy()
-        states[cols] = _BASIC
         age = (self.age + self.pivots) % _REFACTOR_EVERY
-        return Basis(cols, states, Factor(
-            _pack(Binv), _pack(self.An[:, cols[cols < n]]), age))
+        return Basis(cols, self.state.copy(), Factor(
+            _pack(self.Binv), _pack(self.An[:, cols[cols < self.n]]), age))
 
 
 def _usable(start: Basis, m: int, n: int) -> bool:
@@ -901,15 +827,14 @@ def solve_lp(lp: LinearProgram,
     if np.any(l > u):
         return Solution(status="infeasible")
     sx = _Simplex(A, b, senses, c, l, u, basis)
-    status, y, bad_rows = sx.solve(c)
-    counts = dict(pivots=sx.pivots, phase1_pivots=sx.phase1_pivots,
-                  dual_pivots=sx.dual_pivots)
+    status, y, bad_rows = sx.solve()
+    counts = dict(pivots=sx.pivots, dual_pivots=sx.dual_pivots)
     if status == "infeasible" and sx.warm:
         # Name the rows the crash start names.
         sx = _Simplex(A, b, senses, c, l, u)
-        status, y, bad_rows = sx.solve(c)
+        status, y, bad_rows = sx.solve()
         counts["pivots"] += sx.pivots
-        counts["phase1_pivots"] += sx.phase1_pivots
+        counts["dual_pivots"] += sx.dual_pivots
     if status != "optimal":
         names = [lp.row_names[i] for i in bad_rows]
         return Solution(status=status, infeasible_rows=names, **counts)
@@ -932,7 +857,7 @@ def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
     ``tol``.
     """
     x, y = sol.x, sol.duals
-    n, m = sx.n, sx.m
+    n = sx.n
     r = lp.A @ x - lp.rhs
     ok = np.where(sx.is_le, r <= tol,
                   np.where(sx.is_ge, r >= -tol, np.abs(r) <= tol))
@@ -946,10 +871,10 @@ def verify_certificates(lp: LinearProgram, sol: Solution, sx: _Simplex,
     # Reduced costs over structurals + slacks (dual feasibility + slackness);
     # slack columns are e_i with zero cost.
     rc = np.concatenate([lp.obj - y @ lp.A, -y])
-    st = sx.state[:n + m]
+    st = sx.state
     ok = np.where(st == _AT_LB, rc >= -tol,
                   np.where(st == _AT_UB, rc <= tol, np.abs(rc) <= tol))
-    ok |= sx.l[:n + m] == sx.u[:n + m]
+    ok |= sx.l == sx.u
     if not ok.all():
         j = int(np.argmin(ok))
         what = {_BASIC: "nonzero reduced cost {:.3e} on basic col {}",

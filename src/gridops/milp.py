@@ -61,13 +61,11 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
     nodes = 1
     branches = 0
     pivots = root.pivots
-    phase1_pivots = root.phase1_pivots
     dual_pivots = root.dual_pivots
 
     def finish(status: str, best: Solution | None) -> Solution:
         out = Solution(status=status, nodes=nodes, branches=branches,
-                       pivots=pivots, phase1_pivots=phase1_pivots,
-                       dual_pivots=dual_pivots)
+                       pivots=pivots, dual_pivots=dual_pivots)
         if best is not None:
             out.x, out.objective, out.duals = best.x, best.objective, best.duals
             out.basis = root.basis
@@ -94,7 +92,6 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
             nodes += 1
             seq += 1
             pivots += sol.pivots
-            phase1_pivots += sol.phase1_pivots
             dual_pivots += sol.dual_pivots
             if sol.status == "infeasible":
                 continue

@@ -64,6 +64,16 @@ class ZonalNetwork:
                 return ~i  # reversed orientation
         raise ScenarioError(f"no branch between {frm} and {to}")
 
+    def interface_terms(self, itf: Interface) -> list[tuple[int, float]]:
+        """The members of ``itf`` as (branch index, coefficient) in each
+        branch's own direction: a member named against its branch has its
+        sign flipped."""
+        terms = []
+        for frm, to, sign in itf.members:
+            bi = self.branch_index(frm, to)
+            terms.append((bi, sign) if bi >= 0 else (~bi, -sign))
+        return terms
+
 
 @dataclass
 class Generator:

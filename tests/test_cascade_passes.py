@@ -488,8 +488,8 @@ def test_forecast_of_many_windows_equals_one_at_a_time():
 def test_warm_start_without_artificials_skips_phase_one():
     # max x + y s.t. x + 2y <= 8, 3x + y <= 9 ends at (2, 3).  Its basis
     # is still primal feasible once the cost is max x, so the warm start
-    # has nothing to park and goes straight to phase 2, which moves to
-    # (3, 0).
+    # has no basic outside its bounds and goes straight to phase 2, which
+    # moves to (3, 0) without a dual pivot.
     lp = LinearProgram()
     lp.add_var("x", 0, 10, obj=-1.0)
     lp.add_var("y", 0, 10, obj=-1.0)
@@ -502,6 +502,6 @@ def test_warm_start_without_artificials_skips_phase_one():
     warm = solve_lp(lp, basis=opt.basis)
     cold = solve_lp(lp)
     assert warm.status == cold.status == "optimal"
-    assert warm.phase1_pivots == 0 and warm.pivots > 0
+    assert warm.dual_pivots == 0 and warm.pivots > 0
     assert warm.x.tolist() == pytest.approx([3.0, 0.0], abs=1e-12)
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)

@@ -145,11 +145,31 @@ def test_deterministic_repeat():
 
 
 def test_feasible_start_needs_no_phase1():
-    # x = y = 0 satisfies every row, so all rows start on their slacks.
+    # x = y = 0 satisfies every row, so all rows start on their slacks
+    # within their bounds and the solve makes no dual pivot.
     sol = solve_lp(small_lp())
     assert sol.status == "optimal"
-    assert sol.phase1_pivots == 0
+    assert sol.dual_pivots == 0
     assert sol.pivots >= 2
+
+
+def _spy_dual_costs(monkeypatch):
+    """Record the cost vector each dual loop runs on."""
+    costs = []
+    real = lpmod._Simplex._dual_iterate
+
+    def spy(self, cost):
+        costs.append(cost.copy())
+        return real(self, cost)
+    monkeypatch.setattr(lpmod._Simplex, "_dual_iterate", spy)
+    return costs
+
+
+def _start_violations(sx):
+    """Each column's violation of its reduced cost's sign at the start of
+    ``sx``, under the true costs; all zero when the start is dual
+    feasible."""
+    return sx._dual_infeasibility(sx._reduced_costs(sx.cost))
 
 
 def two_var_lp(sense, rhs):
@@ -167,20 +187,33 @@ def two_var_lp(sense, rhs):
     (GE, 3.0, [3.0, 0.0]),    # x + y >= 3 reads 0 at the start point
 ])
 def test_rows_needing_artificials_reach_optimum(sense, rhs, opt_x):
-    sol = solve_lp(two_var_lp(sense, rhs))
+    # Row r's slack starts basic outside its bounds; the start is dual
+    # feasible, so one dual pivot brings the cheaper column in to carry
+    # the row, and phase 2 has nothing to do.
+    lp = two_var_lp(sense, rhs)
+    sx = lpmod._Simplex(*lp.dense())
+    assert sx.basis.tolist() == [2, 3]
+    assert sx._outside().tolist() == [abs(rhs), 0.0]
+    assert not _start_violations(sx).any()
+    sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.phase1_pivots >= 1
+    assert (sol.pivots, sol.dual_pivots) == (1, 1)
     assert sol.x == pytest.approx(opt_x, abs=1e-9)
 
 
-@pytest.mark.parametrize("rhs,opt_x,needs_phase1", [
+@pytest.mark.parametrize("rhs,opt_x,outside", [
     (2.0, [2.0, 0.0], False),   # y (fewest nonzeros) absorbs x + y = 2
     (15.0, [8.0, 7.0], True),   # x, y <= 10: neither alone reaches 15
 ], ids=["absorbed", "needs_artificial"])
-def test_equality_row_crash(rhs, opt_x, needs_phase1):
-    sol = solve_lp(two_var_lp(EQ, rhs))
+def test_equality_row_crash(rhs, opt_x, outside):
+    # A row no column can absorb stays on its slack, fixed at 0 but basic
+    # at the row's residual, and the dual loop moves it out.
+    lp = two_var_lp(EQ, rhs)
+    sx = lpmod._Simplex(*lp.dense())
+    assert sx._outside().any() == outside
+    sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert (sol.phase1_pivots >= 1) == needs_phase1
+    assert (sol.dual_pivots >= 1) == outside
     assert sol.x == pytest.approx(opt_x, abs=1e-9)
 
 
@@ -195,7 +228,7 @@ def test_crash_prefers_fewest_nonzeros():
 def test_crash_of_chained_equality_rows_is_triangular():
     # Storage-like chain E[t] - E[t-1] (+ spill at t = 3) = inflow[t] with
     # E[t] in [0, 5].  Row 3 needs 6.5, beyond both E[3] and spill, so it
-    # gets an artificial and row 4 crashes on E[3] instead of E[4].  Columns
+    # stays on its slack and row 4 crashes on E[3] instead of E[4].  Columns
     # of earlier crashed rows reappear in later ones, so the crash block has
     # entries below its diagonal and needs real forward substitution.
     inflow = [2.0, 1.0, -0.5, 4.0, -1.0, 1.0]
@@ -215,7 +248,9 @@ def test_crash_of_chained_equality_rows_is_triangular():
     cols = sx.basis[pos]
     assert pos.tolist() == [0, 1, 2, 4, 5]
     assert cols.tolist() == [E[0], E[1], E[2], E[3], E[5]]
-    assert sx.art_src.tolist() == [n + 3]      # the slack of row 3
+    # Row 3's slack, fixed at 0, is the one basic outside its bounds.
+    assert sx.basis[3] == n + 3
+    assert np.flatnonzero(sx._outside()).tolist() == [3]
     T = A[np.ix_(pos, cols)]
     assert np.all(np.triu(T, 1) == 0.0) and np.all(np.diag(T) != 0.0)
     assert np.any(np.tril(T, -1) != 0.0)
@@ -226,7 +261,7 @@ def test_crash_of_chained_equality_rows_is_triangular():
 
     sol = solve_lp(lp)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(l, u)), method="highs")
-    assert sol.status == "optimal"
+    assert sol.status == "optimal" and sol.dual_pivots >= 1
     assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
 
 
@@ -283,7 +318,7 @@ def _same_as_cold(lp, basis):
     got = solve_lp(lp, basis=basis)
     assert got.status == cold.status
     assert got.x.tobytes() == cold.x.tobytes()
-    assert (got.pivots, got.phase1_pivots) == (cold.pivots, cold.phase1_pivots)
+    assert (got.pivots, got.dual_pivots) == (cold.pivots, cold.dual_pivots)
 
 
 def test_unusable_basis_falls_back_to_the_crash():
@@ -310,11 +345,12 @@ def test_singular_or_ill_conditioned_basis_falls_back():
         _same_as_cold(lp, start)
 
 
-def test_start_parks_out_of_bound_basics():
+def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     # From the optimum of x + y >= 3 (x = 3), moving the rhs to 12 puts
     # the basic x above its bound of 10.  The costs are unchanged, so the
-    # start is dual feasible: the dual simplex moves x out at 10 and y in,
-    # with no artificial.
+    # start is dual feasible: the dual loop runs on the true costs, moves
+    # x out at 10 and y in.
+    costs = _spy_dual_costs(monkeypatch)
     lp = LinearProgram()
     lp.add_var("x", 0, 10, obj=1.0)
     lp.add_var("y", 0, 10, obj=2.0)
@@ -323,76 +359,79 @@ def test_start_parks_out_of_bound_basics():
     assert opt.x.tolist() == [3.0, 0.0]
     lp.constraints[0].rhs = 12.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.warm and sx.dual
-    assert sx.art.tolist() == [] and sx.art_src.tolist() == []
+    assert sx.warm and sx._outside().tolist() == [2.0]
+    assert not _start_violations(sx).any()
     assert sx.x[0] == 12.0 and sx.state[0] == lpmod._BASIC
     warm = solve_lp(lp, basis=opt.basis)
     assert warm.status == "optimal"
     assert warm.x.tolist() == [10.0, 2.0]
-    assert (warm.pivots, warm.dual_pivots, warm.phase1_pivots) == (1, 1, 0)
-    # With y now cheaper than x the same start is dual infeasible too: x
-    # is parked at 10 and an artificial copy of its column takes its place.
+    assert (warm.pivots, warm.dual_pivots) == (1, 1)
+    assert costs[-1].tolist() == [1.0, 2.0, 0.0]
+    # With y now cheaper than x the same start is dual infeasible too:
+    # y's cost is lowered by its reduced cost of -0.5 for the dual loop,
+    # which brings y in at no cost; phase 2 on the true costs then trades
+    # x for y.
     lp.variables[1].obj = 0.5
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.warm and not sx.dual
-    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [1.0]
-    assert sx.x[0] == 10.0 and sx.state[0] == lpmod._AT_UB
-    assert sx.x[sx.art].tolist() == [2.0]
-    assert np.array_equal(sx.A[:, sx.art[0]], sx.A[:, 0])
+    assert sx.warm and sx._outside().tolist() == [2.0]
+    assert _start_violations(sx).tolist() == [0.0, 0.5, 0.0]
     warm = solve_lp(lp, basis=opt.basis)
-    assert warm.status == "optimal" and warm.phase1_pivots >= 1
-    assert warm.dual_pivots == 0
+    assert warm.status == "optimal"
+    assert (warm.pivots, warm.dual_pivots) == (2, 1)
+    assert costs[-1].tolist() == [1.0, 1.0, 0.0]
+    assert sx._reduced_costs(costs[-1]).tolist() == [0.0, 0.0, -1.0]
     assert warm.x == pytest.approx([2.0, 10.0], abs=1e-9)
-    # Lowering the rhs to -1 leaves x = -1 below 0 instead: x is parked
-    # at 0 and a negated copy of its column, at 1, takes its place.  Its
-    # row of Binv flips sign; the basis the start stands at names x again,
-    # with a factor that has the flip undone.
+    # Lowering the rhs to -1 leaves x = -1 below 0 instead, a start that
+    # is neither primal nor dual feasible: x leaves at 0 and the GE row's
+    # slack, entering, carries the row.  The basis returned holds only
+    # that slack, and its factor is the inverse of [A | I][:, cols].
     lp.constraints[0].rhs = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.warm and not sx.dual
-    assert sx.art_src.tolist() == [0] and sx.art_sign.tolist() == [-1.0]
-    assert sx.x[0] == 0.0 and sx.state[0] == lpmod._AT_LB
-    assert sx.x[sx.art].tolist() == [1.0]
-    assert np.array_equal(sx.Binv @ sx.A[:, sx.basis], np.eye(1))
-    here = sx.final_basis()
-    assert here.cols.tolist() == [0]
-    inverse = lpmod._unpack(here.factor.inverse)
-    B = np.hstack([lp.A, np.eye(lp.m)])[:, here.cols]
-    assert np.array_equal(inverse @ B, np.eye(1))
-    assert np.array_equal(inverse, -sx.Binv)
+    assert sx.warm and sx._outside().tolist() == [1.0]
+    assert sx.x[0] == -1.0 and sx.state[0] == lpmod._BASIC
+    assert _start_violations(sx).any()
     warm = solve_lp(lp, basis=opt.basis)
     assert warm.status == "optimal" and warm.x.tolist() == [0.0, 0.0]
-    assert warm.dual_pivots == 0 and warm.phase1_pivots >= 1
+    assert (warm.pivots, warm.dual_pivots) == (1, 1)
+    assert costs[-1].tolist() == [1.0, 1.0, 0.0]
+    assert warm.basis.cols.tolist() == [2]
+    inverse = lpmod._unpack(warm.basis.factor.inverse)
+    B = np.hstack([lp.A, np.eye(lp.m)])[:, warm.basis.cols]
+    assert np.array_equal(inverse @ B, np.eye(1))
     lp.variables[1].obj = 2.0
-    # A basic column fixed where it stands is not parked: it stays basic
-    # at its value, a degenerate basic, and the start needs no phase 1.
+    # A basic column fixed where it stands is within its bounds: it stays
+    # basic at its value, a degenerate basic, and no dual loop runs.
     lp.constraints[0].rhs = 3.0
     A, b, senses, c, l, u = lp.dense()
     l[0] = u[0] = 3.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
-    assert not sx.dual
-    assert sx.art.tolist() == [] and sx.art_src.tolist() == []
+    assert not sx._outside().any()
     assert sx.basis.tolist() == [0] and sx.state[0] == lpmod._BASIC
     assert sx.x[0] == 3.0
-    assert sx.solve(c)[0] == "optimal" and sx.phase1_pivots == 0
+    runs = len(costs)
+    assert sx.solve()[0] == "optimal" and sx.dual_pivots == 0
+    assert len(costs) == runs
     assert sx.x[:2].tolist() == [3.0, 0.0]
     # Fixed away from its value, as a B&B child fixes a fractional basic
-    # binary, it leaves by the dual simplex at 2.0 and y takes the rest.
+    # binary, it leaves by the dual loop at 2.0 and y takes the rest.
     l[0] = u[0] = 2.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
-    assert sx.dual and sx.art.tolist() == []
-    assert sx.solve(c)[0] == "optimal"
-    assert (sx.dual_pivots, sx.phase1_pivots) == (1, 0)
+    assert sx._outside().tolist() == [1.0]
+    assert not _start_violations(sx).any()
+    assert sx.solve()[0] == "optimal"
+    assert (sx.pivots, sx.dual_pivots) == (1, 1)
     assert sx.x[:2].tolist() == [2.0, 1.0]
     assert sx.state[0] == lpmod._AT_UB       # it left from above
-    # Lowering the rhs to -1 leaves x = -1 below 0: x leaves at 0 and the
-    # GE row's slack, entering, carries the row.
+    # Lowering the rhs to -1 with the true costs: x leaves at 0 and the
+    # slack enters, on costs left as they are.
     lp.constraints[0].rhs = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.dual and sx.art.tolist() == []
+    assert sx._outside().tolist() == [1.0]
+    assert not _start_violations(sx).any()
     warm = solve_lp(lp, basis=opt.basis)
     assert warm.status == "optimal" and warm.x.tolist() == [0.0, 0.0]
     assert warm.dual_pivots == 1
+    assert costs[-1].tolist() == [1.0, 2.0, 0.0]
     assert warm.basis.cols.tolist() == [2]
 
 
@@ -421,13 +460,14 @@ def test_dual_loop_pivot_cap_reports_iteration_limit(monkeypatch):
     sol = solve_lp(lp, basis=opt.basis)
     assert sol.status == "iteration_limit"
     assert sol.x is None
-    assert (sol.pivots, sol.dual_pivots, sol.phase1_pivots) == (1, 1, 0)
+    assert (sol.pivots, sol.dual_pivots) == (1, 1)
 
 
 def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
     # x + y >= 25 with x, y <= 10 is infeasible; from the optimum at rhs 3
-    # the start is dual feasible, the dual simplex finds no column to move
-    # x toward its bound, and the crash re-solve names the row.
+    # the start is dual feasible, the dual simplex moves x out at 10 and y
+    # in, then finds no column to move y toward its bound, and the crash
+    # re-solve (two dual pivots of its own) names the row.
     lp = LinearProgram()
     lp.add_var("x", 0, 10, obj=1.0)
     lp.add_var("y", 0, 10, obj=2.0)
@@ -435,10 +475,12 @@ def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
     opt = solve_lp(lp)
     lp.constraints[0].rhs = 25.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
-    assert sx.dual
-    assert sx.solve(lp.obj)[0] == "infeasible"
+    assert sx._outside().any() and not _start_violations(sx).any()
+    assert sx.solve() == ("infeasible", None, [0])
+    assert (sx.pivots, sx.dual_pivots) == (1, 1)
     got = solve_lp(lp, basis=opt.basis)
-    assert got.status == "infeasible" and got.dual_pivots == 1
+    assert got.status == "infeasible"
+    assert (got.pivots, got.dual_pivots) == (3, 3)
     assert got.infeasible_rows == solve_lp(lp).infeasible_rows == ["r"]
 
 
@@ -520,8 +562,7 @@ def test_carried_inverse_is_refused_after_a_basic_column_changes(
     assert got.status == fresh.status == "optimal"
     assert got.x.tobytes() == fresh.x.tobytes()
     assert got.duals.tobytes() == fresh.duals.tobytes()
-    assert (got.pivots, got.dual_pivots, got.phase1_pivots) == \
-        (fresh.pivots, fresh.dual_pivots, fresh.phase1_pivots)
+    assert (got.pivots, got.dual_pivots) == (fresh.pivots, fresh.dual_pivots)
     assert lpmod._same_bits(got.basis.factor.inverse,
                             fresh.basis.factor.inverse)
 

@@ -75,6 +75,27 @@ def test_random_programs_match_highs(lp):
         assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
+def _rows_alone(lp: LinearProgram, names: list[str]) -> LinearProgram:
+    """``lp`` with only the rows ``names``, every bound and no costs."""
+    kept = LinearProgram()
+    for v in lp.variables:
+        kept.add_var(v.name, v.lb, v.ub)
+    for con in lp.constraints:
+        if con.name in names:
+            kept.add_constr(con.name, con.coeffs, con.sense, con.rhs)
+    return kept
+
+
+@given(programs())
+def test_rows_an_infeasible_solve_names_are_infeasible_alone(lp):
+    # The named rows are those a row of the basis inverse combines into a
+    # row no column can move toward its bounds, so they alone, with every
+    # bound, already admit no solution.
+    sol = solve_lp(lp)
+    if sol.status == "infeasible":
+        assert highs(_rows_alone(lp, sol.infeasible_rows)).status == 2
+
+
 def _shift(v: float, d: int) -> float:
     return v if v in (-INF, INF) else v + d
 
@@ -119,18 +140,22 @@ def _start_path(pair) -> str:
     sx = _Simplex(*moved.dense(), first.basis)
     if not sx.warm:
         return "cold"
-    return "dual" if sx.dual else "park" if len(sx.art) else "phase 2"
+    if not sx._outside().any():
+        return "phase 2"
+    shifted = sx._dual_infeasibility(sx._reduced_costs(sx.cost)).any()
+    return "shifted dual" if shifted else "dual"
 
 
-def test_related_programs_reach_the_dual_and_parking_starts():
+def test_related_programs_reach_every_start_path():
     # The strategy of test_warm_started_programs_match_highs, under the
     # same derandomized settings, yields starts that are primal infeasible
-    # but dual feasible (the dual simplex) and starts that are neither
-    # (parking and phase 1), as well as feasible ones.
+    # but dual feasible (the dual simplex on the true costs) and starts
+    # that are neither (the dual simplex on shifted costs), as well as
+    # feasible ones.
     seen = collections.Counter()
 
     @given(related_programs())
     def record(pair):
         seen[_start_path(pair)] += 1
     record()
-    assert seen["dual"] and seen["park"] and seen["phase 2"], seen
+    assert seen["dual"] and seen["shifted dual"] and seen["phase 2"], seen

@@ -143,8 +143,7 @@ def test_pivots_summed_over_nodes(monkeypatch):
     assert sol.status == "optimal"
     assert sol.nodes == len(seen) > 1
     assert sol.pivots == sum(s.pivots for s in seen) > 0
-    assert sol.phase1_pivots == sum(s.phase1_pivots for s in seen)
-    assert sol.dual_pivots == sum(s.dual_pivots for s in seen)
+    assert sol.dual_pivots == sum(s.dual_pivots for s in seen) > 0
 
 
 def test_pivot_cap_at_root_reports_iteration_limit(monkeypatch):
