@@ -279,6 +279,14 @@ class LinearProgram:
         return (self.A.copy(), self.rhs.copy(), list(self.senses),
                 self.obj.copy(), self.lb.copy(), self.ub.copy())
 
+    def __repr__(self) -> str:
+        """The arguments of the ``add_var`` and ``add_constr`` calls that
+        rebuild the program: columns as (name, lb, ub, obj, binary), rows
+        as (name, [(column, coefficient), ...], sense, rhs)."""
+        cols = [(v.name, v.lb, v.ub, v.obj, v.binary) for v in self.variables]
+        rows = [(c.name, c.coeffs, c.sense, c.rhs) for c in self.constraints]
+        return f"LinearProgram(cols={cols!r}, rows={rows!r})"
+
 
 class Packed(NamedTuple):
     """A dense array kept as its shape and the flat positions and values

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,18 +34,27 @@ class ScenarioError(Exception):
     """Parse or reference failure; message carries file and line context."""
 
 
+def _key(key: str, default=MISSING, *, factory=MISSING, section: str = ""):
+    """A field that scenario key ``key`` sets, with the one default an
+    absent key gives.  ``section`` names the section for the [network] and
+    [seeds] keys, which set fields of the whole Scenario; every other key
+    sits in the section of its own dataclass."""
+    return field(default=default, default_factory=factory,
+                 metadata={"key": key, "section": section})
+
+
 @dataclass
 class Branch:
     from_bubble: str
     to_bubble: str
-    weight: float = 1.0
+    weight: float = _key("weight", 1.0)
 
 
 @dataclass
 class Interface:
     name: str
     members: list[tuple[str, str, float]]   # (from, to, sign)
-    limit: float = 0.0
+    limit: float = _key("limit", 0.0)
 
 
 @dataclass
@@ -53,8 +62,9 @@ class ZonalNetwork:
     bubbles: list[str] = field(default_factory=list)
     branches: list[Branch] = field(default_factory=list)
     interfaces: list[Interface] = field(default_factory=list)
-    swing: str = ""
-    swing_attach: list[str] = field(default_factory=list)
+    swing: str = _key("swing", "", section="network")
+    swing_attach: list[str] = _key("swing-attach", factory=list,
+                                   section="network")
 
     def branch_index(self, frm: str, to: str) -> int:
         for i, br in enumerate(self.branches):
@@ -78,25 +88,27 @@ class ZonalNetwork:
 @dataclass
 class Generator:
     id: str
-    bubble: str
-    kind: str = "dispatchable"
-    p_min: float = 0.0
-    p_max: float = 0.0
-    r_min: float = -1e9          # MW/min, <= 0
-    r_max: float = 1e9           # MW/min, >= 0
-    h_f: float = 0.0             # MBtu/h while online
-    h_l: float = 0.0             # MBtu/MWh
-    h_q: float = 0.0             # MBtu/MW^2 h
-    h_u: float = 0.0             # MBtu per start
-    h_d: float = 0.0             # MBtu per stop
-    c_f: np.ndarray = field(default_factory=lambda: np.ones(24))  # $/MBtu by hour
-    t_u: int = 1                 # min up, hours
-    t_d: int = 1                 # min down, hours
-    u_max: int = 24              # starts per day
-    reg_capacity: float = 0.0    # MW under automatic control
-    online: bool = False
-    initial_output: float = 0.0
-    online_hours: int = 0        # signed history: +h online, -h offline
+    bubble: str = _key("bubble", "")
+    kind: str = _key("kind", "dispatchable")
+    p_min: float = _key("P^min", 0.0)
+    p_max: float = _key("P^max", 0.0)
+    r_min: float = _key("R^min", -1e9)          # MW/min, <= 0
+    r_max: float = _key("R^max", 1e9)           # MW/min, >= 0
+    h_f: float = _key("H_F", 0.0)               # MBtu/h while online
+    h_l: float = _key("H_L", 0.0)               # MBtu/MWh
+    h_q: float = _key("H_Q", 0.0)               # MBtu/MW^2 h
+    h_u: float = _key("H_U", 0.0)               # MBtu per start
+    h_d: float = _key("H_D", 0.0)               # MBtu per stop
+    c_f: np.ndarray = _key("C_F", factory=lambda: np.ones(24))  # $/MBtu by hour
+    t_u: int = _key("T_u", 1)                   # min up, hours
+    t_d: int = _key("T_d", 1)                   # min down, hours
+    u_max: int = _key("u^max", 24)              # starts per day
+    # MW under automatic control
+    reg_capacity: float = _key("regulation-capacity", 0.0)
+    online: bool = _key("online", False)
+    initial_output: float = _key("initial-output", 0.0)
+    # signed history: +h online, -h offline
+    online_hours: int = _key("online-hours", 0)
 
     def fuel_price(self, hour: int) -> float:
         return float(self.c_f[hour % len(self.c_f)])
@@ -109,40 +121,40 @@ class Generator:
 @dataclass
 class Storage:
     id: str
-    bubble: str
-    p_min: float = 0.0
-    p_max: float = 0.0           # generating MW
-    s_min: float = 0.0
-    s_max: float = 0.0           # pumping MW
-    e_min: float = 0.0
-    e_max: float = 0.0           # MWh
-    eta: float = 1.0
-    initial_energy: float = 0.0
-    mode_gen0: bool = False
-    mode_pump0: bool = False
+    bubble: str = _key("bubble", "")
+    p_min: float = _key("P^min", 0.0)
+    p_max: float = _key("P^max", 0.0)           # generating MW
+    s_min: float = _key("S^min", 0.0)
+    s_max: float = _key("S^max", 0.0)           # pumping MW
+    e_min: float = _key("E^min", 0.0)
+    e_max: float = _key("E^max", 0.0)           # MWh
+    eta: float = _key("eta", 1.0)
+    initial_energy: float = _key("initial-energy", 0.0)
+    mode_gen0: bool = _key("mode-generating", False)
+    mode_pump0: bool = _key("mode-pumping", False)
 
 
 @dataclass
 class VerSpec:
-    pi: float = 0.0              # fraction of peak load
-    gamma_cf: float = 0.3
-    A: float = 0.0               # target variability, 1/h; 0 keeps base timing
-    shape: str = ""              # unit-mean base shape CSV
-    seed: int = 0
+    pi: float = _key("pi", 0.0)                 # fraction of peak load
+    gamma_cf: float = _key("gamma_cf", 0.3)
+    A: float = _key("A", 0.0)   # target variability, 1/h; 0 keeps base timing
+    shape: str = _key("shape", "")              # unit-mean base shape CSV
+    seed: int = _key("noise-seed", 0)
 
 
 @dataclass
 class SemiDispatchable:
     id: str
-    bubble: str
-    kind: str = "wind"
-    d: float = 1.0               # curtailable fraction
-    price: float = -5.0          # threshold price, $/MWh
-    profile_path: str = ""       # fixed profile alternative to ver
+    bubble: str = _key("bubble", "")
+    kind: str = _key("kind", "wind")
+    d: float = _key("d", 1.0)                   # curtailable fraction
+    price: float = _key("C", -5.0)              # threshold price, $/MWh
+    profile_path: str = _key("profile", "")  # fixed profile alternative to ver
     ver: VerSpec | None = None
-    eps_da: float | None = None
-    eps_st: float | None = None
-    eps_rt: float | None = None
+    eps_da: float | None = _key("eps_da", None)
+    eps_st: float | None = _key("eps_st", None)
+    eps_rt: float | None = _key("eps_rt", None)
     profile: Profile | None = None
 
     @property
@@ -159,21 +171,21 @@ class SemiDispatchable:
 @dataclass
 class DemandResponse:
     id: str
-    bubble: str
-    p_min: float = 0.0
-    p_max: float = 0.0
-    cost: float = 0.0            # $/MWh
+    bubble: str = _key("bubble", "")
+    p_min: float = _key("P^min", 0.0)
+    p_max: float = _key("P^max", 0.0)
+    cost: float = _key("C", 0.0)                # $/MWh
 
 
 @dataclass
 class LoadSpec:
     bubble: str
-    profile_path: str = ""
-    d: float = 0.0               # sheddable fraction
-    price: float = 0.0           # shedding threshold price
-    eps_da: float | None = None
-    eps_st: float | None = None
-    eps_rt: float | None = None
+    profile_path: str = _key("profile", "")
+    d: float = _key("d", 0.0)                   # sheddable fraction
+    price: float = _key("C", 0.0)               # shedding threshold price
+    eps_da: float | None = _key("eps_da", None)
+    eps_st: float | None = _key("eps_st", None)
+    eps_rt: float | None = _key("eps_rt", None)
     profile: Profile | None = None
 
     def eps(self, which: int) -> float:
@@ -185,30 +197,30 @@ class LoadSpec:
 class ReserveParams:
     alpha_tmsr: dict[str, float] = field(default_factory=dict)   # per bubble
     alpha_tmor: dict[str, float] = field(default_factory=dict)
-    alpha_sys_tmsr: float = 0.0
-    alpha_sys_tmr: float = 1.0
-    alpha_sys_tmor: float = 0.0
-    t_10: float = 10.0
-    t_30: float = 30.0
-    p_reg_req: float = 0.0
-    lfr_requirement: float | None = None
+    alpha_sys_tmsr: float = _key("alpha_sys_TMSR", 0.0)
+    alpha_sys_tmr: float = _key("alpha_sys_TMR", 1.0)
+    alpha_sys_tmor: float = _key("alpha_sys_TMOR", 0.0)
+    t_10: float = _key("T_10", 10.0)
+    t_30: float = _key("T_30", 30.0)
+    p_reg_req: float = _key("P_REG^REQ", 0.0)
+    lfr_requirement: float | None = _key("LFR-requirement", None)
 
 
 @dataclass
 class Timing:
-    scuc_horizon_h: int = 24
-    rtuc_step_min: int = 15
-    rtuc_horizon_min: int = 240
-    rtuc_period_min: int = 60
-    sced_step_min: int = 10
-    reg_step_min: int = 1
+    scuc_horizon_h: int = _key("scuc-horizon", 24)
+    rtuc_step_min: int = _key("rtuc-step", 15)
+    rtuc_horizon_min: int = _key("rtuc-horizon", 240)
+    rtuc_period_min: int = _key("rtuc-period", 60)
+    sced_step_min: int = _key("sced-step", 10)
+    reg_step_min: int = _key("regulation-step", 1)
 
 
 @dataclass
 class Outage:
-    resource: str
-    start: int                   # minute
-    duration: int                # minutes
+    resource: str = _key("resource", "")
+    start: int = _key("start", 0)               # minute
+    duration: int = _key("duration", 0)         # minutes
 
 
 @dataclass
@@ -219,12 +231,13 @@ class Scenario:
     semis: list[SemiDispatchable] = field(default_factory=list)
     drs: list[DemandResponse] = field(default_factory=list)
     loads: list[LoadSpec] = field(default_factory=list)
-    gamma_loss: float = 0.03
-    supergen_price: float | None = None    # $/MWh; None -> derived default
+    gamma_loss: float = _key("gamma_loss", 0.03, section="network")
+    supergen_price: float | None = _key(       # $/MWh; None -> derived default
+        "supergen-price", None, section="network")
     reserves: ReserveParams = field(default_factory=ReserveParams)
     timing: Timing = field(default_factory=Timing)
     outages: list[Outage] = field(default_factory=list)
-    seed: int = 0
+    seed: int = _key("master", 0, section="seeds")
     base_dir: str = "."
 
     @property
@@ -295,49 +308,85 @@ def _flag(val: str, path: str, ln: int) -> bool:
     raise ScenarioError(f"{path}:{ln}: not a flag: {val!r}")
 
 
-class _Keys:
-    """One section's key/value pairs with line tracking and typo detection."""
+def _fmt(x: float) -> str:
+    if abs(x) < 1e15 and x == int(x):     # inf and nan fall through to repr
+        return str(int(x))
+    return repr(float(x))
 
-    def __init__(self, path: str, header: str, items):
-        self.path = path
-        self.header = header
-        self.items = items
-        self.seen: set[str] = set()
 
-    def get(self, key: str, default=None):
-        hits = [(v, ln) for k, v, ln in self.items if k == key]
-        self.seen.add(key)
-        if not hits:
-            return (default, -1)
-        return hits[-1]
+# How a keyed field's value is read from its text and written back, by the
+# field's annotation.
+_TYPES = {
+    "str": (lambda val, path, ln: val, str),
+    "float": (_num, _fmt),
+    "float | None": (_num, _fmt),
+    "int": (lambda val, path, ln: int(_num(val, path, ln)), str),
+    "bool": (_flag, lambda on: "1" if on else "0"),
+    "list[str]": (lambda val, path, ln: val.split(), " ".join),
+    "np.ndarray": (lambda val, path, ln: np.array(
+                       [_num(x, path, ln) for x in val.split(",")]),
+                   lambda arr: ",".join(_fmt(x) for x in arr)),
+}
 
-    def num(self, key: str, default: float | None = None) -> float | None:
-        v, ln = self.get(key)
-        if v is None:
-            return default
-        return _num(v, self.path, ln)
+# Sections that each build one dataclass: the class, how many of its
+# leading fields the header names, what the header must name (unchecked
+# when empty) and the scenario's objects of that section, in the order
+# serialize writes them.
+_SECTIONS = {
+    "branch": (Branch, 2, "two bubbles", lambda scn: scn.network.branches),
+    "interface": (Interface, 1, "a name", lambda scn: scn.network.interfaces),
+    "generator": (Generator, 1, "an id", lambda scn: scn.generators),
+    "storage": (Storage, 1, "an id", lambda scn: scn.storages),
+    "semi": (SemiDispatchable, 1, "an id", lambda scn: scn.semis),
+    "dr": (DemandResponse, 1, "an id", lambda scn: scn.drs),
+    "load": (LoadSpec, 1, "a bubble", lambda scn: scn.loads),
+    "reserves": (ReserveParams, 0, "", lambda scn: [scn.reserves]),
+    "timing": (Timing, 0, "", lambda scn: [scn.timing]),
+    "outage": (Outage, 0, "", lambda scn: scn.outages),
+}
 
-    def text(self, key: str, default: str | None = None) -> str | None:
-        v, _ = self.get(key)
-        return default if v is None else v
+# [bubble] keys: the bubble's entry in each per-bubble ReserveParams dict.
+_ALPHAS = (("alpha_TMSR", "alpha_tmsr"), ("alpha_TMOR", "alpha_tmor"))
+# [interface] member lines: <from> <to> [sign], any number of them.
+_MEMBER = "branch"
 
-    def flag(self, key: str, default: bool = False) -> bool:
-        v, ln = self.get(key)
-        return default if v is None else _flag(v, self.path, ln)
 
-    def all(self, key: str):
-        self.seen.add(key)
-        return [(v, ln) for k, v, ln in self.items if k == key]
+def _keyed(cls, section: str = "") -> list:
+    """The fields of ``cls`` that keys of ``section`` set, in field order."""
+    return [f for f in fields(cls) if f.metadata.get("section") == section]
 
-    def reject_unknown(self):
-        for k, _, ln in self.items:
-            if k not in self.seen:
-                raise ScenarioError(
-                    f"{self.path}:{ln}: unknown key {k!r} in [{self.header}]")
+
+def _take(cls, given: dict, path: str, section: str = "") -> dict:
+    """Each keyed field of ``cls`` by name: the value on its key's line in
+    ``given`` (key -> (value, line)), or the field's default.  The keys it
+    reads are taken out of ``given``."""
+    out = {}
+    for f in _keyed(cls, section):
+        hit = given.pop(f.metadata["key"], None)
+        if hit is not None:
+            out[f.name] = _TYPES[f.type][0](hit[0], path, hit[1])
+        elif f.default_factory is not MISSING:
+            out[f.name] = f.default_factory()
+        else:
+            out[f.name] = f.default
+    return out
+
+
+def _member(val: str, path: str, ln: int) -> tuple[str, str, float]:
+    bits = val.split()
+    if len(bits) not in (2, 3):
+        raise ScenarioError(
+            f"{path}:{ln}: interface branch wants '<from> <to> [sign]'")
+    sign = _num(bits[2], path, ln) if len(bits) == 3 else 1.0
+    return bits[0], bits[1], sign
 
 
 def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
-    """Parse a scenario file and resolve all profile references."""
+    """Parse a scenario file and resolve all profile references.
+
+    Within a section the last line of a key wins; a bad value is reported
+    in field order (a [semi]'s own keys before its VerSpec's), and before
+    any unknown key."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -350,25 +399,18 @@ def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
 
     net = ZonalNetwork()
     scn = Scenario(network=net, base_dir=base_dir)
-    bubble_alphas: dict[str, tuple[float, float]] = {}
+    alphas: dict[str, dict[str, float]] = {attr: {} for _, attr in _ALPHAS}
     seen_ids: set[str] = set()
-
-    def claim(rid: str, ln: int):
-        if rid in seen_ids:
-            raise ScenarioError(f"{path}:{ln}: duplicate id {rid!r}")
-        seen_ids.add(rid)
 
     for header, hln, items in sections:
         parts = header.split()
         kind, args = parts[0], parts[1:]
-        ks = _Keys(path, header, items)
+        given = {key: (val, ln) for key, val, ln in items}
 
-        if kind == "network":
-            net.swing = ks.text("swing", "")
-            attach = ks.text("swing-attach", "")
-            net.swing_attach = attach.split() if attach else []
-            scn.gamma_loss = ks.num("gamma_loss", 0.03)
-            scn.supergen_price = ks.num("supergen-price", None)
+        if kind in ("network", "seeds"):
+            for obj in (net, scn):
+                for name, val in _take(type(obj), given, path, kind).items():
+                    setattr(obj, name, val)
         elif kind == "bubble":
             if len(args) != 1:
                 raise ScenarioError(f"{path}:{hln}: [bubble] needs a name")
@@ -376,143 +418,45 @@ def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
             if name in net.bubbles:
                 raise ScenarioError(f"{path}:{hln}: duplicate bubble {name!r}")
             net.bubbles.append(name)
-            bubble_alphas[name] = (ks.num("alpha_TMSR", 0.0),
-                                   ks.num("alpha_TMOR", 0.0))
-        elif kind == "branch":
-            if len(args) != 2:
-                raise ScenarioError(f"{path}:{hln}: [branch] needs two bubbles")
-            net.branches.append(Branch(args[0], args[1], ks.num("weight", 1.0)))
-        elif kind == "interface":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [interface] needs a name")
-            members = []
-            for v, ln in ks.all("branch"):
-                bits = v.split()
-                if len(bits) not in (2, 3):
-                    raise ScenarioError(
-                        f"{path}:{ln}: interface branch wants '<from> <to> [sign]'")
-                sign = _num(bits[2], path, ln) if len(bits) == 3 else 1.0
-                members.append((bits[0], bits[1], sign))
-            net.interfaces.append(Interface(args[0], members,
-                                            ks.num("limit", 0.0)))
-        elif kind == "generator":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [generator] needs an id")
-            claim(args[0], hln)
-            cf_text = ks.text("C_F", "1")
-            cf = np.array([_num(x, path, hln) for x in cf_text.split(",")])
-            scn.generators.append(Generator(
-                id=args[0],
-                bubble=ks.text("bubble", ""),
-                kind=ks.text("kind", "dispatchable"),
-                p_min=ks.num("P^min", 0.0),
-                p_max=ks.num("P^max", 0.0),
-                r_min=ks.num("R^min", -1e9),
-                r_max=ks.num("R^max", 1e9),
-                h_f=ks.num("H_F", 0.0), h_l=ks.num("H_L", 0.0),
-                h_q=ks.num("H_Q", 0.0), h_u=ks.num("H_U", 0.0),
-                h_d=ks.num("H_D", 0.0), c_f=cf,
-                t_u=int(ks.num("T_u", 1)), t_d=int(ks.num("T_d", 1)),
-                u_max=int(ks.num("u^max", 24)),
-                reg_capacity=ks.num("regulation-capacity", 0.0),
-                online=ks.flag("online", False),
-                initial_output=ks.num("initial-output", 0.0),
-                online_hours=int(ks.num("online-hours", 0)),
-            ))
-        elif kind == "storage":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [storage] needs an id")
-            claim(args[0], hln)
-            scn.storages.append(Storage(
-                id=args[0], bubble=ks.text("bubble", ""),
-                p_min=ks.num("P^min", 0.0), p_max=ks.num("P^max", 0.0),
-                s_min=ks.num("S^min", 0.0), s_max=ks.num("S^max", 0.0),
-                e_min=ks.num("E^min", 0.0), e_max=ks.num("E^max", 0.0),
-                eta=ks.num("eta", 1.0),
-                initial_energy=ks.num("initial-energy", 0.0),
-                mode_gen0=ks.flag("mode-generating", False),
-                mode_pump0=ks.flag("mode-pumping", False),
-            ))
-        elif kind == "semi":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [semi] needs an id")
-            claim(args[0], hln)
-            ver = None
-            if ks.text("shape") is not None:
-                ver = VerSpec(
-                    pi=ks.num("pi", 0.0),
-                    gamma_cf=ks.num("gamma_cf", 0.3),
-                    A=ks.num("A", 0.0),
-                    shape=ks.text("shape", ""),
-                    seed=int(ks.num("noise-seed", 0)),
-                )
-            scn.semis.append(SemiDispatchable(
-                id=args[0], bubble=ks.text("bubble", ""),
-                kind=ks.text("kind", "wind"),
-                d=ks.num("d", 1.0), price=ks.num("C", -5.0),
-                profile_path=ks.text("profile", ""), ver=ver,
-                eps_da=ks.num("eps_da", None),
-                eps_st=ks.num("eps_st", None),
-                eps_rt=ks.num("eps_rt", None),
-            ))
-        elif kind == "dr":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [dr] needs an id")
-            claim(args[0], hln)
-            scn.drs.append(DemandResponse(
-                id=args[0], bubble=ks.text("bubble", ""),
-                p_min=ks.num("P^min", 0.0), p_max=ks.num("P^max", 0.0),
-                cost=ks.num("C", 0.0),
-            ))
-        elif kind == "load":
-            if len(args) != 1:
-                raise ScenarioError(f"{path}:{hln}: [load] needs a bubble")
-            scn.loads.append(LoadSpec(
-                bubble=args[0],
-                profile_path=ks.text("profile", ""),
-                d=ks.num("d", 0.0), price=ks.num("C", 0.0),
-                eps_da=ks.num("eps_da", None),
-                eps_st=ks.num("eps_st", None),
-                eps_rt=ks.num("eps_rt", None),
-            ))
-        elif kind == "reserves":
-            scn.reserves = ReserveParams(
-                alpha_sys_tmsr=ks.num("alpha_sys_TMSR", 0.0),
-                alpha_sys_tmr=ks.num("alpha_sys_TMR", 1.0),
-                alpha_sys_tmor=ks.num("alpha_sys_TMOR", 0.0),
-                t_10=ks.num("T_10", 10.0),
-                t_30=ks.num("T_30", 30.0),
-                p_reg_req=ks.num("P_REG^REQ", 0.0),
-                lfr_requirement=ks.num("LFR-requirement", None),
-            )
-        elif kind == "timing":
-            scn.timing = Timing(
-                scuc_horizon_h=int(ks.num("scuc-horizon", 24)),
-                rtuc_step_min=int(ks.num("rtuc-step", 15)),
-                rtuc_horizon_min=int(ks.num("rtuc-horizon", 240)),
-                rtuc_period_min=int(ks.num("rtuc-period", 60)),
-                sced_step_min=int(ks.num("sced-step", 10)),
-                reg_step_min=int(ks.num("regulation-step", 1)),
-            )
-        elif kind == "outage":
-            scn.outages.append(Outage(
-                resource=ks.text("resource", ""),
-                start=int(ks.num("start", 0)),
-                duration=int(ks.num("duration", 0)),
-            ))
-        elif kind == "seeds":
-            scn.seed = int(ks.num("master", 0))
+            for key, attr in _ALPHAS:
+                hit = given.pop(key, None)
+                alphas[attr][name] = (0.0 if hit is None
+                                      else _num(hit[0], path, hit[1]))
+        elif kind in _SECTIONS:
+            cls, n_head, what, objects = _SECTIONS[kind]
+            if what and len(args) != n_head:
+                raise ScenarioError(f"{path}:{hln}: [{kind}] needs {what}")
+            if n_head and fields(cls)[0].name == "id":
+                if args[0] in seen_ids:
+                    raise ScenarioError(f"{path}:{hln}: duplicate id {args[0]!r}")
+                seen_ids.add(args[0])
+            vals = {}
+            if cls is Interface:
+                given.pop(_MEMBER, None)
+                vals["members"] = [_member(val, path, ln)
+                                   for key, val, ln in items if key == _MEMBER]
+            vals.update(_take(cls, given, path))
+            # A VerSpec is read only when its shape is set.
+            if cls is SemiDispatchable and "shape" in given:
+                vals["ver"] = VerSpec(**_take(VerSpec, given, path))
+            obj = cls(*args[:n_head], **vals)
+            if kind in ("reserves", "timing"):
+                setattr(scn, kind, obj)
+            else:
+                objects(scn).append(obj)
         else:
             raise ScenarioError(f"{path}:{hln}: unknown section [{header}]")
-        ks.reject_unknown()
+
+        for key, _, ln in items:
+            if key in given:            # no field took it
+                raise ScenarioError(
+                    f"{path}:{ln}: unknown key {key!r} in [{header}]")
 
     _check_references(scn, path)
     if resolve_profiles:
         _resolve_profiles(scn)
-    scn.reserves.alpha_tmsr = {b: bubble_alphas.get(b, (0.0, 0.0))[0]
-                               for b in net.bubbles}
-    scn.reserves.alpha_tmor = {b: bubble_alphas.get(b, (0.0, 0.0))[1]
-                               for b in net.bubbles}
+    for attr, per_bubble in alphas.items():
+        setattr(scn.reserves, attr, per_bubble)
     return scn
 
 
@@ -579,6 +523,10 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
         err("network", "no bubbles defined")
     if not net.swing:
         err("network", "no swing bubble designated")
+    elif not net.swing_attach and not any(
+            net.swing in (br.from_bubble, br.to_bubble) for br in net.branches):
+        err("network", f"swing {net.swing!r} has no swing-attach and no "
+                       "branch ends at it")
     for itf in net.interfaces:
         if itf.limit <= 0:
             err(itf.name, f"interface limit {itf.limit} is not positive")
@@ -638,6 +586,9 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
         err("timing", "RTUC period does not divide the SCUC horizon")
     if t.rtuc_horizon_min % t.rtuc_step_min:
         err("timing", "RTUC interval does not divide the RTUC horizon")
+    if t.reg_step_min != 1:
+        err("timing", f"regulation step {t.reg_step_min} is not 1: regulation "
+                      "runs every minute")
     for name, val in (("alpha_sys_TMSR", scn.reserves.alpha_sys_tmsr),
                       ("alpha_sys_TMR", scn.reserves.alpha_sys_tmr),
                       ("alpha_sys_TMOR", scn.reserves.alpha_sys_tmor)):
@@ -685,139 +636,38 @@ def _disconnected(net: ZonalNetwork) -> bool:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _fmt(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+def _lines(obj, section: str = "") -> list[str]:
+    """``key = value`` for each keyed field of ``obj`` that is not None."""
+    out = []
+    for f in _keyed(type(obj), section):
+        val = getattr(obj, f.name)
+        if val is not None:
+            out.append(f"{f.metadata['key']} = {_TYPES[f.type][1](val)}")
+    return out
 
 
 def serialize(scn: Scenario) -> str:
-    """Canonical text form; load_scenario on the output round-trips."""
-    out = ["[network]"]
-    net = scn.network
-    if net.swing:
-        out.append(f"swing = {net.swing}")
-    if net.swing_attach:
-        out.append("swing-attach = " + " ".join(net.swing_attach))
-    out.append(f"gamma_loss = {_fmt(scn.gamma_loss)}")
-    if scn.supergen_price is not None:
-        out.append(f"supergen-price = {_fmt(scn.supergen_price)}")
-
+    """Canonical text form, every keyed field written; load_scenario on the
+    output round-trips."""
+    net, res = scn.network, scn.reserves
+    out = ["[network]", *_lines(net, "network"), *_lines(scn, "network")]
     for b in net.bubbles:
         out.append(f"\n[bubble {b}]")
-        a1 = scn.reserves.alpha_tmsr.get(b, 0.0)
-        a2 = scn.reserves.alpha_tmor.get(b, 0.0)
-        if a1:
-            out.append(f"alpha_TMSR = {_fmt(a1)}")
-        if a2:
-            out.append(f"alpha_TMOR = {_fmt(a2)}")
-    for br in net.branches:
-        out.append(f"\n[branch {br.from_bubble} {br.to_bubble}]")
-        out.append(f"weight = {_fmt(br.weight)}")
-    for itf in net.interfaces:
-        out.append(f"\n[interface {itf.name}]")
-        for frm, to, sign in itf.members:
-            out.append(f"branch = {frm} {to} {_fmt(sign)}")
-        out.append(f"limit = {_fmt(itf.limit)}")
-
-    for g in scn.generators:
-        out.append(f"\n[generator {g.id}]")
-        out.append(f"bubble = {g.bubble}")
-        out.append(f"kind = {g.kind}")
-        out.append(f"P^min = {_fmt(g.p_min)}")
-        out.append(f"P^max = {_fmt(g.p_max)}")
-        out.append(f"R^min = {_fmt(g.r_min)}")
-        out.append(f"R^max = {_fmt(g.r_max)}")
-        for key, val in (("H_F", g.h_f), ("H_L", g.h_l), ("H_Q", g.h_q),
-                         ("H_U", g.h_u), ("H_D", g.h_d)):
-            if val:
-                out.append(f"{key} = {_fmt(val)}")
-        out.append("C_F = " + ",".join(_fmt(x) for x in g.c_f))
-        out.append(f"T_u = {g.t_u}")
-        out.append(f"T_d = {g.t_d}")
-        out.append(f"u^max = {g.u_max}")
-        if g.reg_capacity:
-            out.append(f"regulation-capacity = {_fmt(g.reg_capacity)}")
-        out.append(f"online = {1 if g.online else 0}")
-        out.append(f"initial-output = {_fmt(g.initial_output)}")
-        out.append(f"online-hours = {g.online_hours}")
-
-    for st in scn.storages:
-        out.append(f"\n[storage {st.id}]")
-        out.append(f"bubble = {st.bubble}")
-        for key, val in (("P^min", st.p_min), ("P^max", st.p_max),
-                         ("S^min", st.s_min), ("S^max", st.s_max),
-                         ("E^min", st.e_min), ("E^max", st.e_max),
-                         ("eta", st.eta), ("initial-energy", st.initial_energy)):
-            out.append(f"{key} = {_fmt(val)}")
-        out.append(f"mode-generating = {1 if st.mode_gen0 else 0}")
-        out.append(f"mode-pumping = {1 if st.mode_pump0 else 0}")
-
-    for sm in scn.semis:
-        out.append(f"\n[semi {sm.id}]")
-        out.append(f"bubble = {sm.bubble}")
-        out.append(f"kind = {sm.kind}")
-        out.append(f"d = {_fmt(sm.d)}")
-        out.append(f"C = {_fmt(sm.price)}")
-        if sm.profile_path:
-            out.append(f"profile = {sm.profile_path}")
-        if sm.ver is not None:
-            v = sm.ver
-            out.append(f"shape = {v.shape}")
-            out.append(f"pi = {_fmt(v.pi)}")
-            out.append(f"gamma_cf = {_fmt(v.gamma_cf)}")
-            out.append(f"A = {_fmt(v.A)}")
-            out.append(f"noise-seed = {v.seed}")
-        for key, val in (("eps_da", sm.eps_da), ("eps_st", sm.eps_st),
-                         ("eps_rt", sm.eps_rt)):
-            if val is not None:
-                out.append(f"{key} = {_fmt(val)}")
-
-    for dr in scn.drs:
-        out.append(f"\n[dr {dr.id}]")
-        out.append(f"bubble = {dr.bubble}")
-        out.append(f"P^min = {_fmt(dr.p_min)}")
-        out.append(f"P^max = {_fmt(dr.p_max)}")
-        out.append(f"C = {_fmt(dr.cost)}")
-
-    for ld in scn.loads:
-        out.append(f"\n[load {ld.bubble}]")
-        out.append(f"profile = {ld.profile_path}")
-        out.append(f"d = {_fmt(ld.d)}")
-        out.append(f"C = {_fmt(ld.price)}")
-        for key, val in (("eps_da", ld.eps_da), ("eps_st", ld.eps_st),
-                         ("eps_rt", ld.eps_rt)):
-            if val is not None:
-                out.append(f"{key} = {_fmt(val)}")
-
-    r = scn.reserves
-    out.append("\n[reserves]")
-    out.append(f"alpha_sys_TMSR = {_fmt(r.alpha_sys_tmsr)}")
-    out.append(f"alpha_sys_TMR = {_fmt(r.alpha_sys_tmr)}")
-    out.append(f"alpha_sys_TMOR = {_fmt(r.alpha_sys_tmor)}")
-    out.append(f"T_10 = {_fmt(r.t_10)}")
-    out.append(f"T_30 = {_fmt(r.t_30)}")
-    out.append(f"P_REG^REQ = {_fmt(r.p_reg_req)}")
-    if r.lfr_requirement is not None:
-        out.append(f"LFR-requirement = {_fmt(r.lfr_requirement)}")
-
-    t = scn.timing
-    out.append("\n[timing]")
-    out.append(f"scuc-horizon = {t.scuc_horizon_h}")
-    out.append(f"rtuc-step = {t.rtuc_step_min}")
-    out.append(f"rtuc-horizon = {t.rtuc_horizon_min}")
-    out.append(f"rtuc-period = {t.rtuc_period_min}")
-    out.append(f"sced-step = {t.sced_step_min}")
-    out.append(f"regulation-step = {t.reg_step_min}")
-
-    for i, ev in enumerate(scn.outages, start=1):
-        out.append(f"\n[outage {i}]")
-        out.append(f"resource = {ev.resource}")
-        out.append(f"start = {ev.start}")
-        out.append(f"duration = {ev.duration}")
-
-    out.append("\n[seeds]")
-    out.append(f"master = {scn.seed}")
+        out += [f"{key} = {_fmt(getattr(res, attr)[b])}"
+                for key, attr in _ALPHAS if b in getattr(res, attr)]
+    for kind, (cls, n_head, _, objects) in _SECTIONS.items():
+        for i, obj in enumerate(objects(scn), start=1):
+            head = [getattr(obj, f.name) for f in fields(cls)[:n_head]]
+            if kind == "outage":
+                head = [str(i)]
+            out.append("\n[" + " ".join([kind, *head]) + "]")
+            if cls is Interface:
+                out += [f"{_MEMBER} = {frm} {to} {_fmt(sign)}"
+                        for frm, to, sign in obj.members]
+            out += _lines(obj)
+            if cls is SemiDispatchable and obj.ver is not None:
+                out += _lines(obj.ver)
+    out += ["\n[seeds]", *_lines(scn, "seeds")]
     return "\n".join(out) + "\n"
 
 

@@ -69,6 +69,24 @@ def test_validate_rejects_duplicate_load(mini, capsys):
         f"error\t{bubble}\tsecond [load] section for this bubble\n"
 
 
+@pytest.mark.parametrize("old, new, row", [
+    ("swing-attach = n1\n", "",
+     "network\tswing 'ext' has no swing-attach and no branch ends at it"),
+    ("[bubble n3]", "[bubble n3]\n[bubble n4]",
+     "network\tnetwork graph is not connected"),
+    ("regulation-step = 1", "regulation-step = 5",
+     "timing\tregulation step 5 is not 1: regulation runs every minute"),
+], ids=["unattached-swing", "disconnected", "regulation-step"])
+def test_validate_rejects_network_and_timing_faults(mini, old, new, row,
+                                                    capsys):
+    with open(mini, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(mini, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().out == f"error\t{row}\n"
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.scn")]) == 2
 

@@ -643,3 +643,29 @@ def test_certificate_check_names_the_first_violation(monkeypatch, part, k,
     getattr(sol, part)[k] = value
     with pytest.raises(lpmod.SolverError, match=f"^{message}$"):
         real(lp, sol, sx)
+
+
+def test_repr_lists_the_calls_that_rebuild_the_program():
+    lp = LinearProgram()
+    x = lp.add_var("x", -INF, INF, obj=-0.0)
+    y = lp.add_var("y", 0.0, 1.0, obj=0.1, binary=True)
+    z = lp.add_var("z", -2.5, 7.0, obj=3.0)
+    lp.add_constr("le", [(x, 1.0), (y, 1.0 / 3.0), (x, 2.0)], LE, 4.0)
+    lp.add_constr("eq", [(z, -1.0)], EQ, -0.0)
+    lp.add_constr("ge", [], GE, -INF)
+    text = repr(lp)
+    assert text.startswith("LinearProgram(cols=[('x', -inf, inf, -0.0, "
+                           "False), ('y', 0.0, 1.0, 0.1, True), ")
+    cols, rows = eval(text, {"inf": INF,
+                             "LinearProgram": lambda cols, rows: (cols, rows)})
+    copy = LinearProgram()
+    for col in cols:
+        copy.add_var(*col)
+    for row in rows:
+        copy.add_constr(*row)
+    arrays = ("binary", "entry_row", "entry_col", "entry_val", "indptr")
+    for a, b in zip([*lp.dense(), *(getattr(lp, n) for n in arrays)],
+                    [*copy.dense(), *(getattr(copy, n) for n in arrays)]):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()  # bitwise
+    assert (copy.col_names, copy.row_names) == (lp.col_names, lp.row_names)
+    assert repr(copy) == text

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import golden
 import numpy as np
 import pytest
 
 from gridops.mini import write_mini3
-from gridops.scenario import (ScenarioError, load_scenario, render_report,
+from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
+                              LoadSpec, Outage, ReserveParams, Scenario,
+                              ScenarioError, SemiDispatchable, Storage,
+                              ZonalNetwork, load_scenario, render_report,
                               scenario_hash, serialize, validate_scenario)
 
 
@@ -176,3 +182,117 @@ def test_scenario_hash_tracks_profiles(mini, tmp_path):
     with open(lp, "a") as fh:
         fh.write("# tweak\n")
     assert scenario_hash(mini) != h1
+
+
+def _same_fields(a, b, where="scenario"):
+    """Field-for-field equality of parsed objects, arrays by value and
+    dtype; a failure names the first field that differs."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _same_fields(getattr(a, f.name), getattr(b, f.name),
+                         f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _same_fields(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            _same_fields(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert a == b, f"{where}: {a!r} != {b!r}"
+
+
+@pytest.mark.parametrize("run", sorted(golden.RUNS))
+def test_serialized_fixture_parses_to_the_same_fields(run, tmp_path):
+    # The four gen-mini variants and the cadence fixture; the copy sits
+    # beside the original so that its profile paths resolve the same.
+    scn = load_scenario(golden.write_scenario(run, str(tmp_path)))
+    copy = tmp_path / "copy.scn"
+    copy.write_text(serialize(scn))
+    _same_fields(load_scenario(str(copy)), scn)
+
+
+def test_network_section_alone_parses_to_the_defaults(tmp_path):
+    p = tmp_path / "bare.scn"
+    p.write_text("[network]\n[bubble a]\n")
+    expect = Scenario(network=ZonalNetwork(bubbles=["a"]),
+                      reserves=ReserveParams(alpha_tmsr={"a": 0.0},
+                                             alpha_tmor={"a": 0.0}),
+                      base_dir=str(tmp_path))
+    _same_fields(load_scenario(str(p)), expect)
+
+
+@pytest.mark.parametrize("section, expect", [
+    ("[generator g]\nbubble = a", Generator("g", "a")),
+    ("[storage s]\nbubble = a", Storage("s", "a")),
+    ("[semi w]\nbubble = a", SemiDispatchable("w", "a")),
+    ("[dr f]\nbubble = a", DemandResponse("f", "a")),
+    ("[load a]", LoadSpec("a")),
+    ("[branch a b]", Branch("a", "b")),
+    ("[interface i]", Interface("i", [])),
+    ("[outage 1]", Outage()),
+], ids=["generator", "storage", "semi", "dr", "load", "branch", "interface",
+        "outage"])
+def test_required_keys_alone_parse_to_the_dataclass_defaults(tmp_path,
+                                                             section, expect):
+    p = tmp_path / "bare.scn"
+    p.write_text(f"[network]\n[bubble a]\n[bubble b]\n{section}\n")
+    scn = load_scenario(str(p), resolve_profiles=False)
+    parsed = [*scn.generators, *scn.storages, *scn.semis, *scn.drs,
+              *scn.loads, *scn.network.branches, *scn.network.interfaces,
+              *scn.outages]
+    assert len(parsed) == 1
+    _same_fields(parsed[0], expect, type(expect).__name__)
+
+
+def test_bad_fuel_price_names_its_own_line(tmp_path):
+    p = tmp_path / "bad.scn"
+    p.write_text("[network]\nswing = s\n[bubble a]\n[generator g]\n"
+                 "bubble = a\nP^max = 10\nkind = dispatchable\nC_F = 1,x\n")
+    with pytest.raises(ScenarioError, match=r"bad\.scn:8: not a number: 'x'"):
+        load_scenario(str(p))
+
+
+def test_first_bad_value_in_field_order_is_reported(tmp_path):
+    # C_F comes after P^min among Generator's fields; both bad values are
+    # reported before the unknown key on the line above them.
+    p = tmp_path / "bad.scn"
+    p.write_text("[network]\nswing = s\n[bubble a]\n[generator g]\n"
+                 "zzz = 1\nC_F = x\nP^min = y\nbubble = a\n")
+    with pytest.raises(ScenarioError, match=r"bad\.scn:7: not a number: 'y'"):
+        load_scenario(str(p))
+
+
+def test_validation_flags_unattached_swing(mini):
+    _rewrite(mini, "swing-attach = n1\n", "")
+    assert validate_scenario(load_scenario(mini)) == [
+        ("error", "network",
+         "swing 'ext' has no swing-attach and no branch ends at it")]
+    # A branch to the swing attaches it as well.
+    _rewrite(mini, "[branch n1 n2]", "[branch n1 ext]\n\n[branch n1 n2]")
+    assert validate_scenario(load_scenario(mini)) == []
+
+
+def test_validation_flags_disconnected_network(mini):
+    _rewrite(mini, "[bubble n3]", "[bubble n3]\n[bubble n4]")
+    assert validate_scenario(load_scenario(mini)) == [
+        ("error", "network", "network graph is not connected")]
+
+
+def test_validation_flags_unused_regulation_step(mini):
+    _rewrite(mini, "regulation-step = 1", "regulation-step = 5")
+    assert validate_scenario(load_scenario(mini)) == [
+        ("error", "timing",
+         "regulation step 5 is not 1: regulation runs every minute")]
+
+
+def _rewrite(path: str, old: str, new: str) -> None:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
