@@ -16,7 +16,8 @@ names, binaries and coefficient pattern.  So the structure is built once
 values (``fill_program``): bounds, costs, right-hand sides and the few
 coefficients that follow forecasts and outages.  A simulation keeps one
 program per layer and refills it window after window; the program keeps
-its last optimal basis, which starts the next window's solve.
+the live simplex of its last optimal solve, which re-solves the next
+window in place.
 
 Each layer decides its own window from its start minute: the step grid
 (:func:`layer_grid`), the outage masks over it and the clock hour of each
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, GE, INF, LE, Basis, LinearProgram, Solution, solve_lp
+from .lp import EQ, GE, INF, LE, LinearProgram, Solution, _Simplex, solve_lp
 from .milp import solve_milp
 from .piecewise import linearize_cost
 from .scenario import Scenario
@@ -113,8 +114,9 @@ class Columns(dict):
 
     Entries are -1 where an entity has no such column.  ``fixed_cost`` is
     objective that lies outside the program: in SCED, the pinned
-    commitments' cost at P^min.  ``basis`` is the program's last optimal
-    basis (None until it is first solved), the start of its next solve.
+    commitments' cost at P^min.  ``simplex`` is the live simplex of the
+    program's last optimal solve (None until it is first solved), which
+    its next solve re-solves in place.
 
     What a window fills in is indexed the same way: ``dP`` holds each
     generator's segment columns [step, segment]; ``rows`` maps the row
@@ -125,7 +127,7 @@ class Columns(dict):
     (:func:`_shape`).
     """
     fixed_cost = 0.0
-    basis: Basis | None = None
+    simplex: _Simplex | None = None
 
 
 def _available(table, rid, T) -> np.ndarray:
@@ -618,8 +620,8 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
     """Fill and solve the layer's program.
 
     ``program`` is usually the ``Schedule.program`` of the layer's previous
-    window: it is refilled for this window when its shape fits and starts
-    from its own last optimal basis; else a new one is built and starts
+    window: it is refilled for this window when its shape fits and its
+    live simplex re-solves it in place; else a new one is built and starts
     cold.
     """
     if program is None or program[1].shape != _shape(scn, opt) or \
@@ -629,9 +631,9 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
         fill_program(program, scn, fc, init, opt)
     lp, cols = program
     if lp.binary_indices:
-        sol = solve_milp(lp, basis=cols.basis)
+        sol = solve_milp(lp, basis=cols.simplex)
     else:
-        sol = solve_lp(lp, basis=cols.basis)
+        sol = solve_lp(lp, basis=cols.simplex)
     if sol.status == "infeasible":
         family = "unknown"
         if sol.infeasible_rows:
@@ -640,7 +642,7 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
             f"{opt.layer} infeasible; first violated family: {family}")
     if sol.status != "optimal":
         raise DispatchError(f"{opt.layer} solve ended with status {sol.status}")
-    cols.basis = sol.basis
+    cols.simplex = sol.simplex
     sched = extract_schedule(scn, fc, sol, cols, opt)
     sched.program = program
     return sched

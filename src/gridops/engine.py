@@ -171,8 +171,8 @@ def simulate(scn: Scenario, minutes: int,
     # starts per generator, storage energy.
     state = initial_from_scenario(scn)
     # Each layer's program: every window of a layer has the same shape, so
-    # the program is refilled for the next window and starts it from its
-    # last optimal basis.
+    # the program is refilled for the next window, and the live simplex of
+    # its last solve re-solves it in place.
     programs = {}
     # What the physics reads of each SCED: curtailed and shed fractions,
     # DR output and the supergeneration sum; and each minute's storage

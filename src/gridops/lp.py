@@ -18,18 +18,18 @@ program, such as a branch-and-bound child or the next window of a layer,
 can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
 2018, on reusing bases across related LPs).
 
-- *Given basis.*  B = [A | I][:, basis] comes from the factor the basis
-  carries (:class:`Factor`, the final inverse of the solve that returned
-  it) when the basic structural columns of A are bitwise those it was made
-  from and it passes the conditioning check below.  Otherwise B is
-  inverted through its block of basic structurals (each basic slack keeps
-  its own row) and checked cheaply for conditioning.  Nonbasic columns sit
-  at the bound their state names, or where the crash would put them when
-  that bound is infinite.  A basis of the wrong length, with repeated or
-  unknown columns, singular or badly conditioned is dropped for the crash.
-  The refactor cadence counts pivots across the solves that carry one
-  factor, so a carried factor has always had fewer than
-  ``_REFACTOR_EVERY`` pivots since its last fresh inversion.
+- *Given basis.*  B = [A | I][:, basis] is inverted through its block of
+  basic structurals (each basic slack keeps its own row) and checked
+  cheaply for conditioning.  Nonbasic columns sit at the bound their state
+  names, or where the crash would put them when that bound is infinite.
+  A basis of the wrong length, with repeated or unknown columns, singular
+  or badly conditioned is dropped for the crash.
+- *Live simplex.*  The simplex an optimal solve ended in
+  (``Solution.simplex``), given as the start of the next solve of its
+  program, re-solves it in place from its own basis, placed as a given
+  one.  It keeps its inverse unless that fails the conditioning check or
+  ``set_coeffs`` changed a basic structural column since; its refactor
+  cadence counts pivots across solves (see :meth:`_Simplex.refill`).
 - *Crash.*  Nonbasic columns sit at a finite bound.  Each equality row, in
   row order, takes a basic structural column that can absorb its residual
   within bounds and has no nonzero in an earlier crashed row, which keeps
@@ -81,8 +81,8 @@ CHECK_TOL = 1e-6
 # A basic column more than _BOUND_TOL outside its bounds is out of bounds.
 _BOUND_TOL = 1e-9
 # A starting basis is used when Tinv (T 1) is within _FACTOR_TOL of 1
-# for its block T of basic structurals (see _factor), and a carried
-# inverse when Binv (B 1) is (see _start_inverse).
+# for its block T of basic structurals (see _factor), and a live simplex
+# keeps its inverse when Binv (B 1) is (see _Simplex.refill).
 _FACTOR_TOL = 1e-9
 _DEGEN_STREAK_FOR_BLAND = 60
 _REFACTOR_EVERY = 256
@@ -162,9 +162,10 @@ class LinearProgram:
     cell is ``0.0`` plus its entries, which keeps zeros unsigned and sums
     repeated entries in order.  :meth:`set_coeffs` writes entries and their
     cells in place, so a program of fixed structure is refilled for each
-    use without being built again.  The arrays are views: writing to them
-    changes the program.  ``variables`` and ``constraints`` give per-column
-    and per-row views over the same arrays.
+    use without being built again, and stamps the columns whose cells
+    change bits (``_edited``, assembling A stamps all).  The arrays are
+    views: writing to them changes the program.  ``variables`` and
+    ``constraints`` give per-column and per-row views over the same arrays.
     """
 
     def __init__(self):
@@ -180,6 +181,8 @@ class LinearProgram:
         self._eval = np.empty(0)
         self._A: np.ndarray | None = None
         self._repeated = False       # some cell has more than one entry
+        self._edits = 0              # writes that changed bits of A
+        self._edited = np.zeros(0, dtype=np.intp)   # each column's last one
 
     lb = property(lambda self: self._lb[:self.n])
     ub = property(lambda self: self._ub[:self.n])
@@ -239,15 +242,22 @@ class LinearProgram:
 
     def set_coeffs(self, entries: np.ndarray, values: np.ndarray) -> None:
         """Write the values of existing entries (indices into the entry
-        arrays) and of their matrix cells."""
+        arrays) and of their matrix cells, stamping the columns whose cells
+        change bits.  A program with repeated cells drops A instead, and
+        assembles and stamps it afresh when it is next read."""
         self._eval[entries] = values
         if self._A is None:
             return
         if self._repeated:
             self._A = None
-        else:
-            self._A[self._erow[entries], self._ecol[entries]] = \
-                0.0 + self._eval[entries]
+            return
+        rows, cols = self._erow[entries], self._ecol[entries]
+        new = 0.0 + self._eval[entries]
+        moved = self._A[rows, cols].view(np.uint64) != new.view(np.uint64)
+        if moved.any():
+            self._edits += 1
+            self._edited[cols[moved]] = self._edits
+        self._A[rows, cols] = new
 
     @property
     def A(self) -> np.ndarray:
@@ -259,6 +269,8 @@ class LinearProgram:
             self._repeated = bool(
                 np.unique(rows * self.n + cols).size < self.nnz)
             self._A = A
+            self._edits += 1
+            self._edited = np.full(self.n, self._edits)
         return self._A
 
     @property
@@ -288,57 +300,16 @@ class LinearProgram:
         return f"LinearProgram(cols={cols!r}, rows={rows!r})"
 
 
-class Packed(NamedTuple):
-    """A dense array kept as its shape and the flat positions and values
-    of its nonzero bit patterns (see :func:`_pack`)."""
-    shape: tuple[int, ...]
-    at: np.ndarray
-    values: np.ndarray
-
-
-def _pack(a: np.ndarray) -> Packed:
-    """``a`` packed; a ``-0.0`` is kept, so unpacking gives back its bits."""
-    at = np.flatnonzero(a.view(np.uint64))
-    return Packed(a.shape, at, a.reshape(-1)[at])
-
-
-def _unpack(p: Packed) -> np.ndarray:
-    a = np.zeros(p.shape)
-    a.reshape(-1)[p.at] = p.values
-    return a
-
-
-def _same_bits(p: Packed, q: Packed) -> bool:
-    return p.shape == q.shape and np.array_equal(p.at, q.at) and \
-        np.array_equal(p.values.view(np.uint64), q.values.view(np.uint64))
-
-
-class Factor(NamedTuple):
-    """The inverse a solve ended with, carried to the next start.
-
-    ``inverse`` is the inverse of ``[A | I][:, cols]`` for the ``cols`` of
-    the :class:`Basis` that carries it, and ``columns`` the basic
-    structural columns of A (in position order) it was made from, both
-    packed: a basis inverse is mostly zeros.  ``age`` counts the pivots that have updated it since it
-    was last inverted afresh.
-    """
-    inverse: Packed
-    columns: Packed
-    age: int
-
-
 class Basis(NamedTuple):
     """A simplex basis over the structural and slack columns.
 
     ``cols[i]`` is the column basic in position ``i``: structural ``j < n``
     or the slack ``n + r`` of row ``r``.  ``states`` holds each of the
     ``n + m`` columns' state: at its lower bound, at its upper bound, free
-    at zero, or basic.  ``factor``, when set, is the inverse of this basis
-    that a start may reuse.
+    at zero, or basic.
     """
     cols: np.ndarray
     states: np.ndarray
-    factor: Factor | None = None
 
 
 @dataclass
@@ -353,6 +324,7 @@ class Solution:
     pivots: int = 0
     dual_pivots: int = 0
     basis: Basis | None = None       # set on every optimal solve
+    simplex: _Simplex | None = None  # likewise: the solve's live simplex
 
 
 # Nonbasic states.
@@ -374,7 +346,8 @@ class _Simplex:
     (:func:`_crash`) with every row that no structural takes on its slack.
     ``warm`` tells which one was used.  A start with basics outside their
     bounds runs the dual simplex on shifted costs before phase 2 (see
-    :meth:`solve`).
+    :meth:`solve`).  :meth:`refill` starts the next solve of the same
+    program from where the last one ended, in place.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str],
@@ -382,41 +355,76 @@ class _Simplex:
                  start: Basis | None = None):
         m, n = A.shape
         self.m, self.n = m, n
-        self.An = A
-        self.is_le = is_le = np.array([s == LE for s in senses], dtype=bool)
-        self.is_ge = is_ge = np.array([s == GE for s in senses], dtype=bool)
-        lo = np.concatenate([l, np.where(is_ge, -INF, 0.0)])
-        hi = np.concatenate([u, np.where(is_le, INF, 0.0)])
+        self.senses = list(senses)
+        self.is_le = np.array([s == LE for s in senses], dtype=bool)
+        self.is_ge = np.array([s == GE for s in senses], dtype=bool)
+        self.basis = self.Binv = None
+        self.age = 0        # pivots on Binv since its last fresh inversion
+        self.edits = 0      # the program's edit count when A was last read
+        if start is not None and _usable(start, m, n):
+            self.basis, self.Binv = _basis_inverse(A, start.cols)
+        self._load(A, b, c, l, u, None if start is None else start.states)
 
-        # Nonbasic structurals/slacks sit at a finite bound, the lower one
-        # unless the start names the upper.  A slack's finite bound is 0.
+    def _load(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+              l: np.ndarray, u: np.ndarray, states: np.ndarray | None):
+        """Take the program's values and place the columns for a solve:
+        nonbasic ones at a finite bound, the lower one unless ``states``
+        names the upper (a slack's finite bound is 0), the basis crashed
+        when there is no inverse, and x_B = Binv (b - N x_N)."""
+        m, n = self.m, self.n
+        lo = np.concatenate([l, np.where(self.is_ge, -INF, 0.0)])
+        hi = np.concatenate([u, np.where(self.is_le, INF, 0.0)])
         state = np.where(lo > -INF, _AT_LB,
                          np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
-        basis = Binv = None
-        self.age = 0        # pivots on Binv since its last fresh inversion
-        if start is not None and _usable(start, m, n):
-            basis, Binv, self.age = _start_inverse(A, start)
-        self.warm = Binv is not None
+        self.warm = self.Binv is not None
         if self.warm:
-            state[(start.states == _AT_UB) & (hi < INF)] = _AT_UB
+            state[(states == _AT_UB) & (hi < INF)] = _AT_UB
         x = np.where(state == _AT_LB, lo, np.where(state == _AT_UB, hi, 0.0))
         if not self.warm:
-            eq_rows = np.flatnonzero(~(is_le | is_ge))
+            eq_rows = np.flatnonzero(~(self.is_le | self.is_ge))
             rows, cols = _crash(A, b - A @ x[:n], x[:n], l, u, eq_rows)
             Tinv = _triangular_inverse(A[np.ix_(rows, cols)])
-            basis, Binv = _place(A, rows, cols, Tinv)
-        # Basic values from the nonbasic ones: x_B = Binv (b - N x_N).
+            self.basis, self.Binv = _place(A, rows, cols, Tinv)
+        basis = self.basis
         x[basis] = 0.0
-        x[basis] = Binv @ (b - A @ x[:n])
+        x[basis] = self.Binv @ (b - A @ x[:n])
         state[basis] = _BASIC
 
-        self.b = b
+        self.An, self.b = A, b
         self.cost = np.concatenate((c, np.zeros(m)))    # slacks cost nothing
         self.l, self.u = lo, hi
         self.x, self.state = x, state
-        self.basis, self.Binv = basis, Binv
         self.pivots = self.dual_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
+
+    def refill(self, lp: LinearProgram, l: np.ndarray, u: np.ndarray) -> None:
+        """Start the next solve of ``lp``, of this simplex's shape and
+        senses, from the basis the last solve ended in, under bounds ``l``
+        and ``u``.  The inverse is kept when no basic structural column of
+        A changed bits since this simplex last read A and ``Binv (B 1)``
+        gives back the ones vector to ``_FACTOR_TOL``; otherwise the basis
+        is inverted afresh, or crashed when that fails."""
+        A = lp.A
+        self.age = (self.age + self.pivots) % _REFACTOR_EVERY
+        given = self.basis
+        cols = given[given < self.n]
+        keep = not (lp._edited[cols] > self.edits).any()
+        if keep:
+            ones = A[:, cols].sum(axis=1)
+            ones[given[given >= self.n] - self.n] += 1.0
+            err = np.abs(self.Binv @ ones - 1.0).max(initial=0.0)
+            keep = err <= _FACTOR_TOL          # False for NaN too
+        if not keep:
+            self.basis, self.Binv = _basis_inverse(A, given)
+            self.age = 0
+        self._load(A, lp.rhs, lp.obj, l, u, self.state)
+
+    def copy(self) -> _Simplex:
+        """A copy to refill and solve without changing this simplex."""
+        twin = object.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__, basis=self.basis.copy(),
+                             Binv=self.Binv.copy())
+        return twin
 
     def _outside(self) -> np.ndarray:
         """Distance of each basic column outside its bounds, 0 within
@@ -658,14 +666,6 @@ class _Simplex:
         y = cost[self.basis] @ self.Binv
         return "optimal", y, []
 
-    def final_basis(self) -> Basis:
-        """The basis over structurals and slacks, with the inverse as its
-        factor."""
-        cols = self.basis.copy()
-        age = (self.age + self.pivots) % _REFACTOR_EVERY
-        return Basis(cols, self.state.copy(), Factor(
-            _pack(self.Binv), _pack(self.An[:, cols[cols < self.n]]), age))
-
 
 def _usable(start: Basis, m: int, n: int) -> bool:
     """Whether ``start`` fits an m-row, n-column program: m distinct
@@ -773,38 +773,23 @@ def _place(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return basis, Binv
 
 
-def _start_inverse(A: np.ndarray, start: Basis
-                   ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Basis positions, inverse and its age for a usable ``start``, or
-    Nones when its basis is singular or too badly conditioned.
-
-    The carried factor is reused, in the start's own positions, when the
-    basic structural columns of A are bitwise those it was made from and
-    ``Binv (B 1)`` gives back the ones vector to ``_FACTOR_TOL`` (one
-    product, O(m^2)).  Otherwise the block of basic structurals is inverted
-    afresh (:func:`_factor`).
+def _basis_inverse(A: np.ndarray, given: np.ndarray
+                   ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Basis positions and inverse for the basic columns ``given`` (see
+    :class:`Basis`), inverted afresh through their block of basic
+    structurals (:func:`_factor`), or Nones when that block is singular or
+    too badly conditioned.
     """
     m, n = A.shape
-    given = np.asarray(start.cols)
+    given = np.asarray(given)
     cols = given[given < n]
-    slack_rows = given[given >= n] - n
-    f = start.factor
-    if f is not None:
-        B = A[:, cols]
-        if _same_bits(_pack(B), f.columns):
-            Binv = _unpack(f.inverse)
-            ones = B.sum(axis=1)
-            ones[slack_rows] += 1.0
-            err = np.abs(Binv @ ones - 1.0).max(initial=0.0)
-            if err <= _FACTOR_TOL:
-                return given.copy(), Binv, f.age
     on_slack = np.zeros(m, dtype=bool)
-    on_slack[slack_rows] = True
+    on_slack[given[given >= n] - n] = True
     rows = np.flatnonzero(~on_slack)
     Tinv = _factor(A[np.ix_(rows, cols)])
     if Tinv is None:
-        return None, None, 0
-    return (*_place(A, rows, cols, Tinv), 0)
+        return None, None
+    return _place(A, rows, cols, Tinv)
 
 
 def _apply_overrides(l: np.ndarray, u: np.ndarray,
@@ -819,22 +804,29 @@ def _apply_overrides(l: np.ndarray, u: np.ndarray,
 
 def solve_lp(lp: LinearProgram,
              var_bounds: dict[int, tuple[float, float]] | None = None,
-             basis: Basis | None = None) -> Solution:
+             basis: Basis | _Simplex | None = None) -> Solution:
     """Solve an LP (binaries, if any, are relaxed to their bounds).
 
     The solve reads the program's own arrays; nothing is copied but the
     bounds that ``var_bounds`` overrides, which is how branch and bound
-    fixes binaries without copying the program.  ``basis`` is a starting
-    basis, usually the ``basis`` of an earlier optimal solve of a program
-    of the same shape; an unusable one is replaced by the crash.  Every
-    optimal solution is checked by ``verify_certificates`` and carries its
-    own basis, with the final basis inverse as its factor.
+    fixes binaries without copying the program.  ``basis`` is the start:
+    a :class:`Basis`, inverted afresh, or the ``simplex`` of an earlier
+    optimal solve of this program, which is re-solved in place
+    (:meth:`_Simplex.refill`).  A start that does not fit is replaced by
+    the crash.  Every optimal solution is checked by
+    ``verify_certificates`` and carries its basis and its live simplex.
     """
     A, b, senses, c = lp.A, lp.rhs, lp.senses, lp.obj
     l, u = _apply_overrides(lp.lb, lp.ub, var_bounds)
-    if np.any(l > u):
+    if (l > u).any():
         return Solution(status="infeasible")
-    sx = _Simplex(A, b, senses, c, l, u, basis)
+    live = isinstance(basis, _Simplex)
+    if live and (basis.m, basis.n, basis.senses) == (lp.m, lp.n, senses):
+        sx = basis
+        sx.refill(lp, l, u)
+    else:
+        sx = _Simplex(A, b, senses, c, l, u, None if live else basis)
+    sx.edits = lp._edits
     status, y, bad_rows = sx.solve()
     counts = dict(pivots=sx.pivots, dual_pivots=sx.dual_pivots)
     if status == "infeasible" and sx.warm:
@@ -849,7 +841,8 @@ def solve_lp(lp: LinearProgram,
     x = sx.x[:lp.n].copy()
     duals = np.asarray(y).copy()
     sol = Solution(status="optimal", x=x, objective=float(c @ x), duals=duals,
-                   basis=sx.final_basis(), **counts)
+                   basis=Basis(sx.basis.copy(), sx.state.copy()), simplex=sx,
+                   **counts)
     verify_certificates(lp, sol, sx)
     return sol
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lp import Basis, LinearProgram, Solution, solve_lp
+from .lp import Basis, LinearProgram, Solution, _Simplex, solve_lp
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
@@ -31,7 +31,7 @@ def _fractional(x: np.ndarray, binaries: list[int]) -> int | None:
 
 
 def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
-               basis: Basis | None = None) -> Solution:
+               basis: Basis | _Simplex | None = None) -> Solution:
     """Solve a mixed-binary program.
 
     Hitting ``node_limit`` returns the incumbent (``x`` is None when there
@@ -42,11 +42,14 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
     counts as one node.  Fix a binary before the search by setting its
     bounds on the program.
 
-    The root LP starts from ``basis`` and each child from its parent's
-    optimal basis; an optimal result carries the root's basis, the start
-    for the next program of the same shape.  Only the root's basis keeps
-    its factor (the basis inverse, see :class:`gridops.lp.Factor`), so the
-    root's children start without inverting; the heap holds no factor.
+    The root LP starts from ``basis`` (see :func:`gridops.lp.solve_lp`):
+    given the ``simplex`` of the last solve of this program, it re-solves
+    that live simplex in place.  The root's children each start from a
+    copy of the root's simplex, so they start without inverting and leave
+    the root's as it is; deeper nodes start from their parent's optimal
+    basis, inverted afresh, and the heap holds no simplex.  An optimal
+    result carries the root's basis and simplex, the start for the next
+    solve of the program.
     """
     binaries = lp.binary_indices
     root = solve_lp(lp, basis=basis)
@@ -56,7 +59,8 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
 
     seq = 0
     heap: list[tuple[float, int, dict[int, tuple[float, float]], Solution]] = []
-    heapq.heappush(heap, (root.objective, seq, {}, replace(root, basis=None)))
+    heapq.heappush(heap, (root.objective, seq, {},
+                          replace(root, basis=None, simplex=None)))
     incumbent: Solution | None = None
     nodes = 1
     branches = 0
@@ -68,7 +72,7 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
                        pivots=pivots, dual_pivots=dual_pivots)
         if best is not None:
             out.x, out.objective, out.duals = best.x, best.objective, best.duals
-            out.basis = root.basis
+            out.basis, out.simplex = root.basis, root.simplex
         return out
 
     while heap:
@@ -82,12 +86,12 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
                 incumbent = relax
             continue
         branches += 1
-        start = relax.basis if bounds else root.basis
         for val in (0.0, 1.0):
             if nodes >= node_limit:
                 break
             child = dict(bounds)
             child[j] = (val, val)
+            start = relax.basis if bounds else root.simplex.copy()
             sol = solve_lp(lp, var_bounds=child, basis=start)
             nodes += 1
             seq += 1
@@ -99,7 +103,7 @@ def solve_milp(lp: LinearProgram, node_limit: int = NODE_LIMIT,
                 return finish(sol.status, None)
             if incumbent is not None and sol.objective >= incumbent.objective - GAP_TOL:
                 continue
-            sol.basis = sol.basis._replace(factor=None)
+            sol.simplex = None
             heapq.heappush(heap, (sol.objective, seq, child, sol))
         if nodes >= node_limit:
             return finish("node_limit", incumbent)

@@ -281,6 +281,8 @@ def _parse_sections(text: str, path: str):
             if not line.endswith("]"):
                 raise ScenarioError(f"{path}:{ln}: unterminated section header")
             current = (line[1:-1].strip(), ln, [])
+            if not current[0]:
+                raise ScenarioError(f"{path}:{ln}: empty section header")
             sections.append(current)
         else:
             if current is None:
@@ -297,6 +299,13 @@ def _num(val: str, path: str, ln: int) -> float:
         return float(val)
     except ValueError:
         raise ScenarioError(f"{path}:{ln}: not a number: {val!r}") from None
+
+
+def _int(val: str, path: str, ln: int) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise ScenarioError(f"{path}:{ln}: not an integer: {val!r}") from None
 
 
 def _flag(val: str, path: str, ln: int) -> bool:
@@ -320,7 +329,7 @@ _TYPES = {
     "str": (lambda val, path, ln: val, str),
     "float": (_num, _fmt),
     "float | None": (_num, _fmt),
-    "int": (lambda val, path, ln: int(_num(val, path, ln)), str),
+    "int": (_int, str),
     "bool": (_flag, lambda on: "1" if on else "0"),
     "list[str]": (lambda val, path, ln: val.split(), " ".join),
     "np.ndarray": (lambda val, path, ln: np.array(

@@ -87,6 +87,25 @@ def test_validate_rejects_network_and_timing_faults(mini, old, new, row,
     assert capsys.readouterr().out == f"error\t{row}\n"
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("T_u = 1", "T_u = 1.5", "not an integer: '1.5'"),
+    ("T_u = 1", "T_u = inf", "not an integer: 'inf'"),
+    ("T_u = 1", "T_u = nan", "not an integer: 'nan'"),
+    ("[timing]", "[ ]", "empty section header"),
+], ids=["fraction", "inf", "nan", "empty-header"])
+def test_validate_names_the_line_of_a_malformed_value(mini, old, new,
+                                                      message, capsys):
+    with open(mini, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    ln = lines.index(old) + 1
+    lines[ln - 1] = new
+    with open(mini, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["validate", mini]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error\tscenario\t{mini}:{ln}: {message}\n"
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.scn")]) == 2
 

@@ -233,8 +233,8 @@ def program_bytes(program):
 
 
 def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
-    # Every RTUC program has binaries: record the basis each solve starts
-    # from and the solution it returns.
+    # Every RTUC program has binaries: record the start each solve is
+    # given and the solution it returns.
     starts, solutions = [], []
 
     def spy(lp, basis=None):
@@ -245,28 +245,29 @@ def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
     scn = one_bubble(fast_fleet(), horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
-    assert day.program[1].basis is not None
+    assert day.program[1].simplex is not None
     monkeypatch.setattr(dispatch, "solve_milp", spy)
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
     fresh = run_rtuc(scn, fc, init, day, start_minute=0)
     # The day-ahead program has another shape: a new one is built, and it
-    # starts cold, not from the day-ahead program's basis.
+    # starts cold, not from the day-ahead program's simplex.
     rebuilt = run_rtuc(scn, fc, init, day, start_minute=0,
                        program=day.program)
     assert rebuilt.program is not day.program
     # A program of the same shape, filled for another window, is refilled
-    # and starts from its own last optimal basis.
+    # and re-solves its own live simplex in place.
     other = run_rtuc(scn, Forecasts(load={"a": np.full(T, 60.0)}, semi={}),
                      init, day, start_minute=0)
-    last = other.program[1].basis
+    last = other.program[1].simplex
     refilled = run_rtuc(scn, fc, init, day, start_minute=0,
                         program=other.program)
     assert refilled.program is other.program
     assert starts[:3] == [None, None, None]
-    assert last is solutions[2].basis and starts[3] is last
-    # ... and keeps the basis it ends at for the next window.
-    assert refilled.program[1].basis is solutions[3].basis
+    assert last is solutions[2].simplex and starts[3] is last
+    # ... and keeps that same simplex, at the basis it ends at, for the
+    # next window.
+    assert refilled.program[1].simplex is solutions[3].simplex is last
     assert rebuilt.objective == fresh.objective
     assert rebuilt.p["fast"].tolist() == fresh.p["fast"].tolist()
     # The refilled program is bitwise the fresh one; only its warm start

@@ -384,7 +384,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     # Lowering the rhs to -1 leaves x = -1 below 0 instead, a start that
     # is neither primal nor dual feasible: x leaves at 0 and the GE row's
     # slack, entering, carries the row.  The basis returned holds only
-    # that slack, and its factor is the inverse of [A | I][:, cols].
+    # that slack, and its simplex holds the inverse of [A | I][:, cols].
     lp.constraints[0].rhs = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx.warm and sx._outside().tolist() == [1.0]
@@ -395,7 +395,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     assert (warm.pivots, warm.dual_pivots) == (1, 1)
     assert costs[-1].tolist() == [1.0, 1.0, 0.0]
     assert warm.basis.cols.tolist() == [2]
-    inverse = lpmod._unpack(warm.basis.factor.inverse)
+    inverse = warm.simplex.Binv
     B = np.hstack([lp.A, np.eye(lp.m)])[:, warm.basis.cols]
     assert np.array_equal(inverse @ B, np.eye(1))
     lp.variables[1].obj = 2.0
@@ -509,62 +509,95 @@ def _count_inversions(monkeypatch):
 def test_carried_inverse_is_reused(monkeypatch, make):
     lp = make()
     cold = solve_lp(lp)
-    f = cold.basis.factor
-    cols = cold.basis.cols
-    B = np.hstack([lp.A, np.eye(lp.m)])[:, cols]
-    assert lpmod._unpack(f.inverse) @ B == pytest.approx(np.eye(lp.m),
-                                                          abs=1e-12)
-    assert lpmod._unpack(f.columns).tobytes() == \
-        lp.A[:, cols[cols < lp.n]].tobytes()
-    inverse = lpmod._unpack(f.inverse).tobytes()
+    sx = cold.simplex
+    B = np.hstack([lp.A, np.eye(lp.m)])[:, cold.basis.cols]
+    assert sx.Binv @ B == pytest.approx(np.eye(lp.m), abs=1e-12)
+    Binv = sx.Binv
+    inverse = Binv.tobytes()
     calls = _count_inversions(monkeypatch)
-    warm = solve_lp(lp, basis=cold.basis)
+    warm = solve_lp(lp, basis=sx)
     assert calls == {"factor": 0, "inv": 0}
     assert warm.status == "optimal" and warm.pivots == 0
     assert warm.x == pytest.approx(cold.x, abs=1e-12)
-    # The carried inverse is read, never written.
-    assert cold.basis.factor is f
-    assert lpmod._unpack(f.inverse).tobytes() == inverse
-    # Without its factor the same basis is inverted afresh.
-    again = solve_lp(lp, basis=cold.basis._replace(factor=None))
+    # The live simplex is re-solved in place, on the inverse it ended with.
+    assert warm.simplex is sx and sx.Binv is Binv
+    assert Binv.tobytes() == inverse
+    # Its basis alone, without the simplex, is inverted afresh.
+    again = solve_lp(lp, basis=cold.basis)
     assert calls["factor"] == 1
     assert again.x == pytest.approx(cold.x, abs=1e-12)
-
-
-def test_packed_arrays_keep_their_bits():
-    a = np.array([[0.0, -0.0, 1e-300], [np.nan, 0.0, -2.5]])
-    p = lpmod._pack(a)
-    assert p.at.tolist() == [1, 2, 3, 5]
-    assert lpmod._unpack(p).tobytes() == a.tobytes()
-    assert lpmod._same_bits(p, lpmod._pack(a.copy()))
-    b = a.copy()
-    b[0, 1] = 0.0
-    assert not lpmod._same_bits(p, lpmod._pack(b))
 
 
 def test_carried_inverse_is_refused_after_a_basic_column_changes(
         monkeypatch):
     lp = small_lp()
     opt = solve_lp(lp)
+    sx = opt.simplex
     assert sorted(opt.basis.cols.tolist()) == [0, 1, 3]   # x, y, slack c2
     calls = _count_inversions(monkeypatch)
-    # Writing a value bitwise equal to the old one keeps the factor.
+    # Writing a value bitwise equal to the old one keeps the inverse.
     k = lp.entry(2, 1)                                    # y in c3
     lp.set_coeffs(np.array([k]), np.array([-1.0]))
-    solve_lp(lp, basis=opt.basis)
-    assert calls["factor"] == 0
-    # A new value in the basic column y is refused: the start inverts
-    # afresh, bitwise the solve that was never handed the factor.
+    Binv = sx.Binv
+    solve_lp(lp, basis=sx)
+    assert calls["factor"] == 0 and sx.Binv is Binv
+    # A new value in the basic column y is refused: the re-solve inverts
+    # afresh without reading the stale inverse, bitwise the solve from
+    # the basis alone.
     lp.set_coeffs(np.array([k]), np.array([-1.5]))
-    got = solve_lp(lp, basis=opt.basis)
+    start = lpmod.Basis(sx.basis.copy(), sx.state.copy())
+    sx.Binv = None                   # any read of the stale inverse fails
+    got = solve_lp(lp, basis=sx)
     assert calls["factor"] == 1
-    fresh = solve_lp(lp, basis=opt.basis._replace(factor=None))
+    fresh = solve_lp(lp, basis=start)
     assert got.status == fresh.status == "optimal"
     assert got.x.tobytes() == fresh.x.tobytes()
     assert got.duals.tobytes() == fresh.duals.tobytes()
     assert (got.pivots, got.dual_pivots) == (fresh.pivots, fresh.dual_pivots)
-    assert lpmod._same_bits(got.basis.factor.inverse,
-                            fresh.basis.factor.inverse)
+    assert got.simplex.Binv.tobytes() == fresh.simplex.Binv.tobytes()
+
+
+def test_write_to_a_nonbasic_column_keeps_the_inverse(monkeypatch):
+    # x sits nonbasic at its upper bound 4 and y is basic: a new
+    # coefficient of x moves what y has left, not the basis, so the
+    # re-solve keeps the inverse.
+    lp = upper_lp()
+    opt = solve_lp(lp)
+    sx = opt.simplex
+    assert opt.basis.cols.tolist() == [1] and opt.x.tolist() == [4.0, 3.0]
+    calls = _count_inversions(monkeypatch)
+    lp.set_coeffs(np.array([lp.entry(0, 0)]), np.array([1.5]))
+    Binv = sx.Binv
+    sol = solve_lp(lp, basis=sx)
+    assert calls == {"factor": 0, "inv": 0} and sx.Binv is Binv
+    assert sol.x.tolist() == [4.0, 2.0]
+
+
+def test_repeated_cells_reread_A_and_refactor(monkeypatch):
+    # Two entries in one cell make set_coeffs drop A: the re-solve reads
+    # the matrix assembled afresh and inverts its basis afresh, even after
+    # a write to a column that is not basic.
+    lp = LinearProgram()
+    x = lp.add_var("x", 0, 10, obj=-1.0)
+    y = lp.add_var("y", 0, 10, obj=-2.0)
+    lp.add_constr("a", [(x, 1.0), (y, 0.5), (y, 0.5)], LE, 8.0)
+    lp.add_constr("b", [(x, 1.0)], LE, 20.0)
+    opt = solve_lp(lp)
+    sx = opt.simplex
+    assert lp.A[0, 1] == 1.0 and opt.x.tolist() == [0.0, 8.0]
+    old = lp.A
+    calls = _count_inversions(monkeypatch)
+    lp.set_coeffs(np.array([lp.entry(1, x)]), np.array([2.0]))
+    sol = solve_lp(lp, basis=sx)
+    assert lp.A is not old and sx.An is lp.A
+    assert calls["factor"] == 1
+    assert sol.x.tolist() == [0.0, 8.0]
+    # Such a program cannot tell which bits a write changed: the same
+    # write again drops A and inverts afresh once more.
+    lp.set_coeffs(np.array([lp.entry(1, x)]), np.array([2.0]))
+    sol = solve_lp(lp, basis=sx)
+    assert calls["factor"] == 2 and sx.An is lp.A
+    assert sol.x.tolist() == [0.0, 8.0]
 
 
 def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
@@ -583,14 +616,19 @@ def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
         lp.add_constr(f"r{i}", [(j, 1.0 + (i * j) % 3) for j in range(5)],
                       LE, 20.0 + i)
     cold = solve_lp(lp)
-    assert (cold.pivots, cold.basis.factor.age, refactors) == (3, 3, [])
+    sx = cold.simplex
+    assert (cold.pivots, sx.age, refactors) == (3, 0, [])
     for j, cost in enumerate([-3, -1, -0.5, -2, -4]):
         lp.variables[j].obj = cost
-    warm = solve_lp(lp, basis=cold.basis)
+    warm = solve_lp(lp, basis=sx)
     # 3 carried + 1 pivot reach the cadence of 4: one fresh inversion
     # after the first pivot, then 2 more pivots on it.
-    assert warm.pivots == 3 and refactors == [1]
-    assert warm.basis.factor.age == 2
+    assert warm.simplex is sx
+    assert (warm.pivots, sx.age, refactors) == (3, 3, [1])
+    # The next re-solve carries the count on: 6 pivots, 2 past the
+    # cadence.
+    solve_lp(lp, basis=sx)
+    assert sx.age == 2 and refactors == [1]
 
 
 def test_warm_start_that_ends_infeasible_names_the_cold_rows():

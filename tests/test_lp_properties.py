@@ -1,9 +1,11 @@
 """Property tests: the simplex against HiGHS on random bounded programs,
-from the crash and from the basis of a related program."""
+from the crash and from the basis of a related program, and the live
+simplex of a program refilled window after window against the crash."""
 
 from __future__ import annotations
 
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import gridops.lp as lpmod
 from gridops.lp import EQ, GE, INF, LE, LinearProgram, _Simplex, solve_lp
 
 BOX = 10.0           # rows bounding the columns that have no finite bound
@@ -159,3 +162,54 @@ def test_related_programs_reach_every_start_path():
         seen[_start_path(pair)] += 1
     record()
     assert seen["dual"] and seen["shifted dual"] and seen["phase 2"], seen
+
+
+def _refill(data, lp: LinearProgram, live: _Simplex | None) -> None:
+    """Move ``lp`` in place to its next window: every right-hand side,
+    finite bound and cost, and one coefficient through ``set_coeffs``,
+    sometimes in a basic column of ``live``."""
+    lp.rhs[:] += data.draw(st.lists(st.integers(-3, 3), min_size=lp.m,
+                                    max_size=lp.m))
+    for v in lp.variables:
+        lo = _shift(v.lb, data.draw(st.integers(-2, 2)))
+        v.lb, v.ub = lo, max(lo, _shift(v.ub, data.draw(st.integers(-2, 2))))
+        v.obj = float(data.draw(st.integers(-5, 5)))
+    if not lp.nnz:
+        return
+    k = data.draw(st.integers(0, lp.nnz - 1))
+    if live is not None and data.draw(st.booleans()):
+        basic = np.flatnonzero(np.isin(lp.entry_col, live.basis))
+        if basic.size:
+            k = int(basic[data.draw(st.integers(0, basic.size - 1))])
+    lp.set_coeffs(np.array([k]), np.array([float(data.draw(
+        st.integers(-4, 4)))]))
+
+
+@given(programs(), st.data())
+def test_live_resolve_equals_a_cold_solve(lp, data):
+    # One program refilled window after window, as a layer refills its
+    # own: the live simplex of its last optimal solve re-solves each
+    # window in place and ends as the crash does.
+    real = lpmod.verify_certificates
+    checked = []
+
+    def counted(*args, **kwargs):
+        checked.append(1)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(lpmod, "verify_certificates", counted):
+        sol = solve_lp(lp)
+        live = sol.simplex
+        optimal = sol.status == "optimal"
+        for _ in range(data.draw(st.integers(1, 4))):
+            _refill(data, lp, live)
+            got = solve_lp(lp, basis=live)
+            cold = solve_lp(lp)
+            assert got.status == cold.status
+            if got.status == "optimal":
+                assert live is None or got.simplex is live
+                assert got.objective == pytest.approx(
+                    cold.objective, rel=1e-9, abs=1e-9)
+                optimal += 2
+                live = got.simplex
+    assert len(checked) == optimal

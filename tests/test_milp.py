@@ -218,9 +218,15 @@ def test_children_start_from_their_parent_basis(monkeypatch):
         parents = {(): calls[0][3]}
         for _, bounds, basis, sol in calls[1:]:
             branched += 1
-            # The parent's bounds are the child's less its newest fix.
+            # The parent's bounds are the child's less its newest fix.  The
+            # root's children start from copies of its live simplex, the
+            # others from their parent's basis.
             parent = parents[tuple(list(bounds.items())[:-1])]
-            assert basis is parent.basis
+            if len(bounds) == 1:
+                assert isinstance(basis, lpmod._Simplex)
+                assert basis is not parent.simplex
+            else:
+                assert basis is parent.basis
             ref = solve_lp(lp, var_bounds=bounds)
             assert sol.status == ref.status
             if ref.status == "optimal":
@@ -245,9 +251,10 @@ def test_root_starts_from_the_given_basis_and_returns_its_own():
 
 
 def test_heap_entries_hold_no_factor(monkeypatch):
-    # The root's children start from the root's carried inverse, deeper
-    # nodes from a basis without one; no heap entry keeps an inverse, and
-    # the result carries the root's basis with its factor.
+    # The root's children start from copies of the root's live simplex,
+    # with its inverse bitwise; deeper nodes from a basis without one.  No
+    # heap entry keeps a simplex, and the result carries the root's, which
+    # the children left as it was.
     rng = np.random.default_rng(5)
     programs = [knapsack_lp()] + [_random_mip(rng) for _ in range(30)]
     pushed, starts = [], []
@@ -257,20 +264,34 @@ def test_heap_entries_hold_no_factor(monkeypatch):
         pushed.append(entry)
         push(heap, entry)
 
+    def inverse(sx):
+        return sx.Binv.tobytes() if isinstance(sx, lpmod._Simplex) else None
+
     def record_start(lp, var_bounds=None, basis=None):
-        starts.append((var_bounds, basis))
-        return solve_lp(lp, var_bounds=var_bounds, basis=basis)
+        at_start = inverse(basis)
+        sol = solve_lp(lp, var_bounds=var_bounds, basis=basis)
+        starts.append((var_bounds, basis, at_start, sol,
+                       inverse(sol.simplex)))
+        return sol
     monkeypatch.setattr(milpmod.heapq, "heappush", record_push)
     monkeypatch.setattr(milpmod, "solve_lp", record_start)
     deep = 0
     for lp in programs:
         starts.clear()
         sol = solve_milp(lp)
+        _, _, _, root, root_inverse = starts[0]
         if sol.status == "optimal":
-            assert sol.basis.factor is not None
-        for bounds, basis in starts[1:]:
-            assert (basis.factor is not None) == (len(bounds) == 1)
-            deep += len(bounds) > 1
+            assert sol.simplex is root.simplex is not None
+        for bounds, basis, at_start, _, _ in starts[1:]:
+            if len(bounds) == 1:
+                assert isinstance(basis, lpmod._Simplex)
+                assert basis is not root.simplex
+                assert at_start == root_inverse
+            else:
+                assert isinstance(basis, lpmod.Basis)
+                deep += 1
+        if len(starts) > 1:
+            assert inverse(root.simplex) == root_inverse
     assert deep and len(pushed) > len(programs)
     for _, _, _, relax in pushed:
-        assert relax.basis is None or relax.basis.factor is None
+        assert relax.simplex is None
