@@ -19,6 +19,14 @@ program per layer and refills it window after window; the program keeps
 the live simplex of its last optimal solve, which re-solves the next
 window in place.
 
+The structure also records the program's plan (``_plan``): every value
+that only the scenario and the program's shape fix, laid out as a window
+reads it.  Fuel prices by clock hour come already multiplied into each
+cost column's unit constant, unit bounds and ramp rates are arrays, each
+bubble's balance terms are listed in the order they are summed, and each
+Schedule field has its block of the solution.  So a window's fill is a
+short fixed run of array writes, and extraction one gather.
+
 Each layer decides its own window from its start minute: the step grid
 (:func:`layer_grid`), the outage masks over it and the clock hour of each
 step, which prices fuel.  What carries over from window to window is the
@@ -41,6 +49,7 @@ from .piecewise import linearize_cost
 from .scenario import Scenario
 
 N_SEGMENTS = 3
+_ZERO = np.zeros(1)
 
 
 class DispatchError(Exception):
@@ -105,7 +114,7 @@ class LayerOptions:
     fixed_uv: tuple[dict, dict] | None = None           # sced: (u, v) consts
     outage_gen: dict[str, np.ndarray] | None = None     # gen -> mask per step
     outage_semi: dict[str, np.ndarray] | None = None
-    hour_of_step: list[int] | None = None               # fuel-price lookup
+    hour_of_step: list[int] | None = None               # clock hour, 0-23
     starts_ahead: dict[str, int] = field(default_factory=dict)  # m_Gk lookahead
 
 
@@ -118,23 +127,27 @@ class Columns(dict):
     program's last optimal solve (None until it is first solved), which
     its next solve re-solves in place.
 
-    What a window fills in is indexed the same way: ``dP`` holds each
-    generator's segment columns [step, segment]; ``rows`` maps the row
+    What a window fills in is indexed the same way: ``rows`` maps the row
     families whose right-hand side depends on the window to row indices,
     and ``entries`` the window-dependent coefficients (``"bal.cl"`` is the
     ``cl`` entry of each ``bal`` row) to indices into the program's
     entries.  ``shape`` and ``scn`` are what the structure was built for
     (:func:`_shape`).
+
+    The rest is the program's plan (:func:`_plan`), the scenario's
+    constants laid out against those indices: ``hourly`` holds every cost
+    column that is a fuel price times a unit constant (the segments of
+    each unit, and w, u and v in commitment) and ``hourly_cost`` those
+    costs for each clock hour; ``fuel``, ``pmin``, ``pmax``, ``ramp``
+    and the like hold unit constants; ``bal_terms`` lists each bubble's
+    balance terms in summation order; ``gather`` and ``read`` give each
+    Schedule field's block of the solution.  Like the coefficients baked
+    into the structure, the plan belongs to the scenario object ``scn``:
+    a program is refilled only for that same object (``scn is``), so a
+    scenario edited in place needs a new program.
     """
     fixed_cost = 0.0
     simplex: _Simplex | None = None
-
-
-def _available(table, rid, T) -> np.ndarray:
-    """1 - outage mask per step (1.0 when the resource has no outage)."""
-    if not table or rid not in table:
-        return np.ones(T)
-    return 1.0 - np.asarray(table[rid], dtype=float)[:T]
 
 
 def reserves_active(scn: Scenario) -> bool:
@@ -206,7 +219,8 @@ def _structure(scn: Scenario, opt: LayerOptions):
                  "seg.w": G, "plim.w": G, "ct1.cv": len(semis)}
     ents = {name: [[-1] * n for _ in range(T)]
             for name, n in ent_sizes.items()}
-    pw = [_cost_curve(g) for g in gens]
+    pw = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
+                         N_SEGMENTS) for g in gens]
     pins = [None if opt.pinned_w is None else opt.pinned_w.get(g.id)
             for g in gens]
 
@@ -437,18 +451,155 @@ def _structure(scn: Scenario, opt: LayerOptions):
         return {name: np.array(b, dtype=np.intp) for name, b in blocks.items()}
 
     cols = Columns(arrays(blk))
-    cols.dP = [np.array([dP[t][k] for t in range(T)], dtype=np.intp)
-               for k in range(G)]
     cols.rows = arrays(rows)
     cols.entries = arrays(ents)
     cols.shape = _shape(scn, opt)
     cols.scn = scn
+    _plan(cols, scn, opt, pw, pins, dP)
     return lp, cols
 
 
-def _cost_curve(g):
-    return linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
-                          N_SEGMENTS)
+def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
+          dP) -> None:
+    """Record on ``cols`` what only the scenario and the program's shape
+    fix, laid out as :func:`fill_program` and :func:`extract_schedule`
+    read it."""
+    T, G = opt.steps, len(scn.generators)
+    gens, semis, loads = scn.generators, scn.semis, scn.loads
+    sced = opt.layer == "sced"
+    gamma = scn.gamma_loss
+    rows, ents = cols.rows, cols.entries
+
+    def col(values):
+        return np.array(values, dtype=float)
+
+    def idx(values):
+        return np.array(values, dtype=np.intp)
+
+    # Units: the fuel price by clock hour and each unit's constants.
+    cols.gen_index = {g.id: k for k, g in enumerate(gens)}
+    cols.gids = [g.id for g in gens]
+    cols.fuel = col([[g.fuel_price(h) for g in gens]
+                     for h in range(24)]).reshape(24, G)
+    cols.pmin, cols.pmax = col([g.p_min for g in gens]), \
+        col([g.p_max for g in gens])
+    cols.at_min = col([c.cost_at_min for c in pw])
+    # Costs that are the fuel price times a unit constant, by clock hour:
+    # every segment's slope and, in the commitment layers, the cost at
+    # P^min and the start and stop costs of w, u and v.
+    seg_unit = idx([k for k, c in enumerate(pw) for _ in c.slopes])
+    hourly = [idx([[j for segs in row for j in segs] for row in dP]
+                  ).reshape(T, len(seg_unit))]
+    cost = [cols.fuel[:, seg_unit] * col([s for c in pw for s in c.slopes])]
+    if not sced:
+        hourly += [cols["w"], cols["u"], cols["v"]]
+        cost += [cols.fuel * cols.at_min,
+                 cols.fuel * col([g.h_u for g in gens]),
+                 cols.fuel * col([g.h_d for g in gens])]
+    cols.hourly = np.concatenate(hourly, axis=1)
+    cols.hourly_cost = np.concatenate(cost, axis=1)
+    # The ramp rows that hold the initial output, [ramp+, ramp-][step,
+    # unit] (every step's in SCED, the first step's in commitment), their
+    # rates times the step, and the start/stop relaxation's sign.
+    dt = opt.step_minutes
+    held = slice(None) if sced else slice(0, 1)
+    cols.ramp_rows = np.stack((rows["ramp+"][held], rows["ramp-"][held]))
+    cols.ramp = np.stack((col([g.r_max for g in gens]) * dt,
+                          col([g.r_min for g in gens]) * dt))[:, None]
+    cols.relax = np.stack((cols.pmax, -cols.pmax))[:, None]
+    # Commitment: units fixed on, pinned to a given status, or free.
+    must = [g.kind == "must-run" for g in gens]
+    pinned = [k for k in range(G) if not must[k] and pins[k] is not None]
+    cols.must_run = cols["w"][:, [k for k in range(G) if must[k]]]
+    cols.pinned = (cols["w"][:, pinned], [gens[k].id for k in pinned])
+    cols.free = [(k, g.id, g.t_u, g.t_d, g.u_max)
+                 for k, g in enumerate(gens)
+                 if not must[k] and pins[k] is None]
+    cols.storage = [(st.id, st.initial_energy, 1.0 if st.mode_gen0 else 0.0,
+                     1.0 if st.mode_pump0 else 0.0) for st in scn.storages]
+
+    # Semis and loads: which have curtailment or shedding columns and which
+    # tie lines are contingencies, with their constant factors.
+    cols.semi_index = {sm.id: k for k, sm in enumerate(semis)}
+    cols.loads = [ld.bubble for ld in loads]
+    scale = col([1.0 if sm.kind == "tie-line" else 1.0 + gamma
+                 for sm in semis])
+    d = col([sm.d for sm in semis])
+    cv = idx([k for k, sm in enumerate(semis) if sm.d > 0])
+    ties = idx([k for k, sm in enumerate(semis) if rows["ct1"][0, k] >= 0])
+    tie_cv = idx([k for k in ties if semis[k].d > 0])
+    cl = idx([k for k, ld in enumerate(loads) if ld.d > 0])
+    cols.cv = (cv, cols["cv"][:, cv], col([-sm.price for sm in semis])[cv]
+               * d[cv], scale[cv], -d[cv])
+    cols.ties = (ties, rows["ct1"][:, ties], tie_cv, d[tie_cv])
+    cols.cl = (cl, cols["cl"][:, cl], col([loads[k].price * loads[k].d
+                                           for k in cl]),
+               col([(1.0 + gamma) * loads[k].d for k in cl]))
+    # The window's coefficients, written in one call: the commitment
+    # layers' committed floor and cap (constant without outages), then
+    # the curtailment, contingency and shedding entries.
+    unit = [] if sced else [ents["seg.w"], ents["plim.w"]]
+    cols.coef_entries = np.concatenate(
+        [e.ravel() for e in unit + [ents["bal.cv"][:, cv],
+                                    ents["ct1.cv"][:, tie_cv],
+                                    ents["bal.cl"][:, cl]]])
+    cols.unit_coefs = [] if sced else \
+        [np.broadcast_to(-cols.pmin, (T, G)), np.broadcast_to(-cols.pmax,
+                                                              (T, G))]
+
+    # The bubble balance: each bubble's right-hand side sums, in this
+    # order, its pinned storage, its loads and its semis.  Terms are rows
+    # of one stack (storage, loads, semis, then a row of zeros), and step i
+    # adds each bubble's i-th term, the zero row once a bubble has none.
+    St = len(scn.storages) if opt.pinned_storage is not None else 0
+    members = [[k for k in range(St) if scn.storages[k].bubble == b] +
+               [St + k for k, ld in enumerate(loads) if ld.bubble == b] +
+               [St + len(loads) + k for k, sm in enumerate(semis)
+                if sm.bubble == b] for b in scn.network.bubbles]
+    pad = St + len(loads) + len(semis)
+    depth = max((len(m) for m in members), default=0)
+    cols.bal_terms = [idx([m[i] if i < len(m) else pad for m in members])
+                      for i in range(depth)]
+    cols.bal_rows = rows["bal"].T
+    cols.semi_sign = -scale[:, None]
+    cols.load_scale = 1.0 + gamma
+    cols.zero_row = np.zeros((1, T))
+    cols.sids = [st.id for st in scn.storages] if St else []
+
+    # Extraction: each Schedule field's columns as rows of one gather from
+    # the solution with a 0.0 appended, which the -1 of a missing column
+    # reads (SCED's u and v, an uncurtailable semi's curtailment).
+    bubbles = scn.network.bubbles
+    read = [("p", cols["P"], cols.gids), ("u", cols["u"], cols.gids),
+            ("v", cols["v"], cols.gids),
+            ("dr", cols["Pm"], [m.id for m in scn.drs]),
+            ("super_pos", cols["sgP"], bubbles),
+            ("super_neg", cols["sgN"], bubbles),
+            ("curtail", cols["cv"], [sm.id for sm in semis]),
+            ("shed", cols["cl"][:, cl], [loads[k].bubble for k in cl])]
+    cols.use_res = bool((cols["C1"] >= 0).all())
+    if cols.use_res:
+        read += [("tmsr", cols["rS"], cols.gids),
+                 ("tmor", cols["rO"], cols.gids)]
+    if opt.pinned_storage is None:
+        sids = [st.id for st in scn.storages]
+        read += [("storage_gen", cols["Ps"], sids),
+                 ("storage_pump", cols["Ss"], sids),
+                 ("storage_energy", cols["Es"], sids),
+                 ("storage_mode_gen", cols["wP"], sids),
+                 ("storage_mode_pump", cols["wS"], sids)]
+    read.append(("flows", cols["F"], None))
+    cols.read, at = [], 0
+    for name, block, keys in read:
+        cols.read.append((name, slice(at, at + block.shape[1]), keys))
+        at += block.shape[1]
+    # The commitment layers' w, rounded before it is read, comes last.
+    cols.w_rows = slice(at, at + G)
+    if not sced:
+        read.append(("w", cols["w"], None))
+    cols.gather = np.concatenate([block.T for _, block, _ in read]
+                                 ).reshape(-1, T)
+    cols.ties_d = [(semis[k].id, semis[k].d) for k in ties]
 
 
 def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
@@ -457,9 +608,13 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
     window-dependent coefficients into a program built by
     :func:`_structure` for the same scenario and shape.
 
-    Every value is computed with the same floating-point operations, in
-    the same order, as a row-by-row build would, so a refilled program is
-    bitwise the program built afresh for the window.
+    The writes are a fixed run against the constants ``_structure``
+    recorded on the program's ``Columns``.  Each value is what a row-by-row
+    build computes: the same floating-point operations in the same order,
+    up to exact identities (``a - b`` as ``a + (-b)``, ``-(a * b)`` as
+    ``(-a) * b``, a product with an availability of 1 left out), which
+    agree bit for bit on every input that is not NaN.  So a refilled
+    program is bitwise the program built afresh for the window.
     """
     lp, cols = program
     T = opt.steps
@@ -467,131 +622,134 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
         if len(series) < T:
             raise DispatchError(
                 f"forecast horizon {len(series)} shorter than {T} steps")
-    gens, semis, loads = scn.generators, scn.semis, scn.loads
-    gamma = scn.gamma_loss
-    sced = opt.layer == "sced"
-    dt = opt.step_minutes
-    hours = opt.hour_of_step or [0] * T
     lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
-    rows, ents = cols.rows, cols.entries
+    rows = cols.rows
+    hours = opt.hour_of_step or [0] * T
+    obj[cols.hourly] = cols.hourly_cost[hours]
 
-    # [step, generator] blocks: fuel price, availability net of outages.
-    cf = np.array([[g.fuel_price(h) for g in gens] for h in hours])
-    cf = cf.reshape(T, len(gens))
-    g_on = np.array([_available(opt.outage_gen, g.id, T) for g in gens]).T
-    g_on = g_on.reshape(T, len(gens))
-    pmin = np.array([g.p_min for g in gens])
-    pmax = np.array([g.p_max for g in gens])
-    at_min = np.array([_cost_curve(g).cost_at_min for g in gens])
+    # Availability net of outages, [step, unit] and [semi, step]; None
+    # when no outage touches the window.
+    g_on = s_on = None
+    for rid, mask in (opt.outage_gen or {}).items():
+        if rid in cols.gen_index:
+            if g_on is None:
+                g_on = np.ones((T, len(cols.gids)))
+            g_on[:, cols.gen_index[rid]] = \
+                1.0 - np.asarray(mask, dtype=float)[:T]
+    for rid, mask in (opt.outage_semi or {}).items():
+        if rid in cols.semi_index:
+            if s_on is None:
+                s_on = np.ones((len(cols.semi_index), T))
+            s_on[cols.semi_index[rid]] = \
+                1.0 - np.asarray(mask, dtype=float)[:T]
     # Available semi-dispatchable energy per step; withholding a fraction
     # cv of the curtailable share d takes -d*avail*cv off delivery.
-    semi_avail = [_available(opt.outage_semi, sm.id, T) *
-                  np.asarray(fc.semi[sm.id], dtype=float)[:T]
-                  for sm in semis]
-    load = [np.asarray(fc.load[ld.bubble], dtype=float)[:T] for ld in loads]
+    avail = np.array([fc.semi[sid][:T] for sid in cols.semi_index],
+                     dtype=float).reshape(-1, T)
+    if s_on is not None:
+        avail = s_on * avail
+    load = np.array([fc.load[b][:T] for b in cols.loads],
+                    dtype=float).reshape(-1, T)
 
     # -- generators ------------------------------------------------------
-    for k, g in enumerate(gens):
-        obj[cols.dP[k]] = cf[:, k, None] * _cost_curve(g).slopes
+    coefs = []
     fixed_cost = 0.0
-    if sced:
-        wv = np.array([np.asarray(opt.pinned_w[g.id], dtype=float)[:T]
-                       for g in gens]).T.reshape(T, len(gens))
+    if opt.layer == "sced":
+        wv = np.array([opt.pinned_w[gid][:T] for gid in cols.gids],
+                      dtype=float).T.reshape(T, -1)
         # Segments only price output above the committed floor.
-        for c in ((wv * cf) * at_min).ravel().tolist():
+        for c in ((wv * cols.fuel[hours]) * cols.at_min).ravel().tolist():
             fixed_cost += c
-        floor = (wv * g_on) * pmin
+        if g_on is not None:
+            wv = wv * g_on
+        floor = wv * cols.pmin
         lb[cols["P"]] = floor
-        ub[cols["P"]] = (wv * g_on) * pmax
+        ub[cols["P"]] = wv * cols.pmax
         rhs[rows["seg"]] = floor
         uf, vf = opt.fixed_uv
-        p0 = np.array([float(init.output.get(g.id, 0.0)) for g in gens])
-        ur = np.array([float(uf.get(g.id, 0.0)) for g in gens])
-        vr = np.array([float(vf.get(g.id, 0.0)) for g in gens])
-        rmax = np.array([g.r_max for g in gens])
-        rmin = np.array([g.r_min for g in gens])
-        rhs[rows["ramp+"]] = (p0 + rmax * dt) + pmax * ur
-        rhs[rows["ramp-"]] = (p0 + rmin * dt) - pmax * vr
+        p0 = np.array([init.output.get(gid, 0.0) for gid in cols.gids],
+                      dtype=float)
+        uv = np.array([[uf.get(gid, 0.0) for gid in cols.gids],
+                       [vf.get(gid, 0.0) for gid in cols.gids]], dtype=float)
+        rhs[cols.ramp_rows] = (p0 + cols.ramp) + cols.relax * uv[:, None]
     else:
-        # Commitment carries the cost of running at P^min.
-        obj[cols["w"]] = cf * at_min
-        obj[cols["u"]] = cf * np.array([g.h_u for g in gens])
-        obj[cols["v"]] = cf * np.array([g.h_d for g in gens])
-        lp.set_coeffs(ents["seg.w"], -g_on * pmin)
-        lp.set_coeffs(ents["plim.w"], -g_on * pmax)
+        # Commitment carries the cost of running at P^min (in ``hourly``);
+        # the committed floor and cap scale with availability.
+        coefs += cols.unit_coefs if g_on is None else \
+            [-g_on * cols.pmin, -g_on * cols.pmax]
+        w0 = np.array([init.online.get(gid, 0.0) for gid in cols.gids],
+                      dtype=float)
+        p0 = np.array([init.output.get(gid, 0.0) for gid in cols.gids],
+                      dtype=float)
+        rhs[rows["link"][0]] = w0
+        rhs[cols.ramp_rows] = p0 + cols.ramp
+        lb[cols.must_run] = ub[cols.must_run] = 1.0
+        pinned, pin_ids = cols.pinned
+        if pin_ids:
+            lb[pinned] = ub[pinned] = np.array(
+                [opt.pinned_w[gid][:T] for gid in pin_ids], dtype=float).T
         steps_per_hour = 60.0 / opt.step_minutes
-        for k, g in enumerate(gens):
-            col = cols["w"][:, k]
-            w0 = float(init.online.get(g.id, 0.0))
-            p0 = float(init.output.get(g.id, 0.0))
-            rhs[rows["link"][0, k]] = w0
-            rhs[rows["ramp+"][0, k]] = p0 + g.r_max * dt
-            rhs[rows["ramp-"][0, k]] = p0 + g.r_min * dt
-            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
-            if g.kind == "must-run":
-                lb[col], ub[col] = 1.0, 1.0
-                continue
-            if pin is not None:
-                lb[col] = ub[col] = np.asarray(pin, dtype=float)[:T]
-                continue
+        wcol = cols["w"]
+        for k, gid, t_u, t_d, u_max in cols.free:
+            col = wcol[:, k]
             lb[col], ub[col] = 0.0, 1.0
             # Initial history: finish the current minimum-run window.
-            hist = float(init.run_hours.get(g.id, 0.0))
-            if w0 > 0.5 and hist < g.t_u:
-                remain = int(math.ceil((g.t_u - hist) * steps_per_hour))
+            hist = float(init.run_hours.get(gid, 0.0))
+            if w0[k] > 0.5 and hist < t_u:
+                remain = int(math.ceil((t_u - hist) * steps_per_hour))
                 lb[col[:remain]] = 1.0
-            if w0 < 0.5 and -hist < g.t_d:
-                remain = int(math.ceil((g.t_d + hist) * steps_per_hour))
+            if w0[k] < 0.5 and -hist < t_d:
+                remain = int(math.ceil((t_d + hist) * steps_per_hour))
                 ub[col[:remain]] = 0.0
-            used = int(init.starts_used.get(g.id, 0))
-            ahead = int(opt.starts_ahead.get(g.id, 0))
-            rhs[rows["maxup"][0, k]] = float(max(g.u_max - used - ahead, 0))
+            used = int(init.starts_used.get(gid, 0))
+            ahead = int(opt.starts_ahead.get(gid, 0))
+            rhs[rows["maxup"][0, k]] = float(max(u_max - used - ahead, 0))
     cols.fixed_cost = fixed_cost
 
     # -- storage initial state --------------------------------------------
-    if opt.pinned_storage is None:
-        for k, st in enumerate(scn.storages):
-            mg = float(init.mode_gen.get(st.id, 1.0 if st.mode_gen0 else 0.0))
-            mp = float(init.mode_pump.get(st.id,
-                                          1.0 if st.mode_pump0 else 0.0))
-            rhs[rows["stor"][0, k]] = float(init.energy.get(
-                st.id, st.initial_energy))
-            rhs[rows["flip1"][0, k]] = 1.0 - mp
-            rhs[rows["flip2"][0, k]] = 1.0 - mg
+    if opt.pinned_storage is None and cols.storage:
+        rhs[rows["stor"][0]] = [init.energy.get(sid, e0)
+                                for sid, e0, _, _ in cols.storage]
+        rhs[rows["flip1"][0]] = 1.0 - np.array(
+            [init.mode_pump.get(sid, mp) for sid, _, _, mp in cols.storage],
+            dtype=float)
+        rhs[rows["flip2"][0]] = 1.0 - np.array(
+            [init.mode_gen.get(sid, mg) for sid, _, mg, _ in cols.storage],
+            dtype=float)
 
     # -- curtailment, shedding and the bubble balance ---------------------
-    for k, sm in enumerate(semis):
-        avail = semi_avail[k]
-        scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
-        if sm.d > 0:
-            # Withholding delivery at threshold price C forfeits C*d*avail.
-            obj[cols["cv"][:, k]] = -sm.price * sm.d * avail
-            lp.set_coeffs(ents["bal.cv"][:, k], scale * (-sm.d * avail))
-        if rows["ct1"][0, k] >= 0:
-            rhs[rows["ct1"][:, k]] = avail
-            if sm.d > 0:
-                lp.set_coeffs(ents["ct1.cv"][:, k], sm.d * avail)
-    for k, ld in enumerate(loads):
-        if ld.d > 0:
-            obj[cols["cl"][:, k]] = ld.price * ld.d * load[k]
-            lp.set_coeffs(ents["bal.cl"][:, k],
-                          (1.0 + gamma) * ld.d * load[k])
-    for kb, b in enumerate(scn.network.bubbles):
-        total = np.zeros(T)
-        if opt.pinned_storage is not None:
-            ps, ss = opt.pinned_storage
-            for st in scn.storages:
-                if st.bubble == b:
-                    total -= np.asarray(ps[st.id], dtype=float)[:T] - \
-                        np.asarray(ss[st.id], dtype=float)[:T]
-        for k, ld in enumerate(loads):
-            if ld.bubble == b:
-                total += (1.0 + gamma) * load[k]
-        for k, sm in enumerate(semis):
-            if sm.bubble == b:
-                scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
-                total -= scale * semi_avail[k]
-        rhs[rows["bal"][:, kb]] = total
+    cv, cv_cols, cv_cost, scale, neg_d = cols.cv
+    if len(cv):
+        # Withholding delivery at threshold price C forfeits C*d*avail.
+        avail_cv = avail[cv].T
+        obj[cv_cols] = cv_cost * avail_cv
+        coefs.append(scale * (neg_d * avail_cv))
+    ties, tie_rows, tie_cv, tie_d = cols.ties
+    if len(ties):
+        rhs[tie_rows] = avail[ties].T
+        coefs.append(tie_d * avail[tie_cv].T)
+    cl, cl_cols, cl_cost, cl_coef = cols.cl
+    if len(cl):
+        load_cl = load[cl].T
+        obj[cl_cols] = cl_cost * load_cl
+        coefs.append(cl_coef * load_cl)
+    if coefs:
+        lp.set_coeffs(cols.coef_entries,
+                      np.concatenate([c.ravel() for c in coefs]))
+    terms = [cols.load_scale * load, cols.semi_sign * avail, cols.zero_row]
+    if cols.sids:
+        ps, ss = opt.pinned_storage
+        terms.insert(0, np.array([ss[sid][:T] for sid in cols.sids],
+                                 dtype=float) -
+                     np.array([ps[sid][:T] for sid in cols.sids], dtype=float))
+    terms = np.concatenate(terms)
+    if cols.bal_terms:
+        total = terms[cols.bal_terms[0]] + 0.0
+        for step in cols.bal_terms[1:]:
+            total += terms[step]
+        rhs[cols.bal_rows] = total
+    else:
+        rhs[cols.bal_rows] = 0.0
 
 
 def initial_from_scenario(scn: Scenario) -> InitialState:
@@ -630,7 +788,7 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
     else:
         fill_program(program, scn, fc, init, opt)
     lp, cols = program
-    if lp.binary_indices:
+    if lp.binary.any():
         sol = solve_milp(lp, basis=cols.simplex)
     else:
         sol = solve_lp(lp, basis=cols.simplex)
@@ -650,69 +808,40 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
 
 def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
                      cols: Columns, opt: LayerOptions) -> Schedule:
+    """The window's Schedule: every field read from the solution in one
+    gather (``Columns.gather``), one row per entity."""
     T = opt.steps
-    sched = Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
-                     status=sol.status,
-                     objective=sol.objective + cols.fixed_cost)
-    use_res = bool((cols["C1"] >= 0).all())
-    gids = [g.id for g in scn.generators]
-    sids = [st.id for st in scn.storages]
-    bubbles = scn.network.bubbles
-    # (column family, Schedule field, entity keys); each family's values
-    # are read as one row per entity.
-    read = [("P", sched.p, gids), ("Pm", sched.dr, [m.id for m in scn.drs]),
-            ("sgP", sched.super_pos, bubbles),
-            ("sgN", sched.super_neg, bubbles)]
-    if opt.layer != "sced":
-        read += [("w", sched.w, gids), ("u", sched.u, gids),
-                 ("v", sched.v, gids)]
-    if use_res:
-        read += [("rS", sched.tmsr, gids), ("rO", sched.tmor, gids)]
-    if opt.pinned_storage is None:
-        read += [("Ps", sched.storage_gen, sids),
-                 ("Ss", sched.storage_pump, sids),
-                 ("Es", sched.storage_energy, sids),
-                 ("wP", sched.storage_mode_gen, sids),
-                 ("wS", sched.storage_mode_pump, sids)]
+    vals = np.concatenate((sol.x, _ZERO))[cols.gather]
+    if opt.layer == "sced":
+        w = np.array([opt.pinned_w[gid][:T] for gid in cols.gids],
+                     dtype=float).reshape(-1, T)
     else:
+        w = vals[cols.w_rows] = vals[cols.w_rows].round(9)
+    fields = {name: vals[span].T if keys is None else
+              dict(zip(keys, vals[span])) for name, span, keys in cols.read}
+    fields["w"] = dict(zip(cols.gids, w))
+    if opt.pinned_storage is not None:
         ps, ss = opt.pinned_storage
-        for sid in sids:
-            sched.storage_gen[sid] = np.asarray(ps[sid], dtype=float)[:T]
-            sched.storage_pump[sid] = np.asarray(ss[sid], dtype=float)[:T]
-    for fam, values, keys in read:
-        values.update(zip(keys, sol.x[cols[fam].T]))
-    for gid in gids:
-        if opt.layer == "sced":
-            sched.w[gid] = np.array(opt.pinned_w[gid][:T], dtype=float)
-            sched.u[gid] = np.zeros(T)
-            sched.v[gid] = np.zeros(T)
-        else:
-            sched.w[gid] = np.round(sched.w[gid], 9)
-    cv, cl = sol.x[cols["cv"].T], sol.x[cols["cl"].T]
-    for k, sm in enumerate(scn.semis):
-        sched.curtail[sm.id] = cv[k] if sm.d > 0 else np.zeros(T)
-    for k, ld in enumerate(scn.loads):
-        if ld.d > 0:
-            sched.shed[ld.bubble] = cl[k]
-    sched.flows = sol.x[cols["F"]]
-    if use_res:
+        fields["storage_gen"] = {sid: np.asarray(ps[sid], dtype=float)[:T]
+                                 for sid in cols.sids}
+        fields["storage_pump"] = {sid: np.asarray(ss[sid], dtype=float)[:T]
+                                  for sid in cols.sids}
+    c1 = np.zeros(T)
+    if cols.use_res:
         # The epigraph variable can sit anywhere above the true maximum, so
-        # recompute the binding contingency from the committed schedule.
-        c1 = np.zeros(T)
-        for t in range(T):
-            worst = 0.0
-            for g in scn.generators:
-                worst = max(worst, sched.w[g.id][t] * g.p_max)
-            for sm in scn.semis:
-                if sm.kind == "tie-line":
-                    avail = float(fc.semi[sm.id][t])
-                    worst = max(worst,
-                                (1.0 - sm.d * sched.curtail[sm.id][t]) * avail)
-            c1[t] = worst
-        sched.c1 = c1
-    else:
-        sched.c1 = np.zeros(T)
-    return sched
+        # recompute the binding contingency from the committed schedule:
+        # per step, the units' committed capacities and the ties' delivery
+        # folded as max() folds them, the first of equals kept.
+        curtail = fields["curtail"]
+        for c in [*(w * cols.pmax[:, None]),
+                  *((1.0 - d * curtail[sid]) *
+                    np.asarray(fc.semi[sid], dtype=float)[:T]
+                    for sid, d in cols.ties_d)]:
+            c1 = np.where(c > c1, c, c1)
+    return Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
+                    status=sol.status,
+                    objective=sol.objective + cols.fixed_cost, c1=c1,
+                    **fields)
 
 
 # -- the three layers, each over a window it computes from its start ------
@@ -731,19 +860,23 @@ def outage_masks(scn: Scenario, m0: int, block: int, n: int):
     """Per-block outage masks of generators and semi resources over the
     window [m0, m0 + n*block); a resource is out for a whole block if any
     outage overlaps it.  Resources not out in the window are left out.
-    With ``block`` 1 the masks are per-minute on/off status."""
+    With ``block`` 1 the masks are per-minute on/off status.  An outage of
+    no minutes overlaps nothing."""
     gen, semi = {}, {}
-    gen_ids = {g.id for g in scn.generators}
-    semi_ids = {s.id for s in scn.semis}
-    lo = m0 + block * np.arange(n)
+    end = m0 + n * block
     for ev in scn.outages:
+        # An outage overlaps the window only if it covers a minute in it.
+        if ev.duration <= 0 or ev.start + ev.duration <= m0 or \
+                ev.start >= end:
+            continue
+        lo = m0 + block * np.arange(n)
         mask = ((lo < ev.start + ev.duration) &
                 (lo + block > ev.start)).astype(float)
         if not mask.any():
             continue
-        if ev.resource in gen_ids:
+        if any(g.id == ev.resource for g in scn.generators):
             gen[ev.resource] = np.maximum(gen.get(ev.resource, 0.0), mask)
-        elif ev.resource in semi_ids:
+        elif any(sm.id == ev.resource for sm in scn.semis):
             semi[ev.resource] = np.maximum(semi.get(ev.resource, 0.0), mask)
     return gen, semi
 

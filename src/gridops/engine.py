@@ -150,7 +150,8 @@ def simulate(scn: Scenario, minutes: int,
     rtuc_steps = layer_grid(t, "rtuc")[1]
     emergency: set[int] = set()
     for ev in scn.outages:
-        if ev.start < minutes:
+        # An outage of no minutes takes nothing out (see outage_masks).
+        if ev.start < minutes and ev.duration > 0:
             emergency.add(ev.start)
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)

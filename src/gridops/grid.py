@@ -181,9 +181,12 @@ def regulation_step(imbalance, reg: RegulationState,
         g, part = reg.g, reg.participation
         rate, sat = reg.rate, reg.saturation
         neg_rate, neg_sat = -rate, -sat
+        # np.minimum(np.maximum(...)) is np.clip without its Python
+        # wrapper: the same bits, NaN and crossed bounds included.
+        lo, hi = np.maximum, np.minimum
         for m, x in enumerate(seq):
-            delta = np.clip(-x * part - g, neg_rate, rate)
-            g = np.clip(g + delta, neg_sat, sat)
+            delta = hi(lo(-x * part - g, neg_rate), rate)
+            g = hi(lo(g + delta, neg_sat), sat)
             outputs[m] = g
         reg.g = g
     residual = imb + outputs.sum(axis=1).reshape(imb.shape)

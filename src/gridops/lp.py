@@ -332,6 +332,11 @@ _AT_LB = 0
 _AT_UB = 1
 _FREE = 2
 _BASIC = 3
+_LB8, _UB8, _FREE8 = np.int8(_AT_LB), np.int8(_AT_UB), np.int8(_FREE)
+# By state: whether a column may increase (at its lower bound or free) or
+# decrease (at its upper bound or free).
+_MAY_RISE = np.array([True, False, True, False])
+_MAY_FALL = np.array([False, True, True, False])
 
 
 class _Simplex:
@@ -358,9 +363,15 @@ class _Simplex:
         self.senses = list(senses)
         self.is_le = np.array([s == LE for s in senses], dtype=bool)
         self.is_ge = np.array([s == GE for s in senses], dtype=bool)
+        # What the senses alone fix: the slacks' bounds and costs.  Read,
+        # never written, so copies share them.
+        self.slack_lo = np.where(self.is_ge, -INF, 0.0)
+        self.slack_hi = np.where(self.is_le, INF, 0.0)
+        self.slack_cost = np.zeros(m)
         self.basis = self.Binv = None
         self.age = 0        # pivots on Binv since its last fresh inversion
         self.edits = 0      # the program's edit count when A was last read
+        self.checked = False    # Binv passed refill's check and is unchanged
         if start is not None and _usable(start, m, n):
             self.basis, self.Binv = _basis_inverse(A, start.cols)
         self._load(A, b, c, l, u, None if start is None else start.states)
@@ -372,13 +383,13 @@ class _Simplex:
         names the upper (a slack's finite bound is 0), the basis crashed
         when there is no inverse, and x_B = Binv (b - N x_N)."""
         m, n = self.m, self.n
-        lo = np.concatenate([l, np.where(self.is_ge, -INF, 0.0)])
-        hi = np.concatenate([u, np.where(self.is_le, INF, 0.0)])
-        state = np.where(lo > -INF, _AT_LB,
-                         np.where(hi < INF, _AT_UB, _FREE)).astype(np.int8)
+        lo = np.concatenate([l, self.slack_lo])
+        hi = np.concatenate([u, self.slack_hi])
+        finite_hi = hi < INF
+        state = np.where(lo > -INF, _LB8, np.where(finite_hi, _UB8, _FREE8))
         self.warm = self.Binv is not None
         if self.warm:
-            state[(states == _AT_UB) & (hi < INF)] = _AT_UB
+            state[(states == _AT_UB) & finite_hi] = _AT_UB
         x = np.where(state == _AT_LB, lo, np.where(state == _AT_UB, hi, 0.0))
         if not self.warm:
             eq_rows = np.flatnonzero(~(self.is_le | self.is_ge))
@@ -391,8 +402,9 @@ class _Simplex:
         state[basis] = _BASIC
 
         self.An, self.b = A, b
-        self.cost = np.concatenate((c, np.zeros(m)))    # slacks cost nothing
+        self.cost = np.concatenate((c, self.slack_cost))
         self.l, self.u = lo, hi
+        self.fixed = lo == hi
         self.x, self.state = x, state
         self.pivots = self.dual_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
@@ -403,17 +415,23 @@ class _Simplex:
         and ``u``.  The inverse is kept when no basic structural column of
         A changed bits since this simplex last read A and ``Binv (B 1)``
         gives back the ones vector to ``_FACTOR_TOL``; otherwise the basis
-        is inverted afresh, or crashed when that fails."""
+        is inverted afresh, or crashed when that fails.  The product is
+        skipped when this inverse passed it at the last refill and no pivot
+        or inversion has changed it since (``checked``): its result could
+        not differ."""
         A = lp.A
         self.age = (self.age + self.pivots) % _REFACTOR_EVERY
         given = self.basis
         cols = given[given < self.n]
         keep = not (lp._edited[cols] > self.edits).any()
-        if keep:
+        if keep and not self.checked:
+            # An inverse that passed this check and has not changed since,
+            # over basic columns whose bits have not changed, passes again.
             ones = A[:, cols].sum(axis=1)
             ones[given[given >= self.n] - self.n] += 1.0
             err = np.abs(self.Binv @ ones - 1.0).max(initial=0.0)
             keep = err <= _FACTOR_TOL          # False for NaN too
+        self.checked = keep
         if not keep:
             self.basis, self.Binv = _basis_inverse(A, given)
             self.age = 0
@@ -431,9 +449,10 @@ class _Simplex:
         ``_BOUND_TOL`` of them."""
         xb = self.x[self.basis]
         lo_b, hi_b = self.l[self.basis], self.u[self.basis]
-        gap = np.maximum(lo_b - xb, xb - hi_b)
-        gap[~((xb < lo_b - _BOUND_TOL) | (xb > hi_b + _BOUND_TOL))] = 0.0
-        return gap
+        out = (xb < lo_b - _BOUND_TOL) | (xb > hi_b + _BOUND_TOL)
+        if not out.any():
+            return np.zeros(self.m)
+        return np.where(out, np.maximum(lo_b - xb, xb - hi_b), 0.0)
 
     # -- columns ---------------------------------------------------------
 
@@ -456,6 +475,7 @@ class _Simplex:
     def _refactor(self) -> np.ndarray:
         """Invert the basis afresh; returns :attr:`A`."""
         full = self.A
+        self.checked = False
         try:
             self.Binv = np.linalg.inv(full[:, self.basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -477,7 +497,7 @@ class _Simplex:
         """Reduced costs of every column.  Slack columns are e_i, so only
         the structural block needs a product."""
         n = self.n
-        y = cost[self.basis] @ self.Binv
+        y = self.y = cost[self.basis] @ self.Binv
         return np.concatenate((cost[:n] - y @ self.An, cost[n:] - y))
 
     def _dual_infeasibility(self, r: np.ndarray) -> np.ndarray:
@@ -486,10 +506,9 @@ class _Simplex:
         upper bound or free), 0 within ``COST_TOL``; fixed columns never
         enter."""
         st = self.state
-        viol = np.maximum(
-            np.where((st == _AT_LB) | (st == _FREE), -r, 0.0),
-            np.where((st == _AT_UB) | (st == _FREE), r, 0.0))
-        viol[(self.l == self.u) | (viol <= COST_TOL)] = 0.0
+        viol = np.maximum(np.where(_MAY_RISE[st], -r, 0.0),
+                          np.where(_MAY_FALL[st], r, 0.0))
+        viol[self.fixed | (viol <= COST_TOL)] = 0.0
         return viol
 
     def _exchange(self, pos: int, j: int, dj: np.ndarray) -> None:
@@ -498,6 +517,7 @@ class _Simplex:
         pivot element is too small."""
         self.basis[pos] = j
         self.state[j] = _BASIC
+        self.checked = False
         piv = dj[pos]
         if abs(piv) < 1e-11:
             self._refactor()
@@ -516,7 +536,7 @@ class _Simplex:
             self._refactor_on_cadence()
             r = self._reduced_costs(cost)
             viol = self._dual_infeasibility(r)
-            j = int(np.argmax(viol))       # Dantzig, lowest index on ties
+            j = int(viol.argmax())         # Dantzig, lowest index on ties
             if viol[j] == 0.0:
                 return "optimal"
             if self.pivots >= self.max_pivots:
@@ -589,7 +609,6 @@ class _Simplex:
         ``RATIO_TOL``, in program order, and are empty for any other
         status.
         """
-        fixed = self.l == self.u
         degen_streak = 0
         while True:
             self._refactor_on_cadence()
@@ -613,9 +632,9 @@ class _Simplex:
             if rise:
                 s = -s
             st = self.state
-            can = ((((st == _AT_LB) | (st == _FREE)) & (s > RATIO_TOL)) |
-                   (((st == _AT_UB) | (st == _FREE)) & (s < -RATIO_TOL)))
-            can &= ~fixed
+            can = ((_MAY_RISE[st] & (s > RATIO_TOL)) |
+                   (_MAY_FALL[st] & (s < -RATIO_TOL)))
+            can &= ~self.fixed
             if not can.any():
                 return "infeasible", \
                     np.flatnonzero(np.abs(rho) > RATIO_TOL).tolist()
@@ -663,8 +682,8 @@ class _Simplex:
         status = self._iterate(cost)
         if status != "optimal":
             return status, None, []
-        y = cost[self.basis] @ self.Binv
-        return "optimal", y, []
+        # The duals of the reduced costs that proved the basis optimal.
+        return "optimal", self.y, []
 
 
 def _usable(start: Basis, m: int, n: int) -> bool:

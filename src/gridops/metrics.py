@@ -110,30 +110,27 @@ def evening_ramp_mw(trace: SimulationTrace, net: np.ndarray,
 
 
 def summarize(trace: SimulationTrace, scn: Scenario, scenario_name: str,
-              net: np.ndarray, reg_total: np.ndarray
-              ) -> list[tuple[str, str, str, float, str]]:
-    """The report rows, given the trace's net load ``net`` and its
-    regulation summed over units ``reg_total``."""
+              net: np.ndarray, reg_total: np.ndarray, absim: np.ndarray,
+              curt: np.ndarray) -> list[tuple[str, str, str, float, str]]:
+    """The report rows, given the trace's net load ``net``, its regulation
+    summed over units ``reg_total``, its absolute imbalance ``absim`` and
+    its curtailment ``curt``."""
     rows = []
 
     def add(family, metric, value, unit):
         rows.append((family, scenario_name, metric, float(value), unit))
 
-    absim = np.abs(trace.imbalance)
     add("imbalance", "max_abs", absim.max(initial=0.0), "MW")
     add("imbalance", "p95_abs", percentile_rank(absim, 95.0), "MW")
     add("imbalance", "minutes_above_1mw", int(np.sum(absim > 1.0)), "min")
     add("imbalance", "share_within_1mw",
         float(np.mean(absim <= 1.0)) if len(absim) else 1.0, "fraction")
-    # The mileage temporaries below are the largest of the report.
-    del absim
 
     add("regulation", "mileage", mileage_gwh(trace.regulation), "GWh")
     add("regulation", "exhausted_minutes",
         exhausted_minutes(trace, reg_total), "min")
     add("regulation", "saturation", trace.reg_saturation, "MW")
 
-    curt = trace.curtailment()
     add("curtailment", "curtailed_minutes",
         int(np.sum(curt > CURTAIL_TOL_MW)), "min")
     add("curtailment", "curtailed_energy", curt.sum() / 60.0, "MWh")
@@ -186,8 +183,12 @@ def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
     are printed as computed, with no clamping of -0.000000."""
     net = trace.net_load()
     reg_total = trace.regulation.sum(axis=1)
-    write_report(outdir, summarize(trace, scn, scenario_name, net, reg_total))
-    write_duration(outdir, "imbalance", np.abs(trace.imbalance))
+    absim = np.abs(trace.imbalance)
+    curt = trace.curtailment()
+    write_report(outdir, summarize(trace, scn, scenario_name, net, reg_total,
+                                   absim, curt))
+    write_duration(outdir, "imbalance", absim)
+    del absim
     write_duration(outdir, "net_load", net)
     write_hist(outdir, "imbalance", trace.imbalance, 1.0)
     write_hist(outdir, "net_load", net, 10.0)
@@ -195,7 +196,7 @@ def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
     os.makedirs(plotdir, exist_ok=True)
     for name, series in (("imbalance", trace.imbalance),
                          ("net_load", net),
-                         ("curtailment", trace.curtailment()),
+                         ("curtailment", curt),
                          ("regulation", reg_total)):
         write_rows(os.path.join(plotdir, f"{name}.csv"), ["minute", "value"],
                    trace.minutes, [series])

@@ -15,9 +15,11 @@ from gridops.dispatch import (DispatchError, Forecasts, InitialState,
                               run_sced)
 from gridops.lp import EQ, GE, LE
 from gridops.milp import solve_milp
+from gridops.piecewise import linearize_cost
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
-                              ReserveParams, Scenario, SemiDispatchable,
-                              Storage, Timing, ZonalNetwork, LoadSpec)
+                              Outage, ReserveParams, Scenario,
+                              SemiDispatchable, Storage, Timing, ZonalNetwork,
+                              LoadSpec)
 
 
 def one_bubble(gens, horizon=4, semis=(), storages=(), reserves=None,
@@ -583,3 +585,232 @@ def test_all_families_schedule_reads_the_named_columns(family_runs, layer):
     if layer == 0:
         expect |= {"wP", "wS", "Ps", "Ss", "Es"}
     assert read == expect
+
+
+# -- refilling every layer's program ----------------------------------------
+
+def family_windows(layer):
+    """The all-families scenario, with a third semi, and two windows of
+    ``layer`` that differ in every input a window takes: the clock hour
+    (fuel prices differ by hour), outages of a generator and a semi (the
+    second window only), pins and pinned storage, the initial state and the
+    forecasts."""
+    scn = all_families()
+    hours = np.arange(24.0)
+    for g, c_f in zip(scn.generators,
+                      (1.0 + hours, 30.0 - hours, 1.0 + hours % 5)):
+        g.c_f = c_f
+    scn.outages = [Outage(resource="mid", start=120, duration=30),
+                   Outage(resource="sun", start=60, duration=100)]
+    # A third balance term in bubble n, whose sum then depends on order.
+    scn.semis.append(SemiDispatchable(id="roof", bubble="n", kind="solar"))
+    T = dispatch.layer_grid(scn.timing, layer)[1]
+    first = initial_from_scenario(scn)
+    second = InitialState(
+        online={"base": 1.0, "mid": 0.0, "peak": 1.0},
+        output={"base": 75.0, "mid": 0.0, "peak": 12.5},
+        run_hours={"base": 9.0, "mid": -0.5, "peak": 0.25},
+        starts_used={"peak": 1}, energy={"pond": 85.0},
+        mode_gen={"pond": 1.0}, mode_pump={"pond": 0.0})
+    # Values with long binary fractions, so that summing a balance in
+    # another order would change its last bits.
+    sun = [0.0, 35.3, 70.1, 25.7]
+    forecasts = (family_forecasts([100.1, 120.3, 140.7, 110.9],
+                                  [90.3, 180.1, 230.9, 120.7], sun),
+                 family_forecasts([130.7, 95.3, 150.1, 105.9],
+                                  [170.9, 140.3, 250.7, 160.1], sun[::-1]))
+    forecasts[1].semi["tie"] = np.array([25.3, 15.1, 30.7, 10.9])
+    forecasts[0].semi["roof"] = np.array([3.3, 17.9, 21.1, 0.7])
+    forecasts[1].semi["roof"] = np.array([11.7, 0.3, 9.1, 13.9])
+    # SCUC at hours 4-7 (no outage), then hours 1-4; RTUC at minute 0,
+    # then 75; SCED at minute 0, then 130.
+    minutes = {"scuc": (240, 60), "rtuc": (0, 75), "sced": (0, 130)}[layer]
+    pins = {"scuc": ({}, {}),
+            "rtuc": ({"pinned_w": {"base": np.ones(T),
+                                   "mid": np.array([1.0, 1.0, 0.0, 0.0])},
+                      "pinned_storage": ({"pond": np.array([5.3, 0, 0, 6])},
+                                         {"pond": np.array([0, 5.7, 8, 0])})},
+                     {"pinned_w": {"base": np.ones(T),
+                                   "mid": np.array([0.0, 1.0, 1.0, 1.0])},
+                      "pinned_storage": ({"pond": np.array([0, 8.3, 0, 0])},
+                                         {"pond": np.array([4.1, 0, 0, 9.7])}),
+                      "starts_ahead": {"peak": 1}}),
+            "sced": ({"pinned_w": {g: np.ones(1) for g in
+                                   ("base", "mid", "peak")},
+                      "pinned_storage": ({"pond": np.array([5.3])},
+                                         {"pond": np.zeros(1)}),
+                      "fixed_uv": ({}, {})},
+                     {"pinned_w": {"base": np.ones(1), "mid": np.zeros(1),
+                                   "peak": np.ones(1)},
+                      "pinned_storage": ({"pond": np.zeros(1)},
+                                         {"pond": np.array([6.7])}),
+                      "fixed_uv": ({"peak": 1.0}, {"mid": 1.0})})}[layer]
+    windows = []
+    for minute, fc, init, fields in zip(minutes, forecasts, (first, second),
+                                        pins):
+        fc = Forecasts(load={b: v[:T] for b, v in fc.load.items()},
+                       semi={k: v[:T] for k, v in fc.semi.items()})
+        windows.append((fc, init,
+                        dispatch._window(scn, layer, minute, **fields)))
+    return scn, windows
+
+
+@pytest.mark.parametrize("layer", ["scuc", "rtuc", "sced"])
+def test_refilled_program_equals_a_fresh_build_in_every_family(layer):
+    scn, (one, two) = family_windows(layer)
+    assert not one[2].outage_gen and not one[2].outage_semi
+    assert set(two[2].outage_gen) == {"mid"}
+    assert set(two[2].outage_semi) == {"sun"}
+    assert one[2].hour_of_step != two[2].hour_of_step
+    fresh = [dispatch.build_program(scn, *window) for window in (one, two)]
+    want = [program_bytes(program) for program in fresh]
+    # Every array the fill writes, and SCED's cost outside the program,
+    # differs between the windows, so no value can be left over unseen.
+    (a, _, fixed_a), (b, _, fixed_b) = want
+    assert all(x != y for x, y in zip(a, b))
+    assert (fixed_a != fixed_b) == (layer == "sced")
+    # Each program, refilled for the other window, is bitwise that
+    # window's fresh build.
+    for program, window, expect in zip(fresh, (two, one), want[::-1]):
+        dispatch.fill_program(program, scn, *window)
+        assert program_bytes(program) == expect
+
+
+def reference_fill(program, scn, fc, init, opt):
+    """One window's values written family by family and unit by unit from
+    the scenario, as the fill was before the program carried a plan: the
+    reference the planned fill is compared with."""
+    lp, cols = program
+    T = opt.steps
+    gens, semis, loads = scn.generators, scn.semis, scn.loads
+    gamma = scn.gamma_loss
+    dt = opt.step_minutes
+    hours = opt.hour_of_step or [0] * T
+    lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
+    rows, ents = cols.rows, cols.entries
+    column = {name: j for j, name in enumerate(lp.col_names)}
+
+    def available(table, rid):
+        if not table or rid not in table:
+            return np.ones(T)
+        return 1.0 - np.asarray(table[rid], dtype=float)[:T]
+
+    curve = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
+                            dispatch.N_SEGMENTS) for g in gens]
+    cf = np.array([[g.fuel_price(h) for g in gens] for h in hours])
+    g_on = np.array([available(opt.outage_gen, g.id) for g in gens]).T
+    pmin = np.array([g.p_min for g in gens])
+    pmax = np.array([g.p_max for g in gens])
+    at_min = np.array([c.cost_at_min for c in curve])
+    semi_avail = [available(opt.outage_semi, sm.id) *
+                  np.asarray(fc.semi[sm.id], dtype=float)[:T]
+                  for sm in semis]
+    load = [np.asarray(fc.load[ld.bubble], dtype=float)[:T] for ld in loads]
+    for k, g in enumerate(gens):
+        segments = [[column[f"dP[{g.id},{t},{s}]"]
+                     for s in range(len(curve[k].slopes))] for t in range(T)]
+        obj[segments] = cf[:, k, None] * curve[k].slopes
+    fixed_cost = 0.0
+    if opt.layer == "sced":
+        wv = np.array([np.asarray(opt.pinned_w[g.id], dtype=float)[:T]
+                       for g in gens]).T
+        for c in ((wv * cf) * at_min).ravel().tolist():
+            fixed_cost += c
+        floor = (wv * g_on) * pmin
+        lb[cols["P"]] = floor
+        ub[cols["P"]] = (wv * g_on) * pmax
+        rhs[rows["seg"]] = floor
+        uf, vf = opt.fixed_uv
+        p0 = np.array([float(init.output.get(g.id, 0.0)) for g in gens])
+        ur = np.array([float(uf.get(g.id, 0.0)) for g in gens])
+        vr = np.array([float(vf.get(g.id, 0.0)) for g in gens])
+        rmax = np.array([g.r_max for g in gens])
+        rmin = np.array([g.r_min for g in gens])
+        rhs[rows["ramp+"]] = (p0 + rmax * dt) + pmax * ur
+        rhs[rows["ramp-"]] = (p0 + rmin * dt) - pmax * vr
+    else:
+        obj[cols["w"]] = cf * at_min
+        obj[cols["u"]] = cf * np.array([g.h_u for g in gens])
+        obj[cols["v"]] = cf * np.array([g.h_d for g in gens])
+        lp.set_coeffs(ents["seg.w"], -g_on * pmin)
+        lp.set_coeffs(ents["plim.w"], -g_on * pmax)
+        steps_per_hour = 60.0 / opt.step_minutes
+        for k, g in enumerate(gens):
+            col = cols["w"][:, k]
+            w0 = float(init.online.get(g.id, 0.0))
+            p0 = float(init.output.get(g.id, 0.0))
+            rhs[rows["link"][0, k]] = w0
+            rhs[rows["ramp+"][0, k]] = p0 + g.r_max * dt
+            rhs[rows["ramp-"][0, k]] = p0 + g.r_min * dt
+            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
+            if g.kind == "must-run":
+                lb[col], ub[col] = 1.0, 1.0
+                continue
+            if pin is not None:
+                lb[col] = ub[col] = np.asarray(pin, dtype=float)[:T]
+                continue
+            lb[col], ub[col] = 0.0, 1.0
+            hist = float(init.run_hours.get(g.id, 0.0))
+            if w0 > 0.5 and hist < g.t_u:
+                remain = int(np.ceil((g.t_u - hist) * steps_per_hour))
+                lb[col[:remain]] = 1.0
+            if w0 < 0.5 and -hist < g.t_d:
+                remain = int(np.ceil((g.t_d + hist) * steps_per_hour))
+                ub[col[:remain]] = 0.0
+            used = int(init.starts_used.get(g.id, 0))
+            ahead = int(opt.starts_ahead.get(g.id, 0))
+            rhs[rows["maxup"][0, k]] = float(max(g.u_max - used - ahead, 0))
+    cols.fixed_cost = fixed_cost
+    if opt.pinned_storage is None:
+        for k, st in enumerate(scn.storages):
+            mg = float(init.mode_gen.get(st.id, 1.0 if st.mode_gen0 else 0.0))
+            mp = float(init.mode_pump.get(st.id,
+                                          1.0 if st.mode_pump0 else 0.0))
+            rhs[rows["stor"][0, k]] = float(init.energy.get(
+                st.id, st.initial_energy))
+            rhs[rows["flip1"][0, k]] = 1.0 - mp
+            rhs[rows["flip2"][0, k]] = 1.0 - mg
+    for k, sm in enumerate(semis):
+        avail = semi_avail[k]
+        scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
+        if sm.d > 0:
+            obj[cols["cv"][:, k]] = -sm.price * sm.d * avail
+            lp.set_coeffs(ents["bal.cv"][:, k], scale * (-sm.d * avail))
+        if rows["ct1"][0, k] >= 0:
+            rhs[rows["ct1"][:, k]] = avail
+            if sm.d > 0:
+                lp.set_coeffs(ents["ct1.cv"][:, k], sm.d * avail)
+    for k, ld in enumerate(loads):
+        if ld.d > 0:
+            obj[cols["cl"][:, k]] = ld.price * ld.d * load[k]
+            lp.set_coeffs(ents["bal.cl"][:, k],
+                          (1.0 + gamma) * ld.d * load[k])
+    for kb, b in enumerate(scn.network.bubbles):
+        total = np.zeros(T)
+        if opt.pinned_storage is not None:
+            ps, ss = opt.pinned_storage
+            for st in scn.storages:
+                if st.bubble == b:
+                    total -= np.asarray(ps[st.id], dtype=float)[:T] - \
+                        np.asarray(ss[st.id], dtype=float)[:T]
+        for k, ld in enumerate(loads):
+            if ld.bubble == b:
+                total += (1.0 + gamma) * load[k]
+        for k, sm in enumerate(semis):
+            if sm.bubble == b:
+                scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
+                total -= scale * semi_avail[k]
+        rhs[rows["bal"][:, kb]] = total
+
+
+@pytest.mark.parametrize("layer", ["scuc", "rtuc", "sced"])
+def test_planned_fill_writes_the_values_of_a_row_by_row_fill(layer):
+    # Every value the plan's constants produce, fuel prices, unit
+    # constants, availability and balance terms among them, is bitwise
+    # the value computed from the scenario unit by unit.
+    scn, windows = family_windows(layer)
+    for window in windows:
+        want = dispatch._structure(scn, window[2])
+        reference_fill(want, scn, *window)
+        got = dispatch.build_program(scn, *window)
+        assert program_bytes(got) == program_bytes(want)

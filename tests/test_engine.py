@@ -7,13 +7,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import gridops.dispatch as dispatch
 import gridops.engine as engine
 from gridops.engine import (SimulationTrace, outage_masks, simulate,
                             write_trace)
 from gridops.mini import write_mini3
-from gridops.scenario import Outage, Timing, load_scenario
+from gridops.scenario import (Generator, Outage, Scenario, SemiDispatchable,
+                              Timing, ZonalNetwork, load_scenario)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,51 @@ def test_outage_minute_status_is_a_window_of_minutes(mini):
                       ev.start <= m < ev.start + ev.duration
                       for ev in scn.outages)
         assert bool(one.get("gas2", [0.0])[0]) == bool(status[m]) == covered
+
+
+def test_an_outage_of_no_minutes_changes_nothing(mini):
+    # It masks no block and opens no contingency commitment window.
+    scn = load_scenario(mini)
+    scn.outages = []
+    want = simulate(scn, 90, seed=7)
+    scn.outages = [Outage(resource="gas2", start=47, duration=0)]
+    got = simulate(scn, 90, seed=7)
+    assert got.events == want.events
+    for gid, out in want.unit_output.items():
+        assert got.unit_output[gid].tobytes() == out.tobytes()
+    assert got.imbalance.tobytes() == want.imbalance.tobytes()
+
+
+outage = st.builds(Outage, resource=st.sampled_from(["g1", "g2", "s1",
+                                                      "other"]),
+                   start=st.integers(0, 200), duration=st.integers(0, 60))
+
+
+@given(outages=st.lists(outage, max_size=6), m0=st.integers(0, 200),
+       block=st.integers(1, 15), n=st.integers(0, 10))
+# An outage of no minutes inside a block leaves the block in service.
+@example(outages=[Outage(resource="g1", start=7, duration=0)], m0=0,
+         block=15, n=2)
+def test_outage_masks_match_a_minute_by_minute_reference(outages, m0, block,
+                                                         n):
+    # Window starts off the block grid too, as an emergency RTUC window
+    # starts at its outage's minute.
+    scn = Scenario(network=ZonalNetwork(bubbles=["a"]),
+                   generators=[Generator(id="g1"), Generator(id="g2")],
+                   semis=[SemiDispatchable(id="s1")], outages=outages)
+    gen, semi = outage_masks(scn, m0, block, n)
+    for ids, masks in ((("g1", "g2"), gen), (("s1",), semi)):
+        want = {}
+        for rid in ids:
+            out = [any(ev.resource == rid and
+                       ev.start <= minute < ev.start + ev.duration
+                       for ev in outages
+                       for minute in range(m0 + i * block,
+                                           m0 + (i + 1) * block))
+                   for i in range(n)]
+            if any(out):
+                want[rid] = [float(o) for o in out]
+        assert {rid: mask.tolist() for rid, mask in masks.items()} == want
 
 
 def test_trace_files_written(mini, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridops.grid import (GridError, RegulationState, actual_reserves,
                           dc_flow, factor_network, make_regulation,
@@ -95,6 +96,44 @@ def test_regulation_saturates_with_steady_residual():
         residual = regulation_step(-80.0, reg)
     assert reg.g[0] == pytest.approx(50.0)
     assert residual == pytest.approx(-30.0)
+
+
+def clip_steps(imbalance, g, part, rate, sat):
+    """The regulation recurrence stepped with np.clip, minute by minute."""
+    outputs = np.empty((len(imbalance), len(g)))
+    for m, x in enumerate(imbalance):
+        delta = np.clip(-x * part - g, -rate, rate)
+        g = np.clip(g + delta, -sat, sat)
+        outputs[m] = g
+    return outputs, imbalance + outputs.sum(axis=1)
+
+
+finite = st.floats(-1e4, 1e4, allow_subnormal=False)
+# (participation weight, saturation, rate, starting output) of one unit.
+unit = st.tuples(st.floats(0.01, 1.0),
+                 st.one_of(st.just(0.0), st.floats(0.5, 80.0)),
+                 st.floats(-5.0, 20.0), finite)
+
+
+@given(units=st.lists(unit, max_size=5),
+       imbalance=st.lists(st.one_of(finite, st.sampled_from(
+           [0.0, -0.0, np.nan, np.inf])), min_size=1, max_size=40))
+def test_regulation_steps_the_bits_of_a_clip_loop(units, imbalance):
+    # Random participations, saturations (zero-capacity units among them),
+    # rates (a negative rate crosses the bounds) and starting outputs;
+    # NaN and infinite imbalances too.
+    weight, sat, rate, g0 = np.array(units, dtype=float).reshape(-1, 4).T
+    part = weight / weight.sum() if len(units) else weight
+    reg = RegulationState(unit_ids=[f"g{k}" for k in range(len(units))],
+                          bubbles=["a"] * len(units), saturation=sat,
+                          g=g0.copy(), rate=rate, participation=part)
+    imb = np.array(imbalance)
+    outputs = np.empty((len(imb), len(units)))
+    with np.errstate(invalid="ignore"):
+        residual = regulation_step(imb, reg, outputs)
+        want_out, want_res = clip_steps(imb, g0, part, rate, sat)
+    assert outputs.tobytes() == want_out.tobytes()
+    assert residual.tobytes() == want_res.tobytes()
 
 
 def test_regulation_rate_arithmetic():

@@ -100,7 +100,8 @@ def test_summarize_and_write(tmp_path):
     tr.imbalance[:] = 0.5
     tr.imbalance[3] = 2.0
     rows = summarize(tr, scn, "demo", tr.net_load(),
-                     tr.regulation.sum(axis=1))
+                     tr.regulation.sum(axis=1), np.abs(tr.imbalance),
+                     tr.curtailment())
     as_map = {(f, m): v for f, _, m, v, _ in rows}
     assert as_map[("imbalance", "minutes_above_1mw")] == 1
     assert as_map[("imbalance", "share_within_1mw")] == pytest.approx(0.9)
@@ -114,8 +115,9 @@ def test_summarize_and_write(tmp_path):
 
 
 def test_write_all_forms_each_series_once(tmp_path, monkeypatch):
-    # write_all forms the net load once and hands it, with the regulation
-    # total, to summarize; the report holds the rows summarize gives.
+    # write_all forms the net load and the curtailment once and hands
+    # them, with the regulation total and the absolute imbalance, to
+    # summarize; the report holds the rows summarize gives.
     scn = Scenario(network=ZonalNetwork(bubbles=["a"]))
     scn.generators = [Generator(id="g", bubble="a", kind="must-run",
                                 online=True, p_min=40.0, p_max=100.0)]
@@ -126,16 +128,20 @@ def test_write_all_forms_each_series_once(tmp_path, monkeypatch):
     tr.regulation = np.column_stack([np.cos(m / 7.0), np.sin(m / 9.0)]) * 30
     tr.reg_saturation = 45.0
     want = summarize(tr, scn, "demo", tr.net_load(),
-                     tr.regulation.sum(axis=1))
+                     tr.regulation.sum(axis=1), np.abs(tr.imbalance),
+                     tr.curtailment())
     assert {r[2] for r in want if r[3]} >= {"exhausted_minutes",
                                             "excess_generation_minutes",
                                             "max_evening_net_ramp"}
     calls = []
-    net_load = SimulationTrace.net_load
-    monkeypatch.setattr(SimulationTrace, "net_load",
-                        lambda self: calls.append(1) or net_load(self))
+    for name in ("net_load", "curtailment"):
+        series = getattr(SimulationTrace, name)
+        monkeypatch.setattr(
+            SimulationTrace, name,
+            lambda self, name=name, series=series:
+            calls.append(name) or series(self))
     write_all(str(tmp_path), tr, scn, "demo")
-    assert len(calls) == 1
+    assert sorted(calls) == ["curtailment", "net_load"]
     out = tmp_path / "other"
     write_report(str(out), want)
     assert (tmp_path / "report.csv").read_bytes() == \

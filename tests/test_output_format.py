@@ -101,7 +101,9 @@ def ref_write_duration(outdir, name, values):
 def ref_write_all(outdir, trace, scn, scenario_name):
     write_report(outdir, summarize(trace, scn, scenario_name,
                                    trace.net_load(),
-                                   trace.regulation.sum(axis=1)))
+                                   trace.regulation.sum(axis=1),
+                                   np.abs(trace.imbalance),
+                                   trace.curtailment()))
     ref_write_duration(outdir, "imbalance", np.abs(trace.imbalance))
     ref_write_duration(outdir, "net_load", trace.net_load())
     write_hist(outdir, "imbalance", trace.imbalance, 1.0)
