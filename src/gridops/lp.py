@@ -3,7 +3,8 @@
 A :class:`LinearProgram` holds its program as arrays, and the solver reads
 them as they are: a solve copies nothing but the bounds that branch and
 bound overrides, so a program refilled in place for each use is never
-rebuilt.
+rebuilt.  The arrays are the one way to write a program; its
+``variables`` and ``constraints`` are read-only snapshots.
 
 The solver is deliberately self-contained and deterministic: identical
 programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
@@ -18,9 +19,13 @@ program, such as a branch-and-bound child or the next window of a layer,
 can start where the last one ended (Huangfu & Hall, Math. Prog. Comp. 10,
 2018, on reusing bases across related LPs).
 
-- *Given basis.*  B = [A | I][:, basis] is inverted through its block of
-  basic structurals (each basic slack keeps its own row) and checked
-  cheaply for conditioning.  Nonbasic columns sit at the bound their state
+Every fresh basis inverse, of a given basis, a crash, a refill or a
+refactor, is built by one routine (:func:`_invert`): B = [A | I][:, basis]
+is inverted through its block of basic structurals, each basic slack in
+its own row's position.
+
+- *Given basis.*  Its inverse is checked cheaply for conditioning
+  (:func:`_basis_inverse`).  Nonbasic columns sit at the bound their state
   names, or where the crash would put them when that bound is infinite.
   A basis of the wrong length, with repeated or unknown columns, singular
   or badly conditioned is dropped for the crash.
@@ -81,8 +86,8 @@ CHECK_TOL = 1e-6
 # A basic column more than _BOUND_TOL outside its bounds is out of bounds.
 _BOUND_TOL = 1e-9
 # A starting basis is used when Tinv (T 1) is within _FACTOR_TOL of 1
-# for its block T of basic structurals (see _factor), and a live simplex
-# keeps its inverse when Binv (B 1) is (see _Simplex.refill).
+# for its block T of basic structurals (see _basis_inverse), and a live
+# simplex keeps its inverse when Binv (B 1) is (see _Simplex.refill).
 _FACTOR_TOL = 1e-9
 _DEGEN_STREAK_FOR_BLAND = 60
 _REFACTOR_EVERY = 256
@@ -107,48 +112,22 @@ def _append(buf: np.ndarray, size: int, values) -> np.ndarray:
     return buf
 
 
-def _field(array: str):
-    """Property reading and writing entry ``_k`` of a program array."""
-    def get(self):
-        return getattr(self._lp, array)[self._k].item()
-
-    def put(self, value):
-        getattr(self._lp, array)[self._k] = value
-    return property(get, put)
-
-
-class Variable:
-    """Column ``j`` of a program, read and written through its arrays."""
-    __slots__ = ("_lp", "_k")
-
-    def __init__(self, lp: LinearProgram, j: int):
-        self._lp, self._k = lp, j
-
-    name = property(lambda self: self._lp.col_names[self._k])
-    lb = _field("lb")
-    ub = _field("ub")
-    obj = _field("obj")
-    binary = _field("binary")
+class Column(NamedTuple):
+    """A snapshot of one column: the arguments of its ``add_var`` call."""
+    name: str
+    lb: float
+    ub: float
+    obj: float
+    binary: bool
 
 
-class Constraint:
-    """Row ``i`` of a program, read and written through its arrays."""
-    __slots__ = ("_lp", "_k")
-
-    def __init__(self, lp: LinearProgram, i: int):
-        self._lp, self._k = lp, i
-
-    name = property(lambda self: self._lp.row_names[self._k])
-    sense = property(lambda self: self._lp.senses[self._k])
-    rhs = _field("rhs")
-
-    @property
-    def coeffs(self) -> list[tuple[int, float]]:
-        """The row's (column, coefficient) entries in insertion order."""
-        lp = self._lp
-        span = slice(lp.indptr[self._k], lp.indptr[self._k + 1])
-        return list(zip(lp.entry_col[span].tolist(),
-                        lp.entry_val[span].tolist()))
+class Row(NamedTuple):
+    """A snapshot of one row: the arguments of its ``add_constr`` call,
+    ``coeffs`` as (column, coefficient) pairs in insertion order."""
+    name: str
+    coeffs: list[tuple[int, float]]
+    sense: str
+    rhs: float
 
 
 class LinearProgram:
@@ -164,8 +143,8 @@ class LinearProgram:
     cells in place, so a program of fixed structure is refilled for each
     use without being built again, and stamps the columns whose cells
     change bits (``_edited``, assembling A stamps all).  The arrays are
-    views: writing to them changes the program.  ``variables`` and
-    ``constraints`` give per-column and per-row views over the same arrays.
+    views: writing to them is how a program is changed.  ``variables`` and
+    ``constraints`` are read-only snapshots of its columns and rows.
     """
 
     def __init__(self):
@@ -274,12 +253,19 @@ class LinearProgram:
         return self._A
 
     @property
-    def variables(self) -> list[Variable]:
-        return [Variable(self, j) for j in range(self.n)]
+    def variables(self) -> list[Column]:
+        return [Column(*col) for col in zip(
+            self.col_names, self.lb.tolist(), self.ub.tolist(),
+            self.obj.tolist(), self.binary.tolist())]
 
     @property
-    def constraints(self) -> list[Constraint]:
-        return [Constraint(self, i) for i in range(self.m)]
+    def constraints(self) -> list[Row]:
+        ends = self.indptr.tolist()
+        cols, vals = self.entry_col.tolist(), self.entry_val.tolist()
+        return [Row(name, list(zip(cols[lo:hi], vals[lo:hi])), sense, rhs)
+                for name, lo, hi, sense, rhs in zip(
+                    self.row_names, ends, ends[1:], self.senses,
+                    self.rhs.tolist())]
 
     @property
     def binary_indices(self) -> list[int]:
@@ -295,8 +281,8 @@ class LinearProgram:
         """The arguments of the ``add_var`` and ``add_constr`` calls that
         rebuild the program: columns as (name, lb, ub, obj, binary), rows
         as (name, [(column, coefficient), ...], sense, rhs)."""
-        cols = [(v.name, v.lb, v.ub, v.obj, v.binary) for v in self.variables]
-        rows = [(c.name, c.coeffs, c.sense, c.rhs) for c in self.constraints]
+        cols = [tuple(col) for col in self.variables]
+        rows = [tuple(row) for row in self.constraints]
         return f"LinearProgram(cols={cols!r}, rows={rows!r})"
 
 
@@ -394,18 +380,15 @@ class _Simplex:
         if not self.warm:
             eq_rows = np.flatnonzero(~(self.is_le | self.is_ge))
             rows, cols = _crash(A, b - A @ x[:n], x[:n], l, u, eq_rows)
-            Tinv = _triangular_inverse(A[np.ix_(rows, cols)])
-            self.basis, self.Binv = _place(A, rows, cols, Tinv)
-        basis = self.basis
-        x[basis] = 0.0
-        x[basis] = self.Binv @ (b - A @ x[:n])
-        state[basis] = _BASIC
+            self.basis, self.Binv = _invert(A, rows, cols)
+        self.An, self.b, self.x = A, b, x
+        self._basic_values()
+        state[self.basis] = _BASIC
 
-        self.An, self.b = A, b
         self.cost = np.concatenate((c, self.slack_cost))
         self.l, self.u = lo, hi
         self.fixed = lo == hi
-        self.x, self.state = x, state
+        self.state = state
         self.pivots = self.dual_pivots = 0
         self.max_pivots = _PIVOTS_PER_DIM * (m + n)
 
@@ -429,8 +412,7 @@ class _Simplex:
             # over basic columns whose bits have not changed, passes again.
             ones = A[:, cols].sum(axis=1)
             ones[given[given >= self.n] - self.n] += 1.0
-            err = np.abs(self.Binv @ ones - 1.0).max(initial=0.0)
-            keep = err <= _FACTOR_TOL          # False for NaN too
+            keep = _conditioned(self.Binv, ones)
         self.checked = keep
         if not keep:
             self.basis, self.Binv = _basis_inverse(A, given)
@@ -444,6 +426,12 @@ class _Simplex:
                              Binv=self.Binv.copy())
         return twin
 
+    def _basic_values(self) -> None:
+        """x_B = Binv (b - An x_N), the nonbasic slacks being at 0."""
+        x, basis = self.x, self.basis
+        x[basis] = 0.0
+        x[basis] = self.Binv @ (self.b - self.An @ x[:self.n])
+
     def _outside(self) -> np.ndarray:
         """Distance of each basic column outside its bounds, 0 within
         ``_BOUND_TOL`` of them."""
@@ -456,14 +444,9 @@ class _Simplex:
 
     # -- columns ---------------------------------------------------------
 
-    @property
-    def A(self) -> np.ndarray:
-        """All columns as one matrix: structurals and one slack ``e_i`` per
-        row.  Built on demand; pivots read single columns."""
-        return np.hstack((self.An, np.eye(self.m)))
-
     def _column(self, j: int) -> np.ndarray:
-        """Column ``j`` of :attr:`A`."""
+        """Column ``j`` of ``[An | I]``: structural ``j``, or the slack
+        ``e_i`` of row ``i = j - n``."""
         if j < self.n:
             return self.An[:, j]
         e = np.zeros(self.m)
@@ -472,26 +455,21 @@ class _Simplex:
 
     # -- core iteration -------------------------------------------------
 
-    def _refactor(self) -> np.ndarray:
-        """Invert the basis afresh; returns :attr:`A`."""
-        full = self.A
+    def _refactor(self) -> None:
+        """Invert the basis afresh (:func:`_invert`), each basic slack back
+        in its own row's position; a singular basis raises SolverError."""
         self.checked = False
-        try:
-            self.Binv = np.linalg.inv(full[:, self.basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SolverError("singular basis during refactorization") from exc
-        return full
+        rows, cols = _structurals(self.basis, self.m, self.n)
+        self.basis, self.Binv = _invert(self.An, rows, cols)
 
     def _refactor_on_cadence(self) -> None:
         """Invert afresh every ``_REFACTOR_EVERY`` pivots on Binv, counted
-        from its last fresh inversion, across the solves that carried it."""
+        from its last fresh inversion, across the solves that carried it,
+        and recompute the basic values from scratch for accuracy."""
         k = self.age + self.pivots
         if k and k % _REFACTOR_EVERY == 0:
-            full = self._refactor()
-            # Recompute basic values from scratch for accuracy.
-            nb = self.state != _BASIC
-            rhs = self.b - full[:, nb] @ self.x[nb]
-            self.x[self.basis] = self.Binv @ rhs
+            self._refactor()
+            self._basic_values()
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs of every column.  Slack columns are e_i, so only
@@ -700,20 +678,11 @@ def _usable(start: Basis, m: int, n: int) -> bool:
     return int(np.bincount(cols).max()) == 1
 
 
-def _factor(T: np.ndarray) -> np.ndarray | None:
-    """Inverse of the structural block of a starting basis, or None when
-    it is singular or too badly conditioned to start from.
-
-    The test is one product each way: ``Tinv (T 1)`` must give back the
-    ones vector to ``_FACTOR_TOL``, an O(k^2) check whose error grows with
-    the condition number of T (and so of the basis).
-    """
-    try:
-        Tinv = np.linalg.inv(T)
-    except np.linalg.LinAlgError:
-        return None
-    err = np.abs(Tinv @ T.sum(axis=1) - 1.0).max(initial=0.0)
-    return Tinv if err <= _FACTOR_TOL else None   # False for NaN too
+def _conditioned(inv: np.ndarray, rowsum: np.ndarray) -> bool:
+    """Whether ``inv`` gives back the ones vector from the row sums
+    ``rowsum`` of the matrix it inverts, to ``_FACTOR_TOL`` (never for NaN):
+    one O(k^2) product whose error grows with the condition number."""
+    return bool(np.abs(inv @ rowsum - 1.0).max(initial=0.0) <= _FACTOR_TOL)
 
 
 def _crash(A: np.ndarray, resid: np.ndarray, x: np.ndarray, l: np.ndarray,
@@ -760,28 +729,33 @@ def _crash(A: np.ndarray, resid: np.ndarray, x: np.ndarray, l: np.ndarray,
     return np.array(crash_rows, dtype=int), np.array(crash_cols, dtype=int)
 
 
-def _triangular_inverse(T: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular T with a nonzero diagonal, by forward
-    substitution."""
-    Tinv = np.diag(1.0 / np.diag(T))
-    # Only rows with entries left of the diagonal need substitution.
-    for p in np.flatnonzero(np.tril(T, -1).any(axis=1)).tolist():
-        Tinv[p] = -(T[p, :p] @ Tinv[:p])
-        Tinv[p, p] += 1.0
-        Tinv[p] /= T[p, p]
-    return Tinv
+def _structurals(given: np.ndarray, m: int, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the basic columns ``given`` (see :class:`Basis`)
+    that no basic slack holds as its own row, and the basic structurals
+    that take them, in order."""
+    given = np.asarray(given)
+    on_slack = np.zeros(m, dtype=bool)
+    on_slack[given[given >= n] - n] = True
+    return np.flatnonzero(~on_slack), given[given < n]
 
 
-def _place(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-           Tinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _invert(A: np.ndarray, rows: np.ndarray, cols: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
     """The basis that holds structural ``cols[p]`` in position ``rows[p]``
-    and the slack ``e_i`` in every other position ``i``, and its inverse.
+    and the slack ``e_i`` in every other position ``i``, and its inverse,
+    inverted afresh; every fresh inverse is built here.
 
     With ``T = A[rows][:, cols]`` and ``X = A[others][:, cols]``, the basis
     is ``[[T, 0], [X, I]]`` up to a permutation, so its inverse is
-    ``[[T^-1, 0], [-X T^-1, I]]``: only T is ever inverted.
+    ``[[T^-1, 0], [-X T^-1, I]]``: only T is ever inverted, and
+    ``Binv[rows][:, rows]`` is T^-1.  A singular T raises SolverError.
     """
     m, n = A.shape
+    try:
+        Tinv = np.linalg.inv(A[np.ix_(rows, cols)])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular basis") from exc
     basis = n + np.arange(m)
     basis[rows] = cols
     # B^-1[:, rows] is [[I], [-X]] @ T^-1.
@@ -794,21 +768,21 @@ def _place(A: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 def _basis_inverse(A: np.ndarray, given: np.ndarray
                    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Basis positions and inverse for the basic columns ``given`` (see
-    :class:`Basis`), inverted afresh through their block of basic
-    structurals (:func:`_factor`), or Nones when that block is singular or
-    too badly conditioned.
+    """Basis positions and inverse for the basic columns ``given`` of a
+    start (see :class:`Basis`), inverted afresh (:func:`_invert`), or Nones
+    when their block T of basic structurals is singular or too badly
+    conditioned to start from: ``T^-1 (T 1)`` must give back the ones
+    vector (:func:`_conditioned`).
     """
-    m, n = A.shape
-    given = np.asarray(given)
-    cols = given[given < n]
-    on_slack = np.zeros(m, dtype=bool)
-    on_slack[given[given >= n] - n] = True
-    rows = np.flatnonzero(~on_slack)
-    Tinv = _factor(A[np.ix_(rows, cols)])
-    if Tinv is None:
+    rows, cols = _structurals(given, *A.shape)
+    try:
+        basis, Binv = _invert(A, rows, cols)
+    except SolverError:
         return None, None
-    return _place(A, rows, cols, Tinv)
+    if not _conditioned(Binv[np.ix_(rows, rows)],
+                        A[np.ix_(rows, cols)].sum(axis=1)):
+        return None, None
+    return basis, Binv
 
 
 def _apply_overrides(l: np.ndarray, u: np.ndarray,

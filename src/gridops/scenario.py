@@ -539,6 +539,11 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
     for itf in net.interfaces:
         if itf.limit <= 0:
             err(itf.name, f"interface limit {itf.limit} is not positive")
+        for frm, to, _ in itf.members:
+            try:
+                net.branch_index(frm, to)
+            except ScenarioError:
+                err(itf.name, f"member {frm} {to} names no branch")
     if net.bubbles and _disconnected(net):
         err("network", "network graph is not connected")
 
@@ -551,6 +556,8 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
             err(g.id, "minimum up/down times must be at least 1 hour")
         if g.reg_capacity > g.p_max - g.p_min + 1e-9:
             err(g.id, "regulation capacity exceeds dispatch range")
+        if g.reg_capacity < 0:
+            err(g.id, f"regulation capacity {g.reg_capacity} is negative")
         if not (g.r_min <= 0.0 <= g.r_max):
             err(g.id, "ramp rates must satisfy R^min <= 0 <= R^max")
         if g.kind == "must-run" and not g.online:
@@ -564,6 +571,14 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
             err(st.id, "initial mode flags both set")
         if not 0.0 < st.eta <= 1.0:
             err(st.id, f"efficiency {st.eta} outside (0,1]")
+        if st.p_min > st.p_max:
+            err(st.id, f"P^min {st.p_min} exceeds P^max {st.p_max}")
+        if st.s_min > st.s_max:
+            err(st.id, f"S^min {st.s_min} exceeds S^max {st.s_max}")
+
+    for dr in scn.drs:
+        if dr.p_min > dr.p_max:
+            err(dr.id, f"P^min {dr.p_min} exceeds P^max {dr.p_max}")
 
     for sm in scn.semis:
         if sm.kind not in SEMI_KINDS:
@@ -588,13 +603,21 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
         seen_loads.add(ld.bubble)
 
     t = scn.timing
+    # Every step, period and horizon is a positive length; the regulation
+    # step has its own check below.
+    nonpositive = [(f.metadata["key"], getattr(t, f.name))
+                   for f in _keyed(Timing)
+                   if f.name != "reg_step_min" and getattr(t, f.name) <= 0]
+    for key, val in nonpositive:
+        err("timing", f"{key} {val} is not positive")
     # Cadence chain: SCED runs divide RTUC runs divide the SCUC day.
-    if t.rtuc_period_min % t.sced_step_min:
-        err("timing", "SCED step does not divide the RTUC period")
-    if (t.scuc_horizon_h * 60) % t.rtuc_period_min:
-        err("timing", "RTUC period does not divide the SCUC horizon")
-    if t.rtuc_horizon_min % t.rtuc_step_min:
-        err("timing", "RTUC interval does not divide the RTUC horizon")
+    if not nonpositive:
+        if t.rtuc_period_min % t.sced_step_min:
+            err("timing", "SCED step does not divide the RTUC period")
+        if (t.scuc_horizon_h * 60) % t.rtuc_period_min:
+            err("timing", "RTUC period does not divide the SCUC horizon")
+        if t.rtuc_horizon_min % t.rtuc_step_min:
+            err("timing", "RTUC interval does not divide the RTUC horizon")
     if t.reg_step_min != 1:
         err("timing", f"regulation step {t.reg_step_min} is not 1: regulation "
                       "runs every minute")

@@ -192,8 +192,7 @@ def test_c03_certificates_on_every_solve(monkeypatch):
         checked += _matches_highs(lp, sol, A, b, c, senses)
         if sol.status == "optimal":
             # The same program with its rows moved, from the last basis.
-            for con in lp.constraints:
-                con.rhs += 0.5
+            lp.rhs[:] += 0.5
             sol = solve_lp(lp, basis=sol.basis)
             warm += _matches_highs(lp, sol, A, b + 0.5, c, senses)
     assert checked >= 10 and warm >= 10

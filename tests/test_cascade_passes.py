@@ -498,7 +498,7 @@ def test_warm_start_without_artificials_skips_phase_one():
     lp.add_constr("c", [(0, 1.0), (1, 1.0)], GE, 1.0)
     opt = solve_lp(lp)
     assert opt.x.tolist() == [2.0, 3.0]
-    lp.variables[1].obj = 0.0
+    lp.obj[1] = 0.0
     warm = solve_lp(lp, basis=opt.basis)
     cold = solve_lp(lp)
     assert warm.status == cold.status == "optimal"

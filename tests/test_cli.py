@@ -76,11 +76,37 @@ def test_validate_rejects_duplicate_load(mini, capsys):
      "network\tnetwork graph is not connected"),
     ("regulation-step = 1", "regulation-step = 5",
      "timing\tregulation step 5 is not 1: regulation runs every minute"),
-], ids=["unattached-swing", "disconnected", "regulation-step"])
+    ("sced-step = 10", "sced-step = 0", "timing\tsced-step 0 is not positive"),
+    ("rtuc-step = 15", "rtuc-step = 0", "timing\trtuc-step 0 is not positive"),
+    ("rtuc-period = 60", "rtuc-period = 0",
+     "timing\trtuc-period 0 is not positive"),
+    ("scuc-horizon = 24", "scuc-horizon = 0",
+     "timing\tscuc-horizon 0 is not positive"),
+    ("rtuc-horizon = 240", "rtuc-horizon = 0",
+     "timing\trtuc-horizon 0 is not positive"),
+    ("sced-step = 10", "sced-step = -5", "timing\tsced-step -5 is not positive"),
+    ("branch = n3 n2 1", "branch = n3 n1 1",
+     "remote\tmember n3 n1 names no branch"),
+    ("[load n1]", "[dr d1]\nbubble = n1\nP^min = 5\nP^max = 2\n\n[load n1]",
+     "d1\tP^min 5.0 exceeds P^max 2.0"),
+    ("[load n1]",
+     "[storage pond]\nbubble = n1\nE^max = 100\nS^max = -5\n\n[load n1]",
+     "pond\tS^min 0.0 exceeds S^max -5.0"),
+    ("[load n1]",
+     "[storage pond]\nbubble = n1\nE^max = 100\nP^min = 5\nP^max = 2\n\n"
+     "[load n1]", "pond\tP^min 5.0 exceeds P^max 2.0"),
+    ("regulation-capacity = 50", "regulation-capacity = -5",
+     "gas1\tregulation capacity -5.0 is negative"),
+], ids=["unattached-swing", "disconnected", "regulation-step", "sced-step-0",
+        "rtuc-step-0", "rtuc-period-0", "scuc-horizon-0", "rtuc-horizon-0",
+        "sced-step-negative", "interface-member", "dr-bounds",
+        "storage-pumping-bounds", "storage-generating-bounds",
+        "negative-regulation-capacity"])
 def test_validate_rejects_network_and_timing_faults(mini, old, new, row,
                                                     capsys):
     with open(mini, encoding="utf-8") as fh:
         text = fh.read()
+    assert text.count(old) == 1
     with open(mini, "w", encoding="utf-8") as fh:
         fh.write(text.replace(old, new))
     assert main(["validate", mini]) == 2

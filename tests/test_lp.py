@@ -10,6 +10,11 @@ import gridops.lp as lpmod
 from gridops.lp import EQ, GE, INF, LE, LinearProgram, solve_lp
 
 
+def with_slacks(A):
+    """``[A | I]``: the structural columns and one slack ``e_i`` per row."""
+    return np.hstack((A, np.eye(len(A))))
+
+
 def small_lp():
     lp = LinearProgram()
     x = lp.add_var("x", 0, 10, obj=-3.0)
@@ -230,7 +235,7 @@ def test_crash_of_chained_equality_rows_is_triangular():
     # E[t] in [0, 5].  Row 3 needs 6.5, beyond both E[3] and spill, so it
     # stays on its slack and row 4 crashes on E[3] instead of E[4].  Columns
     # of earlier crashed rows reappear in later ones, so the crash block has
-    # entries below its diagonal and needs real forward substitution.
+    # entries below its diagonal.
     inflow = [2.0, 1.0, -0.5, 4.0, -1.0, 1.0]
     lp = LinearProgram()
     E = [lp.add_var(f"E{t}", 0, 5, obj=float(t % 2)) for t in range(len(inflow))]
@@ -254,10 +259,10 @@ def test_crash_of_chained_equality_rows_is_triangular():
     T = A[np.ix_(pos, cols)]
     assert np.all(np.triu(T, 1) == 0.0) and np.all(np.diag(T) != 0.0)
     assert np.any(np.tril(T, -1) != 0.0)
-    B = sx.A[:, sx.basis]
+    B = with_slacks(sx.An)[:, sx.basis]
     assert np.allclose(sx.Binv @ B, np.eye(len(inflow)), atol=1e-12)
     assert np.all(sx.x[cols] >= l[cols]) and np.all(sx.x[cols] <= u[cols])
-    assert np.allclose(sx.A @ sx.x, b, atol=1e-12)
+    assert np.allclose(with_slacks(sx.An) @ sx.x, b, atol=1e-12)
 
     sol = solve_lp(lp)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=list(zip(l, u)), method="highs")
@@ -357,7 +362,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
     opt = solve_lp(lp)
     assert opt.x.tolist() == [3.0, 0.0]
-    lp.constraints[0].rhs = 12.0
+    lp.rhs[0] = 12.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx.warm and sx._outside().tolist() == [2.0]
     assert not _start_violations(sx).any()
@@ -371,7 +376,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     # y's cost is lowered by its reduced cost of -0.5 for the dual loop,
     # which brings y in at no cost; phase 2 on the true costs then trades
     # x for y.
-    lp.variables[1].obj = 0.5
+    lp.obj[1] = 0.5
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx.warm and sx._outside().tolist() == [2.0]
     assert _start_violations(sx).tolist() == [0.0, 0.5, 0.0]
@@ -385,7 +390,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     # is neither primal nor dual feasible: x leaves at 0 and the GE row's
     # slack, entering, carries the row.  The basis returned holds only
     # that slack, and its simplex holds the inverse of [A | I][:, cols].
-    lp.constraints[0].rhs = -1.0
+    lp.rhs[0] = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx.warm and sx._outside().tolist() == [1.0]
     assert sx.x[0] == -1.0 and sx.state[0] == lpmod._BASIC
@@ -396,12 +401,12 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     assert costs[-1].tolist() == [1.0, 1.0, 0.0]
     assert warm.basis.cols.tolist() == [2]
     inverse = warm.simplex.Binv
-    B = np.hstack([lp.A, np.eye(lp.m)])[:, warm.basis.cols]
+    B = with_slacks(lp.A)[:, warm.basis.cols]
     assert np.array_equal(inverse @ B, np.eye(1))
-    lp.variables[1].obj = 2.0
+    lp.obj[1] = 2.0
     # A basic column fixed where it stands is within its bounds: it stays
     # basic at its value, a degenerate basic, and no dual loop runs.
-    lp.constraints[0].rhs = 3.0
+    lp.rhs[0] = 3.0
     A, b, senses, c, l, u = lp.dense()
     l[0] = u[0] = 3.0
     sx = lpmod._Simplex(A, b, senses, c, l, u, opt.basis)
@@ -424,7 +429,7 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     assert sx.state[0] == lpmod._AT_UB       # it left from above
     # Lowering the rhs to -1 with the true costs: x leaves at 0 and the
     # slack enters, on costs left as they are.
-    lp.constraints[0].rhs = -1.0
+    lp.rhs[0] = -1.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx._outside().tolist() == [1.0]
     assert not _start_violations(sx).any()
@@ -451,8 +456,7 @@ def test_dual_loop_pivot_cap_reports_iteration_limit(monkeypatch):
     # needs two dual pivots.  2 rows and 4 columns cap the solve at 1.
     lp = two_block_lp()
     opt = solve_lp(lp)
-    for con in lp.constraints:
-        con.rhs = 12.0
+    lp.rhs[:] = 12.0
     full = solve_lp(lp, basis=opt.basis)
     assert full.status == "optimal"
     assert (full.pivots, full.dual_pivots) == (2, 2)
@@ -473,7 +477,7 @@ def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
     lp.add_var("y", 0, 10, obj=2.0)
     lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
     opt = solve_lp(lp)
-    lp.constraints[0].rhs = 25.0
+    lp.rhs[0] = 25.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
     assert sx._outside().any() and not _start_violations(sx).any()
     assert sx.solve() == ("infeasible", None, [0])
@@ -485,19 +489,19 @@ def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
 
 
 def _count_inversions(monkeypatch):
-    """Count the fresh inversions a solve makes: starts (``_factor``) and
-    every ``np.linalg.inv``."""
+    """Count the fresh inversions a solve makes: starts and refills
+    (``_basis_inverse``) and every ``np.linalg.inv``."""
     calls = {"factor": 0, "inv": 0}
-    factor, inv = lpmod._factor, np.linalg.inv
+    factor, inv = lpmod._basis_inverse, np.linalg.inv
 
-    def count_factor(T):
+    def count_factor(A, given):
         calls["factor"] += 1
-        return factor(T)
+        return factor(A, given)
 
     def count_inv(a):
         calls["inv"] += 1
         return inv(a)
-    monkeypatch.setattr(lpmod, "_factor", count_factor)
+    monkeypatch.setattr(lpmod, "_basis_inverse", count_factor)
     monkeypatch.setattr(np.linalg, "inv", count_inv)
     return calls
 
@@ -510,7 +514,7 @@ def test_carried_inverse_is_reused(monkeypatch, make):
     lp = make()
     cold = solve_lp(lp)
     sx = cold.simplex
-    B = np.hstack([lp.A, np.eye(lp.m)])[:, cold.basis.cols]
+    B = with_slacks(lp.A)[:, cold.basis.cols]
     assert sx.Binv @ B == pytest.approx(np.eye(lp.m), abs=1e-12)
     Binv = sx.Binv
     inverse = Binv.tobytes()
@@ -619,7 +623,7 @@ def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
     sx = cold.simplex
     assert (cold.pivots, sx.age, refactors) == (3, 0, [])
     for j, cost in enumerate([-3, -1, -0.5, -2, -4]):
-        lp.variables[j].obj = cost
+        lp.obj[j] = cost
     warm = solve_lp(lp, basis=sx)
     # 3 carried + 1 pivot reach the cadence of 4: one fresh inversion
     # after the first pivot, then 2 more pivots on it.
@@ -634,7 +638,7 @@ def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
 def test_warm_start_that_ends_infeasible_names_the_cold_rows():
     lp = small_lp()
     opt = solve_lp(lp)
-    lp.constraints[0].rhs = -1.0          # x + 2y <= -1 with x, y >= 0
+    lp.rhs[0] = -1.0  # x + 2y <= -1 with x, y >= 0
     got = solve_lp(lp, basis=opt.basis)
     assert got.status == "infeasible"
     assert got.infeasible_rows == solve_lp(lp).infeasible_rows == ["c1"]

@@ -170,10 +170,11 @@ def _refill(data, lp: LinearProgram, live: _Simplex | None) -> None:
     sometimes in a basic column of ``live``."""
     lp.rhs[:] += data.draw(st.lists(st.integers(-3, 3), min_size=lp.m,
                                     max_size=lp.m))
-    for v in lp.variables:
+    for j, v in enumerate(lp.variables):
         lo = _shift(v.lb, data.draw(st.integers(-2, 2)))
-        v.lb, v.ub = lo, max(lo, _shift(v.ub, data.draw(st.integers(-2, 2))))
-        v.obj = float(data.draw(st.integers(-5, 5)))
+        lp.lb[j] = lo
+        lp.ub[j] = max(lo, _shift(v.ub, data.draw(st.integers(-2, 2))))
+        lp.obj[j] = float(data.draw(st.integers(-5, 5)))
     if not lp.nnz:
         return
     k = data.draw(st.integers(0, lp.nnz - 1))
@@ -213,3 +214,44 @@ def test_live_resolve_equals_a_cold_solve(lp, data):
                 optimal += 2
                 live = got.simplex
     assert len(checked) == optimal
+
+
+def _solve_pair(pair) -> list:
+    """The first program from the crash, then the moved one from its basis."""
+    lp, moved = pair
+    first = solve_lp(lp)
+    return [first, solve_lp(moved, basis=first.basis)]
+
+
+def test_refactor_cadence_keeps_every_solve():
+    # Inverting afresh every 2 to 4 pivots, in phase 2 and in the dual
+    # loop, gives the status and objective of the default cadence (which
+    # these small programs never reach), and every optimal solve still
+    # passes its certificate check.
+    real_refactor, real_verify = _Simplex._refactor, lpmod.verify_certificates
+    refactors, checked = [], []
+
+    def refactor(self):
+        refactors.append(1)
+        return real_refactor(self)
+
+    def verify(*args, **kwargs):
+        checked.append(1)
+        return real_verify(*args, **kwargs)
+
+    @given(related_programs(), st.integers(2, 4))
+    def check(pair, every):
+        default = _solve_pair(pair)
+        del checked[:]
+        with mock.patch.object(lpmod, "_REFACTOR_EVERY", every), \
+                mock.patch.object(_Simplex, "_refactor", refactor), \
+                mock.patch.object(lpmod, "verify_certificates", verify):
+            got = _solve_pair(pair)
+        for sol, ref in zip(got, default):
+            assert sol.status == ref.status
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(
+                    ref.objective, rel=1e-9, abs=1e-9)
+        assert len(checked) == sum(s.status == "optimal" for s in got)
+    check()
+    assert refactors

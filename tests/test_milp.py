@@ -55,7 +55,7 @@ def test_knapsack():
 
 def test_fixed_binaries_respected():
     lp = knapsack_lp()
-    lp.variables[2].ub = 0.0
+    lp.ub[2] = 0.0
     sol = solve_milp(lp)
     assert sol.x[2] == 0.0
     assert sol.objective == pytest.approx(enumerate_best(lp, {2: 0.0}),
