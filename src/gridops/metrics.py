@@ -68,7 +68,12 @@ def mileage_gwh(regulation: np.ndarray) -> float:
     expressed in GWh."""
     if regulation.size == 0:
         return 0.0
-    deltas = np.abs(np.diff(regulation, axis=0, prepend=regulation[:1] * 0))
+    # The deltas of np.diff with ``prepend=regulation[:1] * 0``, built in
+    # one array: the first row is reg[0] - reg[0] * 0 as that diff has it.
+    deltas = np.empty_like(regulation, order="C")
+    deltas[0] = regulation[0] - regulation[0] * 0
+    np.subtract(regulation[1:], regulation[:-1], out=deltas[1:])
+    np.abs(deltas, out=deltas)
     return float(deltas.sum()) / 60_000.0
 
 

@@ -15,8 +15,17 @@ import numpy as np
 
 
 # Rows formatted per write_rows chunk: large enough that the per-chunk
-# cost vanishes, small enough that a chunk's text stays a few hundred KB.
+# cost vanishes, small enough that a chunk's byte buffer, about rows x
+# fields x field width bytes, stays a few hundred KB.
 ROW_CHUNK = 2000
+
+# y = |x| * 1e6 is off the exact product by at most half its ulp, under
+# 1.12e-16 * y, so rint(y) rounds as the exact product does unless y lies
+# within 2.3e-16 * y of a half.  From 0.5 / 2.3e-16 (about 2.2e15) up,
+# where the float spacing reaches 0.5, every y fails that test, so rint
+# only sees values whose fraction is exact and whose integer part fits
+# uint32; write_rows prints the others with ``%``.
+_HALF_GUARD = 2.3e-16
 
 
 class ProfileError(ValueError):
@@ -228,22 +237,82 @@ def _parse_rows(path, lines) -> tuple[np.ndarray, np.ndarray]:
 def write_rows(path, header: list[str], n: int, columns,
                first: int = 0) -> None:
     """Write a CSV of ``header`` and then ``n`` rows ``i,v1,...,vk`` for
-    ``i`` from ``first``: the index as an integer, each value as ``%.6f``.
+    ``i`` from ``first``: the bytes of ``%d`` for the index and of
+    ``%.6f`` for each value.
 
     ``columns`` holds arrays of ``n`` rows, each one value (1-D) or a group
     of values (2-D, possibly with no columns) per row, laid out left to
-    right.  The rows are formatted ROW_CHUNK at a time, by one ``%`` of the
-    row format repeated over the chunk, and each chunk is written at once,
-    so no whole-file string is ever built.
+    right.  The rows are formatted ROW_CHUNK at a time into one byte
+    buffer of about rows x fields x field width bytes, and each chunk is
+    written at once, so no whole-file string is ever built.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for s in range(0, n, ROW_CHUNK):
             e = min(s + ROW_CHUNK, n)
-            block = np.column_stack([np.arange(first + s, first + e)]
-                                    + [c[s:e] for c in columns])
-            fmt = "%d" + ",%.6f" * (block.shape[1] - 1) + "\n"
-            fh.write((fmt * (e - s)) % tuple(block.ravel().tolist()))
+            values = np.column_stack([np.empty((e - s, 0))]
+                                     + [c[s:e] for c in columns])
+            fh.write(_format_rows(np.arange(first + s, first + e), values))
+
+
+def _format_rows(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The bytes of the rows ``index[i],values[i, 0],...`` as ``%d`` and
+    ``%.6f`` print them, formatted by array arithmetic.
+
+    Each field gets a fixed width for the chunk: ``,``, a sign byte, the
+    integer digits right-aligned, ``.`` and six decimals; its unused bytes
+    stay 0 and are dropped at the end.  ``rint(|x| * 1e6)`` is the
+    correctly rounded sixth decimal unless ``|x| * 1e6`` lies within twice
+    its rounding error of a half (_HALF_GUARD); those values, and the
+    non-finite ones, are printed by ``%`` into the same buffer.
+    """
+    rows = len(index)
+    y = np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y *= 1e6
+        # NaN compares false, so NaN and the infinities are slow too.
+        slow = ~(np.abs(y - np.floor(y) - 0.5) > _HALF_GUARD * y)
+    y[slow] = 0.0
+    ip, frac = np.divmod(np.rint(y).astype(np.int64), 10 ** 6)
+    texts = ["%.6f" % v for v in values[slow].tolist()]
+    fast_digits = len(str(ip.max(initial=0)))
+    width = max([fast_digits] + [len(t) - 8 for t in texts])
+    index_digits = len(str(np.abs(index[[0, -1]]).max()))
+
+    field = width + 9
+    line = np.zeros((rows, index_digits + 2 + values.shape[1] * field),
+                    np.uint8)
+    line[:, 0] = (index < 0) * np.uint8(ord("-"))
+    _put_digits(line[:, 1:index_digits + 1], np.abs(index), 1)
+    fields = line[:, index_digits + 1:-1].reshape(rows, values.shape[1],
+                                                 field)
+    fields[..., 0] = ord(",")
+    fields[..., 1] = np.signbit(values) * np.uint8(ord("-"))
+    _put_digits(fields[..., width + 2 - fast_digits:width + 2],
+                ip.astype(np.uint32), 1)
+    fields[..., width + 2] = ord(".")
+    _put_digits(fields[..., width + 3:], frac.astype(np.uint32), 6)
+    if texts:
+        fields[slow, 1:] = np.frombuffer(
+            "".join(t.rjust(field - 1, "\0") for t in texts).encode(),
+            np.uint8).reshape(len(texts), field - 1)
+    line[:, -1] = ord("\n")
+    return line[line != 0]
+
+
+def _put_digits(out: np.ndarray, q: np.ndarray, keep: int) -> None:
+    """Write the decimal digits of the non-negative integers ``q`` right-
+    aligned into the last axis of ``out``; left of the ``keep`` rightmost
+    positions a digit ``q`` does not have is a 0 byte."""
+    width = out.shape[-1]
+    for j in range(width):
+        q10 = q // 10
+        digit = q - 10 * q10
+        digit += ord("0")
+        if j >= keep:
+            digit *= q > 0
+        out[..., width - 1 - j] = digit
+        q = q10
 
 
 def write_profile(path, p: Profile) -> None:

@@ -13,9 +13,11 @@ and line that moved, not only that something did.  The runs:
   (``bench/inputs.py``) over 1 day at seed 7.
 
 ``report.csv`` is written as ``gridops metrics`` writes it: from the trace
-read back from its CSVs.  When outputs change on purpose, rewrite the
-manifest from the current code with ``PYTHONPATH=src python
-tests/golden.py`` and let its diff show which outputs moved.
+read back from its CSVs.  The cadence run also digests the duration curves
+and the per-minute plot data that ``metrics`` writes beside it.  When
+outputs change on purpose, rewrite the manifest from the current code with
+``PYTHONPATH=src python tests/golden.py`` and let its diff show which
+outputs moved.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from gridops.scenario import load_scenario
 HERE = os.path.dirname(os.path.abspath(__file__))
 MANIFEST = os.path.join(HERE, "golden.json")
 ALL = ("trace.csv", "flows.csv", "units.csv", "regulation.csv", "report.csv")
+METRICS = ("duration_imbalance.csv", "duration_net_load.csv",
+           "plotdata/imbalance.csv", "plotdata/net_load.csv",
+           "plotdata/curtailment.csv", "plotdata/regulation.csv")
 
 # run -> (gen-mini variant, days of profile written, minutes, seed or None
 # for the scenario's, files digested)
@@ -48,7 +53,7 @@ RUNS = {
     "congestion": ("congestion", 2, 1440, None, ("trace.csv",)),
     "congestion-wide": ("congestion-wide", 2, 1440, None, ("trace.csv",)),
     "high-solar": ("high-solar", 2, 1440, None, ("trace.csv",)),
-    "mini3-cadence": ("cadence", 4, 1440, 7, ALL),
+    "mini3-cadence": ("cadence", 4, 1440, 7, ALL + METRICS),
 }
 
 

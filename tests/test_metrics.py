@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridops.engine import SimulationTrace
 from gridops.metrics import (MAX_HIST_BINS, congested_minutes, duration_curve,
@@ -56,6 +59,19 @@ def test_mileage_sums_absolute_movement():
     reg = np.array([[0.0], [5.0], [3.0], [3.0], [-2.0]])
     # Movement: 5 + 2 + 0 + 5 = 12 MW*min.
     assert mileage_gwh(reg) == pytest.approx(12.0 / 60_000.0)
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=40),
+              elements=st.floats()))
+def test_mileage_is_bitwise_the_diff_with_prepend(reg):
+    """One-array deltas sum to the same bits as the three-temporary
+    expression they replaced, NaN and infinite rows, a 1-row input and a
+    column-major layout included."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = float(np.abs(np.diff(reg, axis=0, prepend=reg[:1] * 0)).sum()
+                     ) / 60_000.0
+        for layout in (reg, np.asfortranarray(reg)):
+            assert mileage_gwh(layout).hex() == want.hex()
 
 
 def test_exhausted_counts_saturated_minutes():

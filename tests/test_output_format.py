@@ -16,12 +16,29 @@ from gridops import __version__
 from gridops.engine import SimulationTrace, read_trace, write_trace
 from gridops.metrics import (duration_curve, summarize, write_all,
                              write_duration, write_hist, write_report)
-from gridops.profiles import ROW_CHUNK, Profile, write_profile
+from gridops.profiles import ROW_CHUNK, Profile, write_profile, write_rows
 from gridops.scenario import Scenario, ZonalNetwork, scenario_hash
 
 SPECIALS = (-0.0, 5e-7, -5e-7, 5.000001e-7, -5.000001e-7, 0.0000005,
             1e9, -1e9)
 MINUTES = (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 17)
+
+# Values whose sixth decimal rint(|x| * 1e6) cannot be trusted to round:
+# products near a half, an exact binary tie (2**-7 = 0.0078125), and the
+# neighbourhood of 2**52 / 1e6, where |x| * 1e6 stops holding halves.
+# Then the largest integer parts the arithmetic prints, near 2**31 and up
+# to where a half's guard covers the whole float spacing (about 2.17e9).
+_K = np.array([0, 1, 2, 7, 12, 499, 12344, 999999, 10 ** 6 + 3, 123456789,
+               10 ** 9 + 7, 4503599626])
+_HALVES = (_K + 0.5) / 1e6
+_EDGE = 2.0 ** 52 / 1e6
+NEAR_HALF = np.concatenate([
+    _HALVES, np.nextafter(_HALVES, 0.0), np.nextafter(_HALVES, np.inf),
+    [2.0 ** -7, 999999.9999995, _EDGE],
+    _EDGE + np.arange(-4, 5) * np.spacing(_EDGE),
+    _EDGE * (1.0 + np.linspace(-1e-6, 1e-6, 11)),
+    2.0 ** 31 + np.array([-1.25, -0.3, 0.0, 0.3, 1.7, 2.6e7]),
+    0.5 / 2.3e-16 / 1e6 * (1.0 + np.linspace(-1e-9, 1e-9, 9))])
 
 
 # -- reference writers, row at a time --------------------------------------
@@ -120,6 +137,16 @@ def ref_write_all(outdir, trace, scn, scenario_name):
             fh.write("minute,value\n")
             for m, v in zip(minutes, series):
                 fh.write(f"{m},{v:.6f}\n")
+
+
+def ref_write_rows(path, header, n, columns, first=0):
+    """write_rows, one ``%`` per field."""
+    flat = [np.reshape(c, (n, -1)) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(n):
+            fh.write("%d" % (first + i) + "".join(
+                ",%.6f" % v for c in flat for v in c[i].tolist()) + "\n")
 
 
 def ref_write_profile(path, p):
@@ -229,9 +256,49 @@ def test_writers_match_row_at_a_time_bytes(minutes, branches, interfaces,
             assert np.array_equal(back.unit_output[gid], printed(arr)), gid
 
 
+def rows_match(n, columns, first=0) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = os.path.join(tmp, "new.csv"), os.path.join(tmp, "ref.csv")
+        header = ["i"] + [f"c{k}" for k in range(len(columns))]
+        write_rows(new, header, n, columns, first)
+        ref_write_rows(ref, header, n, columns, first)
+        with open(new, "rb") as a, open(ref, "rb") as b:
+            got, want = a.read().splitlines(), b.read().splitlines()
+    assert len(got) == len(want)
+    for at, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"line {at + 1}"
+
+
+@settings(max_examples=40)
+@given(pool=st.lists(st.floats(), min_size=1, max_size=30),
+       groups=st.lists(st.none() | st.integers(0, 3), max_size=4),
+       n=st.sampled_from((1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1,
+                          2 * ROW_CHUNK + 3)),
+       first=st.integers(-10 ** 6, 10 ** 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_rows_prints_percent_bytes(pool, groups, n, first, seed):
+    """Any floats (NaN, infinities, subnormals, signed zeros, huge ones),
+    1-D and 2-D groups with or without columns, a negative index: the
+    bytes of ``%d`` and ``%.6f``.  The rows draw from a small pool of
+    values so that hypothesis can shrink them."""
+    rng = np.random.default_rng(seed)
+    vals = np.array(pool)
+    columns = [vals[rng.integers(0, len(vals),
+                                 n if g is None else (n, g))]
+               for g in groups]
+    rows_match(n, columns, first)
+
+
+def test_write_rows_prints_near_halves_as_percent_does():
+    vals = np.concatenate([NEAR_HALF, -NEAR_HALF])
+    rows_match(len(vals), [vals, vals[::-1, None] * [1.0, 1e-3, 10.0]],
+               first=-len(vals) // 2)
+
+
 @pytest.mark.parametrize("minutes", MINUTES)
 @settings(max_examples=5)
-@given(start=st.integers(0, 10 ** 6), seed=st.integers(0, 2 ** 32 - 1),
+@given(start=st.integers(-10 ** 6, 10 ** 6),
+       seed=st.integers(0, 2 ** 32 - 1),
        scale=st.sampled_from([1e-6, 1.0, 1e3, 1e7]))
 def test_profile_matches_row_at_a_time_bytes(minutes, start, seed, scale):
     p = Profile(_values(np.random.default_rng(seed), minutes, scale),
