@@ -13,7 +13,7 @@ import sys
 
 from .engine import read_trace, simulate, write_trace
 from .grid import make_regulation
-from .metrics import write_all
+from .metrics import REPORTED, write_all
 from .mini import write_mini3
 from .scenario import (ScenarioError, load_scenario, render_report,
                        validate_scenario)
@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_metrics(args) -> int:
     scn = _load_checked(args.scenario)
-    trace = read_trace(args.trace)
+    trace = read_trace(args.trace, REPORTED)
     trace.reg_saturation = make_regulation(scn.generators).total_saturation
     name = args.name or os.path.splitext(os.path.basename(args.scenario))[0]
     outdir = args.out or args.trace

@@ -324,14 +324,6 @@ def _physics(scn: Scenario, trace: SimulationTrace, factor, reg, storage,
         trace.interface_limit[:, i] = limit
 
 
-def _unsigned(values) -> np.ndarray:
-    """Copy of ``values`` with every entry that would print as -0.000000
-    set to +0, so rounding noise below 5e-7 cannot flip output bytes."""
-    out = np.array(values, dtype=float)
-    out[(out <= 0.0) & (out >= -5e-7)] = 0.0
-    return out
-
-
 def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
                 seed: int, scenario_path: str | None = None) -> None:
     """Write ``trace.csv``, ``flows.csv``, ``regulation.csv``, ``units.csv``
@@ -347,22 +339,22 @@ def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
                ["minute", "imbalance_raw_mw", "imbalance_mw", "regulation_mw",
                 "load_mw", "generation_mw", "ver_available_mw",
                 "ver_delivered_mw", "shed_mw", "supergen_mw"], m,
-               [_unsigned(a) for a in (
-                   trace.imbalance_raw, trace.imbalance,
-                   trace.regulation.sum(axis=1), trace.load, trace.generation,
-                   trace.ver_available, trace.ver_delivered, trace.shed,
-                   trace.supergen)])
+               [trace.imbalance_raw, trace.imbalance,
+                trace.regulation.sum(axis=1), trace.load, trace.generation,
+                trace.ver_available, trace.ver_delivered, trace.shed,
+                trace.supergen], unsigned=True)
     write_rows(os.path.join(outdir, "flows.csv"),
                ["minute"] + [f"flow:{b}" for b in trace.branch_names]
                + [f"iface:{n}" for n in trace.interface_names]
                + [f"limit:{n}" for n in trace.interface_names], m,
-               [_unsigned(trace.flows), _unsigned(trace.interface_flow),
-                _unsigned(trace.interface_limit)])
+               [trace.flows, trace.interface_flow, trace.interface_limit],
+               unsigned=True)
     write_rows(os.path.join(outdir, "regulation.csv"),
-               ["minute"] + trace.reg_units, m, [_unsigned(trace.regulation)])
+               ["minute"] + trace.reg_units, m, [trace.regulation],
+               unsigned=True)
     ids = sorted(trace.unit_output)
     write_rows(os.path.join(outdir, "units.csv"), ["minute"] + ids, m,
-               [_unsigned(trace.unit_output[g]) for g in ids])
+               [trace.unit_output[g] for g in ids], unsigned=True)
     manifest = {
         "scenario_hash": scenario_hash(scenario_path) if scenario_path
         else None,
@@ -376,38 +368,77 @@ def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
         fh.write("\n")
 
 
-def read_trace(outdir: str) -> SimulationTrace:
-    """Rebuild a trace from the CSV set written by write_trace."""
-    def load(name):
-        path = os.path.join(outdir, name)
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return header, data
+# The series read_trace returns, by the file that holds them.
+_TRACE_FILES = {
+    "trace.csv": ("imbalance_raw", "imbalance", "load", "generation",
+                  "ver_available", "ver_delivered", "shed", "supergen"),
+    "flows.csv": ("flows", "interface_flow", "interface_limit"),
+    "regulation.csv": ("regulation",),
+    "units.csv": ("unit_output",),
+}
+SERIES = tuple(s for held in _TRACE_FILES.values() for s in held)
+_FLOW_GROUPS = {"flow": "flows", "iface": "interface_flow",
+                "limit": "interface_limit"}
 
-    head, main = load("trace.csv")
-    fhead, fdata = load("flows.csv")
-    rhead, rdata = load("regulation.csv")
-    uhead, udata = load("units.csv")
-    branch = [h.split(":", 1)[1] for h in fhead if h.startswith("flow:")]
-    iface = [h.split(":", 1)[1] for h in fhead if h.startswith("iface:")]
-    m = main.shape[0]
-    tr = SimulationTrace(minutes=m, branch_names=branch,
-                         interface_names=iface, reg_units=rhead[1:])
-    col = {name: i for i, name in enumerate(head)}
-    tr.imbalance_raw = main[:, col["imbalance_raw_mw"]]
-    tr.imbalance = main[:, col["imbalance_mw"]]
-    tr.load = main[:, col["load_mw"]]
-    tr.generation = main[:, col["generation_mw"]]
-    tr.ver_available = main[:, col["ver_available_mw"]]
-    tr.ver_delivered = main[:, col["ver_delivered_mw"]]
-    tr.shed = main[:, col["shed_mw"]]
-    tr.supergen = main[:, col["supergen_mw"]]
-    nb, ni = len(branch), len(iface)
-    tr.flows = fdata[:, 1:1 + nb]
-    tr.interface_flow = fdata[:, 1 + nb:1 + nb + ni]
-    tr.interface_limit = fdata[:, 1 + nb + ni:1 + nb + 2 * ni]
-    tr.regulation = rdata[:, 1:] if rdata.shape[1] > 1 else np.zeros((m, 0))
-    for i, gid in enumerate(uhead[1:]):
-        tr.unit_output[gid] = udata[:, 1 + i]
+
+def _column_series(name: str, column: str) -> str | None:
+    """The series that column ``column`` of trace file ``name`` belongs
+    to.  trace.csv's ``regulation_mw`` is the sum of regulation.csv's
+    columns, so it belongs to none."""
+    if name == "trace.csv":
+        return None if column == "regulation_mw" \
+            else column.removesuffix("_mw")
+    if name == "flows.csv":
+        return _FLOW_GROUPS[column.split(":", 1)[0]]
+    return _TRACE_FILES[name][0]
+
+
+def read_trace(outdir: str,
+               series: tuple[str, ...] | None = None) -> SimulationTrace:
+    """Rebuild a trace from the CSV set written by write_trace.
+
+    ``series`` names the SERIES to return, all of them when None.  Only
+    their columns are converted, by one ``np.loadtxt`` per file; a minute
+    column never is.  A named group with no columns has shape
+    ``(minutes, 0)``.  A series not named is None, and a file holding none
+    of the named ones is not opened: the names it lists (branches and
+    interfaces in flows.csv, regulation units in regulation.csv) are then
+    empty.
+    """
+    want = set(SERIES if series is None else series)
+    heads = {name: [] for name in _TRACE_FILES}
+    values = {}
+    m = 0
+    for name, held in _TRACE_FILES.items():
+        use = [s for s in held if s in want]
+        if not use:
+            continue
+        with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+            heads[name] = fh.readline().strip().split(",")[1:]
+            cols = {s: [] for s in use}
+            for i, h in enumerate(heads[name], start=1):
+                s = _column_series(name, h)
+                if s in cols:
+                    cols[s].append(i)
+            usecols = [i for s in use for i in cols[s]]
+            data = np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2) \
+                if usecols else np.empty((sum(1 for _ in fh), 0))
+        m = len(data)
+        at = 0
+        for s in use:
+            block = data[:, at:at + len(cols[s])]
+            at += len(cols[s])
+            if name == "trace.csv":
+                values[s] = block[:, 0]
+            elif s == "unit_output":
+                values[s] = dict(zip(heads[name], block.T))
+            else:
+                values[s] = block
+    flows = [h.split(":", 1) for h in heads["flows.csv"]]
+    tr = SimulationTrace(
+        minutes=m, branch_names=[n for g, n in flows if g == "flow"],
+        interface_names=[n for g, n in flows if g == "iface"],
+        reg_units=heads["regulation.csv"])
+    for s in SERIES:
+        setattr(tr, s, values.get(s))
     return tr

@@ -20,6 +20,9 @@ CONGEST_TOL_MW = 1e-3
 EXHAUST_TOL_MW = 1e-3
 # A histogram needing more bins than this is refused rather than allocated.
 MAX_HIST_BINS = 100_000
+# The trace series write_all reads; read_trace need convert no other.
+REPORTED = ("imbalance", "load", "ver_available", "ver_delivered", "shed",
+            "supergen", "interface_flow", "interface_limit", "regulation")
 
 
 def percentile_rank(values: np.ndarray, pct: float) -> float:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-# Rows formatted per write_rows chunk: large enough that the per-chunk
-# cost vanishes, small enough that a chunk's byte buffer, about rows x
-# fields x field width bytes, stays a few hundred KB.
-ROW_CHUNK = 2000
+# Fields (the index counts as one) formatted per write_rows chunk: large
+# enough that the per-chunk cost vanishes, small enough that a chunk's
+# byte buffer, about fields x field width bytes, stays a few hundred KB.
+FIELD_CHUNK = 20_000
 
 # y = |x| * 1e6 is off the exact product by at most half its ulp, under
 # 1.12e-16 * y, so rint(y) rounds as the exact product does unless y lies
@@ -234,28 +234,40 @@ def _parse_rows(path, lines) -> tuple[np.ndarray, np.ndarray]:
     return np.array(minutes), np.array(vals)
 
 
+def chunk_rows(fields: int) -> int:
+    """Rows per write_rows chunk for rows of ``fields`` fields, the index
+    included."""
+    return max(1, FIELD_CHUNK // fields)
+
+
 def write_rows(path, header: list[str], n: int, columns,
-               first: int = 0) -> None:
+               first: int = 0, unsigned: bool = False) -> None:
     """Write a CSV of ``header`` and then ``n`` rows ``i,v1,...,vk`` for
     ``i`` from ``first``: the bytes of ``%d`` for the index and of
     ``%.6f`` for each value.
 
     ``columns`` holds arrays of ``n`` rows, each one value (1-D) or a group
     of values (2-D, possibly with no columns) per row, laid out left to
-    right.  The rows are formatted ROW_CHUNK at a time into one byte
-    buffer of about rows x fields x field width bytes, and each chunk is
-    written at once, so no whole-file string is ever built.
+    right.  The rows are formatted ``chunk_rows(k + 1)`` at a time, about
+    FIELD_CHUNK fields, into one byte buffer, and each chunk is written at
+    once, so no whole-file string is ever built.  With ``unsigned`` a value
+    in [-5e-7, 0] is printed as ``0.000000``, so rounding noise cannot
+    flip a sign in the output bytes.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for s in range(0, n, ROW_CHUNK):
-            e = min(s + ROW_CHUNK, n)
+        rows = chunk_rows(1 + sum(np.shape(c)[1] if np.ndim(c) == 2 else 1
+                                  for c in columns))
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
             values = np.column_stack([np.empty((e - s, 0))]
                                      + [c[s:e] for c in columns])
+            if unsigned:
+                values[(values <= 0.0) & (values >= -5e-7)] = 0.0
             fh.write(_format_rows(np.arange(first + s, first + e), values))
 
 
-def _format_rows(index: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _format_rows(index: np.ndarray, values: np.ndarray) -> bytes:
     """The bytes of the rows ``index[i],values[i, 0],...`` as ``%d`` and
     ``%.6f`` print them, formatted by array arithmetic.
 
@@ -297,7 +309,7 @@ def _format_rows(index: np.ndarray, values: np.ndarray) -> np.ndarray:
             "".join(t.rjust(field - 1, "\0") for t in texts).encode(),
             np.uint8).reshape(len(texts), field - 1)
     line[:, -1] = ord("\n")
-    return line[line != 0]
+    return line.tobytes().translate(None, b"\0")
 
 
 def _put_digits(out: np.ndarray, q: np.ndarray, keep: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .profiles import Profile, read_profile, scale_ver
+from .profiles import Profile, ProfileError, read_profile, scale_ver
 
 GEN_KINDS = ("dispatchable", "must-run", "fast-start")
 SEMI_KINDS = ("wind", "solar", "run-of-river-hydro", "tie-line")
@@ -497,17 +497,31 @@ def _check_references(scn: Scenario, path: str) -> None:
                 f"{path}: swing attaches to undefined bubble {b!r}")
 
 
+def _read_profile(scn: Scenario, entity: str, name: str) -> Profile:
+    """The profile file ``name`` of ``entity``; a file that cannot be read
+    or parsed is a scenario error naming both."""
+    path = os.path.join(scn.base_dir, name)
+    try:
+        return read_profile(path)
+    except OSError as exc:
+        raise ScenarioError(f"{entity}: cannot read profile {path}: "
+                            f"{exc.strerror}") from exc
+    except ProfileError as exc:
+        raise ScenarioError(f"{entity}: {exc}") from exc
+
+
 def _resolve_profiles(scn: Scenario) -> None:
     for ld in scn.loads:
         if not ld.profile_path:
             raise ScenarioError(f"load at {ld.bubble} has no profile")
-        ld.profile = read_profile(os.path.join(scn.base_dir, ld.profile_path))
+        ld.profile = _read_profile(scn, f"load at {ld.bubble}",
+                                   ld.profile_path)
     peak = scn.peak_load
     for sm in scn.semis:
         if sm.profile_path:
-            sm.profile = read_profile(os.path.join(scn.base_dir, sm.profile_path))
+            sm.profile = _read_profile(scn, sm.id, sm.profile_path)
         elif sm.ver is not None:
-            base = read_profile(os.path.join(scn.base_dir, sm.ver.shape))
+            base = _read_profile(scn, sm.id, sm.ver.shape)
             mean = float(base.values.mean())
             if mean <= 0:
                 raise ScenarioError(f"{sm.id}: shape has nonpositive mean")

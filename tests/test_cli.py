@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -136,6 +137,40 @@ def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.scn")]) == 2
 
 
+PROFILES = pytest.mark.parametrize("name,entity", [
+    ("load_n1.csv", "load at n1"), ("solar_n3.csv", "sun1")],
+    ids=["load", "semi"])
+
+
+@PROFILES
+def test_missing_profile_file_exits_2(mini, tmp_path, name, entity, capsys):
+    path = os.path.join(os.path.dirname(mini), name)
+    os.remove(path)
+    want = f"{entity}: cannot read profile {path}: No such file or directory"
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().err == f"error\tscenario\t{want}\n"
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == f"scenario error: {want}\n"
+
+
+@PROFILES
+def test_bad_profile_row_exits_2_naming_its_line(mini, tmp_path, name,
+                                                 entity, capsys):
+    path = os.path.join(os.path.dirname(mini), name)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[4] = "4,x"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    want = f"{entity}: {path}:5: bad row '4,x'"
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().err == f"error\tscenario\t{want}\n"
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == f"scenario error: {want}\n"
+
+
 def test_simulate_writes_trace(mini, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["simulate", mini, "--minutes", "30", "--out", out,
@@ -190,6 +225,28 @@ def test_metrics_from_trace(mini, tmp_path):
     with open(report) as fh:
         head = fh.readline().strip()
     assert head == "family,scenario,metric,value,unit"
+
+
+def test_metrics_needs_no_units_csv(mini, tmp_path):
+    """metrics reads only the series it reports: without units.csv it
+    writes the same bytes."""
+    full, bare = str(tmp_path / "full"), str(tmp_path / "bare")
+    assert main(["simulate", mini, "--minutes", "30", "--out", full,
+                 "--seed", "5"]) == 0
+    shutil.copytree(full, bare)
+    os.remove(os.path.join(bare, "units.csv"))
+    for out in (full, bare):
+        assert main(["metrics", out, "--scenario", mini]) == 0
+    made = sorted(set(os.listdir(full)) - {"trace.csv", "flows.csv",
+                                           "regulation.csv", "units.csv",
+                                           "manifest.json", "plotdata"})
+    made += [os.path.join("plotdata", f)
+             for f in sorted(os.listdir(os.path.join(full, "plotdata")))]
+    assert "report.csv" in made and len(made) == 9
+    for name in made:
+        with open(os.path.join(full, name), "rb") as a, \
+                open(os.path.join(bare, name), "rb") as b:
+            assert a.read() == b.read(), name
 
 
 def test_metrics_names_a_series_with_too_many_bins(mini, tmp_path, capsys):

@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridops import __version__
-from gridops.engine import SimulationTrace, read_trace, write_trace
-from gridops.metrics import (duration_curve, summarize, write_all,
+from gridops.engine import SERIES, SimulationTrace, read_trace, write_trace
+from gridops.metrics import (REPORTED, duration_curve, summarize, write_all,
                              write_duration, write_hist, write_report)
-from gridops.profiles import ROW_CHUNK, Profile, write_profile, write_rows
+from gridops.profiles import Profile, chunk_rows, write_profile, write_rows
 from gridops.scenario import Scenario, ZonalNetwork, scenario_hash
 
 SPECIALS = (-0.0, 5e-7, -5e-7, 5.000001e-7, -5.000001e-7, 0.0000005,
             1e9, -1e9)
-MINUTES = (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 17)
+# Around the chunk boundaries of trace.csv (10 fields), then past those of
+# 5-field files and of the 2-field profile, duration and plot-data files.
+MINUTES = (1, chunk_rows(10) - 1, chunk_rows(10), chunk_rows(10) + 1,
+           3 * chunk_rows(10) + 17, chunk_rows(5) + 1, chunk_rows(2) + 1)
 
 # Values whose sixth decimal rint(|x| * 1e6) cannot be trusted to round:
 # products near a half, an exact binary tie (2**-7 = 0.0078125), and the
@@ -255,6 +258,15 @@ def test_writers_match_row_at_a_time_bytes(minutes, branches, interfaces,
         for gid, arr in tr.unit_output.items():
             assert np.array_equal(back.unit_output[gid], printed(arr)), gid
 
+        # metrics reads only the series it reports, to the same bytes.
+        part = read_trace(new, REPORTED)
+        for name in set(SERIES) - set(REPORTED):
+            assert getattr(part, name) is None, name
+        full_out, part_out = (os.path.join(tmp, d) for d in ("full", "part"))
+        write_all(full_out, back, SCENARIO, "demo")
+        write_all(part_out, part, SCENARIO, "demo")
+        assert read_dir(part_out) == read_dir(full_out)
+
 
 def rows_match(n, columns, first=0) -> None:
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,15 +284,18 @@ def rows_match(n, columns, first=0) -> None:
 @settings(max_examples=40)
 @given(pool=st.lists(st.floats(), min_size=1, max_size=30),
        groups=st.lists(st.none() | st.integers(0, 3), max_size=4),
-       n=st.sampled_from((1, 2, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1,
-                          2 * ROW_CHUNK + 3)),
+       rows=st.sampled_from((1, 2, (1, -1), (1, 0), (1, 1), (2, 3))),
        first=st.integers(-10 ** 6, 10 ** 6),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_write_rows_prints_percent_bytes(pool, groups, n, first, seed):
+def test_write_rows_prints_percent_bytes(pool, groups, rows, first, seed):
     """Any floats (NaN, infinities, subnormals, signed zeros, huge ones),
     1-D and 2-D groups with or without columns, a negative index: the
-    bytes of ``%d`` and ``%.6f``.  The rows draw from a small pool of
-    values so that hypothesis can shrink them."""
+    bytes of ``%d`` and ``%.6f``.  ``rows`` is a row count or, as
+    ``(k, d)``, k chunks of these fields plus d rows.  The rows draw from a
+    small pool of values so that hypothesis can shrink them."""
+    fields = 1 + sum(1 if g is None else g for g in groups)
+    n = rows if isinstance(rows, int) \
+        else rows[0] * chunk_rows(fields) + rows[1]
     rng = np.random.default_rng(seed)
     vals = np.array(pool)
     columns = [vals[rng.integers(0, len(vals),
@@ -314,7 +329,7 @@ def test_profile_matches_row_at_a_time_bytes(minutes, start, seed, scale):
 def test_groups_without_columns_still_write_every_minute(tmp_path):
     """No branches, interfaces, regulation units or units: each row of
     those files is the minute alone, one per minute."""
-    minutes = ROW_CHUNK + 1
+    minutes = chunk_rows(1) + 1
     tr = make_trace(minutes, 0, 0, 0, 0, seed=3, scale=1.0)
     write_trace(str(tmp_path), tr, SCENARIO, 3)
     want = "minute\n" + "".join(f"{m}\n" for m in range(minutes))
