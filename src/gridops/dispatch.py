@@ -190,7 +190,6 @@ def _structure(scn: Scenario, opt: LayerOptions):
     returned ``Columns``.
     """
     T = opt.steps
-    lp = LinearProgram()
     net = scn.network
     gens, semis = scn.generators, scn.semis
     penalty = scn.penalty_price()
@@ -225,23 +224,31 @@ def _structure(scn: Scenario, opt: LayerOptions):
             for g in gens]
 
     # -- variables ---------------------------------------------------------
+    # The program's columns and rows, and the entries ``mark`` names:
+    # (family, t, k, row, place in the row), located once it is made.
+    columns, constraints, marks = [], [], []
+
+    def var(name, lb=0.0, ub=INF, obj=0.0, binary=False):
+        columns.append((name, lb, ub, obj, binary))
+        return len(columns) - 1
+
     for t in range(T):
         for k, g in enumerate(gens):
             if sced:
-                P[t][k] = lp.add_var(f"P[{g.id},{t}]")
+                P[t][k] = var(f"P[{g.id},{t}]")
             else:
                 free = g.kind != "must-run" and pins[k] is None
-                w[t][k] = lp.add_var(f"w[{g.id},{t}]", ub=1.0, binary=free)
-                u[t][k] = lp.add_var(f"u[{g.id},{t}]", lb=0.0, ub=1.0)
-                v[t][k] = lp.add_var(f"v[{g.id},{t}]", lb=0.0, ub=1.0)
-                P[t][k] = lp.add_var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
-            dP[t][k] = [lp.add_var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width)
+                w[t][k] = var(f"w[{g.id},{t}]", ub=1.0, binary=free)
+                u[t][k] = var(f"u[{g.id},{t}]", lb=0.0, ub=1.0)
+                v[t][k] = var(f"v[{g.id},{t}]", lb=0.0, ub=1.0)
+                P[t][k] = var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
+            dP[t][k] = [var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width)
                         for s, width in enumerate(pw[k].widths)]
             if use_res:
-                rS[t][k] = lp.add_var(f"rS[{g.id},{t}]", lb=0.0,
-                                      ub=max(g.r_max * res.t_10, 0.0))
-                rO[t][k] = lp.add_var(f"rO[{g.id},{t}]", lb=0.0,
-                                      ub=max(g.r_max * res.t_30, 0.0))
+                rS[t][k] = var(f"rS[{g.id},{t}]", lb=0.0,
+                               ub=max(g.r_max * res.t_10, 0.0))
+                rO[t][k] = var(f"rO[{g.id},{t}]", lb=0.0,
+                               ub=max(g.r_max * res.t_30, 0.0))
 
         if storage_vars:
             for k, st in enumerate(scn.storages):
@@ -250,36 +257,37 @@ def _structure(scn: Scenario, opt: LayerOptions):
                         ("Ps", 0.0, st.p_max, False),
                         ("Ss", 0.0, st.s_max, False),
                         ("Es", st.e_min, st.e_max, False)):
-                    blk[fam][t][k] = lp.add_var(f"{fam}[{st.id},{t}]", lb=lo,
-                                                ub=hi, binary=binary)
+                    blk[fam][t][k] = var(f"{fam}[{st.id},{t}]", lb=lo,
+                                         ub=hi, binary=binary)
         for k, sm in enumerate(semis):
             if sm.d > 0:
-                cv[t][k] = lp.add_var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0)
+                cv[t][k] = var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0)
         for k, ld in enumerate(scn.loads):
             if ld.d > 0:
-                cl[t][k] = lp.add_var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0)
+                cl[t][k] = var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0)
         for k, m in enumerate(scn.drs):
-            Pm[t][k] = lp.add_var(f"Pm[{m.id},{t}]", lb=m.p_min,
-                                  ub=m.p_max, obj=m.cost)
+            Pm[t][k] = var(f"Pm[{m.id},{t}]", lb=m.p_min, ub=m.p_max,
+                           obj=m.cost)
         for k, b in enumerate(net.bubbles):
-            sgP[t][k] = lp.add_var(f"sgP[{b},{t}]", ub=INF, obj=penalty)
-            sgN[t][k] = lp.add_var(f"sgN[{b},{t}]", ub=INF, obj=penalty)
+            sgP[t][k] = var(f"sgP[{b},{t}]", ub=INF, obj=penalty)
+            sgN[t][k] = var(f"sgN[{b},{t}]", ub=INF, obj=penalty)
         for li in range(len(net.branches)):
-            F[t][li] = lp.add_var(f"F[{li},{t}]", lb=-INF, ub=INF)
+            F[t][li] = var(f"F[{li},{t}]", lb=-INF, ub=INF)
         if use_res:
-            C1[t][0] = lp.add_var(f"C1[{t}]", ub=INF)
+            C1[t][0] = var(f"C1[{t}]", ub=INF)
 
     # -- constraints -------------------------------------------------------
     itf_terms = [net.interface_terms(itf) for itf in net.interfaces]
 
     def add(name, coeffs, sense, rhs=0.0, row=None, t=0, k=0):
-        i = lp.add_constr(name, coeffs, sense, rhs)
+        constraints.append((name, coeffs, sense, rhs))
         if row is not None:
-            rows[row][t][k] = i
-        return i
+            rows[row][t][k] = len(constraints) - 1
+        return len(constraints) - 1
 
     def mark(family, i, t, k, j):
-        ents[family][t][k] = lp.entry(i, j)
+        place = [c for c, _ in constraints[i][1]].index(j)
+        marks.append((family, t, k, i, place))
 
     for t in range(T):
         for kb, b in enumerate(net.bubbles):
@@ -446,6 +454,10 @@ def _structure(scn: Scenario, opt: LayerOptions):
                         [(w[t][k], 1.0), (v[t - tau][k], 1.0)], LE, 1.0)
             add(f"maxup[{g.id}]", [(u[t][k], 1.0) for t in range(T)], LE,
                 row="maxup", k=k)
+
+    lp = LinearProgram(columns, constraints)
+    for family, t, k, i, place in marks:
+        ents[family][t][k] = lp.indptr[i] + place
 
     def arrays(blocks):
         return {name: np.array(b, dtype=np.intp) for name, b in blocks.items()}

@@ -3,8 +3,9 @@
 A :class:`LinearProgram` holds its program as arrays, and the solver reads
 them as they are: a solve copies nothing but the bounds that branch and
 bound overrides, so a program refilled in place for each use is never
-rebuilt.  The arrays are the one way to write a program; its
-``variables`` and ``constraints`` are read-only snapshots.
+rebuilt.  A program is made one way, by ``LinearProgram(cols, rows)``;
+its ``repr`` prints that call, so ``eval(repr(lp))`` rebuilds it.  It is
+changed one way, by writing to its arrays.
 
 The solver is deliberately self-contained and deterministic: identical
 programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
@@ -100,20 +101,8 @@ class SolverError(Exception):
     """Malformed program or internal failure of the solver."""
 
 
-def _append(buf: np.ndarray, size: int, values) -> np.ndarray:
-    """``buf`` with ``values`` written from position ``size`` on; the
-    buffer doubles when it is full, so appends cost O(1) amortized."""
-    k = np.size(values)
-    if size + k > len(buf):
-        grown = np.empty(max(2 * len(buf), size + k), buf.dtype)
-        grown[:size] = buf[:size]
-        buf = grown
-    buf[size:size + k] = values
-    return buf
-
-
 class Column(NamedTuple):
-    """A snapshot of one column: the arguments of its ``add_var`` call."""
+    """A snapshot of one column, as the constructor takes it."""
     name: str
     lb: float
     ub: float
@@ -122,8 +111,8 @@ class Column(NamedTuple):
 
 
 class Row(NamedTuple):
-    """A snapshot of one row: the arguments of its ``add_constr`` call,
-    ``coeffs`` as (column, coefficient) pairs in insertion order."""
+    """A snapshot of one row, as the constructor takes it: ``coeffs`` as
+    (column, coefficient) pairs in insertion order."""
     name: str
     coeffs: list[tuple[int, float]]
     sense: str
@@ -131,89 +120,88 @@ class Row(NamedTuple):
 
 
 class LinearProgram:
-    """A linear program held as arrays.
+    """A linear program held as arrays, each exactly as long as the program.
 
     Columns: ``lb``, ``ub``, ``obj``, ``binary`` and ``col_names``.  Rows:
     ``rhs``, ``senses`` and ``row_names``, with their entries kept in
     insertion order as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
-    owns entries ``indptr[i]:indptr[i + 1]``).  ``A`` is the dense
-    constraint matrix, assembled from the entries once per structure: each
-    cell is ``0.0`` plus its entries, which keeps zeros unsigned and sums
-    repeated entries in order.  :meth:`set_coeffs` writes entries and their
-    cells in place, so a program of fixed structure is refilled for each
-    use without being built again, and stamps the columns whose cells
-    change bits (``_edited``, assembling A stamps all).  The arrays are
-    views: writing to them is how a program is changed.  ``variables`` and
-    ``constraints`` are read-only snapshots of its columns and rows.
+    owns entries ``indptr[i]:indptr[i + 1]``).  ``cols`` are ``(name, lb,
+    ub, obj, binary)`` and ``rows`` ``(name, [(column, coefficient), ...],
+    sense, rhs)``, as ``variables`` and ``constraints`` give them back;
+    :meth:`add_var` and :meth:`add_constr` append one of each.  ``A`` is
+    the dense constraint matrix, assembled once per structure: each cell is
+    ``0.0`` plus its entries, which keeps zeros unsigned and sums repeated
+    entries in order.  :meth:`set_coeffs` writes entries and their cells in
+    place, so a program of fixed structure is refilled without being built
+    again, and stamps the columns whose cells change bits (``_edited``,
+    assembling A stamps all).
     """
 
-    def __init__(self):
+    def __init__(self, cols=(), rows=()):
+        self.col_names, self.row_names, self.senses = [], [], []
+        self.lb = self.ub = self.obj = self.rhs = self.entry_val = np.empty(0)
+        self.binary = np.empty(0, dtype=bool)
+        self.indptr = np.zeros(1, dtype=np.intp)
+        self.entry_row = self.entry_col = np.empty(0, dtype=np.intp)
         self.n = self.m = self.nnz = 0
-        self.col_names: list[str] = []
-        self.row_names: list[str] = []
-        self.senses: list[str] = []
-        self._lb = self._ub = self._obj = np.empty(0)
-        self._binary = np.empty(0, dtype=bool)
-        self._rhs = np.empty(0)
-        self._indptr = np.zeros(1, dtype=np.intp)
-        self._erow = self._ecol = np.empty(0, dtype=np.intp)
-        self._eval = np.empty(0)
         self._A: np.ndarray | None = None
         self._repeated = False       # some cell has more than one entry
         self._edits = 0              # writes that changed bits of A
         self._edited = np.zeros(0, dtype=np.intp)   # each column's last one
+        self._extend(list(cols), list(rows))
 
-    lb = property(lambda self: self._lb[:self.n])
-    ub = property(lambda self: self._ub[:self.n])
-    obj = property(lambda self: self._obj[:self.n])
-    binary = property(lambda self: self._binary[:self.n])
-    rhs = property(lambda self: self._rhs[:self.m])
-    indptr = property(lambda self: self._indptr[:self.m + 1])
-    entry_row = property(lambda self: self._erow[:self.nnz])
-    entry_col = property(lambda self: self._ecol[:self.nnz])
-    entry_val = property(lambda self: self._eval[:self.nnz])
+    def _extend(self, cols: list[tuple], rows: list[tuple]) -> None:
+        """Append columns, then rows, each array growing once; a malformed
+        item raises as adding the items one at a time would, adding none."""
+        n = self.n + len(cols)
+        for name, lb, ub, _, binary in cols:
+            if binary and not (lb >= 0.0 and ub <= 1.0):
+                raise SolverError(
+                    f"binary variable {name} needs bounds within [0,1]")
+            if lb > ub:
+                raise SolverError(
+                    f"variable {name} has empty domain [{lb},{ub}]")
+        for name, coeffs, sense, _ in rows:
+            if sense not in (LE, EQ, GE):
+                raise SolverError(
+                    f"unknown sense {sense!r} in constraint {name}")
+            for j, _ in coeffs:
+                if not 0 <= j < n:
+                    raise SolverError(
+                        f"constraint {name} references variable index {j}")
+        names, lb, ub, obj, binary = zip(*cols) if cols else ((),) * 5
+        rnames, coeffs, senses, rhs = zip(*rows) if rows else ((),) * 4
+        counts = [len(c) for c in coeffs]
+        for name, dtype, new in (
+                ("lb", float, lb), ("ub", float, ub), ("obj", float, obj),
+                ("binary", bool, binary), ("rhs", float, rhs),
+                ("indptr", np.intp, self.nnz + np.cumsum(counts)),
+                ("entry_row", np.intp, np.repeat(np.arange(
+                    self.m, self.m + len(rows)), counts)),
+                ("entry_col", np.intp, [j for c in coeffs for j, _ in c]),
+                ("entry_val", float, [a for c in coeffs for _, a in c])):
+            setattr(self, name, np.concatenate(
+                [getattr(self, name), np.array(new, dtype=dtype)]))
+        self.col_names += names
+        self.row_names += rnames
+        self.senses += senses
+        self.n, self.m, self.nnz = n, len(self.rhs), len(self.entry_val)
+        self._A = None
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 obj: float = 0.0, binary: bool = False) -> int:
-        if binary and not (lb >= 0.0 and ub <= 1.0):
-            raise SolverError(f"binary variable {name} needs bounds within [0,1]")
-        if lb > ub:
-            raise SolverError(f"variable {name} has empty domain [{lb},{ub}]")
-        n = self.n
-        self._lb = _append(self._lb, n, float(lb))
-        self._ub = _append(self._ub, n, float(ub))
-        self._obj = _append(self._obj, n, float(obj))
-        self._binary = _append(self._binary, n, binary)
-        self.col_names.append(name)
-        self.n = n + 1
-        self._A = None
-        return n
+        self._extend([(name, lb, ub, obj, binary)], [])
+        return self.n - 1
 
     def add_constr(self, name: str, coeffs: list[tuple[int, float]],
                    sense: str, rhs: float) -> int:
-        if sense not in (LE, EQ, GE):
-            raise SolverError(f"unknown sense {sense!r} in constraint {name}")
-        cols = [j for j, _ in coeffs]
-        for j in cols:
-            if not 0 <= j < self.n:
-                raise SolverError(f"constraint {name} references variable index {j}")
-        i, k = self.m, len(cols)
-        self._erow = _append(self._erow, self.nnz, np.full(k, i))
-        self._ecol = _append(self._ecol, self.nnz, cols)
-        self._eval = _append(self._eval, self.nnz, [a for _, a in coeffs])
-        self.nnz += k
-        self._indptr = _append(self._indptr, i + 1, self.nnz)
-        self._rhs = _append(self._rhs, i, float(rhs))
-        self.senses.append(sense)
-        self.row_names.append(name)
-        self.m = i + 1
-        self._A = None
-        return i
+        self._extend([], [(name, coeffs, sense, rhs)])
+        return self.m - 1
 
     def entry(self, i: int, j: int) -> int:
         """Index of the first entry of row ``i`` in column ``j``."""
-        lo = self._indptr[i]
-        hits = np.flatnonzero(self._ecol[lo:self._indptr[i + 1]] == j)
+        lo = self.indptr[i]
+        hits = np.flatnonzero(self.entry_col[lo:self.indptr[i + 1]] == j)
         if not hits.size:
             raise SolverError(f"constraint {self.row_names[i]} has no entry "
                               f"in column {j}")
@@ -224,14 +212,14 @@ class LinearProgram:
         arrays) and of their matrix cells, stamping the columns whose cells
         change bits.  A program with repeated cells drops A instead, and
         assembles and stamps it afresh when it is next read."""
-        self._eval[entries] = values
+        self.entry_val[entries] = values
         if self._A is None:
             return
         if self._repeated:
             self._A = None
             return
-        rows, cols = self._erow[entries], self._ecol[entries]
-        new = 0.0 + self._eval[entries]
+        rows, cols = self.entry_row[entries], self.entry_col[entries]
+        new = 0.0 + self.entry_val[entries]
         moved = self._A[rows, cols].view(np.uint64) != new.view(np.uint64)
         if moved.any():
             self._edits += 1
@@ -278,12 +266,9 @@ class LinearProgram:
                 self.obj.copy(), self.lb.copy(), self.ub.copy())
 
     def __repr__(self) -> str:
-        """The arguments of the ``add_var`` and ``add_constr`` calls that
-        rebuild the program: columns as (name, lb, ub, obj, binary), rows
-        as (name, [(column, coefficient), ...], sense, rhs)."""
-        cols = [tuple(col) for col in self.variables]
-        rows = [tuple(row) for row in self.constraints]
-        return f"LinearProgram(cols={cols!r}, rows={rows!r})"
+        """The constructor call that rebuilds the program."""
+        return (f"LinearProgram(cols={list(map(tuple, self.variables))!r}, "
+                f"rows={list(map(tuple, self.constraints))!r})")
 
 
 class Basis(NamedTuple):

@@ -8,6 +8,7 @@ in time.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,18 +132,15 @@ _PHI = {"day-ahead": 0.6, "short-term": 0.3, "real-time": 0.2}
 def synthesize_error(seed: int, eps: float, pi: float, peak_load: float,
                      n_blocks: int, kind: str = "day-ahead") -> np.ndarray:
     """Zero-mean error blocks with std eps*pi*peak_load, from an AR(1)
-    unit-variance driver."""
+    unit-variance driver whose normals come from one draw."""
     if eps < 0:
         raise ProfileError("negative error std")
     phi = _PHI[kind]
     rng = np.random.default_rng(seed)
-    e = np.empty(n_blocks)
-    prev = rng.standard_normal()
+    x0, *z = rng.standard_normal(n_blocks + 1).tolist()
     w = np.sqrt(1.0 - phi * phi)
-    for k in range(n_blocks):
-        prev = phi * prev + w * rng.standard_normal()
-        e[k] = prev
-    return e * (eps * pi * peak_load)
+    e = itertools.accumulate(z, lambda x, zk: phi * x + w * zk, initial=x0)
+    return np.array(list(e)[1:]) * (eps * pi * peak_load)
 
 
 def ramp_stats(p: Profile, resolution: str) -> RampStats:

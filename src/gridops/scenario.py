@@ -526,7 +526,11 @@ def _resolve_profiles(scn: Scenario) -> None:
             if mean <= 0:
                 raise ScenarioError(f"{sm.id}: shape has nonpositive mean")
             base = Profile(base.values / mean, start=base.start)
-            sm.profile = scale_ver(base, sm.ver, peak)
+            try:
+                sm.profile = scale_ver(base, sm.ver, peak)
+            except ProfileError as exc:
+                path = os.path.join(scn.base_dir, sm.ver.shape)
+                raise ScenarioError(f"{sm.id}: shape {path}: {exc}") from exc
         else:
             raise ScenarioError(f"{sm.id} has neither profile nor shape")
 

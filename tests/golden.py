@@ -14,9 +14,16 @@ and line that moved, not only that something did.  The runs:
 
 ``report.csv`` is written as ``gridops metrics`` writes it: from the trace
 read back from its CSVs.  The cadence run also digests the duration curves
-and the per-minute plot data that ``metrics`` writes beside it.  When
-outputs change on purpose, rewrite the manifest from the current code with
-``PYTHONPATH=src python tests/golden.py`` and let its diff show which
+and the per-minute plot data that ``metrics`` writes beside it.
+
+The manifest's ``programs`` holds, for the cadence run, the count and one
+sha256 of every program its day hands to the solver, in solve order: each
+program's arrays (``PROGRAM_ARRAYS``, with dtype and shape), names, senses
+and ``repr`` text.  So a change to how programs are built that alters any
+bit of any program fails, even where the outputs happen to agree.
+
+When outputs change on purpose, rewrite the manifest from the current code
+with ``PYTHONPATH=src python tests/golden.py`` and let its diff show which
 outputs moved.
 """
 
@@ -33,6 +40,7 @@ import zlib
 
 import numpy as np
 
+import gridops.dispatch
 from gridops.engine import read_trace, simulate, write_trace
 from gridops.grid import make_regulation
 from gridops.metrics import write_all
@@ -55,6 +63,10 @@ RUNS = {
     "high-solar": ("high-solar", 2, 1440, None, ("trace.csv",)),
     "mini3-cadence": ("cadence", 4, 1440, 7, ALL + METRICS),
 }
+# Runs whose solved programs are digested, and each program's arrays digested.
+PROGRAM_RUNS = ("mini3-cadence",)
+PROGRAM_ARRAYS = ("lb", "ub", "obj", "binary", "rhs", "indptr", "entry_row",
+                  "entry_col", "entry_val", "A")
 
 
 def write_scenario(run: str, directory: str) -> str:
@@ -91,6 +103,39 @@ def write_outputs(run: str, trace, scn, scenario_path: str,
         name = os.path.splitext(os.path.basename(scenario_path))[0]
         write_all(outdir, back, scn, name)
     return outdir
+
+
+def program_digest(run: str, directory: str) -> dict:
+    """The count and sha256 of the programs the run's simulation solves,
+    each digested as the layers hand it to the solver."""
+    h = hashlib.sha256()
+    count = 0
+
+    def digesting(solve):
+        def wrapped(lp, **kwargs):
+            nonlocal count
+            count += 1
+            for name in PROGRAM_ARRAYS:
+                a = np.ascontiguousarray(getattr(lp, name))
+                h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+                h.update(a.tobytes())
+            for names in (lp.col_names, lp.row_names, lp.senses):
+                h.update("\n".join(names).encode() + b"\0")
+            h.update(repr(lp).encode())
+            return solve(lp, **kwargs)
+        return wrapped
+
+    solvers = {name: getattr(gridops.dispatch, name)
+               for name in ("solve_lp", "solve_milp")}
+    scn = load_scenario(write_scenario(run, directory))
+    try:
+        for name, solve in solvers.items():
+            setattr(gridops.dispatch, name, digesting(solve))
+        simulate_run(run, scn)
+    finally:
+        for name, solve in solvers.items():
+            setattr(gridops.dispatch, name, solve)
+    return {"count": count, "sha256": h.hexdigest()}
 
 
 def digest(path: str) -> dict:
@@ -145,7 +190,12 @@ def main() -> int:
                                 os.path.join(directory, "out"))
             runs[run] = {name: digest(os.path.join(out, name))
                          for name in RUNS[run][4]}
-    manifest = {"numpy": np.__version__,
+        programs = {}
+        for run in PROGRAM_RUNS:
+            directory = os.path.join(tmp, f"{run}-programs")
+            os.makedirs(directory)
+            programs[run] = program_digest(run, directory)
+    manifest = {"numpy": np.__version__, "programs": programs,
                 "python": platform.python_version(), "runs": runs}
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)

@@ -328,6 +328,15 @@ def test_c09_golden_outputs(run, request, tmp_path):
     assert moved is None, moved
 
 
+# Every program those runs solve is bitwise the one recorded: arrays,
+# names, senses and repr, so build-path changes cannot move a program
+# unseen.
+@pytest.mark.parametrize("run", golden.PROGRAM_RUNS)
+def test_c09_golden_programs(run, tmp_path):
+    want = golden.load_manifest()["programs"][run]
+    assert golden.program_digest(run, str(tmp_path)) == want
+
+
 # --------------------------------------------------------------------------
 # 10. The evening net-load ramp dominates once solar fades.
 

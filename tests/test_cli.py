@@ -171,6 +171,27 @@ def test_bad_profile_row_exits_2_naming_its_line(mini, tmp_path, name,
     assert capsys.readouterr().err == f"scenario error: {want}\n"
 
 
+def test_constant_shape_with_variability_exits_2_naming_it(mini, tmp_path,
+                                                          capsys):
+    # A flat shape has no variability to scale to A > 0.
+    path = os.path.join(os.path.dirname(mini), "flat.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("minute,value_mw\n" +
+                 "".join(f"{m},1.0\n" for m in range(1440)))
+    with open(mini, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(mini, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("profile = solar_n3.csv",
+                              "shape = flat.csv\nA = 5"))
+    want = (f"sun1: shape {path}: cannot scale the variability of a "
+            "constant shape")
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().err == f"error\tscenario\t{want}\n"
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == f"scenario error: {want}\n"
+
+
 def test_simulate_writes_trace(mini, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["simulate", mini, "--minutes", "30", "--out", out,

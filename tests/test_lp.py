@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -711,3 +713,36 @@ def test_repr_lists_the_calls_that_rebuild_the_program():
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()  # bitwise
     assert (copy.col_names, copy.row_names) == (lp.col_names, lp.row_names)
     assert repr(copy) == text
+
+
+@pytest.mark.parametrize("item,message", [
+    (("var", "b", -1.0, 0.5, 0.0, True),
+     "binary variable b needs bounds within [0,1]"),
+    (("var", "b", 0, 2, 0.0, True),
+     "binary variable b needs bounds within [0,1]"),
+    (("var", "b", 2.0, 1.5, 0.0, True),
+     "binary variable b needs bounds within [0,1]"),
+    (("var", "x", 2, 1.5, 0.0, False), "variable x has empty domain [2,1.5]"),
+    (("var", "x", INF, -INF, 0.0, False),
+     "variable x has empty domain [inf,-inf]"),
+    (("constr", "r", [(0, 1.0)], "==", 0.0),
+     "unknown sense '==' in constraint r"),
+    (("constr", "r", [(0, 1.0), (1, 2.0)], LE, 0.0),
+     "constraint r references variable index 1"),
+    (("constr", "r", [(-1, 1.0)], LE, 0.0),
+     "constraint r references variable index -1"),
+], ids=["binary", "binary-int", "binary-empty", "domain", "domain-inf",
+        "sense", "column", "negative-column"])
+def test_malformed_items_are_named(item, message):
+    # Adding the item to a program of one column, or making the program
+    # with it in one call, raises the same message.
+    kind, *args = item
+    lp = LinearProgram()
+    lp.add_var("y")
+    with pytest.raises(lpmod.SolverError, match=f"^{re.escape(message)}$"):
+        (lp.add_var if kind == "var" else lp.add_constr)(*args)
+    assert (lp.n, lp.m) == (1, 0)            # nothing was added
+    cols = [("y", 0.0, INF, 0.0, False)]
+    block = (cols + [args], []) if kind == "var" else (cols, [args])
+    with pytest.raises(lpmod.SolverError, match=f"^{re.escape(message)}$"):
+        LinearProgram(*block)

@@ -1,6 +1,7 @@
 """Property tests: the simplex against HiGHS on random bounded programs,
-from the crash and from the basis of a related program, and the live
-simplex of a program refilled window after window against the crash."""
+from the crash and from the basis of a related program, the live simplex
+of a program refilled window after window against the crash, and a
+program made in one call against one made item by item."""
 
 from __future__ import annotations
 
@@ -255,3 +256,98 @@ def test_refactor_cadence_keeps_every_solve():
         assert len(checked) == sum(s.status == "optimal" for s in got)
     check()
     assert refactors
+
+
+# The two ways to make a program: one block, or one item at a time.
+BOUNDS = st.one_of(st.sampled_from([-INF, -2.5, -0.0, 0.0, 0.5, 1.0, INF]),
+                   st.integers(-2, 3))
+VALUES = st.floats(allow_nan=False, width=64)
+NAMES = st.text(alphabet="xy[],' \"\\", max_size=4)
+ARRAYS = ("lb", "ub", "obj", "binary", "rhs", "indptr", "entry_row",
+          "entry_col", "entry_val", "A")
+
+
+@st.composite
+def blocks(draw):
+    """Columns and rows as ``LinearProgram(cols, rows)`` takes them: bounds
+    with infinities, signed zeros and ints, binaries within [0, 1], rows
+    with empty, repeated and unordered entries."""
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        binary = draw(st.booleans())
+        lo, hi = sorted(draw(st.lists(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]) if binary else BOUNDS,
+            min_size=2, max_size=2)))
+        cols.append((draw(NAMES), lo, hi, draw(VALUES), binary))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.lists(st.tuples(
+            st.integers(0, len(cols) - 1),
+            st.floats(allow_nan=False, allow_infinity=False)),
+            max_size=4)) if cols else []
+        rows.append((draw(NAMES), coeffs, draw(st.sampled_from([LE, EQ, GE])),
+                     draw(st.one_of(BOUNDS, VALUES))))
+    return cols, rows
+
+
+def _one_at_a_time(cols, rows) -> LinearProgram:
+    lp = LinearProgram()
+    for col in cols:
+        lp.add_var(*col)
+    for row in rows:
+        lp.add_constr(*row)
+    return lp
+
+
+def _same_program(a: LinearProgram, b: LinearProgram) -> None:
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == \
+            (y.dtype, y.shape, y.tobytes()), name            # bitwise
+    assert (a.col_names, a.row_names, a.senses, a.n, a.m, a.nnz) == \
+        (b.col_names, b.row_names, b.senses, b.n, b.m, b.nnz)
+
+
+@given(blocks())
+def test_one_call_builds_what_adding_item_by_item_does(block):
+    lp = _one_at_a_time(*block)
+    _same_program(LinearProgram(*block), lp)
+    _same_program(LinearProgram(lp.variables, lp.constraints), lp)
+    copy = eval(repr(lp), {"inf": INF, "LinearProgram": LinearProgram})
+    _same_program(copy, lp)
+    assert repr(copy) == repr(lp)
+
+
+@given(blocks(), st.data())
+def test_a_malformed_block_raises_what_its_first_bad_item_does(block, data):
+    # Faults go in at random places, several at once, each naming its
+    # item apart, so the block must name the first item that adding one
+    # at a time stops at.  Column faults go in first, so that a column
+    # index out of range stays out of range.
+    cols, rows = block
+    col_faults = data.draw(st.lists(st.sampled_from(["binary", "domain"]),
+                                    max_size=2))
+    row_faults = data.draw(st.lists(st.sampled_from(["sense", "column"]),
+                                    min_size=0 if col_faults else 1,
+                                    max_size=3))
+    for f, fault in enumerate(col_faults):
+        lo, hi = data.draw(st.sampled_from(
+            [(-1.0, 0.5), (0.0, 2.0), (0, INF)] if fault == "binary"
+            else [(2.0, 1.0), (INF, -INF), (1, 0.5)]))
+        cols.insert(data.draw(st.integers(0, len(cols))),
+                    (f"bad{f}", lo, hi, 0.0, fault == "binary"))
+    for f, fault in enumerate(row_faults):
+        i = data.draw(st.integers(0, len(rows)))
+        _, coeffs, sense, rhs = rows[i] if i < len(rows) else \
+            (None, [], GE, 0.0)
+        if fault == "sense":
+            sense = data.draw(st.sampled_from(["<", "==", "=>", ""]))
+        else:
+            j = data.draw(st.sampled_from([-1, len(cols), len(cols) + 3]))
+            coeffs = coeffs + [(j, 1.0)]
+        rows[i:i + 1] = [(f"bad row {f}", coeffs, sense, rhs)]
+    with pytest.raises(lpmod.SolverError) as item:
+        _one_at_a_time(cols, rows)
+    with pytest.raises(lpmod.SolverError) as one_call:
+        LinearProgram(cols, rows)
+    assert str(one_call.value) == str(item.value)

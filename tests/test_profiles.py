@@ -136,6 +136,30 @@ def test_synthesize_error_kinds_differ():
     assert not np.array_equal(a, b)
 
 
+def _error_drawn_one_at_a_time(seed, eps, pi, peak_load, n_blocks, kind):
+    """The AR(1) errors with each normal drawn by its own call."""
+    phi = {"day-ahead": 0.6, "short-term": 0.3, "real-time": 0.2}[kind]
+    rng = np.random.default_rng(seed)
+    e = np.empty(n_blocks)
+    prev = rng.standard_normal()
+    w = np.sqrt(1.0 - phi * phi)
+    for k in range(n_blocks):
+        prev = phi * prev + w * rng.standard_normal()
+        e[k] = prev
+    return e * (eps * pi * peak_load)
+
+
+@pytest.mark.parametrize("kind", ["day-ahead", "short-term", "real-time"])
+@pytest.mark.parametrize("n_blocks", [0, 1, 24])
+def test_synthesize_error_draws_the_stream_of_one_draw_per_block(kind,
+                                                                 n_blocks):
+    for seed in (0, 7, 12345, 2**40 + 3):
+        got = synthesize_error(seed, 0.05, 0.3, 8000.0, n_blocks, kind)
+        want = _error_drawn_one_at_a_time(seed, 0.05, 0.3, 8000.0,
+                                          n_blocks, kind)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_make_forecast_zero_error():
     p = Profile(np.linspace(10, 70, 120))
     f = forecast(p, 0, 60, 2, np.zeros(2))
