@@ -80,10 +80,15 @@ def cmd_simulate(args) -> int:
     if minutes <= 0:
         print("nothing to simulate: span is zero", file=sys.stderr)
         return EXIT_USAGE
+    runs: dict[str, str] = {}       # output directory -> scenario
     for path in args.scenario:
-        name = os.path.splitext(os.path.basename(path))[0]
-        out = args.out if len(args.scenario) == 1 \
-            else os.path.join(args.out, name)
+        out = args.out if len(args.scenario) == 1 else os.path.join(
+            args.out, os.path.splitext(os.path.basename(path))[0])
+        if out in runs:
+            print(f"{runs[out]} and {path} both write {out}", file=sys.stderr)
+            return EXIT_USAGE
+        runs[out] = path
+    for out, path in runs.items():
         _simulate_one(path, minutes, args.seed, out)
     return EXIT_OK
 

@@ -198,15 +198,6 @@ class LinearProgram:
         self._extend([], [(name, coeffs, sense, rhs)])
         return self.m - 1
 
-    def entry(self, i: int, j: int) -> int:
-        """Index of the first entry of row ``i`` in column ``j``."""
-        lo = self.indptr[i]
-        hits = np.flatnonzero(self.entry_col[lo:self.indptr[i + 1]] == j)
-        if not hits.size:
-            raise SolverError(f"constraint {self.row_names[i]} has no entry "
-                              f"in column {j}")
-        return int(lo + hits[0])
-
     def set_coeffs(self, entries: np.ndarray, values: np.ndarray) -> None:
         """Write the values of existing entries (indices into the entry
         arrays) and of their matrix cells, stamping the columns whose cells

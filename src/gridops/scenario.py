@@ -8,6 +8,7 @@ report rather than raising so callers can show all problems at once.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -34,27 +35,39 @@ class ScenarioError(Exception):
     """Parse or reference failure; message carries file and line context."""
 
 
-def _key(key: str, default=MISSING, *, factory=MISSING, section: str = ""):
+def _interval(text: str):
+    """The membership test of interval text such as ``"(0,1]"``, parsed
+    once.  NaN lies in no interval."""
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    left = operator.lt if text[0] == "(" else operator.le
+    right = operator.lt if text[-1] == ")" else operator.le
+    return lambda x: left(lo, x) and right(x, hi)
+
+
+def _key(key: str, default=MISSING, *, factory=MISSING, section: str = "",
+         domain: str = "(-inf,inf)"):
     """A field that scenario key ``key`` sets, with the one default an
     absent key gives.  ``section`` names the section for the [network] and
     [seeds] keys, which set fields of the whole Scenario; every other key
-    sits in the section of its own dataclass."""
+    sits in the section of its own dataclass.  A numeric value lies in the
+    interval ``domain``; the default admits every finite number."""
     return field(default=default, default_factory=factory,
-                 metadata={"key": key, "section": section})
+                 metadata={"key": key, "section": section, "domain": domain,
+                           "inside": _interval(domain)})
 
 
 @dataclass
 class Branch:
     from_bubble: str
     to_bubble: str
-    weight: float = _key("weight", 1.0)
+    weight: float = _key("weight", 1.0, domain="(0,inf)")
 
 
 @dataclass
 class Interface:
     name: str
     members: list[tuple[str, str, float]]   # (from, to, sign)
-    limit: float = _key("limit", 0.0)
+    limit: float = _key("limit", 0.0, domain="(0,inf)")
 
 
 @dataclass
@@ -92,19 +105,19 @@ class Generator:
     kind: str = _key("kind", "dispatchable")
     p_min: float = _key("P^min", 0.0)
     p_max: float = _key("P^max", 0.0)
-    r_min: float = _key("R^min", -1e9)          # MW/min, <= 0
-    r_max: float = _key("R^max", 1e9)           # MW/min, >= 0
+    r_min: float = _key("R^min", -1e9, domain="(-inf,0]")     # MW/min
+    r_max: float = _key("R^max", 1e9, domain="[0,inf)")       # MW/min
     h_f: float = _key("H_F", 0.0)               # MBtu/h while online
     h_l: float = _key("H_L", 0.0)               # MBtu/MWh
     h_q: float = _key("H_Q", 0.0)               # MBtu/MW^2 h
     h_u: float = _key("H_U", 0.0)               # MBtu per start
     h_d: float = _key("H_D", 0.0)               # MBtu per stop
     c_f: np.ndarray = _key("C_F", factory=lambda: np.ones(24))  # $/MBtu by hour
-    t_u: int = _key("T_u", 1)                   # min up, hours
-    t_d: int = _key("T_d", 1)                   # min down, hours
+    t_u: int = _key("T_u", 1, domain="[1,inf)")     # min up, hours
+    t_d: int = _key("T_d", 1, domain="[1,inf)")     # min down, hours
     u_max: int = _key("u^max", 24)              # starts per day
     # MW under automatic control
-    reg_capacity: float = _key("regulation-capacity", 0.0)
+    reg_capacity: float = _key("regulation-capacity", 0.0, domain="[0,inf)")
     online: bool = _key("online", False)
     initial_output: float = _key("initial-output", 0.0)
     # signed history: +h online, -h offline
@@ -128,7 +141,7 @@ class Storage:
     s_max: float = _key("S^max", 0.0)           # pumping MW
     e_min: float = _key("E^min", 0.0)
     e_max: float = _key("E^max", 0.0)           # MWh
-    eta: float = _key("eta", 1.0)
+    eta: float = _key("eta", 1.0, domain="(0,1]")
     initial_energy: float = _key("initial-energy", 0.0)
     mode_gen0: bool = _key("mode-generating", False)
     mode_pump0: bool = _key("mode-pumping", False)
@@ -136,8 +149,8 @@ class Storage:
 
 @dataclass
 class VerSpec:
-    pi: float = _key("pi", 0.0)                 # fraction of peak load
-    gamma_cf: float = _key("gamma_cf", 0.3)
+    pi: float = _key("pi", 0.0, domain="[0,inf)")   # fraction of peak load
+    gamma_cf: float = _key("gamma_cf", 0.3, domain="(0,1]")
     A: float = _key("A", 0.0)   # target variability, 1/h; 0 keeps base timing
     shape: str = _key("shape", "")              # unit-mean base shape CSV
     seed: int = _key("noise-seed", 0)
@@ -148,13 +161,13 @@ class SemiDispatchable:
     id: str
     bubble: str = _key("bubble", "")
     kind: str = _key("kind", "wind")
-    d: float = _key("d", 1.0)                   # curtailable fraction
+    d: float = _key("d", 1.0, domain="[0,1]")   # curtailable fraction
     price: float = _key("C", -5.0)              # threshold price, $/MWh
     profile_path: str = _key("profile", "")  # fixed profile alternative to ver
     ver: VerSpec | None = None
-    eps_da: float | None = _key("eps_da", None)
-    eps_st: float | None = _key("eps_st", None)
-    eps_rt: float | None = _key("eps_rt", None)
+    eps_da: float | None = _key("eps_da", None, domain="[0,inf)")
+    eps_st: float | None = _key("eps_st", None, domain="[0,inf)")
+    eps_rt: float | None = _key("eps_rt", None, domain="[0,inf)")
     profile: Profile | None = None
 
     @property
@@ -181,11 +194,11 @@ class DemandResponse:
 class LoadSpec:
     bubble: str
     profile_path: str = _key("profile", "")
-    d: float = _key("d", 0.0)                   # sheddable fraction
+    d: float = _key("d", 0.0, domain="[0,1]")   # sheddable fraction
     price: float = _key("C", 0.0)               # shedding threshold price
-    eps_da: float | None = _key("eps_da", None)
-    eps_st: float | None = _key("eps_st", None)
-    eps_rt: float | None = _key("eps_rt", None)
+    eps_da: float | None = _key("eps_da", None, domain="[0,inf)")
+    eps_st: float | None = _key("eps_st", None, domain="[0,inf)")
+    eps_rt: float | None = _key("eps_rt", None, domain="[0,inf)")
     profile: Profile | None = None
 
     def eps(self, which: int) -> float:
@@ -197,9 +210,9 @@ class LoadSpec:
 class ReserveParams:
     alpha_tmsr: dict[str, float] = field(default_factory=dict)   # per bubble
     alpha_tmor: dict[str, float] = field(default_factory=dict)
-    alpha_sys_tmsr: float = _key("alpha_sys_TMSR", 0.0)
-    alpha_sys_tmr: float = _key("alpha_sys_TMR", 1.0)
-    alpha_sys_tmor: float = _key("alpha_sys_TMOR", 0.0)
+    alpha_sys_tmsr: float = _key("alpha_sys_TMSR", 0.0, domain="[0,inf)")
+    alpha_sys_tmr: float = _key("alpha_sys_TMR", 1.0, domain="[0,inf)")
+    alpha_sys_tmor: float = _key("alpha_sys_TMOR", 0.0, domain="[0,inf)")
     t_10: float = _key("T_10", 10.0)
     t_30: float = _key("T_30", 30.0)
     p_reg_req: float = _key("P_REG^REQ", 0.0)
@@ -208,19 +221,19 @@ class ReserveParams:
 
 @dataclass
 class Timing:
-    scuc_horizon_h: int = _key("scuc-horizon", 24)
-    rtuc_step_min: int = _key("rtuc-step", 15)
-    rtuc_horizon_min: int = _key("rtuc-horizon", 240)
-    rtuc_period_min: int = _key("rtuc-period", 60)
-    sced_step_min: int = _key("sced-step", 10)
+    scuc_horizon_h: int = _key("scuc-horizon", 24, domain="(0,inf)")
+    rtuc_step_min: int = _key("rtuc-step", 15, domain="(0,inf)")
+    rtuc_horizon_min: int = _key("rtuc-horizon", 240, domain="(0,inf)")
+    rtuc_period_min: int = _key("rtuc-period", 60, domain="(0,inf)")
+    sced_step_min: int = _key("sced-step", 10, domain="(0,inf)")
     reg_step_min: int = _key("regulation-step", 1)
 
 
 @dataclass
 class Outage:
     resource: str = _key("resource", "")
-    start: int = _key("start", 0)               # minute
-    duration: int = _key("duration", 0)         # minutes
+    start: int = _key("start", 0, domain="[0,inf)")         # minute
+    duration: int = _key("duration", 0, domain="[0,inf)")   # minutes
 
 
 @dataclass
@@ -242,15 +255,13 @@ class Scenario:
 
     @property
     def peak_load(self) -> float:
-        peak = 0.0
         n = min((len(ld.profile) for ld in self.loads if ld.profile), default=0)
         if n == 0:
             return 0.0
         total = np.zeros(n)
         for ld in self.loads:
             total += ld.profile.values[:n]
-        peak = float(total.max())
-        return peak
+        return float(total.max())
 
     def penalty_price(self) -> float:
         if self.supergen_price is not None:
@@ -336,6 +347,8 @@ _TYPES = {
                        [_num(x, path, ln) for x in val.split(",")]),
                    lambda arr: ",".join(_fmt(x) for x in arr)),
 }
+# The annotations of keyed fields that hold numbers, each in its domain.
+_NUMBERS = ("float", "float | None", "int", "np.ndarray")
 
 # Sections that each build one dataclass: the class, how many of its
 # leading fields the header names, what the header must name (unchecked
@@ -354,8 +367,10 @@ _SECTIONS = {
     "outage": (Outage, 0, "", lambda scn: scn.outages),
 }
 
-# [bubble] keys: the bubble's entry in each per-bubble ReserveParams dict.
+# [bubble] keys, each a bubble's entry in a ReserveParams dict, one domain.
 _ALPHAS = (("alpha_TMSR", "alpha_tmsr"), ("alpha_TMOR", "alpha_tmor"))
+_ALPHA_DOMAIN = "[0,inf)"
+_ALPHA_INSIDE = _interval(_ALPHA_DOMAIN)
 # [interface] member lines: <from> <to> [sign], any number of them.
 _MEMBER = "branch"
 
@@ -472,25 +487,18 @@ def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
 def _check_references(scn: Scenario, path: str) -> None:
     net = scn.network
     known = set(net.bubbles)
-    for br in net.branches:
-        for b in (br.from_bubble, br.to_bubble):
-            if b not in known and b != net.swing:
-                raise ScenarioError(f"{path}: branch references undefined bubble {b!r}")
-    for itf in net.interfaces:
-        for frm, to, _ in itf.members:
-            for b in (frm, to):
-                if b not in known and b != net.swing:
-                    raise ScenarioError(
-                        f"{path}: interface {itf.name} references undefined bubble {b!r}")
-    for group in (scn.generators, scn.storages, scn.semis, scn.drs):
-        for r in group:
-            if r.bubble not in known:
-                raise ScenarioError(
-                    f"{path}: {r.id} references undefined bubble {r.bubble!r}")
-    for ld in scn.loads:
-        if ld.bubble not in known:
+    # (who, bubble, whether that bubble may be the swing)
+    refs = [("branch", b, True) for br in net.branches
+            for b in (br.from_bubble, br.to_bubble)]
+    refs += [(f"interface {itf.name}", b, True) for itf in net.interfaces
+             for frm, to, _ in itf.members for b in (frm, to)]
+    refs += [(r.id, r.bubble, False) for group in (
+        scn.generators, scn.storages, scn.semis, scn.drs) for r in group]
+    refs += [("load", ld.bubble, False) for ld in scn.loads]
+    for who, b, swing_ok in refs:
+        if b not in known and not (swing_ok and b == net.swing):
             raise ScenarioError(
-                f"{path}: load references undefined bubble {ld.bubble!r}")
+                f"{path}: {who} references undefined bubble {b!r}")
     for b in net.swing_attach:
         if b not in known:
             raise ScenarioError(
@@ -546,6 +554,19 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
     def err(entity: str, msg: str):
         out.append(("error", entity, msg))
 
+    def check(entity: str, obj) -> bool:
+        """A row for each keyed number of ``obj`` outside its domain."""
+        rows = len(out)
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if f.type in _NUMBERS and val is not None and not all(map(
+                    f.metadata["inside"],
+                    val.tolist() if f.type == "np.ndarray" else (val,))):
+                err(entity, f"{f.metadata['key']} {_TYPES[f.type][1](val)} "
+                            f"outside {f.metadata['domain']}")
+        return len(out) == rows
+
+    check("network", scn)
     if not net.bubbles:
         err("network", "no bubbles defined")
     if not net.swing:
@@ -554,82 +575,73 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
             net.swing in (br.from_bubble, br.to_bubble) for br in net.branches):
         err("network", f"swing {net.swing!r} has no swing-attach and no "
                        "branch ends at it")
+    for key, attr in _ALPHAS:
+        for b, val in getattr(scn.reserves, attr).items():
+            if not _ALPHA_INSIDE(val):
+                err(b, f"{key} {_fmt(val)} outside {_ALPHA_DOMAIN}")
+    for br in net.branches:
+        check(f"{br.from_bubble}-{br.to_bubble}", br)
     for itf in net.interfaces:
-        if itf.limit <= 0:
-            err(itf.name, f"interface limit {itf.limit} is not positive")
-        for frm, to, _ in itf.members:
+        check(itf.name, itf)
+        for frm, to, sign in itf.members:
             try:
                 net.branch_index(frm, to)
             except ScenarioError:
                 err(itf.name, f"member {frm} {to} names no branch")
+            if not -np.inf < sign < np.inf:
+                err(itf.name, f"{_MEMBER} {frm} {to} {_fmt(sign)} outside "
+                              "(-inf,inf)")
     if net.bubbles and _disconnected(net):
         err("network", "network graph is not connected")
 
     for g in scn.generators:
+        check(g.id, g)
         if g.kind not in GEN_KINDS:
             err(g.id, f"unknown generator kind {g.kind!r}")
         if g.p_min > g.p_max:
             err(g.id, f"P^min {g.p_min} exceeds P^max {g.p_max}")
-        if g.t_u < 1 or g.t_d < 1:
-            err(g.id, "minimum up/down times must be at least 1 hour")
         if g.reg_capacity > g.p_max - g.p_min + 1e-9:
             err(g.id, "regulation capacity exceeds dispatch range")
-        if g.reg_capacity < 0:
-            err(g.id, f"regulation capacity {g.reg_capacity} is negative")
-        if not (g.r_min <= 0.0 <= g.r_max):
-            err(g.id, "ramp rates must satisfy R^min <= 0 <= R^max")
         if g.kind == "must-run" and not g.online:
             err(g.id, "must-run unit not initially online")
 
     for st in scn.storages:
+        check(st.id, st)
         if not st.e_min <= st.initial_energy <= st.e_max:
             err(st.id, f"initial energy {st.initial_energy} outside "
                        f"[{st.e_min},{st.e_max}]")
         if st.mode_gen0 and st.mode_pump0:
             err(st.id, "initial mode flags both set")
-        if not 0.0 < st.eta <= 1.0:
-            err(st.id, f"efficiency {st.eta} outside (0,1]")
         if st.p_min > st.p_max:
             err(st.id, f"P^min {st.p_min} exceeds P^max {st.p_max}")
         if st.s_min > st.s_max:
             err(st.id, f"S^min {st.s_min} exceeds S^max {st.s_max}")
 
     for dr in scn.drs:
+        check(dr.id, dr)
         if dr.p_min > dr.p_max:
             err(dr.id, f"P^min {dr.p_min} exceeds P^max {dr.p_max}")
 
     for sm in scn.semis:
+        check(sm.id, sm)
+        if sm.ver is not None:
+            check(sm.id, sm.ver)
         if sm.kind not in SEMI_KINDS:
             err(sm.id, f"unknown resource kind {sm.kind!r}")
-        if not 0.0 <= sm.d <= 1.0:
-            err(sm.id, f"curtailable fraction {sm.d} outside [0,1]")
         if sm.profile is not None and float(sm.profile.values.min()) < 0:
             err(sm.id, "profile has negative values")
-        if sm.ver is not None:
-            if sm.ver.pi < 0:
-                err(sm.id, "penetration must be nonnegative")
-            if not 0.0 < sm.ver.gamma_cf <= 1.0:
-                err(sm.id, f"capacity factor {sm.ver.gamma_cf} outside (0,1]")
 
     # Forecasts and the balance rows take one load per bubble.
     seen_loads: set[str] = set()
     for ld in scn.loads:
-        if not 0.0 <= ld.d <= 1.0:
-            err(ld.bubble, f"load curtailable fraction {ld.d} outside [0,1]")
+        check(ld.bubble, ld)
         if ld.bubble in seen_loads:
             err(ld.bubble, "second [load] section for this bubble")
         seen_loads.add(ld.bubble)
 
     t = scn.timing
-    # Every step, period and horizon is a positive length; the regulation
-    # step has its own check below.
-    nonpositive = [(f.metadata["key"], getattr(t, f.name))
-                   for f in _keyed(Timing)
-                   if f.name != "reg_step_min" and getattr(t, f.name) <= 0]
-    for key, val in nonpositive:
-        err("timing", f"{key} {val} is not positive")
-    # Cadence chain: SCED runs divide RTUC runs divide the SCUC day.
-    if not nonpositive:
+    # With positive lengths, SCED runs divide RTUC runs divide the SCUC day.
+    if check("timing", t):
         if t.rtuc_period_min % t.sced_step_min:
             err("timing", "SCED step does not divide the RTUC period")
         if (t.scuc_horizon_h * 60) % t.rtuc_period_min:
@@ -639,23 +651,17 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
     if t.reg_step_min != 1:
         err("timing", f"regulation step {t.reg_step_min} is not 1: regulation "
                       "runs every minute")
-    for name, val in (("alpha_sys_TMSR", scn.reserves.alpha_sys_tmsr),
-                      ("alpha_sys_TMR", scn.reserves.alpha_sys_tmr),
-                      ("alpha_sys_TMOR", scn.reserves.alpha_sys_tmor)):
-        if val < 0:
-            err("reserves", f"{name} is negative")
+    check("reserves", scn.reserves)
 
     # Only generators and semi resources are masked by outages.
     targets = {r.id for r in scn.generators + scn.semis}
     for ev in scn.outages:
+        check(ev.resource, ev)
         if scn.resource(ev.resource) is None:
             err(ev.resource, "outage references unknown resource")
         elif ev.resource not in targets:
             err(ev.resource, "outage applies only to generators and "
                              "semi-dispatchable resources")
-        if ev.start < 0 or ev.duration < 0:
-            err(ev.resource, f"outage start {ev.start} or duration "
-                             f"{ev.duration} is negative")
     return out
 
 
@@ -665,8 +671,6 @@ def render_report(report: list[tuple[str, str, str]]) -> str:
 
 def _disconnected(net: ZonalNetwork) -> bool:
     nodes = set(net.bubbles)
-    if not nodes:
-        return False
     adj: dict[str, set[str]] = {b: set() for b in nodes}
     for br in net.branches:
         if br.from_bubble in adj and br.to_bubble in adj:

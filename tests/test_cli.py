@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -12,7 +13,10 @@ import gridops.dispatch as dispatch
 from gridops.cli import main
 from gridops.engine import read_trace, write_trace
 from gridops.lp import Solution
-from gridops.scenario import load_scenario
+from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
+                              LoadSpec, Outage, ReserveParams, Scenario,
+                              SemiDispatchable, Storage, Timing, VerSpec,
+                              ZonalNetwork, load_scenario)
 
 
 @pytest.fixture
@@ -44,16 +48,19 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert out.out.count("\t") >= 2
 
 
-@pytest.mark.parametrize("resource,section", [
-    ("pond", "[storage pond]\nbubble = n1\nE^max = 100\n\n"
-             "[outage 1]\nresource = pond\nstart = 10\nduration = 30\n"),
-    ("gas2", "[outage 1]\nresource = gas2\nstart = 10\nduration = -5\n"),
+@pytest.mark.parametrize("section,row", [
+    ("[storage pond]\nbubble = n1\nE^max = 100\n\n"
+     "[outage 1]\nresource = pond\nstart = 10\nduration = 30\n",
+     "pond\toutage applies only to generators and semi-dispatchable "
+     "resources"),
+    ("[outage 1]\nresource = gas2\nstart = 10\nduration = -5\n",
+     "gas2\tduration -5 outside [0,inf)"),
 ], ids=["storage", "negative-duration"])
-def test_validate_rejects_bad_outage(mini, resource, section, capsys):
+def test_validate_rejects_bad_outage(mini, section, row, capsys):
     with open(mini, "a", encoding="utf-8") as fh:
         fh.write("\n" + section)
     assert main(["validate", mini]) == 2
-    assert capsys.readouterr().out.startswith(f"error\t{resource}\toutage ")
+    assert capsys.readouterr().out == f"error\t{row}\n"
 
 
 def test_validate_rejects_duplicate_load(mini, capsys):
@@ -77,15 +84,16 @@ def test_validate_rejects_duplicate_load(mini, capsys):
      "network\tnetwork graph is not connected"),
     ("regulation-step = 1", "regulation-step = 5",
      "timing\tregulation step 5 is not 1: regulation runs every minute"),
-    ("sced-step = 10", "sced-step = 0", "timing\tsced-step 0 is not positive"),
-    ("rtuc-step = 15", "rtuc-step = 0", "timing\trtuc-step 0 is not positive"),
+    ("sced-step = 10", "sced-step = 0", "timing\tsced-step 0 outside (0,inf)"),
+    ("rtuc-step = 15", "rtuc-step = 0", "timing\trtuc-step 0 outside (0,inf)"),
     ("rtuc-period = 60", "rtuc-period = 0",
-     "timing\trtuc-period 0 is not positive"),
+     "timing\trtuc-period 0 outside (0,inf)"),
     ("scuc-horizon = 24", "scuc-horizon = 0",
-     "timing\tscuc-horizon 0 is not positive"),
+     "timing\tscuc-horizon 0 outside (0,inf)"),
     ("rtuc-horizon = 240", "rtuc-horizon = 0",
-     "timing\trtuc-horizon 0 is not positive"),
-    ("sced-step = 10", "sced-step = -5", "timing\tsced-step -5 is not positive"),
+     "timing\trtuc-horizon 0 outside (0,inf)"),
+    ("sced-step = 10", "sced-step = -5",
+     "timing\tsced-step -5 outside (0,inf)"),
     ("branch = n3 n2 1", "branch = n3 n1 1",
      "remote\tmember n3 n1 names no branch"),
     ("[load n1]", "[dr d1]\nbubble = n1\nP^min = 5\nP^max = 2\n\n[load n1]",
@@ -97,7 +105,7 @@ def test_validate_rejects_duplicate_load(mini, capsys):
      "[storage pond]\nbubble = n1\nE^max = 100\nP^min = 5\nP^max = 2\n\n"
      "[load n1]", "pond\tP^min 5.0 exceeds P^max 2.0"),
     ("regulation-capacity = 50", "regulation-capacity = -5",
-     "gas1\tregulation capacity -5.0 is negative"),
+     "gas1\tregulation-capacity -5 outside [0,inf)"),
 ], ids=["unattached-swing", "disconnected", "regulation-step", "sced-step-0",
         "rtuc-step-0", "rtuc-period-0", "scuc-horizon-0", "rtuc-horizon-0",
         "sced-step-negative", "interface-member", "dr-bounds",
@@ -131,6 +139,95 @@ def test_validate_names_the_line_of_a_malformed_value(mini, old, new,
     assert main(["validate", mini]) == 2
     err = capsys.readouterr().err
     assert err == f"error\tscenario\t{mini}:{ln}: {message}\n"
+
+
+def _key_types() -> dict[str, str]:
+    """Each scenario key's field annotation; a key shared by several
+    sections has the same annotation in each."""
+    return {f.metadata["key"]: f.type
+            for cls in (Scenario, ZonalNetwork, Branch, Interface, Generator,
+                        Storage, VerSpec, SemiDispatchable, DemandResponse,
+                        LoadSpec, ReserveParams, Timing, Outage)
+            for f in dataclasses.fields(cls) if "key" in f.metadata}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_numeric_key_rejects_a_non_finite_value(mini, tmp_path, value,
+                                                      capsys):
+    """Each numeric key line of the fixture in turn set to ``value``: a
+    real-valued key gets a validate row naming its entity and key, and no
+    row names another entity; an integer key is refused by the parser at
+    its line.  Either way simulate exits 2."""
+    with open(mini, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    types = _key_types()
+    out = str(tmp_path / "run")
+    wrong, entity, tried = [], "", 0
+    for ln, line in enumerate(lines, start=1):
+        if line.startswith("["):
+            kind, *args = line[1:-1].split()
+            entity = "-".join(args) or kind
+        key = line.split(" = ")[0]
+        if types.get(key) not in ("float", "float | None", "int",
+                                  "np.ndarray"):
+            continue
+        tried += 1
+        with open(mini, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines[:ln - 1] + [f"{key} = {value}"] +
+                               lines[ln:]) + "\n")
+        code = main(["validate", mini])
+        got = capsys.readouterr()
+        if types[key] == "int":
+            ok = got.err == (f"error\tscenario\t{mini}:{ln}: not an "
+                             f"integer: {value!r}\n")
+        else:
+            rows = got.out.splitlines()
+            want = f"error\t{entity}\t{key} {value} outside "
+            ok = (any(r.startswith(want) for r in rows) and
+                  all(r.split("\t")[1] == entity for r in rows))
+        if code != 2 or not ok:
+            wrong.append((ln, line, code, got.out, got.err))
+        if main(["simulate", mini, "--minutes", "60", "--out", out]) != 2:
+            wrong.append((ln, line, "simulate"))
+        capsys.readouterr()
+    assert tried > 50 and wrong == []
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("old, new, row", [
+    ("H_L = 8", "H_L = nan", "gas1\tH_L nan outside (-inf,inf)"),
+    ("P^max = 80", "P^max = nan", "fast1\tP^max nan outside (-inf,inf)"),
+    ("gamma_loss = 0", "gamma_loss = nan",
+     "network\tgamma_loss nan outside (-inf,inf)"),
+    ("limit = 200", "limit = inf", "remote\tlimit inf outside (0,inf)"),
+    ("[branch n1 n2]\nweight = 1", "[branch n1 n2]\nweight = 0",
+     "n1-n2\tweight 0 outside (0,inf)"),
+    ("load_n1.csv\neps_da = 0", "load_n1.csv\neps_da = -0.1",
+     "n1\teps_da -0.1 outside [0,inf)"),
+    ("regulation-capacity = 50", "regulation-capacity = nan",
+     "gas1\tregulation-capacity nan outside [0,inf)"),
+    ("C_F = 2", "C_F = 2,nan", "base1\tC_F 2,nan outside (-inf,inf)"),
+    ("branch = n3 n2 1", "branch = n3 n2 nan",
+     "remote\tbranch n3 n2 nan outside (-inf,inf)"),
+    ("[bubble n2]", "[bubble n2]\nalpha_TMSR = nan",
+     "n2\talpha_TMSR nan outside [0,inf)"),
+    ("[bubble n2]", "[bubble n2]\nalpha_TMOR = -2",
+     "n2\talpha_TMOR -2 outside [0,inf)"),
+], ids=["H_L-nan", "P^max-nan", "gamma_loss-nan", "limit-inf", "weight-0",
+        "eps_da-negative", "regulation-capacity-nan", "C_F-element-nan",
+        "member-sign-nan", "alpha_TMSR-nan", "alpha_TMOR-negative"])
+def test_value_outside_its_domain_exits_2(mini, tmp_path, old, new, row,
+                                          capsys):
+    with open(mini, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    with open(mini, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().out == f"error\t{row}\n"
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "60", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error\t{row}\n"
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -202,6 +299,18 @@ def test_simulate_writes_trace(mini, tmp_path, capsys):
     assert man["seed"] == 5
     captured = capsys.readouterr()
     assert captured.out == ""
+
+
+def test_simulate_refuses_two_scenarios_with_one_output(mini, tmp_path,
+                                                      capsys):
+    other = str(tmp_path / "other" / "mini3.scn")
+    assert main(["gen-mini", other, "--days", "1"]) == 0
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, other, "--minutes", "10",
+                 "--out", out]) == 1
+    want = f"{mini} and {other} both write {os.path.join(out, 'mini3')}\n"
+    assert capsys.readouterr().err.endswith(want)
+    assert not os.path.exists(out)
 
 
 def test_seed_env_fallback(mini, tmp_path, monkeypatch):

@@ -17,6 +17,12 @@ def with_slacks(A):
     return np.hstack((A, np.eye(len(A))))
 
 
+def entry(lp, i, j):
+    """Index of the first entry of row ``i`` in column ``j``."""
+    lo, hi = lp.indptr[i], lp.indptr[i + 1]
+    return int(lo + np.flatnonzero(lp.entry_col[lo:hi] == j)[0])
+
+
 def small_lp():
     lp = LinearProgram()
     x = lp.add_var("x", 0, 10, obj=-3.0)
@@ -542,7 +548,7 @@ def test_carried_inverse_is_refused_after_a_basic_column_changes(
     assert sorted(opt.basis.cols.tolist()) == [0, 1, 3]   # x, y, slack c2
     calls = _count_inversions(monkeypatch)
     # Writing a value bitwise equal to the old one keeps the inverse.
-    k = lp.entry(2, 1)                                    # y in c3
+    k = entry(lp, 2, 1)                                   # y in c3
     lp.set_coeffs(np.array([k]), np.array([-1.0]))
     Binv = sx.Binv
     solve_lp(lp, basis=sx)
@@ -572,7 +578,7 @@ def test_write_to_a_nonbasic_column_keeps_the_inverse(monkeypatch):
     sx = opt.simplex
     assert opt.basis.cols.tolist() == [1] and opt.x.tolist() == [4.0, 3.0]
     calls = _count_inversions(monkeypatch)
-    lp.set_coeffs(np.array([lp.entry(0, 0)]), np.array([1.5]))
+    lp.set_coeffs(np.array([entry(lp, 0, 0)]), np.array([1.5]))
     Binv = sx.Binv
     sol = solve_lp(lp, basis=sx)
     assert calls == {"factor": 0, "inv": 0} and sx.Binv is Binv
@@ -593,14 +599,14 @@ def test_repeated_cells_reread_A_and_refactor(monkeypatch):
     assert lp.A[0, 1] == 1.0 and opt.x.tolist() == [0.0, 8.0]
     old = lp.A
     calls = _count_inversions(monkeypatch)
-    lp.set_coeffs(np.array([lp.entry(1, x)]), np.array([2.0]))
+    lp.set_coeffs(np.array([entry(lp, 1, x)]), np.array([2.0]))
     sol = solve_lp(lp, basis=sx)
     assert lp.A is not old and sx.An is lp.A
     assert calls["factor"] == 1
     assert sol.x.tolist() == [0.0, 8.0]
     # Such a program cannot tell which bits a write changed: the same
     # write again drops A and inverts afresh once more.
-    lp.set_coeffs(np.array([lp.entry(1, x)]), np.array([2.0]))
+    lp.set_coeffs(np.array([entry(lp, 1, x)]), np.array([2.0]))
     sol = solve_lp(lp, basis=sx)
     assert calls["factor"] == 2 and sx.An is lp.A
     assert sol.x.tolist() == [0.0, 8.0]

@@ -95,7 +95,7 @@ def test_validation_flags_bad_storage_energy(mini):
 @pytest.mark.parametrize("resource,start,duration,message", [
     ("pond", 10, 30, "only to generators"),
     ("flex", 10, 30, "only to generators"),
-    ("gas2", 10, -5, "duration -5 is negative"),
+    ("gas2", 10, -5, "duration -5 outside [0,inf)"),
     ("sun1", -1, 30, "start -1"),
 ], ids=["storage", "dr", "negative-duration", "negative-start"])
 def test_validation_flags_bad_outage(mini, resource, start, duration,
