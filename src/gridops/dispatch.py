@@ -23,9 +23,14 @@ The structure also records the program's plan (``_plan``): every value
 that only the scenario and the program's shape fix, laid out as a window
 reads it.  Fuel prices by clock hour come already multiplied into each
 cost column's unit constant, unit bounds and ramp rates are arrays, each
-bubble's balance terms are listed in the order they are summed, and each
-Schedule field has its block of the solution.  So a window's fill is a
-short fixed run of array writes, and extraction one gather.
+bubble's balance terms are listed in the order they are summed, the cells
+a window writes are located, and each Schedule field has its block of the
+solution.  What forecasts, outages and clock hours drive (costs,
+available energy, contingency and balance right-hand sides, curtailment
+and shedding coefficients) is computed from the plan for all of a layer's
+windows at once (:class:`LayerInputs`).  So a window's fill is a short
+fixed run of array writes, most of them one row of those values and the
+rest what the fleet's state sets, and extraction one gather.
 
 Each layer decides its own window from its start minute: the step grid
 (:func:`layer_grid`), the outage masks over it and the clock hour of each
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,9 +64,147 @@ class DispatchError(Exception):
 
 @dataclass
 class Forecasts:
-    """Per-step forecast blocks for one optimization window."""
+    """Per-step forecast blocks for one optimization window.
+
+    ``inputs`` is the batch of the layer's windows this one belongs to and
+    ``index`` its row there (:meth:`LayerInputs.windows`); the window's
+    options must then be those of that row's start minute.  A Forecasts
+    made without one is a batch of one (:meth:`LayerInputs.of_window`).
+    """
     load: dict[str, np.ndarray]          # bubble -> MW per step
     semi: dict[str, np.ndarray]          # resource -> MW per step
+    inputs: LayerInputs | None = field(default=None, repr=False,
+                                       compare=False)
+    index: int = 0
+
+
+class LayerInputs:
+    """What the windows of one layer read that no dispatch decision
+    changes, as arrays with one row per window: the forecasts ``load``
+    [window, load, step] and ``semi`` [window, semi, step] in scenario
+    order, the clock hour of each step (``hours``) and the availability
+    net of outages of units (``gen_on`` [window, step, unit]) and semis
+    (``semi_on`` [window, semi, step]), 1.0 where nothing is out.
+
+    :meth:`values` turns them into the program values they drive, for
+    every window in one pass.
+    """
+
+    def __init__(self, scn: Scenario, load, semi, hours, gen_out: dict,
+                 semi_out: dict):
+        self.load, self.semi, self.hours = load, semi, hours
+        W, T = hours.shape
+        gens = {g.id: k for k, g in enumerate(scn.generators)}
+        semis = {sm.id: k for k, sm in enumerate(scn.semis)}
+        self.gen_on = np.ones((W, T, len(gens)))
+        for rid, mask in gen_out.items():
+            if rid in gens:
+                self.gen_on[:, :, gens[rid]] = \
+                    1.0 - np.asarray(mask, dtype=float)[..., :T]
+        self.semi_on = np.ones((W, len(semis), T))
+        for rid, mask in semi_out.items():
+            if rid in semis:
+                self.semi_on[:, semis[rid]] = \
+                    1.0 - np.asarray(mask, dtype=float)[..., :T]
+        self.load_ids = [ld.bubble for ld in scn.loads]
+        self.semi_ids = list(semis)
+        self._values = {}
+
+    @classmethod
+    def of_layer(cls, scn: Scenario, layer: str, minutes, load,
+                 semi) -> LayerInputs:
+        """The windows of ``layer`` that start at ``minutes``, with each
+        load's and semi's forecasts as [window, step] arrays in scenario
+        order: the hours and outage masks are ``_window``'s for each."""
+        step, n = layer_grid(scn.timing, layer)
+        minutes = np.asarray(minutes, dtype=int)
+        hours = np.add.outer(minutes, step * np.arange(n)) // 60 % 24
+
+        def rows(series):
+            return np.array(series, dtype=float).reshape(
+                len(series), len(minutes), n).transpose(1, 0, 2)
+
+        return cls(scn, rows(load), rows(semi), hours,
+                   *outage_masks(scn, minutes, step, n))
+
+    @classmethod
+    def of_window(cls, scn: Scenario, fc: Forecasts,
+                  opt: LayerOptions) -> LayerInputs:
+        """One window's forecasts and options as a batch of one."""
+        T = opt.steps
+        for series in (*fc.load.values(), *fc.semi.values()):
+            if len(series) < T:
+                raise DispatchError(
+                    f"forecast horizon {len(series)} shorter than {T} steps")
+
+        def rows(table, keys):
+            return np.array([table[key][:T] for key in keys],
+                            dtype=float).reshape(1, -1, T)
+
+        return cls(scn, rows(fc.load, [ld.bubble for ld in scn.loads]),
+                   rows(fc.semi, [sm.id for sm in scn.semis]),
+                   np.array([opt.hour_of_step or [0] * T]),
+                   opt.outage_gen or {}, opt.outage_semi or {})
+
+    def windows(self) -> list[Forecasts]:
+        """Each window's Forecasts, its series views of these arrays."""
+        return [Forecasts(load=dict(zip(self.load_ids, load)),
+                          semi=dict(zip(self.semi_ids, semi)), inputs=self,
+                          index=k)
+                for k, (load, semi) in enumerate(zip(self.load, self.semi))]
+
+    def values(self, cols: Columns) -> SimpleNamespace:
+        """The program values these inputs drive, each with one row per
+        window, for programs of ``cols``' plan; computed once per plan.
+
+        ``obj``, ``rhs`` and ``coefs`` are written at the plan's
+        ``obj_cells``, ``rhs_cells`` and ``coef_cells``: the hourly costs,
+        the curtailment and shedding costs, the contingency right-hand
+        sides and, unless pinned storage comes into it, the balance; the
+        committed floor and cap and the curtailment, contingency and
+        shedding coefficients.  ``terms`` are the balance terms after the
+        pinned storage, ``fuel`` the fuel price of each step and unit.
+        Each value takes the floating-point operations of a window filled
+        on its own, element by element.
+        """
+        hit = self._values.get(cols.shape)
+        if hit is not None and hit[0] is cols.scn:
+            return hit[1]
+        W, T = self.hours.shape
+        avail = self.semi_on * self.semi
+        load = self.load
+        obj = [cols.hourly_cost[self.hours]]
+        rhs = []
+        coefs = [] if cols.sced else [-self.gen_on * cols.pmin,
+                                      -self.gen_on * cols.pmax]
+        cv, cv_cols, cv_cost, scale, neg_d = cols.cv
+        # Withholding delivery at threshold price C forfeits C*d*avail.
+        avail_cv = avail[:, cv].transpose(0, 2, 1)
+        obj.append(cv_cost * avail_cv)
+        coefs.append(scale * (neg_d * avail_cv))
+        ties, tie_rows, tie_cv, tie_d = cols.ties
+        rhs.append(avail[:, ties].transpose(0, 2, 1))
+        coefs.append(tie_d * avail[:, tie_cv].transpose(0, 2, 1))
+        cl, cl_cols, cl_cost, cl_coef = cols.cl
+        load_cl = load[:, cl].transpose(0, 2, 1)
+        obj.append(cl_cost * load_cl)
+        coefs.append(cl_coef * load_cl)
+        terms = np.concatenate([cols.load_scale * load,
+                                cols.semi_sign * avail,
+                                np.zeros((W, 1, T))], axis=1)
+        if not cols.sids:
+            rhs.append(_balance(terms, cols.bal_terms,
+                                (W,) + cols.bal_rows.shape))
+
+        def rows(parts):
+            return np.concatenate([np.empty((W, 0))] +
+                                  [p.reshape(W, -1) for p in parts], axis=1)
+
+        values = SimpleNamespace(obj=rows(obj), rhs=rows(rhs),
+                                 coefs=rows(coefs), terms=terms,
+                                 fuel=cols.fuel[self.hours])
+        self._values[cols.shape] = (cols.scn, values)
+        return values
 
 
 @dataclass
@@ -140,8 +284,11 @@ class Columns(dict):
     each unit, and w, u and v in commitment) and ``hourly_cost`` those
     costs for each clock hour; ``fuel``, ``pmin``, ``pmax``, ``ramp``
     and the like hold unit constants; ``bal_terms`` lists each bubble's
-    balance terms in summation order; ``gather`` and ``read`` give each
-    Schedule field's block of the solution.  Like the coefficients baked
+    balance terms in summation order; ``obj_cells``, ``rhs_cells`` and
+    ``coef_cells`` (located once, see ``LinearProgram.cells``) are where a
+    window's forecast-driven values (:meth:`LayerInputs.values`) go;
+    ``gather`` and ``read`` give each Schedule field's block of the
+    solution.  Like the coefficients baked
     into the structure, the plan belongs to the scenario object ``scn``:
     a program is refilled only for that same object (``scn is``), so a
     scenario edited in place needs a new program.
@@ -467,18 +614,18 @@ def _structure(scn: Scenario, opt: LayerOptions):
     cols.entries = arrays(ents)
     cols.shape = _shape(scn, opt)
     cols.scn = scn
-    _plan(cols, scn, opt, pw, pins, dP)
+    _plan(lp, cols, scn, opt, pw, pins, dP)
     return lp, cols
 
 
-def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
-          dP) -> None:
+def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
+          opt: LayerOptions, pw, pins, dP) -> None:
     """Record on ``cols`` what only the scenario and the program's shape
-    fix, laid out as :func:`fill_program` and :func:`extract_schedule`
-    read it."""
+    fix, laid out as :func:`fill_program`, :meth:`LayerInputs.values` and
+    :func:`extract_schedule` read it."""
     T, G = opt.steps, len(scn.generators)
     gens, semis, loads = scn.generators, scn.semis, scn.loads
-    sced = opt.layer == "sced"
+    sced = cols.sced = opt.layer == "sced"
     gamma = scn.gamma_loss
     rows, ents = cols.rows, cols.entries
 
@@ -489,7 +636,6 @@ def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
         return np.array(values, dtype=np.intp)
 
     # Units: the fuel price by clock hour and each unit's constants.
-    cols.gen_index = {g.id: k for k, g in enumerate(gens)}
     cols.gids = [g.id for g in gens]
     cols.fuel = col([[g.fuel_price(h) for g in gens]
                      for h in range(24)]).reshape(24, G)
@@ -532,8 +678,6 @@ def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
 
     # Semis and loads: which have curtailment or shedding columns and which
     # tie lines are contingencies, with their constant factors.
-    cols.semi_index = {sm.id: k for k, sm in enumerate(semis)}
-    cols.loads = [ld.bubble for ld in loads]
     scale = col([1.0 if sm.kind == "tie-line" else 1.0 + gamma
                  for sm in semis])
     d = col([sm.d for sm in semis])
@@ -547,17 +691,15 @@ def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
     cols.cl = (cl, cols["cl"][:, cl], col([loads[k].price * loads[k].d
                                            for k in cl]),
                col([(1.0 + gamma) * loads[k].d for k in cl]))
-    # The window's coefficients, written in one call: the commitment
-    # layers' committed floor and cap (constant without outages), then
-    # the curtailment, contingency and shedding entries.
+    # The window's coefficients, written in one call at cells located
+    # here: the commitment layers' committed floor and cap, then the
+    # curtailment, contingency and shedding entries.
     unit = [] if sced else [ents["seg.w"], ents["plim.w"]]
     cols.coef_entries = np.concatenate(
         [e.ravel() for e in unit + [ents["bal.cv"][:, cv],
                                     ents["ct1.cv"][:, tie_cv],
                                     ents["bal.cl"][:, cl]]])
-    cols.unit_coefs = [] if sced else \
-        [np.broadcast_to(-cols.pmin, (T, G)), np.broadcast_to(-cols.pmax,
-                                                              (T, G))]
+    cols.coef_cells = lp.cells(cols.coef_entries)
 
     # The bubble balance: each bubble's right-hand side sums, in this
     # order, its pinned storage, its loads and its semis.  Terms are rows
@@ -575,8 +717,14 @@ def _plan(cols: Columns, scn: Scenario, opt: LayerOptions, pw, pins,
     cols.bal_rows = rows["bal"].T
     cols.semi_sign = -scale[:, None]
     cols.load_scale = 1.0 + gamma
-    cols.zero_row = np.zeros((1, T))
     cols.sids = [st.id for st in scn.storages] if St else []
+    # Where LayerInputs.values' rows are written: the hourly, curtailment
+    # and shedding costs; the contingency rows and, without pinned storage
+    # terms, the balance rows.
+    cols.obj_cells = np.concatenate(
+        [cols.hourly.ravel(), cols.cv[1].ravel(), cols.cl[1].ravel()])
+    cols.rhs_cells = np.concatenate(
+        [cols.ties[1].ravel()] + ([] if St else [cols.bal_rows.ravel()]))
 
     # Extraction: each Schedule field's columns as rows of one gather from
     # the solution with a 0.0 appended, which the -1 of a missing column
@@ -620,75 +768,55 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
     window-dependent coefficients into a program built by
     :func:`_structure` for the same scenario and shape.
 
-    The writes are a fixed run against the constants ``_structure``
-    recorded on the program's ``Columns``.  Each value is what a row-by-row
-    build computes: the same floating-point operations in the same order,
-    up to exact identities (``a - b`` as ``a + (-b)``, ``-(a * b)`` as
-    ``(-a) * b``, a product with an availability of 1 left out), which
-    agree bit for bit on every input that is not NaN.  So a refilled
-    program is bitwise the program built afresh for the window.
+    What forecasts, outages and clock hours drive comes from the window's
+    row of its layer's :meth:`LayerInputs.values`, computed for every
+    window of the layer at once (a Forecasts made for one window alone is
+    a batch of one); the fill writes that row at cells the plan located
+    and then what the state sets: the commitment floor and cap or status
+    bounds, the ramp right-hand sides, the initial status and history,
+    the starts budget, the storage state and the pinned storage terms of
+    the balance.  Each value is what a row-by-row build computes: the
+    same floating-point operations in the same order, up to exact
+    identities (``a - b`` as ``a + (-b)``, ``-(a * b)`` as ``(-a) * b``,
+    a product with an availability of 1), which agree bit for bit on
+    every input that is not NaN.  So a refilled program is bitwise the
+    program built afresh for the window.
     """
     lp, cols = program
     T = opt.steps
-    for series in (*fc.load.values(), *fc.semi.values()):
-        if len(series) < T:
-            raise DispatchError(
-                f"forecast horizon {len(series)} shorter than {T} steps")
+    inputs, win = (fc.inputs, fc.index) if fc.inputs is not None else \
+        (LayerInputs.of_window(scn, fc, opt), 0)
+    values = inputs.values(cols)
     lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
     rows = cols.rows
-    hours = opt.hour_of_step or [0] * T
-    obj[cols.hourly] = cols.hourly_cost[hours]
-
-    # Availability net of outages, [step, unit] and [semi, step]; None
-    # when no outage touches the window.
-    g_on = s_on = None
-    for rid, mask in (opt.outage_gen or {}).items():
-        if rid in cols.gen_index:
-            if g_on is None:
-                g_on = np.ones((T, len(cols.gids)))
-            g_on[:, cols.gen_index[rid]] = \
-                1.0 - np.asarray(mask, dtype=float)[:T]
-    for rid, mask in (opt.outage_semi or {}).items():
-        if rid in cols.semi_index:
-            if s_on is None:
-                s_on = np.ones((len(cols.semi_index), T))
-            s_on[cols.semi_index[rid]] = \
-                1.0 - np.asarray(mask, dtype=float)[:T]
-    # Available semi-dispatchable energy per step; withholding a fraction
-    # cv of the curtailable share d takes -d*avail*cv off delivery.
-    avail = np.array([fc.semi[sid][:T] for sid in cols.semi_index],
-                     dtype=float).reshape(-1, T)
-    if s_on is not None:
-        avail = s_on * avail
-    load = np.array([fc.load[b][:T] for b in cols.loads],
-                    dtype=float).reshape(-1, T)
+    obj[cols.obj_cells] = values.obj[win]
+    rhs[cols.rhs_cells] = values.rhs[win]
+    lp.set_coeffs(cols.coef_cells, values.coefs[win])
 
     # -- generators ------------------------------------------------------
-    coefs = []
     fixed_cost = 0.0
-    if opt.layer == "sced":
+    if cols.sced:
         wv = np.array([opt.pinned_w[gid][:T] for gid in cols.gids],
                       dtype=float).T.reshape(T, -1)
         # Segments only price output above the committed floor.
-        for c in ((wv * cols.fuel[hours]) * cols.at_min).ravel().tolist():
+        for c in ((wv * values.fuel[win]) * cols.at_min).ravel().tolist():
             fixed_cost += c
-        if g_on is not None:
-            wv = wv * g_on
+        wv = wv * inputs.gen_on[win]
         floor = wv * cols.pmin
         lb[cols["P"]] = floor
         ub[cols["P"]] = wv * cols.pmax
         rhs[rows["seg"]] = floor
+        # Each unit's output, start and stop, as rows.
         uf, vf = opt.fixed_uv
-        p0 = np.array([init.output.get(gid, 0.0) for gid in cols.gids],
-                      dtype=float)
-        uv = np.array([[uf.get(gid, 0.0) for gid in cols.gids],
-                       [vf.get(gid, 0.0) for gid in cols.gids]], dtype=float)
-        rhs[cols.ramp_rows] = (p0 + cols.ramp) + cols.relax * uv[:, None]
+        puv = np.array([(init.output.get(gid, 0.0), uf.get(gid, 0.0),
+                         vf.get(gid, 0.0)) for gid in cols.gids],
+                       dtype=float).reshape(-1, 3).T
+        rhs[cols.ramp_rows] = (puv[0] + cols.ramp) + \
+            cols.relax * puv[1:, None]
     else:
         # Commitment carries the cost of running at P^min (in ``hourly``);
-        # the committed floor and cap scale with availability.
-        coefs += cols.unit_coefs if g_on is None else \
-            [-g_on * cols.pmin, -g_on * cols.pmax]
+        # the committed floor and cap scale with availability (in
+        # ``coefs``).
         w0 = np.array([init.online.get(gid, 0.0) for gid in cols.gids],
                       dtype=float)
         p0 = np.array([init.output.get(gid, 0.0) for gid in cols.gids],
@@ -718,7 +846,7 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
             rhs[rows["maxup"][0, k]] = float(max(u_max - used - ahead, 0))
     cols.fixed_cost = fixed_cost
 
-    # -- storage initial state --------------------------------------------
+    # -- storage: initial state, or pinned terms of the balance ------------
     if opt.pinned_storage is None and cols.storage:
         rhs[rows["stor"][0]] = [init.energy.get(sid, e0)
                                 for sid, e0, _, _ in cols.storage]
@@ -728,40 +856,27 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
         rhs[rows["flip2"][0]] = 1.0 - np.array(
             [init.mode_gen.get(sid, mg) for sid, _, mg, _ in cols.storage],
             dtype=float)
-
-    # -- curtailment, shedding and the bubble balance ---------------------
-    cv, cv_cols, cv_cost, scale, neg_d = cols.cv
-    if len(cv):
-        # Withholding delivery at threshold price C forfeits C*d*avail.
-        avail_cv = avail[cv].T
-        obj[cv_cols] = cv_cost * avail_cv
-        coefs.append(scale * (neg_d * avail_cv))
-    ties, tie_rows, tie_cv, tie_d = cols.ties
-    if len(ties):
-        rhs[tie_rows] = avail[ties].T
-        coefs.append(tie_d * avail[tie_cv].T)
-    cl, cl_cols, cl_cost, cl_coef = cols.cl
-    if len(cl):
-        load_cl = load[cl].T
-        obj[cl_cols] = cl_cost * load_cl
-        coefs.append(cl_coef * load_cl)
-    if coefs:
-        lp.set_coeffs(cols.coef_entries,
-                      np.concatenate([c.ravel() for c in coefs]))
-    terms = [cols.load_scale * load, cols.semi_sign * avail, cols.zero_row]
     if cols.sids:
+        # Pinned storage comes first in its bubble's sum, so the balance
+        # is summed for the window.
         ps, ss = opt.pinned_storage
-        terms.insert(0, np.array([ss[sid][:T] for sid in cols.sids],
-                                 dtype=float) -
-                     np.array([ps[sid][:T] for sid in cols.sids], dtype=float))
-    terms = np.concatenate(terms)
-    if cols.bal_terms:
-        total = terms[cols.bal_terms[0]] + 0.0
-        for step in cols.bal_terms[1:]:
-            total += terms[step]
-        rhs[cols.bal_rows] = total
-    else:
-        rhs[cols.bal_rows] = 0.0
+        stored = np.array([ss[sid][:T] for sid in cols.sids], dtype=float) \
+            - np.array([ps[sid][:T] for sid in cols.sids], dtype=float)
+        rhs[cols.bal_rows] = _balance(
+            np.concatenate([stored, values.terms[win]]), cols.bal_terms,
+            cols.bal_rows.shape)
+
+
+def _balance(terms: np.ndarray, bal_terms: list, shape: tuple) -> np.ndarray:
+    """Each bubble's balance right-hand side, [..., bubble, step]: the rows
+    of ``terms`` [..., term, step] that ``bal_terms`` names, summed in its
+    order; zeros of ``shape`` when no bubble has a term."""
+    if not bal_terms:
+        return np.zeros(shape)
+    total = terms[..., bal_terms[0], :] + 0.0
+    for step in bal_terms[1:]:
+        total += terms[..., step, :]
+    return total
 
 
 def initial_from_scenario(scn: Scenario) -> InitialState:
@@ -868,20 +983,29 @@ def layer_grid(timing, layer: str) -> tuple[int, int]:
     return timing.sced_step_min, 1
 
 
-def outage_masks(scn: Scenario, m0: int, block: int, n: int):
+def outage_masks(scn: Scenario, m0, block: int, n: int):
     """Per-block outage masks of generators and semi resources over the
     window [m0, m0 + n*block); a resource is out for a whole block if any
     outage overlaps it.  Resources not out in the window are left out.
     With ``block`` 1 the masks are per-minute on/off status.  An outage of
-    no minutes overlaps nothing."""
+    no minutes overlaps nothing.
+
+    ``m0`` may be an array of window starts: each mask then has one row
+    per window, and a resource out in any of them is listed."""
     gen, semi = {}, {}
-    end = m0 + n * block
+    if np.ndim(m0):
+        first, last = min(m0, default=0), max(m0, default=-1)
+    else:
+        first = last = m0
+    end = last + n * block
+    lo = None
     for ev in scn.outages:
-        # An outage overlaps the window only if it covers a minute in it.
-        if ev.duration <= 0 or ev.start + ev.duration <= m0 or \
+        # An outage overlaps a window only if it covers a minute in it.
+        if ev.duration <= 0 or ev.start + ev.duration <= first or \
                 ev.start >= end:
             continue
-        lo = m0 + block * np.arange(n)
+        if lo is None:
+            lo = np.add.outer(m0, block * np.arange(n))
         mask = ((lo < ev.start + ev.duration) &
                 (lo + block > ev.start)).astype(float)
         if not mask.any():

@@ -9,13 +9,21 @@ the raw imbalance at the swing bus.  :func:`simulate` does this in three
 passes, each doing only what a window or a minute changes:
 
 1. *Inputs.*  Every window's start is known before the first minute, so
-   each layer's forecasts are synthesized for all its windows at once:
-   one error draw per entity and window, from the same seeds as ever.
+   each layer's windows are seeded and forecast at once: one
+   ``synthesize_error`` call per entity and layer seeds all the windows'
+   error draws as arrays (the same seeds and draws as one generator per
+   window), and the windows share one ``LayerInputs``.  From it, the
+   values the forecasts, outages and clock hours drive in a layer's
+   program are computed for all its windows in one pass, the first time
+   the program is filled; each window's fill then writes its row and
+   what the state sets.
 2. *Dispatch.*  The minutes in order, solving each window as it starts
    and keeping only what feeds the next solve, in one live
    ``InitialState``: commitment, unit outputs, starts and storage energy.
-   Each SCED leaves the few values the physics reads (curtailed and shed
-   fractions, DR output, supergeneration).
+   The minute loop reads each commitment window and the outage status as
+   Python lists and collects unit outputs in lists.  Each SCED leaves the
+   few values the physics reads (curtailed and shed fractions, DR output,
+   supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
    injections, then regulation stepped through every minute in one call
    and the network solved for every minute in one stacked solve, summed
@@ -28,13 +36,15 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .dispatch import (Forecasts, initial_from_scenario, layer_grid,
-                       outage_masks, run_rtuc, run_scuc, run_sced)
+from .dispatch import (Forecasts, LayerInputs, initial_from_scenario,
+                       layer_grid, outage_masks, run_rtuc, run_scuc,
+                       run_sced)
 from .grid import dc_flow, factor_network, make_regulation, regulation_step
 from .profiles import forecast, synthesize_error, write_rows
 from .scenario import Scenario, scenario_hash
@@ -96,34 +106,28 @@ def _layer_forecasts(scn: Scenario, seed: int, layer: str, starts,
                      window_ids) -> list[Forecasts]:
     """Deterministic per-entity forecast blocks for every window of a
     layer, on the layer's step grid: window ``k`` starts at minute
-    ``starts[k]`` and draws its errors from the seeds of ``window_ids[k]``."""
+    ``starts[k]`` and draws its errors from the seeds of ``window_ids[k]``.
+    Each entity's errors for all the windows come from one
+    ``synthesize_error`` call, and the windows share one
+    :class:`LayerInputs`."""
     which, kind = _LAYER_EPS[layer], _LAYER_KIND[layer]
     block, n = layer_grid(scn.timing, layer)
     peak = scn.peak_load
     starts = np.asarray(starts, dtype=int)
 
     def errors(tag: str, eps: float, scale: float) -> np.ndarray:
-        out = np.empty((len(starts), n))
-        for k, w in enumerate(window_ids):
-            out[k] = synthesize_error(_entity_seed(seed, tag, layer, w), eps,
-                                      1.0, scale, n, kind)
-        return out
+        return synthesize_error(
+            [_entity_seed(seed, tag, layer, w) for w in window_ids], eps,
+            1.0, scale, n, kind)
 
-    load = {}
-    for ld in scn.loads:
-        load[ld.bubble] = forecast(
-            ld.profile, starts, block, n,
-            errors(f"load:{ld.bubble}", ld.eps(which), peak))
-    semi = {}
-    for sm in scn.semis:
-        cap = sm.capacity
-        semi[sm.id] = forecast(
-            sm.profile, starts, block, n,
-            errors(f"semi:{sm.id}", sm.eps(which), cap or peak),
-            cap or np.inf)
-    return [Forecasts(load={b: f[k] for b, f in load.items()},
-                      semi={s: f[k] for s, f in semi.items()})
-            for k in range(len(starts))]
+    load = [forecast(ld.profile, starts, block, n,
+                     errors(f"load:{ld.bubble}", ld.eps(which), peak))
+            for ld in scn.loads]
+    semi = [forecast(sm.profile, starts, block, n,
+                     errors(f"semi:{sm.id}", sm.eps(which),
+                            sm.capacity or peak), sm.capacity or np.inf)
+            for sm in scn.semis]
+    return LayerInputs.of_layer(scn, layer, starts, load, semi).windows()
 
 
 def simulate(scn: Scenario, minutes: int,
@@ -142,8 +146,6 @@ def simulate(scn: Scenario, minutes: int,
         interface_names=[i.name for i in net.interfaces],
         reg_units=list(reg.unit_ids))
     trace.reg_saturation = reg.total_saturation
-    for g in gens:
-        trace.unit_output[g.id] = np.zeros(minutes)
 
     # --- inputs: every window's start and forecasts ---------------------
     day_min = t.scuc_horizon_h * 60
@@ -184,6 +186,16 @@ def simulate(scn: Scenario, minutes: int,
     supergen = np.zeros(len(sced_at))
     storage = np.zeros((minutes, len(scn.storages)))
 
+    # The minute loop reads commitments, outage status and schedules as
+    # Python lists and floats, the same IEEE doubles as numpy's, and
+    # collects each unit's output in an array of doubles.
+    gids = [g.id for g in gens]
+    out_now = [(gen_out[gid] != 0.0).tolist() if gid in gen_out else None
+               for gid in gids]
+    outputs = [array("d") for _ in gids]
+    online, output = state.online, state.output
+    stores = [(st_.id, st_.eta) for st_ in scn.storages]
+
     for m in range(minutes):
         # --- day-ahead commitment ---------------------------------------
         if m % day_min == 0:
@@ -192,6 +204,10 @@ def simulate(scn: Scenario, minutes: int,
             programs["scuc"] = day_sched.program
             state.starts_used = {g.id: 0 for g in gens}
             trace.events.append(f"{m}: day-ahead commitment")
+            store_gen = [day_sched.storage_gen[sid].tolist()
+                         for sid, _ in stores]
+            store_pump = [day_sched.storage_pump[sid].tolist()
+                          for sid, _ in stores]
 
         # --- same-day fast-start commitment -----------------------------
         if m in rtuc_fc:
@@ -201,34 +217,38 @@ def simulate(scn: Scenario, minutes: int,
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
+            w_on = [(intra.w[gid] > 0.5).tolist() for gid in gids]
+            u_now = [intra.u[gid].tolist() for gid in gids]
+            v_now = [intra.v[gid].tolist() for gid in gids]
 
         # --- commitment state for this minute ---------------------------
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
-        for g in gens:
-            w_now = float(intra.w[g.id][interval] > 0.5)
-            if g.id in gen_out and gen_out[g.id][m]:
+        starts_used = state.starts_used
+        for i, gid in enumerate(gids):
+            w_now = 1.0 if w_on[i][interval] else 0.0
+            if out_now[i] is not None and out_now[i][m]:
                 w_now = 0.0
-            if w_now > 0.5 and state.online.get(g.id, 0.0) < 0.5:
-                state.starts_used[g.id] = state.starts_used.get(g.id, 0) + 1
-                state.output[g.id] = max(state.output.get(g.id, 0.0), 0.0)
+            if w_now > 0.5 and online.get(gid, 0.0) < 0.5:
+                starts_used[gid] = starts_used.get(gid, 0) + 1
+                output[gid] = max(output.get(gid, 0.0), 0.0)
             if w_now < 0.5:
-                state.output[g.id] = 0.0
-            state.online[g.id] = w_now
+                output[gid] = 0.0
+            online[gid] = w_now
 
         # --- economic dispatch ------------------------------------------
         hour = (m // 60) % t.scuc_horizon_h
         if m % t.sced_step_min == 0:
             k = m // t.sced_step_min
-            starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
-            stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
-            ps = {st_.id: np.array([day_sched.storage_gen[st_.id][hour]])
-                  for st_ in scn.storages}
-            ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
-                  for st_ in scn.storages}
+            starts = {gid: u[interval] for gid, u in zip(gids, u_now)}
+            stops = {gid: v[interval] for gid, v in zip(gids, v_now)}
+            ps = {sid: np.array([p[hour]])
+                  for (sid, _), p in zip(stores, store_gen)}
+            ss = {sid: np.array([p[hour]])
+                  for (sid, _), p in zip(stores, store_pump)}
             sced = run_sced(scn, sced_fc[k], state, starts, stops, (ps, ss),
                             m, programs.get("sced"))
             programs["sced"] = sced.program
-            target = {g.id: float(sced.p[g.id][0]) for g in gens}
+            target = [float(sced.p[gid][0]) for gid in gids]
             curtail[k] = [sced.curtail[sm.id][0] for sm in scn.semis]
             shed[k] = [sced.shed.get(ld.bubble, np.zeros(1))[0]
                        for ld in scn.loads]
@@ -236,22 +256,23 @@ def simulate(scn: Scenario, minutes: int,
             supergen[k] = float(sum(sced.super_pos[b][0] -
                                     sced.super_neg[b][0]
                                     for b in net.bubbles))
-            sced_base = dict(state.output)
+            sced_base = [output.get(gid, 0.0) for gid in gids]
             sced_minute = m
 
         # --- units ramp toward their setpoints; storage as scheduled ----
         frac = min((m - sced_minute + 1) / t.sced_step_min, 1.0)
-        for g in gens:
-            if state.online[g.id] > 0.5:
-                base = sced_base.get(g.id, 0.0)
-                state.output[g.id] = base + (target[g.id] - base) * frac
-            trace.unit_output[g.id][m] = state.output[g.id]
-        for k, st_ in enumerate(scn.storages):
-            pgen = float(day_sched.storage_gen[st_.id][hour])
-            ppump = float(day_sched.storage_pump[st_.id][hour])
+        for i, gid in enumerate(gids):
+            if online[gid] > 0.5:
+                base = sced_base[i]
+                output[gid] = base + (target[i] - base) * frac
+            outputs[i].append(output[gid])
+        for k, (sid, eta) in enumerate(stores):
+            pgen, ppump = store_gen[k][hour], store_pump[k][hour]
             storage[m, k] = pgen - ppump
-            state.energy[st_.id] += (st_.eta * ppump - pgen) / 60.0
+            state.energy[sid] += (eta * ppump - pgen) / 60.0
 
+    for gid, out in zip(gids, outputs):
+        trace.unit_output[gid] = np.array(out)
     _physics(scn, trace, factor, reg, storage, curtail, shed, dr_out,
              supergen, semi_out)
     return trace

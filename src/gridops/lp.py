@@ -119,6 +119,16 @@ class Row(NamedTuple):
     rhs: float
 
 
+class Cells(NamedTuple):
+    """Entries of a program located in its matrix: the entry indices, the
+    flat index of each one's cell in the m x n matrix ``A`` and its column,
+    for a program of ``n`` columns."""
+    entries: np.ndarray
+    flat: np.ndarray
+    cols: np.ndarray
+    n: int
+
+
 class LinearProgram:
     """A linear program held as arrays, each exactly as long as the program.
 
@@ -198,24 +208,39 @@ class LinearProgram:
         self._extend([], [(name, coeffs, sense, rhs)])
         return self.m - 1
 
-    def set_coeffs(self, entries: np.ndarray, values: np.ndarray) -> None:
-        """Write the values of existing entries (indices into the entry
-        arrays) and of their matrix cells, stamping the columns whose cells
-        change bits.  A program with repeated cells drops A instead, and
-        assembles and stamps it afresh when it is next read."""
-        self.entry_val[entries] = values
+    def cells(self, entries: np.ndarray) -> Cells:
+        """Locate the matrix cells of ``entries`` (indices into the entry
+        arrays) once, for a :meth:`set_coeffs` that writes them again and
+        again."""
+        entries = np.asarray(entries, dtype=np.intp)
+        cols = self.entry_col[entries]
+        return Cells(entries, self.entry_row[entries] * self.n + cols, cols,
+                     self.n)
+
+    def set_coeffs(self, entries, values: np.ndarray) -> None:
+        """Write the values of existing, distinct entries and of their
+        matrix cells, stamping the columns whose cells change bits.
+        ``entries`` are indices into the entry arrays, or the
+        :class:`Cells` :meth:`cells` located for them.  A program with
+        repeated cells drops A instead, and assembles and stamps it afresh
+        when it is next read."""
+        if not isinstance(entries, Cells):
+            entries = self.cells(entries)
+        elif entries.n != self.n:       # columns were added since
+            entries = self.cells(entries.entries)
+        self.entry_val[entries.entries] = values
         if self._A is None:
             return
         if self._repeated:
             self._A = None
             return
-        rows, cols = self.entry_row[entries], self.entry_col[entries]
-        new = 0.0 + self.entry_val[entries]
-        moved = self._A[rows, cols].view(np.uint64) != new.view(np.uint64)
-        if moved.any():
+        new = 0.0 + np.asarray(values, dtype=float)
+        moved = self._A.take(entries.flat).view(np.uint64) != \
+            new.view(np.uint64)
+        if np.count_nonzero(moved):
             self._edits += 1
-            self._edited[cols[moved]] = self._edits
-        self._A[rows, cols] = new
+            self._edited[entries.cols[moved]] = self._edits
+        self._A.put(entries.flat, new)
 
     @property
     def A(self) -> np.ndarray:
@@ -325,11 +350,14 @@ class _Simplex:
         self.senses = list(senses)
         self.is_le = np.array([s == LE for s in senses], dtype=bool)
         self.is_ge = np.array([s == GE for s in senses], dtype=bool)
-        # What the senses alone fix: the slacks' bounds and costs.  Read,
-        # never written, so copies share them.
-        self.slack_lo = np.where(self.is_ge, -INF, 0.0)
-        self.slack_hi = np.where(self.is_le, INF, 0.0)
-        self.slack_cost = np.zeros(m)
+        # Bounds and costs over the structurals and slacks, allocated once:
+        # each load writes the structurals' part in place, after which the
+        # slacks' part stays as the senses fix it.
+        self.l = np.concatenate([np.zeros(n),
+                                 np.where(self.is_ge, -INF, 0.0)])
+        self.u = np.concatenate([np.zeros(n),
+                                 np.where(self.is_le, INF, 0.0)])
+        self.cost = np.zeros(n + m)
         self.basis = self.Binv = None
         self.age = 0        # pivots on Binv since its last fresh inversion
         self.edits = 0      # the program's edit count when A was last read
@@ -345,8 +373,8 @@ class _Simplex:
         names the upper (a slack's finite bound is 0), the basis crashed
         when there is no inverse, and x_B = Binv (b - N x_N)."""
         m, n = self.m, self.n
-        lo = np.concatenate([l, self.slack_lo])
-        hi = np.concatenate([u, self.slack_hi])
+        lo, hi = self.l, self.u
+        lo[:n], hi[:n], self.cost[:n] = l, u, c
         finite_hi = hi < INF
         state = np.where(lo > -INF, _LB8, np.where(finite_hi, _UB8, _FREE8))
         self.warm = self.Binv is not None
@@ -361,8 +389,6 @@ class _Simplex:
         self._basic_values()
         state[self.basis] = _BASIC
 
-        self.cost = np.concatenate((c, self.slack_cost))
-        self.l, self.u = lo, hi
         self.fixed = lo == hi
         self.state = state
         self.pivots = self.dual_pivots = 0
@@ -399,7 +425,8 @@ class _Simplex:
         """A copy to refill and solve without changing this simplex."""
         twin = object.__new__(_Simplex)
         twin.__dict__.update(self.__dict__, basis=self.basis.copy(),
-                             Binv=self.Binv.copy())
+                             Binv=self.Binv.copy(), l=self.l.copy(),
+                             u=self.u.copy(), cost=self.cost.copy())
         return twin
 
     def _basic_values(self) -> None:

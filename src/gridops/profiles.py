@@ -8,7 +8,8 @@ in time.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -128,19 +129,129 @@ def forecast(p: Profile, m0, block_minutes: int, n_blocks: int,
 
 _PHI = {"day-ahead": 0.6, "short-term": 0.3, "real-time": 0.2}
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) over 32-bit
+# words: a pool of four words mixed from the entropy, then read out as
+# the state.  Its multipliers step in a fixed sequence, so each hashmix
+# call's (xor, multiplier) pair is known in advance: four to fill the
+# pool, twelve to mix it, and eight to read out four uint64 words.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_SHIFT = np.uint32(16)
+_POOL = 4
 
-def synthesize_error(seed: int, eps: float, pi: float, peak_load: float,
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple]:
+    """The (xor, multiplier) pairs of ``count`` hashmix calls: the hash
+    constant before and after each multiplication by ``mult``."""
+    steps, h = [], init
+    for _ in range(count):
+        nxt = (h * mult) & _MASK32
+        steps.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return steps
+
+
+_MIX_STEPS = _hash_steps(0x43b0d7e5, 0x931e8875, _POOL * _POOL)
+_STATE_STEPS = _hash_steps(0x8b51f9dd, 0x58f38ded, 2 * _POOL)
+
+
+def _seed_words(seeds: list[int]) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    seed ``s`` in [0, 2**128), one row each, hashed as arrays.
+
+    A seed below 2**128 is at most four entropy words, and a missing word
+    hashes as a zero one, so every seed fills the pool the same way.
+    """
+    try:
+        entropy = np.frombuffer(b"".join(
+            operator.index(s).to_bytes(4 * _POOL, "little") for s in seeds),
+            dtype="<u4").reshape(-1, _POOL).astype(np.uint32)
+    except OverflowError:
+        raise ProfileError("error seeds must lie in [0, 2**128)") from None
+    steps = iter(_MIX_STEPS)
+
+    def hashmix(value):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _SHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    state = np.empty((len(entropy), 2 * _POOL), dtype="<u4")
+    for i, (xor, mult) in enumerate(_STATE_STEPS):
+        value = (pool[i % _POOL] ^ xor) * mult
+        state[:, i] = value ^ (value >> _SHIFT)
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _generator_of_words():
+    """A function making ``Generator(PCG64(SeedSequence(s)))`` from the
+    state words :func:`_seed_words` hashed for ``s``.  numpy.random is
+    imported here, on the first draw, so importing gridops does not pay
+    for it."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Hashed(ISeedSequence):
+        """A seed sequence whose state words are already hashed."""
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(Hashed(words)))
+
+
+def _normals(seeds: list[int], count: int) -> np.ndarray:
+    """``np.random.default_rng(s).standard_normal(count)`` for every seed
+    ``s`` in [0, 2**128), one row each: numpy's own PCG64 seeded with the
+    state words :func:`_seed_words` hashed for all the seeds at once.  The
+    first seed's words are checked against ``np.random.SeedSequence``, so
+    a numpy whose hash differs raises instead of drawing other normals."""
+    words = _seed_words(seeds)
+    if seeds and not np.array_equal(
+            words[0], np.random.SeedSequence(seeds[0]).generate_state(
+                _POOL, np.uint64)):
+        raise RuntimeError("numpy's SeedSequence no longer hashes as "
+                           "profiles._seed_words does")
+    generator = _generator_of_words()
+    return np.array([generator(w).standard_normal(count)
+                     for w in words]).reshape(len(seeds), count)
+
+
+def synthesize_error(seed, eps: float, pi: float, peak_load: float,
                      n_blocks: int, kind: str = "day-ahead") -> np.ndarray:
     """Zero-mean error blocks with std eps*pi*peak_load, from an AR(1)
-    unit-variance driver whose normals come from one draw."""
+    unit-variance driver.
+
+    ``seed`` is one seed, giving ``n_blocks`` errors, or a sequence of
+    seeds, giving one row per seed; one seed is a batch of one.  Seeds lie
+    in [0, 2**128).  Each row's ``n_blocks + 1`` normals are what one
+    ``np.random.default_rng(s).standard_normal`` call draws
+    (:func:`_normals`), and the recurrence runs across the rows one step
+    at a time, each element through the floating-point operations of a
+    one-seed loop.
+    """
     if eps < 0:
         raise ProfileError("negative error std")
     phi = _PHI[kind]
-    rng = np.random.default_rng(seed)
-    x0, *z = rng.standard_normal(n_blocks + 1).tolist()
+    z = _normals([seed] if np.ndim(seed) == 0 else list(seed), n_blocks + 1)
     w = np.sqrt(1.0 - phi * phi)
-    e = itertools.accumulate(z, lambda x, zk: phi * x + w * zk, initial=x0)
-    return np.array(list(e)[1:]) * (eps * pi * peak_load)
+    e = np.empty((len(z), n_blocks))
+    x = z[:, 0]
+    for j in range(n_blocks):
+        x = phi * x + w * z[:, j + 1]
+        e[:, j] = x
+    e *= eps * pi * peak_load
+    return e[0] if np.ndim(seed) == 0 else e
 
 
 def ramp_stats(p: Profile, resolution: str) -> RampStats:

@@ -604,6 +604,11 @@ def validate_scenario(scn: Scenario) -> list[tuple[str, str, str]]:
             err(g.id, "regulation capacity exceeds dispatch range")
         if g.kind == "must-run" and not g.online:
             err(g.id, "must-run unit not initially online")
+        # An offline unit's initial output is never read.
+        if (g.online or g.kind == "must-run") and \
+                g.initial_output > g.p_max:
+            err(g.id, f"initial-output {g.initial_output} exceeds P^max "
+                      f"{g.p_max}")
 
     for st in scn.storages:
         check(st.id, st)

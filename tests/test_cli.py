@@ -106,11 +106,13 @@ def test_validate_rejects_duplicate_load(mini, capsys):
      "[load n1]", "pond\tP^min 5.0 exceeds P^max 2.0"),
     ("regulation-capacity = 50", "regulation-capacity = -5",
      "gas1\tregulation-capacity -5 outside [0,inf)"),
+    ("initial-output = 90", "initial-output = 1000000000",
+     "gas1\tinitial-output 1000000000.0 exceeds P^max 150.0"),
 ], ids=["unattached-swing", "disconnected", "regulation-step", "sced-step-0",
         "rtuc-step-0", "rtuc-period-0", "scuc-horizon-0", "rtuc-horizon-0",
         "sced-step-negative", "interface-member", "dr-bounds",
         "storage-pumping-bounds", "storage-generating-bounds",
-        "negative-regulation-capacity"])
+        "negative-regulation-capacity", "initial-output-above-pmax"])
 def test_validate_rejects_network_and_timing_faults(mini, old, new, row,
                                                     capsys):
     with open(mini, encoding="utf-8") as fh:

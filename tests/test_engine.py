@@ -324,3 +324,74 @@ def test_refilled_programs_equal_fresh_builds(mini, monkeypatch):
     for (args, program, _), want in zip(windows[::-1], fresh[::-1]):
         fill(program, *args)
         assert _snapshot(program) == want
+
+
+def _filled(program):
+    """What a fill writes, as bytes: bounds, costs, right-hand sides,
+    entries and the matrix, and the cost left outside the program."""
+    lp, cols = program
+    return [a.tobytes() for a in (lp.lb, lp.ub, lp.obj, lp.rhs, lp.entry_val,
+                                  lp.A)] + [cols.fixed_cost]
+
+
+def _fills_from_batches_equal_fills_alone(scn, minutes, seed, monkeypatch):
+    """Run ``simulate`` and check each window's program, filled from its
+    layer's batch of inputs, against a program of its layer filled for
+    that window alone (its Forecasts without the batch); return the layer
+    and the options of every window."""
+    fill = dispatch.fill_program
+    alone, windows = {}, []
+
+    def check(program, scn, fc, init, opt):
+        fill(program, scn, fc, init, opt)
+        assert fc.inputs is not None
+        one = dispatch.Forecasts(load=fc.load, semi=fc.semi)
+        if opt.layer not in alone:
+            alone[opt.layer] = dispatch._structure(scn, opt)
+        fill(alone[opt.layer], scn, one, init, opt)
+        assert _filled(alone[opt.layer]) == _filled(program), \
+            (opt.layer, len(windows))
+        windows.append(opt)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dispatch, "fill_program", check)
+        simulate(scn, minutes, seed=seed)
+    return windows
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_batched_fill_equals_a_window_alone_on_a_cadence_day(mini, seed,
+                                                             monkeypatch):
+    scn = _cadence(mini, (("gas2", 605, 90), ("sun1", 800, 30)))
+    # Fuel prices that change by the hour, so each window's clock hours
+    # show in its costs.
+    for k, g in enumerate(scn.generators):
+        g.c_f = g.c_f + np.arange(24.0) % (k + 3)
+    windows = _fills_from_batches_equal_fills_alone(scn, 1440, seed,
+                                                    monkeypatch)
+    layers = [opt.layer for opt in windows]
+    assert [layers.count(x) for x in ("scuc", "rtuc", "sced")] == \
+        [12, 52, 288]
+    # Windows with generator and semi outages came from the batch too.
+    assert any(opt.outage_gen for opt in windows)
+    assert any(opt.outage_semi for opt in windows)
+
+
+def test_batched_fill_equals_a_window_alone_in_every_family(mini,
+                                                            monkeypatch):
+    # Storage pinned into the balance, DR, a sheddable load, a partly
+    # curtailable solar unit and a contingency tie line, with generator
+    # and semi outages, on the richest perturbation of the reference
+    # cascade.
+    from test_cascade_passes import perturbed
+    p = dict(timing=1, eps="default", reg_units=8, storage=True, dr=True,
+             shed=0.2, sun_d=0.5, tie=True, mesh=True, pair=True,
+             gamma=0.02, outages=[("gas2", 25, 30), ("sun1", 60, 20)],
+             seed=3)
+    scn = perturbed(mini, p)
+    windows = _fills_from_batches_equal_fills_alone(scn, 120, p["seed"],
+                                                    monkeypatch)
+    assert {opt.layer for opt in windows} == {"scuc", "rtuc", "sced"}
+    assert any(opt.outage_gen for opt in windows)
+    assert any(opt.outage_semi for opt in windows)
+    assert any(opt.pinned_storage for opt in windows)

@@ -540,6 +540,22 @@ def test_carried_inverse_is_reused(monkeypatch, make):
     assert again.x == pytest.approx(cold.x, abs=1e-12)
 
 
+def test_a_refilled_copy_leaves_the_original_as_it_was():
+    # Branch and bound refills copies of the root's simplex under other
+    # bounds; a refill writes the bounds and costs in place, so a copy has
+    # its own.
+    lp = small_lp()
+    sx = solve_lp(lp).simplex
+    before = [a.tobytes() for a in (sx.l, sx.u, sx.cost, sx.x, sx.Binv)]
+    twin = sx.copy()
+    lp.obj[0] = -4.0
+    child = solve_lp(lp, var_bounds={0: (1.0, 2.0)}, basis=twin)
+    assert child.status == "optimal" and child.simplex is twin
+    assert twin.l[0] == 1.0 and twin.u[0] == 2.0 and twin.cost[0] == -4.0
+    assert [a.tobytes() for a in (sx.l, sx.u, sx.cost, sx.x, sx.Binv)] == \
+        before
+
+
 def test_carried_inverse_is_refused_after_a_basic_column_changes(
         monkeypatch):
     lp = small_lp()

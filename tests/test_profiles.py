@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gridops import profiles
 from gridops.profiles import (Profile, ProfileError, forecast,
                               ramp_stats, read_profile, scale_ver,
                               synthesize_error, variability, write_profile)
@@ -158,6 +161,59 @@ def test_synthesize_error_draws_the_stream_of_one_draw_per_block(kind,
         want = _error_drawn_one_at_a_time(seed, 0.05, 0.3, 8000.0,
                                           n_blocks, kind)
         assert got.tobytes() == want.tobytes()
+
+
+# Seeds at the ends of one and of two 32-bit entropy words, and the
+# largest the pool of four words holds.
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1]
+seed_values = st.one_of(st.sampled_from(EDGE_SEEDS),
+                        st.integers(0, 2**32 - 1),
+                        st.integers(0, 2**128 - 1))
+
+
+@settings(max_examples=60)
+@given(seeds=st.lists(seed_values, max_size=40),
+       n_blocks=st.sampled_from([0, 1, 24]),
+       kind=st.sampled_from(["day-ahead", "short-term", "real-time"]))
+@example(seeds=[], n_blocks=24, kind="day-ahead")
+@example(seeds=[7], n_blocks=0, kind="real-time")
+@example(seeds=EDGE_SEEDS, n_blocks=1, kind="short-term")
+def test_batched_seeding_is_numpys(seeds, n_blocks, kind):
+    # The state words hashed for a batch are SeedSequence's, each row's
+    # normals are default_rng's, and a batch's errors are, row by row,
+    # bitwise those of each seed alone and of one draw per block.
+    words = profiles._seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    normals = profiles._normals(seeds, n_blocks + 1)
+    assert normals.shape == (len(seeds), n_blocks + 1)
+    batch = synthesize_error(seeds, 0.05, 0.3, 8000.0, n_blocks, kind)
+    assert batch.shape == (len(seeds), n_blocks)
+    for seed, row, z, err in zip(seeds, words, normals, batch):
+        want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == want.tobytes()
+        assert z.tobytes() == np.random.default_rng(seed).standard_normal(
+            n_blocks + 1).tobytes()
+        one = synthesize_error(seed, 0.05, 0.3, 8000.0, n_blocks, kind)
+        assert one.shape == (n_blocks,)
+        assert one.tobytes() == err.tobytes() == _error_drawn_one_at_a_time(
+            seed, 0.05, 0.3, 8000.0, n_blocks, kind).tobytes()
+
+
+@pytest.mark.parametrize("seeds", [-1, 2**128, [3, -1], [2**128, 3]])
+def test_seeds_outside_the_pool_raise(seeds):
+    with pytest.raises(ProfileError, match=r"\[0, 2\*\*128\)"):
+        synthesize_error(seeds, 0.05, 0.3, 8000.0, 4)
+
+
+def test_a_hash_other_than_numpys_raises(monkeypatch):
+    # Were numpy's SeedSequence to hash otherwise, the first seed's check
+    # fails instead of drawing other errors.
+    steps = list(profiles._STATE_STEPS)
+    steps[0] = (steps[0][0], steps[0][1] + np.uint32(1))
+    monkeypatch.setattr(profiles, "_STATE_STEPS", steps)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        synthesize_error([5, 6], 0.05, 0.3, 8000.0, 4)
+    assert synthesize_error([], 0.05, 0.3, 8000.0, 4).shape == (0, 4)
 
 
 def test_make_forecast_zero_error():
