@@ -993,7 +993,7 @@ def outage_masks(scn: Scenario, m0, block: int, n: int):
     ``m0`` may be an array of window starts: each mask then has one row
     per window, and a resource out in any of them is listed."""
     gen, semi = {}, {}
-    if np.ndim(m0):
+    if isinstance(m0, np.ndarray):
         first, last = min(m0, default=0), max(m0, default=-1)
     else:
         first = last = m0

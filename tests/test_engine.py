@@ -181,6 +181,16 @@ def test_outage_masks_match_a_minute_by_minute_reference(outages, m0, block,
             if any(out):
                 want[rid] = [float(o) for o in out]
         assert {rid: mask.tolist() for rid, mask in masks.items()} == want
+    # The windows of an array of starts, this one among them, each get
+    # the masks of their start alone; a resource out in none is left out.
+    starts = np.array([m0 + 37, m0, m0 + 3])
+    many = outage_masks(scn, starts, block, n)
+    for k, m in enumerate(starts.tolist()):
+        for one, masks in zip(outage_masks(scn, m, block, n), many):
+            assert {rid: mask[k].tolist() for rid, mask in masks.items()
+                    if mask[k].any()} == \
+                {rid: mask.tolist() for rid, mask in one.items()}
+    assert outage_masks(scn, starts[:0], block, n) == ({}, {})
 
 
 def test_trace_files_written(mini, tmp_path):
