@@ -76,7 +76,7 @@ def _simulate_one(path: str, minutes: int, seed, outdir: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    minutes = args.minutes if args.minutes else args.days * 1440
+    minutes = args.days * 1440 if args.minutes is None else args.minutes
     if minutes <= 0:
         print("nothing to simulate: span is zero", file=sys.stderr)
         return EXIT_USAGE
@@ -121,7 +121,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("simulate", help="run the control cascade")
     s.add_argument("scenario", nargs="+")
-    s.add_argument("--minutes", type=int, default=0)
+    s.add_argument("--minutes", type=int, default=None)
     s.add_argument("--days", type=int, default=1)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--out", default="out")

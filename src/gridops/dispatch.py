@@ -33,9 +33,12 @@ fixed run of array writes, most of them one row of those values and the
 rest what the fleet's state sets, and extraction one gather.
 
 Each layer decides its own window from its start minute: the step grid
-(:func:`layer_grid`), the outage masks over it and the clock hour of each
-step, which prices fuel.  What carries over from window to window is the
-one live :class:`InitialState` the caller passes in.
+(:func:`layer_grid`) and the start minute itself (:class:`LayerOptions`).
+The outage masks over the grid and the clock hour of each step, which
+prices fuel, are worked out from the start minute in one place,
+:meth:`LayerInputs.of_layer`, for all of a layer's windows at once or for
+a window alone.  What carries over from window to window is the one live
+:class:`InitialState` the caller passes in.
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -69,7 +72,8 @@ class Forecasts:
     ``inputs`` is the batch of the layer's windows this one belongs to and
     ``index`` its row there (:meth:`LayerInputs.windows`); the window's
     options must then be those of that row's start minute.  A Forecasts
-    made without one is a batch of one (:meth:`LayerInputs.of_window`).
+    made without one is a batch of one (:meth:`LayerInputs.of_window`),
+    whose hours and outage masks follow from the options' start minute.
     """
     load: dict[str, np.ndarray]          # bubble -> MW per step
     semi: dict[str, np.ndarray]          # resource -> MW per step
@@ -92,20 +96,18 @@ class LayerInputs:
 
     def __init__(self, scn: Scenario, load, semi, hours, gen_out: dict,
                  semi_out: dict):
+        """``gen_out`` and ``semi_out`` are the windows' masks as
+        :func:`outage_masks` gives them, [window, step] per resource out."""
         self.load, self.semi, self.hours = load, semi, hours
         W, T = hours.shape
         gens = {g.id: k for k, g in enumerate(scn.generators)}
         semis = {sm.id: k for k, sm in enumerate(scn.semis)}
         self.gen_on = np.ones((W, T, len(gens)))
         for rid, mask in gen_out.items():
-            if rid in gens:
-                self.gen_on[:, :, gens[rid]] = \
-                    1.0 - np.asarray(mask, dtype=float)[..., :T]
+            self.gen_on[:, :, gens[rid]] = 1.0 - mask
         self.semi_on = np.ones((W, len(semis), T))
         for rid, mask in semi_out.items():
-            if rid in semis:
-                self.semi_on[:, semis[rid]] = \
-                    1.0 - np.asarray(mask, dtype=float)[..., :T]
+            self.semi_on[:, semis[rid]] = 1.0 - mask
         self.load_ids = [ld.bubble for ld in scn.loads]
         self.semi_ids = list(semis)
         self._values = {}
@@ -115,7 +117,8 @@ class LayerInputs:
                  semi) -> LayerInputs:
         """The windows of ``layer`` that start at ``minutes``, with each
         load's and semi's forecasts as [window, step] arrays in scenario
-        order: the hours and outage masks are ``_window``'s for each."""
+        order.  Each window's clock hours and outage masks follow from its
+        start minute here, and nowhere else."""
         step, n = layer_grid(scn.timing, layer)
         minutes = np.asarray(minutes, dtype=int)
         hours = np.add.outer(minutes, step * np.arange(n)) // 60 % 24
@@ -130,21 +133,16 @@ class LayerInputs:
     @classmethod
     def of_window(cls, scn: Scenario, fc: Forecasts,
                   opt: LayerOptions) -> LayerInputs:
-        """One window's forecasts and options as a batch of one."""
+        """One window's forecasts as a batch of one, starting at the
+        options' minute."""
         T = opt.steps
         for series in (*fc.load.values(), *fc.semi.values()):
             if len(series) < T:
                 raise DispatchError(
                     f"forecast horizon {len(series)} shorter than {T} steps")
-
-        def rows(table, keys):
-            return np.array([table[key][:T] for key in keys],
-                            dtype=float).reshape(1, -1, T)
-
-        return cls(scn, rows(fc.load, [ld.bubble for ld in scn.loads]),
-                   rows(fc.semi, [sm.id for sm in scn.semis]),
-                   np.array([opt.hour_of_step or [0] * T]),
-                   opt.outage_gen or {}, opt.outage_semi or {})
+        return cls.of_layer(scn, opt.layer, [opt.minute],
+                            [fc.load[ld.bubble][:T] for ld in scn.loads],
+                            [fc.semi[sm.id][:T] for sm in scn.semis])
 
     def windows(self) -> list[Forecasts]:
         """Each window's Forecasts, its series views of these arrays."""
@@ -250,15 +248,16 @@ class Schedule:
 
 @dataclass
 class LayerOptions:
+    """One window of a layer: its step grid, its start minute and what the
+    caller pins.  The window's clock hours and outage masks are not held
+    here: :meth:`LayerInputs.of_layer` derives them from ``minute``."""
     layer: str                           # scuc | rtuc | sced
     steps: int
     step_minutes: int
+    minute: int = 0                      # where the window starts
     pinned_w: dict[str, np.ndarray] | None = None       # gen -> w per step
     pinned_storage: tuple[dict, dict] | None = None     # (P_s, S_s); None=free
     fixed_uv: tuple[dict, dict] | None = None           # sced: (u, v) consts
-    outage_gen: dict[str, np.ndarray] | None = None     # gen -> mask per step
-    outage_semi: dict[str, np.ndarray] | None = None
-    hour_of_step: list[int] | None = None               # clock hour, 0-23
     starts_ahead: dict[str, int] = field(default_factory=dict)  # m_Gk lookahead
 
 
@@ -993,19 +992,10 @@ def outage_masks(scn: Scenario, m0, block: int, n: int):
     ``m0`` may be an array of window starts: each mask then has one row
     per window, and a resource out in any of them is listed."""
     gen, semi = {}, {}
-    if isinstance(m0, np.ndarray):
-        first, last = min(m0, default=0), max(m0, default=-1)
-    else:
-        first = last = m0
-    end = last + n * block
-    lo = None
+    lo = np.add.outer(m0, block * np.arange(n))
     for ev in scn.outages:
-        # An outage overlaps a window only if it covers a minute in it.
-        if ev.duration <= 0 or ev.start + ev.duration <= first or \
-                ev.start >= end:
+        if ev.duration <= 0:        # it would mask the block of its start
             continue
-        if lo is None:
-            lo = np.add.outer(m0, block * np.arange(n))
         mask = ((lo < ev.start + ev.duration) &
                 (lo + block > ev.start)).astype(float)
         if not mask.any():
@@ -1020,14 +1010,10 @@ def outage_masks(scn: Scenario, m0, block: int, n: int):
 def _window(scn: Scenario, layer: str, minute: int,
             **fields) -> LayerOptions:
     """Options for the ``layer`` window that starts at ``minute``: its step
-    grid, the outage masks over it and the clock hour of each step."""
+    grid, its start and ``fields``."""
     step_min, steps = layer_grid(scn.timing, layer)
-    gen_out, semi_out = outage_masks(scn, minute, step_min, steps)
-    return LayerOptions(
-        layer=layer, steps=steps, step_minutes=step_min,
-        outage_gen=gen_out, outage_semi=semi_out,
-        hour_of_step=[(minute + t * step_min) // 60 % 24
-                      for t in range(steps)], **fields)
+    return LayerOptions(layer=layer, steps=steps, step_minutes=step_min,
+                        minute=minute, **fields)
 
 
 def run_scuc(scn: Scenario, fc: Forecasts, init: InitialState,

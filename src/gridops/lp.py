@@ -217,16 +217,13 @@ class LinearProgram:
         return Cells(entries, self.entry_row[entries] * self.n + cols, cols,
                      self.n)
 
-    def set_coeffs(self, entries, values: np.ndarray) -> None:
+    def set_coeffs(self, entries: Cells, values: np.ndarray) -> None:
         """Write the values of existing, distinct entries and of their
         matrix cells, stamping the columns whose cells change bits.
-        ``entries`` are indices into the entry arrays, or the
-        :class:`Cells` :meth:`cells` located for them.  A program with
-        repeated cells drops A instead, and assembles and stamps it afresh
-        when it is next read."""
-        if not isinstance(entries, Cells):
-            entries = self.cells(entries)
-        elif entries.n != self.n:       # columns were added since
+        ``entries`` are the :class:`Cells` :meth:`cells` located.  A
+        program with repeated cells drops A instead, and assembles and
+        stamps it afresh when it is next read."""
+        if entries.n != self.n:         # columns were added since
             entries = self.cells(entries.entries)
         self.entry_val[entries.entries] = values
         if self._A is None:

@@ -33,6 +33,17 @@ def test_usage_error_exit_code(capsys):
     assert out.out == ""          # diagnostics stay on stderr
 
 
+@pytest.mark.parametrize("span", [["--minutes", "0"], ["--minutes", "-3"],
+                                  ["--days", "0"]],
+                         ids=["no-minutes", "negative-minutes", "no-days"])
+def test_simulate_of_no_span_exits_1(mini, tmp_path, span, capsys):
+    # An explicit --minutes 0 is a span of zero, not "use --days".
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, *span, "--out", out]) == 1
+    assert capsys.readouterr().err == "nothing to simulate: span is zero\n"
+    assert not os.path.exists(out)
+
+
 def test_validate_clean(mini, capsys):
     assert main(["validate", mini]) == 0
     out = capsys.readouterr()

@@ -655,13 +655,26 @@ def family_windows(layer):
     return scn, windows
 
 
+def window_masks(scn, opt):
+    """The outage masks of generators and semis over the window ``opt``."""
+    return dispatch.outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
+
+
+def window_hours(opt):
+    """The clock hour of each step of the window ``opt``."""
+    return [(opt.minute + t * opt.step_minutes) // 60 % 24
+            for t in range(opt.steps)]
+
+
 @pytest.mark.parametrize("layer", ["scuc", "rtuc", "sced"])
 def test_refilled_program_equals_a_fresh_build_in_every_family(layer):
     scn, (one, two) = family_windows(layer)
-    assert not one[2].outage_gen and not one[2].outage_semi
-    assert set(two[2].outage_gen) == {"mid"}
-    assert set(two[2].outage_semi) == {"sun"}
-    assert one[2].hour_of_step != two[2].hour_of_step
+    gen_one, semi_one = window_masks(scn, one[2])
+    gen_two, semi_two = window_masks(scn, two[2])
+    assert not gen_one and not semi_one
+    assert set(gen_two) == {"mid"}
+    assert set(semi_two) == {"sun"}
+    assert window_hours(one[2]) != window_hours(two[2])
     fresh = [dispatch.build_program(scn, *window) for window in (one, two)]
     want = [program_bytes(program) for program in fresh]
     # Every array the fill writes, and SCED's cost outside the program,
@@ -685,7 +698,8 @@ def reference_fill(program, scn, fc, init, opt):
     gens, semis, loads = scn.generators, scn.semis, scn.loads
     gamma = scn.gamma_loss
     dt = opt.step_minutes
-    hours = opt.hour_of_step or [0] * T
+    hours = window_hours(opt)
+    gen_out, semi_out = window_masks(scn, opt)
     lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
     rows, ents = cols.rows, cols.entries
     column = {name: j for j, name in enumerate(lp.col_names)}
@@ -698,11 +712,11 @@ def reference_fill(program, scn, fc, init, opt):
     curve = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
                             dispatch.N_SEGMENTS) for g in gens]
     cf = np.array([[g.fuel_price(h) for g in gens] for h in hours])
-    g_on = np.array([available(opt.outage_gen, g.id) for g in gens]).T
+    g_on = np.array([available(gen_out, g.id) for g in gens]).T
     pmin = np.array([g.p_min for g in gens])
     pmax = np.array([g.p_max for g in gens])
     at_min = np.array([c.cost_at_min for c in curve])
-    semi_avail = [available(opt.outage_semi, sm.id) *
+    semi_avail = [available(semi_out, sm.id) *
                   np.asarray(fc.semi[sm.id], dtype=float)[:T]
                   for sm in semis]
     load = [np.asarray(fc.load[ld.bubble], dtype=float)[:T] for ld in loads]
@@ -732,8 +746,8 @@ def reference_fill(program, scn, fc, init, opt):
         obj[cols["w"]] = cf * at_min
         obj[cols["u"]] = cf * np.array([g.h_u for g in gens])
         obj[cols["v"]] = cf * np.array([g.h_d for g in gens])
-        lp.set_coeffs(ents["seg.w"], -g_on * pmin)
-        lp.set_coeffs(ents["plim.w"], -g_on * pmax)
+        lp.set_coeffs(lp.cells(ents["seg.w"]), -g_on * pmin)
+        lp.set_coeffs(lp.cells(ents["plim.w"]), -g_on * pmax)
         steps_per_hour = 60.0 / opt.step_minutes
         for k, g in enumerate(gens):
             col = cols["w"][:, k]
@@ -775,15 +789,17 @@ def reference_fill(program, scn, fc, init, opt):
         scale = 1.0 if sm.kind == "tie-line" else 1.0 + gamma
         if sm.d > 0:
             obj[cols["cv"][:, k]] = -sm.price * sm.d * avail
-            lp.set_coeffs(ents["bal.cv"][:, k], scale * (-sm.d * avail))
+            lp.set_coeffs(lp.cells(ents["bal.cv"][:, k]),
+                          scale * (-sm.d * avail))
         if rows["ct1"][0, k] >= 0:
             rhs[rows["ct1"][:, k]] = avail
             if sm.d > 0:
-                lp.set_coeffs(ents["ct1.cv"][:, k], sm.d * avail)
+                lp.set_coeffs(lp.cells(ents["ct1.cv"][:, k]),
+                              sm.d * avail)
     for k, ld in enumerate(loads):
         if ld.d > 0:
             obj[cols["cl"][:, k]] = ld.price * ld.d * load[k]
-            lp.set_coeffs(ents["bal.cl"][:, k],
+            lp.set_coeffs(lp.cells(ents["bal.cl"][:, k]),
                           (1.0 + gamma) * ld.d * load[k])
     for kb, b in enumerate(scn.network.bubbles):
         total = np.zeros(T)

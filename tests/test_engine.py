@@ -383,8 +383,10 @@ def test_batched_fill_equals_a_window_alone_on_a_cadence_day(mini, seed,
     assert [layers.count(x) for x in ("scuc", "rtuc", "sced")] == \
         [12, 52, 288]
     # Windows with generator and semi outages came from the batch too.
-    assert any(opt.outage_gen for opt in windows)
-    assert any(opt.outage_semi for opt in windows)
+    masks = [outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
+             for opt in windows]
+    assert any(gen for gen, _ in masks)
+    assert any(semi for _, semi in masks)
 
 
 def test_batched_fill_equals_a_window_alone_in_every_family(mini,
@@ -402,6 +404,8 @@ def test_batched_fill_equals_a_window_alone_in_every_family(mini,
     windows = _fills_from_batches_equal_fills_alone(scn, 120, p["seed"],
                                                     monkeypatch)
     assert {opt.layer for opt in windows} == {"scuc", "rtuc", "sced"}
-    assert any(opt.outage_gen for opt in windows)
-    assert any(opt.outage_semi for opt in windows)
+    masks = [outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
+             for opt in windows]
+    assert any(gen for gen, _ in masks)
+    assert any(semi for _, semi in masks)
     assert any(opt.pinned_storage for opt in windows)

@@ -565,14 +565,14 @@ def test_carried_inverse_is_refused_after_a_basic_column_changes(
     calls = _count_inversions(monkeypatch)
     # Writing a value bitwise equal to the old one keeps the inverse.
     k = entry(lp, 2, 1)                                   # y in c3
-    lp.set_coeffs(np.array([k]), np.array([-1.0]))
+    lp.set_coeffs(lp.cells([k]), np.array([-1.0]))
     Binv = sx.Binv
     solve_lp(lp, basis=sx)
     assert calls["factor"] == 0 and sx.Binv is Binv
     # A new value in the basic column y is refused: the re-solve inverts
     # afresh without reading the stale inverse, bitwise the solve from
     # the basis alone.
-    lp.set_coeffs(np.array([k]), np.array([-1.5]))
+    lp.set_coeffs(lp.cells([k]), np.array([-1.5]))
     start = lpmod.Basis(sx.basis.copy(), sx.state.copy())
     sx.Binv = None                   # any read of the stale inverse fails
     got = solve_lp(lp, basis=sx)
@@ -585,6 +585,17 @@ def test_carried_inverse_is_refused_after_a_basic_column_changes(
     assert got.simplex.Binv.tobytes() == fresh.simplex.Binv.tobytes()
 
 
+def test_cells_located_before_a_column_is_added_write_their_own_cells():
+    lp = small_lp()
+    cells = lp.cells([entry(lp, 1, 1)])                   # y in c2
+    lp.add_var("z", 0, 1)
+    assert lp.A.shape == (3, 3)
+    lp.set_coeffs(cells, np.array([-2.0]))
+    assert lp.A.tolist() == [[1.0, 2.0, 0.0], [3.0, -2.0, 0.0],
+                             [1.0, -1.0, 0.0]]
+    assert lp.entry_val.tolist() == [1.0, 2.0, 3.0, -2.0, 1.0, -1.0]
+
+
 def test_write_to_a_nonbasic_column_keeps_the_inverse(monkeypatch):
     # x sits nonbasic at its upper bound 4 and y is basic: a new
     # coefficient of x moves what y has left, not the basis, so the
@@ -594,7 +605,7 @@ def test_write_to_a_nonbasic_column_keeps_the_inverse(monkeypatch):
     sx = opt.simplex
     assert opt.basis.cols.tolist() == [1] and opt.x.tolist() == [4.0, 3.0]
     calls = _count_inversions(monkeypatch)
-    lp.set_coeffs(np.array([entry(lp, 0, 0)]), np.array([1.5]))
+    lp.set_coeffs(lp.cells([entry(lp, 0, 0)]), np.array([1.5]))
     Binv = sx.Binv
     sol = solve_lp(lp, basis=sx)
     assert calls == {"factor": 0, "inv": 0} and sx.Binv is Binv
@@ -615,14 +626,14 @@ def test_repeated_cells_reread_A_and_refactor(monkeypatch):
     assert lp.A[0, 1] == 1.0 and opt.x.tolist() == [0.0, 8.0]
     old = lp.A
     calls = _count_inversions(monkeypatch)
-    lp.set_coeffs(np.array([entry(lp, 1, x)]), np.array([2.0]))
+    lp.set_coeffs(lp.cells([entry(lp, 1, x)]), np.array([2.0]))
     sol = solve_lp(lp, basis=sx)
     assert lp.A is not old and sx.An is lp.A
     assert calls["factor"] == 1
     assert sol.x.tolist() == [0.0, 8.0]
     # Such a program cannot tell which bits a write changed: the same
     # write again drops A and inverts afresh once more.
-    lp.set_coeffs(np.array([entry(lp, 1, x)]), np.array([2.0]))
+    lp.set_coeffs(lp.cells([entry(lp, 1, x)]), np.array([2.0]))
     sol = solve_lp(lp, basis=sx)
     assert calls["factor"] == 2 and sx.An is lp.A
     assert sol.x.tolist() == [0.0, 8.0]

@@ -183,7 +183,7 @@ def _refill(data, lp: LinearProgram, live: _Simplex | None) -> None:
         basic = np.flatnonzero(np.isin(lp.entry_col, live.basis))
         if basic.size:
             k = int(basic[data.draw(st.integers(0, basic.size - 1))])
-    lp.set_coeffs(np.array([k]), np.array([float(data.draw(
+    lp.set_coeffs(lp.cells([k]), np.array([float(data.draw(
         st.integers(-4, 4)))]))
 
 
