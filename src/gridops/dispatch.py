@@ -40,6 +40,15 @@ prices fuel, are worked out from the start minute in one place,
 a window alone.  What carries over from window to window is the one live
 :class:`InitialState` the caller passes in.
 
+Everything indexed by entity is an array in scenario order: generators,
+storage, semis, loads, DR and bubbles as the scenario lists them, branches
+in network order.  :class:`InitialState` holds one array per quantity
+([generator] or [storage]); each :class:`Schedule` field is [entity,
+step]; the pins of :class:`LayerOptions` are [generator, step] or
+[storage, step].  Columns and rows are blocks [step, entity].  So a value
+is found by position, and the ids a Schedule field's rows follow are
+listed once, in the plan (``Columns.read``).
+
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
 """
@@ -207,58 +216,71 @@ class LayerInputs:
 
 @dataclass
 class InitialState:
-    """The fleet's state where a window starts.  A simulation keeps one and
-    updates it minute by minute; layers only read it."""
-    online: dict[str, float] = field(default_factory=dict)       # w at t=0
-    output: dict[str, float] = field(default_factory=dict)       # MW at t=0
-    run_hours: dict[str, float] = field(default_factory=dict)    # +on/-off history
-    starts_used: dict[str, int] = field(default_factory=dict)    # n_Gk today
-    energy: dict[str, float] = field(default_factory=dict)       # storage MWh
-    mode_gen: dict[str, float] = field(default_factory=dict)
-    mode_pump: dict[str, float] = field(default_factory=dict)
+    """The fleet's state where a window starts, one array per quantity:
+    generator order for the units, storage order for the storage.  A
+    simulation keeps one and updates it minute by minute; layers only read
+    it."""
+    online: np.ndarray           # w at t=0
+    output: np.ndarray           # MW at t=0
+    run_hours: np.ndarray        # hours in the current status, +on/-off
+    starts_used: np.ndarray      # n_Gk today (ints)
+    energy: np.ndarray           # storage MWh
+    mode_gen: np.ndarray
+    mode_pump: np.ndarray
 
 
 @dataclass
 class Schedule:
+    """One window's solution.  Each field is an array [entity, step], its
+    rows in scenario order: generators for ``w`` to ``tmor``, storage for
+    the ``storage_`` fields, then semis (``curtail``), loads (``shed``),
+    DR (``dr``), bubbles (``super_pos``, ``super_neg``) and branches
+    (``flows``); ``c1`` is [step].  A quantity the program has no column
+    for reads 0.0: SCED's u and v, the reserves without reserve
+    requirements, an uncurtailable semi's curtailment, an unsheddable
+    load's shedding, and the storage energy and modes where storage is
+    pinned (its pinned output is kept).  :attr:`Columns.read` lists the
+    ids each field's rows follow."""
     layer: str
     steps: int
     step_minutes: int
-    status: str = ""
-    objective: float = 0.0
-    w: dict[str, np.ndarray] = field(default_factory=dict)
-    u: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    p: dict[str, np.ndarray] = field(default_factory=dict)
-    tmsr: dict[str, np.ndarray] = field(default_factory=dict)
-    tmor: dict[str, np.ndarray] = field(default_factory=dict)
-    storage_gen: dict[str, np.ndarray] = field(default_factory=dict)
-    storage_pump: dict[str, np.ndarray] = field(default_factory=dict)
-    storage_energy: dict[str, np.ndarray] = field(default_factory=dict)
-    storage_mode_gen: dict[str, np.ndarray] = field(default_factory=dict)
-    storage_mode_pump: dict[str, np.ndarray] = field(default_factory=dict)
-    curtail: dict[str, np.ndarray] = field(default_factory=dict)
-    shed: dict[str, np.ndarray] = field(default_factory=dict)
-    dr: dict[str, np.ndarray] = field(default_factory=dict)
-    super_pos: dict[str, np.ndarray] = field(default_factory=dict)
-    super_neg: dict[str, np.ndarray] = field(default_factory=dict)
-    flows: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    c1: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    status: str
+    objective: float
+    w: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    p: np.ndarray
+    tmsr: np.ndarray
+    tmor: np.ndarray
+    storage_gen: np.ndarray
+    storage_pump: np.ndarray
+    storage_energy: np.ndarray
+    storage_mode_gen: np.ndarray
+    storage_mode_pump: np.ndarray
+    curtail: np.ndarray
+    shed: np.ndarray
+    dr: np.ndarray
+    super_pos: np.ndarray
+    super_neg: np.ndarray
+    flows: np.ndarray
+    c1: np.ndarray
     program: tuple | None = None     # (lp, cols); refilled by the next window
 
 
 @dataclass
 class LayerOptions:
     """One window of a layer: its step grid, its start minute and what the
-    caller pins.  The window's clock hours and outage masks are not held
-    here: :meth:`LayerInputs.of_layer` derives them from ``minute``."""
+    caller pins, as arrays in generator or storage order.  The window's
+    clock hours and outage masks are not held here:
+    :meth:`LayerInputs.of_layer` derives them from ``minute``."""
     layer: str                           # scuc | rtuc | sced
     steps: int
     step_minutes: int
     minute: int = 0                      # where the window starts
-    pinned_w: dict[str, np.ndarray] | None = None       # gen -> w per step
-    pinned_storage: tuple[dict, dict] | None = None     # (P_s, S_s); None=free
-    fixed_uv: tuple[dict, dict] | None = None           # sced: (u, v) consts
-    starts_ahead: dict[str, int] = field(default_factory=dict)  # m_Gk lookahead
+    pinned_w: np.ndarray | None = None   # [gen, step] w; a NaN row is free
+    pinned_storage: tuple | None = None  # ([st, step] P_s, S_s); None=free
+    fixed_uv: tuple | None = None        # sced: ([gen] u, [gen] v) consts
+    starts_ahead: np.ndarray | None = None   # [gen] m_Gk lookahead
 
 
 class Columns(dict):
@@ -286,8 +308,9 @@ class Columns(dict):
     balance terms in summation order; ``obj_cells``, ``rhs_cells`` and
     ``coef_cells`` (located once, see ``LinearProgram.cells``) are where a
     window's forecast-driven values (:meth:`LayerInputs.values`) go;
-    ``gather`` and ``read`` give each Schedule field's block of the
-    solution.  Like the coefficients baked
+    ``gather`` reads every Schedule field from the solution at once and
+    ``read`` lists each field's rows of it with the ids they follow.
+    Like the coefficients baked
     into the structure, the plan belongs to the scenario object ``scn``:
     a program is refilled only for that same object (``scn is``), so a
     scenario edited in place needs a new program.
@@ -308,10 +331,11 @@ def reserves_active(scn: Scenario) -> bool:
 
 def _shape(scn: Scenario, opt: LayerOptions) -> tuple:
     """Everything the structure of a layer's program depends on, beyond
-    the scenario: the layer, its steps and which units and storage are
-    pinned.  Windows of equal shape differ only in values."""
-    pinned = () if opt.pinned_w is None else \
-        tuple(g.id in opt.pinned_w for g in scn.generators)
+    the scenario: the layer, its steps, which units are pinned (one flag
+    per generator) and whether storage is.  Windows of equal shape differ
+    only in values."""
+    pinned = (False,) * len(scn.generators) if opt.pinned_w is None else \
+        tuple((~np.isnan(opt.pinned_w[:, 0])).tolist())
     return (opt.layer, opt.steps, opt.step_minutes, pinned,
             opt.pinned_storage is None)
 
@@ -366,8 +390,7 @@ def _structure(scn: Scenario, opt: LayerOptions):
             for name, n in ent_sizes.items()}
     pw = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
                          N_SEGMENTS) for g in gens]
-    pins = [None if opt.pinned_w is None else opt.pinned_w.get(g.id)
-            for g in gens]
+    pinned = _shape(scn, opt)[3]
 
     # -- variables ---------------------------------------------------------
     # The program's columns and rows, and the entries ``mark`` names:
@@ -383,7 +406,7 @@ def _structure(scn: Scenario, opt: LayerOptions):
             if sced:
                 P[t][k] = var(f"P[{g.id},{t}]")
             else:
-                free = g.kind != "must-run" and pins[k] is None
+                free = g.kind != "must-run" and not pinned[k]
                 w[t][k] = var(f"w[{g.id},{t}]", ub=1.0, binary=free)
                 u[t][k] = var(f"u[{g.id},{t}]", lb=0.0, ub=1.0)
                 v[t][k] = var(f"v[{g.id},{t}]", lb=0.0, ub=1.0)
@@ -587,7 +610,7 @@ def _structure(scn: Scenario, opt: LayerOptions):
     # Commitment-window constraints across steps.
     if not sced:
         for k, g in enumerate(gens):
-            if g.kind == "must-run" or pins[k] is not None:
+            if g.kind == "must-run" or pinned[k]:
                 continue
             tau_u = max(int(math.ceil(g.t_u * 60.0 / opt.step_minutes)), 1)
             tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.step_minutes)), 1)
@@ -613,12 +636,12 @@ def _structure(scn: Scenario, opt: LayerOptions):
     cols.entries = arrays(ents)
     cols.shape = _shape(scn, opt)
     cols.scn = scn
-    _plan(lp, cols, scn, opt, pw, pins, dP)
+    _plan(lp, cols, scn, opt, pw, pinned, dP)
     return lp, cols
 
 
 def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
-          opt: LayerOptions, pw, pins, dP) -> None:
+          opt: LayerOptions, pw, pinned, dP) -> None:
     """Record on ``cols`` what only the scenario and the program's shape
     fix, laid out as :func:`fill_program`, :meth:`LayerInputs.values` and
     :func:`extract_schedule` read it."""
@@ -664,16 +687,16 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
     cols.ramp = np.stack((col([g.r_max for g in gens]) * dt,
                           col([g.r_min for g in gens]) * dt))[:, None]
     cols.relax = np.stack((cols.pmax, -cols.pmax))[:, None]
-    # Commitment: units fixed on, pinned to a given status, or free.
+    # Commitment: units fixed on, pinned to a given status, or free, each
+    # free unit with its minimum up and down times and daily starts.
     must = [g.kind == "must-run" for g in gens]
-    pinned = [k for k in range(G) if not must[k] and pins[k] is not None]
+    pins = idx([k for k in range(G) if not must[k] and pinned[k]])
     cols.must_run = cols["w"][:, [k for k in range(G) if must[k]]]
-    cols.pinned = (cols["w"][:, pinned], [gens[k].id for k in pinned])
-    cols.free = [(k, g.id, g.t_u, g.t_d, g.u_max)
-                 for k, g in enumerate(gens)
-                 if not must[k] and pins[k] is None]
-    cols.storage = [(st.id, st.initial_energy, 1.0 if st.mode_gen0 else 0.0,
-                     1.0 if st.mode_pump0 else 0.0) for st in scn.storages]
+    cols.pinned = (cols["w"][:, pins], pins)
+    free = idx([k for k in range(G) if not must[k] and not pinned[k]])
+    cols.free = (free, cols["w"][:, free],
+                 col([[gens[k].t_u, gens[k].t_d, gens[k].u_max]
+                      for k in free]).reshape(-1, 3).T)
 
     # Semis and loads: which have curtailment or shedding columns and which
     # tie lines are contingencies, with their constant factors.
@@ -725,40 +748,32 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
     cols.rhs_cells = np.concatenate(
         [cols.ties[1].ravel()] + ([] if St else [cols.bal_rows.ravel()]))
 
-    # Extraction: each Schedule field's columns as rows of one gather from
-    # the solution with a 0.0 appended, which the -1 of a missing column
-    # reads (SCED's u and v, an uncurtailable semi's curtailment).
+    # Extraction: each Schedule field's rows, [entity, step], as one block
+    # of a gather from the solution with a 0.0 appended, which the -1 of a
+    # missing column reads.  Each entry names the column family the field
+    # reads and the ids its rows follow.
+    gids, sids = cols.gids, [st.id for st in scn.storages]
     bubbles = scn.network.bubbles
-    read = [("p", cols["P"], cols.gids), ("u", cols["u"], cols.gids),
-            ("v", cols["v"], cols.gids),
-            ("dr", cols["Pm"], [m.id for m in scn.drs]),
-            ("super_pos", cols["sgP"], bubbles),
-            ("super_neg", cols["sgN"], bubbles),
-            ("curtail", cols["cv"], [sm.id for sm in semis]),
-            ("shed", cols["cl"][:, cl], [loads[k].bubble for k in cl])]
-    cols.use_res = bool((cols["C1"] >= 0).all())
-    if cols.use_res:
-        read += [("tmsr", cols["rS"], cols.gids),
-                 ("tmor", cols["rO"], cols.gids)]
-    if opt.pinned_storage is None:
-        sids = [st.id for st in scn.storages]
-        read += [("storage_gen", cols["Ps"], sids),
-                 ("storage_pump", cols["Ss"], sids),
-                 ("storage_energy", cols["Es"], sids),
-                 ("storage_mode_gen", cols["wP"], sids),
-                 ("storage_mode_pump", cols["wS"], sids)]
-    read.append(("flows", cols["F"], None))
+    read = [("w", "w", gids), ("u", "u", gids), ("v", "v", gids),
+            ("p", "P", gids), ("tmsr", "rS", gids), ("tmor", "rO", gids),
+            ("storage_gen", "Ps", sids), ("storage_pump", "Ss", sids),
+            ("storage_energy", "Es", sids),
+            ("storage_mode_gen", "wP", sids),
+            ("storage_mode_pump", "wS", sids),
+            ("curtail", "cv", [sm.id for sm in semis]),
+            ("shed", "cl", [ld.bubble for ld in loads]),
+            ("dr", "Pm", [m.id for m in scn.drs]),
+            ("super_pos", "sgP", bubbles), ("super_neg", "sgN", bubbles),
+            ("flows", "F", [f"{br.from_bubble}-{br.to_bubble}"
+                            for br in scn.network.branches])]
     cols.read, at = [], 0
-    for name, block, keys in read:
-        cols.read.append((name, slice(at, at + block.shape[1]), keys))
-        at += block.shape[1]
-    # The commitment layers' w, rounded before it is read, comes last.
-    cols.w_rows = slice(at, at + G)
-    if not sced:
-        read.append(("w", cols["w"], None))
-    cols.gather = np.concatenate([block.T for _, block, _ in read]
+    for name, _, keys in read:
+        cols.read.append((name, slice(at, at + len(keys)), keys))
+        at += len(keys)
+    cols.gather = np.concatenate([cols[fam].T for _, fam, _ in read]
                                  ).reshape(-1, T)
-    cols.ties_d = [(semis[k].id, semis[k].d) for k in ties]
+    cols.use_res = bool((cols["C1"] >= 0).all())
+    cols.ties_d = [(k, semis[k].id, semis[k].d) for k in ties]
 
 
 def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
@@ -795,8 +810,7 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
     # -- generators ------------------------------------------------------
     fixed_cost = 0.0
     if cols.sced:
-        wv = np.array([opt.pinned_w[gid][:T] for gid in cols.gids],
-                      dtype=float).T.reshape(T, -1)
+        wv = opt.pinned_w[:, :T].T
         # Segments only price output above the committed floor.
         for c in ((wv * values.fuel[win]) * cols.at_min).ravel().tolist():
             fixed_cost += c
@@ -805,65 +819,48 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
         lb[cols["P"]] = floor
         ub[cols["P"]] = wv * cols.pmax
         rhs[rows["seg"]] = floor
-        # Each unit's output, start and stop, as rows.
-        uf, vf = opt.fixed_uv
-        puv = np.array([(init.output.get(gid, 0.0), uf.get(gid, 0.0),
-                         vf.get(gid, 0.0)) for gid in cols.gids],
-                       dtype=float).reshape(-1, 3).T
-        rhs[cols.ramp_rows] = (puv[0] + cols.ramp) + \
-            cols.relax * puv[1:, None]
+        # Each unit's output, relaxed by its start and stop.
+        rhs[cols.ramp_rows] = (init.output + cols.ramp) + \
+            cols.relax * np.stack(opt.fixed_uv)[:, None]
     else:
         # Commitment carries the cost of running at P^min (in ``hourly``);
         # the committed floor and cap scale with availability (in
         # ``coefs``).
-        w0 = np.array([init.online.get(gid, 0.0) for gid in cols.gids],
-                      dtype=float)
-        p0 = np.array([init.output.get(gid, 0.0) for gid in cols.gids],
-                      dtype=float)
-        rhs[rows["link"][0]] = w0
-        rhs[cols.ramp_rows] = p0 + cols.ramp
+        rhs[rows["link"][0]] = init.online
+        rhs[cols.ramp_rows] = init.output + cols.ramp
         lb[cols.must_run] = ub[cols.must_run] = 1.0
-        pinned, pin_ids = cols.pinned
-        if pin_ids:
-            lb[pinned] = ub[pinned] = np.array(
-                [opt.pinned_w[gid][:T] for gid in pin_ids], dtype=float).T
+        pinned, pins = cols.pinned
+        if len(pins):
+            lb[pinned] = ub[pinned] = opt.pinned_w[pins, :T].T
+        # Free units finish the current minimum-run window of their
+        # history, and start at most what is left of their daily budget.
+        free, wcol, (t_u, t_d, u_max) = cols.free
+        w0, hist = init.online[free], init.run_hours[free]
         steps_per_hour = 60.0 / opt.step_minutes
-        wcol = cols["w"]
-        for k, gid, t_u, t_d, u_max in cols.free:
-            col = wcol[:, k]
-            lb[col], ub[col] = 0.0, 1.0
-            # Initial history: finish the current minimum-run window.
-            hist = float(init.run_hours.get(gid, 0.0))
-            if w0[k] > 0.5 and hist < t_u:
-                remain = int(math.ceil((t_u - hist) * steps_per_hour))
-                lb[col[:remain]] = 1.0
-            if w0[k] < 0.5 and -hist < t_d:
-                remain = int(math.ceil((t_d + hist) * steps_per_hour))
-                ub[col[:remain]] = 0.0
-            used = int(init.starts_used.get(gid, 0))
-            ahead = int(opt.starts_ahead.get(gid, 0))
-            rhs[rows["maxup"][0, k]] = float(max(u_max - used - ahead, 0))
+        step = np.arange(T)[:, None]
+        up = np.where((w0 > 0.5) & (hist < t_u),
+                      np.ceil((t_u - hist) * steps_per_hour), 0.0)
+        down = np.where((w0 < 0.5) & (-hist < t_d),
+                        np.ceil((t_d + hist) * steps_per_hour), 0.0)
+        lb[wcol] = step < up
+        ub[wcol] = step >= down
+        ahead = 0 if opt.starts_ahead is None else opt.starts_ahead[free]
+        rhs[rows["maxup"][0, free]] = np.maximum(
+            u_max - init.starts_used[free] - ahead, 0.0)
     cols.fixed_cost = fixed_cost
 
     # -- storage: initial state, or pinned terms of the balance ------------
-    if opt.pinned_storage is None and cols.storage:
-        rhs[rows["stor"][0]] = [init.energy.get(sid, e0)
-                                for sid, e0, _, _ in cols.storage]
-        rhs[rows["flip1"][0]] = 1.0 - np.array(
-            [init.mode_pump.get(sid, mp) for sid, _, _, mp in cols.storage],
-            dtype=float)
-        rhs[rows["flip2"][0]] = 1.0 - np.array(
-            [init.mode_gen.get(sid, mg) for sid, _, mg, _ in cols.storage],
-            dtype=float)
+    if opt.pinned_storage is None:
+        rhs[rows["stor"][0]] = init.energy
+        rhs[rows["flip1"][0]] = 1.0 - init.mode_pump
+        rhs[rows["flip2"][0]] = 1.0 - init.mode_gen
     if cols.sids:
         # Pinned storage comes first in its bubble's sum, so the balance
         # is summed for the window.
         ps, ss = opt.pinned_storage
-        stored = np.array([ss[sid][:T] for sid in cols.sids], dtype=float) \
-            - np.array([ps[sid][:T] for sid in cols.sids], dtype=float)
         rhs[cols.bal_rows] = _balance(
-            np.concatenate([stored, values.terms[win]]), cols.bal_terms,
-            cols.bal_rows.shape)
+            np.concatenate([ss[:, :T] - ps[:, :T], values.terms[win]]),
+            cols.bal_terms, cols.bal_rows.shape)
 
 
 def _balance(terms: np.ndarray, bal_terms: list, shape: tuple) -> np.ndarray:
@@ -880,23 +877,23 @@ def _balance(terms: np.ndarray, bal_terms: list, shape: tuple) -> np.ndarray:
 
 def initial_from_scenario(scn: Scenario) -> InitialState:
     """Day-zero state taken from the scenario's declared unit status."""
-    init = InitialState()
-    for g in scn.generators:
-        on = g.online or g.kind == "must-run"
-        init.online[g.id] = 1.0 if on else 0.0
-        init.output[g.id] = g.initial_output if on else 0.0
-        if on and g.initial_output < g.p_min:
-            init.output[g.id] = g.p_min
-        hist = g.online_hours
-        if hist == 0:
-            # No declared history: assume the unit has settled.
-            hist = g.t_u if on else -g.t_d
-        init.run_hours[g.id] = float(hist)
-    for st in scn.storages:
-        init.energy[st.id] = st.initial_energy
-        init.mode_gen[st.id] = 1.0 if st.mode_gen0 else 0.0
-        init.mode_pump[st.id] = 1.0 if st.mode_pump0 else 0.0
-    return init
+    gens, stores = scn.generators, scn.storages
+    on = [g.online or g.kind == "must-run" for g in gens]
+
+    def arr(values, dtype=float):
+        return np.array(list(values), dtype=dtype)
+
+    return InitialState(
+        online=arr(on),
+        output=arr(max(g.initial_output, g.p_min) if o else 0.0
+                   for g, o in zip(gens, on)),
+        # No declared history: assume the unit has settled.
+        run_hours=arr(g.online_hours or (g.t_u if o else -g.t_d)
+                      for g, o in zip(gens, on)),
+        starts_used=np.zeros(len(gens), dtype=int),
+        energy=arr(st.initial_energy for st in stores),
+        mode_gen=arr(st.mode_gen0 for st in stores),
+        mode_pump=arr(st.mode_pump0 for st in stores))
 
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
@@ -935,23 +932,16 @@ def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
 def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
                      cols: Columns, opt: LayerOptions) -> Schedule:
     """The window's Schedule: every field read from the solution in one
-    gather (``Columns.gather``), one row per entity."""
+    gather (``Columns.gather``), [entity, step], with what the window
+    pins written over its rows."""
     T = opt.steps
     vals = np.concatenate((sol.x, _ZERO))[cols.gather]
-    if opt.layer == "sced":
-        w = np.array([opt.pinned_w[gid][:T] for gid in cols.gids],
-                     dtype=float).reshape(-1, T)
-    else:
-        w = vals[cols.w_rows] = vals[cols.w_rows].round(9)
-    fields = {name: vals[span].T if keys is None else
-              dict(zip(keys, vals[span])) for name, span, keys in cols.read}
-    fields["w"] = dict(zip(cols.gids, w))
+    fields = {name: vals[span] for name, span, _ in cols.read}
+    w = fields["w"]
+    w[:] = opt.pinned_w[:, :T] if opt.layer == "sced" else w.round(9)
     if opt.pinned_storage is not None:
-        ps, ss = opt.pinned_storage
-        fields["storage_gen"] = {sid: np.asarray(ps[sid], dtype=float)[:T]
-                                 for sid in cols.sids}
-        fields["storage_pump"] = {sid: np.asarray(ss[sid], dtype=float)[:T]
-                                  for sid in cols.sids}
+        fields["storage_gen"][:], fields["storage_pump"][:] = \
+            (p[:, :T] for p in opt.pinned_storage)
     c1 = np.zeros(T)
     if cols.use_res:
         # The epigraph variable can sit anywhere above the true maximum, so
@@ -960,9 +950,9 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
         # folded as max() folds them, the first of equals kept.
         curtail = fields["curtail"]
         for c in [*(w * cols.pmax[:, None]),
-                  *((1.0 - d * curtail[sid]) *
+                  *((1.0 - d * curtail[k]) *
                     np.asarray(fc.semi[sid], dtype=float)[:T]
-                    for sid, d in cols.ties_d)]:
+                    for k, sid, d in cols.ties_d)]:
             c1 = np.where(c > c1, c, c1)
     return Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
                     status=sol.status,
@@ -1044,43 +1034,43 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
     offset = start_minute % (H * 60)
     hour = [min((offset + t * step_min) // 60, H - 1) for t in range(steps)]
     after = min((offset + scn.timing.rtuc_horizon_min) // 60, H)
-    pinned, ahead = {}, {}
-    for g in scn.generators:
-        if g.kind != "fast-start":
-            pinned[g.id] = day_sched.w[g.id][hour]
-        elif g.id in day_sched.u:
-            # Day-ahead starts scheduled beyond this window still consume
-            # the unit's daily start budget.
-            ahead[g.id] = int(round(float(np.sum(day_sched.u[g.id][after:]))))
-    opt = _window(scn, "rtuc", start_minute, pinned_w=pinned,
-                  pinned_storage=({sid: p[hour] for sid, p
-                                   in day_sched.storage_gen.items()},
-                                  {sid: p[hour] for sid, p
-                                   in day_sched.storage_pump.items()}),
-                  starts_ahead=ahead)
+    fast = np.array([g.kind == "fast-start" for g in scn.generators],
+                    dtype=bool)
+    # Day-ahead starts scheduled beyond this window still consume a
+    # fast-start unit's daily start budget.
+    ahead = np.where(fast, day_sched.u[:, after:].sum(axis=1).round(), 0.0)
+    opt = _window(scn, "rtuc", start_minute,
+                  pinned_w=np.where(fast[:, None], np.nan,
+                                    day_sched.w[:, hour]),
+                  pinned_storage=(day_sched.storage_gen[:, hour],
+                                  day_sched.storage_pump[:, hour]),
+                  starts_ahead=ahead.astype(int))
     return solve_layer(scn, fc, init, opt, program)
 
 
 def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
-             starts: dict[str, float] | None = None,
-             stops: dict[str, float] | None = None,
-             pinned_storage: tuple[dict, dict] | None = None,
+             starts: np.ndarray | None = None,
+             stops: np.ndarray | None = None,
+             pinned_storage: tuple | None = None,
              minute: int = 0, program: tuple | None = None) -> Schedule:
     """Economic dispatch of the committed fleet over the interval that
     starts at ``minute``, with no commitment decisions.
 
     Each unit is pinned to its status in ``init.online``, and
     ``init.output`` holds the outputs the fleet is moving from;
-    ``starts``/``stops`` relax the ramp limits of units changing state.
+    ``starts``/``stops`` ([gen], zeros when None) relax the ramp limits of
+    units changing state.  ``pinned_storage`` is each storage unit's
+    generating and pumping MW ([storage, 1] each, idle when None).
     ``program`` is the program to refill (the previous interval's
     ``Schedule.program``).
     """
-    pinned = {g.id: np.array([float(init.online.get(g.id, 0.0))])
-              for g in scn.generators}
+    G, S = len(scn.generators), len(scn.storages)
+    zero = np.zeros(G)
     if pinned_storage is None:
-        pinned_storage = ({st.id: np.zeros(1) for st in scn.storages},
-                          {st.id: np.zeros(1) for st in scn.storages})
-    opt = _window(scn, "sced", minute, pinned_w=pinned,
+        pinned_storage = (np.zeros((S, 1)), np.zeros((S, 1)))
+    opt = _window(scn, "sced", minute,
+                  pinned_w=np.array(init.online, dtype=float)[:, None],
                   pinned_storage=pinned_storage,
-                  fixed_uv=(dict(starts or {}), dict(stops or {})))
+                  fixed_uv=(zero if starts is None else starts,
+                            zero if stops is None else stops))
     return solve_layer(scn, fc, init, opt, program)

@@ -19,11 +19,13 @@ passes, each doing only what a window or a minute changes:
    what the state sets.
 2. *Dispatch.*  The minutes in order, solving each window as it starts
    and keeping only what feeds the next solve, in one live
-   ``InitialState``: commitment, unit outputs, starts and storage energy.
-   The minute loop reads each commitment window and the outage status as
-   Python lists and collects unit outputs in lists.  Each SCED leaves the
-   few values the physics reads (curtailed and shed fractions, DR output,
-   supergeneration).
+   ``InitialState``: commitment, unit outputs, starts and storage energy,
+   one array per quantity in generator or storage order.  Every
+   ``Schedule`` field is an array [entity, step] in the same orders, so
+   the minute loop reads a window's step as one column and updates the
+   state in place, and unit outputs collect in one array [unit, minute].
+   Each SCED leaves the few values the physics reads (curtailed and shed
+   fractions, DR output, supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
    injections, then regulation stepped through every minute in one call
    and the network solved for every minute in one stacked solve, summed
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,31 +171,30 @@ def simulate(scn: Scenario, minutes: int,
     gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
 
     # --- dispatch: windows in minute order, units ramping between -------
-    # The one live state every layer reads: actual MW, on/off status and
-    # starts per generator, storage energy.
+    # The one live state every layer reads, one array per quantity: actual
+    # MW, on/off status and starts per generator, storage energy.
     state = initial_from_scenario(scn)
+    online, output = state.online, state.output
     # Each layer's program: every window of a layer has the same shape, so
     # the program is refilled for the next window, and the live simplex of
     # its last solve re-solves it in place.
     programs = {}
     # What the physics reads of each SCED: curtailed and shed fractions,
-    # DR output and the supergeneration sum; and each minute's storage
-    # injection.
+    # DR output and the supergeneration sum; each minute's storage
+    # injection and unit outputs [unit, minute].
     curtail = np.zeros((len(sced_at), len(scn.semis)))
     shed = np.zeros((len(sced_at), len(scn.loads)))
     dr_out = np.zeros((len(sced_at), len(scn.drs)))
     supergen = np.zeros(len(sced_at))
     storage = np.zeros((minutes, len(scn.storages)))
-
-    # The minute loop reads commitments, outage status and schedules as
-    # Python lists and floats, the same IEEE doubles as numpy's, and
-    # collects each unit's output in an array of doubles.
-    gids = [g.id for g in gens]
-    out_now = [(gen_out[gid] != 0.0).tolist() if gid in gen_out else None
-               for gid in gids]
-    outputs = [array("d") for _ in gids]
-    online, output = state.online, state.output
-    stores = [(st_.id, st_.eta) for st_ in scn.storages]
+    outputs = np.empty((len(gens), minutes))
+    eta = np.array([st_.eta for st_ in scn.storages])
+    # Per-minute availability [minute, unit]: the run as one window of
+    # 1-minute blocks, False where an outage takes the unit out.
+    up = np.ones((minutes, len(gens)), dtype=bool)
+    for k, g in enumerate(gens):
+        if g.id in gen_out:
+            up[:, k] = gen_out[g.id] == 0.0
 
     for m in range(minutes):
         # --- day-ahead commitment ---------------------------------------
@@ -202,12 +202,8 @@ def simulate(scn: Scenario, minutes: int,
             day_sched = run_scuc(scn, scuc_fc[m], state, m,
                                  programs.get("scuc"))
             programs["scuc"] = day_sched.program
-            state.starts_used = {g.id: 0 for g in gens}
+            state.starts_used[:] = 0
             trace.events.append(f"{m}: day-ahead commitment")
-            store_gen = [day_sched.storage_gen[sid].tolist()
-                         for sid, _ in stores]
-            store_pump = [day_sched.storage_pump[sid].tolist()
-                          for sid, _ in stores]
 
         # --- same-day fast-start commitment -----------------------------
         if m in rtuc_fc:
@@ -217,62 +213,50 @@ def simulate(scn: Scenario, minutes: int,
             intra_start = m
             if m in emergency:
                 trace.events.append(f"{m}: contingency commitment window")
-            w_on = [(intra.w[gid] > 0.5).tolist() for gid in gids]
-            u_now = [intra.u[gid].tolist() for gid in gids]
-            v_now = [intra.v[gid].tolist() for gid in gids]
+            # Commitment, starts and stops as rows [step, unit].
+            w_on, u_now, v_now = intra.w.T > 0.5, intra.u.T, intra.v.T
 
         # --- commitment state for this minute ---------------------------
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
-        starts_used = state.starts_used
-        for i, gid in enumerate(gids):
-            w_now = 1.0 if w_on[i][interval] else 0.0
-            if out_now[i] is not None and out_now[i][m]:
-                w_now = 0.0
-            if w_now > 0.5 and online.get(gid, 0.0) < 0.5:
-                starts_used[gid] = starts_used.get(gid, 0) + 1
-                output[gid] = max(output.get(gid, 0.0), 0.0)
-            if w_now < 0.5:
-                output[gid] = 0.0
-            online[gid] = w_now
+        on = w_on[interval] & up[m]
+        changed = on != online
+        if changed.any():
+            state.starts_used += on & changed
+            output[~on] = 0.0
+            online[:] = on
 
         # --- economic dispatch ------------------------------------------
         hour = (m // 60) % t.scuc_horizon_h
         if m % t.sced_step_min == 0:
             k = m // t.sced_step_min
-            starts = {gid: u[interval] for gid, u in zip(gids, u_now)}
-            stops = {gid: v[interval] for gid, v in zip(gids, v_now)}
-            ps = {sid: np.array([p[hour]])
-                  for (sid, _), p in zip(stores, store_gen)}
-            ss = {sid: np.array([p[hour]])
-                  for (sid, _), p in zip(stores, store_pump)}
-            sced = run_sced(scn, sced_fc[k], state, starts, stops, (ps, ss),
+            sced = run_sced(scn, sced_fc[k], state, u_now[interval],
+                            v_now[interval],
+                            (day_sched.storage_gen[:, hour:hour + 1],
+                             day_sched.storage_pump[:, hour:hour + 1]),
                             m, programs.get("sced"))
             programs["sced"] = sced.program
-            target = [float(sced.p[gid][0]) for gid in gids]
-            curtail[k] = [sced.curtail[sm.id][0] for sm in scn.semis]
-            shed[k] = [sced.shed.get(ld.bubble, np.zeros(1))[0]
-                       for ld in scn.loads]
-            dr_out[k] = [sced.dr[dr.id][0] for dr in scn.drs]
-            supergen[k] = float(sum(sced.super_pos[b][0] -
-                                    sced.super_neg[b][0]
-                                    for b in net.bubbles))
-            sced_base = [output.get(gid, 0.0) for gid in gids]
+            target = sced.p[:, 0]
+            curtail[k] = sced.curtail[:, 0]
+            shed[k] = sced.shed[:, 0]
+            dr_out[k] = sced.dr[:, 0]
+            supergen[k] = sum((sced.super_pos[:, 0] -
+                               sced.super_neg[:, 0]).tolist())
+            sced_base = output.copy()
+            ramp = target - sced_base
             sced_minute = m
 
         # --- units ramp toward their setpoints; storage as scheduled ----
         frac = min((m - sced_minute + 1) / t.sced_step_min, 1.0)
-        for i, gid in enumerate(gids):
-            if online[gid] > 0.5:
-                base = sced_base[i]
-                output[gid] = base + (target[i] - base) * frac
-            outputs[i].append(output[gid])
-        for k, (sid, eta) in enumerate(stores):
-            pgen, ppump = store_gen[k][hour], store_pump[k][hour]
-            storage[m, k] = pgen - ppump
-            state.energy[sid] += (eta * ppump - pgen) / 60.0
+        np.copyto(output, sced_base + ramp * frac, where=on)
+        outputs[:, m] = output
+        if len(eta):
+            pgen = day_sched.storage_gen[:, hour]
+            ppump = day_sched.storage_pump[:, hour]
+            storage[m] = pgen - ppump
+            state.energy += (eta * ppump - pgen) / 60.0
 
-    for gid, out in zip(gids, outputs):
-        trace.unit_output[gid] = np.array(out)
+    for g, out in zip(gens, outputs):
+        trace.unit_output[g.id] = out
     _physics(scn, trace, factor, reg, storage, curtail, shed, dr_out,
              supergen, semi_out)
     return trace

@@ -109,15 +109,15 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
         trace.unit_output[g.id] = np.zeros(minutes)
 
     state = initial_from_scenario(scn)
-    output = dict(state.output)          # actual MW per generator
-    online = dict(state.online)
-    starts_used: dict[str, int] = {g.id: 0 for g in gens}
+    output = state.output.tolist()       # actual MW per generator
+    online = state.online.tolist()
+    starts_used = [0] * len(gens)
 
     day_sched = None
     intra = None
     intra_start = 0
     sced_now = None
-    sced_base: dict[str, float] = {}
+    sced_base = [0.0] * len(gens)
     sced_minute = 0
     rtuc_steps = t.rtuc_horizon_min // t.rtuc_step_min
     emergency: set[int] = set()
@@ -130,13 +130,12 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
     programs = {}
 
     def current_state() -> InitialState:
-        st = InitialState(online=dict(online), output=dict(output),
-                          run_hours=dict(state.run_hours),
-                          starts_used=dict(starts_used),
-                          energy=dict(state.energy),
-                          mode_gen=dict(state.mode_gen),
-                          mode_pump=dict(state.mode_pump))
-        return st
+        return InitialState(online=np.array(online), output=np.array(output),
+                            run_hours=state.run_hours.copy(),
+                            starts_used=np.array(starts_used),
+                            energy=state.energy.copy(),
+                            mode_gen=state.mode_gen.copy(),
+                            mode_pump=state.mode_pump.copy())
 
     for m in range(minutes):
         if m % (t.scuc_horizon_h * 60) == 0:
@@ -145,7 +144,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             day_sched = run_scuc(scn, fc, current_state(), m,
                                  program=programs.get("scuc"))
             programs["scuc"] = day_sched.program
-            starts_used = {g.id: 0 for g in gens}
+            starts_used = [0] * len(gens)
             trace.events.append(f"{m}: day-ahead commitment")
 
         if m % t.rtuc_period_min == 0 or m in emergency:
@@ -159,77 +158,79 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
                 trace.events.append(f"{m}: contingency commitment window")
 
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
-        for g in gens:
-            w_now = float(intra.w[g.id][interval] > 0.5)
+        for k, g in enumerate(gens):
+            w_now = float(intra.w[k][interval] > 0.5)
             if g.id in gen_out and gen_out[g.id][m]:
                 w_now = 0.0
-            if w_now > 0.5 and online.get(g.id, 0.0) < 0.5:
-                starts_used[g.id] = starts_used.get(g.id, 0) + 1
-                output[g.id] = max(output.get(g.id, 0.0), 0.0)
+            if w_now > 0.5 and online[k] < 0.5:
+                starts_used[k] += 1
+                output[k] = max(output[k], 0.0)
             if w_now < 0.5:
-                output[g.id] = 0.0
-            online[g.id] = w_now
+                output[k] = 0.0
+            online[k] = w_now
 
         if m % t.sced_step_min == 0:
             fc = ref_forecasts(scn, seed, peak, "sced", m, t.sced_step_min,
                                1, m)
-            starts = {g.id: float(intra.u[g.id][interval]) for g in gens}
-            stops = {g.id: float(intra.v[g.id][interval]) for g in gens}
+            starts = np.array([float(intra.u[k][interval])
+                               for k in range(len(gens))])
+            stops = np.array([float(intra.v[k][interval])
+                              for k in range(len(gens))])
             hour = (m // 60) % (t.scuc_horizon_h)
-            ps = {st_.id: np.array([day_sched.storage_gen[st_.id][hour]])
-                  for st_ in scn.storages}
-            ss = {st_.id: np.array([day_sched.storage_pump[st_.id][hour]])
-                  for st_ in scn.storages}
+            ps = np.array([[day_sched.storage_gen[k][hour]]
+                           for k in range(len(scn.storages))]).reshape(-1, 1)
+            ss = np.array([[day_sched.storage_pump[k][hour]]
+                           for k in range(len(scn.storages))]).reshape(-1, 1)
             sced_now = run_sced(scn, fc, current_state(), starts, stops,
                                 (ps, ss), m, program=programs.get("sced"))
             programs["sced"] = sced_now.program
-            sced_base = dict(output)
+            sced_base = list(output)
             sced_minute = m
 
         frac = (m - sced_minute + 1) / t.sced_step_min
         injections = {b: 0.0 for b in net.bubbles}
         gen_total = 0.0
-        for g in gens:
-            if online[g.id] > 0.5:
-                target = float(sced_now.p[g.id][0])
-                base = sced_base.get(g.id, 0.0)
-                output[g.id] = base + (target - base) * min(frac, 1.0)
-            trace.unit_output[g.id][m] = output[g.id]
-            injections[g.bubble] += output[g.id]
-            gen_total += output[g.id]
-        for st_ in scn.storages:
+        for k, g in enumerate(gens):
+            if online[k] > 0.5:
+                target = float(sced_now.p[k][0])
+                base = sced_base[k]
+                output[k] = base + (target - base) * min(frac, 1.0)
+            trace.unit_output[g.id][m] = output[k]
+            injections[g.bubble] += output[k]
+            gen_total += output[k]
+        for k, st_ in enumerate(scn.storages):
             hour = (m // 60) % t.scuc_horizon_h
-            pgen = float(day_sched.storage_gen[st_.id][hour])
-            ppump = float(day_sched.storage_pump[st_.id][hour])
+            pgen = float(day_sched.storage_gen[k][hour])
+            ppump = float(day_sched.storage_pump[k][hour])
             injections[st_.bubble] += pgen - ppump
             gen_total += pgen - ppump
-            state.energy[st_.id] += (st_.eta * ppump - pgen) / 60.0
-        for dr in scn.drs:
-            val = float(sced_now.dr[dr.id][0])
+            state.energy[k] += (st_.eta * ppump - pgen) / 60.0
+        for k, dr in enumerate(scn.drs):
+            val = float(sced_now.dr[k][0])
             injections[dr.bubble] += val
             gen_total += val
         avail_tot = 0.0
         deliv_tot = 0.0
-        for sm in scn.semis:
+        for k, sm in enumerate(scn.semis):
             avail = float(sm.profile.values[min(m, len(sm.profile) - 1)])
             if sm.id in semi_out and semi_out[sm.id][m]:
                 avail = 0.0
-            cfrac = float(sced_now.curtail[sm.id][0])
+            cfrac = float(sced_now.curtail[k][0])
             delivered = (1.0 - sm.d * cfrac) * avail
             injections[sm.bubble] += delivered
             avail_tot += avail
             deliv_tot += delivered
         shed_tot = 0.0
         load_tot = 0.0
-        for ld in scn.loads:
+        for k, ld in enumerate(scn.loads):
             actual = float(ld.profile.values[min(m, len(ld.profile) - 1)])
-            sfrac = float(sced_now.shed.get(ld.bubble, np.zeros(1))[0])
+            sfrac = float(sced_now.shed[k][0])
             served = (1.0 - ld.d * sfrac) * actual
             shed_tot += actual - served
             injections[ld.bubble] -= (1.0 + gamma) * served
             load_tot += served
-        sg = float(sum(sced_now.super_pos[b][0] - sced_now.super_neg[b][0]
-                       for b in net.bubbles))
+        sg = float(sum(sced_now.super_pos[k][0] - sced_now.super_neg[k][0]
+                       for k in range(len(net.bubbles))))
 
         i_raw = float(sum(injections.values()))
         residual = ref_regulation_step(i_raw, reg)

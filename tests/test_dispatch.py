@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -20,6 +21,7 @@ from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               Outage, ReserveParams, Scenario,
                               SemiDispatchable, Storage, Timing, ZonalNetwork,
                               LoadSpec)
+from shared import row
 
 
 def one_bubble(gens, horizon=4, semis=(), storages=(), reserves=None,
@@ -45,7 +47,7 @@ def supergen(sched):
     """Total penalty-source MW of a schedule, both directions."""
     return sum(float(np.abs(arr).sum())
                for side in (sched.super_pos, sched.super_neg)
-               for arr in side.values())
+               for arr in side)
 
 
 def cheap_dear():
@@ -59,16 +61,16 @@ def cheap_dear():
 def test_commits_cheapest_unit_only():
     scn = one_bubble(cheap_dear())
     sched = run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
-    assert sched.w["cheap"] == pytest.approx([1, 1, 1, 1])
-    assert sched.w["dear"] == pytest.approx([0, 0, 0, 0])
-    assert sched.p["cheap"] == pytest.approx(np.full(4, 80.0))
+    assert row(sched, "w", "cheap") == pytest.approx([1, 1, 1, 1])
+    assert row(sched, "w", "dear") == pytest.approx([0, 0, 0, 0])
+    assert row(sched, "p", "cheap") == pytest.approx(np.full(4, 80.0))
     assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_losses_gross_up_the_load():
     scn = one_bubble(cheap_dear(), gamma=0.05)
     sched = run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
-    assert sched.p["cheap"] == pytest.approx(np.full(4, 84.0))
+    assert row(sched, "p", "cheap") == pytest.approx(np.full(4, 84.0))
 
 
 def test_objective_matches_hand_cost():
@@ -89,9 +91,9 @@ def test_reserve_requirement_forces_second_unit():
     sched = run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
     # The largest online contingency is 100 MW; one unit at 80 MW has only
     # 20 MW of headroom, so the second must come online.
-    assert sched.w["dear"] == pytest.approx([1, 1])
+    assert row(sched, "w", "dear") == pytest.approx([1, 1])
     assert sched.c1 == pytest.approx([100.0, 100.0])
-    total = sched.tmsr["cheap"] + sched.tmsr["dear"]
+    total = row(sched, "tmsr", "cheap") + row(sched, "tmsr", "dear")
     assert np.all(total >= 100.0 - 1e-6)
     assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
@@ -106,8 +108,8 @@ def test_excess_renewables_are_curtailed():
     sched = run_scuc(scn, flat(scn, 50.0, semis={"sun": 150.0}),
                      initial_from_scenario(scn))
     # Must-run floor of 20 MW leaves room for 30 of the 150 MW available.
-    assert sched.p["base"] == pytest.approx([20.0, 20.0])
-    assert sched.curtail["sun"] == pytest.approx([0.8, 0.8])
+    assert row(sched, "p", "base") == pytest.approx([20.0, 20.0])
+    assert row(sched, "curtail", "sun") == pytest.approx([0.8, 0.8])
     assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -117,8 +119,8 @@ def test_shortage_covered_by_penalty_source():
                   r_min=-100.0, r_max=100.0)
     scn = one_bubble([g], horizon=2)
     sched = run_scuc(scn, flat(scn, 300.0), initial_from_scenario(scn))
-    assert sched.p["base"] == pytest.approx([100.0, 100.0])
-    assert sched.super_pos["a"] == pytest.approx([200.0, 200.0])
+    assert row(sched, "p", "base") == pytest.approx([100.0, 100.0])
+    assert row(sched, "super_pos", "a") == pytest.approx([200.0, 200.0])
 
 
 def test_interface_limit_respected_in_schedule():
@@ -135,8 +137,8 @@ def test_interface_limit_respected_in_schedule():
     fc = Forecasts(load={"b": np.full(2, 80.0)}, semi={})
     sched = run_scuc(scn, fc, initial_from_scenario(scn))
     # Only 30 MW can reach bubble b; the rest is priced at the penalty.
-    assert sched.flows[:, 0] == pytest.approx([30.0, 30.0])
-    assert sched.super_pos["b"] == pytest.approx([50.0, 50.0])
+    assert sched.flows[0] == pytest.approx([30.0, 30.0])
+    assert row(sched, "super_pos", "b") == pytest.approx([50.0, 50.0])
 
 
 def test_storage_energy_recursion_feasible():
@@ -147,14 +149,16 @@ def test_storage_energy_recursion_feasible():
                  e_min=10.0, e_max=100.0, eta=0.8, initial_energy=50.0)
     scn = one_bubble([g], horizon=3, storages=[st])
     sched = run_scuc(scn, flat(scn, 100.0), initial_from_scenario(scn))
-    e = sched.storage_energy["pond"]
+    e = row(sched, "storage_energy", "pond")
     assert np.all(e >= 10.0 - 1e-6) and np.all(e <= 100.0 + 1e-6)
     # Mode exclusivity every hour.
-    both = sched.storage_mode_gen["pond"] + sched.storage_mode_pump["pond"]
+    both = row(sched, "storage_mode_gen", "pond") + \
+        row(sched, "storage_mode_pump", "pond")
     assert np.all(both <= 1.0 + 1e-9)
     prev = 50.0
     for t in range(3):
-        gen, pump = sched.storage_gen["pond"][t], sched.storage_pump["pond"][t]
+        gen = row(sched, "storage_gen", "pond")[t]
+        pump = row(sched, "storage_pump", "pond")[t]
         expect = prev + 0.8 * pump - gen
         assert e[t] == pytest.approx(expect, abs=1e-6)
         prev = e[t]
@@ -170,7 +174,7 @@ def test_minimum_up_time_enforced():
     scn = one_bubble([peaker, base], horizon=4)
     fc = Forecasts(load={"a": np.array([40.0, 90.0, 40.0, 40.0])}, semi={})
     sched = run_scuc(scn, fc, initial_from_scenario(scn))
-    w = sched.w["peak"]
+    w = row(sched, "w", "peak")
     # If it starts for the hour-1 spike it must run three hours.
     if w[1] > 0.5:
         assert w[2] > 0.5 and w[3] > 0.5
@@ -190,13 +194,13 @@ def test_fast_start_commits_in_same_day_layer():
     scn = one_bubble(fast_fleet(), horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
-    assert day.w["fast"] == pytest.approx([0, 0, 0, 0])
+    assert row(day, "w", "fast") == pytest.approx([0, 0, 0, 0])
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
-    assert np.all(intra.w["fast"][1:] > 0.5)
-    assert intra.p["base"] + intra.p["fast"] + intra.super_pos["a"][:] == \
-        pytest.approx(np.full(T, 150.0))
+    assert np.all(row(intra, "w", "fast")[1:] > 0.5)
+    assert row(intra, "p", "base") + row(intra, "p", "fast") + \
+        row(intra, "super_pos", "a")[:] == pytest.approx(np.full(T, 150.0))
     assert supergen(intra) < 150.0  # fast unit covers most of the gap
 
 
@@ -205,26 +209,26 @@ def test_non_fast_units_stay_pinned():
     scn = one_bubble([cheap, dear], horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
-    assert day.w["dear"] == pytest.approx([0, 0, 0, 0])
+    assert row(day, "w", "dear") == pytest.approx([0, 0, 0, 0])
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 180.0)}, semi={})
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
     # No fast-start units exist: the shortfall lands on the penalty source,
     # not on a unit the layer has no authority to start.
-    assert intra.w["dear"] == pytest.approx(np.zeros(T))
-    assert float(intra.super_pos["a"].min()) > 0.0
+    assert row(intra, "w", "dear") == pytest.approx(np.zeros(T))
+    assert float(row(intra, "super_pos", "a").min()) > 0.0
 
 
 def test_start_budget_exhaustion_blocks_commitment():
     scn = one_bubble(fast_fleet(), horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
-    init.starts_used["fast"] = 6   # budget spent earlier in the day
+    init.starts_used[1] = 6   # fast's budget spent earlier in the day
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
-    assert intra.w["fast"] == pytest.approx(np.zeros(T))
-    assert float(intra.super_pos["a"].min()) >= 50.0 - 1e-6
+    assert row(intra, "w", "fast") == pytest.approx(np.zeros(T))
+    assert float(row(intra, "super_pos", "a").min()) >= 50.0 - 1e-6
 
 
 def program_bytes(program):
@@ -271,12 +275,14 @@ def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
     # next window.
     assert refilled.program[1].simplex is solutions[3].simplex is last
     assert rebuilt.objective == fresh.objective
-    assert rebuilt.p["fast"].tolist() == fresh.p["fast"].tolist()
+    assert row(rebuilt, "p", "fast").tolist() == \
+        row(fresh, "p", "fast").tolist()
     # The refilled program is bitwise the fresh one; only its warm start
     # differs, which may move the optimum in the last bits.
     assert program_bytes(refilled.program) == program_bytes(fresh.program)
     assert refilled.objective == pytest.approx(fresh.objective, rel=1e-12)
-    assert refilled.p["fast"] == pytest.approx(fresh.p["fast"], rel=1e-12)
+    assert row(refilled, "p", "fast") == \
+        pytest.approx(row(fresh, "p", "fast"), rel=1e-12)
 
 
 def test_scuc_prices_fuel_by_the_clock_hour():
@@ -290,7 +296,7 @@ def test_scuc_prices_fuel_by_the_clock_hour():
     fuel = 5.0 * 50.0               # MBtu per hour at 50 MW
     for minute, hours in ((0, (0, 1)), (120, (2, 3)), (1380, (23, 0))):
         sched = run_scuc(scn, flat(scn, 50.0), init, minute)
-        assert sched.p["g"] == pytest.approx([50.0, 50.0])
+        assert row(sched, "p", "g") == pytest.approx([50.0, 50.0])
         assert sched.objective == pytest.approx(
             fuel * sum(g.c_f[h] for h in hours))
 
@@ -310,7 +316,7 @@ def test_dispatch_holds_at_fixed_point():
     scn = sced_scn()
     init = initial_from_scenario(scn)
     sched = run_sced(scn, one_step(50.0), init)
-    assert sched.p["g"][0] == pytest.approx(50.0)
+    assert row(sched, "p", "g")[0] == pytest.approx(50.0)
     assert sched.objective == pytest.approx(5.0 * 50.0)
 
 
@@ -318,7 +324,7 @@ def test_dispatch_moves_within_ramp():
     scn = sced_scn()
     init = initial_from_scenario(scn)
     sched = run_sced(scn, one_step(55.0), init)
-    assert sched.p["g"][0] == pytest.approx(55.0)
+    assert row(sched, "p", "g")[0] == pytest.approx(55.0)
 
 
 def test_dispatch_ramp_capped_with_penalty_backfill():
@@ -326,24 +332,24 @@ def test_dispatch_ramp_capped_with_penalty_backfill():
     init = initial_from_scenario(scn)
     # 1 MW/min over a 10 minute interval: at most 60 MW is reachable.
     sched = run_sced(scn, one_step(70.0), init)
-    assert sched.p["g"][0] == pytest.approx(60.0)
-    assert sched.super_pos["a"][0] == pytest.approx(10.0)
+    assert row(sched, "p", "g")[0] == pytest.approx(60.0)
+    assert row(sched, "super_pos", "a")[0] == pytest.approx(10.0)
 
 
 def test_dispatch_start_relaxes_ramp():
     scn = sced_scn()
     init = initial_from_scenario(scn)
-    init.output["g"] = 0.0
-    sched = run_sced(scn, one_step(90.0), init, starts={"g": 1.0})
-    assert sched.p["g"][0] == pytest.approx(90.0)
+    init.output[0] = 0.0
+    sched = run_sced(scn, one_step(90.0), init, starts=np.ones(1))
+    assert row(sched, "p", "g")[0] == pytest.approx(90.0)
 
 
 def test_offline_unit_dispatches_to_zero():
     scn = sced_scn()
     init = initial_from_scenario(scn)
-    init.online["g"] = init.output["g"] = 0.0
+    init.online[0] = init.output[0] = 0.0
     sched = run_sced(scn, one_step(0.0), init)
-    assert sched.p["g"][0] == pytest.approx(0.0)
+    assert row(sched, "p", "g")[0] == pytest.approx(0.0)
     assert supergen(sched) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -351,8 +357,8 @@ def test_commitment_lookup_by_minute():
     scn = one_bubble(cheap_dear())
     sched = run_scuc(scn, flat(scn, 80.0), initial_from_scenario(scn))
     step = 90 // sched.step_minutes
-    assert sched.w["cheap"][step] == 1.0
-    assert sched.w["dear"][step] == 0.0
+    assert row(sched, "w", "cheap")[step] == 1.0
+    assert row(sched, "w", "dear")[step] == 0.0
 
 
 def test_infeasible_forecast_horizon_rejected():
@@ -378,12 +384,12 @@ def test_rtuc_pins_the_day_ahead_hour_of_its_scuc_run():
     scn = one_bubble([cheap, dear], horizon=4)
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
-    day.w["dear"] = np.array([1.0, 0.0, 0.0, 0.0])
+    row(day, "w", "dear")[:] = [1.0, 0.0, 0.0, 0.0]
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 80.0)}, semi={})
     intra = run_rtuc(scn, fc, init, day, start_minute=240)
-    assert intra.w["dear"][:4] == pytest.approx(np.ones(4))
-    assert intra.w["dear"][4:] == pytest.approx(np.zeros(T - 4))
+    assert row(intra, "w", "dear")[:4] == pytest.approx(np.ones(4))
+    assert row(intra, "w", "dear")[4:] == pytest.approx(np.zeros(T - 4))
 
 
 def test_rtuc_charges_later_day_ahead_starts_of_its_scuc_run():
@@ -392,12 +398,12 @@ def test_rtuc_charges_later_day_ahead_starts_of_its_scuc_run():
     init = initial_from_scenario(scn)
     day = run_scuc(scn, flat(scn, 80.0), init)
     # Two day-ahead starts after the window's hour leave none of the six.
-    day.u["fast"] = np.array([0.0, 0.0, 1.0, 1.0])
-    init.starts_used["fast"] = 4
+    row(day, "u", "fast")[:] = [0.0, 0.0, 1.0, 1.0]
+    init.starts_used[1] = 4
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
     fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
     intra = run_rtuc(scn, fc, init, day, start_minute=240)
-    assert intra.w["fast"] == pytest.approx(np.zeros(T))
+    assert row(intra, "w", "fast") == pytest.approx(np.zeros(T))
 
 
 # -- every program family at once ------------------------------------------
@@ -457,14 +463,11 @@ def run_all_families():
     intra_fc = family_forecasts([120, 125, 130, 135], [180, 190, 200, 210],
                                 [30, 35, 40, 45])
     intra = run_rtuc(scn, intra_fc, init, day, start_minute=60)
-    now = InitialState(online={g: float(w[1]) for g, w in day.w.items()},
-                       output={g: float(p[0]) for g, p in day.p.items()})
+    now = dataclasses.replace(init, online=day.w[:, 1], output=day.p[:, 0])
     rt_fc = family_forecasts([120], [180], [30])
-    rt = run_sced(scn, rt_fc, now,
-                  starts={g: float(u[1]) for g, u in day.u.items()},
-                  stops={g: float(v[1]) for g, v in day.v.items()},
-                  pinned_storage=({"pond": day.storage_gen["pond"][1:2]},
-                                  {"pond": day.storage_pump["pond"][1:2]}),
+    rt = run_sced(scn, rt_fc, now, starts=day.u[:, 1], stops=day.v[:, 1],
+                  pinned_storage=(day.storage_gen[:, 1:2],
+                                  day.storage_pump[:, 1:2]),
                   minute=60)
     return scn, [(day_fc, day), (intra_fc, intra), (rt_fc, rt)]
 
@@ -528,26 +531,29 @@ def test_all_families_close_the_bubble_balance(family_runs, layer):
     gross = 1.0 + scn.gamma_loss
     for b in scn.network.bubbles:
         for t in range(sched.steps):
-            net = sched.super_pos[b][t] - sched.super_neg[b][t]
-            net += sum(sched.p[g.id][t] for g in scn.generators
+            net = row(sched, "super_pos", b)[t] - \
+                row(sched, "super_neg", b)[t]
+            net += sum(row(sched, "p", g.id)[t] for g in scn.generators
                        if g.bubble == b)
-            net += sum(sched.storage_gen[st.id][t] -
-                       sched.storage_pump[st.id][t]
+            net += sum(row(sched, "storage_gen", st.id)[t] -
+                       row(sched, "storage_pump", st.id)[t]
                        for st in scn.storages if st.bubble == b)
-            net += sum(sched.dr[m.id][t] for m in scn.drs if m.bubble == b)
+            net += sum(row(sched, "dr", m.id)[t] for m in scn.drs
+                       if m.bubble == b)
             for sm in scn.semis:
                 if sm.bubble == b:
                     scale = 1.0 if sm.kind == "tie-line" else gross
                     net += scale * fc.semi[sm.id][t] * \
-                        (1.0 - sm.d * sched.curtail[sm.id][t])
+                        (1.0 - sm.d * row(sched, "curtail", sm.id)[t])
             for li, br in enumerate(scn.network.branches):
                 if br.to_bubble == b:
-                    net += sched.flows[t, li]
+                    net += sched.flows[li, t]
                 elif br.from_bubble == b:
-                    net -= sched.flows[t, li]
+                    net -= sched.flows[li, t]
             for ld in scn.loads:
                 if ld.bubble == b:
-                    shed = sched.shed[b][t] if ld.d > 0 else 0.0
+                    shed = row(sched, "shed", b)[t]
+                    assert ld.d > 0 or shed == 0.0
                     net -= gross * fc.load[b][t] * (1.0 - ld.d * shed)
             assert net == pytest.approx(0.0, abs=1e-6), (b, t)
 
@@ -566,9 +572,12 @@ def test_all_families_schedule_reads_the_named_columns(family_runs, layer):
     scn, runs = family_runs
     lp, sol, _, sched = runs[layer]
     col = {v.name: j for j, v in enumerate(lp.variables)}
+    ids = {field: keys for field, _, keys in sched.program[1].read}
     read = set()
     for fam, attr in FAMILY_FIELDS.items():
-        for key, vals in getattr(sched, attr).items():
+        assert getattr(sched, attr).shape == (len(ids[attr]), sched.steps)
+        for key in ids[attr]:
+            vals = row(sched, attr, key)
             for t in range(sched.steps):
                 j = col.get(f"{fam}[{key},{t}]")
                 if j is None:
@@ -578,7 +587,7 @@ def test_all_families_schedule_reads_the_named_columns(family_runs, layer):
                 read.add(fam)
     for li in range(len(scn.network.branches)):
         for t in range(sched.steps):
-            assert sched.flows[t, li] == sol.x[col[f"F[{li},{t}]"]]
+            assert sched.flows[li, t] == sol.x[col[f"F[{li},{t}]"]]
     expect = {"P", "cv", "cl", "Pm", "sgP", "sgN"}
     if layer < 2:
         expect |= {"w", "u", "v", "rS", "rO"}
@@ -606,12 +615,12 @@ def family_windows(layer):
     scn.semis.append(SemiDispatchable(id="roof", bubble="n", kind="solar"))
     T = dispatch.layer_grid(scn.timing, layer)[1]
     first = initial_from_scenario(scn)
+    # Generators base, mid and peak; storage pond.
     second = InitialState(
-        online={"base": 1.0, "mid": 0.0, "peak": 1.0},
-        output={"base": 75.0, "mid": 0.0, "peak": 12.5},
-        run_hours={"base": 9.0, "mid": -0.5, "peak": 0.25},
-        starts_used={"peak": 1}, energy={"pond": 85.0},
-        mode_gen={"pond": 1.0}, mode_pump={"pond": 0.0})
+        online=np.array([1.0, 0.0, 1.0]), output=np.array([75.0, 0.0, 12.5]),
+        run_hours=np.array([9.0, -0.5, 0.25]),
+        starts_used=np.array([0, 0, 1]), energy=np.array([85.0]),
+        mode_gen=np.array([1.0]), mode_pump=np.array([0.0]))
     # Values with long binary fractions, so that summing a balance in
     # another order would change its last bits.
     sun = [0.0, 35.3, 70.1, 25.7]
@@ -625,26 +634,24 @@ def family_windows(layer):
     # SCUC at hours 4-7 (no outage), then hours 1-4; RTUC at minute 0,
     # then 75; SCED at minute 0, then 130.
     minutes = {"scuc": (240, 60), "rtuc": (0, 75), "sced": (0, 130)}[layer]
+    free = np.full(4, np.nan)       # RTUC's 4 steps, peak left free
     pins = {"scuc": ({}, {}),
-            "rtuc": ({"pinned_w": {"base": np.ones(T),
-                                   "mid": np.array([1.0, 1.0, 0.0, 0.0])},
-                      "pinned_storage": ({"pond": np.array([5.3, 0, 0, 6])},
-                                         {"pond": np.array([0, 5.7, 8, 0])})},
-                     {"pinned_w": {"base": np.ones(T),
-                                   "mid": np.array([0.0, 1.0, 1.0, 1.0])},
-                      "pinned_storage": ({"pond": np.array([0, 8.3, 0, 0])},
-                                         {"pond": np.array([4.1, 0, 0, 9.7])}),
-                      "starts_ahead": {"peak": 1}}),
-            "sced": ({"pinned_w": {g: np.ones(1) for g in
-                                   ("base", "mid", "peak")},
-                      "pinned_storage": ({"pond": np.array([5.3])},
-                                         {"pond": np.zeros(1)}),
-                      "fixed_uv": ({}, {})},
-                     {"pinned_w": {"base": np.ones(1), "mid": np.zeros(1),
-                                   "peak": np.ones(1)},
-                      "pinned_storage": ({"pond": np.zeros(1)},
-                                         {"pond": np.array([6.7])}),
-                      "fixed_uv": ({"peak": 1.0}, {"mid": 1.0})})}[layer]
+            "rtuc": ({"pinned_w": np.array([np.ones(4), [1.0, 1.0, 0.0, 0.0],
+                                            free]),
+                      "pinned_storage": (np.array([[5.3, 0, 0, 6]]),
+                                         np.array([[0, 5.7, 8, 0]]))},
+                     {"pinned_w": np.array([np.ones(4), [0.0, 1.0, 1.0, 1.0],
+                                            free]),
+                      "pinned_storage": (np.array([[0, 8.3, 0, 0]]),
+                                         np.array([[4.1, 0, 0, 9.7]])),
+                      "starts_ahead": np.array([0, 0, 1])}),
+            "sced": ({"pinned_w": np.ones((3, 1)),
+                      "pinned_storage": (np.array([[5.3]]), np.zeros((1, 1))),
+                      "fixed_uv": (np.zeros(3), np.zeros(3))},
+                     {"pinned_w": np.array([[1.0], [0.0], [1.0]]),
+                      "pinned_storage": (np.zeros((1, 1)), np.array([[6.7]])),
+                      "fixed_uv": (np.array([0.0, 0.0, 1.0]),
+                                   np.array([0.0, 1.0, 0.0]))})}[layer]
     windows = []
     for minute, fc, init, fields in zip(minutes, forecasts, (first, second),
                                         pins):
@@ -726,8 +733,8 @@ def reference_fill(program, scn, fc, init, opt):
         obj[segments] = cf[:, k, None] * curve[k].slopes
     fixed_cost = 0.0
     if opt.layer == "sced":
-        wv = np.array([np.asarray(opt.pinned_w[g.id], dtype=float)[:T]
-                       for g in gens]).T
+        wv = np.array([np.asarray(opt.pinned_w[k], dtype=float)[:T]
+                       for k in range(len(gens))]).T
         for c in ((wv * cf) * at_min).ravel().tolist():
             fixed_cost += c
         floor = (wv * g_on) * pmin
@@ -735,9 +742,9 @@ def reference_fill(program, scn, fc, init, opt):
         ub[cols["P"]] = (wv * g_on) * pmax
         rhs[rows["seg"]] = floor
         uf, vf = opt.fixed_uv
-        p0 = np.array([float(init.output.get(g.id, 0.0)) for g in gens])
-        ur = np.array([float(uf.get(g.id, 0.0)) for g in gens])
-        vr = np.array([float(vf.get(g.id, 0.0)) for g in gens])
+        p0 = np.array([float(init.output[k]) for k in range(len(gens))])
+        ur = np.array([float(uf[k]) for k in range(len(gens))])
+        vr = np.array([float(vf[k]) for k in range(len(gens))])
         rmax = np.array([g.r_max for g in gens])
         rmin = np.array([g.r_min for g in gens])
         rhs[rows["ramp+"]] = (p0 + rmax * dt) + pmax * ur
@@ -751,12 +758,13 @@ def reference_fill(program, scn, fc, init, opt):
         steps_per_hour = 60.0 / opt.step_minutes
         for k, g in enumerate(gens):
             col = cols["w"][:, k]
-            w0 = float(init.online.get(g.id, 0.0))
-            p0 = float(init.output.get(g.id, 0.0))
+            w0 = float(init.online[k])
+            p0 = float(init.output[k])
             rhs[rows["link"][0, k]] = w0
             rhs[rows["ramp+"][0, k]] = p0 + g.r_max * dt
             rhs[rows["ramp-"][0, k]] = p0 + g.r_min * dt
-            pin = None if opt.pinned_w is None else opt.pinned_w.get(g.id)
+            pin = None if opt.pinned_w is None or \
+                np.isnan(opt.pinned_w[k]).all() else opt.pinned_w[k]
             if g.kind == "must-run":
                 lb[col], ub[col] = 1.0, 1.0
                 continue
@@ -764,24 +772,22 @@ def reference_fill(program, scn, fc, init, opt):
                 lb[col] = ub[col] = np.asarray(pin, dtype=float)[:T]
                 continue
             lb[col], ub[col] = 0.0, 1.0
-            hist = float(init.run_hours.get(g.id, 0.0))
+            hist = float(init.run_hours[k])
             if w0 > 0.5 and hist < g.t_u:
                 remain = int(np.ceil((g.t_u - hist) * steps_per_hour))
                 lb[col[:remain]] = 1.0
             if w0 < 0.5 and -hist < g.t_d:
                 remain = int(np.ceil((g.t_d + hist) * steps_per_hour))
                 ub[col[:remain]] = 0.0
-            used = int(init.starts_used.get(g.id, 0))
-            ahead = int(opt.starts_ahead.get(g.id, 0))
+            used = int(init.starts_used[k])
+            ahead = 0 if opt.starts_ahead is None else \
+                int(opt.starts_ahead[k])
             rhs[rows["maxup"][0, k]] = float(max(g.u_max - used - ahead, 0))
     cols.fixed_cost = fixed_cost
     if opt.pinned_storage is None:
         for k, st in enumerate(scn.storages):
-            mg = float(init.mode_gen.get(st.id, 1.0 if st.mode_gen0 else 0.0))
-            mp = float(init.mode_pump.get(st.id,
-                                          1.0 if st.mode_pump0 else 0.0))
-            rhs[rows["stor"][0, k]] = float(init.energy.get(
-                st.id, st.initial_energy))
+            mg, mp = float(init.mode_gen[k]), float(init.mode_pump[k])
+            rhs[rows["stor"][0, k]] = float(init.energy[k])
             rhs[rows["flip1"][0, k]] = 1.0 - mp
             rhs[rows["flip2"][0, k]] = 1.0 - mg
     for k, sm in enumerate(semis):
@@ -805,10 +811,10 @@ def reference_fill(program, scn, fc, init, opt):
         total = np.zeros(T)
         if opt.pinned_storage is not None:
             ps, ss = opt.pinned_storage
-            for st in scn.storages:
+            for k, st in enumerate(scn.storages):
                 if st.bubble == b:
-                    total -= np.asarray(ps[st.id], dtype=float)[:T] - \
-                        np.asarray(ss[st.id], dtype=float)[:T]
+                    total -= np.asarray(ps[k], dtype=float)[:T] - \
+                        np.asarray(ss[k], dtype=float)[:T]
         for k, ld in enumerate(loads):
             if ld.bubble == b:
                 total += (1.0 + gamma) * load[k]
