@@ -834,14 +834,16 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
             lb[pinned] = ub[pinned] = opt.pinned_w[pins, :T].T
         # Free units finish the current minimum-run window of their
         # history, and start at most what is left of their daily budget.
+        # A history carried minute by minute sums 1/60 h steps, so it may
+        # sit a rounding error off the step grid; 1e-9 steps absorbs that.
         free, wcol, (t_u, t_d, u_max) = cols.free
         w0, hist = init.online[free], init.run_hours[free]
         steps_per_hour = 60.0 / opt.step_minutes
         step = np.arange(T)[:, None]
         up = np.where((w0 > 0.5) & (hist < t_u),
-                      np.ceil((t_u - hist) * steps_per_hour), 0.0)
+                      np.ceil((t_u - hist) * steps_per_hour - 1e-9), 0.0)
         down = np.where((w0 < 0.5) & (-hist < t_d),
-                        np.ceil((t_d + hist) * steps_per_hour), 0.0)
+                        np.ceil((t_d + hist) * steps_per_hour - 1e-9), 0.0)
         lb[wcol] = step < up
         ub[wcol] = step >= down
         ahead = 0 if opt.starts_ahead is None else opt.starts_ahead[free]

@@ -19,13 +19,18 @@ passes, each doing only what a window or a minute changes:
    what the state sets.
 2. *Dispatch.*  The minutes in order, solving each window as it starts
    and keeping only what feeds the next solve, in one live
-   ``InitialState``: commitment, unit outputs, starts and storage energy,
-   one array per quantity in generator or storage order.  Every
-   ``Schedule`` field is an array [entity, step] in the same orders, so
-   the minute loop reads a window's step as one column and updates the
-   state in place, and unit outputs collect in one array [unit, minute].
-   Each SCED leaves the few values the physics reads (curtailed and shed
-   fractions, DR output, supergeneration).
+   ``InitialState``, one array per quantity in generator or storage
+   order: commitment, unit outputs, the hours each unit has spent in its
+   current status (restarted at every change, so minimum up and down
+   times carry across windows), starts since midnight (the daily budget),
+   and storage energy and modes as the day-ahead schedule runs them.
+   Energy that leaves its bounds stops the run with a ``DispatchError``
+   naming the storage unit.  Every ``Schedule`` field is an array
+   [entity, step] in the same orders, so the minute loop reads a window's
+   step as one column and updates the state in place, and unit outputs
+   collect in one array [unit, minute].  Each SCED leaves the few values
+   the physics reads (curtailed and shed fractions, DR output,
+   supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
    injections, then regulation stepped through every minute in one call
    and the network solved for every minute in one stacked solve, summed
@@ -43,9 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dispatch import (Forecasts, LayerInputs, initial_from_scenario,
-                       layer_grid, outage_masks, run_rtuc, run_scuc,
-                       run_sced)
+from .dispatch import (DispatchError, Forecasts, LayerInputs,
+                       initial_from_scenario, layer_grid, outage_masks,
+                       run_rtuc, run_scuc, run_sced)
 from .grid import dc_flow, factor_network, make_regulation, regulation_step
 from .profiles import forecast, synthesize_error, write_rows
 from .scenario import Scenario, scenario_hash
@@ -175,6 +180,7 @@ def simulate(scn: Scenario, minutes: int,
     # MW, on/off status and starts per generator, storage energy.
     state = initial_from_scenario(scn)
     online, output = state.online, state.output
+    tick = np.where(online > 0.5, 1 / 60, -1 / 60)    # run hours per minute
     # Each layer's program: every window of a layer has the same shape, so
     # the program is refilled for the next window, and the live simplex of
     # its last solve re-solves it in place.
@@ -189,6 +195,9 @@ def simulate(scn: Scenario, minutes: int,
     storage = np.zeros((minutes, len(scn.storages)))
     outputs = np.empty((len(gens), minutes))
     eta = np.array([st_.eta for st_ in scn.storages])
+    # The energy storage may carry: its bounds, give or take 1e-6 MWh.
+    e_lo = np.array([st_.e_min for st_ in scn.storages]) - 1e-6
+    e_hi = np.array([st_.e_max for st_ in scn.storages]) + 1e-6
     # Per-minute availability [minute, unit]: the run as one window of
     # 1-minute blocks, False where an outage takes the unit out.
     up = np.ones((minutes, len(gens)), dtype=bool)
@@ -197,12 +206,15 @@ def simulate(scn: Scenario, minutes: int,
             up[:, k] = gen_out[g.id] == 0.0
 
     for m in range(minutes):
+        # Starts count against each calendar day's budget.
+        if m % 1440 == 0:
+            state.starts_used[:] = 0
+
         # --- day-ahead commitment ---------------------------------------
         if m % day_min == 0:
             day_sched = run_scuc(scn, scuc_fc[m], state, m,
                                  programs.get("scuc"))
             programs["scuc"] = day_sched.program
-            state.starts_used[:] = 0
             trace.events.append(f"{m}: day-ahead commitment")
 
         # --- same-day fast-start commitment -----------------------------
@@ -218,12 +230,17 @@ def simulate(scn: Scenario, minutes: int,
 
         # --- commitment state for this minute ---------------------------
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
+        # A unit that changes status starts its history again; each minute
+        # adds to it, on or off.
         on = w_on[interval] & up[m]
         changed = on != online
         if changed.any():
             state.starts_used += on & changed
             output[~on] = 0.0
             online[:] = on
+            state.run_hours[changed] = 0.0
+            tick = np.where(on, 1 / 60, -1 / 60)
+        state.run_hours += tick
 
         # --- economic dispatch ------------------------------------------
         hour = (m // 60) % t.scuc_horizon_h
@@ -254,6 +271,16 @@ def simulate(scn: Scenario, minutes: int,
             ppump = day_sched.storage_pump[:, hour]
             storage[m] = pgen - ppump
             state.energy += (eta * ppump - pgen) / 60.0
+            state.mode_gen[:] = day_sched.storage_mode_gen[:, hour]
+            state.mode_pump[:] = day_sched.storage_mode_pump[:, hour]
+            outside = np.flatnonzero((state.energy < e_lo) |
+                                     (state.energy > e_hi))
+            if len(outside):
+                st_ = scn.storages[outside[0]]
+                raise DispatchError(
+                    f"storage {st_.id}: energy {state.energy[outside[0]]:g} "
+                    f"MWh outside [{st_.e_min:g}, {st_.e_max:g}] at minute "
+                    f"{m}")
 
     for g, out in zip(gens, outputs):
         trace.unit_output[g.id] = out

@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gridops.engine as engine
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
@@ -22,11 +21,8 @@ from gridops.lp import GE, LE, LinearProgram, solve_lp
 from gridops.mini import write_mini3
 from gridops.profiles import (Profile, ProfileError, forecast,
                               synthesize_error)
-from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
-                              Outage, SemiDispatchable, Storage, Timing,
-                              ZonalNetwork, load_scenario)
-
-MINUTES = 120
+from gridops.scenario import Branch, Interface, ZonalNetwork
+from shared import MINUTES, perturbations, perturbed
 
 
 # -- reference cascade, one minute at a time -------------------------------
@@ -111,6 +107,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
     state = initial_from_scenario(scn)
     output = state.output.tolist()       # actual MW per generator
     online = state.online.tolist()
+    run_hours = state.run_hours.tolist()
     starts_used = [0] * len(gens)
 
     day_sched = None
@@ -122,7 +119,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
     rtuc_steps = t.rtuc_horizon_min // t.rtuc_step_min
     emergency: set[int] = set()
     for ev in scn.outages:
-        if ev.start < minutes:
+        if ev.start < minutes and ev.duration > 0:
             emergency.add(ev.start)
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)
@@ -131,20 +128,21 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
 
     def current_state() -> InitialState:
         return InitialState(online=np.array(online), output=np.array(output),
-                            run_hours=state.run_hours.copy(),
+                            run_hours=np.array(run_hours),
                             starts_used=np.array(starts_used),
                             energy=state.energy.copy(),
                             mode_gen=state.mode_gen.copy(),
                             mode_pump=state.mode_pump.copy())
 
     for m in range(minutes):
+        if m % 1440 == 0:
+            starts_used = [0] * len(gens)
         if m % (t.scuc_horizon_h * 60) == 0:
             fc = ref_forecasts(scn, seed, peak, "scuc", m, 60,
                                t.scuc_horizon_h, m // (t.scuc_horizon_h * 60))
             day_sched = run_scuc(scn, fc, current_state(), m,
                                  program=programs.get("scuc"))
             programs["scuc"] = day_sched.program
-            starts_used = [0] * len(gens)
             trace.events.append(f"{m}: day-ahead commitment")
 
         if m % t.rtuc_period_min == 0 or m in emergency:
@@ -167,6 +165,9 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
                 output[k] = max(output[k], 0.0)
             if w_now < 0.5:
                 output[k] = 0.0
+            if w_now != online[k]:
+                run_hours[k] = 0.0
+            run_hours[k] += 1 / 60 if w_now > 0.5 else -1 / 60
             online[k] = w_now
 
         if m % t.sced_step_min == 0:
@@ -205,6 +206,8 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             injections[st_.bubble] += pgen - ppump
             gen_total += pgen - ppump
             state.energy[k] += (st_.eta * ppump - pgen) / 60.0
+            state.mode_gen[k] = day_sched.storage_mode_gen[k][hour]
+            state.mode_pump[k] = day_sched.storage_mode_pump[k][hour]
         for k, dr in enumerate(scn.drs):
             val = float(sced_now.dr[k][0])
             injections[dr.bubble] += val
@@ -264,87 +267,6 @@ def mini(tmp_path_factory):
     return path
 
 
-# Short commitment horizons keep each example fast; the first keeps the
-# fixture's 15-minute RTUC steps over 10-minute SCED steps, so commitment
-# can change in the middle of a dispatch interval.
-TIMINGS = (
-    Timing(scuc_horizon_h=3, rtuc_step_min=15, rtuc_horizon_min=60,
-           rtuc_period_min=60, sced_step_min=10),
-    Timing(scuc_horizon_h=2, rtuc_step_min=5, rtuc_horizon_min=30,
-           rtuc_period_min=30, sced_step_min=5),
-    Timing(scuc_horizon_h=1, rtuc_step_min=10, rtuc_horizon_min=40,
-           rtuc_period_min=20, sced_step_min=5),
-)
-
-
-@st.composite
-def perturbations(draw):
-    """What to change in the fixture: each draw a plain value, so a
-    scenario can be rebuilt from it as often as needed."""
-    return dict(
-        timing=draw(st.integers(0, len(TIMINGS) - 1)),
-        eps=draw(st.sampled_from(["zero", "default", "large"])),
-        reg_units=draw(st.sampled_from([1, 3, 8])),
-        storage=draw(st.booleans()),
-        dr=draw(st.booleans()),
-        shed=draw(st.sampled_from([0.0, 0.2])),
-        sun_d=draw(st.sampled_from([1.0, 0.5])),
-        tie=draw(st.booleans()),
-        mesh=draw(st.booleans()),
-        pair=draw(st.booleans()),
-        gamma=draw(st.sampled_from([0.0, 0.02])),
-        outages=draw(st.lists(
-            st.tuples(st.sampled_from(["gas2", "fast1", "sun1", "aux1"]),
-                      st.integers(0, MINUTES - 5), st.integers(0, 60)),
-            max_size=2)),
-        seed=draw(st.integers(0, 1000)),
-    )
-
-
-def perturbed(path: str, p: dict):
-    scn = load_scenario(path)
-    n = len(scn.loads[0].profile)
-    scn.timing = TIMINGS[p["timing"]]
-    scn.gamma_loss = p["gamma"]
-    for res in scn.loads + scn.semis:
-        if p["eps"] == "default":
-            res.eps_da = res.eps_st = res.eps_rt = None
-        elif p["eps"] == "large":
-            res.eps_da, res.eps_st, res.eps_rt = 0.1, 0.05, 0.02
-    # Four small flexible units, so up to eight can regulate.
-    for k, bubble in enumerate(("n1", "n2", "n3", "n2")):
-        scn.generators.append(Generator(
-            id=f"aux{k + 1}", bubble=bubble, kind="must-run", p_min=0.0,
-            p_max=25.0, r_min=-5.0, r_max=5.0, h_l=20.0 + k, online=True,
-            initial_output=5.0, online_hours=48))
-    for k, g in enumerate(scn.generators):
-        g.reg_capacity = 5.0 + 3.0 * k if k < p["reg_units"] else 0.0
-    if p["storage"]:
-        scn.storages.append(Storage(
-            id="pond", bubble="n2", p_min=5.0, p_max=30.0, s_min=5.0,
-            s_max=30.0, e_min=10.0, e_max=120.0, eta=0.8,
-            initial_energy=60.0))
-    if p["dr"]:
-        scn.drs.append(DemandResponse(id="flex", bubble="n3", p_min=0.0,
-                                      p_max=15.0, cost=60.0))
-    scn.loads[1].d, scn.loads[1].price = p["shed"], 100.0
-    scn.semis[0].d = p["sun_d"]
-    if p["tie"]:
-        scn.semis.append(SemiDispatchable(
-            id="tie", bubble="n1", kind="tie-line", d=0.5, price=20.0,
-            eps_da=0.02, eps_st=0.01, eps_rt=0.01,
-            profile=Profile(20.0 + 5.0 * np.sin(np.arange(n) / 37.0))))
-    net: ZonalNetwork = scn.network
-    if p["mesh"]:
-        net.branches.append(Branch("n1", "n3", weight=2.0))
-    if p["pair"]:
-        net.interfaces.append(Interface(
-            "pair", [("n1", "n2", 1.0), ("n3", "n2", -1.0)], limit=400.0))
-    scn.outages = [Outage(resource=r, start=s, duration=d)
-                   for r, s, d in p["outages"]]
-    return scn
-
-
 def outcome(run, path, p):
     """The trace of ``run`` on the scenario, or the error it raised."""
     try:
@@ -385,7 +307,7 @@ def test_perturbations_cover_every_family(mini):
     p = dict(timing=1, eps="default", reg_units=8, storage=True, dr=True,
              shed=0.2, sun_d=0.5, tie=True, mesh=True, pair=True,
              gamma=0.02, outages=[("gas2", 25, 30), ("sun1", 60, 20)],
-             seed=3)
+             seed=3, t_u=1, t_d=1, u_max=6, mid=False)
     want = outcome(ref_simulate, mini, p)
     assert isinstance(want, SimulationTrace)
     assert want.regulation.shape == (MINUTES, 8)

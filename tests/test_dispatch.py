@@ -774,10 +774,10 @@ def reference_fill(program, scn, fc, init, opt):
             lb[col], ub[col] = 0.0, 1.0
             hist = float(init.run_hours[k])
             if w0 > 0.5 and hist < g.t_u:
-                remain = int(np.ceil((g.t_u - hist) * steps_per_hour))
+                remain = int(np.ceil((g.t_u - hist) * steps_per_hour - 1e-9))
                 lb[col[:remain]] = 1.0
             if w0 < 0.5 and -hist < g.t_d:
-                remain = int(np.ceil((g.t_d + hist) * steps_per_hour))
+                remain = int(np.ceil((g.t_d + hist) * steps_per_hour - 1e-9))
                 ub[col[:remain]] = 0.0
             used = int(init.starts_used[k])
             ahead = 0 if opt.starts_ahead is None else \

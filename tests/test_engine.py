@@ -395,11 +395,11 @@ def test_batched_fill_equals_a_window_alone_in_every_family(mini,
     # curtailable solar unit and a contingency tie line, with generator
     # and semi outages, on the richest perturbation of the reference
     # cascade.
-    from test_cascade_passes import perturbed
+    from shared import perturbed
     p = dict(timing=1, eps="default", reg_units=8, storage=True, dr=True,
              shed=0.2, sun_d=0.5, tie=True, mesh=True, pair=True,
              gamma=0.02, outages=[("gas2", 25, 30), ("sun1", 60, 20)],
-             seed=3)
+             seed=3, t_u=1, t_d=1, u_max=6, mid=False)
     scn = perturbed(mini, p)
     windows = _fills_from_batches_equal_fills_alone(scn, 120, p["seed"],
                                                     monkeypatch)
