@@ -27,8 +27,10 @@ passes, each doing only what a window or a minute changes:
    Energy that leaves its bounds stops the run with a ``DispatchError``
    naming the storage unit.  Every ``Schedule`` field is an array
    [entity, step] in the same orders, so the minute loop reads a window's
-   step as one column and updates the state in place, and unit outputs
-   collect in one array [unit, minute].  Each SCED leaves the few values
+   step as one row and updates the state in place: unit status where a
+   commitment step starts or an outage begins or ends, outputs along the
+   ramp each dispatch interval lays out at once, collected in one array
+   [minute, unit].  Each SCED leaves the few values
    the physics reads (curtailed and shed fractions, DR output,
    supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
@@ -177,7 +179,8 @@ def simulate(scn: Scenario, minutes: int,
 
     # --- dispatch: windows in minute order, units ramping between -------
     # The one live state every layer reads, one array per quantity: actual
-    # MW, on/off status and starts per generator, storage energy.
+    # MW, on/off status, run hours and starts per generator, storage energy
+    # and modes.
     state = initial_from_scenario(scn)
     online, output = state.online, state.output
     tick = np.where(online > 0.5, 1 / 60, -1 / 60)    # run hours per minute
@@ -187,23 +190,30 @@ def simulate(scn: Scenario, minutes: int,
     programs = {}
     # What the physics reads of each SCED: curtailed and shed fractions,
     # DR output and the supergeneration sum; each minute's storage
-    # injection and unit outputs [unit, minute].
+    # injection and unit outputs [minute, unit].
     curtail = np.zeros((len(sced_at), len(scn.semis)))
     shed = np.zeros((len(sced_at), len(scn.loads)))
     dr_out = np.zeros((len(sced_at), len(scn.drs)))
     supergen = np.zeros(len(sced_at))
     storage = np.zeros((minutes, len(scn.storages)))
-    outputs = np.empty((len(gens), minutes))
+    outputs = np.empty((minutes, len(gens)))
     eta = np.array([st_.eta for st_ in scn.storages])
     # The energy storage may carry: its bounds, give or take 1e-6 MWh.
     e_lo = np.array([st_.e_min for st_ in scn.storages]) - 1e-6
     e_hi = np.array([st_.e_max for st_ in scn.storages]) + 1e-6
     # Per-minute availability [minute, unit]: the run as one window of
-    # 1-minute blocks, False where an outage takes the unit out.
+    # 1-minute blocks, False where an outage takes the unit out.  A unit's
+    # status can change only where a commitment step starts or where its
+    # availability does (``trips``).
     up = np.ones((minutes, len(gens)), dtype=bool)
     for k, g in enumerate(gens):
         if g.id in gen_out:
             up[:, k] = gen_out[g.id] == 0.0
+    trips = set((np.flatnonzero((up[1:] != up[:-1]).any(axis=1)) + 1
+                 ).tolist())
+    # Each minute of a dispatch interval moves its share of the way from
+    # the outputs where the interval starts to its setpoints.
+    share = np.arange(1, t.sced_step_min + 1)[:, None] / t.sced_step_min
 
     for m in range(minutes):
         # Starts count against each calendar day's budget.
@@ -229,17 +239,18 @@ def simulate(scn: Scenario, minutes: int,
             w_on, u_now, v_now = intra.w.T > 0.5, intra.u.T, intra.v.T
 
         # --- commitment state for this minute ---------------------------
-        interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
         # A unit that changes status starts its history again; each minute
         # adds to it, on or off.
-        on = w_on[interval] & up[m]
-        changed = on != online
-        if changed.any():
-            state.starts_used += on & changed
-            output[~on] = 0.0
-            online[:] = on
-            state.run_hours[changed] = 0.0
-            tick = np.where(on, 1 / 60, -1 / 60)
+        interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
+        if (m - intra_start) % t.rtuc_step_min == 0 or m in trips:
+            on = w_on[interval] & up[m]
+            changed = on != online
+            if changed.any():
+                state.starts_used += on & changed
+                output[~on] = 0.0
+                online[:] = on
+                state.run_hours[changed] = 0.0
+                tick = np.where(on, 1 / 60, -1 / 60)
         state.run_hours += tick
 
         # --- economic dispatch ------------------------------------------
@@ -258,14 +269,12 @@ def simulate(scn: Scenario, minutes: int,
             dr_out[k] = sced.dr[:, 0]
             supergen[k] = sum((sced.super_pos[:, 0] -
                                sced.super_neg[:, 0]).tolist())
-            sced_base = output.copy()
-            ramp = target - sced_base
+            path = output + (target - output) * share
             sced_minute = m
 
         # --- units ramp toward their setpoints; storage as scheduled ----
-        frac = min((m - sced_minute + 1) / t.sced_step_min, 1.0)
-        np.copyto(output, sced_base + ramp * frac, where=on)
-        outputs[:, m] = output
+        np.copyto(output, path[m - sced_minute], where=on)
+        outputs[m] = output
         if len(eta):
             pgen = day_sched.storage_gen[:, hour]
             ppump = day_sched.storage_pump[:, hour]
@@ -282,7 +291,7 @@ def simulate(scn: Scenario, minutes: int,
                     f"MWh outside [{st_.e_min:g}, {st_.e_max:g}] at minute "
                     f"{m}")
 
-    for g, out in zip(gens, outputs):
+    for g, out in zip(gens, outputs.T):
         trace.unit_output[g.id] = out
     _physics(scn, trace, factor, reg, storage, curtail, shed, dr_out,
              supergen, semi_out)
