@@ -40,14 +40,10 @@ prices fuel, are worked out from the start minute in one place,
 a window alone.  What carries over from window to window is the one live
 :class:`InitialState` the caller passes in.
 
-Everything indexed by entity is an array in scenario order: generators,
-storage, semis, loads, DR and bubbles as the scenario lists them, branches
-in network order.  :class:`InitialState` holds one array per quantity
-([generator] or [storage]); each :class:`Schedule` field is [entity,
-step]; the pins of :class:`LayerOptions` are [generator, step] or
-[storage, step].  Columns and rows are blocks [step, entity].  So a value
-is found by position, and the ids a Schedule field's rows follow are
-listed once, in the plan (``Columns.read``).
+Everything indexed by entity is an array in scenario order, found by
+position: the state and pins (:class:`InitialState`, :class:`LayerOptions`)
+by generator or storage, each :class:`Schedule` field [entity, step], and
+column and row blocks [step, entity].
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -231,16 +227,11 @@ class InitialState:
 
 @dataclass
 class Schedule:
-    """One window's solution.  Each field is an array [entity, step], its
-    rows in scenario order: generators for ``w`` to ``tmor``, storage for
-    the ``storage_`` fields, then semis (``curtail``), loads (``shed``),
-    DR (``dr``), bubbles (``super_pos``, ``super_neg``) and branches
-    (``flows``); ``c1`` is [step].  A quantity the program has no column
-    for reads 0.0: SCED's u and v, the reserves without reserve
-    requirements, an uncurtailable semi's curtailment, an unsheddable
-    load's shedding, and the storage energy and modes where storage is
-    pinned (its pinned output is kept).  :attr:`Columns.read` lists the
-    ids each field's rows follow."""
+    """One window's solution: each field but ``c1`` [step] is an array
+    [entity, step] whose rows follow the ids ``Columns.read`` lists for it.
+    A quantity the program has no column for reads 0.0 (SCED's u and v,
+    an unsheddable load's shedding, storage energy and modes where storage
+    is pinned, whose pinned output is kept)."""
     layer: str
     steps: int
     step_minutes: int
@@ -309,11 +300,11 @@ class Columns(dict):
     ``coef_cells`` (located once, see ``LinearProgram.cells``) are where a
     window's forecast-driven values (:meth:`LayerInputs.values`) go;
     ``gather`` reads every Schedule field from the solution at once and
-    ``read`` lists each field's rows of it with the ids they follow.
-    Like the coefficients baked
-    into the structure, the plan belongs to the scenario object ``scn``:
-    a program is refilled only for that same object (``scn is``), so a
-    scenario edited in place needs a new program.
+    ``read`` lists each field's rows of it with the ids they follow.  Like
+    the coefficients baked into the structure, the plan belongs to the
+    scenario object ``scn``: a program is refilled only for that same
+    object (``scn is``), so a scenario edited in place needs a new
+    program.
     """
     fixed_cost = 0.0
     simplex: _Simplex | None = None
@@ -1066,13 +1057,11 @@ def run_sced(scn: Scenario, fc: Forecasts, init: InitialState,
     ``program`` is the program to refill (the previous interval's
     ``Schedule.program``).
     """
-    G, S = len(scn.generators), len(scn.storages)
-    zero = np.zeros(G)
-    if pinned_storage is None:
-        pinned_storage = (np.zeros((S, 1)), np.zeros((S, 1)))
+    zero = np.zeros(len(scn.generators))
+    idle = np.zeros((len(scn.storages), 1))
     opt = _window(scn, "sced", minute,
                   pinned_w=np.array(init.online, dtype=float)[:, None],
-                  pinned_storage=pinned_storage,
+                  pinned_storage=pinned_storage or (idle, idle),
                   fixed_uv=(zero if starts is None else starts,
                             zero if stops is None else stops))
     return solve_layer(scn, fc, init, opt, program)

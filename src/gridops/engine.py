@@ -19,20 +19,14 @@ passes, each doing only what a window or a minute changes:
    what the state sets.
 2. *Dispatch.*  The minutes in order, solving each window as it starts
    and keeping only what feeds the next solve, in one live
-   ``InitialState``, one array per quantity in generator or storage
-   order: commitment, unit outputs, the hours each unit has spent in its
-   current status (restarted at every change, so minimum up and down
-   times carry across windows), starts since midnight (the daily budget),
-   and storage energy and modes as the day-ahead schedule runs them.
-   Energy that leaves its bounds stops the run with a ``DispatchError``
-   naming the storage unit.  Every ``Schedule`` field is an array
-   [entity, step] in the same orders, so the minute loop reads a window's
-   step as one row and updates the state in place: unit status where a
-   commitment step starts or an outage begins or ends, outputs along the
-   ramp each dispatch interval lays out at once, collected in one array
-   [minute, unit].  Each SCED leaves the few values
-   the physics reads (curtailed and shed fractions, DR output,
-   supergeneration).
+   ``InitialState`` of arrays updated in place: commitment, unit outputs,
+   hours in the current status (so minimum up and down times carry
+   across windows), starts since midnight, and storage energy (which may
+   not leave its bounds) and modes as the day-ahead schedule runs them.
+   Unit status is evaluated where a commitment step starts or an outage
+   begins or ends; outputs follow the ramp each dispatch lays out for its
+   interval.  Each SCED leaves the few values the physics reads
+   (curtailed and shed fractions, DR output, supergeneration).
 3. *Physics.*  From the unit outputs and those values, the per-minute
    injections, then regulation stepped through every minute in one call
    and the network solved for every minute in one stacked solve, summed
@@ -282,14 +276,13 @@ def simulate(scn: Scenario, minutes: int,
             state.energy += (eta * ppump - pgen) / 60.0
             state.mode_gen[:] = day_sched.storage_mode_gen[:, hour]
             state.mode_pump[:] = day_sched.storage_mode_pump[:, hour]
-            outside = np.flatnonzero((state.energy < e_lo) |
-                                     (state.energy > e_hi))
-            if len(outside):
-                st_ = scn.storages[outside[0]]
+            bad = np.flatnonzero((state.energy < e_lo) |
+                                 (state.energy > e_hi))
+            if len(bad):
+                st_, e = scn.storages[bad[0]], state.energy[bad[0]]
                 raise DispatchError(
-                    f"storage {st_.id}: energy {state.energy[outside[0]]:g} "
-                    f"MWh outside [{st_.e_min:g}, {st_.e_max:g}] at minute "
-                    f"{m}")
+                    f"storage {st_.id}: energy {e:g} MWh outside "
+                    f"[{st_.e_min:g}, {st_.e_max:g}] at minute {m}")
 
     for g, out in zip(gens, outputs.T):
         trace.unit_output[g.id] = out
