@@ -649,7 +649,6 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
         return np.array(values, dtype=np.intp)
 
     # Units: the fuel price by clock hour and each unit's constants.
-    cols.gids = [g.id for g in gens]
     cols.fuel = col([[g.fuel_price(h) for g in gens]
                      for h in range(24)]).reshape(24, G)
     cols.pmin, cols.pmax = col([g.p_min for g in gens]), \
@@ -743,7 +742,7 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
     # of a gather from the solution with a 0.0 appended, which the -1 of a
     # missing column reads.  Each entry names the column family the field
     # reads and the ids its rows follow.
-    gids, sids = cols.gids, [st.id for st in scn.storages]
+    gids, sids = [g.id for g in gens], [st.id for st in scn.storages]
     bubbles = scn.network.bubbles
     read = [("w", "w", gids), ("u", "u", gids), ("v", "v", gids),
             ("p", "P", gids), ("tmsr", "rS", gids), ("tmor", "rO", gids),
