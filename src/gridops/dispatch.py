@@ -34,16 +34,19 @@ rest what the fleet's state sets, and extraction one gather.
 
 Each layer decides its own window from its start minute: the step grid
 (:func:`layer_grid`) and the start minute itself (:class:`LayerOptions`).
-The outage masks over the grid and the clock hour of each step, which
+The availability over the grid and the clock hour of each step, which
 prices fuel, are worked out from the start minute in one place,
 :meth:`LayerInputs.of_layer`, for all of a layer's windows at once or for
 a window alone.  What carries over from window to window is the one live
 :class:`InitialState` the caller passes in.
 
 Everything indexed by entity is an array in scenario order, found by
-position: the state and pins (:class:`InitialState`, :class:`LayerOptions`)
-by generator or storage, each :class:`Schedule` field [entity, step], and
-column and row blocks [step, entity].
+position, never a dict keyed by id: the forecasts (:class:`Forecasts`,
+[load, step] and [semi, step]) and the availability net of outages
+(:func:`outage_masks`, [step, gen] and [semi, step]), the state and pins
+(:class:`InitialState`, :class:`LayerOptions`) by generator or storage,
+each :class:`Schedule` field [entity, step], and column and row blocks
+[step, entity].
 
 Conventions: ramp rates are MW/min, steps are minutes, curtailment is a
 fraction in [0,1] applied to the curtailable share d of a resource.
@@ -72,7 +75,9 @@ class DispatchError(Exception):
 
 @dataclass
 class Forecasts:
-    """Per-step forecast blocks for one optimization window.
+    """Per-step forecasts for one optimization window, in scenario order:
+    ``load`` [load, step] and ``semi`` [semi, step], MW.  The window reads
+    the first ``steps`` of each row.
 
     ``inputs`` is the batch of the layer's windows this one belongs to and
     ``index`` its row there (:meth:`LayerInputs.windows`); the window's
@@ -80,8 +85,8 @@ class Forecasts:
     made without one is a batch of one (:meth:`LayerInputs.of_window`),
     whose hours and outage masks follow from the options' start minute.
     """
-    load: dict[str, np.ndarray]          # bubble -> MW per step
-    semi: dict[str, np.ndarray]          # resource -> MW per step
+    load: np.ndarray                     # [load, step] MW
+    semi: np.ndarray                     # [semi, step] MW
     inputs: LayerInputs | None = field(default=None, repr=False,
                                        compare=False)
     index: int = 0
@@ -93,28 +98,15 @@ class LayerInputs:
     [window, load, step] and ``semi`` [window, semi, step] in scenario
     order, the clock hour of each step (``hours``) and the availability
     net of outages of units (``gen_on`` [window, step, unit]) and semis
-    (``semi_on`` [window, semi, step]), 1.0 where nothing is out.
+    (``semi_on`` [window, semi, step]) as :func:`outage_masks` gives it.
 
     :meth:`values` turns them into the program values they drive, for
     every window in one pass.
     """
 
-    def __init__(self, scn: Scenario, load, semi, hours, gen_out: dict,
-                 semi_out: dict):
-        """``gen_out`` and ``semi_out`` are the windows' masks as
-        :func:`outage_masks` gives them, [window, step] per resource out."""
+    def __init__(self, load, semi, hours, gen_on, semi_on):
         self.load, self.semi, self.hours = load, semi, hours
-        W, T = hours.shape
-        gens = {g.id: k for k, g in enumerate(scn.generators)}
-        semis = {sm.id: k for k, sm in enumerate(scn.semis)}
-        self.gen_on = np.ones((W, T, len(gens)))
-        for rid, mask in gen_out.items():
-            self.gen_on[:, :, gens[rid]] = 1.0 - mask
-        self.semi_on = np.ones((W, len(semis), T))
-        for rid, mask in semi_out.items():
-            self.semi_on[:, semis[rid]] = 1.0 - mask
-        self.load_ids = [ld.bubble for ld in scn.loads]
-        self.semi_ids = list(semis)
+        self.gen_on, self.semi_on = gen_on, semi_on
         self._values = {}
 
     @classmethod
@@ -132,7 +124,7 @@ class LayerInputs:
             return np.array(series, dtype=float).reshape(
                 len(series), len(minutes), n).transpose(1, 0, 2)
 
-        return cls(scn, rows(load), rows(semi), hours,
+        return cls(rows(load), rows(semi), hours,
                    *outage_masks(scn, minutes, step, n))
 
     @classmethod
@@ -141,19 +133,16 @@ class LayerInputs:
         """One window's forecasts as a batch of one, starting at the
         options' minute."""
         T = opt.steps
-        for series in (*fc.load.values(), *fc.semi.values()):
-            if len(series) < T:
-                raise DispatchError(
-                    f"forecast horizon {len(series)} shorter than {T} steps")
-        return cls.of_layer(scn, opt.layer, [opt.minute],
-                            [fc.load[ld.bubble][:T] for ld in scn.loads],
-                            [fc.semi[sm.id][:T] for sm in scn.semis])
+        for series in (fc.load, fc.semi):
+            if len(series) and series.shape[1] < T:
+                raise DispatchError(f"forecast horizon {series.shape[1]} "
+                                    f"shorter than {T} steps")
+        return cls.of_layer(scn, opt.layer, [opt.minute], fc.load[:, :T],
+                            fc.semi[:, :T])
 
     def windows(self) -> list[Forecasts]:
-        """Each window's Forecasts, its series views of these arrays."""
-        return [Forecasts(load=dict(zip(self.load_ids, load)),
-                          semi=dict(zip(self.semi_ids, semi)), inputs=self,
-                          index=k)
+        """Each window's Forecasts, row views of these arrays."""
+        return [Forecasts(load=load, semi=semi, inputs=self, index=k)
                 for k, (load, semi) in enumerate(zip(self.load, self.semi))]
 
     def values(self, cols: Columns) -> SimpleNamespace:
@@ -763,7 +752,7 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
     cols.gather = np.concatenate([cols[fam].T for _, fam, _ in read]
                                  ).reshape(-1, T)
     cols.use_res = bool((cols["C1"] >= 0).all())
-    cols.ties_d = [(k, semis[k].id, semis[k].d) for k in ties]
+    cols.ties_d = [(k, semis[k].d) for k in ties]
 
 
 def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
@@ -804,14 +793,17 @@ def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
         # Segments only price output above the committed floor.
         for c in ((wv * values.fuel[win]) * cols.at_min).ravel().tolist():
             fixed_cost += c
-        wv = wv * inputs.gen_on[win]
-        floor = wv * cols.pmin
+        on = wv * inputs.gen_on[win]
+        floor = on * cols.pmin
         lb[cols["P"]] = floor
-        ub[cols["P"]] = wv * cols.pmax
+        ub[cols["P"]] = on * cols.pmax
         rhs[rows["seg"]] = floor
-        # Each unit's output, relaxed by its start and stop.
+        # Each unit's output, relaxed by its start and stop; a unit pinned
+        # on but out for the interval ramps down as if it stopped.
+        starts, stops = opt.fixed_uv
+        stops = np.where(on[0] < wv[0], 1.0, stops)
         rhs[cols.ramp_rows] = (init.output + cols.ramp) + \
-            cols.relax * np.stack(opt.fixed_uv)[:, None]
+            cols.relax * np.stack((starts, stops))[:, None]
     else:
         # Commitment carries the cost of running at P^min (in ``hourly``);
         # the committed floor and cap scale with availability (in
@@ -942,9 +934,8 @@ def extract_schedule(scn: Scenario, fc: Forecasts, sol: Solution,
         # folded as max() folds them, the first of equals kept.
         curtail = fields["curtail"]
         for c in [*(w * cols.pmax[:, None]),
-                  *((1.0 - d * curtail[k]) *
-                    np.asarray(fc.semi[sid], dtype=float)[:T]
-                    for k, sid, d in cols.ties_d)]:
+                  *((1.0 - d * curtail[k]) * fc.semi[k, :T]
+                    for k, d in cols.ties_d)]:
             c1 = np.where(c > c1, c, c1)
     return Schedule(layer=opt.layer, steps=T, step_minutes=opt.step_minutes,
                     status=sol.status,
@@ -965,28 +956,28 @@ def layer_grid(timing, layer: str) -> tuple[int, int]:
 
 
 def outage_masks(scn: Scenario, m0, block: int, n: int):
-    """Per-block outage masks of generators and semi resources over the
-    window [m0, m0 + n*block); a resource is out for a whole block if any
-    outage overlaps it.  Resources not out in the window are left out.
-    With ``block`` 1 the masks are per-minute on/off status.  An outage of
-    no minutes overlaps nothing.
+    """Per-block availability of generators [step, gen] and semi resources
+    [semi, step] over the window [m0, m0 + n*block), in scenario order: 0.0
+    for a whole block if any outage of the resource overlaps it, else 1.0.
+    With ``block`` 1 it is per-minute on/off status.  An outage of no
+    minutes overlaps nothing.
 
-    ``m0`` may be an array of window starts: each mask then has one row
-    per window, and a resource out in any of them is listed."""
-    gen, semi = {}, {}
+    ``m0`` may be an array of window starts: each array then has one row
+    per window in front, [window, step, gen] and [window, semi, step]."""
     lo = np.add.outer(m0, block * np.arange(n))
+    gens = [g.id for g in scn.generators]
+    semis = [sm.id for sm in scn.semis]
+    gen_on = np.ones(lo.shape + (len(gens),))
+    semi_on = np.ones(lo.shape[:-1] + (len(semis), n))
     for ev in scn.outages:
         if ev.duration <= 0:        # it would mask the block of its start
             continue
-        mask = ((lo < ev.start + ev.duration) &
-                (lo + block > ev.start)).astype(float)
-        if not mask.any():
-            continue
-        if any(g.id == ev.resource for g in scn.generators):
-            gen[ev.resource] = np.maximum(gen.get(ev.resource, 0.0), mask)
-        elif any(sm.id == ev.resource for sm in scn.semis):
-            semi[ev.resource] = np.maximum(semi.get(ev.resource, 0.0), mask)
-    return gen, semi
+        out = (lo < ev.start + ev.duration) & (lo + block > ev.start)
+        if ev.resource in gens:
+            gen_on[..., gens.index(ev.resource)][out] = 0.0
+        elif ev.resource in semis:
+            semi_on[..., semis.index(ev.resource), :][out] = 0.0
+    return gen_on, semi_on
 
 
 def _window(scn: Scenario, layer: str, minute: int,

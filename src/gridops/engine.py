@@ -168,8 +168,9 @@ def simulate(scn: Scenario, minutes: int,
     rtuc_fc = dict(zip(rtuc_at, _layer_forecasts(
         scn, seed, "rtuc", rtuc_at, rtuc_at)))
     sced_fc = _layer_forecasts(scn, seed, "sced", sced_at, sced_at)
-    # Per-minute on/off status: the run as one window of 1-minute blocks.
-    gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
+    # Per-minute availability, [minute, unit] and [semi, minute]: the run
+    # as one window of 1-minute blocks.
+    gen_on, semi_on = outage_masks(scn, 0, 1, minutes)
 
     # --- dispatch: windows in minute order, units ramping between -------
     # The one live state every layer reads, one array per quantity: actual
@@ -195,14 +196,9 @@ def simulate(scn: Scenario, minutes: int,
     # The energy storage may carry: its bounds, give or take 1e-6 MWh.
     e_lo = np.array([st_.e_min for st_ in scn.storages]) - 1e-6
     e_hi = np.array([st_.e_max for st_ in scn.storages]) + 1e-6
-    # Per-minute availability [minute, unit]: the run as one window of
-    # 1-minute blocks, False where an outage takes the unit out.  A unit's
-    # status can change only where a commitment step starts or where its
-    # availability does (``trips``).
-    up = np.ones((minutes, len(gens)), dtype=bool)
-    for k, g in enumerate(gens):
-        if g.id in gen_out:
-            up[:, k] = gen_out[g.id] == 0.0
+    # A unit's status can change only where a commitment step starts or
+    # where its availability does (``trips``).
+    up = gen_on == 1.0
     trips = set((np.flatnonzero((up[1:] != up[:-1]).any(axis=1)) + 1
                  ).tolist())
     # Each minute of a dispatch interval moves its share of the way from
@@ -287,12 +283,12 @@ def simulate(scn: Scenario, minutes: int,
     for g, out in zip(gens, outputs.T):
         trace.unit_output[g.id] = out
     _physics(scn, trace, factor, reg, storage, curtail, shed, dr_out,
-             supergen, semi_out)
+             supergen, semi_on)
     return trace
 
 
 def _physics(scn: Scenario, trace: SimulationTrace, factor, reg, storage,
-             curtail, shed, dr_out, supergen, semi_out) -> None:
+             curtail, shed, dr_out, supergen, semi_on) -> None:
     """Fill the trace's balance, regulation and flow series from the unit
     outputs, the storage injections and what each SCED decided.
 
@@ -322,8 +318,7 @@ def _physics(scn: Scenario, trace: SimulationTrace, factor, reg, storage,
     delivered = np.zeros(minutes)
     for k, sm in enumerate(scn.semis):
         avail = sm.profile.values[np.minimum(clock, len(sm.profile) - 1)]
-        if sm.id in semi_out:
-            avail = np.where(semi_out[sm.id] != 0.0, 0.0, avail)
+        avail = np.where(semi_on[k] == 0.0, 0.0, avail)
         deliv = (1.0 - sm.d * curtail[sced, k]) * avail
         injections[sm.bubble] += deliv
         available += avail

@@ -3,9 +3,10 @@
 A :class:`LinearProgram` holds its program as arrays, and the solver reads
 them as they are: a solve copies nothing but the bounds that branch and
 bound overrides, so a program refilled in place for each use is never
-rebuilt.  A program is made one way, by ``LinearProgram(cols, rows)``;
-its ``repr`` prints that call, so ``eval(repr(lp))`` rebuilds it.  It is
-changed one way, by writing to its arrays.
+rebuilt.  A program is made one way, by ``LinearProgram(cols, rows)``,
+which checks every column and row and fixes them for good; its ``repr``
+prints that call, so ``eval(repr(lp))`` rebuilds it.  It is changed one
+way, by writing to its arrays.
 
 The solver is deliberately self-contained and deterministic: identical
 programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
@@ -121,12 +122,10 @@ class Row(NamedTuple):
 
 class Cells(NamedTuple):
     """Entries of a program located in its matrix: the entry indices, the
-    flat index of each one's cell in the m x n matrix ``A`` and its column,
-    for a program of ``n`` columns."""
+    flat index of each one's cell in the m x n matrix ``A`` and its column."""
     entries: np.ndarray
     flat: np.ndarray
     cols: np.ndarray
-    n: int
 
 
 class LinearProgram:
@@ -134,36 +133,22 @@ class LinearProgram:
 
     Columns: ``lb``, ``ub``, ``obj``, ``binary`` and ``col_names``.  Rows:
     ``rhs``, ``senses`` and ``row_names``, with their entries kept in
-    insertion order as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
+    the order given as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
     owns entries ``indptr[i]:indptr[i + 1]``).  ``cols`` are ``(name, lb,
     ub, obj, binary)`` and ``rows`` ``(name, [(column, coefficient), ...],
-    sense, rhs)``, as ``variables`` and ``constraints`` give them back;
-    :meth:`add_var` and :meth:`add_constr` append one of each.  ``A`` is
-    the dense constraint matrix, assembled once per structure: each cell is
-    ``0.0`` plus its entries, which keeps zeros unsigned and sums repeated
-    entries in order.  :meth:`set_coeffs` writes entries and their cells in
-    place, so a program of fixed structure is refilled without being built
-    again, and stamps the columns whose cells change bits (``_edited``,
-    assembling A stamps all).
+    sense, rhs)``, as ``variables`` and ``constraints`` give them back; a
+    malformed item raises :class:`SolverError` naming the first one,
+    columns before rows.  ``A`` is the dense constraint matrix, assembled
+    once per structure: each cell is ``0.0`` plus its entries, which keeps
+    zeros unsigned and sums repeated entries in order.  :meth:`set_coeffs`
+    writes entries and their cells in place, so a program of fixed
+    structure is refilled without being built again, and stamps the
+    columns whose cells change bits (``_edited``, assembling A stamps all).
     """
 
-    def __init__(self, cols=(), rows=()):
-        self.col_names, self.row_names, self.senses = [], [], []
-        self.lb = self.ub = self.obj = self.rhs = self.entry_val = np.empty(0)
-        self.binary = np.empty(0, dtype=bool)
-        self.indptr = np.zeros(1, dtype=np.intp)
-        self.entry_row = self.entry_col = np.empty(0, dtype=np.intp)
-        self.n = self.m = self.nnz = 0
-        self._A: np.ndarray | None = None
-        self._repeated = False       # some cell has more than one entry
-        self._edits = 0              # writes that changed bits of A
-        self._edited = np.zeros(0, dtype=np.intp)   # each column's last one
-        self._extend(list(cols), list(rows))
-
-    def _extend(self, cols: list[tuple], rows: list[tuple]) -> None:
-        """Append columns, then rows, each array growing once; a malformed
-        item raises as adding the items one at a time would, adding none."""
-        n = self.n + len(cols)
+    def __init__(self, cols, rows):
+        cols, rows = list(cols), list(rows)
+        n = len(cols)
         for name, lb, ub, _, binary in cols:
             if binary and not (lb >= 0.0 and ub <= 1.0):
                 raise SolverError(
@@ -182,31 +167,24 @@ class LinearProgram:
         names, lb, ub, obj, binary = zip(*cols) if cols else ((),) * 5
         rnames, coeffs, senses, rhs = zip(*rows) if rows else ((),) * 4
         counts = [len(c) for c in coeffs]
-        for name, dtype, new in (
-                ("lb", float, lb), ("ub", float, ub), ("obj", float, obj),
-                ("binary", bool, binary), ("rhs", float, rhs),
-                ("indptr", np.intp, self.nnz + np.cumsum(counts)),
-                ("entry_row", np.intp, np.repeat(np.arange(
-                    self.m, self.m + len(rows)), counts)),
-                ("entry_col", np.intp, [j for c in coeffs for j, _ in c]),
-                ("entry_val", float, [a for c in coeffs for _, a in c])):
-            setattr(self, name, np.concatenate(
-                [getattr(self, name), np.array(new, dtype=dtype)]))
-        self.col_names += names
-        self.row_names += rnames
-        self.senses += senses
-        self.n, self.m, self.nnz = n, len(self.rhs), len(self.entry_val)
-        self._A = None
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
-                obj: float = 0.0, binary: bool = False) -> int:
-        self._extend([(name, lb, ub, obj, binary)], [])
-        return self.n - 1
-
-    def add_constr(self, name: str, coeffs: list[tuple[int, float]],
-                   sense: str, rhs: float) -> int:
-        self._extend([], [(name, coeffs, sense, rhs)])
-        return self.m - 1
+        self.col_names, self.row_names = list(names), list(rnames)
+        self.senses = list(senses)
+        self.lb, self.ub, self.obj, self.rhs = (
+            np.array(a, dtype=float) for a in (lb, ub, obj, rhs))
+        self.binary = np.array(binary, dtype=bool)
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        self.indptr[1:] = np.cumsum(counts)
+        self.entry_row = np.repeat(np.arange(len(rows), dtype=np.intp),
+                                   counts)
+        self.entry_col = np.array([j for c in coeffs for j, _ in c],
+                                  dtype=np.intp)
+        self.entry_val = np.array([a for c in coeffs for _, a in c],
+                                  dtype=float)
+        self.n, self.m, self.nnz = n, len(rows), len(self.entry_val)
+        self._A: np.ndarray | None = None
+        self._repeated = False       # some cell has more than one entry
+        self._edits = 0              # writes that changed bits of A
+        self._edited = np.zeros(0, dtype=np.intp)   # each column's last one
 
     def cells(self, entries: np.ndarray) -> Cells:
         """Locate the matrix cells of ``entries`` (indices into the entry
@@ -214,8 +192,7 @@ class LinearProgram:
         again."""
         entries = np.asarray(entries, dtype=np.intp)
         cols = self.entry_col[entries]
-        return Cells(entries, self.entry_row[entries] * self.n + cols, cols,
-                     self.n)
+        return Cells(entries, self.entry_row[entries] * self.n + cols, cols)
 
     def set_coeffs(self, entries: Cells, values: np.ndarray) -> None:
         """Write the values of existing, distinct entries and of their
@@ -223,8 +200,6 @@ class LinearProgram:
         ``entries`` are the :class:`Cells` :meth:`cells` located.  A
         program with repeated cells drops A instead, and assembles and
         stamps it afresh when it is next read."""
-        if entries.n != self.n:         # columns were added since
-            entries = self.cells(entries.entries)
         self.entry_val[entries.entries] = values
         if self._A is None:
             return

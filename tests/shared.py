@@ -1,17 +1,39 @@
-"""What several test modules share: reading a Schedule by id, and the
-perturbed mini3 scenarios the cascade's property tests draw."""
+"""What several test modules share: programs listed item by item, reading
+a Schedule by id, and the perturbed mini3 scenarios the cascade's property
+tests draw."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
+from gridops.lp import INF, LinearProgram
 from gridops.profiles import Profile
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               Outage, SemiDispatchable, Storage, Timing,
                               ZonalNetwork, load_scenario)
 
 MINUTES = 120
+
+
+class Builder:
+    """Columns and rows listed one at a time, for a program made in one
+    ``LinearProgram(cols, rows)`` call.  ``var`` and ``constr`` return the
+    index of the column or row they list."""
+
+    def __init__(self):
+        self.cols, self.rows = [], []
+
+    def var(self, name: str, lb=0.0, ub=INF, obj=0.0, binary=False) -> int:
+        self.cols.append((name, lb, ub, obj, binary))
+        return len(self.cols) - 1
+
+    def constr(self, name: str, coeffs, sense: str, rhs) -> int:
+        self.rows.append((name, coeffs, sense, rhs))
+        return len(self.rows) - 1
+
+    def program(self) -> LinearProgram:
+        return LinearProgram(self.cols, self.rows)
 
 
 def row(sched, name: str, key: str):

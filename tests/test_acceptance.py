@@ -17,7 +17,7 @@ import scipy.optimize
 import gridops.lp
 from gridops.engine import simulate
 from gridops.grid import (RegulationState, actual_reserves, regulation_step)
-from gridops.lp import GE, LE, LinearProgram, solve_lp
+from gridops.lp import GE, LE, solve_lp
 from gridops.metrics import exhausted_minutes, percentile_rank
 from gridops.milp import solve_milp
 from gridops.mini import write_mini3
@@ -27,6 +27,7 @@ from gridops.scenario import Generator, VerSpec, load_scenario
 from gridops.engine import SimulationTrace
 
 import golden
+from shared import Builder
 
 
 # --------------------------------------------------------------------------
@@ -86,15 +87,15 @@ def test_c01_reserve_arithmetic_exact():
 
 
 def _random_mip(rng):
-    lp = LinearProgram()
+    prog = Builder()
     nb = int(rng.integers(2, 9))
     nc = int(rng.integers(1, 4))
     for j in range(nb):
-        lp.add_var(f"z{j}", lb=0.0, ub=1.0,
-                   obj=round(float(rng.normal()), 3), binary=True)
+        prog.var(f"z{j}", lb=0.0, ub=1.0,
+                 obj=round(float(rng.normal()), 3), binary=True)
     for j in range(nc):
-        lp.add_var(f"x{j}", lb=0.0, ub=float(rng.integers(1, 10)),
-                   obj=round(float(rng.normal()), 3))
+        prog.var(f"x{j}", lb=0.0, ub=float(rng.integers(1, 10)),
+                 obj=round(float(rng.normal()), 3))
     n = nb + nc
     for i in range(int(rng.integers(1, 5))):
         coeffs = [(j, round(float(rng.normal()), 3)) for j in range(n)
@@ -103,8 +104,8 @@ def _random_mip(rng):
             coeffs = [(0, 1.0)]
         sense = LE if rng.random() < 0.7 else GE
         rhs = round(float(rng.normal() * 3), 3)
-        lp.add_constr(f"c{i}", coeffs, sense, rhs)
-    return lp, nb
+        prog.constr(f"c{i}", coeffs, sense, rhs)
+    return prog.program(), nb
 
 
 def _enumerate_best(lp, nb):
@@ -177,17 +178,18 @@ def test_c03_certificates_on_every_solve(monkeypatch):
     checked = warm = 0
     for _ in range(30):
         m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        lp = LinearProgram()
+        prog = Builder()
         c = rng.normal(size=n).round(3)
         for j in range(n):
-            lp.add_var(f"x{j}", lb=0.0, ub=float(rng.integers(2, 8)),
-                       obj=float(c[j]))
+            prog.var(f"x{j}", lb=0.0, ub=float(rng.integers(2, 8)),
+                     obj=float(c[j]))
         A = rng.normal(size=(m, n)).round(3)
         b = rng.normal(size=m).round(3) * 2
         senses = [LE if rng.random() < 0.6 else GE for _ in range(m)]
         for i in range(m):
-            lp.add_constr(f"r{i}", [(j, float(A[i, j])) for j in range(n)],
-                          senses[i], float(b[i]))
+            prog.constr(f"r{i}", [(j, float(A[i, j])) for j in range(n)],
+                        senses[i], float(b[i]))
+        lp = prog.program()
         sol = solve_lp(lp)   # raises internally if certificates fail
         checked += _matches_highs(lp, sol, A, b, c, senses)
         if sol.status == "optimal":

@@ -17,12 +17,12 @@ from gridops.engine import (_LAYER_EPS, _LAYER_KIND, SimulationTrace,
                             _entity_seed, outage_masks)
 from gridops.grid import (GridError, GridState, RegulationState, dc_flow,
                           factor_network, make_regulation, regulation_step)
-from gridops.lp import GE, LE, LinearProgram, solve_lp
+from gridops.lp import GE, LE, solve_lp
 from gridops.mini import write_mini3
 from gridops.profiles import (Profile, ProfileError, forecast,
                               synthesize_error)
 from gridops.scenario import Branch, Interface, ZonalNetwork
-from shared import MINUTES, perturbations, perturbed
+from shared import MINUTES, Builder, perturbations, perturbed
 
 
 # -- reference cascade, one minute at a time -------------------------------
@@ -68,20 +68,21 @@ def ref_forecasts(scn, seed: int, peak: float, layer: str, m0: int,
                   block: int, n: int, window_id: int) -> Forecasts:
     which = _LAYER_EPS[layer]
     kind = _LAYER_KIND[layer]
-    load = {}
+    load = []
     for ld in scn.loads:
         err = synthesize_error(
             _entity_seed(seed, f"load:{ld.bubble}", layer, window_id),
             ld.eps(which), 1.0, peak, n, kind)
-        load[ld.bubble] = ref_forecast(ld.profile, m0, block, n, err)
-    semi = {}
+        load.append(ref_forecast(ld.profile, m0, block, n, err))
+    semi = []
     for sm in scn.semis:
         err = synthesize_error(
             _entity_seed(seed, f"semi:{sm.id}", layer, window_id),
             sm.eps(which), 1.0, sm.capacity or peak, n, kind)
-        semi[sm.id] = ref_forecast(sm.profile, m0, block, n, err,
-                                   sm.capacity or np.inf)
-    return Forecasts(load=load, semi=semi)
+        semi.append(ref_forecast(sm.profile, m0, block, n, err,
+                                 sm.capacity or np.inf))
+    return Forecasts(load=np.array(load).reshape(-1, n),
+                     semi=np.array(semi).reshape(-1, n))
 
 
 def ref_simulate(scn, minutes: int, seed: int | None = None):
@@ -123,7 +124,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             emergency.add(ev.start)
             nxt = ((ev.start // t.rtuc_step_min) + 1) * t.rtuc_step_min
             emergency.add(nxt)
-    gen_out, semi_out = outage_masks(scn, 0, 1, minutes)
+    gen_on, semi_on = outage_masks(scn, 0, 1, minutes)
     programs = {}
 
     def current_state() -> InitialState:
@@ -158,7 +159,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
         interval = min((m - intra_start) // t.rtuc_step_min, rtuc_steps - 1)
         for k, g in enumerate(gens):
             w_now = float(intra.w[k][interval] > 0.5)
-            if g.id in gen_out and gen_out[g.id][m]:
+            if gen_on[m, k] == 0.0:
                 w_now = 0.0
             if w_now > 0.5 and online[k] < 0.5:
                 starts_used[k] += 1
@@ -216,7 +217,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
         deliv_tot = 0.0
         for k, sm in enumerate(scn.semis):
             avail = float(sm.profile.values[min(m, len(sm.profile) - 1)])
-            if sm.id in semi_out and semi_out[sm.id][m]:
+            if semi_on[k, m] == 0.0:
                 avail = 0.0
             cfrac = float(sced_now.curtail[k][0])
             delivered = (1.0 - sm.d * cfrac) * avail
@@ -413,12 +414,13 @@ def test_warm_start_without_artificials_skips_phase_one():
     # is still primal feasible once the cost is max x, so the warm start
     # has no basic outside its bounds and goes straight to phase 2, which
     # moves to (3, 0) without a dual pivot.
-    lp = LinearProgram()
-    lp.add_var("x", 0, 10, obj=-1.0)
-    lp.add_var("y", 0, 10, obj=-1.0)
-    lp.add_constr("a", [(0, 1.0), (1, 2.0)], LE, 8.0)
-    lp.add_constr("b", [(0, 3.0), (1, 1.0)], LE, 9.0)
-    lp.add_constr("c", [(0, 1.0), (1, 1.0)], GE, 1.0)
+    prog = Builder()
+    prog.var("x", 0, 10, obj=-1.0)
+    prog.var("y", 0, 10, obj=-1.0)
+    prog.constr("a", [(0, 1.0), (1, 2.0)], LE, 8.0)
+    prog.constr("b", [(0, 3.0), (1, 1.0)], LE, 9.0)
+    prog.constr("c", [(0, 1.0), (1, 1.0)], GE, 1.0)
+    lp = prog.program()
     opt = solve_lp(lp)
     assert opt.x.tolist() == [2.0, 3.0]
     lp.obj[1] = 0.0

@@ -37,10 +37,19 @@ def one_bubble(gens, horizon=4, semis=(), storages=(), reserves=None,
 
 
 def flat(scn, mw, semis=None):
+    """A day-ahead window's forecasts: ``mw`` for the one load and, for
+    each semi in scenario order, its MW in ``semis`` by id."""
     T = scn.timing.scuc_horizon_h
-    return Forecasts(load={"a": np.full(T, float(mw))},
-                     semi={k: np.full(T, float(v))
-                           for k, v in (semis or {}).items()})
+    return Forecasts(load=np.full((1, T), float(mw)),
+                     semi=np.array([np.full(T, float((semis or {})[sm.id]))
+                                    for sm in scn.semis]).reshape(-1, T))
+
+
+def loads(*series):
+    """Forecasts of the given load series, in scenario order, and of no
+    semis."""
+    load = np.array(series, dtype=float)
+    return Forecasts(load=load, semi=np.zeros((0, load.shape[1])))
 
 
 def supergen(sched):
@@ -134,7 +143,7 @@ def test_interface_limit_respected_in_schedule():
     scn = Scenario(network=net, generators=[g], gamma_loss=0.0)
     scn.loads = [LoadSpec(bubble="b")]
     scn.timing = Timing(scuc_horizon_h=2)
-    fc = Forecasts(load={"b": np.full(2, 80.0)}, semi={})
+    fc = loads(np.full(2, 80.0))
     sched = run_scuc(scn, fc, initial_from_scenario(scn))
     # Only 30 MW can reach bubble b; the rest is priced at the penalty.
     assert sched.flows[0] == pytest.approx([30.0, 30.0])
@@ -172,7 +181,7 @@ def test_minimum_up_time_enforced():
                      p_min=0.0, p_max=50.0, h_l=6.0,
                      r_min=-100.0, r_max=100.0)
     scn = one_bubble([peaker, base], horizon=4)
-    fc = Forecasts(load={"a": np.array([40.0, 90.0, 40.0, 40.0])}, semi={})
+    fc = loads([40.0, 90.0, 40.0, 40.0])
     sched = run_scuc(scn, fc, initial_from_scenario(scn))
     w = row(sched, "w", "peak")
     # If it starts for the hour-1 spike it must run three hours.
@@ -196,7 +205,7 @@ def test_fast_start_commits_in_same_day_layer():
     day = run_scuc(scn, flat(scn, 80.0), init)
     assert row(day, "w", "fast") == pytest.approx([0, 0, 0, 0])
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    fc = loads(np.full(T, 150.0))
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
     assert np.all(row(intra, "w", "fast")[1:] > 0.5)
     assert row(intra, "p", "base") + row(intra, "p", "fast") + \
@@ -211,7 +220,7 @@ def test_non_fast_units_stay_pinned():
     day = run_scuc(scn, flat(scn, 80.0), init)
     assert row(day, "w", "dear") == pytest.approx([0, 0, 0, 0])
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 180.0)}, semi={})
+    fc = loads(np.full(T, 180.0))
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
     # No fast-start units exist: the shortfall lands on the penalty source,
     # not on a unit the layer has no authority to start.
@@ -225,7 +234,7 @@ def test_start_budget_exhaustion_blocks_commitment():
     day = run_scuc(scn, flat(scn, 80.0), init)
     init.starts_used[1] = 6   # fast's budget spent earlier in the day
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    fc = loads(np.full(T, 150.0))
     intra = run_rtuc(scn, fc, init, day, start_minute=0)
     assert row(intra, "w", "fast") == pytest.approx(np.zeros(T))
     assert float(row(intra, "super_pos", "a").min()) >= 50.0 - 1e-6
@@ -254,7 +263,7 @@ def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
     assert day.program[1].simplex is not None
     monkeypatch.setattr(dispatch, "solve_milp", spy)
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    fc = loads(np.full(T, 150.0))
     fresh = run_rtuc(scn, fc, init, day, start_minute=0)
     # The day-ahead program has another shape: a new one is built, and it
     # starts cold, not from the day-ahead program's simplex.
@@ -263,8 +272,8 @@ def test_program_is_refilled_only_where_its_shape_fits(monkeypatch):
     assert rebuilt.program is not day.program
     # A program of the same shape, filled for another window, is refilled
     # and re-solves its own live simplex in place.
-    other = run_rtuc(scn, Forecasts(load={"a": np.full(T, 60.0)}, semi={}),
-                     init, day, start_minute=0)
+    other = run_rtuc(scn, loads(np.full(T, 60.0)), init, day,
+                     start_minute=0)
     last = other.program[1].simplex
     refilled = run_rtuc(scn, fc, init, day, start_minute=0,
                         program=other.program)
@@ -309,7 +318,7 @@ def sced_scn():
 
 
 def one_step(mw):
-    return Forecasts(load={"a": np.array([float(mw)])}, semi={})
+    return loads([float(mw)])
 
 
 def test_dispatch_holds_at_fixed_point():
@@ -344,6 +353,18 @@ def test_dispatch_start_relaxes_ramp():
     assert row(sched, "p", "g")[0] == pytest.approx(90.0)
 
 
+def test_a_unit_out_inside_the_interval_ramps_down_as_if_it_stopped():
+    # g runs at 50 MW and goes out at minute 3 of the interval that starts
+    # at minute 0, so the dispatch holds it at 0 MW for the interval; at
+    # 1 MW/min it cannot ramp there, so its ramp-down is relaxed as for a
+    # stop, and the penalty source covers the load.
+    scn = sced_scn()
+    scn.outages = [Outage(resource="g", start=3, duration=2)]
+    sched = run_sced(scn, one_step(50.0), initial_from_scenario(scn))
+    assert row(sched, "p", "g")[0] == 0.0
+    assert row(sched, "super_pos", "a")[0] == pytest.approx(50.0)
+
+
 def test_offline_unit_dispatches_to_zero():
     scn = sced_scn()
     init = initial_from_scenario(scn)
@@ -364,8 +385,25 @@ def test_commitment_lookup_by_minute():
 def test_infeasible_forecast_horizon_rejected():
     scn = one_bubble(cheap_dear())
     with pytest.raises(DispatchError, match="horizon"):
-        run_scuc(scn, Forecasts(load={"a": np.zeros(2)}, semi={}),
-                 initial_from_scenario(scn))
+        run_scuc(scn, loads(np.zeros(2)), initial_from_scenario(scn))
+
+
+@pytest.mark.parametrize("short", ["load", "semi"])
+def test_a_forecast_shorter_than_the_window_names_its_horizon(short):
+    sun = SemiDispatchable(id="sun", bubble="a", kind="solar")
+    scn = one_bubble(cheap_dear(), semis=[sun])
+    init = initial_from_scenario(scn)
+    fc = flat(scn, 80.0, semis={"sun": 10.0})
+    want = run_scuc(scn, fc, init)
+    # A window reads the first steps of each row: longer rows change
+    # nothing.
+    longer = Forecasts(load=np.hstack([fc.load, np.full((1, 2), 500.0)]),
+                       semi=np.hstack([fc.semi, np.full((1, 2), 500.0)]))
+    assert run_scuc(scn, longer, init).objective == want.objective
+    setattr(fc, short, getattr(fc, short)[:, :3])
+    with pytest.raises(DispatchError,
+                       match="^forecast horizon 3 shorter than 4 steps$"):
+        run_scuc(scn, fc, init)
 
 
 def test_node_limit_raises(monkeypatch):
@@ -386,7 +424,7 @@ def test_rtuc_pins_the_day_ahead_hour_of_its_scuc_run():
     day = run_scuc(scn, flat(scn, 80.0), init)
     row(day, "w", "dear")[:] = [1.0, 0.0, 0.0, 0.0]
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 80.0)}, semi={})
+    fc = loads(np.full(T, 80.0))
     intra = run_rtuc(scn, fc, init, day, start_minute=240)
     assert row(intra, "w", "dear")[:4] == pytest.approx(np.ones(4))
     assert row(intra, "w", "dear")[4:] == pytest.approx(np.zeros(T - 4))
@@ -401,7 +439,7 @@ def test_rtuc_charges_later_day_ahead_starts_of_its_scuc_run():
     row(day, "u", "fast")[:] = [0.0, 0.0, 1.0, 1.0]
     init.starts_used[1] = 4
     T = scn.timing.rtuc_horizon_min // scn.timing.rtuc_step_min
-    fc = Forecasts(load={"a": np.full(T, 150.0)}, semi={})
+    fc = loads(np.full(T, 150.0))
     intra = run_rtuc(scn, fc, init, day, start_minute=240)
     assert row(intra, "w", "fast") == pytest.approx(np.zeros(T))
 
@@ -448,9 +486,9 @@ def all_families():
 
 
 def family_forecasts(n, s, sun):
-    return Forecasts(load={"n": np.array(n, float), "s": np.array(s, float)},
-                     semi={"sun": np.array(sun, float),
-                           "tie": np.full(len(n), 20.0)})
+    """Loads n and s, then semis sun and tie (20 MW), in scenario order."""
+    return Forecasts(load=np.array([n, s], float),
+                     semi=np.array([sun, np.full(len(n), 20.0)], float))
 
 
 def run_all_families():
@@ -540,21 +578,21 @@ def test_all_families_close_the_bubble_balance(family_runs, layer):
                        for st in scn.storages if st.bubble == b)
             net += sum(row(sched, "dr", m.id)[t] for m in scn.drs
                        if m.bubble == b)
-            for sm in scn.semis:
+            for k, sm in enumerate(scn.semis):
                 if sm.bubble == b:
                     scale = 1.0 if sm.kind == "tie-line" else gross
-                    net += scale * fc.semi[sm.id][t] * \
+                    net += scale * fc.semi[k][t] * \
                         (1.0 - sm.d * row(sched, "curtail", sm.id)[t])
             for li, br in enumerate(scn.network.branches):
                 if br.to_bubble == b:
                     net += sched.flows[li, t]
                 elif br.from_bubble == b:
                     net -= sched.flows[li, t]
-            for ld in scn.loads:
+            for k, ld in enumerate(scn.loads):
                 if ld.bubble == b:
                     shed = row(sched, "shed", b)[t]
                     assert ld.d > 0 or shed == 0.0
-                    net -= gross * fc.load[b][t] * (1.0 - ld.d * shed)
+                    net -= gross * fc.load[k][t] * (1.0 - ld.d * shed)
             assert net == pytest.approx(0.0, abs=1e-6), (b, t)
 
 
@@ -628,9 +666,8 @@ def family_windows(layer):
                                   [90.3, 180.1, 230.9, 120.7], sun),
                  family_forecasts([130.7, 95.3, 150.1, 105.9],
                                   [170.9, 140.3, 250.7, 160.1], sun[::-1]))
-    forecasts[1].semi["tie"] = np.array([25.3, 15.1, 30.7, 10.9])
-    forecasts[0].semi["roof"] = np.array([3.3, 17.9, 21.1, 0.7])
-    forecasts[1].semi["roof"] = np.array([11.7, 0.3, 9.1, 13.9])
+    forecasts[1].semi[1] = [25.3, 15.1, 30.7, 10.9]              # tie
+    roof = ([3.3, 17.9, 21.1, 0.7], [11.7, 0.3, 9.1, 13.9])
     # SCUC at hours 4-7 (no outage), then hours 1-4; RTUC at minute 0,
     # then 75; SCED at minute 0, then 130.
     minutes = {"scuc": (240, 60), "rtuc": (0, 75), "sced": (0, 130)}[layer]
@@ -653,17 +690,18 @@ def family_windows(layer):
                       "fixed_uv": (np.array([0.0, 0.0, 1.0]),
                                    np.array([0.0, 1.0, 0.0]))})}[layer]
     windows = []
-    for minute, fc, init, fields in zip(minutes, forecasts, (first, second),
-                                        pins):
-        fc = Forecasts(load={b: v[:T] for b, v in fc.load.items()},
-                       semi={k: v[:T] for k, v in fc.semi.items()})
+    for minute, fc, roof_mw, init, fields in zip(
+            minutes, forecasts, roof, (first, second), pins):
+        fc = Forecasts(load=fc.load[:, :T],
+                       semi=np.vstack([fc.semi, roof_mw])[:, :T])
         windows.append((fc, init,
                         dispatch._window(scn, layer, minute, **fields)))
     return scn, windows
 
 
 def window_masks(scn, opt):
-    """The outage masks of generators and semis over the window ``opt``."""
+    """The availability of generators [step, gen] and semis [semi, step]
+    over the window ``opt``."""
     return dispatch.outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
 
 
@@ -678,9 +716,11 @@ def test_refilled_program_equals_a_fresh_build_in_every_family(layer):
     scn, (one, two) = family_windows(layer)
     gen_one, semi_one = window_masks(scn, one[2])
     gen_two, semi_two = window_masks(scn, two[2])
-    assert not gen_one and not semi_one
-    assert set(gen_two) == {"mid"}
-    assert set(semi_two) == {"sun"}
+    assert gen_one.all() and semi_one.all()
+    assert [g.id for g, on in zip(scn.generators, gen_two.T)
+            if not on.all()] == ["mid"]
+    assert [sm.id for sm, on in zip(scn.semis, semi_two)
+            if not on.all()] == ["sun"]
     assert window_hours(one[2]) != window_hours(two[2])
     fresh = [dispatch.build_program(scn, *window) for window in (one, two)]
     want = [program_bytes(program) for program in fresh]
@@ -706,27 +746,20 @@ def reference_fill(program, scn, fc, init, opt):
     gamma = scn.gamma_loss
     dt = opt.step_minutes
     hours = window_hours(opt)
-    gen_out, semi_out = window_masks(scn, opt)
+    g_on, semi_on = window_masks(scn, opt)
     lb, ub, obj, rhs = lp.lb, lp.ub, lp.obj, lp.rhs
     rows, ents = cols.rows, cols.entries
     column = {name: j for j, name in enumerate(lp.col_names)}
-
-    def available(table, rid):
-        if not table or rid not in table:
-            return np.ones(T)
-        return 1.0 - np.asarray(table[rid], dtype=float)[:T]
-
     curve = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
                             dispatch.N_SEGMENTS) for g in gens]
     cf = np.array([[g.fuel_price(h) for g in gens] for h in hours])
-    g_on = np.array([available(gen_out, g.id) for g in gens]).T
     pmin = np.array([g.p_min for g in gens])
     pmax = np.array([g.p_max for g in gens])
     at_min = np.array([c.cost_at_min for c in curve])
-    semi_avail = [available(semi_out, sm.id) *
-                  np.asarray(fc.semi[sm.id], dtype=float)[:T]
-                  for sm in semis]
-    load = [np.asarray(fc.load[ld.bubble], dtype=float)[:T] for ld in loads]
+    semi_avail = [semi_on[k] * np.asarray(fc.semi[k], dtype=float)[:T]
+                  for k in range(len(semis))]
+    load = [np.asarray(fc.load[k], dtype=float)[:T]
+            for k in range(len(loads))]
     for k, g in enumerate(gens):
         segments = [[column[f"dP[{g.id},{t},{s}]"]
                      for s in range(len(curve[k].slopes))] for t in range(T)]
@@ -744,7 +777,9 @@ def reference_fill(program, scn, fc, init, opt):
         uf, vf = opt.fixed_uv
         p0 = np.array([float(init.output[k]) for k in range(len(gens))])
         ur = np.array([float(uf[k]) for k in range(len(gens))])
-        vr = np.array([float(vf[k]) for k in range(len(gens))])
+        # A unit pinned on but out ramps down as if it stopped.
+        vr = np.array([1.0 if wv[0, k] > 0.5 and g_on[0, k] == 0.0
+                       else float(vf[k]) for k in range(len(gens))])
         rmax = np.array([g.r_max for g in gens])
         rmin = np.array([g.r_min for g in gens])
         rhs[rows["ramp+"]] = (p0 + rmax * dt) + pmax * ur

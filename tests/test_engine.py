@@ -82,6 +82,17 @@ def test_outage_forces_unit_off_and_reruns_commitment(mini):
     assert any("contingency" in e for e in tr.events)
 
 
+def test_an_outage_inside_a_dispatch_interval_takes_the_unit_off(mini):
+    # gas2 runs at minute 0 and goes out at minute 3, inside the dispatch
+    # interval that starts at minute 0; that dispatch holds it at 0 MW.
+    scn = load_scenario(mini)
+    scn.outages = [Outage(resource="gas2", start=3, duration=2)]
+    tr = simulate(scn, 120, seed=7)
+    gas2 = tr.unit_output["gas2"]
+    assert np.all(gas2[:3] > 0.0) and np.all(gas2[3:5] == 0.0)
+    assert "3: contingency commitment window" in tr.events
+
+
 def test_one_network_solve_per_minute(mini, monkeypatch):
     calls = []
     real = engine.dc_flow
@@ -111,14 +122,17 @@ def test_outage_masks_at_block_boundaries(mini):
                    Outage(resource="gas2", start=45, duration=1),
                    Outage(resource="sun1", start=0, duration=15)]
     gen, semi = outage_masks(scn, 0, 15, 4)
+    ids = [g.id for g in scn.generators]
+    assert gen.shape == (4, len(ids)) and semi.shape == (1, 4)
     # gas2 covers [20, 30) and [45, 46): blocks [15, 30) and [45, 60),
     # the second only one minute in.  sun1 ends exactly where block 1
     # starts, so only block 0 is out.
-    assert list(gen) == ["gas2"]
-    assert gen["gas2"].tolist() == [0.0, 1.0, 0.0, 1.0]
-    assert semi["sun1"].tolist() == [1.0, 0.0, 0.0, 0.0]
-    # A window no outage touches has empty tables.
-    assert outage_masks(scn, 60, 15, 4) == ({}, {})
+    assert [i for i, on in zip(ids, gen.T) if not on.all()] == ["gas2"]
+    assert gen[:, ids.index("gas2")].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert semi[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+    # A window no outage touches is available throughout.
+    gen, semi = outage_masks(scn, 60, 15, 4)
+    assert gen.all() and semi.all()
 
 
 def test_outage_minute_status_is_a_window_of_minutes(mini):
@@ -127,15 +141,16 @@ def test_outage_minute_status_is_a_window_of_minutes(mini):
                    Outage(resource="gas2", start=25, duration=10),
                    Outage(resource="sun1", start=3, duration=0)]
     gen, semi = outage_masks(scn, 0, 1, 60)
-    assert semi == {}                       # a zero-length outage is no outage
-    status = gen["gas2"]
-    assert np.flatnonzero(status).tolist() == list(range(20, 35))
+    assert semi.all()                       # a zero-length outage is no outage
+    k = [g.id for g in scn.generators].index("gas2")
+    status = gen[:, k]
+    assert np.flatnonzero(status == 0.0).tolist() == list(range(20, 35))
     for m in range(60):
         one = outage_masks(scn, m, 1, 1)[0]
         covered = any(ev.resource == "gas2" and
                       ev.start <= m < ev.start + ev.duration
                       for ev in scn.outages)
-        assert bool(one.get("gas2", [0.0])[0]) == bool(status[m]) == covered
+        assert (one[0, k] == 0.0) == (status[m] == 0.0) == covered
 
 
 def test_an_outage_of_no_minutes_changes_nothing(mini):
@@ -161,6 +176,13 @@ outage = st.builds(Outage, resource=st.sampled_from(["g1", "g2", "s1",
 # An outage of no minutes inside a block leaves the block in service.
 @example(outages=[Outage(resource="g1", start=7, duration=0)], m0=0,
          block=15, n=2)
+# Two overlapping outages of one unit, and one of no minutes in a block
+# they cover.
+@example(outages=[Outage(resource="g2", start=3, duration=20),
+                  Outage(resource="g2", start=10, duration=30),
+                  Outage(resource="g2", start=12, duration=0),
+                  Outage(resource="s1", start=45, duration=0)],
+         m0=0, block=5, n=10)
 def test_outage_masks_match_a_minute_by_minute_reference(outages, m0, block,
                                                          n):
     # Window starts off the block grid too, as an emergency RTUC window
@@ -168,29 +190,31 @@ def test_outage_masks_match_a_minute_by_minute_reference(outages, m0, block,
     scn = Scenario(network=ZonalNetwork(bubbles=["a"]),
                    generators=[Generator(id="g1"), Generator(id="g2")],
                    semis=[SemiDispatchable(id="s1")], outages=outages)
+
+    def reference(rid, start):
+        """Availability of ``rid`` per block from ``start``, minute by
+        minute."""
+        return [0.0 if any(ev.resource == rid and
+                           ev.start <= minute < ev.start + ev.duration
+                           for ev in outages
+                           for minute in range(start + i * block,
+                                               start + (i + 1) * block))
+                else 1.0 for i in range(n)]
+
     gen, semi = outage_masks(scn, m0, block, n)
-    for ids, masks in ((("g1", "g2"), gen), (("s1",), semi)):
-        want = {}
-        for rid in ids:
-            out = [any(ev.resource == rid and
-                       ev.start <= minute < ev.start + ev.duration
-                       for ev in outages
-                       for minute in range(m0 + i * block,
-                                           m0 + (i + 1) * block))
-                   for i in range(n)]
-            if any(out):
-                want[rid] = [float(o) for o in out]
-        assert {rid: mask.tolist() for rid, mask in masks.items()} == want
+    assert gen.shape == (n, 2) and semi.shape == (1, n)
+    assert gen.T.tolist() == [reference("g1", m0), reference("g2", m0)]
+    assert semi.tolist() == [reference("s1", m0)]
     # The windows of an array of starts, this one among them, each get
-    # the masks of their start alone; a resource out in none is left out.
+    # the availability of their start alone.
     starts = np.array([m0 + 37, m0, m0 + 3])
-    many = outage_masks(scn, starts, block, n)
+    gen, semi = outage_masks(scn, starts, block, n)
+    assert gen.shape == (3, n, 2) and semi.shape == (3, 1, n)
     for k, m in enumerate(starts.tolist()):
-        for one, masks in zip(outage_masks(scn, m, block, n), many):
-            assert {rid: mask[k].tolist() for rid, mask in masks.items()
-                    if mask[k].any()} == \
-                {rid: mask.tolist() for rid, mask in one.items()}
-    assert outage_masks(scn, starts[:0], block, n) == ({}, {})
+        assert gen[k].T.tolist() == [reference("g1", m), reference("g2", m)]
+        assert semi[k].tolist() == [reference("s1", m)]
+    gen, semi = outage_masks(scn, starts[:0], block, n)
+    assert gen.shape == (0, n, 2) and semi.shape == (0, 1, n)
 
 
 def test_trace_files_written(mini, tmp_path):
@@ -385,8 +409,8 @@ def test_batched_fill_equals_a_window_alone_on_a_cadence_day(mini, seed,
     # Windows with generator and semi outages came from the batch too.
     masks = [outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
              for opt in windows]
-    assert any(gen for gen, _ in masks)
-    assert any(semi for _, semi in masks)
+    assert any(not gen.all() for gen, _ in masks)
+    assert any(not semi.all() for _, semi in masks)
 
 
 def test_batched_fill_equals_a_window_alone_in_every_family(mini,
@@ -406,6 +430,6 @@ def test_batched_fill_equals_a_window_alone_in_every_family(mini,
     assert {opt.layer for opt in windows} == {"scuc", "rtuc", "sced"}
     masks = [outage_masks(scn, opt.minute, opt.step_minutes, opt.steps)
              for opt in windows]
-    assert any(gen for gen, _ in masks)
-    assert any(semi for _, semi in masks)
+    assert any(not gen.all() for gen, _ in masks)
+    assert any(not semi.all() for _, semi in masks)
     assert any(opt.pinned_storage for opt in windows)

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 import gridops.lp as lpmod
 from gridops.lp import EQ, GE, INF, LE, LinearProgram, solve_lp
+from shared import Builder
 
 
 def with_slacks(A):
@@ -24,13 +25,13 @@ def entry(lp, i, j):
 
 
 def small_lp():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 10, obj=-3.0)
-    y = lp.add_var("y", 0, 10, obj=-5.0)
-    lp.add_constr("c1", [(x, 1.0), (y, 2.0)], LE, 14.0)
-    lp.add_constr("c2", [(x, 3.0), (y, -1.0)], GE, 0.0)
-    lp.add_constr("c3", [(x, 1.0), (y, -1.0)], LE, 2.0)
-    return lp
+    prog = Builder()
+    x = prog.var("x", 0, 10, obj=-3.0)
+    y = prog.var("y", 0, 10, obj=-5.0)
+    prog.constr("c1", [(x, 1.0), (y, 2.0)], LE, 14.0)
+    prog.constr("c2", [(x, 3.0), (y, -1.0)], GE, 0.0)
+    prog.constr("c3", [(x, 1.0), (y, -1.0)], LE, 2.0)
+    return prog.program()
 
 
 def test_hand_solved_vertex():
@@ -54,11 +55,12 @@ def test_duals_match_scipy():
 
 
 def test_equality_and_free_variable():
-    lp = LinearProgram()
-    x = lp.add_var("x", -INF, INF, obj=1.0)
-    y = lp.add_var("y", 0, 5, obj=2.0)
-    lp.add_constr("fix", [(x, 1.0), (y, 1.0)], EQ, 3.0)
-    lp.add_constr("floor", [(x, 1.0)], GE, -4.0)
+    prog = Builder()
+    x = prog.var("x", -INF, INF, obj=1.0)
+    y = prog.var("y", 0, 5, obj=2.0)
+    prog.constr("fix", [(x, 1.0), (y, 1.0)], EQ, 3.0)
+    prog.constr("floor", [(x, 1.0)], GE, -4.0)
+    lp = prog.program()
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     # Substituting x = 3 - y gives objective 3 + y, so y drops to 0.
@@ -66,18 +68,20 @@ def test_equality_and_free_variable():
 
 
 def test_infeasible_names_rows():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 1, obj=1.0)
-    lp.add_constr("bal_low", [(x, 1.0)], GE, 2.0)
+    prog = Builder()
+    x = prog.var("x", 0, 1, obj=1.0)
+    prog.constr("bal_low", [(x, 1.0)], GE, 2.0)
+    lp = prog.program()
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
     assert sol.infeasible_rows == ["bal_low"]
 
 
 def test_unbounded():
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, INF, obj=-1.0)
-    lp.add_constr("c", [(x, -1.0)], LE, 0.0)
+    prog = Builder()
+    x = prog.var("x", 0, INF, obj=-1.0)
+    prog.constr("c", [(x, -1.0)], LE, 0.0)
+    lp = prog.program()
     assert solve_lp(lp).status == "unbounded"
 
 
@@ -99,12 +103,13 @@ def test_fixed_variable():
 
 def test_degenerate_lp_terminates():
     # Many redundant constraints meeting at one vertex.
-    lp = LinearProgram()
-    xs = [lp.add_var(f"x{i}", 0, INF, obj=-1.0) for i in range(4)]
+    prog = Builder()
+    xs = [prog.var(f"x{i}", 0, INF, obj=-1.0) for i in range(4)]
     for i in range(4):
-        lp.add_constr(f"r{i}", [(xs[i], 1.0)], LE, 1.0)
-        lp.add_constr(f"s{i}", [(xs[i], 1.0), (xs[(i + 1) % 4], 1.0)], LE, 2.0)
-    lp.add_constr("all", [(j, 1.0) for j in xs], LE, 4.0)
+        prog.constr(f"r{i}", [(xs[i], 1.0)], LE, 1.0)
+        prog.constr(f"s{i}", [(xs[i], 1.0), (xs[(i + 1) % 4], 1.0)], LE, 2.0)
+    prog.constr("all", [(j, 1.0) for j in xs], LE, 4.0)
+    lp = prog.program()
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-4.0, abs=1e-8)
@@ -124,12 +129,13 @@ def test_random_lps_match_scipy():
         b = (A @ mid + rng.normal(scale=0.5, size=m)).round(3)
         senses = rng.choice([LE, GE, EQ], size=m, p=[0.5, 0.35, 0.15])
 
-        lp = LinearProgram()
+        prog = Builder()
         for j in range(n):
-            lp.add_var(f"x{j}", lo[j], hi[j], obj=c[j])
+            prog.var(f"x{j}", lo[j], hi[j], obj=c[j])
         for i in range(m):
-            lp.add_constr(f"r{i}", [(j, A[i, j]) for j in range(n)],
-                          str(senses[i]), b[i])
+            prog.constr(f"r{i}", [(j, A[i, j]) for j in range(n)],
+                        str(senses[i]), b[i])
+        lp = prog.program()
         sol = solve_lp(lp)
 
         ub_rows = [(A[i] if senses[i] == LE else -A[i], b[i] if senses[i] == LE else -b[i])
@@ -186,13 +192,13 @@ def _start_violations(sx):
 
 
 def two_var_lp(sense, rhs):
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 10, obj=1.0)
-    y = lp.add_var("y", 0, 10, obj=2.0)
-    lp.add_constr("r", [(x, 1.0), (y, -1.0 if sense == LE else 1.0)],
-                  sense, rhs)
-    lp.add_constr("cap", [(x, 1.0)], LE, 8.0)
-    return lp
+    prog = Builder()
+    x = prog.var("x", 0, 10, obj=1.0)
+    y = prog.var("y", 0, 10, obj=2.0)
+    prog.constr("r", [(x, 1.0), (y, -1.0 if sense == LE else 1.0)],
+                sense, rhs)
+    prog.constr("cap", [(x, 1.0)], LE, 8.0)
+    return prog.program()
 
 
 @pytest.mark.parametrize("sense,rhs,opt_x", [
@@ -245,14 +251,15 @@ def test_crash_of_chained_equality_rows_is_triangular():
     # of earlier crashed rows reappear in later ones, so the crash block has
     # entries below its diagonal.
     inflow = [2.0, 1.0, -0.5, 4.0, -1.0, 1.0]
-    lp = LinearProgram()
-    E = [lp.add_var(f"E{t}", 0, 5, obj=float(t % 2)) for t in range(len(inflow))]
-    spill = lp.add_var("spill", 0, 2, obj=10.0)
+    prog = Builder()
+    E = [prog.var(f"E{t}", 0, 5, obj=float(t % 2)) for t in range(len(inflow))]
+    spill = prog.var("spill", 0, 2, obj=10.0)
     for t, q in enumerate(inflow):
         coeffs = [(E[t], 1.0)] + ([(E[t - 1], -1.0)] if t else [])
         if t == 3:
             coeffs.append((spill, 1.0))
-        lp.add_constr(f"stor{t}", coeffs, EQ, q)
+        prog.constr(f"stor{t}", coeffs, EQ, q)
+    lp = prog.program()
     A, b, senses, c, l, u = lp.dense()
     sx = lpmod._Simplex(A, b, senses, c, l, u)
 
@@ -290,24 +297,24 @@ def test_pivot_cap_reports_iteration_limit(monkeypatch):
 
 def chain_lp():
     # Equality rows, a free column and a column at its upper bound.
-    lp = LinearProgram()
-    E = [lp.add_var(f"E{t}", 0, 5, obj=float(t % 2) - 0.5) for t in range(4)]
-    f = lp.add_var("f", -INF, INF, obj=0.25)
+    prog = Builder()
+    E = [prog.var(f"E{t}", 0, 5, obj=float(t % 2) - 0.5) for t in range(4)]
+    f = prog.var("f", -INF, INF, obj=0.25)
     for t, q in enumerate([2.0, 1.0, -0.5, 1.5]):
         coeffs = [(E[t], 1.0)] + ([(E[t - 1], -1.0)] if t else [])
-        lp.add_constr(f"stor{t}", coeffs, EQ, q)
-    lp.add_constr("f_floor", [(f, 1.0), (E[3], -1.0)], GE, -4.0)
-    lp.add_constr("f_ceil", [(f, 1.0)], LE, 3.0)
-    return lp
+        prog.constr(f"stor{t}", coeffs, EQ, q)
+    prog.constr("f_floor", [(f, 1.0), (E[3], -1.0)], GE, -4.0)
+    prog.constr("f_ceil", [(f, 1.0)], LE, 3.0)
+    return prog.program()
 
 
 def upper_lp():
     # x ends nonbasic at its upper bound 4, y basic at 3.
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 4, obj=-1.0)
-    y = lp.add_var("y", 0, 10, obj=-1.0)
-    lp.add_constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
-    return lp
+    prog = Builder()
+    x = prog.var("x", 0, 4, obj=-1.0)
+    y = prog.var("y", 0, 10, obj=-1.0)
+    prog.constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
+    return prog.program()
 
 
 @pytest.mark.parametrize("make", [small_lp, chain_lp, upper_lp,
@@ -347,11 +354,12 @@ def test_singular_or_ill_conditioned_basis_falls_back():
     # Columns x and y are parallel in both rows, so no basis holding both
     # is usable; with z they are merely close to parallel.
     for eps in (0.0, 1e-13):
-        lp = LinearProgram()
-        x = lp.add_var("x", 0, 10, obj=-1.0)
-        y = lp.add_var("y", 0, 10, obj=-1.0 - eps)
-        lp.add_constr("a", [(x, 1.0), (y, 1.0)], LE, 4.0)
-        lp.add_constr("b", [(x, 2.0), (y, 2.0 + eps)], LE, 9.0)
+        prog = Builder()
+        x = prog.var("x", 0, 10, obj=-1.0)
+        y = prog.var("y", 0, 10, obj=-1.0 - eps)
+        prog.constr("a", [(x, 1.0), (y, 1.0)], LE, 4.0)
+        prog.constr("b", [(x, 2.0), (y, 2.0 + eps)], LE, 9.0)
+        lp = prog.program()
         start = lpmod.Basis(np.array([x, y]),
                             np.full(4, lpmod._AT_LB, dtype=np.int8))
         assert not lpmod._Simplex(*lp.dense(), start).warm
@@ -364,10 +372,11 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
     # start is dual feasible: the dual loop runs on the true costs, moves
     # x out at 10 and y in.
     costs = _spy_dual_costs(monkeypatch)
-    lp = LinearProgram()
-    lp.add_var("x", 0, 10, obj=1.0)
-    lp.add_var("y", 0, 10, obj=2.0)
-    lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    prog = Builder()
+    prog.var("x", 0, 10, obj=1.0)
+    prog.var("y", 0, 10, obj=2.0)
+    prog.constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    lp = prog.program()
     opt = solve_lp(lp)
     assert opt.x.tolist() == [3.0, 0.0]
     lp.rhs[0] = 12.0
@@ -451,12 +460,12 @@ def test_start_with_out_of_bound_basics_runs_the_dual_loop(monkeypatch):
 def two_block_lp():
     # Two copies of x + y >= 3 with x the cheaper column; at the optimum
     # both x are basic at 3.
-    lp = LinearProgram()
+    prog = Builder()
     for k in range(2):
-        x = lp.add_var(f"x{k}", 0, 10, obj=1.0)
-        y = lp.add_var(f"y{k}", 0, 10, obj=2.0)
-        lp.add_constr(f"r{k}", [(x, 1.0), (y, 1.0)], GE, 3.0)
-    return lp
+        x = prog.var(f"x{k}", 0, 10, obj=1.0)
+        y = prog.var(f"y{k}", 0, 10, obj=2.0)
+        prog.constr(f"r{k}", [(x, 1.0), (y, 1.0)], GE, 3.0)
+    return prog.program()
 
 
 def test_dual_loop_pivot_cap_reports_iteration_limit(monkeypatch):
@@ -480,10 +489,11 @@ def test_dual_start_with_no_entering_column_is_solved_from_the_crash():
     # the start is dual feasible, the dual simplex moves x out at 10 and y
     # in, then finds no column to move y toward its bound, and the crash
     # re-solve (two dual pivots of its own) names the row.
-    lp = LinearProgram()
-    lp.add_var("x", 0, 10, obj=1.0)
-    lp.add_var("y", 0, 10, obj=2.0)
-    lp.add_constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    prog = Builder()
+    prog.var("x", 0, 10, obj=1.0)
+    prog.var("y", 0, 10, obj=2.0)
+    prog.constr("r", [(0, 1.0), (1, 1.0)], GE, 3.0)
+    lp = prog.program()
     opt = solve_lp(lp)
     lp.rhs[0] = 25.0
     sx = lpmod._Simplex(*lp.dense(), opt.basis)
@@ -585,17 +595,6 @@ def test_carried_inverse_is_refused_after_a_basic_column_changes(
     assert got.simplex.Binv.tobytes() == fresh.simplex.Binv.tobytes()
 
 
-def test_cells_located_before_a_column_is_added_write_their_own_cells():
-    lp = small_lp()
-    cells = lp.cells([entry(lp, 1, 1)])                   # y in c2
-    lp.add_var("z", 0, 1)
-    assert lp.A.shape == (3, 3)
-    lp.set_coeffs(cells, np.array([-2.0]))
-    assert lp.A.tolist() == [[1.0, 2.0, 0.0], [3.0, -2.0, 0.0],
-                             [1.0, -1.0, 0.0]]
-    assert lp.entry_val.tolist() == [1.0, 2.0, 3.0, -2.0, 1.0, -1.0]
-
-
 def test_write_to_a_nonbasic_column_keeps_the_inverse(monkeypatch):
     # x sits nonbasic at its upper bound 4 and y is basic: a new
     # coefficient of x moves what y has left, not the basis, so the
@@ -616,11 +615,12 @@ def test_repeated_cells_reread_A_and_refactor(monkeypatch):
     # Two entries in one cell make set_coeffs drop A: the re-solve reads
     # the matrix assembled afresh and inverts its basis afresh, even after
     # a write to a column that is not basic.
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 10, obj=-1.0)
-    y = lp.add_var("y", 0, 10, obj=-2.0)
-    lp.add_constr("a", [(x, 1.0), (y, 0.5), (y, 0.5)], LE, 8.0)
-    lp.add_constr("b", [(x, 1.0)], LE, 20.0)
+    prog = Builder()
+    x = prog.var("x", 0, 10, obj=-1.0)
+    y = prog.var("y", 0, 10, obj=-2.0)
+    prog.constr("a", [(x, 1.0), (y, 0.5), (y, 0.5)], LE, 8.0)
+    prog.constr("b", [(x, 1.0)], LE, 20.0)
+    lp = prog.program()
     opt = solve_lp(lp)
     sx = opt.simplex
     assert lp.A[0, 1] == 1.0 and opt.x.tolist() == [0.0, 8.0]
@@ -648,12 +648,13 @@ def test_refactor_cadence_counts_pivots_across_carried_solves(monkeypatch):
         refactors.append(self.pivots)
         return real(self)
     monkeypatch.setattr(lpmod._Simplex, "_refactor", spy)
-    lp = LinearProgram()
+    prog = Builder()
     for j, cost in enumerate([-1, -2, -3, -1.5, -2.5]):
-        lp.add_var(f"x{j}", 0, 10, obj=cost)
+        prog.var(f"x{j}", 0, 10, obj=cost)
     for i in range(5):
-        lp.add_constr(f"r{i}", [(j, 1.0 + (i * j) % 3) for j in range(5)],
-                      LE, 20.0 + i)
+        prog.constr(f"r{i}", [(j, 1.0 + (i * j) % 3) for j in range(5)],
+                    LE, 20.0 + i)
+    lp = prog.program()
     cold = solve_lp(lp)
     sx = cold.simplex
     assert (cold.pivots, sx.age, refactors) == (3, 0, [])
@@ -683,14 +684,14 @@ def states_lp():
     # At the optimum x sits at its upper bound 4, y is basic at 3, z at its
     # lower bound and the free f nonbasic at 0; the "loose" row has slack,
     # so its dual is 0 and leaves z's and f's reduced costs at 1 and 0.
-    lp = LinearProgram()
-    x = lp.add_var("x", 0, 4, obj=-1.0)
-    y = lp.add_var("y", 0, 10, obj=-1.0)
-    z = lp.add_var("z", 0, 5, obj=1.0)
-    f = lp.add_var("f", -INF, INF)
-    lp.add_constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
-    lp.add_constr("loose", [(z, 1.0), (f, 1.0)], LE, 100.0)
-    return lp
+    prog = Builder()
+    x = prog.var("x", 0, 4, obj=-1.0)
+    y = prog.var("y", 0, 10, obj=-1.0)
+    z = prog.var("z", 0, 5, obj=1.0)
+    f = prog.var("f", -INF, INF)
+    prog.constr("cap", [(x, 1.0), (y, 2.0)], LE, 10.0)
+    prog.constr("loose", [(z, 1.0), (f, 1.0)], LE, 100.0)
+    return prog.program()
 
 
 @pytest.mark.parametrize("part, k, value, message", [
@@ -723,23 +724,20 @@ def test_certificate_check_names_the_first_violation(monkeypatch, part, k,
 
 
 def test_repr_lists_the_calls_that_rebuild_the_program():
-    lp = LinearProgram()
-    x = lp.add_var("x", -INF, INF, obj=-0.0)
-    y = lp.add_var("y", 0.0, 1.0, obj=0.1, binary=True)
-    z = lp.add_var("z", -2.5, 7.0, obj=3.0)
-    lp.add_constr("le", [(x, 1.0), (y, 1.0 / 3.0), (x, 2.0)], LE, 4.0)
-    lp.add_constr("eq", [(z, -1.0)], EQ, -0.0)
-    lp.add_constr("ge", [], GE, -INF)
+    prog = Builder()
+    x = prog.var("x", -INF, INF, obj=-0.0)
+    y = prog.var("y", 0.0, 1.0, obj=0.1, binary=True)
+    z = prog.var("z", -2.5, 7.0, obj=3.0)
+    prog.constr("le", [(x, 1.0), (y, 1.0 / 3.0), (x, 2.0)], LE, 4.0)
+    prog.constr("eq", [(z, -1.0)], EQ, -0.0)
+    prog.constr("ge", [], GE, -INF)
+    lp = prog.program()
     text = repr(lp)
     assert text.startswith("LinearProgram(cols=[('x', -inf, inf, -0.0, "
                            "False), ('y', 0.0, 1.0, 0.1, True), ")
     cols, rows = eval(text, {"inf": INF,
                              "LinearProgram": lambda cols, rows: (cols, rows)})
-    copy = LinearProgram()
-    for col in cols:
-        copy.add_var(*col)
-    for row in rows:
-        copy.add_constr(*row)
+    copy = LinearProgram(cols, rows)
     arrays = ("binary", "entry_row", "entry_col", "entry_val", "indptr")
     for a, b in zip([*lp.dense(), *(getattr(lp, n) for n in arrays)],
                     [*copy.dense(), *(getattr(copy, n) for n in arrays)]):
@@ -767,14 +765,8 @@ def test_repr_lists_the_calls_that_rebuild_the_program():
 ], ids=["binary", "binary-int", "binary-empty", "domain", "domain-inf",
         "sense", "column", "negative-column"])
 def test_malformed_items_are_named(item, message):
-    # Adding the item to a program of one column, or making the program
-    # with it in one call, raises the same message.
+    # Making a program of one column and the item raises the message.
     kind, *args = item
-    lp = LinearProgram()
-    lp.add_var("y")
-    with pytest.raises(lpmod.SolverError, match=f"^{re.escape(message)}$"):
-        (lp.add_var if kind == "var" else lp.add_constr)(*args)
-    assert (lp.n, lp.m) == (1, 0)            # nothing was added
     cols = [("y", 0.0, INF, 0.0, False)]
     block = (cols + [args], []) if kind == "var" else (cols, [args])
     with pytest.raises(lpmod.SolverError, match=f"^{re.escape(message)}$"):

@@ -1,7 +1,7 @@
 """Property tests: the simplex against HiGHS on random bounded programs,
 from the crash and from the basis of a related program, the live simplex
 of a program refilled window after window against the crash, and a
-program made in one call against one made item by item."""
+program made in one call against the items it is made of."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 
 import gridops.lp as lpmod
 from gridops.lp import EQ, GE, INF, LE, LinearProgram, _Simplex, solve_lp
+from shared import Builder
 
 BOX = 10.0           # rows bounding the columns that have no finite bound
 
@@ -29,24 +30,24 @@ def programs(draw):
     """
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
-    lp = LinearProgram()
+    prog = Builder()
     for j in range(n):
         kind = draw(st.sampled_from(["box", "free", "upper"]))
         lo = float(draw(st.integers(-5, 0)))
         hi = lo + draw(st.integers(0, 6))
         lb, ub = {"box": (lo, hi), "free": (-INF, INF),
                   "upper": (-INF, hi)}[kind]
-        lp.add_var(f"x{j}", lb, ub, obj=float(draw(st.integers(-5, 5))))
+        prog.var(f"x{j}", lb, ub, obj=float(draw(st.integers(-5, 5))))
         if kind != "box":
-            lp.add_constr(f"floor{j}", [(j, 1.0)], GE, -BOX)
+            prog.constr(f"floor{j}", [(j, 1.0)], GE, -BOX)
         if kind == "free":
-            lp.add_constr(f"ceil{j}", [(j, 1.0)], LE, BOX)
+            prog.constr(f"ceil{j}", [(j, 1.0)], LE, BOX)
     for i in range(m):
         coeffs = [(j, float(a)) for j in range(n)
                   if (a := draw(st.integers(-4, 4)))]
         sense = draw(st.sampled_from([LE, GE, EQ]))
-        lp.add_constr(f"r{i}", coeffs, sense, float(draw(st.integers(-10, 10))))
-    return lp
+        prog.constr(f"r{i}", coeffs, sense, float(draw(st.integers(-10, 10))))
+    return prog.program()
 
 
 def highs(lp: LinearProgram):
@@ -81,13 +82,9 @@ def test_random_programs_match_highs(lp):
 
 def _rows_alone(lp: LinearProgram, names: list[str]) -> LinearProgram:
     """``lp`` with only the rows ``names``, every bound and no costs."""
-    kept = LinearProgram()
-    for v in lp.variables:
-        kept.add_var(v.name, v.lb, v.ub)
-    for con in lp.constraints:
-        if con.name in names:
-            kept.add_constr(con.name, con.coeffs, con.sense, con.rhs)
-    return kept
+    return LinearProgram(
+        [(v.name, v.lb, v.ub, 0.0, False) for v in lp.variables],
+        [con for con in lp.constraints if con.name in names])
 
 
 @given(programs())
@@ -109,15 +106,15 @@ def related_programs(draw):
     """A program and a copy with the same rows and columns whose costs,
     right-hand sides and finite bounds are moved."""
     lp = draw(programs())
-    moved = LinearProgram()
+    moved = Builder()
     for v in lp.variables:
         lo = _shift(v.lb, draw(st.integers(-2, 2)))
         hi = max(lo, _shift(v.ub, draw(st.integers(-2, 2))))
-        moved.add_var(v.name, lo, hi, obj=float(draw(st.integers(-5, 5))))
+        moved.var(v.name, lo, hi, obj=float(draw(st.integers(-5, 5))))
     for con in lp.constraints:
-        moved.add_constr(con.name, con.coeffs, con.sense,
-                         con.rhs + draw(st.integers(-6, 6)))
-    return lp, moved
+        moved.constr(con.name, con.coeffs, con.sense,
+                     con.rhs + draw(st.integers(-6, 6)))
+    return lp, moved.program()
 
 
 @given(related_programs())
@@ -258,7 +255,7 @@ def test_refactor_cadence_keeps_every_solve():
     assert refactors
 
 
-# The two ways to make a program: one block, or one item at a time.
+# A program made in one call from its columns and rows.
 BOUNDS = st.one_of(st.sampled_from([-INF, -2.5, -0.0, 0.0, 0.5, 1.0, INF]),
                    st.integers(-2, 3))
 VALUES = st.floats(allow_nan=False, width=64)
@@ -290,15 +287,6 @@ def blocks(draw):
     return cols, rows
 
 
-def _one_at_a_time(cols, rows) -> LinearProgram:
-    lp = LinearProgram()
-    for col in cols:
-        lp.add_var(*col)
-    for row in rows:
-        lp.add_constr(*row)
-    return lp
-
-
 def _same_program(a: LinearProgram, b: LinearProgram) -> None:
     for name in ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
@@ -308,22 +296,69 @@ def _same_program(a: LinearProgram, b: LinearProgram) -> None:
         (b.col_names, b.row_names, b.senses, b.n, b.m, b.nnz)
 
 
+def _expected(cols, rows) -> dict:
+    """Each array of ``LinearProgram(cols, rows)``, read off the items one
+    by one: each cell of A is 0.0 plus its entries in the order given."""
+    A = np.zeros((len(rows), len(cols)))
+    for i, (_, coeffs, _, _) in enumerate(rows):
+        for j, a in coeffs:
+            A[i, j] += a
+    counts = [len(coeffs) for _, coeffs, _, _ in rows]
+    return dict(
+        lb=np.array([c[1] for c in cols], dtype=float),
+        ub=np.array([c[2] for c in cols], dtype=float),
+        obj=np.array([c[3] for c in cols], dtype=float),
+        binary=np.array([c[4] for c in cols], dtype=bool),
+        rhs=np.array([r[3] for r in rows], dtype=float),
+        indptr=np.array([0] + np.cumsum(counts, dtype=int).tolist(),
+                        dtype=np.intp),
+        entry_row=np.array([i for i, n in enumerate(counts)
+                            for _ in range(n)], dtype=np.intp),
+        entry_col=np.array([j for r in rows for j, _ in r[1]],
+                           dtype=np.intp),
+        entry_val=np.array([a for r in rows for _, a in r[1]], dtype=float),
+        A=A)
+
+
 @given(blocks())
-def test_one_call_builds_what_adding_item_by_item_does(block):
-    lp = _one_at_a_time(*block)
-    _same_program(LinearProgram(*block), lp)
+# Finite entries may sum past the largest float in a cell of A.
+@np.errstate(over="ignore")
+def test_one_call_builds_the_arrays_its_items_list(block):
+    cols, rows = block
+    lp = LinearProgram(cols, rows)
+    for name, want in _expected(cols, rows).items():
+        got = getattr(lp, name)
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes()), name      # bitwise
+    assert (lp.col_names, lp.row_names, lp.senses, lp.n, lp.m, lp.nnz) == \
+        ([c[0] for c in cols], [r[0] for r in rows], [r[2] for r in rows],
+         len(cols), len(rows), sum(len(r[1]) for r in rows))
     _same_program(LinearProgram(lp.variables, lp.constraints), lp)
     copy = eval(repr(lp), {"inf": INF, "LinearProgram": LinearProgram})
     _same_program(copy, lp)
     assert repr(copy) == repr(lp)
 
 
+def _shortest_refused_prefix(cols, rows) -> str:
+    """The error of the shortest prefix of the items, columns before
+    rows, that ``LinearProgram`` refuses: that of its last item."""
+    prefixes = [(cols[:i], []) for i in range(1, len(cols) + 1)] + \
+        [(cols, rows[:i]) for i in range(1, len(rows) + 1)]
+    for prefix in prefixes:
+        try:
+            LinearProgram(*prefix)
+        except lpmod.SolverError as exc:
+            return str(exc)
+    raise AssertionError("every prefix was accepted")
+
+
 @given(blocks(), st.data())
 def test_a_malformed_block_raises_what_its_first_bad_item_does(block, data):
     # Faults go in at random places, several at once, each naming its
-    # item apart, so the block must name the first item that adding one
-    # at a time stops at.  Column faults go in first, so that a column
-    # index out of range stays out of range.
+    # item apart, so the block must name the first faulty item, columns
+    # before rows: the last item of the shortest prefix it refuses.
+    # Column faults go in first, so that a column index out of range
+    # stays out of range.
     cols, rows = block
     col_faults = data.draw(st.lists(st.sampled_from(["binary", "domain"]),
                                     max_size=2))
@@ -346,8 +381,9 @@ def test_a_malformed_block_raises_what_its_first_bad_item_does(block, data):
             j = data.draw(st.sampled_from([-1, len(cols), len(cols) + 3]))
             coeffs = coeffs + [(j, 1.0)]
         rows[i:i + 1] = [(f"bad row {f}", coeffs, sense, rhs)]
-    with pytest.raises(lpmod.SolverError) as item:
-        _one_at_a_time(cols, rows)
+    first = next(item[0] for item in cols + rows
+                 if item[0].startswith("bad"))
     with pytest.raises(lpmod.SolverError) as one_call:
         LinearProgram(cols, rows)
-    assert str(one_call.value) == str(item.value)
+    assert str(one_call.value) == _shortest_refused_prefix(cols, rows)
+    assert first in str(one_call.value)

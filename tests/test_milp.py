@@ -11,6 +11,7 @@ import gridops.lp as lpmod
 import gridops.milp as milpmod
 from gridops.lp import GE, INF, LE, LinearProgram, solve_lp
 from gridops.milp import solve_milp
+from shared import Builder
 
 
 def enumerate_best(lp: LinearProgram, fixed=None):
@@ -37,11 +38,11 @@ def knapsack_lp():
     # Pick items maximizing value under a weight cap.
     values = [6.0, 10.0, 12.0, 7.0]
     weights = [1.0, 2.0, 3.0, 2.0]
-    lp = LinearProgram()
+    prog = Builder()
     for k, v in enumerate(values):
-        lp.add_var(f"z{k}", 0, 1, obj=-v, binary=True)
-    lp.add_constr("cap", [(k, w) for k, w in enumerate(weights)], LE, 5.0)
-    return lp
+        prog.var(f"z{k}", 0, 1, obj=-v, binary=True)
+    prog.constr("cap", [(k, w) for k, w in enumerate(weights)], LE, 5.0)
+    return prog.program()
 
 
 def test_knapsack():
@@ -63,12 +64,13 @@ def test_fixed_binaries_respected():
 
 
 def test_integral_relaxation_skips_branching():
-    lp = LinearProgram()
-    z = lp.add_var("z", 0, 1, obj=1.0, binary=True)
-    p = lp.add_var("p", 0, 10, obj=0.5)
-    lp.add_constr("need", [(p, 1.0)], GE, 4.0)
+    prog = Builder()
+    z = prog.var("z", 0, 1, obj=1.0, binary=True)
+    p = prog.var("p", 0, 10, obj=0.5)
+    prog.constr("need", [(p, 1.0)], GE, 4.0)
     # p <= 4z with p >= 4 forces z = 1 already in the relaxation.
-    lp.add_constr("link", [(p, 1.0), (z, -4.0)], LE, 0.0)
+    prog.constr("link", [(p, 1.0), (z, -4.0)], LE, 0.0)
+    lp = prog.program()
     sol = solve_milp(lp)
     assert sol.status == "optimal"
     assert sol.branches == 0
@@ -76,10 +78,11 @@ def test_integral_relaxation_skips_branching():
 
 
 def test_infeasible_program():
-    lp = LinearProgram()
-    z = lp.add_var("z", 0, 1, obj=1.0, binary=True)
-    lp.add_constr("hi", [(z, 1.0)], GE, 0.4)
-    lp.add_constr("lo", [(z, 1.0)], LE, 0.6)
+    prog = Builder()
+    z = prog.var("z", 0, 1, obj=1.0, binary=True)
+    prog.constr("hi", [(z, 1.0)], GE, 0.4)
+    prog.constr("lo", [(z, 1.0)], LE, 0.6)
+    lp = prog.program()
     # No integral point in [0.4, 0.6].
     assert solve_milp(lp).status == "infeasible"
 
@@ -96,16 +99,17 @@ def test_random_mixed_programs_match_enumeration():
         nb = int(rng.integers(2, 5))
         nc = int(rng.integers(1, 3))
         m = int(rng.integers(1, 5))
-        lp = LinearProgram()
+        prog = Builder()
         for k in range(nb):
-            lp.add_var(f"z{k}", 0, 1, obj=round(float(rng.normal()), 3), binary=True)
+            prog.var(f"z{k}", 0, 1, obj=round(float(rng.normal()), 3), binary=True)
         for k in range(nc):
-            lp.add_var(f"x{k}", 0, 3, obj=round(float(rng.normal()), 3))
+            prog.var(f"x{k}", 0, 3, obj=round(float(rng.normal()), 3))
         n = nb + nc
         for i in range(m):
             coeffs = [(j, round(float(rng.normal()), 3)) for j in range(n)]
             rhs = round(float(rng.normal(scale=2)), 3)
-            lp.add_constr(f"r{i}", coeffs, LE if rng.random() < 0.7 else GE, rhs)
+            prog.constr(f"r{i}", coeffs, LE if rng.random() < 0.7 else GE, rhs)
+        lp = prog.program()
         sol = solve_milp(lp)
         best = enumerate_best(lp)
         if best is None:
@@ -156,9 +160,10 @@ def test_pivot_cap_at_root_reports_iteration_limit(monkeypatch):
 
 
 def test_infeasible_root_counts_one_node():
-    lp = LinearProgram()
-    z = lp.add_var("z", 0, 1, obj=1.0, binary=True)
-    lp.add_constr("need2", [(z, 1.0)], GE, 2.0)
+    prog = Builder()
+    z = prog.var("z", 0, 1, obj=1.0, binary=True)
+    prog.constr("need2", [(z, 1.0)], GE, 2.0)
+    lp = prog.program()
     sol = solve_milp(lp)
     assert sol.status == "infeasible"
     assert sol.nodes == 1
@@ -181,17 +186,17 @@ def test_pivot_cap_in_a_child_ends_the_search(monkeypatch):
 
 
 def _random_mip(rng, nb=6, nc=2, m=3):
-    lp = LinearProgram()
+    prog = Builder()
     for k in range(nb):
-        lp.add_var(f"z{k}", 0, 1, obj=round(float(rng.normal()), 3),
-                   binary=True)
+        prog.var(f"z{k}", 0, 1, obj=round(float(rng.normal()), 3),
+                 binary=True)
     for k in range(nc):
-        lp.add_var(f"x{k}", 0, 3, obj=round(float(rng.normal()), 3))
+        prog.var(f"x{k}", 0, 3, obj=round(float(rng.normal()), 3))
     for i in range(m):
         coeffs = [(j, round(float(rng.normal()), 3)) for j in range(nb + nc)]
-        lp.add_constr(f"r{i}", coeffs, LE if rng.random() < 0.7 else GE,
-                      round(float(rng.normal(scale=2)), 3))
-    return lp
+        prog.constr(f"r{i}", coeffs, LE if rng.random() < 0.7 else GE,
+                    round(float(rng.normal(scale=2)), 3))
+    return prog.program()
 
 
 def test_children_start_from_their_parent_basis(monkeypatch):
