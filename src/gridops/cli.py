@@ -42,8 +42,8 @@ def _resolve_seed(args_seed, scn) -> int:
     return scn.seed
 
 
-def _load_checked(path: str):
-    scn = load_scenario(path)
+def _load_checked(path: str, resolve_profiles: bool = True):
+    scn = load_scenario(path, resolve_profiles=resolve_profiles)
     report = validate_scenario(scn)
     errors = [r for r in report if r[0] == "error"]
     if errors:
@@ -94,7 +94,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    scn = _load_checked(args.scenario)
+    # The report reads only the generators, so no profile file is read.
+    scn = _load_checked(args.scenario, resolve_profiles=False)
     trace = read_trace(args.trace, REPORTED)
     trace.reg_saturation = make_regulation(scn.generators).total_saturation
     name = args.name or os.path.splitext(os.path.basename(args.scenario))[0]

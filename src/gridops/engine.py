@@ -49,7 +49,7 @@ from .dispatch import (DispatchError, Forecasts, LayerInputs,
                        run_rtuc, run_scuc, run_sced)
 from .grid import dc_flow, factor_network, make_regulation, regulation_step
 from .profiles import forecast, synthesize_error, write_rows
-from .scenario import Scenario, scenario_hash
+from .scenario import Scenario
 
 _LAYER_EPS = {"scuc": 0, "rtuc": 1, "sced": 2}
 _LAYER_KIND = {"scuc": "day-ahead", "rtuc": "short-term", "sced": "real-time"}
@@ -356,37 +356,36 @@ def _physics(scn: Scenario, trace: SimulationTrace, factor, reg, storage,
 def write_trace(outdir: str, trace: SimulationTrace, scn: Scenario,
                 seed: int, scenario_path: str | None = None) -> None:
     """Write ``trace.csv``, ``flows.csv``, ``regulation.csv``, ``units.csv``
-    and ``manifest.json`` into ``outdir``.
+    and ``manifest.json`` into ``outdir``.  Given ``scenario_path``, the
+    file ``scn`` was loaded from, the manifest records the hash of the
+    bytes load_scenario read (``scn.source_hash``).
 
     Each CSV has one row per minute: the minute as an integer, then every
     value printed as ``%.6f``.  A value in [-5e-7, 0] is printed as
     ``0.000000``, so rounding noise cannot flip a sign in the output bytes.
     """
     os.makedirs(outdir, exist_ok=True)
-    m = trace.minutes
-    write_rows(os.path.join(outdir, "trace.csv"),
-               ["minute", "imbalance_raw_mw", "imbalance_mw", "regulation_mw",
-                "load_mw", "generation_mw", "ver_available_mw",
-                "ver_delivered_mw", "shed_mw", "supergen_mw"], m,
-               [trace.imbalance_raw, trace.imbalance,
-                trace.regulation.sum(axis=1), trace.load, trace.generation,
-                trace.ver_available, trace.ver_delivered, trace.shed,
-                trace.supergen], unsigned=True)
-    write_rows(os.path.join(outdir, "flows.csv"),
-               ["minute"] + [f"flow:{b}" for b in trace.branch_names]
-               + [f"iface:{n}" for n in trace.interface_names]
-               + [f"limit:{n}" for n in trace.interface_names], m,
-               [trace.flows, trace.interface_flow, trace.interface_limit],
-               unsigned=True)
-    write_rows(os.path.join(outdir, "regulation.csv"),
-               ["minute"] + trace.reg_units, m, [trace.regulation],
-               unsigned=True)
     ids = sorted(trace.unit_output)
-    write_rows(os.path.join(outdir, "units.csv"), ["minute"] + ids, m,
-               [trace.unit_output[g] for g in ids], unsigned=True)
+    write_rows([
+        (os.path.join(outdir, "trace.csv"),
+         ["minute", "imbalance_raw_mw", "imbalance_mw", "regulation_mw",
+          "load_mw", "generation_mw", "ver_available_mw", "ver_delivered_mw",
+          "shed_mw", "supergen_mw"],
+         [trace.imbalance_raw, trace.imbalance, trace.regulation.sum(axis=1),
+          trace.load, trace.generation, trace.ver_available,
+          trace.ver_delivered, trace.shed, trace.supergen]),
+        (os.path.join(outdir, "flows.csv"),
+         ["minute"] + [f"flow:{b}" for b in trace.branch_names]
+         + [f"iface:{n}" for n in trace.interface_names]
+         + [f"limit:{n}" for n in trace.interface_names],
+         [trace.flows, trace.interface_flow, trace.interface_limit]),
+        (os.path.join(outdir, "regulation.csv"),
+         ["minute"] + trace.reg_units, [trace.regulation]),
+        (os.path.join(outdir, "units.csv"), ["minute"] + ids,
+         [trace.unit_output[g] for g in ids]),
+    ], trace.minutes, unsigned=True)
     manifest = {
-        "scenario_hash": scenario_hash(scenario_path) if scenario_path
-        else None,
+        "scenario_hash": scn.source_hash if scenario_path else None,
         "seed": int(seed),
         "version": __version__,
         "minutes": trace.minutes,

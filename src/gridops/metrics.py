@@ -167,13 +167,6 @@ def write_report(outdir: str, rows) -> None:
             fh.write(f"{family},{scenario},{metric},{value:.6f},{unit}\n")
 
 
-def write_duration(outdir: str, name: str, values: np.ndarray) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    curve = duration_curve(values)
-    write_rows(os.path.join(outdir, f"duration_{name}.csv"),
-               ["rank", "value"], len(curve), [curve])
-
-
 def write_hist(outdir: str, name: str, values: np.ndarray,
                width: float) -> None:
     os.makedirs(outdir, exist_ok=True)
@@ -195,16 +188,19 @@ def write_all(outdir: str, trace: SimulationTrace, scn: Scenario,
     curt = trace.curtailment()
     write_report(outdir, summarize(trace, scn, scenario_name, net, reg_total,
                                    absim, curt))
-    write_duration(outdir, "imbalance", absim)
-    del absim
-    write_duration(outdir, "net_load", net)
     write_hist(outdir, "imbalance", trace.imbalance, 1.0)
     write_hist(outdir, "net_load", net, 10.0)
     plotdir = os.path.join(outdir, "plotdata")
     os.makedirs(plotdir, exist_ok=True)
-    for name, series in (("imbalance", trace.imbalance),
-                         ("net_load", net),
-                         ("curtailment", curt),
-                         ("regulation", reg_total)):
-        write_rows(os.path.join(plotdir, f"{name}.csv"), ["minute", "value"],
-                   trace.minutes, [series])
+    # The duration curves and the plot data share their row count and an
+    # index from 0, so they are formatted in one pass.
+    write_rows([(os.path.join(outdir, f"duration_{name}.csv"),
+                 ["rank", "value"], [duration_curve(series)])
+                for name, series in (("imbalance", absim), ("net_load", net))]
+               + [(os.path.join(plotdir, f"{name}.csv"), ["minute", "value"],
+                   [series])
+                  for name, series in (("imbalance", trace.imbalance),
+                                       ("net_load", net),
+                                       ("curtailment", curt),
+                                       ("regulation", reg_total))],
+               trace.minutes)

@@ -8,7 +8,9 @@ in time.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -290,8 +292,10 @@ def ramp_stats(p: Profile, resolution: str) -> RampStats:
 _ROW = np.dtype([("minute", np.int64), ("value", np.float64)])
 
 
-def read_profile(path) -> Profile:
-    """Read the `minute,value_mw` CSV format.
+def read_profile(path, data: bytes | None = None) -> Profile:
+    """Read the `minute,value_mw` CSV format from the file ``path`` or,
+    when given, from its bytes ``data`` already read (``path`` then only
+    names it in errors).
 
     The rows are parsed by one ``np.loadtxt`` call.  It takes a subset of
     the fields ``int`` and ``float`` take, with the same values; a file it
@@ -299,23 +303,31 @@ def read_profile(path) -> Profile:
     Some numpy versions read a minute such as ``1.0`` or ``2.7`` through a
     float with a DeprecationWarning; that warning counts as a refusal.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "minute,value_mw":
-            raise ProfileError(f"{path}: bad profile header {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # An empty profile is reported below.
-                warnings.simplefilter("ignore", UserWarning)
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(fh, dtype=_ROW, delimiter=",",
-                                  comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            fh.seek(0)
-            fh.readline()
-            minutes, vals = _parse_rows(path, fh)
-        else:
-            minutes, vals = rows["minute"], np.ascontiguousarray(rows["value"])
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        # newline=None reads the lines as a file opened as text does.
+        fh = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{path}: not UTF-8 text at byte {exc.start}") \
+            from exc
+    header = fh.readline().strip()
+    if header != "minute,value_mw":
+        raise ProfileError(f"{path}: bad profile header {header!r}")
+    try:
+        with warnings.catch_warnings():
+            # An empty profile is reported below.
+            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(fh, dtype=_ROW, delimiter=",", comments=None,
+                              ndmin=1)
+    except (ValueError, DeprecationWarning):
+        fh.seek(0)
+        fh.readline()
+        minutes, vals = _parse_rows(path, fh)
+    else:
+        minutes, vals = rows["minute"], np.ascontiguousarray(rows["value"])
     if not len(vals):
         raise ProfileError(f"{path}: empty profile")
     gap = np.flatnonzero(minutes != minutes[0] + np.arange(len(minutes)))
@@ -349,43 +361,61 @@ def chunk_rows(fields: int) -> int:
     return max(1, FIELD_CHUNK // fields)
 
 
-def write_rows(path, header: list[str], n: int, columns,
-               first: int = 0, unsigned: bool = False) -> None:
-    """Write a CSV of ``header`` and then ``n`` rows ``i,v1,...,vk`` for
-    ``i`` from ``first``: the bytes of ``%d`` for the index and of
-    ``%.6f`` for each value.
+def write_rows(files, n: int, first: int = 0, unsigned: bool = False) -> None:
+    """Write each file ``(path, header, columns)`` of ``files``: a CSV of
+    ``header`` and then ``n`` rows ``i,v1,...,vk`` for ``i`` from
+    ``first``, the bytes of ``%d`` for the index and of ``%.6f`` for each
+    value.
 
     ``columns`` holds arrays of ``n`` rows, each one value (1-D) or a group
     of values (2-D, possibly with no columns) per row, laid out left to
-    right.  The rows are formatted ``chunk_rows(k + 1)`` at a time, about
-    FIELD_CHUNK fields, into one byte buffer, and each chunk is written at
-    once, so no whole-file string is ever built.  With ``unsigned`` a value
-    in [-5e-7, 0] is printed as ``0.000000``, so rounding noise cannot
-    flip a sign in the output bytes.
+    right.  The rows of every file are formatted together,
+    ``chunk_rows(k + 1)`` at a time for ``k`` values in all, about
+    FIELD_CHUNK fields, into one padded byte buffer; each file then takes
+    the index, its own fields and the newlines of that buffer and writes
+    them at once, so the index is formatted once per group and no
+    whole-file string is ever built.  With ``unsigned`` a value in
+    [-5e-7, 0] is printed as ``0.000000``, so rounding noise cannot flip a
+    sign in the output bytes.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        rows = chunk_rows(1 + sum(np.shape(c)[1] if np.ndim(c) == 2 else 1
-                                  for c in columns))
+    widths = [sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+              for _, _, columns in files]
+    ends = np.cumsum([0] + widths)
+    stacked = [c for _, _, columns in files for c in columns]
+    rows = chunk_rows(1 + int(ends[-1]))
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "wb"))
+                   for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write((",".join(header) + "\n").encode("utf-8"))
         for s in range(0, n, rows):
             e = min(s + rows, n)
             values = np.column_stack([np.empty((e - s, 0))]
-                                     + [c[s:e] for c in columns])
+                                     + [c[s:e] for c in stacked])
             if unsigned:
                 values[(values <= 0.0) & (values >= -5e-7)] = 0.0
-            fh.write(_format_rows(np.arange(first + s, first + e), values))
+            line, lead, field = _padded_rows(np.arange(first + s, first + e),
+                                             values)
+            for fh, a, b in zip(handles, ends[:-1], ends[1:]):
+                lo, hi = lead + a * field, lead + b * field
+                own = np.concatenate(
+                    (line[:, :lead], line[:, lo:hi], line[:, -1:]), axis=1)
+                fh.write(own.tobytes().translate(None, b"\0"))
 
 
-def _format_rows(index: np.ndarray, values: np.ndarray) -> bytes:
-    """The bytes of the rows ``index[i],values[i, 0],...`` as ``%d`` and
-    ``%.6f`` print them, formatted by array arithmetic.
+def _padded_rows(index: np.ndarray, values: np.ndarray):
+    """The rows ``index[i],values[i, 0],...`` as ``%d`` and ``%.6f`` print
+    them, formatted by array arithmetic into a byte matrix padded with 0
+    bytes, with the width of its index block (the index and its sign) and
+    of each value field.
 
     Each field gets a fixed width for the chunk: ``,``, a sign byte, the
     integer digits right-aligned, ``.`` and six decimals; its unused bytes
-    stay 0 and are dropped at the end.  ``rint(|x| * 1e6)`` is the
-    correctly rounded sixth decimal unless ``|x| * 1e6`` lies within twice
-    its rounding error of a half (_HALF_GUARD); those values, and the
-    non-finite ones, are printed by ``%`` into the same buffer.
+    stay 0 for the caller to drop.  ``rint(|x| * 1e6)`` is the correctly
+    rounded sixth decimal unless ``|x| * 1e6`` lies within twice its
+    rounding error of a half (_HALF_GUARD); those values, and the
+    non-finite ones, are printed by ``%`` into the same buffer.  The last
+    byte of each row is its newline.
     """
     rows = len(index)
     y = np.abs(values)
@@ -418,7 +448,7 @@ def _format_rows(index: np.ndarray, values: np.ndarray) -> bytes:
             "".join(t.rjust(field - 1, "\0") for t in texts).encode(),
             np.uint8).reshape(len(texts), field - 1)
     line[:, -1] = ord("\n")
-    return line.tobytes().translate(None, b"\0")
+    return line, index_digits + 1, field
 
 
 def _put_digits(out: np.ndarray, q: np.ndarray, keep: int) -> None:
@@ -437,5 +467,5 @@ def _put_digits(out: np.ndarray, q: np.ndarray, keep: int) -> None:
 
 
 def write_profile(path, p: Profile) -> None:
-    write_rows(path, ["minute", "value_mw"], len(p), [p.values],
+    write_rows([(path, ["minute", "value_mw"], [p.values])], len(p),
                first=p.start)

@@ -252,6 +252,9 @@ class Scenario:
     outages: list[Outage] = field(default_factory=list)
     seed: int = _key("master", 0, section="seeds")
     base_dir: str = "."
+    # sha256 of the scenario file and of every profile it references, from
+    # the bytes load_scenario read; None when it resolved no profiles.
+    source_hash: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def peak_load(self) -> float:
@@ -406,18 +409,20 @@ def _member(val: str, path: str, ln: int) -> tuple[str, str, float]:
 
 
 def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
-    """Parse a scenario file and resolve all profile references.
+    """Parse a scenario file and resolve all profile references, recording
+    the hash of the bytes read in ``source_hash``.
 
     Within a section the last line of a key wins; a bad value is reported
     in field order (a [semi]'s own keys before its VerSpec's), and before
     any unknown key."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))
-    sections = _parse_sections(text, path)
+    # Only its lines are read, so no newline translation is needed.
+    sections = _parse_sections(data.decode("utf-8"), path)
     if not any(h == "network" for h, _, _ in sections):
         raise ScenarioError(f"{path}: missing [network] section")
 
@@ -478,7 +483,7 @@ def load_scenario(path: str, resolve_profiles: bool = True) -> Scenario:
 
     _check_references(scn, path)
     if resolve_profiles:
-        _resolve_profiles(scn)
+        _resolve_profiles(scn, data)
     for attr, per_bubble in alphas.items():
         setattr(scn.reserves, attr, per_bubble)
     return scn
@@ -505,31 +510,50 @@ def _check_references(scn: Scenario, path: str) -> None:
                 f"{path}: swing attaches to undefined bubble {b!r}")
 
 
-def _read_profile(scn: Scenario, entity: str, name: str) -> Profile:
+def _read_bytes(scn: Scenario, entity: str, name: str,
+                read: dict[str, bytes]) -> bytes:
+    """The bytes of the profile file ``name`` of ``entity``, read once per
+    name into ``read``; a file that cannot be read is a scenario error
+    naming both."""
+    if name not in read:
+        path = os.path.join(scn.base_dir, name)
+        try:
+            with open(path, "rb") as fh:
+                read[name] = fh.read()
+        except OSError as exc:
+            raise ScenarioError(f"{entity}: cannot read profile {path}: "
+                                f"{exc.strerror}") from exc
+    return read[name]
+
+
+def _read_profile(scn: Scenario, entity: str, name: str,
+                  read: dict[str, bytes]) -> Profile:
     """The profile file ``name`` of ``entity``; a file that cannot be read
     or parsed is a scenario error naming both."""
-    path = os.path.join(scn.base_dir, name)
+    data = _read_bytes(scn, entity, name, read)
     try:
-        return read_profile(path)
-    except OSError as exc:
-        raise ScenarioError(f"{entity}: cannot read profile {path}: "
-                            f"{exc.strerror}") from exc
+        return read_profile(os.path.join(scn.base_dir, name), data)
     except ProfileError as exc:
         raise ScenarioError(f"{entity}: {exc}") from exc
 
 
-def _resolve_profiles(scn: Scenario) -> None:
+def _resolve_profiles(scn: Scenario, text: bytes) -> None:
+    """Read the profiles of ``scn``, whose scenario file holds ``text``,
+    and set its ``source_hash``: sha256 of ``text`` and then, in sorted
+    order, of each referenced name and its file's bytes.  A semi's shape
+    next to its profile is hashed though the profile alone is used."""
+    read: dict[str, bytes] = {}
     for ld in scn.loads:
         if not ld.profile_path:
             raise ScenarioError(f"load at {ld.bubble} has no profile")
         ld.profile = _read_profile(scn, f"load at {ld.bubble}",
-                                   ld.profile_path)
+                                   ld.profile_path, read)
     peak = scn.peak_load
     for sm in scn.semis:
         if sm.profile_path:
-            sm.profile = _read_profile(scn, sm.id, sm.profile_path)
+            sm.profile = _read_profile(scn, sm.id, sm.profile_path, read)
         elif sm.ver is not None:
-            base = _read_profile(scn, sm.id, sm.ver.shape)
+            base = _read_profile(scn, sm.id, sm.ver.shape, read)
             mean = float(base.values.mean())
             if mean <= 0:
                 raise ScenarioError(f"{sm.id}: shape has nonpositive mean")
@@ -541,6 +565,13 @@ def _resolve_profiles(scn: Scenario) -> None:
                 raise ScenarioError(f"{sm.id}: shape {path}: {exc}") from exc
         else:
             raise ScenarioError(f"{sm.id} has neither profile nor shape")
+        if sm.ver is not None:
+            _read_bytes(scn, sm.id, sm.ver.shape, read)
+    h = hashlib.sha256(text)
+    for name in sorted(read):
+        h.update(name.encode())
+        h.update(read[name])
+    scn.source_hash = h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -731,17 +762,6 @@ def serialize(scn: Scenario) -> str:
 
 
 def scenario_hash(path: str) -> str:
-    """Content hash of the scenario file and every profile it references."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    scn = load_scenario(path, resolve_profiles=False)
-    refs = sorted({ld.profile_path for ld in scn.loads if ld.profile_path} |
-                  {sm.profile_path for sm in scn.semis if sm.profile_path} |
-                  {sm.ver.shape for sm in scn.semis if sm.ver is not None})
-    for ref in refs:
-        full = os.path.join(scn.base_dir, ref)
-        h.update(ref.encode())
-        with open(full, "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()
+    """Content hash of the scenario file and every profile it references:
+    the ``source_hash`` load_scenario records."""
+    return load_scenario(path).source_hash

@@ -11,12 +11,12 @@ import pytest
 
 import gridops.dispatch as dispatch
 from gridops.cli import main
-from gridops.engine import read_trace, write_trace
+from gridops.engine import read_trace, simulate, write_trace
 from gridops.lp import Solution
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               LoadSpec, Outage, ReserveParams, Scenario,
                               SemiDispatchable, Storage, Timing, VerSpec,
-                              ZonalNetwork, load_scenario)
+                              ZonalNetwork, load_scenario, scenario_hash)
 
 
 @pytest.fixture
@@ -281,6 +281,23 @@ def test_bad_profile_row_exits_2_naming_its_line(mini, tmp_path, name,
     assert capsys.readouterr().err == f"scenario error: {want}\n"
 
 
+@PROFILES
+def test_profile_not_utf8_exits_2_naming_it(mini, tmp_path, name, entity,
+                                            capsys):
+    path = os.path.join(os.path.dirname(mini), name)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    at = data.index(b"\n5,") + 3
+    with open(path, "wb") as fh:
+        fh.write(data[:at] + b"\xff" + data[at + 1:])
+    want = f"{entity}: {path}: not UTF-8 text at byte {at}"
+    assert main(["validate", mini]) == 2
+    assert capsys.readouterr().err == f"error\tscenario\t{want}\n"
+    out = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == f"scenario error: {want}\n"
+
+
 def test_constant_shape_with_variability_exits_2_naming_it(mini, tmp_path,
                                                           capsys):
     # A flat shape has no variability to scale to A > 0.
@@ -390,6 +407,46 @@ def test_metrics_needs_no_units_csv(mini, tmp_path):
         with open(os.path.join(full, name), "rb") as a, \
                 open(os.path.join(bare, name), "rb") as b:
             assert a.read() == b.read(), name
+
+
+def test_metrics_needs_no_profile_files(mini, tmp_path):
+    """metrics reads no profile file: beside a copy of the scenario alone
+    it writes the bytes it writes beside the profiles."""
+    run = str(tmp_path / "run")
+    assert main(["simulate", mini, "--minutes", "30", "--out", run,
+                 "--seed", "5"]) == 0
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    bare = str(alone / os.path.basename(mini))
+    shutil.copy(mini, bare)
+    assert os.listdir(alone) == [os.path.basename(mini)]
+    outs = {}
+    for scn in (mini, bare):
+        outs[scn] = str(tmp_path / f"metrics-{len(outs)}")
+        assert main(["metrics", run, "--scenario", scn,
+                     "--out", outs[scn]]) == 0
+    for root, _, files in os.walk(outs[mini]):
+        for name in files:
+            rel = os.path.relpath(os.path.join(root, name), outs[mini])
+            with open(os.path.join(outs[mini], rel), "rb") as a, \
+                    open(os.path.join(outs[bare], rel), "rb") as b:
+                assert a.read() == b.read(), rel
+    assert sorted(os.listdir(outs[bare])) == sorted(os.listdir(outs[mini]))
+
+
+def test_manifest_hashes_the_profiles_as_they_were_loaded(mini, tmp_path):
+    """write_trace records the hash of the bytes load_scenario read, not
+    of the files as they are when the trace is written."""
+    scn = load_scenario(mini)
+    loaded = scenario_hash(mini)
+    trace = simulate(scn, 10, seed=7)
+    with open(os.path.join(os.path.dirname(mini), "load_n1.csv"), "a") as fh:
+        fh.write("\n")
+    assert scenario_hash(mini) != loaded
+    out = tmp_path / "run"
+    write_trace(str(out), trace, scn, 7, mini)
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["scenario_hash"] == loaded
 
 
 def test_metrics_names_a_series_with_too_many_bins(mini, tmp_path, capsys):

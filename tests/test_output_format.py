@@ -9,13 +9,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridops import __version__
 from gridops.engine import SERIES, SimulationTrace, read_trace, write_trace
 from gridops.metrics import (REPORTED, duration_curve, summarize, write_all,
-                             write_duration, write_hist, write_report)
+                             write_hist, write_report)
 from gridops.profiles import Profile, chunk_rows, write_profile, write_rows
 from gridops.scenario import Scenario, ZonalNetwork, scenario_hash
 
@@ -142,9 +142,10 @@ def ref_write_all(outdir, trace, scn, scenario_name):
                 fh.write(f"{m},{v:.6f}\n")
 
 
-def ref_write_rows(path, header, n, columns, first=0):
-    """write_rows, one ``%`` per field."""
-    flat = [np.reshape(c, (n, -1)) for c in columns]
+def ref_write_rows(path, header, n, columns, first=0, unsigned=False):
+    """write_rows of one file, one ``%`` per field."""
+    flat = [np.reshape(ref_unsigned(c) if unsigned else c, (n, -1))
+            for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(n):
@@ -235,7 +236,9 @@ def test_writers_match_row_at_a_time_bytes(minutes, branches, interfaces,
         ref_write_trace(ref, tr, SCENARIO, seed)
         write_all(new, tr, SCENARIO, "demo")
         ref_write_all(ref, tr, SCENARIO, "demo")
-        write_duration(new, "wide", tr.imbalance_raw)
+        write_rows([(os.path.join(new, "duration_wide.csv"),
+                     ["rank", "value"], [duration_curve(tr.imbalance_raw)])],
+                   minutes)
         ref_write_duration(ref, "wide", tr.imbalance_raw)
         got, want = read_dir(new), read_dir(ref)
         assert sorted(got) == sorted(want)
@@ -272,7 +275,7 @@ def rows_match(n, columns, first=0) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = os.path.join(tmp, "new.csv"), os.path.join(tmp, "ref.csv")
         header = ["i"] + [f"c{k}" for k in range(len(columns))]
-        write_rows(new, header, n, columns, first)
+        write_rows([(new, header, columns)], n, first)
         ref_write_rows(ref, header, n, columns, first)
         with open(new, "rb") as a, open(ref, "rb") as b:
             got, want = a.read().splitlines(), b.read().splitlines()
@@ -308,6 +311,79 @@ def test_write_rows_prints_near_halves_as_percent_does():
     vals = np.concatenate([NEAR_HALF, -NEAR_HALF])
     rows_match(len(vals), [vals, vals[::-1, None] * [1.0, 1e-3, 10.0]],
                first=-len(vals) // 2)
+
+
+def file_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@settings(max_examples=40)
+@given(shapes=st.lists(st.lists(st.none() | st.integers(0, 3), max_size=3),
+                       min_size=1, max_size=4),
+       pool=st.lists(st.floats()
+                     | st.sampled_from(SPECIALS + tuple(NEAR_HALF)),
+                     min_size=1, max_size=30),
+       rows=st.sampled_from((1, (1, -1), (1, 0), (1, 1), (2, 3))),
+       first=st.integers(-10 ** 6, 10 ** 6), unsigned=st.booleans(),
+       poison=st.sampled_from((np.nan, 1e300, -np.inf)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shapes=[[None, 2], [], [0, None]], pool=[0.5e-6, -0.0, 1.25],
+         rows=(1, 1), first=-7, unsigned=True, poison=1e300, seed=1)
+@example(shapes=[[3], [None]], pool=[-5e-7, 2.0 ** 31 - 0.3],
+         rows=(1, -1), first=-10 ** 6, unsigned=False, poison=np.nan,
+         seed=2)
+def test_a_group_writes_each_file_as_it_is_written_alone(
+        shapes, pool, rows, first, unsigned, poison, seed):
+    """A group of files written in one call: each file gets the bytes of
+    writing it alone and of ``%d`` and ``%.6f``, with zero-column files,
+    2-D blocks with or without columns, a negative index and ``unsigned``
+    on or off.  ``rows`` is a row count or, as ``(k, d)``, k chunks of the
+    group's fields plus d rows.  A NaN, infinity or 1e300 put into one
+    file widens the chunk's fields but changes no other file's bytes."""
+    fields = 1 + sum(1 if g is None else g for shape in shapes for g in shape)
+    n = rows if isinstance(rows, int) \
+        else rows[0] * chunk_rows(fields) + rows[1]
+    rng = np.random.default_rng(seed)
+    vals = np.array(pool)
+    group = [[vals[rng.integers(0, len(vals), n if g is None else (n, g))]
+              for g in shape] for shape in shapes]
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(kind, f):
+            return os.path.join(tmp, f"{kind}{f}.csv")
+
+        def header(f):
+            return ["i"] + [f"f{f}c{k}" for k in range(len(shapes[f]))]
+
+        write_rows([(path("group", f), header(f), columns)
+                    for f, columns in enumerate(group)], n, first, unsigned)
+        for f, columns in enumerate(group):
+            write_rows([(path("alone", f), header(f), columns)], n, first,
+                       unsigned)
+            ref_write_rows(path("ref", f), header(f), n, columns, first,
+                           unsigned)
+            got = file_bytes(path("group", f))
+            assert got == file_bytes(path("alone", f)), f
+            assert got == file_bytes(path("ref", f)), f
+
+        hit = next((f for f, columns in enumerate(group)
+                    if any(np.size(c) for c in columns)), None)
+        if hit is None:
+            return
+        spoilt = [np.array(c, dtype=float) for c in group[hit]]
+        at = next(c for c in spoilt if c.size)
+        at.reshape(-1)[rng.integers(0, at.size, 1 + at.size // 7)] = poison
+        write_rows([(path("spoilt", f), header(f),
+                     spoilt if f == hit else columns)
+                    for f, columns in enumerate(group)], n, first, unsigned)
+        for f in range(len(group)):
+            got = file_bytes(path("spoilt", f))
+            if f == hit:
+                ref_write_rows(path("ref", f), header(f), n, spoilt, first,
+                               unsigned)
+                assert got == file_bytes(path("ref", f))
+            else:
+                assert got == file_bytes(path("group", f)), f
 
 
 @pytest.mark.parametrize("minutes", MINUTES)

@@ -316,32 +316,35 @@ EDGE_VALUES = ["1e-7", "-0.000000", "  3.25  ", "\t-2.5", "0.1", ".5", "5.",
     "".join(f" {i + 7} , {v}\n" for i, v in enumerate(EDGE_VALUES)),
     "0,1.0",                                 # one row, no newline
     "0,1.0\r\n1,2.0\r\n\r\n   \n2,3.0\n\n",  # CRLF, blank rows
+    "0,1.0\r1,2.0\r\r2,x\r",                # CR alone, a bad row
     "+3,1\n0004,2\n5,inf\n",                 # signs, zeros; non-finite
     "1_0,1\n11,2\n",                         # int() takes underscores
     "", "\n  \n",                            # empty
     "0,1\n2,2\n", "5,1\n4,2\n",              # gaps
     "0,1\n\n1,2,3\n", "0,1\n1,2 # c\n", "0,1.0\n1.0,2\n", "0,1\n1,\n",
     "0,1\n1,0x1p3\n", "0,1\n1\n", "0,1\n99999999999999999999,2\n",
-], ids=["edge_values", "padded_fields", "one_row", "crlf_blank",
+], ids=["edge_values", "padded_fields", "one_row", "crlf_blank", "cr_bad_row",
         "signs_nonfinite", "underscores", "empty", "blank_only", "gap",
         "backwards", "three_fields", "comment", "float_minute",
         "missing_value", "hex_value", "one_field", "huge_minute"])
 @pytest.mark.parametrize("header", ["minute,value_mw", " minute,value_mw ",
                                     "minute,value"])
 def test_read_profile_matches_the_per_line_reader(tmp_path, header, body):
+    """From the file and from its bytes, as load_scenario reads it."""
     path = tmp_path / "p.csv"
     path.write_bytes(f"{header}\n{body}".encode())
-    try:
-        want = _read_profile_by_line(path)
-    except ProfileError as exc:
-        with pytest.raises(ProfileError) as got:
-            read_profile(path)
-        assert str(got.value) == str(exc)
-        return
-    got = read_profile(path)
-    assert got.start == want.start
-    assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
-    assert got.values.tobytes() == want.values.tobytes()
+    for data in (None, path.read_bytes()):
+        try:
+            want = _read_profile_by_line(path)
+        except ProfileError as exc:
+            with pytest.raises(ProfileError) as got:
+                read_profile(path, data)
+            assert str(got.value) == str(exc)
+            continue
+        got = read_profile(path, data)
+        assert got.start == want.start
+        assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_read_profile_values_are_those_of_float(tmp_path):

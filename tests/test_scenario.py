@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 
 import golden
 import numpy as np
@@ -179,17 +181,68 @@ def test_scenario_hash_tracks_profiles(mini, tmp_path):
     assert h1 == scenario_hash(mini)
     import os
     lp = os.path.join(os.path.dirname(mini), "load_n1.csv")
+    # A blank line: the same profile, other bytes.
     with open(lp, "a") as fh:
-        fh.write("# tweak\n")
+        fh.write("\n")
     assert scenario_hash(mini) != h1
+
+
+def ref_scenario_hash(path):
+    """The manifest's hash as it was taken before load_scenario took it:
+    the scenario file, then each name it references and that file, in
+    sorted order, read again from disk."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        h.update(fh.read())
+    scn = load_scenario(path, resolve_profiles=False)
+    refs = sorted({ld.profile_path for ld in scn.loads if ld.profile_path} |
+                  {sm.profile_path for sm in scn.semis if sm.profile_path} |
+                  {sm.ver.shape for sm in scn.semis if sm.ver is not None})
+    for ref in refs:
+        h.update(ref.encode())
+        with open(os.path.join(scn.base_dir, ref), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(golden.RUNS))
+def test_loaded_hash_is_that_of_the_files(run, tmp_path):
+    path = golden.write_scenario(run, str(tmp_path))
+    assert load_scenario(path).source_hash == ref_scenario_hash(path)
+    assert load_scenario(path, resolve_profiles=False).source_hash is None
+
+
+def test_loaded_hash_covers_a_shape_next_to_a_profile(mini, tmp_path):
+    """A semi's shape next to its profile is not read as a profile but is
+    hashed; a shape that cannot be read is named."""
+    text = open(mini).read()
+    assert text.count("profile = solar_n3.csv\n") == 1
+    path = tmp_path / "both.scn"
+    path.write_text(text.replace("profile = solar_n3.csv\n",
+                                 "profile = solar_n3.csv\n"
+                                 "shape = shape_n3.csv\n"))
+    with pytest.raises(ScenarioError,
+                       match=r"^sun1: cannot read profile .*shape_n3\.csv"):
+        load_scenario(str(path))
+    (tmp_path / "shape_n3.csv").write_text("minute,value_mw\n0,1.0\n")
+    scn = load_scenario(str(path))
+    assert scn.semis[0].profile.values.tolist() == \
+        load_scenario(mini).semis[0].profile.values.tolist()
+    assert scn.source_hash == ref_scenario_hash(str(path))
+    (tmp_path / "shape_n3.csv").write_text("minute,value_mw\n0,2.0\n")
+    assert load_scenario(str(path)).source_hash != scn.source_hash
 
 
 def _same_fields(a, b, where="scenario"):
     """Field-for-field equality of parsed objects, arrays by value and
-    dtype; a failure names the first field that differs."""
+    dtype; a failure names the first field that differs.  A field left out
+    of the dataclass's own equality (the scenario's ``source_hash``, a hash
+    of the file it came from) is left out here too."""
     assert type(a) is type(b), where
     if dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
+            if not f.compare:
+                continue
             _same_fields(getattr(a, f.name), getattr(b, f.name),
                          f"{where}.{f.name}")
     elif isinstance(a, np.ndarray):
