@@ -16,11 +16,15 @@ and line that moved, not only that something did.  The runs:
 read back from its CSVs.  The cadence run also digests the duration curves
 and the per-minute plot data that ``metrics`` writes beside it.
 
-The manifest's ``programs`` holds, for the cadence run, the count and one
-sha256 of every program its day hands to the solver, in solve order: each
-program's arrays (``PROGRAM_ARRAYS``, with dtype and shape), names, senses
-and ``repr`` text.  So a change to how programs are built that alters any
-bit of any program fails, even where the outputs happen to agree.
+The manifest's ``programs`` holds, for the base and cadence runs, the count
+and one sha256 of every program the run hands to the solver, in solve
+order: each program's arrays (``PROGRAM_ARRAYS``, with dtype and shape),
+names, senses and ``repr`` text.  Its ``all-families`` entry digests the
+same way the programs of ``test_dispatch.family_windows``, each layer's two
+windows built fresh: they hold the storage, demand-response, tie-line
+contingency and reserve families, which no run's day builds.  So a change
+to how programs are built that alters any bit of any program fails, even
+where the outputs happen to agree.
 
 When outputs change on purpose, rewrite the manifest from the current code
 with ``PYTHONPATH=src python tests/golden.py`` and let its diff show which
@@ -64,7 +68,7 @@ RUNS = {
     "mini3-cadence": ("cadence", 4, 1440, 7, ALL + METRICS),
 }
 # Runs whose solved programs are digested, and each program's arrays digested.
-PROGRAM_RUNS = ("mini3-cadence",)
+PROGRAM_RUNS = ("mini3-base", "mini3-cadence")
 PROGRAM_ARRAYS = ("lb", "ub", "obj", "binary", "rhs", "indptr", "entry_row",
                   "entry_col", "entry_val", "A")
 
@@ -105,6 +109,18 @@ def write_outputs(run: str, trace, scn, scenario_path: str,
     return outdir
 
 
+def _update(h, lp) -> None:
+    """Add one program to the digest ``h``: its arrays, names, senses and
+    ``repr`` text."""
+    for name in PROGRAM_ARRAYS:
+        a = np.ascontiguousarray(getattr(lp, name))
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    for names in (lp.col_names, lp.row_names, lp.senses):
+        h.update("\n".join(names).encode() + b"\0")
+    h.update(repr(lp).encode())
+
+
 def program_digest(run: str, directory: str) -> dict:
     """The count and sha256 of the programs the run's simulation solves,
     each digested as the layers hand it to the solver."""
@@ -115,13 +131,7 @@ def program_digest(run: str, directory: str) -> dict:
         def wrapped(lp, **kwargs):
             nonlocal count
             count += 1
-            for name in PROGRAM_ARRAYS:
-                a = np.ascontiguousarray(getattr(lp, name))
-                h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
-                h.update(a.tobytes())
-            for names in (lp.col_names, lp.row_names, lp.senses):
-                h.update("\n".join(names).encode() + b"\0")
-            h.update(repr(lp).encode())
+            _update(h, lp)
             return solve(lp, **kwargs)
         return wrapped
 
@@ -135,6 +145,20 @@ def program_digest(run: str, directory: str) -> dict:
     finally:
         for name, solve in solvers.items():
             setattr(gridops.dispatch, name, solve)
+    return {"count": count, "sha256": h.hexdigest()}
+
+
+def family_digest() -> dict:
+    """The count and sha256 of the all-families programs: each layer's two
+    windows of ``test_dispatch.family_windows``, each built fresh."""
+    from test_dispatch import family_windows
+    h = hashlib.sha256()
+    count = 0
+    for layer in ("scuc", "rtuc", "sced"):
+        scn, windows = family_windows(layer)
+        for window in windows:
+            _update(h, gridops.dispatch.build_program(scn, *window)[0])
+            count += 1
     return {"count": count, "sha256": h.hexdigest()}
 
 
@@ -195,6 +219,7 @@ def main() -> int:
             directory = os.path.join(tmp, f"{run}-programs")
             os.makedirs(directory)
             programs[run] = program_digest(run, directory)
+        programs["all-families"] = family_digest()
     manifest = {"numpy": np.__version__, "programs": programs,
                 "python": platform.python_version(), "runs": runs}
     with open(MANIFEST, "w", encoding="utf-8") as fh:

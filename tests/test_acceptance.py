@@ -339,6 +339,13 @@ def test_c09_golden_programs(run, tmp_path):
     assert golden.program_digest(run, str(tmp_path)) == want
 
 
+# So is every program of the all-families windows, whose storage,
+# demand-response, contingency and reserve families no run builds.
+def test_c09_golden_family_programs():
+    want = golden.load_manifest()["programs"]["all-families"]
+    assert golden.family_digest() == want
+
+
 # --------------------------------------------------------------------------
 # 10. The evening net-load ramp dominates once solar fades.
 
