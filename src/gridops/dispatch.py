@@ -6,9 +6,9 @@ share one constraint family: bubble balance against a DC flow,
 interface limits, unit box bounds with outage masks, ramp limits with
 start/stop relaxation, storage energy accounting, commitment logic, and
 contingency-based reserve procurement.  This module builds that program,
-parameterized by layer, and extracts a uniform Schedule.  The build
-records each column family's indices as an integer block (``Columns``), so
-extraction indexes the solution vector directly.
+parameterized by layer, and extracts a uniform Schedule.  Each column
+or row family is built as one block over [step, entity], and the column
+blocks are kept (``Columns``), so extraction indexes the solution directly.
 
 Every window of a layer has the same structure: the same columns, rows,
 names, binaries and coefficient pattern.  So the structure is built once
@@ -19,7 +19,7 @@ program per layer and refills it window after window; the program keeps
 the live simplex of its last optimal solve, which re-solves the next
 window in place.
 
-The structure also records the program's plan (``_plan``): every value
+The structure build also lays out the program's plan: every value
 that only the scenario and the program's shape fix, laid out as a window
 reads it.  Fuel prices by clock hour come already multiplied into each
 cost column's unit constant, unit bounds and ramp rates are arrays, each
@@ -54,7 +54,6 @@ fraction in [0,1] applied to the curtailable share d of a resource.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -272,28 +271,26 @@ class Columns(dict):
     program's last optimal solve (None until it is first solved), which
     its next solve re-solves in place.
 
-    What a window fills in is indexed the same way: ``rows`` maps the row
-    families whose right-hand side depends on the window to row indices,
-    and ``entries`` the window-dependent coefficients (``"bal.cl"`` is the
-    ``cl`` entry of each ``bal`` row) to indices into the program's
-    entries.  ``shape`` and ``scn`` are what the structure was built for
-    (:func:`_shape`).
+    What a window fills in is indexed the same way: ``rows`` maps each row
+    family to its row indices, and ``entries`` the window-dependent
+    coefficients (``"bal.cl"`` is the ``cl`` entry of each ``bal`` row) to
+    indices into the program's entries.  ``shape`` and ``scn`` are what
+    the structure was built for (:func:`_shape`).
 
-    The rest is the program's plan (:func:`_plan`), the scenario's
-    constants laid out against those indices: ``hourly`` holds every cost
-    column that is a fuel price times a unit constant (the segments of
-    each unit, and w, u and v in commitment) and ``hourly_cost`` those
-    costs for each clock hour; ``fuel``, ``pmin``, ``pmax``, ``ramp``
-    and the like hold unit constants; ``bal_terms`` lists each bubble's
-    balance terms in summation order; ``obj_cells``, ``rhs_cells`` and
-    ``coef_cells`` (located once, see ``LinearProgram.cells``) are where a
-    window's forecast-driven values (:meth:`LayerInputs.values`) go;
-    ``gather`` reads every Schedule field from the solution at once and
-    ``read`` lists each field's rows of it with the ids they follow.  Like
-    the coefficients baked into the structure, the plan belongs to the
-    scenario object ``scn``: a program is refilled only for that same
-    object (``scn is``), so a scenario edited in place needs a new
-    program.
+    The rest is the program's plan, the scenario's constants laid out
+    against those indices: ``hourly`` holds every cost column that is a
+    fuel price times a unit constant (the segments of each unit, and w, u
+    and v in commitment) and ``hourly_cost`` those costs for each clock
+    hour; ``fuel``, ``pmin``, ``pmax``, ``ramp`` and the like hold unit
+    constants; ``bal_terms`` lists each bubble's balance terms in summation
+    order; ``obj_cells``, ``rhs_cells`` and ``coef_cells`` (located once,
+    see ``LinearProgram.cells``) are where a window's forecast-driven
+    values (:meth:`LayerInputs.values`) go; ``gather`` reads every Schedule
+    field from the solution at once and ``read`` lists each field's rows of
+    it with the ids they follow.  Like the coefficients baked into the
+    structure, the plan belongs to the scenario object ``scn``: a program
+    is refilled only for that same object (``scn is``), so a scenario
+    edited in place needs a new program.
     """
     fixed_cost = 0.0
     simplex: _Simplex | None = None
@@ -332,407 +329,306 @@ def build_program(scn: Scenario, fc: Forecasts, init: InitialState,
 
 
 def _structure(scn: Scenario, opt: LayerOptions):
-    """Columns, rows and every coefficient that no window changes.
+    """Columns, rows and every coefficient that no window changes, and the
+    program's plan (see :class:`Columns`).
 
     Bounds, costs and right-hand sides that depend on the window are left
     at placeholders, as are the window-dependent coefficients; the
     indices :func:`fill_program` writes them at are recorded in the
-    returned ``Columns``.
+    returned ``Columns``.  Each family of columns or rows is one block
+    over [step, entity], made by array arithmetic and placed in the
+    program by its key (:class:`_Items`).
     """
-    T = opt.steps
-    net = scn.network
-    gens, semis = scn.generators, scn.semis
-    penalty = scn.penalty_price()
-    res = scn.reserves
+    T, dt = opt.steps, opt.step_minutes
+    net, res, gamma = scn.network, scn.reserves, scn.gamma_loss
+    gens, semis, loads, drs = scn.generators, scn.semis, scn.loads, scn.drs
+    stores, bubbles = scn.storages, net.bubbles
     sced = opt.layer == "sced"
-    use_res = not sced and reserves_active(scn)
+    commit = not sced
+    use_res = commit and reserves_active(scn)
     storage_vars = opt.pinned_storage is None
-    dt = opt.step_minutes
-
-    # Index blocks as nested lists [t][entity]: plain ints index faster
-    # than numpy scalars in the row loops below.
-    G, S, B = len(gens), len(scn.storages), len(net.bubbles)
-    sizes = dict(w=G, u=G, v=G, P=G, rS=G, rO=G, wP=S, wS=S, Ps=S, Ss=S,
-                 Es=S, cv=len(semis), cl=len(scn.loads), Pm=len(scn.drs),
-                 sgP=B, sgN=B, F=len(net.branches), C1=1)
-    blk = {name: [[-1] * n for _ in range(T)] for name, n in sizes.items()}
-    (w, u, v, P, rS, rO, wP, wS, Ps, Ss, Es, cv, cl, Pm, sgP, sgN, F,
-     C1) = blk.values()
-    dP = [[None] * G for _ in range(T)]    # segment columns
-    row_sizes = dict(bal=B, seg=G, link=G, stor=S, flip1=S, flip2=S,
-                     ct1=len(semis), maxup=G)
-    row_sizes["ramp+"] = row_sizes["ramp-"] = G
-    rows = {name: [[-1] * n for _ in range(T)]
-            for name, n in row_sizes.items()}
-    ent_sizes = {"bal.cl": len(scn.loads), "bal.cv": len(semis),
-                 "seg.w": G, "plim.w": G, "ct1.cv": len(semis)}
-    ents = {name: [[-1] * n for _ in range(T)]
-            for name, n in ent_sizes.items()}
+    shape = _shape(scn, opt)
     pw = [linearize_cost(g.p_min, g.p_max, 1.0, g.h_f, g.h_l, g.h_q,
                          N_SEGMENTS) for g in gens]
-    pinned = _shape(scn, opt)[3]
+    t = np.arange(T)[:, None]                      # against [step, entity]
+    kg, ks, kb, kn, kd = (np.arange(len(x)) for x in (gens, stores, bubbles,
+                                                      semis, loads))
+    gid, sid, nid = (_of(x, "id", str) for x in (gens, stores, semis))
+    bub = np.array(bubbles, dtype=str)
+    pmax, semi_d, load_d = _of(gens, "p_max"), _of(semis, "d"), \
+        _of(loads, "d")
+    must = _of(gens, "kind", str) == "must-run"
+    free = ~must & ~np.array(shape[3], dtype=bool)
+    ties = _of(semis, "kind", str) == "tie-line"
+    nseg = np.array([len(p.widths) for p in pw], dtype=int)
+    seg = np.arange(nseg.max(initial=0))
+    has_seg = seg < nseg[:, None]
+    widths = np.zeros(has_seg.shape)
+    widths[has_seg] = np.concatenate([np.empty(0)] + [p.widths for p in pw])
 
-    # -- variables ---------------------------------------------------------
-    # The program's columns and rows, and the entries ``mark`` names:
-    # (family, t, k, row, place in the row), located once it is made.
-    columns, constraints, marks = [], [], []
+    # -- columns by step: units, storage, curtailment, shedding, demand
+    # response, penalty sources, branch flows and the contingency ---------
+    columns = _Items(lb=0.0, ub=INF, obj=0.0, binary=False)
+    for place, fam in enumerate("wuv"):
+        columns.family(fam, (t, 0, kg, place), (gid, t), commit, ub=1.0,
+                       binary=free & (fam == "w"))
+    columns.family("P", (t, 0, kg, 3), (gid, t), ub=INF if sced else pmax)
+    columns.family("dP", (t[..., None], 0, kg[:, None], 4, seg),
+                   (gid[:, None], t[..., None], seg), has_seg, ub=widths)
+    for place, (fam, span) in enumerate((("rS", res.t_10),
+                                         ("rO", res.t_30))):
+        cap = _of(gens, "r_max") * span     # floored as max(cap, 0.0) is
+        columns.family(fam, (t, 0, kg, 5 + place), (gid, t), use_res,
+                       ub=np.where(0.0 > cap, 0.0, cap))
+    for place, (fam, lb, ub) in enumerate((
+            ("wP", 0.0, 1.0), ("wS", 0.0, 1.0),
+            ("Ps", 0.0, _of(stores, "p_max")),
+            ("Ss", 0.0, _of(stores, "s_max")),
+            ("Es", _of(stores, "e_min"), _of(stores, "e_max")))):
+        columns.family(fam, (t, 1, ks, place), (sid, t), storage_vars,
+                       lb=lb, ub=ub, binary=fam[0] == "w")
+    columns.family("cv", (t, 2, kn), (nid, t), semi_d > 0, ub=1.0)
+    columns.family("cl", (t, 3, kd), (_of(loads, "bubble", str), t),
+                   load_d > 0, ub=1.0)
+    columns.family("Pm", (t, 4, np.arange(len(drs))),
+                   (_of(drs, "id", str), t), lb=_of(drs, "p_min"),
+                   ub=_of(drs, "p_max"), obj=_of(drs, "cost"))
+    for place, fam in enumerate(("sgP", "sgN")):
+        columns.family(fam, (t, 5, kb, place), (bub, t),
+                       obj=scn.penalty_price())
+    kl = np.arange(len(net.branches))
+    columns.family("F", (t, 6, kl), (kl, t), lb=-INF)
+    columns.family("C1", (t, 7, 0), (t,), use_res)
+    col_fields = columns.order()[:5]
+    c = columns.blocks
+    w, u, v, P, rS, rO, C1, wP, wS, Ps, Ss, Es = (c[f] for f in (
+        "w", "u", "v", "P", "rS", "rO", "C1", "wP", "wS", "Ps", "Ss", "Es"))
 
-    def var(name, lb=0.0, ub=INF, obj=0.0, binary=False):
-        columns.append((name, lb, ub, obj, binary))
-        return len(columns) - 1
+    def prev(block):
+        """The block a step back: -1, no entry, at the first step."""
+        return np.vstack([np.full_like(block[:1], -1), block[:-1]])
 
-    for t in range(T):
-        for k, g in enumerate(gens):
-            if sced:
-                P[t][k] = var(f"P[{g.id},{t}]")
-            else:
-                free = g.kind != "must-run" and not pinned[k]
-                w[t][k] = var(f"w[{g.id},{t}]", ub=1.0, binary=free)
-                u[t][k] = var(f"u[{g.id},{t}]", lb=0.0, ub=1.0)
-                v[t][k] = var(f"v[{g.id},{t}]", lb=0.0, ub=1.0)
-                P[t][k] = var(f"P[{g.id},{t}]", lb=0.0, ub=g.p_max)
-            dP[t][k] = [var(f"dP[{g.id},{t},{s}]", lb=0.0, ub=width)
-                        for s, width in enumerate(pw[k].widths)]
-            if use_res:
-                rS[t][k] = var(f"rS[{g.id},{t}]", lb=0.0,
-                               ub=max(g.r_max * res.t_10, 0.0))
-                rO[t][k] = var(f"rO[{g.id},{t}]", lb=0.0,
-                               ub=max(g.r_max * res.t_30, 0.0))
+    def within(block, owners):
+        """[step, bubble, entity]: the columns of each bubble's own."""
+        return np.where(np.asarray(owners, dtype=str) == bub[:, None],
+                        block[:, None, :], -1)
 
-        if storage_vars:
-            for k, st in enumerate(scn.storages):
-                for fam, lo, hi, binary in (
-                        ("wP", 0.0, 1.0, True), ("wS", 0.0, 1.0, True),
-                        ("Ps", 0.0, st.p_max, False),
-                        ("Ss", 0.0, st.s_max, False),
-                        ("Es", st.e_min, st.e_max, False)):
-                    blk[fam][t][k] = var(f"{fam}[{st.id},{t}]", lb=lo,
-                                         ub=hi, binary=binary)
-        for k, sm in enumerate(semis):
-            if sm.d > 0:
-                cv[t][k] = var(f"cv[{sm.id},{t}]", lb=0.0, ub=1.0)
-        for k, ld in enumerate(scn.loads):
-            if ld.d > 0:
-                cl[t][k] = var(f"cl[{ld.bubble},{t}]", lb=0.0, ub=1.0)
-        for k, m in enumerate(scn.drs):
-            Pm[t][k] = var(f"Pm[{m.id},{t}]", lb=m.p_min, ub=m.p_max,
-                           obj=m.cost)
-        for k, b in enumerate(net.bubbles):
-            sgP[t][k] = var(f"sgP[{b},{t}]", ub=INF, obj=penalty)
-            sgN[t][k] = var(f"sgN[{b},{t}]", ub=INF, obj=penalty)
-        for li in range(len(net.branches)):
-            F[t][li] = var(f"F[{li},{t}]", lb=-INF, ub=INF)
-        if use_res:
-            C1[t][0] = var(f"C1[{t}]", ub=INF)
+    # -- rows by step: balance, interfaces, units, storage and reserves;
+    # then each unit's across steps -----------------------------------------
+    rows = _Items(sense=None, rhs=0.0)
+    fb, tb = (np.array([getattr(br, f) for br in net.branches], dtype=str)
+              for f in ("from_bubble", "to_bubble"))
+    rows.family("bal", (t, 0, kb), (bub, t), sense=EQ, terms=[
+        (within(P, _of(gens, "bubble", str)), 1.0),
+        (within(np.stack([Ps, Ss], -1).reshape(T, 2 * len(stores)),
+                np.repeat(_of(stores, "bubble", str), 2)),
+         np.tile([1.0, -1.0], len(stores))),
+        (c["sgP"], 1.0), (c["sgN"], -1.0),
+        (within(c["Pm"], _of(drs, "bubble", str)), 1.0),
+        (within(c["cl"], _of(loads, "bubble", str)), 0.0),
+        (within(c["cv"], _of(semis, "bubble", str)), 0.0),
+        (np.where((fb == bub[:, None]) | (tb == bub[:, None]),
+                  c["F"][:, None, :], -1),
+         np.where(fb == bub[:, None], -1.0, 1.0))])
+    itf = [net.interface_terms(i) for i in net.interfaces]
+    depth = max(map(len, itf), default=0)
+    pairs = np.array([terms + [(-1, 0.0)] * (depth - len(terms))
+                      for terms in itf]).reshape(len(itf), depth, 2)
+    branch, coef = pairs[..., 0].astype(np.intp), pairs[..., 1]
+    limit = _of(net.interfaces, "limit")
+    for place, (fam, sense, rhs) in enumerate((("int+", LE, limit),
+                                               ("int-", GE, -limit))):
+        rows.family(fam, (t, 1, np.arange(len(itf)), place),
+                    (_of(net.interfaces, "name", str), t), sense=sense,
+                    rhs=rhs, terms=[(np.where(branch >= 0, c["F"][:, branch],
+                                              -1), coef)])
 
-    # -- constraints -------------------------------------------------------
-    itf_terms = [net.interface_terms(itf) for itf in net.interfaces]
+    # Units: P = w*P^min + filled segments (the committed floor, and the
+    # cap below, scale with availability, so a forced outage of a pinned
+    # unit stays feasible); the w-u-v linkage; the ramps, relaxed by
+    # starts and stops in commitment, whose first step holds the initial
+    # output (SCED's one step has no step before it).
+    rate = np.stack([_of(gens, "r_max"), _of(gens, "r_min")]) * dt
+    ramp = [0.0, 0.0] if sced else 0.0 + rate
+    for place, (fam, present, sense, rhs, terms) in enumerate((
+            ("seg", True, EQ, 0.0, [(P, 1.0), (w, 0.0), (c["dP"], -1.0)]),
+            ("plim", commit, LE, 0.0, [(P, 1.0), (w, 0.0)]),
+            ("link", commit, EQ, 0.0,
+             [(w, 1.0), (prev(w), -1.0), (u, -1.0), (v, 1.0)]),
+            ("uv", commit, LE, 1.0, [(u, 1.0), (v, 1.0)]),
+            ("ramp+", True, LE, ramp[0], [(P, 1.0), (prev(P), -1.0),
+                                          (u, -pmax)]),
+            ("ramp-", True, GE, ramp[1], [(P, 1.0), (prev(P), -1.0),
+                                          (v, pmax)]))):
+        rows.family(fam, (t, 2, kg, place), (gid, t), present, sense=sense,
+                    rhs=rhs, terms=terms)
 
-    def add(name, coeffs, sense, rhs=0.0, row=None, t=0, k=0):
-        constraints.append((name, coeffs, sense, rhs))
-        if row is not None:
-            rows[row][t][k] = len(constraints) - 1
-        return len(constraints) - 1
+    # Storage: output limits by mode, one mode at a time, energy, and no
+    # pump-to-generate flip within one step.
+    dt_h, later = dt / 60.0, np.where(t > 0, 1.0, 0.0)
+    for place, (fam, sense, rhs, terms) in enumerate((
+            ("pslim+", LE, 0.0, [(Ps, 1.0), (wP, -_of(stores, "p_max"))]),
+            ("pslim-", GE, 0.0, [(Ps, 1.0), (wP, -_of(stores, "p_min"))]),
+            ("sslim+", LE, 0.0, [(Ss, 1.0), (wS, -_of(stores, "s_max"))]),
+            ("sslim-", GE, 0.0, [(Ss, 1.0), (wS, -_of(stores, "s_min"))]),
+            ("mode", LE, 1.0, [(wP, 1.0), (wS, 1.0)]),
+            ("stor", EQ, 0.0, [(Es, 1.0), (prev(Es), -1.0),
+                               (Ss, -_of(stores, "eta") * dt_h), (Ps, dt_h)]),
+            ("flip1", LE, later, [(wP, 1.0), (prev(wS), 1.0)]),
+            ("flip2", LE, later, [(wS, 1.0), (prev(wP), 1.0)]))):
+        rows.family(fam, (t, 3, ks, place), (sid, t), storage_vars,
+                    sense=sense, rhs=rhs, terms=terms)
 
-    def mark(family, i, t, k, j):
-        place = [c for c, _ in constraints[i][1]].index(j)
-        marks.append((family, t, k, i, place))
+    # Reserves: the largest contingency C1 over committed capacity and
+    # tie-line delivery, and what each unit, bubble and the system hold
+    # against it.
+    a_tmr = res.alpha_sys_tmr
+    rows.family("cg1", (t, 4, kg), (gid, t), use_res, sense=GE,
+                terms=[(C1, 1.0), (w, -pmax)])
+    rows.family("ct1", (t, 5, kn), (nid, t), use_res & ties, sense=GE,
+                terms=[(C1, 1.0), (c["cv"], 0.0)])
+    rows.family("tmsr", (t, 6, kg, 0), (gid, t), use_res, sense=LE,
+                terms=[(rS, 1.0), (w, -pmax), (P, 1.0)])
+    rows.family("tmor", (t, 6, kg, 1), (gid, t), use_res, sense=LE,
+                rhs=pmax, terms=[(rO, 1.0), (w, pmax)])
+    gen_bub = _of(gens, "bubble", str)
+    for place, (fam, alpha, held) in enumerate((
+            ("tmsr_n", res.alpha_tmsr, [rS]),
+            ("tmor_n", res.alpha_tmor, [rS, rO]))):
+        alpha = np.array([alpha.get(b, 0.0) for b in bubbles], dtype=float)
+        rows.family(fam, (t, 7, kb, place), (bub, t), use_res & (alpha > 0),
+                    sense=GE, terms=[(within(r, gen_bub), 1.0) for r in held]
+                    + [(C1, -alpha * a_tmr)])
+    rs, ro, lfr = rS[:, None], rO[:, None], res.lfr_requirement
+    rows.family("tmsr_sys", (t, 8, 0, 0), (t,),
+                use_res and res.alpha_sys_tmsr > 0, sense=GE,
+                terms=[(rs, 1.0), (C1, -res.alpha_sys_tmsr * a_tmr)])
+    rows.family("tmsr_lfr", (t, 8, 0, 1), (t,), use_res and bool(lfr),
+                sense=GE, rhs=res.alpha_sys_tmsr * a_tmr * (lfr or 0),
+                terms=[(rs, 1.0)])
+    rows.family("tmor_sys", (t, 8, 0, 2), (t,),
+                use_res and res.alpha_sys_tmor > 0, sense=GE,
+                terms=[(rs, 1.0), (ro, 1.0),
+                       (C1, -res.alpha_sys_tmor * a_tmr)])
 
-    for t in range(T):
-        for kb, b in enumerate(net.bubbles):
-            coeffs = [(P[t][k], 1.0) for k, g in enumerate(gens)
-                      if g.bubble == b]
-            for k, st in enumerate(scn.storages):
-                if st.bubble == b and storage_vars:
-                    coeffs += [(Ps[t][k], 1.0), (Ss[t][k], -1.0)]
-            coeffs += [(sgP[t][kb], 1.0), (sgN[t][kb], -1.0)]
-            coeffs += [(Pm[t][k], 1.0) for k, m in enumerate(scn.drs)
-                       if m.bubble == b]
-            ks_cl = [k for k, ld in enumerate(scn.loads)
-                     if ld.bubble == b and ld.d > 0]
-            ks_cv = [k for k, sm in enumerate(semis)
-                     if sm.bubble == b and sm.d > 0]
-            coeffs += [(cl[t][k], 0.0) for k in ks_cl]
-            coeffs += [(cv[t][k], 0.0) for k in ks_cv]
-            for li, br in enumerate(net.branches):
-                if br.from_bubble == b:
-                    coeffs.append((F[t][li], -1.0))
-                elif br.to_bubble == b:
-                    coeffs.append((F[t][li], 1.0))
-            i = add(f"bal[{b},{t}]", coeffs, EQ, row="bal", t=t, k=kb)
-            for k in ks_cl:
-                mark("bal.cl", i, t, k, cl[t][k])
-            for k in ks_cv:
-                mark("bal.cv", i, t, k, cv[t][k])
+    # Each free unit's minimum up and down times, by step and lag, then
+    # its daily starts: keyed after the last step (T), unit by unit.
+    tau = np.arange(1, T)
+    lag = t - tau                                   # [step, lag]
+    least = np.ceil(np.stack([_of(gens, "t_u"), _of(gens, "t_d")]) * 60.0 /
+                    dt)
+    for place, (fam, other, coef, sense, rhs) in enumerate((
+            ("minup", u, -1.0, GE, 0.0), ("mindown", v, 1.0, LE, 1.0))):
+        rows.family(fam, (T, kg[:, None, None], t, place, tau),
+                    (gid[:, None, None], t, tau),
+                    commit & free[:, None, None] & (lag >= 0) &
+                    (tau < np.maximum(least[place], 1)[:, None, None]),
+                    sense=sense, rhs=rhs, terms=[
+                        (w.T[:, :, None], 1.0),
+                        (np.where(lag >= 0, other.T[:, np.maximum(lag, 0)],
+                                  -1), coef)])
+    rows.family("maxup", (T, kg[None], T), (gid[None],), commit & free,
+                sense=LE, terms=[(u.T[None], 1.0)])
+    lp = LinearProgram(arrays=(*col_fields, *rows.order()))
 
-        for itf, terms in zip(net.interfaces, itf_terms):
-            coeffs = [(F[t][bi], a) for bi, a in terms]
-            add(f"int+[{itf.name},{t}]", coeffs, LE, itf.limit)
-            add(f"int-[{itf.name},{t}]", coeffs, GE, -itf.limit)
+    # -- the plan ---------------------------------------------------------
+    r, at = rows.blocks, rows.places
+    dP = c.pop("dP")[:, has_seg]
+    plan = Columns(c)
+    plan.rows, plan.shape, plan.scn, plan.sced = r, shape, scn, sced
 
-        for k, g in enumerate(gens):
-            pvar = P[t][k]
-            # P = w*P^min + filled segments.
-            segs = [(j, -1.0) for j in dP[t][k]]
-            if sced:
-                add(f"seg[{g.id},{t}]", [(pvar, 1.0)] + segs, EQ,
-                    row="seg", t=t, k=k)
-                add(f"ramp+[{g.id},{t}]", [(pvar, 1.0)], LE, row="ramp+",
-                    t=t, k=k)
-                add(f"ramp-[{g.id},{t}]", [(pvar, 1.0)], GE, row="ramp-",
-                    t=t, k=k)
-                continue
+    # The entries a window writes, each at its place in its row; a load's
+    # or semi's entry is in the balance row of its own bubble only.
+    def entry(block, place):
+        return np.where(place >= 0, lp.indptr[block] + place, -1)
 
-            wvar, uvar, vvar = w[t][k], u[t][k], v[t][k]
-            # The committed floor scales with availability so a forced
-            # outage of a pinned unit stays feasible; the segment sum is
-            # capped by headroom.
-            i = add(f"seg[{g.id},{t}]", [(pvar, 1.0), (wvar, 0.0)] + segs,
-                    EQ)
-            mark("seg.w", i, t, k, wvar)
-            i = add(f"plim[{g.id},{t}]", [(pvar, 1.0), (wvar, 0.0)], LE)
-            mark("plim.w", i, t, k, wvar)
-            # w-u-v linkage and ramp with start/stop relaxation; the first
-            # step's right-hand sides hold the unit's initial state.
-            if t == 0:
-                add(f"link[{g.id},{t}]",
-                    [(wvar, 1.0), (uvar, -1.0), (vvar, 1.0)], EQ,
-                    row="link", k=k)
-                prev = [(pvar, 1.0)]
-            else:
-                add(f"link[{g.id},{t}]",
-                    [(wvar, 1.0), (w[t - 1][k], -1.0), (uvar, -1.0),
-                     (vvar, 1.0)], EQ)
-                prev = [(pvar, 1.0), (P[t - 1][k], -1.0)]
-            add(f"uv[{g.id},{t}]", [(uvar, 1.0), (vvar, 1.0)], LE, 1.0)
-            add(f"ramp+[{g.id},{t}]", prev + [(uvar, -g.p_max)], LE,
-                0.0 + g.r_max * dt, row="ramp+" if t == 0 else None, k=k)
-            add(f"ramp-[{g.id},{t}]", prev + [(vvar, g.p_max)], GE,
-                0.0 + g.r_min * dt, row="ramp-" if t == 0 else None, k=k)
-
-        if storage_vars:
-            dt_h = opt.step_minutes / 60.0
-            for k, st in enumerate(scn.storages):
-                wp, ws = wP[t][k], wS[t][k]
-                psv, ssv, ev = Ps[t][k], Ss[t][k], Es[t][k]
-                add(f"pslim+[{st.id},{t}]", [(psv, 1.0), (wp, -st.p_max)],
-                    LE)
-                add(f"pslim-[{st.id},{t}]", [(psv, 1.0), (wp, -st.p_min)],
-                    GE)
-                add(f"sslim+[{st.id},{t}]", [(ssv, 1.0), (ws, -st.s_max)],
-                    LE)
-                add(f"sslim-[{st.id},{t}]", [(ssv, 1.0), (ws, -st.s_min)],
-                    GE)
-                add(f"mode[{st.id},{t}]", [(wp, 1.0), (ws, 1.0)], LE, 1.0)
-                if t == 0:
-                    add(f"stor[{st.id},{t}]",
-                        [(ev, 1.0), (ssv, -st.eta * dt_h), (psv, dt_h)], EQ,
-                        row="stor", k=k)
-                    add(f"flip1[{st.id},{t}]", [(wp, 1.0)], LE, row="flip1",
-                        k=k)
-                    add(f"flip2[{st.id},{t}]", [(ws, 1.0)], LE, row="flip2",
-                        k=k)
-                else:
-                    add(f"stor[{st.id},{t}]",
-                        [(ev, 1.0), (Es[t - 1][k], -1.0),
-                         (ssv, -st.eta * dt_h), (psv, dt_h)], EQ)
-                    # No pump-to-generate flip within one step.
-                    add(f"flip1[{st.id},{t}]",
-                        [(wp, 1.0), (wS[t - 1][k], 1.0)], LE, 1.0)
-                    add(f"flip2[{st.id},{t}]",
-                        [(ws, 1.0), (wP[t - 1][k], 1.0)], LE, 1.0)
-
-        if use_res:
-            c1 = C1[t][0]
-            for k, g in enumerate(gens):
-                add(f"cg1[{g.id},{t}]", [(c1, 1.0), (w[t][k], -g.p_max)], GE)
-            for k, sm in enumerate(semis):
-                if sm.kind != "tie-line":
-                    continue
-                coeffs = [(c1, 1.0)]
-                if sm.d > 0:
-                    coeffs.append((cv[t][k], 0.0))
-                i = add(f"ct1[{sm.id},{t}]", coeffs, GE, row="ct1", t=t,
-                        k=k)
-                if sm.d > 0:
-                    mark("ct1.cv", i, t, k, cv[t][k])
-            for k, g in enumerate(gens):
-                add(f"tmsr[{g.id},{t}]",
-                    [(rS[t][k], 1.0), (w[t][k], -g.p_max), (P[t][k], 1.0)],
-                    LE)
-                add(f"tmor[{g.id},{t}]",
-                    [(rO[t][k], 1.0), (w[t][k], g.p_max)], LE, g.p_max)
-            a_tmr = res.alpha_sys_tmr
-            for b in net.bubbles:
-                ks = [k for k, g in enumerate(gens) if g.bubble == b]
-                if res.alpha_tmsr.get(b, 0.0) > 0:
-                    add(f"tmsr_n[{b},{t}]",
-                        [(rS[t][k], 1.0) for k in ks] +
-                        [(c1, -res.alpha_tmsr[b] * a_tmr)], GE)
-                if res.alpha_tmor.get(b, 0.0) > 0:
-                    add(f"tmor_n[{b},{t}]",
-                        [(rS[t][k], 1.0) for k in ks] +
-                        [(rO[t][k], 1.0) for k in ks] +
-                        [(c1, -res.alpha_tmor[b] * a_tmr)], GE)
-            all_rs = [(j, 1.0) for j in rS[t]]
-            all_ro = [(j, 1.0) for j in rO[t]]
-            if res.alpha_sys_tmsr > 0:
-                add(f"tmsr_sys[{t}]",
-                    all_rs + [(c1, -res.alpha_sys_tmsr * a_tmr)], GE)
-            if res.lfr_requirement:
-                add(f"tmsr_lfr[{t}]", all_rs, GE,
-                    res.alpha_sys_tmsr * a_tmr * res.lfr_requirement)
-            if res.alpha_sys_tmor > 0:
-                add(f"tmor_sys[{t}]",
-                    all_rs + all_ro + [(c1, -res.alpha_sys_tmor * a_tmr)],
-                    GE)
-
-    # Commitment-window constraints across steps.
-    if not sced:
-        for k, g in enumerate(gens):
-            if g.kind == "must-run" or pinned[k]:
-                continue
-            tau_u = max(int(math.ceil(g.t_u * 60.0 / opt.step_minutes)), 1)
-            tau_d = max(int(math.ceil(g.t_d * 60.0 / opt.step_minutes)), 1)
-            for t in range(T):
-                for tau in range(1, min(tau_u, t + 1)):
-                    add(f"minup[{g.id},{t},{tau}]",
-                        [(w[t][k], 1.0), (u[t - tau][k], -1.0)], GE)
-                for tau in range(1, min(tau_d, t + 1)):
-                    add(f"mindown[{g.id},{t},{tau}]",
-                        [(w[t][k], 1.0), (v[t - tau][k], 1.0)], LE, 1.0)
-            add(f"maxup[{g.id}]", [(u[t][k], 1.0) for t in range(T)], LE,
-                row="maxup", k=k)
-
-    lp = LinearProgram(columns, constraints)
-    for family, t, k, i, place in marks:
-        ents[family][t][k] = lp.indptr[i] + place
-
-    def arrays(blocks):
-        return {name: np.array(b, dtype=np.intp) for name, b in blocks.items()}
-
-    cols = Columns(arrays(blk))
-    cols.rows = arrays(rows)
-    cols.entries = arrays(ents)
-    cols.shape = _shape(scn, opt)
-    cols.scn = scn
-    _plan(lp, cols, scn, opt, pw, pinned, dP)
-    return lp, cols
-
-
-def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
-          opt: LayerOptions, pw, pinned, dP) -> None:
-    """Record on ``cols`` what only the scenario and the program's shape
-    fix, laid out as :func:`fill_program`, :meth:`LayerInputs.values` and
-    :func:`extract_schedule` read it."""
-    T, G = opt.steps, len(scn.generators)
-    gens, semis, loads = scn.generators, scn.semis, scn.loads
-    sced = cols.sced = opt.layer == "sced"
-    gamma = scn.gamma_loss
-    rows, ents = cols.rows, cols.entries
-
-    def col(values):
-        return np.array(values, dtype=float)
-
-    def idx(values):
-        return np.array(values, dtype=np.intp)
+    ents = plan.entries = {
+        "bal.cl": entry(r["bal"][..., None], at["bal"][5]).max(axis=1),
+        "bal.cv": entry(r["bal"][..., None], at["bal"][6]).max(axis=1),
+        "seg.w": entry(r["seg"], at["seg"][1][..., 0]),
+        "plim.w": entry(r["plim"], at["plim"][1][..., 0]),
+        "ct1.cv": entry(r["ct1"], at["ct1"][1][..., 0])}
 
     # Units: the fuel price by clock hour and each unit's constants.
-    cols.fuel = col([[g.fuel_price(h) for g in gens]
-                     for h in range(24)]).reshape(24, G)
-    cols.pmin, cols.pmax = col([g.p_min for g in gens]), \
-        col([g.p_max for g in gens])
-    cols.at_min = col([c.cost_at_min for c in pw])
+    plan.fuel = np.array([[g.fuel_price(h) for g in gens]
+                          for h in range(24)]).reshape(24, len(gens))
+    plan.pmin, plan.pmax, plan.at_min = _of(gens, "p_min"), pmax, \
+        _of(pw, "cost_at_min")
     # Costs that are the fuel price times a unit constant, by clock hour:
     # every segment's slope and, in the commitment layers, the cost at
     # P^min and the start and stop costs of w, u and v.
-    seg_unit = idx([k for k, c in enumerate(pw) for _ in c.slopes])
-    hourly = [idx([[j for segs in row for j in segs] for row in dP]
-                  ).reshape(T, len(seg_unit))]
-    cost = [cols.fuel[:, seg_unit] * col([s for c in pw for s in c.slopes])]
-    if not sced:
-        hourly += [cols["w"], cols["u"], cols["v"]]
-        cost += [cols.fuel * cols.at_min,
-                 cols.fuel * col([g.h_u for g in gens]),
-                 cols.fuel * col([g.h_d for g in gens])]
-    cols.hourly = np.concatenate(hourly, axis=1)
-    cols.hourly_cost = np.concatenate(cost, axis=1)
-    # The ramp rows that hold the initial output, [ramp+, ramp-][step,
-    # unit] (every step's in SCED, the first step's in commitment), their
-    # rates times the step, and the start/stop relaxation's sign.
-    dt = opt.step_minutes
-    held = slice(None) if sced else slice(0, 1)
-    cols.ramp_rows = np.stack((rows["ramp+"][held], rows["ramp-"][held]))
-    cols.ramp = np.stack((col([g.r_max for g in gens]) * dt,
-                          col([g.r_min for g in gens]) * dt))[:, None]
-    cols.relax = np.stack((cols.pmax, -cols.pmax))[:, None]
+    hourly = [dP]
+    cost = [plan.fuel[:, np.repeat(kg, nseg)] *
+            np.concatenate([np.empty(0)] + [p.slopes for p in pw])]
+    if commit:
+        hourly += [w, u, v]
+        cost += list(plan.fuel * np.stack([plan.at_min, _of(gens, "h_u"),
+                                           _of(gens, "h_d")])[:, None])
+    plan.hourly = np.concatenate(hourly, axis=1)
+    plan.hourly_cost = np.concatenate(cost, axis=1)
+    # The ramp rows of the first step, which hold the initial output,
+    # [ramp+, ramp-][step, unit], their rates times the step, and the
+    # start/stop relaxation's sign.
+    plan.ramp_rows = np.stack((r["ramp+"][:1], r["ramp-"][:1]))
+    plan.ramp = rate[:, None]
+    plan.relax = np.stack((pmax, -pmax))[:, None]
     # Commitment: units fixed on, pinned to a given status, or free, each
     # free unit with its minimum up and down times and daily starts.
-    must = [g.kind == "must-run" for g in gens]
-    pins = idx([k for k in range(G) if not must[k] and pinned[k]])
-    cols.must_run = cols["w"][:, [k for k in range(G) if must[k]]]
-    cols.pinned = (cols["w"][:, pins], pins)
-    free = idx([k for k in range(G) if not must[k] and not pinned[k]])
-    cols.free = (free, cols["w"][:, free],
-                 col([[gens[k].t_u, gens[k].t_d, gens[k].u_max]
-                      for k in free]).reshape(-1, 3).T)
+    pins = np.flatnonzero(~must & ~free)
+    plan.must_run = w[:, must]
+    plan.pinned = (w[:, pins], pins)
+    kf = np.flatnonzero(free)
+    plan.free = (kf, w[:, kf], np.stack([_of(gens, f) for f in (
+        "t_u", "t_d", "u_max")])[:, kf])
 
     # Semis and loads: which have curtailment or shedding columns and which
     # tie lines are contingencies, with their constant factors.
-    scale = col([1.0 if sm.kind == "tie-line" else 1.0 + gamma
-                 for sm in semis])
-    d = col([sm.d for sm in semis])
-    cv = idx([k for k, sm in enumerate(semis) if sm.d > 0])
-    ties = idx([k for k, sm in enumerate(semis) if rows["ct1"][0, k] >= 0])
-    tie_cv = idx([k for k in ties if semis[k].d > 0])
-    cl = idx([k for k, ld in enumerate(loads) if ld.d > 0])
-    cols.cv = (cv, cols["cv"][:, cv], col([-sm.price for sm in semis])[cv]
-               * d[cv], scale[cv], -d[cv])
-    cols.ties = (ties, rows["ct1"][:, ties], tie_cv, d[tie_cv])
-    cols.cl = (cl, cols["cl"][:, cl], col([loads[k].price * loads[k].d
-                                           for k in cl]),
-               col([(1.0 + gamma) * loads[k].d for k in cl]))
+    scale = np.where(ties, 1.0, 1.0 + gamma)
+    cv, cl = np.flatnonzero(semi_d > 0), np.flatnonzero(load_d > 0)
+    kt = np.flatnonzero(use_res & ties)
+    tie_cv = kt[semi_d[kt] > 0]
+    plan.cv = (cv, c["cv"][:, cv], -_of(semis, "price")[cv] * semi_d[cv],
+               scale[cv], -semi_d[cv])
+    plan.ties = (kt, r["ct1"][:, kt], tie_cv, semi_d[tie_cv])
+    plan.cl = (cl, c["cl"][:, cl], (_of(loads, "price") * load_d)[cl],
+               ((1.0 + gamma) * load_d)[cl])
     # The window's coefficients, written in one call at cells located
     # here: the commitment layers' committed floor and cap, then the
     # curtailment, contingency and shedding entries.
     unit = [] if sced else [ents["seg.w"], ents["plim.w"]]
-    cols.coef_entries = np.concatenate(
+    plan.coef_entries = np.concatenate(
         [e.ravel() for e in unit + [ents["bal.cv"][:, cv],
                                     ents["ct1.cv"][:, tie_cv],
                                     ents["bal.cl"][:, cl]]])
-    cols.coef_cells = lp.cells(cols.coef_entries)
+    plan.coef_cells = lp.cells(plan.coef_entries)
 
     # The bubble balance: each bubble's right-hand side sums, in this
     # order, its pinned storage, its loads and its semis.  Terms are rows
     # of one stack (storage, loads, semis, then a row of zeros), and step i
     # adds each bubble's i-th term, the zero row once a bubble has none.
-    St = len(scn.storages) if opt.pinned_storage is not None else 0
-    members = [[k for k in range(St) if scn.storages[k].bubble == b] +
-               [St + k for k, ld in enumerate(loads) if ld.bubble == b] +
-               [St + len(loads) + k for k, sm in enumerate(semis)
-                if sm.bubble == b] for b in scn.network.bubbles]
-    pad = St + len(loads) + len(semis)
-    depth = max((len(m) for m in members), default=0)
-    cols.bal_terms = [idx([m[i] if i < len(m) else pad for m in members])
-                      for i in range(depth)]
-    cols.bal_rows = rows["bal"].T
-    cols.semi_sign = -scale[:, None]
-    cols.load_scale = 1.0 + gamma
-    cols.sids = [st.id for st in scn.storages] if St else []
+    St = 0 if storage_vars else len(stores)
+    owner = np.concatenate([_of(x, "bubble", str) for x in (
+        stores[:St], loads, semis)])
+    members = [np.flatnonzero(owner == b) for b in bub]
+    plan.bal_terms = [
+        np.array([m[i] if i < len(m) else len(owner) for m in members],
+                 np.intp) for i in range(max(map(len, members), default=0))]
+    plan.bal_rows = r["bal"].T
+    plan.semi_sign, plan.load_scale = -scale[:, None], 1.0 + gamma
+    plan.sids = [st.id for st in stores] if St else []
     # Where LayerInputs.values' rows are written: the hourly, curtailment
     # and shedding costs; the contingency rows and, without pinned storage
     # terms, the balance rows.
-    cols.obj_cells = np.concatenate(
-        [cols.hourly.ravel(), cols.cv[1].ravel(), cols.cl[1].ravel()])
-    cols.rhs_cells = np.concatenate(
-        [cols.ties[1].ravel()] + ([] if St else [cols.bal_rows.ravel()]))
+    plan.obj_cells = np.concatenate(
+        [plan.hourly.ravel(), plan.cv[1].ravel(), plan.cl[1].ravel()])
+    plan.rhs_cells = np.concatenate(
+        [plan.ties[1].ravel()] + ([] if St else [plan.bal_rows.ravel()]))
 
     # Extraction: each Schedule field's rows, [entity, step], as one block
     # of a gather from the solution with a 0.0 appended, which the -1 of a
     # missing column reads.  Each entry names the column family the field
     # reads and the ids its rows follow.
-    gids, sids = [g.id for g in gens], [st.id for st in scn.storages]
-    bubbles = scn.network.bubbles
+    gids, sids = [g.id for g in gens], [st.id for st in stores]
     read = [("w", "w", gids), ("u", "u", gids), ("v", "v", gids),
             ("p", "P", gids), ("tmsr", "rS", gids), ("tmor", "rO", gids),
             ("storage_gen", "Ps", sids), ("storage_pump", "Ss", sids),
@@ -741,18 +637,97 @@ def _plan(lp: LinearProgram, cols: Columns, scn: Scenario,
             ("storage_mode_pump", "wS", sids),
             ("curtail", "cv", [sm.id for sm in semis]),
             ("shed", "cl", [ld.bubble for ld in loads]),
-            ("dr", "Pm", [m.id for m in scn.drs]),
+            ("dr", "Pm", [m.id for m in drs]),
             ("super_pos", "sgP", bubbles), ("super_neg", "sgN", bubbles),
             ("flows", "F", [f"{br.from_bubble}-{br.to_bubble}"
-                            for br in scn.network.branches])]
-    cols.read, at = [], 0
-    for name, _, keys in read:
-        cols.read.append((name, slice(at, at + len(keys)), keys))
-        at += len(keys)
-    cols.gather = np.concatenate([cols[fam].T for _, fam, _ in read]
+                            for br in net.branches])]
+    ends = np.cumsum([0] + [len(keys) for _, _, keys in read]).tolist()
+    plan.read = [(name, slice(a, b), keys)
+                 for (name, _, keys), a, b in zip(read, ends, ends[1:])]
+    plan.gather = np.concatenate([plan[fam].T for _, fam, _ in read]
                                  ).reshape(-1, T)
-    cols.use_res = bool((cols["C1"] >= 0).all())
-    cols.ties_d = [(k, semis[k].d) for k in ties]
+    plan.use_res, plan.ties_d = use_res, [(k, semis[k].d) for k in kt]
+    return lp, plan
+
+
+class _Items:
+    """The columns or the rows of a program, added family by family.
+
+    A family's items lie on a grid, [step, entity] for most, and its key,
+    one array per level over the grid, is (step, group, entity, place,
+    sub), zeros filling levels left out: the program lists items by step,
+    then group, entity, place and sub.  ``present`` leaves items out.  A
+    row family's ``terms`` are (columns, coefficients) pairs in row order,
+    the columns over the grid (one entry per row) or over the grid and a
+    last axis of entries; a column of -1 is no entry.  Fields not given
+    take ``defaults``.  ``blocks`` maps each family to its grid of item
+    indices (-1 where absent) once :meth:`order` has run, and ``places`` a
+    row family to where each term's entries sit in their rows, [grid...,
+    entries] (-1 where there is none).
+    """
+
+    def __init__(self, **defaults):
+        self.defaults, self.families = defaults, []
+        self.blocks, self.places = {}, {}
+
+    def family(self, fam: str, key: tuple, label: tuple, present=True,
+               terms=(), **fields) -> None:
+        """Add the items of ``fam``, each named ``fam[label,...]``."""
+        shape = np.broadcast(*key).shape
+        present = np.full(shape, present, bool)
+        one = [c.ndim == len(shape) for c, _ in terms]   # one entry per row
+        ends = np.cumsum([0] + [1 if o else c.shape[-1]
+                                for o, (c, _) in zip(one, terms)]).tolist()
+        self.blocks[fam] = np.full(shape, -1, np.intp)
+        if not present.any():
+            self.places[fam] = [np.full(shape + (b - a,), -1, np.intp)
+                                for a, b in zip(ends, ends[1:])]
+            return
+        name = np.asarray(fam + "[")
+        for i, part in enumerate(label):
+            part = np.full(shape, np.asarray(part).astype(str))[present]
+            name = np.char.add(np.char.add(name, "," if i else ""), part)
+        fields = {"name": np.char.add(name, "]"),
+                  **{f: np.full(shape, x)[present]
+                     for f, x in {**self.defaults, **fields}.items()}}
+        cols = np.empty(shape + (ends[-1],), np.intp)
+        vals = np.empty(shape + (ends[-1],))
+        for o, (c, v), a, b in zip(one, terms, ends, ends[1:]):
+            cols[..., a:b] = c[..., None] if o else c
+            vals[..., a:b] = np.asarray(v)[..., None] if o else v
+        live = (cols >= 0) & present[..., None]
+        place = np.where(live, np.cumsum(live, axis=-1) - 1, -1)
+        self.places[fam] = [place[..., a:b] for a, b in zip(ends, ends[1:])]
+        self.families.append((
+            fam, present,
+            np.stack([np.full(shape, k, int)[present]
+                      for k in (*key, *(0,) * (5 - len(key)))]),
+            fields, cols[live], vals[live], live.sum(axis=-1)[present]))
+
+    def order(self) -> list:
+        """The items in program order: names, each field in ``defaults``
+        order (strings as lists), then ``indptr``, ``entry_col`` and
+        ``entry_val``; fills ``blocks``."""
+        fams = self.families
+        order = np.lexsort(np.concatenate([f[2] for f in fams], axis=1)[::-1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        ends = np.cumsum([np.count_nonzero(f[1]) for f in fams])
+        for (fam, present, *_), part in zip(fams, np.split(rank, ends[:-1])):
+            self.blocks[fam][present] = part
+        fields = [np.concatenate([x[3][f] for x in fams])[order]
+                  for f in ("name", *self.defaults)]
+        counts = np.concatenate([x[6] for x in fams])
+        by_row = np.argsort(np.repeat(rank, counts), kind="stable")
+        return [a.tolist() if a.dtype.kind == "U" else a for a in fields] + [
+            np.concatenate([[0], np.cumsum(counts[order])]),
+            np.concatenate([x[4] for x in fams])[by_row],
+            np.concatenate([x[5] for x in fams])[by_row]]
+
+
+def _of(items, attr: str, dtype=float) -> np.ndarray:
+    """Attribute ``attr`` of each of ``items``, as one array."""
+    return np.array([getattr(x, attr) for x in items], dtype=dtype)
 
 
 def fill_program(program, scn: Scenario, fc: Forecasts, init: InitialState,
@@ -863,21 +838,17 @@ def initial_from_scenario(scn: Scenario) -> InitialState:
     """Day-zero state taken from the scenario's declared unit status."""
     gens, stores = scn.generators, scn.storages
     on = [g.online or g.kind == "must-run" for g in gens]
-
-    def arr(values, dtype=float):
-        return np.array(list(values), dtype=dtype)
-
     return InitialState(
-        online=arr(on),
-        output=arr(max(g.initial_output, g.p_min) if o else 0.0
-                   for g, o in zip(gens, on)),
+        online=np.array(on, dtype=float),
+        output=np.array([max(g.initial_output, g.p_min) if o else 0.0
+                         for g, o in zip(gens, on)], dtype=float),
         # No declared history: assume the unit has settled.
-        run_hours=arr(g.online_hours or (g.t_u if o else -g.t_d)
-                      for g, o in zip(gens, on)),
+        run_hours=np.array([g.online_hours or (g.t_u if o else -g.t_d)
+                            for g, o in zip(gens, on)], dtype=float),
         starts_used=np.zeros(len(gens), dtype=int),
-        energy=arr(st.initial_energy for st in stores),
-        mode_gen=arr(st.mode_gen0 for st in stores),
-        mode_pump=arr(st.mode_pump0 for st in stores))
+        energy=_of(stores, "initial_energy"),
+        mode_gen=_of(stores, "mode_gen0"),
+        mode_pump=_of(stores, "mode_pump0"))
 
 
 def solve_layer(scn: Scenario, fc: Forecasts, init: InitialState,
@@ -1017,8 +988,7 @@ def run_rtuc(scn: Scenario, fc: Forecasts, init: InitialState,
     offset = start_minute % (H * 60)
     hour = [min((offset + t * step_min) // 60, H - 1) for t in range(steps)]
     after = min((offset + scn.timing.rtuc_horizon_min) // 60, H)
-    fast = np.array([g.kind == "fast-start" for g in scn.generators],
-                    dtype=bool)
+    fast = _of(scn.generators, "kind", str) == "fast-start"
     # Day-ahead starts scheduled beyond this window still consume a
     # fast-start unit's daily start budget.
     ahead = np.where(fast, day_sched.u[:, after:].sum(axis=1).round(), 0.0)

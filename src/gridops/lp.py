@@ -3,10 +3,11 @@
 A :class:`LinearProgram` holds its program as arrays, and the solver reads
 them as they are: a solve copies nothing but the bounds that branch and
 bound overrides, so a program refilled in place for each use is never
-rebuilt.  A program is made one way, by ``LinearProgram(cols, rows)``,
-which checks every column and row and fixes them for good; its ``repr``
-prints that call, so ``eval(repr(lp))`` rebuilds it.  It is changed one
-way, by writing to its arrays.
+rebuilt.  A program is made from those arrays, ``LinearProgram(arrays=...)``,
+or from its columns and rows as items, ``LinearProgram(cols, rows)``, which
+become the arrays; either way every column and row is checked and fixed
+for good.  Its ``repr`` prints the item call, so ``eval(repr(lp))``
+rebuilds it.  It is changed one way, by writing to its arrays.
 
 The solver is deliberately self-contained and deterministic: identical
 programs produce bit-identical solutions.  Pricing uses Dantzig's rule with
@@ -132,55 +133,65 @@ class LinearProgram:
     """A linear program held as arrays, each exactly as long as the program.
 
     Columns: ``lb``, ``ub``, ``obj``, ``binary`` and ``col_names``.  Rows:
-    ``rhs``, ``senses`` and ``row_names``, with their entries kept in
-    the order given as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
-    owns entries ``indptr[i]:indptr[i + 1]``).  ``cols`` are ``(name, lb,
-    ub, obj, binary)`` and ``rows`` ``(name, [(column, coefficient), ...],
-    sense, rhs)``, as ``variables`` and ``constraints`` give them back; a
-    malformed item raises :class:`SolverError` naming the first one,
-    columns before rows.  ``A`` is the dense constraint matrix, assembled
-    once per structure: each cell is ``0.0`` plus its entries, which keeps
-    zeros unsigned and sums repeated entries in order.  :meth:`set_coeffs`
-    writes entries and their cells in place, so a program of fixed
-    structure is refilled without being built again, and stamps the
-    columns whose cells change bits (``_edited``, assembling A stamps all).
+    ``rhs``, ``senses`` and ``row_names``, with their entries kept in the
+    order given as ``entry_row``/``entry_col``/``entry_val`` (row ``i``
+    owns entries ``indptr[i]:indptr[i + 1]``).  A program is made from
+    ``arrays``, ``(col_names, lb, ub, obj, binary, row_names, senses, rhs,
+    indptr, entry_col, entry_val)`` with names and senses as lists, or from
+    ``cols``, ``(name, lb, ub, obj, binary)``, and ``rows``, ``(name,
+    [(column, coefficient), ...], sense, rhs)``, as ``variables`` and
+    ``constraints`` give them back, which become those arrays.  Either way a
+    malformed column or row raises :class:`SolverError` naming the first
+    one, columns before rows, with its values as given.  ``A`` is the dense
+    constraint matrix, assembled once per structure: each cell is ``0.0``
+    plus its entries, which keeps zeros unsigned and sums repeated entries
+    in order.  :meth:`set_coeffs` writes entries and their cells in place,
+    so a program of fixed structure is refilled without being built again,
+    and stamps the columns whose cells change bits (``_edited``, assembling
+    A stamps all).
     """
 
-    def __init__(self, cols, rows):
-        cols, rows = list(cols), list(rows)
-        n = len(cols)
-        for name, lb, ub, _, binary in cols:
-            if binary and not (lb >= 0.0 and ub <= 1.0):
-                raise SolverError(
-                    f"binary variable {name} needs bounds within [0,1]")
-            if lb > ub:
-                raise SolverError(
-                    f"variable {name} has empty domain [{lb},{ub}]")
-        for name, coeffs, sense, _ in rows:
-            if sense not in (LE, EQ, GE):
-                raise SolverError(
-                    f"unknown sense {sense!r} in constraint {name}")
-            for j, _ in coeffs:
-                if not 0 <= j < n:
-                    raise SolverError(
-                        f"constraint {name} references variable index {j}")
-        names, lb, ub, obj, binary = zip(*cols) if cols else ((),) * 5
-        rnames, coeffs, senses, rhs = zip(*rows) if rows else ((),) * 4
-        counts = [len(c) for c in coeffs]
-        self.col_names, self.row_names = list(names), list(rnames)
-        self.senses = list(senses)
-        self.lb, self.ub, self.obj, self.rhs = (
-            np.array(a, dtype=float) for a in (lb, ub, obj, rhs))
+    def __init__(self, cols=(), rows=(), *, arrays=None):
+        if arrays is None:
+            cols, rows = list(cols), list(rows)
+            names, lb, ub, obj, binary = zip(*cols) if cols else ((),) * 5
+            rnames, coeffs, senses, rhs = zip(*rows) if rows else ((),) * 4
+            arrays = (names, lb, ub, obj, binary, rnames, senses, rhs,
+                      np.cumsum([0] + [len(c) for c in coeffs]),
+                      [j for c in coeffs for j, _ in c],
+                      [a for c in coeffs for _, a in c])
+        (col_names, lb, ub, obj, binary, row_names, senses, rhs, indptr,
+         entry_col, entry_val) = arrays
+        self.col_names, self.row_names, self.senses = map(
+            list, (col_names, row_names, senses))
+        self.lb, self.ub, self.obj, self.rhs, self.entry_val = (
+            np.array(a, dtype=float) for a in (lb, ub, obj, rhs, entry_val))
         self.binary = np.array(binary, dtype=bool)
-        self.indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        self.indptr[1:] = np.cumsum(counts)
-        self.entry_row = np.repeat(np.arange(len(rows), dtype=np.intp),
-                                   counts)
-        self.entry_col = np.array([j for c in coeffs for j, _ in c],
-                                  dtype=np.intp)
-        self.entry_val = np.array([a for c in coeffs for _, a in c],
-                                  dtype=float)
-        self.n, self.m, self.nnz = n, len(rows), len(self.entry_val)
+        self.indptr, self.entry_col = (np.array(a, dtype=np.intp)
+                                       for a in (indptr, entry_col))
+        self.n, self.m, self.nnz = len(self.lb), len(self.rhs), \
+            len(self.entry_val)
+        self.entry_row = np.repeat(np.arange(self.m, dtype=np.intp),
+                                   np.diff(self.indptr))
+        unbinary = self.binary & ~((self.lb >= 0.0) & (self.ub <= 1.0))
+        bad = np.flatnonzero(unbinary | (self.lb > self.ub))
+        if bad.size:
+            j = bad[0]
+            raise SolverError(
+                f"binary variable {self.col_names[j]} needs bounds within "
+                f"[0,1]" if unbinary[j] else f"variable {self.col_names[j]} "
+                f"has empty domain [{lb[j]},{ub[j]}]")
+        unknown = ~np.isin(np.array(self.senses, dtype=object), (LE, EQ, GE))
+        wild = np.flatnonzero((self.entry_col < 0) |
+                              (self.entry_col >= self.n))
+        i = min([*np.flatnonzero(unknown)[:1], *self.entry_row[wild[:1]],
+                 self.m])
+        if i < self.m:
+            raise SolverError(
+                f"unknown sense {self.senses[i]!r} in constraint "
+                f"{self.row_names[i]}" if unknown[i] else
+                f"constraint {self.row_names[i]} references variable index "
+                f"{self.entry_col[wild[0]]}")
         self._A: np.ndarray | None = None
         self._repeated = False       # some cell has more than one entry
         self._edits = 0              # writes that changed bits of A
@@ -228,20 +239,25 @@ class LinearProgram:
             self._edited = np.full(self.n, self._edits)
         return self._A
 
+    def _items(self) -> tuple[list, list]:
+        """The columns and rows as the constructor takes them, read off the
+        arrays."""
+        ends, cols, vals = (a.tolist() for a in (
+            self.indptr, self.entry_col, self.entry_val))
+        return (list(zip(self.col_names, self.lb.tolist(), self.ub.tolist(),
+                         self.obj.tolist(), self.binary.tolist())),
+                [(name, list(zip(cols[lo:hi], vals[lo:hi])), sense, rhs)
+                 for name, lo, hi, sense, rhs in zip(
+                     self.row_names, ends, ends[1:], self.senses,
+                     self.rhs.tolist())])
+
     @property
     def variables(self) -> list[Column]:
-        return [Column(*col) for col in zip(
-            self.col_names, self.lb.tolist(), self.ub.tolist(),
-            self.obj.tolist(), self.binary.tolist())]
+        return [Column(*col) for col in self._items()[0]]
 
     @property
     def constraints(self) -> list[Row]:
-        ends = self.indptr.tolist()
-        cols, vals = self.entry_col.tolist(), self.entry_val.tolist()
-        return [Row(name, list(zip(cols[lo:hi], vals[lo:hi])), sense, rhs)
-                for name, lo, hi, sense, rhs in zip(
-                    self.row_names, ends, ends[1:], self.senses,
-                    self.rhs.tolist())]
+        return [Row(*row) for row in self._items()[1]]
 
     @property
     def binary_indices(self) -> list[int]:
@@ -255,8 +271,8 @@ class LinearProgram:
 
     def __repr__(self) -> str:
         """The constructor call that rebuilds the program."""
-        return (f"LinearProgram(cols={list(map(tuple, self.variables))!r}, "
-                f"rows={list(map(tuple, self.constraints))!r})")
+        cols, rows = self._items()
+        return f"LinearProgram(cols={cols!r}, rows={rows!r})"
 
 
 class Basis(NamedTuple):
