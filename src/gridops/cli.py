@@ -8,6 +8,7 @@ requested product (the validation report).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -111,6 +112,7 @@ def cmd_gen_mini(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="gridops",
                 description="Layered bulk power system simulator.")

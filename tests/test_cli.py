@@ -9,10 +9,12 @@ import shutil
 
 import pytest
 
+import gridops.cli as cli
 import gridops.dispatch as dispatch
 from gridops.cli import main
 from gridops.engine import read_trace, simulate, write_trace
 from gridops.lp import Solution
+from gridops.mini import write_mini3
 from gridops.scenario import (Branch, DemandResponse, Generator, Interface,
                               LoadSpec, Outage, ReserveParams, Scenario,
                               SemiDispatchable, Storage, Timing, VerSpec,
@@ -24,6 +26,37 @@ def mini(tmp_path):
     path = str(tmp_path / "mini3.scn")
     assert main(["gen-mini", path, "--days", "1"]) == 0
     return path
+
+
+def test_main_builds_one_parser_and_parses_each_call_afresh(tmp_path,
+                                                            monkeypatch):
+    made = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    first, second = tmp_path / "first", tmp_path / "second"
+    try:
+        assert main(["gen-mini", str(first / "m.scn"), "--variant",
+                     "congestion", "--days", "1"]) == 0
+        built = len(made)
+        assert main(["gen-mini", str(second / "m.scn")]) == 0
+        assert len(made) == built > 0
+    finally:
+        cli.build_parser.cache_clear()
+    # The second call took none of the first's options: it wrote the
+    # base fleet over the default 4 days.
+    write_mini3(str(tmp_path / "alone" / "m.scn"))
+    assert sorted(os.listdir(second)) == sorted(os.listdir(first)) == \
+        sorted(os.listdir(tmp_path / "alone"))
+    for name in os.listdir(second):
+        assert (second / name).read_bytes() == \
+            (tmp_path / "alone" / name).read_bytes()
+    assert (first / "m.scn").read_bytes() != (second / "m.scn").read_bytes()
 
 
 def test_usage_error_exit_code(capsys):
