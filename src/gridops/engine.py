@@ -202,8 +202,12 @@ def simulate(scn: Scenario, minutes: int,
     trips = set((np.flatnonzero((up[1:] != up[:-1]).any(axis=1)) + 1
                  ).tolist())
     # Each minute of a dispatch interval moves its share of the way from
-    # the outputs where the interval starts to its setpoints.
+    # the outputs where the interval starts to its setpoints.  A unit that
+    # comes back on inside the interval (``back``) starts from 0 MW and
+    # moves toward that path within its ramp rates.
     share = np.arange(1, t.sced_step_min + 1)[:, None] / t.sced_step_min
+    back = np.zeros(len(gens), dtype=bool)
+    rates = np.array([[g.r_min for g in gens], [g.r_max for g in gens]])
 
     for m in range(minutes):
         # Starts count against each calendar day's budget.
@@ -237,6 +241,7 @@ def simulate(scn: Scenario, minutes: int,
             changed = on != online
             if changed.any():
                 state.starts_used += on & changed
+                back |= on & changed
                 output[~on] = 0.0
                 online[:] = on
                 state.run_hours[changed] = 0.0
@@ -261,9 +266,14 @@ def simulate(scn: Scenario, minutes: int,
                                sced.super_neg[:, 0]).tolist())
             path = output + (target - output) * share
             sced_minute = m
+            back[:] = False
 
         # --- units ramp toward their setpoints; storage as scheduled ----
-        np.copyto(output, path[m - sced_minute], where=on)
+        goal = path[m - sced_minute]
+        if back.any():
+            goal = np.where(back, output + np.clip(goal - output, *rates),
+                            goal)
+        np.copyto(output, goal, where=on)
         outputs[m] = output
         if len(eta):
             pgen = day_sched.storage_gen[:, hour]

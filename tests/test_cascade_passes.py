@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import gridops.engine as engine
 from gridops.dispatch import (DispatchError, Forecasts, InitialState,
@@ -117,6 +117,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
     sced_now = None
     sced_base = [0.0] * len(gens)
     sced_minute = 0
+    back = [False] * len(gens)      # came back on inside the interval
     rtuc_steps = t.rtuc_horizon_min // t.rtuc_step_min
     emergency: set[int] = set()
     for ev in scn.outages:
@@ -164,6 +165,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             if w_now > 0.5 and online[k] < 0.5:
                 starts_used[k] += 1
                 output[k] = max(output[k], 0.0)
+                back[k] = True
             if w_now < 0.5:
                 output[k] = 0.0
             if w_now != online[k]:
@@ -188,6 +190,7 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             programs["sced"] = sced_now.program
             sced_base = list(output)
             sced_minute = m
+            back = [False] * len(gens)
 
         frac = (m - sced_minute + 1) / t.sced_step_min
         injections = {b: 0.0 for b in net.bubbles}
@@ -196,7 +199,12 @@ def ref_simulate(scn, minutes: int, seed: int | None = None):
             if online[k] > 0.5:
                 target = float(sced_now.p[k][0])
                 base = sced_base[k]
-                output[k] = base + (target - base) * min(frac, 1.0)
+                goal = base + (target - base) * min(frac, 1.0)
+                if back[k]:
+                    # From 0 MW toward the path, within the ramp rates.
+                    goal = output[k] + float(np.clip(goal - output[k],
+                                                     g.r_min, g.r_max))
+                output[k] = goal
             trace.unit_output[g.id][m] = output[k]
             injections[g.bubble] += output[k]
             gen_total += output[k]
@@ -283,6 +291,12 @@ ARRAYS = ("imbalance_raw", "imbalance", "regulation", "load", "generation",
 
 @settings(max_examples=25)
 @given(p=perturbations())
+# gas2 comes back at minute 5, inside the dispatch interval of minutes
+# 0-9, and ramps up from 0 MW.
+@example(p=dict(timing=0, eps="zero", reg_units=1, storage=False, dr=False,
+                shed=0.0, sun_d=1.0, tie=False, mesh=False, pair=False,
+                gamma=0.0, outages=[("gas2", 3, 2)], seed=7, t_u=1, t_d=1,
+                u_max=1, mid=False))
 def test_passes_give_the_bytes_of_the_minute_loop(mini, p):
     want = outcome(ref_simulate, mini, p)
     got = outcome(engine.simulate, mini, p)

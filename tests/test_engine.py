@@ -93,6 +93,19 @@ def test_an_outage_inside_a_dispatch_interval_takes_the_unit_off(mini):
     assert "3: contingency commitment window" in tr.events
 
 
+def test_a_unit_back_inside_a_dispatch_interval_ramps_up_from_0_mw(mini):
+    # gas2 comes back at minute 5, inside the dispatch interval that began
+    # at minute 0 with gas2 running: it starts from 0 MW and rises by at
+    # most R^max a minute, not back onto the path laid out before it went
+    # out.
+    scn = load_scenario(mini)
+    scn.outages = [Outage(resource="gas2", start=3, duration=2)]
+    r_max = next(g.r_max for g in scn.generators if g.id == "gas2")
+    gas2 = simulate(scn, 30, seed=7).unit_output["gas2"]
+    assert np.all(gas2[3:5] == 0.0) and gas2[5] > 0.0
+    assert np.all(np.diff(gas2[4:12]) <= r_max)
+
+
 def test_one_network_solve_per_minute(mini, monkeypatch):
     calls = []
     real = engine.dc_flow
